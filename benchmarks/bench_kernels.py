@@ -1,11 +1,12 @@
-"""Microbenchmarks of the vectorized kernel layer vs its scalar references.
+"""Microbenchmarks of the kernel layer vs its scalar references.
 
 Each benchmark times one :mod:`repro.kernels` entry point against the
 original per-element Python loop it replaced (kept verbatim in
 ``repro.kernels.reference``) on the same inputs, and reports wall-clock
-seconds plus the speedup ratio.  The regression gate
-(``python -m benchmarks.perf_gate --check``) runs these and fails if the
-vectorized timings regress past the blessed baseline or a speedup falls
+seconds plus the speedup ratio.  Prefix Selection is also timed per call
+at the sizes the Karger–Stein recursion actually asks for.  The regression
+gate (``python -m benchmarks.perf_gate --check``) runs these and fails if
+the kernel timings regress past the blessed baseline or a speedup falls
 under its floor.
 
 Run standalone::
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import time
 
 import numpy as np
@@ -44,6 +46,10 @@ _CC_EDGES = 60_000
 _CC_N = 30_000
 _PREFIX_EDGES = 40_000
 _PREFIX_N = 20_000
+#: (vertices k, sample size s) of the recursion-tail Prefix Selection rows:
+#: the median call of an exact min cut (k=9), a mid-recursion call and the
+#: first contraction of an n=400 trial.  Not scaled by --scale.
+_PREFIX_SMALL = ((9, 32), (50, 162), (400, 2412))
 _PAYLOAD_PARCELS = 20_000
 
 
@@ -106,7 +112,10 @@ def bench_cc(scale: float, rng) -> dict:
 
 
 def bench_prefix_select(scale: float, rng) -> dict:
-    """Prefix Selection: MSF-replay kernel vs incremental union-find loop."""
+    """Prefix Selection: the list-based early-exit union-find vs the numpy
+    scalar-indexing oracle at m=40 000, plus microseconds per call at the
+    recursion's own sizes (``small``; target ``t = ceil(1 + k / sqrt 2)``).
+    """
     m = max(16, int(_PREFIX_EDGES * scale))
     n = max(8, int(_PREFIX_N * scale))
     u = rng.integers(0, n, size=m, dtype=np.int64)
@@ -117,8 +126,23 @@ def bench_prefix_select(scale: float, rng) -> dict:
     slow_t, slow = _best_of(lambda: scalar_prefix_select(n, u, v, t), repeats=1)
     assert np.array_equal(fast[0], slow[0]) and fast[1] == slow[1], \
         "prefix_select kernels disagree"
+
+    small = {}
+    for k, s in _PREFIX_SMALL:
+        su = rng.integers(0, k, size=s, dtype=np.int64)
+        sv = rng.integers(0, k, size=s, dtype=np.int64)
+        tk = math.ceil(1 + k / math.sqrt(2))
+        calls = max(20, 20_000 // k)
+
+        def batch():
+            for _ in range(calls):
+                prefix_select_labels(k, su, sv, tk)
+
+        batch_t, _ = _best_of(batch, repeats=5)
+        small[f"k{k}_s{s}"] = {"k": k, "s": s, "t": tk,
+                               "us_per_call": 1e6 * batch_t / calls}
     return {"m": m, "fast_s": fast_t, "slow_s": slow_t,
-            "speedup": slow_t / fast_t}
+            "speedup": slow_t / fast_t, "small": small}
 
 
 def _generic_payload_words(x):
@@ -187,10 +211,13 @@ def main(argv=None) -> int:
         print(json.dumps(results, indent=2, sort_keys=True))
         return 0
     print(f"kernel microbenchmarks (scale={args.scale:g})")
-    print(f"{'bench':<16}{'vectorized':>12}{'scalar':>12}{'speedup':>10}")
+    print(f"{'bench':<16}{'kernel':>12}{'scalar':>12}{'speedup':>10}")
     for name, r in results.items():
         print(f"{name:<16}{r['fast_s']:>11.4f}s{r['slow_s']:>11.4f}s"
               f"{r['speedup']:>9.1f}x")
+    for name, r in results.get("prefix_select", {}).get("small", {}).items():
+        print(f"prefix_select {name} (t={r['t']}): "
+              f"{r['us_per_call']:.1f} us/call")
     return 0
 
 

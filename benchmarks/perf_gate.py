@@ -14,6 +14,10 @@ Two kinds of baseline live in ``results/perf_baseline.json``:
   ``slack x baseline`` (default 2.0, override with ``PERF_GATE_SLACK``),
   and each speedup ratio must stay above its floor — 10x for the
   contraction kernel (the acceptance bar), 1.2x elsewhere.
+* **Prefix Selection per call** (``prefix_select_small``) — microseconds
+  per :func:`~repro.kernels.prefix_select_labels` call at the sizes the
+  Karger–Stein recursion visits (k=9, 50, 400), where fixed per-call cost
+  is everything; each may not exceed ``slack x`` its blessed value.
 * **Transport fingerprints** — the mp backend's shared-memory segment
   allocation counts on the :mod:`benchmarks.bench_transport` workloads.
   Segment counts are deterministic (payload sizes are seed-fixed), so
@@ -265,9 +269,13 @@ def fusion_fingerprints(scale: float = 1.0, seed: int = 0) -> dict:
 
 def measure(scale: float = 1.0, seed: int = 0) -> dict:
     """Run all baseline sections and return the combined record."""
+    timings = run_benchmarks(scale=scale, seed=seed)
     return {
         "counters": counter_fingerprints(),
-        "timings": run_benchmarks(scale=scale, seed=seed),
+        "timings": timings,
+        "prefix_select_small": {
+            name: row["us_per_call"]
+            for name, row in timings["prefix_select"]["small"].items()},
         "transport": transport_fingerprints(scale=scale, seed=seed),
         "sched": sched_fingerprints(scale=scale, seed=seed),
         "two_out": two_out_fingerprints(scale=scale, seed=seed),
@@ -326,6 +334,28 @@ def _check_timings(base: dict, now: dict, slack: float,
             lines.append(
                 f"  timings[{name}].speedup: {n['speedup']:.1f}x is under "
                 f"the {floor:g}x floor (blessed: {b['speedup']:.1f}x)")
+    return ok
+
+
+def _check_prefix_select_small(base: dict | None, now: dict, slack: float,
+                               lines: list[str]) -> bool:
+    if base is None:
+        lines.append("  prefix_select_small: section missing from blessed "
+                     "baseline (re-bless to record it)")
+        return False
+    ok = True
+    for name in sorted(base):
+        limit = base[name] * slack
+        if name not in now:
+            ok = False
+            lines.append(f"  prefix_select_small[{name}]: missing from "
+                         f"current run")
+        elif now[name] > limit:
+            ok = False
+            lines.append(
+                f"  prefix_select_small[{name}]: {now[name]:.1f} us/call "
+                f"exceeds {limit:.1f} (= {slack:g} x blessed "
+                f"{base[name]:.1f})")
     return ok
 
 
@@ -547,6 +577,9 @@ def check(scale: float, seed: int, slack: float) -> int:
     lines: list[str] = []
     counters_ok = _diff_counters(base["counters"], now["counters"], lines)
     timings_ok = _check_timings(base["timings"], now["timings"], slack, lines)
+    small_ok = _check_prefix_select_small(
+        base.get("prefix_select_small"), now["prefix_select_small"], slack,
+        lines)
     transport_ok = _check_transport(base.get("transport"), now["transport"],
                                     lines)
     sched_ok = _check_sched(base.get("sched"), now["sched"], lines)
@@ -556,7 +589,7 @@ def check(scale: float, seed: int, slack: float) -> int:
     plane_ok = _check_graph_plane(base.get("graph_plane"),
                                   now["graph_plane"], lines)
     dynamic_ok = _check_dynamic(base.get("dynamic"), now["dynamic"], lines)
-    if (counters_ok and timings_ok and transport_ok and sched_ok
+    if (counters_ok and timings_ok and small_ok and transport_ok and sched_ok
             and two_out_ok and serve_ok and fusion_ok and plane_ok
             and dynamic_ok):
         speeds = ", ".join(f"{k}={v['speedup']:.1f}x"
@@ -565,8 +598,12 @@ def check(scale: float, seed: int, slack: float) -> int:
             f"{k}={v['legacy_segments_created']}->"
             f"{v['pooled_segments_created']}"
             for k, v in sorted(now["transport"].items()))
+        small = ", ".join(
+            f"{k}={v:.1f}us"
+            for k, v in sorted(now["prefix_select_small"].items()))
         print(f"perf_gate: OK — counters exact, timings within "
-              f"{slack:g}x slack ({speeds}), transport segments exact "
+              f"{slack:g}x slack ({speeds}; prefix selection per call "
+              f"{small}), transport segments exact "
               f"({segs}), scheduler overhead "
               f"{now['sched']['predicted_overhead_pct']:+.3f}% with "
               f"bit-identical crash recovery, 2-out trial reduction "

@@ -19,9 +19,8 @@ O(m/p) volume).
 columns locally, transpose the distributed matrix (one alltoall), combine
 again, zero the diagonal (Lemma 4.1: O(1) supersteps, O(n^2/p) volume).
 
-The per-edge computation bottoms out in the vectorized kernels of
-:mod:`repro.kernels`; ``prefix_select(..., slow=True)`` runs the scalar
-reference loop instead (byte-identical output, used by differential tests).
+The per-edge computation bottoms out in the kernels of :mod:`repro.kernels`
+(vectorized relabel/combine; one early-exit union-find for Prefix Selection).
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.kernels import (
     pack_edge_keys,
     prefix_select_labels,
     relabel_edge_arrays,
-    scalar_prefix_select,
     unpack_edge_keys,
 )
 
@@ -47,25 +45,8 @@ __all__ = [
 ]
 
 
-def prefix_select(
-    n: int, su: np.ndarray, sv: np.ndarray, t: int, *, slow: bool = False
-) -> tuple[np.ndarray, int]:
-    """Contract the longest prefix leaving at least ``t`` components.
-
-    ``su, sv`` is the randomly permuted edge sample in the current label
-    space ``0..n-1``.  Returns ``(labels, n_new)`` with dense labels for the
-    resulting contraction; ``n_new >= t`` always, with equality whenever the
-    sample suffices to reach ``t``.
-
-    The semantics are those of an incremental union-find (path halving +
-    union by size) stopping as soon as the component count would drop below
-    ``t``; the default path computes the same result vectorized
-    (:func:`repro.kernels.prefix_select_labels`), while ``slow=True`` runs
-    the original per-edge reference loop.  Both return byte-identical labels.
-    """
-    if slow:
-        return scalar_prefix_select(n, su, sv, t)
-    return prefix_select_labels(n, su, sv, t)
+#: The core layer's name for the kernel: it *is* the paper's root-side loop.
+prefix_select = prefix_select_labels
 
 
 def sparse_bulk_contract(ctx, comm, u, v, w, g_map, n_new):

@@ -98,6 +98,25 @@ _SEG_SEQ = itertools.count()
 _LOCK = threading.Lock()
 
 
+def _fresh_lock_after_fork() -> None:
+    global _LOCK
+    _LOCK = threading.Lock()
+
+
+# A fork copies every lock in whatever state some other thread holds it,
+# and a lock copied locked is never released.  The daemon forks its warm
+# pool from the executor thread while request threads publish; the workers
+# then hung in _resolve_graph — on _LOCK, or on the stdlib resource
+# tracker's own lock, which SharedMemory() takes (and, on its first use,
+# holds while it spawns the tracker process) inside publish's critical
+# section.  So a fork waits for that section to end, and the child starts
+# with a lock of its own and a registry that is never a torn copy.
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(before=lambda: _LOCK.acquire(),
+                        after_in_parent=lambda: _LOCK.release(),
+                        after_in_child=_fresh_lock_after_fork)
+
+
 def default_plane_enabled() -> bool:
     """Plane default for the mp backends; ``REPRO_GRAPH_PLANE=0`` disables."""
     return os.environ.get("REPRO_GRAPH_PLANE", "1") != "0"

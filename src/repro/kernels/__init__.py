@@ -1,15 +1,15 @@
-"""Vectorized hot-path kernels shared by the contraction algorithms.
+"""Hot-path kernels shared by the contraction algorithms.
 
 Every contraction-style algorithm in this reproduction — Iterated Sampling
 (§3.2), Prefix Selection and sparse/dense Bulk Edge Contraction (§4) — bottoms
 out in a handful of label/contraction primitives.  This package provides them
-as numpy-vectorized kernels with scalar reference implementations kept side by
-side for differential testing:
+(numpy-vectorized wherever that measured faster) with scalar reference
+implementations kept side by side for differential testing:
 
 * :mod:`repro.kernels.unionfind` — connected-component labels and roots
   (pointer-jumping label propagation / scipy traversal / scalar union-find),
-  the earliest-arrival spanning forest, and the exact vectorized Prefix
-  Selection kernel;
+  the earliest-arrival spanning forest, and Prefix Selection (one early-exit
+  list union-find: the vectorized kernel lost to it at every measured size);
 * :mod:`repro.kernels.contract` — bulk edge contraction over packed 64-bit
   endpoint keys (relabel via ``np.take``, self-loop mask, parallel-edge
   aggregation);
@@ -17,7 +17,7 @@ side for differential testing:
   sampler of the GNT contraction preprocessing (one batched
   ``searchsorted`` over a shared incidence prefix-sum);
 * :mod:`repro.kernels.reference` — the original pure-Python loops, preserved
-  verbatim as ``slow=`` references.
+  verbatim as the test oracles.
 
 **Bit-exactness contract.**  Each fast kernel returns byte-identical output to
 its scalar reference (not merely the same partition): downstream sampling,

@@ -1,10 +1,10 @@
 """Scalar reference implementations of the hot-path kernels.
 
-These are the original pure-Python loops that the vectorized kernels in
+These are the original pure-Python loops that the kernels in
 :mod:`repro.kernels.unionfind` and :mod:`repro.kernels.contract` replaced.
-They are kept (a) as the ``slow=`` escape hatch of the public entry points,
-(b) as the ground truth of the differential property tests, and (c) as the
-baseline the microbenchmarks and the perf gate measure speedups against.
+They are kept (a) as the ``slow=`` escape hatch of the public entry points
+(all but :func:`scalar_prefix_select`), (b) as the ground truth of the
+differential tests, and (c) as the baseline the perf gate measures against.
 
 Do not "optimize" these: their value is being obviously correct and
 byte-for-byte equal to the pre-vectorization behaviour.
@@ -55,7 +55,7 @@ def scalar_prefix_select(
 
     Processes the permuted sample edge by edge, stopping as soon as the
     component count would drop below ``t``; labels are the dense renumbering
-    of the final union-find roots in sorted-root order.  The vectorized
+    of the final union-find roots in sorted-root order.  The production
     kernel (:func:`repro.kernels.unionfind.prefix_select_labels`) reproduces
     this output byte for byte, including the size-based root choice.
     """

@@ -1,4 +1,4 @@
-"""Vectorized connected-components / union-find kernels.
+"""Connected-components / union-find kernels.
 
 Three interchangeable backends compute component structure over edge arrays:
 
@@ -14,20 +14,22 @@ vertex of each component (hence dense labels are in first-appearance order,
 which is exactly what scipy's traversal produces).  The differential tests
 assert exact array equality across backends.
 
-:func:`prefix_select_labels` is the exact vectorized Prefix Selection
-(§2.4 step 2): the edges the scalar union-find would merge are precisely the
-minimum spanning forest of the sample under *arrival-index weights* (Kruskal
-with weight = position), so the compiled MSF routine finds them, and a replay
-of only those <= n-1 merges reproduces the size-based root choice — and thus
-the exact label array — of the reference loop.
+:func:`earliest_forest` finds the edges a union-find reading a stream front
+to back merges on — the minimum spanning forest under *arrival-index
+weights* (Kruskal with weight = position) — with the compiled MSF routine.
+:func:`prefix_select_labels` (Prefix Selection, §2.4 step 2) is a plain
+list-based union-find instead: stopping at the ``t``-th component, it beat
+an MSF replay at every size measured (table in ``docs/kernels.md``).
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.kernels.contract import stable_sort_with_order
-from repro.kernels.reference import _find, scalar_cc_roots, scalar_prefix_select
+from repro.kernels.reference import _find, scalar_cc_roots
 
 __all__ = [
     "cc_labels",
@@ -38,6 +40,12 @@ __all__ = [
 ]
 
 
+# Sample edges prefix_select_labels converts to Python ints at a time: small,
+# because the recursion's calls stop ~0.3 k merges into a ~6 k-edge sample.
+_SAMPLE_BLOCK = 256
+
+
+@functools.cache  # once per process: "auto" resolves on every kernel call
 def _scipy_csgraph():
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
@@ -198,44 +206,55 @@ def _earliest_forest_scalar(n, u, v):
 
 
 def prefix_select_labels(
-    n: int, su: np.ndarray, sv: np.ndarray, t: int, backend: str = "auto"
+    n: int, su: np.ndarray, sv: np.ndarray, t: int
 ) -> tuple[np.ndarray, int]:
-    """Exact vectorized Prefix Selection: contract the longest prefix of the
-    permuted sample ``(su, sv)`` leaving at least ``t`` components.
+    """Prefix Selection: contract the longest prefix of the randomly permuted
+    sample ``(su, sv)`` (labels ``0..n-1``) leaving at least ``t`` components.
 
-    Byte-identical to :func:`repro.kernels.reference.scalar_prefix_select`:
-    the merge sequence is recovered vectorized (earliest-arrival forest), and
-    only those ``<= min(n - t, n - 1)`` merges are replayed with the
-    reference's union-by-size rule so the root *identities* — which order the
-    dense labels through ``np.unique`` — come out the same.
+    Returns dense labels and their count ``n_new``; ``n_new >= t``, with
+    equality whenever the sample suffices to reach ``t``.  One union-find
+    over Python lists (union by size + path halving) that stops at the
+    merge bringing the count to ``t``; merges, root choice and labels (each
+    root's rank among the sorted roots) are byte-identical to
+    :func:`repro.kernels.reference.scalar_prefix_select`.  The sample is
+    read ``_SAMPLE_BLOCK`` edges at a time, so an early stop never converts
+    the tail and extra memory is O(block), not O(s).
     """
     if t < 1:
         raise ValueError(f"target component count must be >= 1, got {t}")
-    su = np.asarray(su, dtype=np.int64)
-    sv = np.asarray(sv, dtype=np.int64)
-    if _resolve_backend(backend) == "scalar":
-        return scalar_prefix_select(n, su, sv, t)
-    budget = n - t
-    parent = np.arange(n, dtype=np.int64)
-    if budget > 0 and su.size:
-        fu, fv = earliest_forest(n, su, sv, backend=backend)
-        take = min(budget, fu.size)
-        # Replay on plain Python lists: the loop runs only over the <= n-1
-        # forest merges (never the full sample), and list indexing avoids
-        # the per-access overhead of numpy scalar indexing.
-        par = list(range(n))
-        size = [1] * n
-        for a, b in zip(fu[:take].tolist(), fv[:take].tolist()):
+    su, sv = np.asarray(su), np.asarray(sv)
+    if n <= t or su.size == 0:
+        return np.arange(n, dtype=np.int64), n
+    par = list(range(n))
+    size = [1] * n
+    count = n
+    for lo in range(0, su.size, _SAMPLE_BLOCK):
+        if count == t:
+            break
+        hi = lo + _SAMPLE_BLOCK
+        for a, b in zip(su[lo:hi].tolist(), sv[lo:hi].tolist()):
             while par[a] != a:
                 par[a] = par[par[a]]
                 a = par[a]
             while par[b] != b:
                 par[b] = par[par[b]]
                 b = par[b]
+            if a == b:
+                continue
             if size[a] < size[b]:
                 a, b = b, a
             par[b] = a
             size[a] += size[b]
-        parent = flatten_parents(np.array(par, dtype=np.int64))
-    uniq, labels = np.unique(parent, return_inverse=True)
-    return labels.astype(np.int64), int(uniq.size)
+            count -= 1
+            if count == t:
+                break
+    # Sizes are dead now: a root's slot takes its rank among the roots in
+    # ascending vertex order (= np.unique's label order).
+    for rank, x in enumerate(x for x in range(n) if par[x] == x):
+        size[x] = rank
+    labels = []
+    for x in par:
+        while par[x] != x:
+            x = par[x]
+        labels.append(size[x])
+    return np.array(labels, dtype=np.int64), count

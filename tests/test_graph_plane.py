@@ -17,7 +17,10 @@ Four layers of guarantees:
 """
 
 import glob
+import multiprocessing
 import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -81,6 +84,42 @@ def test_handle_pickles_in_o1(big_graph):
 def test_publisher_resolves_to_original_object(big_graph):
     h = plane.publish(big_graph)
     assert h.graph() is big_graph
+
+
+def _resolve_in_child(handle, m):
+    raise SystemExit(0 if plane.resolve_plane(handle).m == m else 1)
+
+
+def test_fork_while_lock_held(big_graph):
+    """A fork taken while another thread is inside the registry's critical
+    section must not hand the child a lock nobody will ever release (the
+    daemon forks its warm pool while request threads publish)."""
+    require_mp()
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method on this platform")
+    handle = plane.publish(big_graph)
+    held = threading.Event()
+
+    def hold():
+        with plane._LOCK:
+            held.set()
+            time.sleep(0.3)
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    assert held.wait(10)
+    child = multiprocessing.get_context("fork").Process(
+        target=_resolve_in_child, args=(handle, big_graph.m), daemon=True)
+    child.start()
+    child.join(30)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join(10)
+    holder.join(10)
+    assert not hung, "child deadlocked on a lock inherited held"
+    assert child.exitcode == 0
+    assert not plane._LOCK.locked()
 
 
 def test_views_are_zero_copy_and_read_only(big_graph):

@@ -159,33 +159,90 @@ def test_earliest_forest_random_exact(stream):
     np.testing.assert_array_equal(fv, sv)
 
 
+def _assert_matches_oracle(n, u, v, t):
+    exp_labels, exp_count = scalar_prefix_select(n, u, v, t)
+    labels, count = prefix_select_labels(n, u, v, t)
+    assert count == exp_count
+    assert labels.dtype == exp_labels.dtype == np.int64
+    np.testing.assert_array_equal(labels, exp_labels)
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_prefix_select_exact_all_targets(family):
     n, u, v = FAMILIES[family]
     for t in {1, 2, max(1, n // 2), max(1, n - 1), n}:
-        exp_labels, exp_count = scalar_prefix_select(n, u, v, t)
-        labels, count = prefix_select_labels(n, u, v, t)
-        assert count == exp_count
-        np.testing.assert_array_equal(labels, exp_labels)
+        _assert_matches_oracle(n, u, v, t)
 
 
 @given(edge_streams(), st.integers(min_value=1, max_value=40))
 @settings(max_examples=150, deadline=None)
 def test_prefix_select_random_exact(stream, t):
     n, u, v = stream
-    t = min(t, n)
-    exp_labels, exp_count = scalar_prefix_select(n, u, v, t)
-    labels, count = prefix_select_labels(n, u, v, t)
+    _assert_matches_oracle(n, u, v, min(t, n))
+
+
+def test_prefix_select_entry_point_matches_oracle():
+    n, u, v = FAMILIES["sparse_random"]
+    exp_labels, exp_count = scalar_prefix_select(n, u, v, 50)
+    labels, count = prefix_select(n, u, v, 50)
     assert count == exp_count
     np.testing.assert_array_equal(labels, exp_labels)
 
 
-def test_prefix_select_dispatcher_fast_vs_slow():
-    n, u, v = FAMILIES["sparse_random"]
-    fast = prefix_select(n, u, v, 50)
-    slow = prefix_select(n, u, v, 50, slow=True)
-    assert fast[1] == slow[1]
-    np.testing.assert_array_equal(fast[0], slow[0])
+def test_prefix_select_small_k_sweep():
+    """Every (n, t) the Karger–Stein recursion tail can ask for, on samples
+    with self-loops and repeated pairs; also too-short and empty samples,
+    strided views and int32 inputs."""
+    rng = np.random.default_rng(21)
+    for n in range(1, 25):
+        u = rng.integers(0, n, size=4 * n)
+        v = np.where(rng.random(4 * n) < 0.2, u, rng.integers(0, n, size=4 * n))
+        u[n:2 * n], v[n:2 * n] = u[:n], v[:n]  # every early pair arrives twice
+        wide_u, wide_v = np.repeat(u, 2), np.repeat(v, 2)
+        for t in range(1, n + 1):
+            _assert_matches_oracle(n, u, v, t)
+            _assert_matches_oracle(n, u[:0], v[:0], t)
+            _assert_matches_oracle(n, u[:n // 3], v[:n // 3], t)
+            _assert_matches_oracle(n, wide_u[::2], wide_v[::2], t)
+            _assert_matches_oracle(n, u.astype(np.int32), v.astype(np.int32), t)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_prefix_select_stops_around_block_boundary(monkeypatch, offset):
+    """The merge that reaches ``t`` is the last edge of a block, the one
+    before it, or the first edge of the next block."""
+    from repro.kernels import unionfind
+
+    block = 8
+    monkeypatch.setattr(unionfind, "_SAMPLE_BLOCK", block)
+    n = 40
+    # A path: every edge merges, so edge i brings the count to n - 1 - i.
+    u = np.arange(n - 1, dtype=np.int64)
+    v = u + 1
+    stop_edge = 2 * block - 1 + offset
+    _assert_matches_oracle(n, u, v, n - 1 - stop_edge)
+
+
+@pytest.mark.parametrize("s", [0, 1, 8, 9])
+def test_prefix_select_sample_sizes_around_one_block(monkeypatch, s):
+    from repro.kernels import unionfind
+
+    monkeypatch.setattr(unionfind, "_SAMPLE_BLOCK", 8)
+    rng = np.random.default_rng(s)
+    n = 12
+    u = rng.integers(0, n, size=s)
+    v = rng.integers(0, n, size=s)
+    for t in (1, 2, n - 1, n):
+        _assert_matches_oracle(n, u, v, t)
+
+
+@pytest.mark.parametrize("t", [2, 2000, 20_000])
+def test_prefix_select_large_matches_oracle(t):
+    """The other end of the size range: one kernel, no dispatch."""
+    n, s = 20_000, 40_000
+    rng = np.random.default_rng(17)
+    _assert_matches_oracle(n, rng.integers(0, n, size=s),
+                           rng.integers(0, n, size=s), t)
 
 
 def test_prefix_select_rejects_bad_target():

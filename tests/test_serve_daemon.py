@@ -11,6 +11,7 @@ Two harness styles:
   sim backend, talked to through the real :class:`~repro.serve.Client`.
 """
 
+import glob
 import os
 import threading
 import time
@@ -22,6 +23,8 @@ from repro.graph import erdos_renyi, write_edgelist
 from repro.harness.experiment import run_algorithm
 from repro.rng import philox_stream
 from repro.serve import Client, Daemon, ServeConfig, ServeError, wait_server
+
+from .conftest import require_mp
 
 
 @pytest.fixture
@@ -108,6 +111,44 @@ def test_socket_concurrent_clients_bit_identical_to_solo(
         solo = run_algorithm("square_root", graph, p=4, seed=seed)
         assert results[seed]["value"] == solo.value, seed
         assert results[seed]["trials"] == solo.trials
+
+
+def test_warm_pool_fork_races_first_queries(tmp_path):
+    """Two clients' *first* queries arrive together, unprimed, 20 times.
+
+    The warm pool is forked by the executor thread on the first dispatch
+    while the other request's thread may be publishing its graph into the
+    plane; the workers must not inherit the plane's lock held.
+    """
+    require_mp()
+    graph = erdos_renyi(400, 4000, philox_stream(7), weighted=True)
+    path = str(tmp_path / "big.edges")
+    write_edgelist(graph, path)  # above PLANE_MIN_BYTES: it is published
+    solo = run_algorithm("parallel_cc", graph, p=2, seed=5)
+    for attempt in range(20):
+        cfg = ServeConfig(bind=str(tmp_path / f"w{attempt}.sock"),
+                          state_dir=str(tmp_path / f"state{attempt}"),
+                          backend="warm", p=2)
+        results = {}
+        gate = threading.Barrier(2)
+
+        def one(name):
+            with Client(cfg.bind, client=name, timeout=60.0) as c:
+                gate.wait(10)
+                results[name] = c.run("parallel_cc", path, seed=5)
+
+        with Daemon(cfg) as daemon:
+            wait_server(daemon.address)
+            threads = [threading.Thread(target=one, args=(name,), daemon=True)
+                       for name in ("a", "b")]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(90)
+            assert not any(t.is_alive() for t in threads), attempt
+        for name in ("a", "b"):
+            assert results[name]["n_components"] == solo.n_components, attempt
+    assert glob.glob("/dev/shm/rgpl*") == []
 
 
 def test_socket_shutdown_op_stops_daemon(graph_file, tmp_path):
