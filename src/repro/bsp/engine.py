@@ -26,7 +26,12 @@ from repro.bsp.arrays import ArrayBundle
 from repro.bsp.comm import CollectiveOp, Communicator, Group, payload_words
 from repro.bsp.counters import CountersReport, ProcCounters
 from repro.bsp.errors import CollectiveMismatchError, DeadlockError
-from repro.bsp.fusion import FUSABLE_KINDS, FusionConfig, as_fusion_config
+from repro.bsp.fusion import (
+    FUSABLE_KINDS,
+    FusionConfig,
+    FusionState,
+    as_fusion_config,
+)
 from repro.bsp.machine import MachineModel, TimeEstimate
 from repro.cache.model import CacheParams
 from repro.rng.streams import RngStreams
@@ -183,10 +188,8 @@ class Engine:
         self._next_gid = 0
         self._split_seq: dict[int, int] = {}
         # Auto-fusion bookkeeping (reset per run; see _execute):
-        self._last_sync: dict[int, tuple[int, bool]] = {}   # rank -> (gid, mergeable)
+        self._fusion: FusionState | None = None
         self._post_sync: dict[int, tuple[float, float]] = {}  # rank -> (ops, misses)
-        self._chain: dict[int, int] = {}        # gid -> collectives this superstep
-        self._chain_words: dict[int, int] = {}  # gid -> words this superstep
 
     def _new_group(self, members: tuple[int, ...]) -> Group:
         self._next_gid += 1
@@ -224,10 +227,8 @@ class Engine:
         # function of (program, p, seed), even on a reused engine.
         self._next_gid = 0
         self._split_seq = {}
-        self._last_sync = {}
+        self._fusion = FusionState(self.fuse) if self.fuse is not None else None
         self._post_sync = {}
-        self._chain = {}
-        self._chain_words = {}
         tracer = self._tracer
         events_before = len(tracer)
         streams = RngStreams(seed)
@@ -295,12 +296,6 @@ class Engine:
                         f"complete: member(s) {dead} already terminated while "
                         f"{sorted(waiting)} are waiting"
                     )
-                kinds = {op.kind for op in ops}
-                if len(kinds) != 1:
-                    detail = {op.sender: op.kind for op in ops}
-                    raise CollectiveMismatchError(
-                        f"group {gid} members issued different collectives: {detail}"
-                    )
                 self._execute(group, ops, counters, ctxs, inbox)
                 for op in ops:
                     pending[op.sender] = None
@@ -335,6 +330,28 @@ class Engine:
 
     # -- collective execution ------------------------------------------------
 
+    def _handler_for(self, group: Group, ops: list[CollectiveOp]) -> Callable:
+        """The ``_exec_<kind>`` method for a matched collective, once its
+        members are seen to agree on the kind and (if rooted) the root.
+        The mp coordinator validates through this too."""
+        kinds = {op.kind for op in ops}
+        if len(kinds) != 1:
+            detail = {op.sender: op.kind for op in ops}
+            raise CollectiveMismatchError(
+                f"group {group.gid} members issued different collectives: {detail}"
+            )
+        kind = ops[0].kind
+        if kind in ROOTED_KINDS:
+            roots = {op.root for op in ops}
+            if len(roots) != 1:
+                raise CollectiveMismatchError(
+                    f"group {group.gid} members disagree on the {kind} root: {roots}"
+                )
+        handler = getattr(self, f"_exec_{kind}", None)
+        if handler is None:
+            raise CollectiveMismatchError(f"unknown collective kind {kind!r}")
+        return handler
+
     def _execute(
         self,
         group: Group,
@@ -344,10 +361,11 @@ class Engine:
         inbox: list[Any],
     ) -> None:
         ops.sort(key=lambda o: o.local_rank)
+        handler = self._handler_for(group, ops)
         kind = ops[0].kind
         members = group.members
         gid = group.gid
-        fuse = self.fuse
+        fusion = self._fusion
 
         # Adjacent fusion: when every member reached this collective with
         # *zero* local charges since this group's previous one, a real
@@ -358,7 +376,7 @@ class Engine:
         # wait nor ops_at_last_sync, only the superstep count.
         merged = False
         words = -1
-        track = fuse is not None or self._tracer.enabled
+        track = fusion is not None or self._tracer.enabled
         clean: tuple[bool, ...] = ()
         if track:
             # Arrival cleanliness: no local (ops, misses) charges since the
@@ -369,14 +387,8 @@ class Engine:
                 == (counters[m].ops, counters[m].misses)
                 for m in members
             )
-        if fuse is not None and fuse.auto and kind in FUSABLE_KINDS:
-            words = sum(payload_words(op.payload) for op in ops)
-            merged = (
-                self._chain.get(gid, 0) + 1 <= fuse.max_chain
-                and self._chain_words.get(gid, 0) + words <= fuse.max_words
-                and all(self._last_sync.get(m) == (gid, True) for m in members)
-                and all(clean)
-            )
+        if fusion is not None:
+            merged, words = fusion.step(group, ops, clean)
 
         if not merged:
             # Synchronization accounting: supersteps + imbalance wait.
@@ -389,15 +401,6 @@ class Engine:
                 counters[m].ops_at_last_sync = counters[m].ops
                 counters[m].supersteps += 1
 
-        if kind in ROOTED_KINDS:
-            roots = {op.root for op in ops}
-            if len(roots) != 1:
-                raise CollectiveMismatchError(
-                    f"group {group.gid} members disagree on the {kind} root: {roots}"
-                )
-        handler = getattr(self, f"_exec_{kind}", None)
-        if handler is None:
-            raise CollectiveMismatchError(f"unknown collective kind {kind!r}")
         results = handler(group, ops, counters, ctxs)
         if self._tracer.enabled:
             # Post-collective cumulative snapshots: the tracer derives the
@@ -422,18 +425,6 @@ class Engine:
             self._post_sync.update(
                 (m, (counters[m].ops, counters[m].misses)) for m in members
             )
-        if fuse is not None:
-            if words < 0:
-                words = sum(payload_words(op.payload) for op in ops)
-            weight = len(ops[0].payload) if kind == "fused" else 1
-            self._chain[gid] = (self._chain.get(gid, 0) + weight if merged
-                                else weight)
-            self._chain_words[gid] = (
-                self._chain_words.get(gid, 0) + words if merged else words
-            )
-            mergeable = kind in FUSABLE_KINDS or kind == "fused"
-            for m in members:
-                self._last_sync[m] = (gid, mergeable)
         for op, res in zip(ops, results):
             inbox[op.sender] = res
 

@@ -32,7 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["FusionConfig", "FUSABLE_KINDS", "as_fusion_config"]
+from repro.bsp.comm import payload_words
+
+__all__ = ["FusionConfig", "FusionState", "FUSABLE_KINDS", "as_fusion_config"]
 
 #: Collective kinds eligible for fusion (explicit batches and auto-merge).
 #: ``split`` is excluded because its result is a new communicator (group
@@ -74,6 +76,54 @@ class FusionConfig:
             raise ValueError(f"max_words must be >= 1, got {self.max_words}")
         if self.max_chain < 2:
             raise ValueError(f"max_chain must be >= 2, got {self.max_chain}")
+
+
+class FusionState:
+    """One run's adjacent-fusion bookkeeping.
+
+    The simulator (``Engine._execute``) and the mp coordinator both call
+    :meth:`step` once per matched collective, so the merge criterion and
+    the chain accounting exist once and fused runs stay bit-identical
+    across backends.
+    """
+
+    def __init__(self, config: FusionConfig):
+        self.config = config
+        self._last_sync: dict[int, tuple[int, bool]] = {}  # rank -> (gid, mergeable)
+        self._chain: dict[int, int] = {}        # gid -> collectives this superstep
+        self._chain_words: dict[int, int] = {}  # gid -> words this superstep
+
+    def step(self, group, ops, clean) -> tuple[bool, int]:
+        """Account for one matched collective; returns ``(merged, words)``.
+
+        ``merged`` says the collective joins the group's current superstep:
+        its kind is fusable, the superstep stays within ``max_chain`` and
+        ``max_words``, every member's previous sync was a mergeable
+        collective on this same group, and every member arrived ``clean``
+        (no local charges since) — then all since-sync values are zero and
+        the merge elides only the latency.
+        """
+        cfg, gid, kind = self.config, group.gid, ops[0].kind
+        words = sum(payload_words(op.payload) for op in ops)
+        merged = (
+            cfg.auto and kind in FUSABLE_KINDS
+            and self._chain.get(gid, 0) + 1 <= cfg.max_chain
+            and self._chain_words.get(gid, 0) + words <= cfg.max_words
+            and all(self._last_sync.get(m) == (gid, True)
+                    for m in group.members)
+            and all(clean)
+        )
+        weight = len(ops[0].payload) if kind == "fused" else 1
+        if merged:
+            self._chain[gid] += weight
+            self._chain_words[gid] += words
+        else:
+            self._chain[gid] = weight
+            self._chain_words[gid] = words
+        mergeable = kind in FUSABLE_KINDS or kind == "fused"
+        for m in group.members:
+            self._last_sync[m] = (gid, mergeable)
+        return merged, words
 
 
 def as_fusion_config(fuse) -> FusionConfig | None:

@@ -158,7 +158,7 @@ def _cmd_approx_cut(args) -> int:
 
 def _scheduler_spec(args):
     """A :class:`~repro.sched.TrialScheduler` when any scheduling flag was
-    given, else None (the legacy monolithic dispatch)."""
+    given, else None (one ``mincut_program`` dispatch)."""
     engaged = (
         args.max_retries is not None or args.retry_backoff is not None
         or args.checkpoint or args.resume or args.inject_faults

@@ -2,7 +2,8 @@
 algorithms built on it (connected components, approximate and exact global
 minimum cuts).
 
-High-level drivers (build an engine, slice the graph, run the SPMD program):
+High-level drivers (resolve ``backend=``, slice the graph, run the SPMD
+program):
 
 * :func:`repro.core.components.connected_components`
 * :func:`repro.core.approx_mincut.approx_minimum_cut`

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bsp.counters import CountersReport
-from repro.bsp.engine import Engine
 from repro.bsp.machine import TimeEstimate
 from repro.core.components import cc_kernel
 from repro.graph.edgelist import EdgeList
@@ -227,7 +226,6 @@ def approx_minimum_cut(
     delta: float = 0.5,
     shrink: bool = False,
     fuse=None,
-    engine: Engine | None = None,
     backend: str | Backend | None = None,
 ) -> ApproxMinCutResult:
     """O(log n)-approximate global minimum cut on ``p`` virtual processors.
@@ -242,7 +240,7 @@ def approx_minimum_cut(
     """
     if g.n < 2:
         raise ValueError("minimum cut needs at least 2 vertices")
-    runtime = resolve_backend(backend, engine=engine, fuse=fuse)
+    runtime = resolve_backend(backend, fuse=fuse)
     slices = plane_slices(g, p)  # shared-graph-plane marker
     result = runtime.run(
         appmc_program, p, seed=seed,

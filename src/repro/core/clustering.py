@@ -13,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.bsp.engine import Engine
 from repro.core.mincut import minimum_cut
 from repro.graph.edgelist import EdgeList
 
@@ -56,7 +55,6 @@ def mincut_clustering(
     min_cluster: int = 1,
     max_clusters: int | None = None,
     trial_scale: float = 1.0,
-    engine: Engine | None = None,
 ) -> ClusteringResult:
     """Recursively split ``g`` along global minimum cuts.
 
@@ -67,7 +65,6 @@ def mincut_clustering(
     """
     if accept is None:
         accept = relative_cut_criterion()
-    engine = engine or Engine()
     labels = np.zeros(g.n, dtype=np.int64)
     cut_values: list[float] = []
     # Worklist of (vertex array, depth); depth seeds distinct randomness.
@@ -88,10 +85,8 @@ def mincut_clustering(
             # Fully disconnected cluster: every vertex is its own cluster.
             final.extend(np.array([x]) for x in vertices)
             continue
-        res = minimum_cut(
-            sub, p=p, seed=seed + depth, trial_scale=trial_scale,
-            engine=engine,
-        )
+        res = minimum_cut(sub, p=p, seed=seed + depth,
+                          trial_scale=trial_scale)
         if res.value > 0 and accept(sub, res.value):
             final.append(vertices)
             continue

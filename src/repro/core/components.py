@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bsp.counters import CountersReport
-from repro.bsp.engine import Engine
 from repro.bsp.machine import TimeEstimate
 from repro.cache.traced import MemoryTracker, NullTracker
 from repro.core.sparsify import sparsify_unweighted
@@ -269,7 +268,6 @@ def connected_components(
     hybrid: bool = False,
     shrink: bool = False,
     fuse=None,
-    engine: Engine | None = None,
     backend: str | Backend | None = None,
 ) -> CCResult:
     """Find the connected components of ``g`` on ``p`` virtual processors.
@@ -297,7 +295,7 @@ def connected_components(
             "shrink= applies to the iterated-sampling kernel only; the "
             "hybrid finish redistributes edges across the full group"
         )
-    runtime = resolve_backend(backend, engine=engine, fuse=fuse)
+    runtime = resolve_backend(backend, fuse=fuse)
     # Lazy marker: the simulator resolves it to g.slices(p) locally; a
     # plane-enabled mp backend ships an O(1) handle instead of p copies.
     slices = plane_slices(g, p)

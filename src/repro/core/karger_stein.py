@@ -29,11 +29,10 @@ from repro.graph.contract import components_from_edges
 
 __all__ = [
     "brute_force_matrix",
-    "brute_force_matrix_all",
     "random_contract_matrix",
     "karger_stein_matrix",
-    "karger_stein_matrix_all",
     "canonical_cut_key",
+    "keyed_cuts",
     "KS_BASE_SIZE",
 ]
 
@@ -45,6 +44,15 @@ def canonical_cut_key(side: np.ndarray) -> bytes:
     if side[0]:
         side = ~side
     return np.packbits(side).tobytes()
+
+
+def keyed_cuts(sides, labels=None) -> dict[bytes, np.ndarray]:
+    """The collect-mode payload ``{canonical_cut_key(side): side}``; with
+    ``labels`` every side is first lifted through that contraction."""
+    if labels is not None:
+        sides = (side[labels] for side in sides)
+    return {canonical_cut_key(side): side for side in sides}
+
 
 #: Below this size the recursion bottoms out in exhaustive enumeration.
 #: The recursion has Theta(n^2) leaves, so the base case is vectorized: one
@@ -71,12 +79,16 @@ def _side_table(n: int) -> np.ndarray:
     return table
 
 
-def brute_force_matrix(a: np.ndarray) -> tuple[float, np.ndarray]:
+def brute_force_matrix(a: np.ndarray, collect: bool = False):
     """Exact minimum cut of a small matrix graph by enumeration.
 
     Returns ``(value, side)``; vertex 0 is fixed outside the cut so each cut
     is enumerated once.  All 2^(n-1) - 1 cut values are evaluated with one
     matrix product (the recursion calls this Theta(n^2) times).
+
+    ``collect`` returns ``(value, [sides])`` with *every* minimum cut — the
+    find-all-minimum-cuts mode (Lemma 4.3) needs it, because the single-cut
+    answer breaks ties deterministically and would hide tied optima.
     """
     n = a.shape[0]
     if n < 2:
@@ -85,26 +97,12 @@ def brute_force_matrix(a: np.ndarray) -> tuple[float, np.ndarray]:
         raise ValueError(f"brute force limited to n <= 24, got {n}")
     sides = _side_table(n)
     values = np.einsum("ki,ij,kj->k", sides, a, 1.0 - sides)
+    if collect:
+        best = values.min()
+        hits = np.flatnonzero(values <= best + 1e-12)
+        return float(best), [sides[i].astype(bool) for i in hits]
     best = int(np.argmin(values))
     return float(values[best]), sides[best].astype(bool)
-
-
-def brute_force_matrix_all(a: np.ndarray) -> tuple[float, list[np.ndarray]]:
-    """All minimum cuts of a small matrix graph; ``(value, [sides])``.
-
-    Needed by the find-*all*-minimum-cuts mode (Lemma 4.3): the single-cut
-    base case breaks ties deterministically and would hide tied optima.
-    """
-    n = a.shape[0]
-    if n < 2:
-        raise ValueError("minimum cut needs at least 2 vertices")
-    if n > 24:
-        raise ValueError(f"brute force limited to n <= 24, got {n}")
-    sides = _side_table(n)
-    values = np.einsum("ki,ij,kj->k", sides, a, 1.0 - sides)
-    best = values.min()
-    hits = np.flatnonzero(values <= best + 1e-12)
-    return float(best), [sides[i].astype(bool) for i in hits]
 
 
 def _contract_matrix(a: np.ndarray, labels: np.ndarray, n_new: int,
@@ -172,96 +170,51 @@ def karger_stein_matrix(
     a: np.ndarray,
     rng: np.random.Generator,
     mem: MemoryTracker | None = None,
-) -> tuple[float, np.ndarray]:
+    collect: bool = False,
+):
     """Recursive contraction minimum cut of a matrix graph.
 
     Returns ``(value, side)`` where ``side`` is a boolean partition of the
     matrix's vertices achieving ``value``.  One invocation succeeds with
     probability Omega(1/log n) (Lemma 2.2); drivers repeat it.
+
+    ``collect`` returns ``(value, {canonical_key: side})`` instead: every
+    tied minimum cut the recursion sees.  One invocation preserves a given
+    minimum cut with the Lemma 2.2 probability, so repeated calls
+    accumulate the full set of minimum cuts w.h.p. (Lemma 4.3).  Both modes
+    draw the same random numbers and charge ``mem`` the same; the
+    single-cut mode builds no dict and no cut key.
     """
     mem = mem or NullTracker()
     n = a.shape[0]
     if n <= KS_BASE_SIZE:
-        val, side = brute_force_matrix(a)
+        val, found = brute_force_matrix(a, collect)
         mem.alloc("ks_matrix", n * n)
         mem.scan("ks_matrix", 0, n * n)
         mem.ops((1 << n) * n)
-        return val, side
-
-    if a.sum() <= 0:  # edgeless: any side is a zero cut
-        side = np.zeros(n, dtype=bool)
-        side[0] = True
-        return 0.0, side
-
-    t = math.ceil(1 + n / math.sqrt(2))
-    best_val = math.inf
-    best_side = None
-    for _rep in range(2):
-        cur, labels, k = random_contract_matrix(a, t, rng, mem)
-        if k > t and cur.sum() <= 0:
-            # Disconnected: exact zero cut along a current component.
-            iu, iv = np.nonzero(cur)
-            comp, _ = components_from_edges(k, iu, iv)
-            side = (comp == comp[0])[labels]
-            return 0.0, side
-        val, side_k = karger_stein_matrix(cur, rng, mem)
-        side = side_k[labels]
-        if val < best_val:
-            best_val = val
-            best_side = side
-    return best_val, best_side
-
-
-def karger_stein_matrix_all(
-    a: np.ndarray,
-    rng: np.random.Generator,
-    mem: MemoryTracker | None = None,
-) -> tuple[float, dict[bytes, np.ndarray]]:
-    """Recursive contraction collecting *all* tied minimum cuts it sees.
-
-    Returns ``(value, {canonical_key: side})``.  One invocation preserves a
-    given minimum cut with the Lemma 2.2 probability, so repeated calls
-    accumulate the full set of minimum cuts w.h.p. (Lemma 4.3).
-    """
-    mem = mem or NullTracker()
-    n = a.shape[0]
-    if n <= KS_BASE_SIZE:
-        val, sides = brute_force_matrix_all(a)
-        mem.ops((1 << n) * n)
-        return val, {canonical_cut_key(s): s for s in sides}
+        return val, (keyed_cuts(found) if collect else found)
 
     if a.sum() <= 0:  # edgeless: every single vertex forms a zero cut
-        cuts = {}
-        for x in range(n):
-            side = np.zeros(n, dtype=bool)
-            side[x] = True
-            cuts[canonical_cut_key(side)] = side
-        return 0.0, cuts
+        return 0.0, (keyed_cuts(np.eye(n, dtype=bool)) if collect
+                     else np.arange(n) == 0)
 
     t = math.ceil(1 + n / math.sqrt(2))
     best_val = math.inf
-    best_cuts: dict[bytes, np.ndarray] = {}
+    best = None
     for _rep in range(2):
         cur, labels, k = random_contract_matrix(a, t, rng, mem)
         if k > t and cur.sum() <= 0:
+            # Disconnected: exact zero cuts along the current components.
             iu, iv = np.nonzero(cur)
             comp, ncomp = components_from_edges(k, iu, iv)
-            comp_lifted = comp[labels]
-            cuts = {}
-            for c in range(ncomp):
-                side = comp_lifted == c
-                cuts[canonical_cut_key(side)] = side
-            return 0.0, cuts
-        val, sub_cuts = karger_stein_matrix_all(cur, rng, mem)
-        if val > best_val:
-            continue
-        lifted = {}
-        for side_k in sub_cuts.values():
-            side = side_k[labels]
-            lifted[canonical_cut_key(side)] = side
+            if collect:
+                return 0.0, keyed_cuts((comp == c for c in range(ncomp)), labels)
+            return 0.0, (comp == comp[0])[labels]
+        val, found = karger_stein_matrix(cur, rng, mem, collect)
         if val < best_val:
             best_val = val
-            best_cuts = lifted
-        else:
-            best_cuts.update(lifted)
-    return best_val, best_cuts
+            best = (keyed_cuts(found.values(), labels) if collect
+                    else found[labels])
+        elif collect and val == best_val:
+            best.update(keyed_cuts(found.values(), labels))
+    return best_val, best

@@ -35,7 +35,6 @@ from typing import Any
 import numpy as np
 
 from repro.bsp.counters import CountersReport
-from repro.bsp.engine import Engine
 from repro.bsp.machine import TimeEstimate
 from repro.cache.traced import AnalyticTracker, MemoryTracker, NullTracker
 from repro.core.contraction import (
@@ -47,9 +46,8 @@ from repro.core.contraction import (
 from repro.core.karger_stein import (
     KS_BASE_SIZE,
     brute_force_matrix,
-    canonical_cut_key,
     karger_stein_matrix,
-    karger_stein_matrix_all,
+    keyed_cuts,
 )
 from repro.core.sparsify import sparsify_weighted
 from repro.core.trials import num_trials
@@ -66,6 +64,7 @@ __all__ = [
     "minimum_cuts",
     "minimum_cut_sequential",
     "mincut_program",
+    "mincut_trials_program",
     "MinCutResult",
     "MinCutsResult",
 ]
@@ -80,11 +79,6 @@ _MAX_ROUNDS = 80
 def _eager_target(n: int, m: int) -> int:
     """Eager Step contraction target: ceil(sqrt(m)) + 1, at least 2."""
     return max(2, min(n, math.ceil(math.sqrt(max(m, 1))) + 1))
-
-
-def _relabel_combine(u, v, w, labels, n_new):
-    """Relabel endpoints, drop loops, combine parallel edges (sequential)."""
-    return bulk_contract_edges(u, v, w, labels, n_new)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +116,7 @@ def sequential_eager_step(
         labels, k_new = prefix_select(k, su, sv, target)
         mem.touch("labels", su)
         mem.ops(3 * s)
-        u, v, w = _relabel_combine(u, v, w, labels, k_new)
+        u, v, w = bulk_contract_edges(u, v, w, labels, k_new)
         mem.scan("edges", 0, m)
         mem.ops(m * max(1, int(math.log2(max(m, 2)))))
         labels_total = labels[labels_total]
@@ -146,11 +140,13 @@ def sequential_trial(
     u, v, w, n, rng,
     mem: MemoryTracker | None = None,
     first_sampler: CumulativeWeightSampler | None = None,
+    collect: bool = False,
 ):
     """One full trial (Eager + Recursive Step) on local edge arrays.
 
     Returns ``(value, side)`` with ``side`` a boolean partition of the
-    original ``n`` vertices.
+    original ``n`` vertices — or, with ``collect``, ``(value,
+    {canonical_key: side})`` over every tied minimum cut the trial saw.
     """
     mem = mem or NullTracker()
     target = _eager_target(n, u.size)
@@ -161,37 +157,15 @@ def sequential_trial(
     mem.alloc("ks_matrix", k * k)
     mem.scan("ks_matrix", 0, k * k)
     mem.ops(k * k)
-    val, side_k = karger_stein_matrix(a, rng, mem)
-    return val, side_k[labels]
+    val, found = karger_stein_matrix(a, rng, mem, collect)
+    if collect:
+        return val, keyed_cuts(found.values(), labels)
+    return val, found[labels]
 
 
 def _pick_min(a, b):
     """Deterministic fold: keep the smaller cut value (left wins ties)."""
     return a if a[0] <= b[0] else b
-
-
-def sequential_trial_all(
-    u, v, w, n, rng,
-    mem: MemoryTracker | None = None,
-    first_sampler: CumulativeWeightSampler | None = None,
-):
-    """One trial collecting all tied minimum cuts it encounters.
-
-    Returns ``(value, {canonical_key: side})`` over the original vertices.
-    """
-    mem = mem or NullTracker()
-    target = _eager_target(n, u.size)
-    u2, v2, w2, labels, k = sequential_eager_step(
-        u, v, w, n, target, rng, mem=mem, first_sampler=first_sampler
-    )
-    a = _edges_to_dense(u2, v2, w2, k)
-    mem.ops(k * k)
-    val, cuts_k = karger_stein_matrix_all(a, rng, mem)
-    cuts = {}
-    for side_k in cuts_k.values():
-        side = side_k[labels]
-        cuts[canonical_cut_key(side)] = side
-    return val, cuts
 
 
 def _merge_cut_sets(a, b):
@@ -207,9 +181,75 @@ def _merge_cut_sets(a, b):
     return va, merged
 
 
+def _zero_cut(n, collect=False):
+    """The cut every route reports for an edgeless input: vertex 0 alone.
+
+    Collected, it is keyed and oriented the way
+    :func:`~repro.core.karger_stein.canonical_cut_key` orients (vertex 0
+    outside), so both programs and the ledger hold the same bytes.
+    """
+    side = np.arange(n) == 0
+    return keyed_cuts([~side]) if collect else side
+
+
+def _component_cut(labels):
+    """Zero cut of a disconnected input: vertex 0's component against the
+    rest (vertex 0 alone when the labels name a single component)."""
+    side = labels == labels[0]
+    return _zero_cut(labels.size) if side.all() else side
+
+
+def _iter_trials(u, v, w, n, trial_ids, trial_seed, mem,
+                 collect=False, dense=False):
+    """The per-rank trial loop: yields ``(trial_id, value, payload)``.
+
+    ``u, v, w`` is the whole (replicated) edge array and ``trial_ids`` the
+    *global* ids this caller owns.  Trial ``ti`` draws from
+    ``RngStreams(trial_seed).aux(ti)``, so its result is a pure function of
+    ``(graph, seed, ti)`` — independent of who runs it, in which batch, on
+    how many processors.  ``payload`` is the trial's witness side, or with
+    ``collect`` its ``{canonical_key: side}`` set; costs go to ``mem``.
+
+    ``dense`` skips the sparse Eager Step and runs the recursion straight
+    on the ``n x n`` matrix, densified once per call (see
+    :func:`mincut_trials_program`).
+    """
+    streams = RngStreams(trial_seed)
+    if dense:
+        a0 = _edges_to_dense(u, v, w, n)
+        mem.alloc("edges", u.size, words_per_elem=3)
+        mem.alloc("ks_matrix", n * n)
+        mem.scan("edges", 0, u.size)
+    else:  # the Eager Step allocates its own arrays
+        first_sampler = CumulativeWeightSampler(w)
+    for ti in trial_ids:
+        rng = streams.aux(int(ti))
+        if dense:
+            mem.scan("ks_matrix", 0, n * n)
+            mem.ops(n * n)
+            val, payload = karger_stein_matrix(a0.copy(), rng, mem, collect)
+        else:
+            val, payload = sequential_trial(
+                u, v, w, n, rng, mem=mem, first_sampler=first_sampler,
+                collect=collect,
+            )
+        yield int(ti), float(val), payload
+
+
 # ---------------------------------------------------------------------------
 # Parallel trial: distributed Eager Step + distributed Recursive Step
 # ---------------------------------------------------------------------------
+
+def _select_prefix(ctx, comm, sample, k, target, s, root):
+    """Generator: Prefix Selection on the root's ``s``-edge sample, then
+    broadcast ``(labels, k_new)`` — the step both Iterated Samplings share."""
+    payload = None
+    if comm.rank == root:
+        su, sv, _sw = sample
+        payload = prefix_select(k, su, sv, target)
+        ctx.charge(ops=3.0 * s, misses=ctx.cache.random_access(s, k))
+    return (yield from comm.bcast(payload, root=root))
+
 
 def parallel_eager_step(ctx, comm, u, v, w, n, target, *, sigma=_EAGER_SIGMA):
     """Generator: distributed Iterated Sampling down to ``target`` vertices.
@@ -227,14 +267,8 @@ def parallel_eager_step(ctx, comm, u, v, w, n, target, *, sigma=_EAGER_SIGMA):
             break
         s = min(max(32, math.ceil(k ** (1.0 + sigma))), 4 * m_total)
         sample = yield from sparsify_weighted(ctx, comm, u, v, w, s, root=root)
-        if comm.rank == root:
-            su, sv, _sw = sample
-            g_map, k_new = prefix_select(k, su, sv, target)
-            ctx.charge(ops=3.0 * s, misses=ctx.cache.random_access(s, k))
-            payload = (g_map, k_new)
-        else:
-            payload = None
-        g_map, k_new = yield from comm.bcast(payload, root=root)
+        g_map, k_new = yield from _select_prefix(ctx, comm, sample, k, target,
+                                                 s, root)
         if k_new == k:
             continue
         u, v, w = yield from sparse_bulk_contract(ctx, comm, u, v, w, g_map, k_new)
@@ -309,14 +343,8 @@ def dense_iterated_sampling(ctx, comm, rows, n, target, *, sigma=_EAGER_SIGMA):
         ctx.charge(ops=rows.size, misses=ctx.cache.matrix_scan(*rows.shape))
         s = min(max(32, math.ceil(k ** (1.0 + sigma))), 4 * k * k)
         sample = yield from sparsify_weighted(ctx, comm, eu, ev, ew, s, root=root)
-        if comm.rank == root:
-            su, sv, _sw = sample
-            g_map, k_new = prefix_select(k, su, sv, target)
-            ctx.charge(ops=3.0 * s, misses=ctx.cache.random_access(s, k))
-            payload = (g_map, k_new)
-        else:
-            payload = None
-        g_map, k_new = yield from comm.bcast(payload, root=root)
+        g_map, k_new = yield from _select_prefix(ctx, comm, sample, k, target,
+                                                 s, root)
         if k_new == k:
             continue
         rows = yield from dense_bulk_contract(ctx, comm, rows, k, g_map, k_new)
@@ -325,14 +353,6 @@ def dense_iterated_sampling(ctx, comm, rows, n, target, *, sigma=_EAGER_SIGMA):
     else:
         raise RuntimeError("dense iterated sampling did not converge; sampling bug")
     return rows, labels_total, k, disconnected
-
-
-def _gather_matrix(ctx, comm, rows, n):
-    """Generator: assemble the distributed matrix at local rank 0."""
-    blocks = yield from comm.gatherv(rows, root=0)
-    if comm.rank == 0:
-        return blocks[0]  # axis-0 concat of 2-D row blocks == vstack
-    return None
 
 
 def recursive_step(ctx, comm, rows, n):
@@ -351,18 +371,16 @@ def recursive_step(ctx, comm, rows, n):
 
     total_w = yield from comm.allreduce(float(rows.sum()), op=operator.add)
     if total_w <= 0:
-        side = np.zeros(n, dtype=bool)
-        side[0] = True
-        return 0.0, side
+        return 0.0, _zero_cut(n)
 
     if n <= max(KS_BASE_SIZE, q):
-        full = yield from _gather_matrix(ctx, comm, rows, n)
+        # Assemble the matrix at local rank 0 (gatherv's axis-0 concat of
+        # 2-D row blocks == vstack), enumerate there, broadcast the answer.
+        blocks = yield from comm.gatherv(rows, root=0)
+        payload = None
         if comm.rank == 0:
-            val, side = brute_force_matrix(full)
+            payload = brute_force_matrix(blocks[0])
             ctx.charge(ops=float(1 << n) * n)
-            payload = (val, side)
-        else:
-            payload = None
         val, side = yield from comm.bcast(payload, root=0)
         return val, side
 
@@ -380,11 +398,7 @@ def recursive_step(ctx, comm, rows, n):
         if disc:
             # A copy ran out of edges above its target: the graph (hence the
             # input) is disconnected — an exact zero cut along a component.
-            side = (clabels == clabels[0])
-            if side.all():
-                side = ~side
-                side[0] = True
-            return 0.0, side
+            return 0.0, _component_cut(clabels)
 
     # Redistribute: copy 0's rows to the first `half` processors, copy 1's
     # to the rest, in one alltoall over the parent group.
@@ -434,11 +448,7 @@ def parallel_trial(ctx, comm, u, v, w, n):
     )
     m_left = yield from comm.allreduce(int(u2.size), op=operator.add)
     if m_left == 0 and k > 1:
-        side = labels == labels[0]
-        if side.all():  # single remaining vertex: connected input fully merged
-            side = ~side
-            side[0] = True
-        return 0.0, side
+        return 0.0, _component_cut(labels)
     rows = yield from edges_to_distributed_matrix(ctx, comm, u2, v2, w2, k)
     val, side_k = yield from recursive_step(ctx, comm, rows, k)
     return val, side_k[labels]
@@ -448,6 +458,16 @@ def parallel_trial(ctx, comm, u, v, w, n):
 # Driver program and public API
 # ---------------------------------------------------------------------------
 
+def _replicate_edges(ctx, slices):
+    """Generator: allgather the distributed edge array at every rank (the
+    paper broadcasts the graph when p <= t; each group needs a full copy
+    when p > t)."""
+    g = slices[ctx.rank]
+    fu, fv, fw = yield from ctx.comm.allgatherv(g.u, g.v, g.w)
+    ctx.charge_scan(fu.size, words_per_elem=3)
+    return fu, fv, fw
+
+
 def mincut_program(ctx, slices, n, trials, trial_seed, collect_all=False):
     """SPMD program: replicate the graph, run the trials, fold the minimum.
 
@@ -455,53 +475,28 @@ def mincut_program(ctx, slices, n, trials, trial_seed, collect_all=False):
     ``(value, {canonical_key: side})`` carrying every distinct minimum cut
     discovered across the trials (Lemma 4.3: the trial budget finds *all*
     minimum cuts w.h.p.).
+
+    With ``p <= trials`` rank ``r`` runs trials ``r, r + p, ...`` through
+    the loop it shares with :func:`mincut_trials_program` and the closing
+    ``allreduce`` folds the minimum; with ``p > trials`` the ranks split
+    into one group per trial and each group runs the distributed §4 trial.
     """
     comm = ctx.comm
     p = ctx.p
-    g = slices[ctx.rank]
-
-    def pack(val, side):
-        if collect_all:
-            cuts = {} if side is None else {canonical_cut_key(side): side}
-            return val, cuts
-        return val, side
-
     fold = _merge_cut_sets if collect_all else _pick_min
 
-    # Replicate the distributed edge array (the paper broadcasts the graph
-    # when p <= t and each group needs a full copy when p > t).
-    parts = yield from comm.allgatherv(g.u, g.v, g.w)
-    fu, fv, fw = parts
-    ctx.charge_scan(fu.size, words_per_elem=3)
+    fu, fv, fw = yield from _replicate_edges(ctx, slices)
     if fu.size == 0:
-        side = np.zeros(n, dtype=bool)
-        side[0] = True
-        return pack(0.0, side)
+        return 0.0, _zero_cut(n, collect_all)
 
+    best = (math.inf, {} if collect_all else None)
     if p <= trials:
         # Trials round-robin over processors; no communication inside.
-        streams = RngStreams(trial_seed)
         tracker = AnalyticTracker(ctx.cache)
-        first_sampler = CumulativeWeightSampler(fw)
-        tracker.alloc("edges", fu.size, words_per_elem=3)
-        tracker.alloc("labels", n)
-        best = pack(math.inf, None)
-        for ti in range(ctx.rank, trials, p):
-            # Per-trial streams keyed by the trial index: the set of trials
-            # (hence the result) is identical for every processor count.
-            rng_t = streams.aux(ti)
-            if collect_all:
-                val, cuts = sequential_trial_all(
-                    fu, fv, fw, n, rng_t,
-                    mem=tracker, first_sampler=first_sampler,
-                )
-                best = fold(best, (val, cuts))
-            else:
-                val, side = sequential_trial(
-                    fu, fv, fw, n, rng_t,
-                    mem=tracker, first_sampler=first_sampler,
-                )
-                best = fold(best, pack(val, side))
+        for _ti, val, payload in _iter_trials(
+                fu, fv, fw, n, range(ctx.rank, trials, p), trial_seed,
+                tracker, collect=collect_all):
+            best = fold(best, (val, payload))
         ctx.charge(ops=tracker.op_count, misses=tracker.miss_count)
         best = yield from comm.allreduce(best, op=fold)
         return best
@@ -514,9 +509,63 @@ def mincut_program(ctx, slices, n, trials, trial_seed, collect_all=False):
     val, side = yield from parallel_trial(
         ctx, sub, my_slice.u, my_slice.v, my_slice.w, n
     )
-    contribution = pack(val, side) if sub.rank == 0 else pack(math.inf, None)
-    best = yield from comm.allreduce(contribution, op=fold)
+    if sub.rank == 0:
+        best = (val, keyed_cuts([side]) if collect_all else side)
+    best = yield from comm.allreduce(best, op=fold)
     return best
+
+
+def mincut_trials_program(ctx, slices, n, trial_ids, trial_seed,
+                          collect_all=False, dense=False):
+    """SPMD program: run the given trials, gather per-trial results to root.
+
+    The scheduler's wave: where :func:`mincut_program` runs
+    ``range(trials)`` and folds inside the backend, this runs an explicit
+    set of global trial ids and returns each result, which is what makes
+    retry, checkpointing and partial aggregation possible — the ledger
+    records every trial and the fold happens outside, in trial-id order.
+    Both run the same :func:`_iter_trials` loop, so trial ``ti``'s bits
+    are the same under either and for every ``p`` and wave size.
+
+    Trials are owned round-robin by position — position ``j`` belongs to
+    rank ``j % p``.  Rank 0 returns the wave's results as a list of
+    ``(trial_id, value, side)`` sorted by trial id — or, with
+    ``collect_all``, ``(trial_id, value, {canonical_key: side})``
+    carrying every tied minimum-cut witness the trial found (Lemma 4.3);
+    other ranks return ``None``.
+
+    ``dense`` runs each trial directly through the dense bulk-contraction
+    recursion (:func:`~repro.core.karger_stein.karger_stein_matrix`) on
+    an adjacency matrix densified **once per wave**, skipping the sparse
+    eager step entirely.  That is the right shape for tiny graphs — the
+    2-out pipeline's ~16-vertex contracted replicas — where the n x n
+    matrix is a few KB and the eager step's per-trial sampling dominates.
+    Dense trials consume different RNG trajectories than sparse ones, so
+    the per-trial (value, side) bits differ; each trial still finds the
+    minimum cut with at least the Lemma 2.2 probability the budget was
+    priced for (a direct recursion from n preserves a min cut at least
+    as well as eager-contraction to ~sqrt(m) followed by the recursion).
+
+    Two collectives: the graph-replication ``allgatherv`` and the result
+    ``gather`` — so fault ``step=0`` fires before any trial work and
+    ``step=1`` fires after a rank finished its trials but before the
+    results reach the coordinator (the "work lost at the last moment"
+    scenario recovery tests want).
+    """
+    fu, fv, fw = yield from _replicate_edges(ctx, slices)
+    my_ids = trial_ids[ctx.rank::ctx.p]
+    if fu.size == 0:
+        mine = [(int(ti), 0.0, _zero_cut(n, collect_all)) for ti in my_ids]
+    else:
+        tracker = AnalyticTracker(ctx.cache)
+        mine = list(_iter_trials(fu, fv, fw, n, my_ids, trial_seed, tracker,
+                                 collect=collect_all, dense=dense))
+        ctx.charge(ops=tracker.op_count, misses=tracker.miss_count)
+    gathered = yield from ctx.comm.gather(mine, root=0)
+    if ctx.rank != 0:
+        return None
+    return sorted((item for part in gathered for item in part),
+                  key=lambda item: item[0])
 
 
 @dataclass(frozen=True)
@@ -548,6 +597,86 @@ class MinCutResult:
 VARIANTS = ("default", "2out")
 
 
+def _exact_cut(g, p, collect, *, seed, success_prob, trials, trial_scale,
+               fuse, backend, scheduler, resume,
+               preprocess=False, variant="default"):
+    """The one driver behind :func:`minimum_cut` and :func:`minimum_cuts`.
+
+    Validates once, then takes one of three roads: the 2-out pipeline, the
+    scheduler's waves, or a single :func:`mincut_program` dispatch.
+    ``collect`` selects the all-minimum-cuts result.
+    """
+    if g.n < 2:
+        raise ValueError("minimum cut needs at least 2 vertices")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}: expected one of "
+                         f"{VARIANTS}")
+    if resume and scheduler is None:
+        raise ValueError("resume=True requires a scheduler")
+    if trials is not None and trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    if variant == "2out":
+        if trials is not None:
+            raise ValueError(
+                "variant='2out' recomputes the trial budget from the "
+                "contracted replicas; a trials override would be ignored")
+        if resume:
+            raise ValueError(
+                "variant='2out' does not support resume: one checkpoint "
+                "cannot span the per-replica dispatches")
+    runtime = resolve_backend(backend, fuse=fuse)
+    lift = None
+    if preprocess:
+        from repro.core.preprocess import contract_heavy_edges
+
+        h, lift = contract_heavy_edges(g)
+        if h.n < 2:
+            lift = None
+        else:
+            g = h
+    if variant == "2out":
+        from dataclasses import replace
+
+        from repro.core.two_out import two_out_minimum_cut
+
+        res = two_out_minimum_cut(
+            g, p, seed=seed, success_prob=success_prob,
+            trial_scale=trial_scale, scheduler=scheduler, backend=runtime,
+        )
+        if lift is not None and res.side is not None:
+            res = replace(res, side=res.side[lift])
+        return res
+    if scheduler is not None:
+        run = scheduler.run(
+            g, p, backend=runtime, seed=seed, success_prob=success_prob,
+            trials=trials, trial_scale=trial_scale, resume=resume,
+            collect_all=collect,
+        )
+        value, side, sides, trials = run.value, run.side, run.sides, run.trials
+        extra = {"achieved_success_prob": run.achieved_success_prob,
+                 "ledger": run.ledger}
+    else:
+        if trials is None:
+            trials = num_trials(g.n, max(g.m, 1), success_prob=success_prob,
+                                scale=trial_scale)
+        run = runtime.run(
+            mincut_program, p, seed=seed,
+            args=(plane_slices(g, p), g.n, trials, seed),  # plane marker
+            kwargs={"collect_all": True} if collect else None,
+        )
+        value, found = run.root_value
+        side = None if collect else found
+        sides = [found[k] for k in sorted(found)] if collect else None
+        extra = {}
+    common = dict(value=value, trials=trials, report=run.report,
+                  time=run.time, trace=run.trace, **extra)
+    if collect:
+        return MinCutsResult(sides=sides, **common)
+    if lift is not None and side is not None:
+        side = side[lift]
+    return MinCutResult(side=side, **common)
+
+
 def minimum_cut(
     g: EdgeList,
     p: int = 4,
@@ -559,7 +688,6 @@ def minimum_cut(
     preprocess: bool = False,
     variant: str = "default",
     fuse=None,
-    engine: Engine | None = None,
     backend: str | Backend | None = None,
     scheduler: "Any | None" = None,
     resume: bool = False,
@@ -583,8 +711,9 @@ def minimum_cut(
     checkpointing schedulers.
 
     ``scheduler`` — a :class:`~repro.sched.scheduler.TrialScheduler` —
-    routes the trials through the fault-tolerant dispatch loop instead of
-    the monolithic program: retries, checkpoint/resume (``resume=True``
+    routes the trials through the fault-tolerant dispatch loop (waves of
+    :func:`mincut_trials_program`) instead of one :func:`mincut_program`
+    dispatch: retries, checkpoint/resume (``resume=True``
     reloads the scheduler's checkpoint), fault injection, and an
     ``achieved_success_prob``/``ledger`` on the result.  The cut value is
     bit-identical to the unscheduled path for the same ``seed``.
@@ -599,72 +728,10 @@ def minimum_cut(
     leaf.  Group-shrink lives in the CC kernel and the approximate cut,
     where bit-parity holds (see ``docs/fusion.md``).
     """
-    if g.n < 2:
-        raise ValueError("minimum cut needs at least 2 vertices")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}: expected one of "
-                         f"{VARIANTS}")
-    if resume and scheduler is None:
-        raise ValueError("resume=True requires a scheduler")
-    if variant == "2out":
-        if trials is not None:
-            raise ValueError(
-                "variant='2out' recomputes the trial budget from the "
-                "contracted replicas; a trials override would be ignored")
-        if resume:
-            raise ValueError(
-                "variant='2out' does not support resume: one checkpoint "
-                "cannot span the per-replica dispatches")
-    runtime = resolve_backend(backend, engine=engine, fuse=fuse)
-    lift = None
-    if preprocess:
-        from repro.core.preprocess import contract_heavy_edges
-
-        h, lift = contract_heavy_edges(g)
-        if h.n < 2:
-            lift = None
-        else:
-            g = h
-    if variant == "2out":
-        from dataclasses import replace
-
-        from repro.core.two_out import two_out_minimum_cut
-
-        res = two_out_minimum_cut(
-            g, p, seed=seed, success_prob=success_prob,
-            trial_scale=trial_scale, scheduler=scheduler, backend=runtime,
-        )
-        if lift is not None and res.side is not None:
-            res = replace(res, side=res.side[lift])
-        return res
-    if scheduler is not None:
-        sres = scheduler.run(
-            g, p, backend=runtime, seed=seed, success_prob=success_prob,
-            trials=trials, trial_scale=trial_scale, resume=resume,
-        )
-        side = sres.side
-        if lift is not None and side is not None:
-            side = side[lift]
-        return MinCutResult(
-            value=sres.value, side=side, trials=sres.trials,
-            report=sres.report, time=sres.time, trace=sres.trace,
-            achieved_success_prob=sres.achieved_success_prob,
-            ledger=sres.ledger,
-        )
-    if trials is None:
-        trials = num_trials(g.n, max(g.m, 1), success_prob=success_prob,
-                            scale=trial_scale)
-    slices = plane_slices(g, p)  # shared-graph-plane marker
-    result = runtime.run(
-        mincut_program, p, seed=seed,
-        args=(slices, g.n, trials, seed),
-    )
-    value, side = result.root_value
-    if lift is not None and side is not None:
-        side = side[lift]
-    return MinCutResult(
-        value=value, side=side, trials=trials,
-        report=result.report, time=result.time, trace=result.trace,
+    return _exact_cut(
+        g, p, False, seed=seed, success_prob=success_prob, trials=trials,
+        trial_scale=trial_scale, preprocess=preprocess, variant=variant,
+        fuse=fuse, backend=backend, scheduler=scheduler, resume=resume,
     )
 
 
@@ -694,7 +761,6 @@ def minimum_cuts(
     trials: int | None = None,
     trial_scale: float = 1.0,
     fuse=None,
-    engine: Engine | None = None,
     backend: str | Backend | None = None,
     scheduler: "Any | None" = None,
     resume: bool = False,
@@ -708,37 +774,10 @@ def minimum_cuts(
     through the fault-tolerant dispatch loop, and ``fuse`` enables
     automatic superstep fusion, as in :func:`minimum_cut`.
     """
-    if g.n < 2:
-        raise ValueError("minimum cut needs at least 2 vertices")
-    if resume and scheduler is None:
-        raise ValueError("resume=True requires a scheduler")
-    runtime = resolve_backend(backend, engine=engine, fuse=fuse)
-    if scheduler is not None:
-        sres = scheduler.run(
-            g, p, backend=runtime, seed=seed, success_prob=success_prob,
-            trials=trials, trial_scale=trial_scale, resume=resume,
-            collect_all=True,
-        )
-        return MinCutsResult(
-            value=sres.value, sides=sres.sides, trials=sres.trials,
-            report=sres.report, time=sres.time, trace=sres.trace,
-            achieved_success_prob=sres.achieved_success_prob,
-            ledger=sres.ledger,
-        )
-    if trials is None:
-        trials = num_trials(g.n, max(g.m, 1), success_prob=success_prob,
-                            scale=trial_scale)
-    slices = plane_slices(g, p)  # shared-graph-plane marker
-    result = runtime.run(
-        mincut_program, p, seed=seed,
-        args=(slices, g.n, trials, seed),
-        kwargs={"collect_all": True},
-    )
-    value, cuts = result.root_value
-    sides = [cuts[k] for k in sorted(cuts)]
-    return MinCutsResult(
-        value=value, sides=sides, trials=trials,
-        report=result.report, time=result.time, trace=result.trace,
+    return _exact_cut(
+        g, p, True, seed=seed, success_prob=success_prob, trials=trials,
+        trial_scale=trial_scale, fuse=fuse, backend=backend,
+        scheduler=scheduler, resume=resume,
     )
 
 
@@ -753,25 +792,20 @@ def minimum_cut_sequential(
 ) -> tuple[float, np.ndarray]:
     """Sequential execution of the trial loop, instrumentable with ``mem``.
 
-    This is the engine-free p = 1 code path used by the sequential cache
-    studies (Figs 8a, 9: "MC" vs KS vs SW).
+    This is the backend-free p = 1 code path used by the sequential cache
+    studies (Figs 8a, 9: "MC" vs KS vs SW): the same :func:`_iter_trials`
+    loop the two SPMD programs run, over all trial ids.
     """
     if g.n < 2:
         raise ValueError("minimum cut needs at least 2 vertices")
+    if trials is not None and trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     if g.m == 0:
-        side = np.zeros(g.n, dtype=bool)
-        side[0] = True
-        return 0.0, side
-    mem = mem or NullTracker()
+        return 0.0, _zero_cut(g.n)
     if trials is None:
         trials = num_trials(g.n, g.m, success_prob=success_prob, scale=trial_scale)
-    streams = RngStreams(seed)
-    first_sampler = CumulativeWeightSampler(g.w)
     best = (math.inf, None)
-    for ti in range(trials):
-        val, side = sequential_trial(
-            g.u, g.v, g.w, g.n, streams.aux(ti),
-            mem=mem, first_sampler=first_sampler,
-        )
+    for _ti, val, side in _iter_trials(g.u, g.v, g.w, g.n, range(trials),
+                                       seed, mem or NullTracker()):
         best = _pick_min(best, (val, side))
     return best

@@ -117,7 +117,7 @@ DEFAULT_ROUNDS = 2
 
 #: Contracted replicas at or under this many vertices dispatch their
 #: trials through the dense bulk-contraction path (``dense=True`` on
-#: :func:`~repro.sched.programs.mincut_trials_program`): the n' x n'
+#: :func:`~repro.core.mincut.mincut_trials_program`): the n' x n'
 #: matrix is a few KB, densified once per wave, and skipping the sparse
 #: eager step saves its per-trial sampling.  Replicas land at
 #: ~:data:`TARGET_FLOOR` vertices, far under this.

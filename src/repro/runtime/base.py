@@ -9,8 +9,7 @@ measured wall-clock for real runtimes).
 
 Entry points accept a backend *spec*: an existing :class:`Backend`
 instance, a registered name (``"sim"``, ``"mp"``), or ``None`` for the
-default simulator.  :func:`resolve_backend` performs that resolution and
-keeps the legacy ``engine=`` escape hatch working.
+default simulator.  :func:`resolve_backend` performs that resolution.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Sequence
 
-from repro.bsp.engine import Engine, RunResult
+from repro.bsp.engine import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults import FaultSpec
@@ -83,31 +82,20 @@ def available_backends() -> dict[str, type]:
 def resolve_backend(
     backend: "str | Backend | None" = None,
     *,
-    engine: Engine | None = None,
     tracer: "Tracer | None" = None,
     fuse=None,
 ) -> Backend:
     """Resolve a backend spec (name, instance or ``None``) to an instance.
 
-    ``engine`` is the legacy simulator escape hatch used throughout the
-    benchmarks (traced engines, custom cache geometry); it is only
-    meaningful for the simulator, so combining it with any non-sim spec is
-    an error rather than a silent ignore.  ``tracer`` attaches a collective
-    tracer to a freshly constructed backend (either name); an already
-    constructed instance carries its own tracer, so combining the two is
-    likewise an error.  ``fuse`` (a bool or
-    :class:`~repro.bsp.fusion.FusionConfig`) enables automatic superstep
-    fusion on a freshly constructed backend, with the same
-    instance-conflict rule as ``tracer``.
+    ``tracer`` attaches a collective tracer to a freshly constructed
+    backend (either name); an already constructed instance carries its own
+    tracer, so combining the two is an error rather than a silent ignore.
+    ``fuse`` (a bool or :class:`~repro.bsp.fusion.FusionConfig`) enables
+    automatic superstep fusion on a freshly constructed backend, with the
+    same instance-conflict rule.  A custom machine model or cache geometry
+    goes on the instance: ``backend=SimBackend(machine=..., cache=...)``.
     """
-    from repro.runtime.sim import SimBackend
-
     if isinstance(backend, Backend):
-        if engine is not None:
-            raise ValueError(
-                "pass either backend= or engine=, not both "
-                "(engine= configures the simulator only)"
-            )
         if tracer is not None:
             raise ValueError(
                 "a backend instance carries its own tracer; pass tracer= "
@@ -120,24 +108,17 @@ def resolve_backend(
             )
         return backend
     if backend is None or backend == "sim":
-        if engine is not None and (tracer is not None or fuse is not None):
-            raise ValueError(
-                "pass either engine= or tracer=/fuse=, not both"
-            )
-        return SimBackend(engine=engine, tracer=tracer, fuse=fuse)
-    if engine is not None:
-        raise ValueError(
-            f"engine= applies to the sim backend only, not {backend!r}"
-        )
+        from repro.runtime.sim import SimBackend
+
+        return SimBackend(tracer=tracer, fuse=fuse)
     registry = available_backends()
     if isinstance(backend, str) and backend in registry:
-        cls = registry[backend]
         kw = {}
         if tracer is not None:
             kw["tracer"] = tracer
         if fuse is not None:
             kw["fuse"] = fuse
-        return cls(**kw)
+        return registry[backend](**kw)
     raise ValueError(
         f"unknown backend {backend!r}; available: {sorted(registry)}"
     )

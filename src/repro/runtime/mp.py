@@ -44,9 +44,9 @@ from typing import Any, Callable, Generator, Iterable, Sequence
 
 from repro.bsp.comm import CollectiveOp, payload_words
 from repro.bsp.counters import CountersReport, ProcCounters
-from repro.bsp.engine import Engine, ROOTED_KINDS, RunResult
-from repro.bsp.fusion import FUSABLE_KINDS, FusionConfig, as_fusion_config
-from repro.bsp.errors import CollectiveMismatchError, DeadlockError
+from repro.bsp.engine import Engine, RunResult
+from repro.bsp.errors import DeadlockError
+from repro.bsp.fusion import FusionConfig, FusionState, as_fusion_config
 from repro.bsp.machine import TimeEstimate
 from repro.cache.model import CacheParams
 from repro.faults import FaultSpec
@@ -393,11 +393,8 @@ class MpBackend(Backend):
         # pending: rank -> (op, since_sync, clean, pre-request snapshot)
         pending: dict[int, tuple[CollectiveOp, float, bool, tuple | None]] = {}
         finished: set[int] = set()
-        # Adjacent-fusion bookkeeping, mirroring Engine._execute's:
-        fuse = self.fuse
-        last_sync: dict[int, tuple[int, bool]] = {}  # rank -> (gid, mergeable)
-        chain: dict[int, int] = {}        # gid -> collectives this superstep
-        chain_words: dict[int, int] = {}  # gid -> words this superstep
+        # Adjacent-fusion bookkeeping, the same object Engine._execute drives:
+        fusion = FusionState(self.fuse) if self.fuse is not None else None
         values: list[Any] = [None] * p
         counters: list[ProcCounters | None] = [None] * p
         app_s = [0.0] * p
@@ -440,6 +437,17 @@ class MpBackend(Backend):
             else:  # pragma: no cover - protocol guard
                 raise RuntimeError(f"unknown worker message tag {tag!r}")
 
+        def reply(m: int, kind: str, *body) -> None:
+            """Ship rank ``m`` its collective result and retire its request."""
+            buf = ForkingPickler.dumps((REPLY_RESULT, *body))
+            transport.note_pickle(kind, len(buf))
+            try:
+                pool.conns[m].send_bytes(buf)
+            except (BrokenPipeError, OSError):
+                raise self._crash(pool, m, steps[m]) from None
+            del pending[m]
+            steps[m] += 1
+
         def execute_ready() -> None:
             by_gid: dict[int, list[int]] = {}
             for rank, (op, _s, _c, _snap) in pending.items():
@@ -460,46 +468,18 @@ class MpBackend(Backend):
                     )
                 ops = sorted((pending[r][0] for r in ranks),
                              key=lambda o: o.local_rank)
-                kinds = {op.kind for op in ops}
-                if len(kinds) != 1:
-                    detail = {op.sender: op.kind for op in ops}
-                    raise CollectiveMismatchError(
-                        f"group {gid} members issued different collectives: "
-                        f"{detail}"
-                    )
+                handler = engine._handler_for(group, ops)
                 kind = ops[0].kind
-                if kind in ROOTED_KINDS:
-                    roots = {op.root for op in ops}
-                    if len(roots) != 1:
-                        raise CollectiveMismatchError(
-                            f"group {gid} members disagree on the {kind} "
-                            f"root: {roots}"
-                        )
-                handler = getattr(engine, f"_exec_{kind}", None)
-                if handler is None:
-                    raise CollectiveMismatchError(
-                        f"unknown collective kind {kind!r}"
-                    )
-                # Adjacent fusion, mirroring Engine._execute: merge into the
-                # group's previous superstep when every member is clean (no
-                # local charges since its last reply — then all since-sync
-                # values are zero and the merge elides only the latency).
+                # Adjacent fusion (FusionState.step): the workers' self-
+                # reported clean flags stand in for the simulator's counters.
                 words = -1
                 merged = False
-                if fuse is not None and fuse.auto and kind in FUSABLE_KINDS:
-                    words = sum(payload_words(op.payload) for op in ops)
-                    merged = (
-                        chain.get(gid, 0) + 1 <= fuse.max_chain
-                        and chain_words.get(gid, 0) + words <= fuse.max_words
-                        and all(last_sync.get(m) == (gid, True)
-                                for m in group.members)
-                        and all(pending[m][2] for m in group.members)
-                    )
+                cleans = tuple(pending[m][2] for m in group.members)
+                if fusion is not None:
+                    merged, words = fusion.step(group, ops, cleans)
                 since = {r: pending[r][1] for r in ranks}
                 slowest = max(since.values())
                 posts = [] if tracer.enabled else None
-                cleans = tuple(pending[m][2] for m in group.members) \
-                    if posts is not None else ()
                 if kind == "fused":
                     # Explicit batch: one superstep, sub-collectives run
                     # back-to-back.  Each sub-op gets its *own* scratch so
@@ -534,16 +514,7 @@ class MpBackend(Backend):
                                 mi += c_miss
                             posts.append((o, se, re_, mi,
                                           wait0 + wait_delta, ss0 + 1))
-                        buf = ForkingPickler.dumps((
-                            REPLY_RESULT, wire, wait_delta, charges,
-                        ))
-                        transport.note_pickle(kind, len(buf))
-                        try:
-                            pool.conns[m].send_bytes(buf)
-                        except (BrokenPipeError, OSError):
-                            raise self._crash(pool, m, steps[m]) from None
-                        del pending[m]
-                        steps[m] += 1
+                        reply(m, kind, wire, wait_delta, charges)
                 else:
                     # Scratch counters collect this collective's charges;
                     # the workers apply them so per-rank totals accumulate
@@ -570,18 +541,8 @@ class MpBackend(Backend):
                                 wait0 + wait_delta,
                                 ss0 if merged else ss0 + 1,
                             ))
-                        buf = ForkingPickler.dumps((
-                            REPLY_RESULT, wire, wait_delta,
-                            sc.ops, sc.words_sent, sc.words_recv, sc.misses,
-                            not merged,
-                        ))
-                        transport.note_pickle(kind, len(buf))
-                        try:
-                            pool.conns[m].send_bytes(buf)
-                        except (BrokenPipeError, OSError):
-                            raise self._crash(pool, m, steps[m]) from None
-                        del pending[m]
-                        steps[m] += 1
+                        reply(m, kind, wire, wait_delta, sc.ops, sc.words_sent,
+                              sc.words_recv, sc.misses, not merged)
                 if posts is not None:
                     now = perf_counter()
                     if words < 0:
@@ -602,17 +563,6 @@ class MpBackend(Backend):
                             clean=cleans,
                         )
                     last_event_t[0] = now
-                if fuse is not None:
-                    if words < 0:
-                        words = sum(payload_words(op.payload) for op in ops)
-                    weight = len(ops[0].payload) if kind == "fused" else 1
-                    chain[gid] = (chain.get(gid, 0) + weight if merged
-                                  else weight)
-                    chain_words[gid] = (chain_words.get(gid, 0) + words
-                                        if merged else words)
-                    mergeable = kind in FUSABLE_KINDS or kind == "fused"
-                    for m in group.members:
-                        last_sync[m] = (gid, mergeable)
 
         try:
             self._event_loop(engine, pool, p, pending, finished, handle,

@@ -9,14 +9,17 @@ into machinery:
 
 * :mod:`repro.sched.ledger` — the durable record of every trial
   (status, result, witness), JSONL-checkpointable and resumable;
-* :mod:`repro.sched.programs` — the wave-dispatch SPMD program whose
-  per-trial results are independent of batching and processor count;
+* :func:`repro.core.mincut.mincut_trials_program` (re-exported here) —
+  the wave-dispatch SPMD program whose per-trial results are independent
+  of batching and processor count; it lives beside ``mincut_program``
+  because both run the same per-rank trial loop;
 * :mod:`repro.sched.scheduler` — the retry/backoff dispatch loop with
   deterministic fault injection (:mod:`repro.faults`), straggler
   detection from trace wait deltas, and partial-result aggregation that
   reports the *achieved* success probability.
 """
 
+from repro.core.mincut import mincut_trials_program
 from repro.sched.ledger import (
     LEDGER_MAGIC,
     TrialLedger,
@@ -24,7 +27,6 @@ from repro.sched.ledger import (
     decode_side,
     encode_side,
 )
-from repro.sched.programs import mincut_trials_program
 from repro.sched.scheduler import (
     SCHED_DISPATCH,
     SCHED_RETRY,

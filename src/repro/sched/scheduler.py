@@ -9,7 +9,7 @@ One :meth:`TrialScheduler.run` call:
    resumes a :class:`~repro.sched.ledger.TrialLedger` checkpoint;
 2. splits the pending trial ids into waves and dispatches each wave as
    one ``backend.run`` of
-   :func:`~repro.sched.programs.mincut_trials_program`;
+   :func:`~repro.core.mincut.mincut_trials_program`;
 3. on a :class:`~repro.runtime.errors.WorkerFailure` stamps the in-flight
    trial ids onto the error, sleeps the backoff, and re-dispatches the
    wave — the retry recomputes the exact bits the lost run would have
@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.bsp.counters import CountersReport, ProcCounters
 from repro.bsp.machine import TimeEstimate
+from repro.core.mincut import mincut_trials_program
 from repro.core.trials import achieved_success_probability, num_trials
 from repro.faults import FaultPlan
 from repro.graph.fingerprint import cached_fingerprint
@@ -47,7 +48,6 @@ from repro.rng.streams import RngStreams
 from repro.runtime.base import Backend, resolve_backend
 from repro.runtime.errors import WorkerFailure
 from repro.sched.ledger import TrialLedger
-from repro.sched.programs import mincut_trials_program
 from repro.trace.events import TraceEvent
 
 __all__ = [
@@ -276,7 +276,7 @@ class TrialScheduler:
     wave_size:
         Trials per dispatch.  ``None`` (default) dispatches all pending
         trials as a single wave — the zero-overhead shape: one extra
-        ``gather`` versus the legacy monolithic program.  Smaller waves
+        ``gather`` versus one ``mincut_program`` dispatch.  Smaller waves
         trade throughput for finer checkpoint/retry granularity.
     checkpoint:
         Ledger JSONL path, written atomically after every wave (and on a

@@ -14,10 +14,11 @@ from repro.core import (
     minimum_spanning_forest,
     relative_cut_criterion,
 )
+from repro.cache.traced import AnalyticTracker
 from repro.core.karger_stein import (
-    brute_force_matrix_all,
+    brute_force_matrix,
     canonical_cut_key,
-    karger_stein_matrix_all,
+    karger_stein_matrix,
 )
 from repro.graph import (
     AdjacencyMatrix,
@@ -47,7 +48,7 @@ class TestCanonicalCutKey:
 class TestBruteForceAll:
     def test_k4_four_singletons(self):
         a = AdjacencyMatrix.from_edgelist(complete_graph(4)).a
-        val, sides = brute_force_matrix_all(a)
+        val, sides = brute_force_matrix(a, collect=True)
         assert val == 3.0
         assert len(sides) == 4
         for s in sides:
@@ -56,13 +57,15 @@ class TestBruteForceAll:
     def test_tied_pair(self):
         # cuts: {0} -> 6, {1} -> 6, {2} -> 10: two tied minima
         g = EdgeList.from_pairs(3, [(0, 1, 1.0), (1, 2, 5.0), (0, 2, 5.0)])
-        val, sides = brute_force_matrix_all(AdjacencyMatrix.from_edgelist(g).a)
+        val, sides = brute_force_matrix(
+            AdjacencyMatrix.from_edgelist(g).a, collect=True)
         assert val == 6.0
         assert len(sides) == 2
 
     def test_unique_minimum(self):
         g = EdgeList.from_pairs(3, [(0, 1, 1.0), (1, 2, 5.0), (0, 2, 7.0)])
-        val, sides = brute_force_matrix_all(AdjacencyMatrix.from_edgelist(g).a)
+        val, sides = brute_force_matrix(
+            AdjacencyMatrix.from_edgelist(g).a, collect=True)
         assert val == 6.0
         assert len(sides) == 1
 
@@ -73,7 +76,7 @@ class TestKargerSteinAll:
         a = AdjacencyMatrix.from_edgelist(g).a
         found = {}
         for seed in range(12):
-            val, cuts = karger_stein_matrix_all(a, philox_stream(seed))
+            val, cuts = karger_stein_matrix(a, philox_stream(seed), collect=True)
             if val == 2.0:
                 found.update(cuts)
         assert len(found) == 15  # C(6,2) pairs of cycle edges
@@ -81,9 +84,27 @@ class TestKargerSteinAll:
     def test_values_match_single_variant(self):
         g = erdos_renyi(12, 40, philox_stream(30), weighted=True)
         a = AdjacencyMatrix.from_edgelist(g).a
-        val, cuts = karger_stein_matrix_all(a, philox_stream(0))
+        val, cuts = karger_stein_matrix(a, philox_stream(0), collect=True)
         for side in cuts.values():
             assert g.cut_value(side) == pytest.approx(val)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_collect_is_the_same_recursion(self, seed):
+        """One recursion, two result shapes: on a tie-free matrix both modes
+        draw the same random numbers and charge the tracker identically."""
+        n = 30
+        w = philox_stream(77).random((n, n)) + 0.5
+        a = np.triu(w, 1)
+        a = a + a.T
+        single, collected = AnalyticTracker(), AnalyticTracker()
+        val, side = karger_stein_matrix(a, philox_stream(seed), single)
+        val_all, cuts = karger_stein_matrix(a, philox_stream(seed), collected,
+                                            collect=True)
+        assert val_all == val
+        assert (single.op_count, single.miss_count) == \
+            (collected.op_count, collected.miss_count)
+        # the one cut both found (the stored side may be its complement)
+        assert list(cuts) == [canonical_cut_key(side)]
 
 
 class TestMinimumCuts:

@@ -1,13 +1,19 @@
 """Tests for the exact communication-avoiding minimum cut (§4)."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from repro.cache import LRUTracker
-from repro.core import minimum_cut, minimum_cut_sequential
-from repro.core.mincut import sequential_trial, sequential_eager_step
+from repro.core import minimum_cut, minimum_cut_sequential, minimum_cuts
+from repro.core.mincut import (
+    _pick_min,
+    mincut_trials_program,
+    sequential_eager_step,
+    sequential_trial,
+)
 from repro.graph import (
     EdgeList,
     complete_graph,
@@ -18,6 +24,8 @@ from repro.graph import (
 )
 from repro.graph.validate import networkx_components, networkx_mincut
 from repro.rng import philox_stream
+from repro.runtime import SimBackend
+from repro.sched import TrialScheduler
 
 
 class TestVerificationSuite:
@@ -198,3 +206,60 @@ class TestSequentialInternals:
         val, side = minimum_cut_sequential(g, seed=5)
         assert val == 3.0  # weights 1 + 2
         assert g.cut_value(side) == 3.0
+
+
+class TestOneTrialLoop:
+    """minimum_cut / minimum_cuts / the scheduler / minimum_cut_sequential
+    are four doors onto one per-rank trial loop."""
+
+    @pytest.mark.parametrize("p,trials", [(2, 8), (3, 7), (4, 4)])
+    def test_monolithic_fold_equals_fold_of_scheduled_trials(self, p, trials):
+        g = erdos_renyi(40, 200, philox_stream(61), weighted=True)
+        seed = 9
+        whole = minimum_cut(g, p=p, seed=seed, trials=trials)
+        per_trial = SimBackend().run(
+            mincut_trials_program, p, seed=seed,
+            args=(g.slices(p), g.n, tuple(range(trials)), seed),
+        ).root_value
+        assert [ti for ti, _, _ in per_trial] == list(range(trials))
+        results = {ti: (val, side) for ti, val, side in per_trial}
+        # mincut_program: rank r folds trials r, r+p, ... then the
+        # allreduce folds the ranks' bests in rank order.
+        rank_best = [
+            functools.reduce(_pick_min, (results[ti] for ti in
+                                         range(r, trials, p)))
+            for r in range(p)
+        ]
+        value, side = functools.reduce(_pick_min, rank_best)
+        assert whole.value == value
+        assert whole.side.tobytes() == side.tobytes()
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_override_validated_at_every_entry(self, trials):
+        g = two_cliques_bridge(5)
+        calls = [
+            lambda: minimum_cut(g, p=2, trials=trials),
+            lambda: minimum_cut(g, p=2, trials=trials,
+                                scheduler=TrialScheduler()),
+            lambda: minimum_cuts(g, p=2, trials=trials),
+            lambda: minimum_cut_sequential(g, trials=trials),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="at least one trial"):
+                call()
+
+    @pytest.mark.parametrize("g", [
+        EdgeList.empty(5),
+        EdgeList.from_pairs(6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
+                                (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]),
+    ], ids=["edgeless", "two-triangles"])
+    @pytest.mark.parametrize("p", [2, 8])  # p <= trials and p > trials
+    def test_zero_cut_sides_agree_across_routes(self, g, p):
+        plain = minimum_cuts(g, p=p, seed=0, trials=4)
+        sched = minimum_cuts(g, p=p, seed=0, trials=4,
+                             scheduler=TrialScheduler())
+        assert plain.value == sched.value == 0.0
+        assert len(plain.sides) == len(sched.sides) >= 1
+        for a, b in zip(plain.sides, sched.sides):
+            assert np.array_equal(a, b)
+            assert not a[0]  # canonical_cut_key's orientation

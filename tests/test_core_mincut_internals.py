@@ -10,7 +10,6 @@ from repro.core.mincut import (
     _eager_target,
     _edges_to_dense,
     _pick_min,
-    _relabel_combine,
     dense_iterated_sampling,
     edges_to_distributed_matrix,
     parallel_eager_step,
@@ -25,6 +24,7 @@ from repro.graph import (
     two_cliques_bridge,
 )
 from repro.graph.validate import networkx_mincut
+from repro.kernels import bulk_contract_edges
 from repro.rng import philox_stream
 
 
@@ -47,7 +47,7 @@ class TestHelpers:
         v = np.array([1, 2, 3, 1])
         w = np.array([1.0, 1.0, 1.0, 2.0])
         labels = np.array([0, 0, 1, 1])
-        u2, v2, w2 = _relabel_combine(u, v, w, labels, 2)
+        u2, v2, w2 = bulk_contract_edges(u, v, w, labels, 2)
         # (0,1) and (0,1)x2 become loops; (1,2) and (2,3) -> (0,1) w=1, loop
         assert u2.tolist() == [0]
         assert v2.tolist() == [1]
@@ -57,7 +57,7 @@ class TestHelpers:
         u = np.array([0, 1])
         v = np.array([1, 0])
         w = np.array([1.0, 1.0])
-        u2, v2, w2 = _relabel_combine(u, v, w, np.zeros(2, dtype=np.int64), 1)
+        u2, v2, w2 = bulk_contract_edges(u, v, w, np.zeros(2, dtype=np.int64), 1)
         assert u2.size == 0
 
     def test_edges_to_dense(self):

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro import (
-    Engine,
     MachineModel,
     approx_minimum_cut,
     connected_components,
@@ -28,6 +27,7 @@ from repro.graph import (
 )
 from repro.graph.validate import networkx_components
 from repro.rng import philox_stream
+from repro.runtime import SimBackend
 
 
 class TestCrossAlgorithmAgreement:
@@ -98,18 +98,18 @@ class TestCostModelIntegration:
 
     def test_custom_machine_model(self):
         g = erdos_renyi(200, 800, philox_stream(204))
-        fast = Engine(machine=MachineModel(op_s=1e-12))
-        slow = Engine(machine=MachineModel(op_s=1e-6))
-        t_fast = connected_components(g, p=2, seed=1, engine=fast).time
-        t_slow = connected_components(g, p=2, seed=1, engine=slow).time
+        fast = SimBackend(machine=MachineModel(op_s=1e-12))
+        slow = SimBackend(machine=MachineModel(op_s=1e-6))
+        t_fast = connected_components(g, p=2, seed=1, backend=fast).time
+        t_slow = connected_components(g, p=2, seed=1, backend=slow).time
         assert t_slow.app_s > t_fast.app_s
 
     def test_custom_cache_params(self):
         g = erdos_renyi(200, 800, philox_stream(205))
-        tiny = Engine(cache=CacheParams(M=1 << 12, B=8))
-        huge = Engine(cache=CacheParams(M=1 << 26, B=8))
-        m_tiny = connected_components(g, p=2, seed=1, engine=tiny).report.misses
-        m_huge = connected_components(g, p=2, seed=1, engine=huge).report.misses
+        tiny = SimBackend(cache=CacheParams(M=1 << 12, B=8))
+        huge = SimBackend(cache=CacheParams(M=1 << 26, B=8))
+        m_tiny = connected_components(g, p=2, seed=1, backend=tiny).report.misses
+        m_huge = connected_components(g, p=2, seed=1, backend=huge).report.misses
         assert m_tiny >= m_huge
 
     def test_model_fit_roundtrip(self):
