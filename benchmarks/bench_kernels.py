@@ -4,10 +4,11 @@ Each benchmark times one :mod:`repro.kernels` entry point against the
 original per-element Python loop it replaced (kept verbatim in
 ``repro.kernels.reference``) on the same inputs, and reports wall-clock
 seconds plus the speedup ratio.  Prefix Selection is also timed per call
-at the sizes the Karger–Stein recursion actually asks for.  The regression
-gate (``python -m benchmarks.perf_gate --check``) runs these and fails if
-the kernel timings regress past the blessed baseline or a speedup falls
-under its floor.
+at the sizes the Karger–Stein recursion actually asks for, and ``cc_labels``
+at the large m where it filters the edges through a sample's components.
+The regression gate (``python -m benchmarks.perf_gate --check``) runs these
+and fails if the kernel timings regress past the blessed baseline or a
+speedup falls under its floor.
 
 Run standalone::
 
@@ -30,12 +31,14 @@ import numpy as np
 from repro.bsp.comm import payload_words
 from repro.kernels import (
     bulk_contract_edges,
+    cc_labels,
     cc_roots,
     prefix_select_labels,
     scalar_bulk_contract,
     scalar_cc_roots,
     scalar_prefix_select,
 )
+from repro.kernels.unionfind import _scipy_pass
 
 __all__ = ["run_benchmarks", "BENCHES"]
 
@@ -44,6 +47,10 @@ _CONTRACT_EDGES = 100_000
 _CONTRACT_N = 5_000
 _CC_EDGES = 60_000
 _CC_N = 30_000
+#: (name, n, m, blocks) of the large-m rows: the root's gathered sample in the
+#: e2e ``sparse_mp`` CC call, and AppMC's union of 13 trial subgraphs there.
+_CC_LARGE = (("uniform", 50_000, 1_000_000, 1),
+             ("blocks", 65_000, 1_100_000, 13))
 _PREFIX_EDGES = 40_000
 _PREFIX_N = 20_000
 #: (vertices k, sample size s) of the recursion-tail Prefix Selection rows:
@@ -108,7 +115,34 @@ def bench_cc(scale: float, rng) -> dict:
     assert np.array_equal(fast, slow) and np.array_equal(jump, slow), \
         "cc backends disagree"
     return {"m": m, "fast_s": fast_t, "jumping_s": jump_t, "slow_s": slow_t,
-            "speedup": slow_t / fast_t}
+            "speedup": slow_t / fast_t, "large": _bench_cc_large(scale, rng)}
+
+
+def _bench_cc_large(scale: float, rng) -> dict:
+    """``cc_labels`` at m >= 4n, where it filters through a sample, against
+    one scipy pass over all m; checked against the jumping backend."""
+    rng = rng.spawn(1)[0]  # leaves the later benchmarks' inputs as they were
+    inputs = {}
+    for name, n, m, blocks in _CC_LARGE:
+        size = max(8, int(n * scale)) // blocks
+        m = max(16, int(m * scale))
+        off = rng.integers(0, blocks, size=m, dtype=np.int64) * size
+        u = off + rng.integers(0, size, size=m, dtype=np.int64)
+        v = off + rng.integers(0, size, size=m, dtype=np.int64)
+        inputs[name] = (size * blocks, u, v)
+    n, u, v = inputs["uniform"]
+    order = np.lexsort((v, u))  # DynamicGraph.snapshot() order
+    inputs["uniform_sorted"] = (n, u[order], v[order])
+    rows = {}
+    for name, (n, u, v) in inputs.items():
+        fast_t, fast = _best_of(lambda: cc_labels(n, u, v), repeats=5)
+        single_t, _ = _best_of(lambda: _scipy_pass(n, u, v))
+        ref = cc_labels(n, u, v, backend="jumping")
+        assert np.array_equal(fast[0], ref[0]) and fast[1] == ref[1] \
+            and fast[0].dtype == np.int64, "two-level cc_labels disagrees"
+        rows[name] = {"n": n, "m": int(u.size), "ms": 1e3 * fast_t,
+                      "single_pass_ms": 1e3 * single_t}
+    return rows
 
 
 def bench_prefix_select(scale: float, rng) -> dict:
@@ -218,6 +252,9 @@ def main(argv=None) -> int:
     for name, r in results.get("prefix_select", {}).get("small", {}).items():
         print(f"prefix_select {name} (t={r['t']}): "
               f"{r['us_per_call']:.1f} us/call")
+    for name, r in results.get("cc", {}).get("large", {}).items():
+        print(f"cc_labels {name} (n={r['n']}, m={r['m']}): {r['ms']:.1f} ms "
+              f"(one scipy pass: {r['single_pass_ms']:.1f} ms)")
     return 0
 
 

@@ -18,6 +18,11 @@ Two kinds of baseline live in ``results/perf_baseline.json``:
   per :func:`~repro.kernels.prefix_select_labels` call at the sizes the
   Karger–Stein recursion visits (k=9, 50, 400), where fixed per-call cost
   is everything; each may not exceed ``slack x`` its blessed value.
+* **Components at large m** (``cc_large``) — milliseconds per
+  :func:`~repro.kernels.cc_labels` call on the three m >= 10^6 inputs of
+  :mod:`benchmarks.bench_kernels` (uniform, ``(u, v)``-sorted, AppMC-style
+  blocks), where the kernel filters the edges through a sample's
+  components first; same ceiling rule.
 * **Transport fingerprints** — the mp backend's shared-memory segment
   allocation counts on the :mod:`benchmarks.bench_transport` workloads.
   Segment counts are deterministic (payload sizes are seed-fixed), so
@@ -276,6 +281,8 @@ def measure(scale: float = 1.0, seed: int = 0) -> dict:
         "prefix_select_small": {
             name: row["us_per_call"]
             for name, row in timings["prefix_select"]["small"].items()},
+        "cc_large": {name: row["ms"]
+                     for name, row in timings["cc"]["large"].items()},
         "transport": transport_fingerprints(scale=scale, seed=seed),
         "sched": sched_fingerprints(scale=scale, seed=seed),
         "two_out": two_out_fingerprints(scale=scale, seed=seed),
@@ -337,10 +344,11 @@ def _check_timings(base: dict, now: dict, slack: float,
     return ok
 
 
-def _check_prefix_select_small(base: dict | None, now: dict, slack: float,
-                               lines: list[str]) -> bool:
+def _check_ceilings(section: str, unit: str, base: dict | None, now: dict,
+                    slack: float, lines: list[str]) -> bool:
+    """Every blessed value of ``section`` is a ceiling, with ``slack``."""
     if base is None:
-        lines.append("  prefix_select_small: section missing from blessed "
+        lines.append(f"  {section}: section missing from blessed "
                      "baseline (re-bless to record it)")
         return False
     ok = True
@@ -348,12 +356,12 @@ def _check_prefix_select_small(base: dict | None, now: dict, slack: float,
         limit = base[name] * slack
         if name not in now:
             ok = False
-            lines.append(f"  prefix_select_small[{name}]: missing from "
+            lines.append(f"  {section}[{name}]: missing from "
                          f"current run")
         elif now[name] > limit:
             ok = False
             lines.append(
-                f"  prefix_select_small[{name}]: {now[name]:.1f} us/call "
+                f"  {section}[{name}]: {now[name]:.1f} {unit} "
                 f"exceeds {limit:.1f} (= {slack:g} x blessed "
                 f"{base[name]:.1f})")
     return ok
@@ -577,9 +585,11 @@ def check(scale: float, seed: int, slack: float) -> int:
     lines: list[str] = []
     counters_ok = _diff_counters(base["counters"], now["counters"], lines)
     timings_ok = _check_timings(base["timings"], now["timings"], slack, lines)
-    small_ok = _check_prefix_select_small(
-        base.get("prefix_select_small"), now["prefix_select_small"], slack,
-        lines)
+    small_ok = _check_ceilings(
+        "prefix_select_small", "us/call", base.get("prefix_select_small"),
+        now["prefix_select_small"], slack, lines)
+    large_ok = _check_ceilings("cc_large", "ms", base.get("cc_large"),
+                               now["cc_large"], slack, lines)
     transport_ok = _check_transport(base.get("transport"), now["transport"],
                                     lines)
     sched_ok = _check_sched(base.get("sched"), now["sched"], lines)
@@ -589,7 +599,8 @@ def check(scale: float, seed: int, slack: float) -> int:
     plane_ok = _check_graph_plane(base.get("graph_plane"),
                                   now["graph_plane"], lines)
     dynamic_ok = _check_dynamic(base.get("dynamic"), now["dynamic"], lines)
-    if (counters_ok and timings_ok and small_ok and transport_ok and sched_ok
+    if (counters_ok and timings_ok and small_ok and large_ok
+            and transport_ok and sched_ok
             and two_out_ok and serve_ok and fusion_ok and plane_ok
             and dynamic_ok):
         speeds = ", ".join(f"{k}={v['speedup']:.1f}x"
@@ -601,9 +612,12 @@ def check(scale: float, seed: int, slack: float) -> int:
         small = ", ".join(
             f"{k}={v:.1f}us"
             for k, v in sorted(now["prefix_select_small"].items()))
+        large = ", ".join(f"{k}={v:.1f}ms"
+                          for k, v in sorted(now["cc_large"].items()))
         print(f"perf_gate: OK — counters exact, timings within "
               f"{slack:g}x slack ({speeds}; prefix selection per call "
-              f"{small}), transport segments exact "
+              f"{small}; cc_labels at large m {large}), "
+              f"transport segments exact "
               f"({segs}), scheduler overhead "
               f"{now['sched']['predicted_overhead_pct']:+.3f}% with "
               f"bit-identical crash recovery, 2-out trial reduction "

@@ -51,8 +51,11 @@ def _sample_level_union(ctx, u, v, w, n, levels_trials):
     ``levels_trials[b]``.
     """
     us, vs = [], []
+    prob_level = prob = None  # a level's trials are consecutive blocks
     for block, (level, _trial) in enumerate(levels_trials):
-        keep = ctx.rng.random(u.size) < _keep_probability(w, level)
+        if level != prob_level:
+            prob_level, prob = level, _keep_probability(w, level)
+        keep = ctx.rng.random(u.size) < prob
         off = np.int64(block) * n
         us.append(u[keep] + off)
         vs.append(v[keep] + off)
@@ -64,11 +67,8 @@ def _sample_level_union(ctx, u, v, w, n, levels_trials):
 
 def _blocks_disconnected(labels, n, n_blocks):
     """Per-block connectivity of the union graph's component labels."""
-    out = np.zeros(n_blocks, dtype=bool)
-    for b in range(n_blocks):
-        block = labels[b * n:(b + 1) * n]
-        out[b] = np.unique(block).size > 1
-    return out
+    blocks = labels.reshape(n_blocks, n)
+    return (blocks != blocks[:, :1]).any(axis=1)
 
 
 def appmc_program(

@@ -74,8 +74,6 @@ def cc_kernel(ctx, comm, u, v, n, *, eps=0.25, delta=0.5, root=0,
     *feeds* stream assignment; see ``docs/fusion.md``).
     """
     m_input = int(u.size)
-    u = u.copy()
-    v = v.copy()
     labels_orig = np.arange(n, dtype=np.int64) if comm.rank == root else None
     k = n  # size of the current (contracted) label space
     orig_comm, orig_root = comm, root
@@ -171,8 +169,7 @@ def cc_hybrid_program(ctx, slices, n, *, eps=0.25, delta=0.5, rounds=2):
 
     comm = ctx.comm
     g = slices[ctx.rank]
-    u = g.u.copy()
-    v = g.v.copy()
+    u, v = g.u, g.v
     root = 0
     labels_orig = np.arange(n, dtype=np.int64) if ctx.rank == root else None
     k = n

@@ -2,7 +2,12 @@
 
 Three interchangeable backends compute component structure over edge arrays:
 
-* ``"scipy"`` — compiled traversal via ``scipy.sparse.csgraph`` (fastest);
+* ``"scipy"`` — compiled traversal via ``scipy.sparse.csgraph`` (fastest).
+  scipy spends its time building CSR and CSC around the traversal, so dense
+  inputs (m >= 4n) go through it twice on far fewer edges: a strided sample
+  of 2n edges, then the edges that sample's components leave uncontracted
+  (:func:`_cc_labels_scipy`; same bytes out, table in
+  ``docs/kernels.md``);
 * ``"jumping"`` — pure-numpy hooking + pointer jumping (Shiloach–Vishkin
   style: hook the larger root onto the smaller, then jump ``parent`` to its
   fixpoint; O(log n) vectorized rounds);
@@ -43,6 +48,16 @@ __all__ = [
 # Sample edges prefix_select_labels converts to Python ints at a time: small,
 # because the recursion's calls stop ~0.3 k merges into a ~6 k-edge sample.
 _SAMPLE_BLOCK = 256
+
+# Two-level cc_labels (measured table in docs/kernels.md).  The sample is this
+# many edges per vertex: enough to leave one giant component and few
+# survivors.  Engaging takes an input of this many samples -- below that the
+# pass over the sample costs what the filter saves -- and of this many edges,
+# below which a call is all scipy constructor overhead (~0.2 ms) and a second
+# call doubles it.
+_SAMPLE_EDGES_PER_VERTEX = 2
+_ENGAGE_SAMPLES = 2
+_ENGAGE_MIN_EDGES = 1 << 15
 
 
 @functools.cache  # once per process: "auto" resolves on every kernel call
@@ -131,11 +146,36 @@ def cc_roots(
     return first[labels].astype(np.int64)
 
 
-def _cc_labels_scipy(n: int, u: np.ndarray, v: np.ndarray):
+def _scipy_pass(n: int, u: np.ndarray, v: np.ndarray):
+    """One ``csgraph.connected_components`` call; scipy's own int32 labels."""
     coo_matrix, connected_components, _mst = _scipy_csgraph()
     adj = coo_matrix((np.ones(u.size, dtype=np.int8), (u, v)), shape=(n, n))
     count, labels = connected_components(adj, directed=False)
-    return labels.astype(np.int64), int(count)
+    return labels, int(count)
+
+
+def _cc_labels_scipy(n: int, u: np.ndarray, v: np.ndarray):
+    """Compiled labels, filtering dense inputs through a sample's components.
+
+    Iterated Sampling (§3.2) one level down: label a strided sample, relabel
+    every edge through it in one streaming pass, and give only the surviving
+    non-loops to scipy again.  Supervertex ids are ordered by minimum member,
+    so the composed labels are in first-appearance order as they stand.
+    """
+    sample = _SAMPLE_EDGES_PER_VERTEX * n
+    if u.size < max(_ENGAGE_SAMPLES * sample, _ENGAGE_MIN_EDGES):
+        labels, count = _scipy_pass(n, u, v)
+    else:
+        # Strided, not a prefix: a (u, v)-sorted input's prefix spans few
+        # vertices.  Labels stay int32 until the end: half the bytes to move.
+        stride = u.size // sample
+        first, k1 = _scipy_pass(n, u[::stride], v[::stride])
+        cu = first[u]
+        cv = first[v]
+        keep = cu != cv
+        second, count = _scipy_pass(k1, cu[keep], cv[keep])
+        labels = second[first]
+    return labels.astype(np.int64), count
 
 
 def cc_labels(

@@ -352,6 +352,10 @@ class MpBackend(Backend):
                 len(ForkingPickler.dumps(s)) for s in specs)
         except Exception:
             pass
+        if self.start_method == "fork":
+            # Workers inherit sys.modules: do the kernels' lazy import here,
+            # or every run's root pays it (~0.3 s) after the fork.
+            import scipy.sparse.csgraph  # noqa: F401
         pool = _Pool(ctx, p, specs.__getitem__, slab_token=slab_token)
         try:
             return self._coordinate(engine, pool, p,

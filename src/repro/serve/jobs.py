@@ -126,7 +126,8 @@ class JobStore:
         path = self.job_path(job.id)
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(job.to_doc(), fh, sort_keys=True)
+            # dumps, not dump: only dumps runs CPython's C encoder.
+            fh.write(json.dumps(job.to_doc(), sort_keys=True))
         os.replace(tmp, path)
 
     def load(self, job_id: str) -> Job:

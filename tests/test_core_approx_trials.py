@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import approx_minimum_cut, num_trials, eager_survival_probability
-from repro.core.approx_mincut import _keep_probability
+from repro.core.approx_mincut import _blocks_disconnected, _keep_probability
 from repro.core.trials import (
     achieved_success_probability,
     recursive_success_probability,
@@ -43,6 +43,17 @@ class TestKeepProbability:
     def test_numerically_stable_at_deep_levels(self):
         p = _keep_probability(np.array([1.0]), 50)
         assert 0 < p[0] < 1e-10
+
+
+def test_blocks_disconnected_matches_per_block_unique():
+    rng = np.random.default_rng(5)
+    n, n_blocks = 7, 60
+    labels = rng.integers(0, 2, size=n * n_blocks)
+    labels[: 10 * n] = np.repeat(np.arange(10), n)  # ten connected blocks
+    expected = [np.unique(labels[b * n:(b + 1) * n]).size > 1
+                for b in range(n_blocks)]
+    assert 0 < sum(expected) < n_blocks
+    assert _blocks_disconnected(labels, n, n_blocks).tolist() == expected
 
 
 class TestApproxMinCut:

@@ -31,6 +31,7 @@ from repro.kernels import (
     scalar_prefix_select,
     stable_sort_with_order,
 )
+from repro.kernels import unionfind
 from repro.kernels.unionfind import _earliest_forest_scalar
 
 # ---------------------------------------------------------------------------
@@ -110,6 +111,216 @@ def test_cc_roots_random_exact(stream):
     np.testing.assert_array_equal(cc_roots(n, u, v, backend="scipy"), expected)
     np.testing.assert_array_equal(cc_roots(n, u, v, backend="jumping"),
                                   expected)
+
+
+# ---------------------------------------------------------------------------
+# Two-level cc_labels: sample -> contract -> filter, engaged at m >= 4n
+# (and m >= 2^15, a speed floor the small families below switch off so the
+# per-edge scalar oracle can check the composition itself)
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_edge_floor(monkeypatch):
+    monkeypatch.setattr(unionfind, "_ENGAGE_MIN_EDGES", 0)
+
+
+def _dense_families():
+    rng = np.random.default_rng(11)
+
+    def er(n, m):
+        return rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+
+    fams = {}
+    n = 400
+    u, v = er(n, 8000)
+    fams["dense_er"] = (n, u, v)
+    order = np.lexsort((v, u))
+    fams["dense_er_sorted"] = (n, u[order], v[order])
+    fams["dense_er_reversed"] = (n, u[order][::-1], v[order][::-1])
+    fams["dense_er_int32"] = (n, u.astype(np.int32), v.astype(np.int32))
+    fams["dense_er_strided_view"] = (n, np.repeat(u, 2)[::2],
+                                     np.repeat(v, 2)[1::2])
+    path = np.arange(299, dtype=np.int64)
+    fams["path"] = (300, path, path + 1)  # m < 4n: single pass
+    fams["path_repeated"] = (300, np.tile(path, 5), np.tile(path + 1, 5))
+    block = rng.integers(0, 20, size=6000) * 30
+    fams["dense_blocks"] = (600, block + rng.integers(0, 30, size=6000),
+                            block + rng.integers(0, 30, size=6000))
+    du, dv = er(200, 3000)
+    tail = np.arange(200, 399, dtype=np.int64)
+    fams["dense_half_path_half"] = (400, np.r_[du, tail], np.r_[dv, tail + 1])
+    u = rng.integers(0, 50, size=2000)
+    fams["duplicates_and_loops"] = (
+        50, u, np.where(rng.random(2000) < 0.5, u, (u * 7 + 1) % 50))
+    for m in (399, 400, 401):  # around the engage threshold, n = 100
+        fams[f"threshold_m{m}"] = (100,) + er(100, m)
+    fams["ragged_stride"] = (100,) + er(100, 701)  # stride 3, 701 % 3 == 2
+    # The strided sample (every 4th edge) is a spanning path on its own:
+    # one supervertex, every edge a loop, no survivors.
+    u, v = er(50, 400)
+    u[::4] = np.arange(100) % 49
+    v[::4] = np.arange(100) % 49 + 1
+    fams["sample_spans"] = (50, u, v)
+    # ...and the reverse: the sample is all loops and collapses nothing.
+    u, v = er(50, 400)
+    v[::4] = u[::4]
+    fams["sample_all_loops"] = (50, u, v)
+    loops = rng.integers(0, 10, size=100)
+    fams["all_loops"] = (10, loops, loops)
+    fams["n1"] = (1, np.zeros(8, dtype=np.int64), np.zeros(8, dtype=np.int64))
+    fams["n2"] = (2, np.array([1, 0, 1, 1, 0, 1, 0, 0, 1, 0]),
+                  np.array([1, 1, 0, 1, 0, 1, 0, 1, 1, 0]))
+    fams["n2_loops"] = (2, np.array([0, 1] * 4), np.array([0, 1] * 4))
+    return fams
+
+
+DENSE_FAMILIES = _dense_families()
+
+
+def _single_pass_calls(monkeypatch):
+    """Spy on the private single-pass helper: records each call's m."""
+    calls = []
+    inner = unionfind._scipy_pass
+
+    def spy(n, u, v):
+        calls.append(int(u.size))
+        return inner(n, u, v)
+
+    monkeypatch.setattr(unionfind, "_scipy_pass", spy)
+    return calls
+
+
+@pytest.mark.parametrize("family", sorted(DENSE_FAMILIES))
+def test_two_level_cc_matches_scalar_oracle(family, no_edge_floor):
+    n, u, v = DENSE_FAMILIES[family]
+    ref_labels, ref_count = cc_labels(n, u, v, backend="scalar")
+    labels, count = cc_labels(n, u, v)
+    assert labels.dtype == np.int64 and labels.flags.c_contiguous
+    assert isinstance(count, int) and count == ref_count
+    np.testing.assert_array_equal(labels, ref_labels)
+    roots = cc_roots(n, u, v)
+    assert roots.dtype == np.int64
+    np.testing.assert_array_equal(roots, scalar_cc_roots(n, u, v))
+
+
+@pytest.mark.parametrize("m, passes", [(399, 1), (400, 2), (401, 2)])
+def test_two_level_engages_at_four_edges_per_vertex(monkeypatch, m, passes,
+                                                    no_edge_floor):
+    calls = _single_pass_calls(monkeypatch)
+    n, u, v = DENSE_FAMILIES[f"threshold_m{m}"]
+    cc_labels(n, u, v)
+    assert len(calls) == passes
+    if passes == 2:
+        assert calls[0] == u[::m // (2 * n)].size  # the strided sample
+
+
+@pytest.mark.parametrize("m, passes", [((1 << 15) - 1, 1), (1 << 15, 2)])
+def test_two_level_engages_at_the_edge_floor(monkeypatch, m, passes):
+    calls = _single_pass_calls(monkeypatch)
+    rng = np.random.default_rng(13)
+    n = 1000
+    u, v = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+    v[: n // 2] = u[: n // 2]
+    labels, count = cc_labels(n, u, v)
+    assert len(calls) == passes
+    ref_labels, ref_count = cc_labels(n, u, v, backend="jumping")
+    assert count == ref_count
+    np.testing.assert_array_equal(labels, ref_labels)
+
+
+def test_two_level_sample_extremes(monkeypatch, no_edge_floor):
+    calls = _single_pass_calls(monkeypatch)
+    n, u, v = DENSE_FAMILIES["sample_spans"]
+    assert cc_labels(n, u, v)[1] == 1
+    assert calls == [100, 0]  # one supervertex: nothing survives
+    del calls[:]
+    n, u, v = DENSE_FAMILIES["sample_all_loops"]
+    cc_labels(n, u, v)
+    assert calls == [100, int((u != v).sum())]  # nothing filtered but loops
+
+
+def test_two_level_references_stay_single_pass(monkeypatch, no_edge_floor):
+    calls = _single_pass_calls(monkeypatch)
+    n, u, v = DENSE_FAMILIES["dense_er"]
+    for backend in ("jumping", "scalar"):
+        cc_labels(n, u, v, backend=backend)
+        cc_roots(n, u, v, backend=backend)
+    assert calls == []
+
+
+@st.composite
+def dense_edge_streams(draw):
+    n = draw(st.integers(min_value=1, max_value=24))
+    m = draw(st.integers(min_value=4 * n, max_value=8 * n))
+    ints = st.integers(min_value=0, max_value=n - 1)
+    u = np.array(draw(st.lists(ints, min_size=m, max_size=m)), dtype=np.int64)
+    v = np.array(draw(st.lists(ints, min_size=m, max_size=m)), dtype=np.int64)
+    return n, u, v
+
+
+@given(dense_edge_streams())
+@settings(max_examples=150, deadline=None)
+def test_two_level_labels_in_first_appearance_order(stream):
+    n, u, v = stream
+    with pytest.MonkeyPatch.context() as patch:  # fixtures outlive an example
+        patch.setattr(unionfind, "_ENGAGE_MIN_EDGES", 0)
+        labels, count = cc_labels(n, u, v)
+    uniq, first_seen = np.unique(labels, return_index=True)
+    np.testing.assert_array_equal(uniq, np.arange(count))
+    assert np.all(np.diff(first_seen) > 0)
+    np.testing.assert_array_equal(labels,
+                                  cc_labels(n, u, v, backend="scalar")[0])
+
+
+def _golden_runs(backend):
+    """Everything above the kernel that could move: values and reports."""
+    import dataclasses
+
+    from repro.core import approx_minimum_cut, connected_components
+    from repro.dynamic import DynamicGraph
+    from repro.graph import erdos_renyi
+    from repro.rng import philox_stream
+
+    g = erdos_renyi(600, 6000, philox_stream(31))
+    gw = erdos_renyi(300, 2400, philox_stream(32), weighted=True)
+    out = []
+    cc = connected_components(g, p=3, seed=4, backend=backend)
+    out.append((cc.labels.tobytes(), cc.n_components,
+                dataclasses.asdict(cc.report)))
+    for pipelined in (False, True):
+        cut = approx_minimum_cut(gw, p=3, seed=4, pipelined=pipelined,
+                                 backend=backend)
+        out.append((cut.estimate, cut.witness_value,
+                    cut.witness_side.tobytes(),
+                    dataclasses.asdict(cut.report)))
+    with DynamicGraph(g, p=2, seed=4, backend=backend,
+                      reconnect_budget=0) as dyn:
+        a, b = sorted(dyn._tree)[0]
+        dyn.update_edges([("delete", a, b)])
+        res = dyn.query_components()
+        assert res.via == "cc_kernel"
+        out.append((res.labels.tobytes(), res.n_components))
+    return out
+
+
+def test_two_level_changes_nothing_above_the_kernel(backend, monkeypatch,
+                                                    no_edge_floor):
+    """Labels, estimate, witness and ``report`` are those of the single-pass
+    kernel (the parent commit's), on sim and on forked mp workers."""
+    calls = _single_pass_calls(monkeypatch)
+    two_level = _golden_runs(backend)
+    passes = len(calls)
+    del calls[:]
+
+    def single_pass(n, u, v):
+        labels, count = unionfind._scipy_pass(n, u, v)
+        return labels.astype(np.int64), count
+
+    monkeypatch.setattr(unionfind, "_cc_labels_scipy", single_pass)
+    assert _golden_runs(backend) == two_level
+    if backend == "sim":  # forked workers do not report back to the spy
+        assert passes > len(calls) > 0, "the two-level path never engaged"
 
 
 def test_union_find_components_fast_vs_slow():

@@ -7,6 +7,8 @@ this module in the child.
 
 import operator
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.runtime import (
     WorkerProgramError,
     WorkerTimeoutError,
     available_backends,
+    default_start_method,
     resolve_backend,
 )
 from repro.runtime.transport import decode_payload, encode_payload
@@ -64,6 +67,13 @@ def prog_collectives(ctx, scale):
 def prog_trivial(ctx):
     yield from ctx.comm.barrier()
     return ctx.rank
+
+
+def prog_loaded_modules(ctx):
+    import sys
+
+    yield from ctx.comm.barrier()
+    return "scipy.sparse.csgraph" in sys.modules
 
 
 def prog_crash(ctx):
@@ -211,6 +221,24 @@ class TestMpBackend:
         res = MpBackend(start_method="spawn", timeout=180.0).run(
             prog_trivial, 2, seed=0)
         assert res.values == [0, 1]
+
+    def test_fork_workers_inherit_the_kernels_lazy_import(self):
+        """A caller that never ran a kernel still forks workers that hold
+        ``scipy.sparse.csgraph``: the root does not re-import it per run."""
+        require_mp()
+        if default_start_method() != "fork":
+            pytest.skip("spawned workers import from scratch regardless")
+        script = (
+            "import sys\n"
+            "from repro.runtime import MpBackend\n"
+            "from tests.test_runtime_backends import prog_loaded_modules\n"
+            "assert 'scipy.sparse.csgraph' not in sys.modules\n"
+            "res = MpBackend(timeout=120.0).run(prog_loaded_modules, 2)\n"
+            "assert res.values == [True, True], res.values\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", script], check=True,
+                       timeout=180, env=env)
 
     def test_invalid_p_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):

@@ -12,6 +12,8 @@ Two harness styles:
 """
 
 import glob
+import io
+import json
 import os
 import threading
 import time
@@ -355,6 +357,42 @@ def test_restart_keeps_terminal_results(graph_file, tmp_path):
     assert d2.jobs[jid].state == "done"
     assert d2.jobs[jid].result == result
     assert len(d2.queue) == 0                # nothing requeued
+
+
+def test_jobstore_save_bytes_and_atomic_replace(tmp_path, monkeypatch):
+    from repro.serve.jobs import Job, JobStore
+
+    store = JobStore(str(tmp_path))
+    job = Job(id=store.new_id(), client="c", algorithm="parallel_cc",
+              path=None, fingerprint="ab" * 8, seed=3, p=2,
+              kwargs={"eps": 0.25, "note": "caf\u00e9"},
+              result={"labels": list(range(4000)), "value": 1.5e-7})
+    streamed = io.StringIO()  # the file json.dump(doc, fh) used to write
+    json.dump(job.to_doc(), streamed, sort_keys=True)
+    path = store.job_path(job.id)
+    store.save(job)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == streamed.getvalue()
+    assert store.load(job.id) == job
+
+    # A second save lands by rename: the whole new document is in a
+    # sibling tmp file while the old one is still what a reader sees.
+    old_bytes = open(path, "rb").read()
+    job.state = "running"
+    seen = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        seen.append((src, dst))
+        assert open(dst, "rb").read() == old_bytes
+        assert json.load(open(src, encoding="utf-8"))["state"] == "running"
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    store.save(job)
+    assert seen == [(f"{path}.tmp.{os.getpid()}", path)]
+    assert sorted(os.listdir(store.dir)) == [os.path.basename(path)]
+    assert store.load(job.id).state == "running"
 
 
 def test_failed_job_reports_error(graph, tmp_path):
