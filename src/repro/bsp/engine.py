@@ -197,6 +197,27 @@ class Engine:
 
     # -- main entry ----------------------------------------------------------
 
+    def _begin_run(self, p) -> Group:
+        """Validate ``p``, reset the per-run state, return the world group.
+
+        Group ids restart every run so gids (and traces) are a pure
+        function of (program, p, seed), even on a reused engine.  The mp
+        coordinator starts its runs here too.
+        """
+        try:
+            p = operator.index(p)
+        except TypeError:
+            raise TypeError(
+                f"p must be an integer, got {type(p).__name__} ({p!r})"
+            ) from None
+        if p < 1:
+            raise ValueError(f"p must be >= 1, got {p}")
+        self._next_gid = 0
+        self._split_seq = {}
+        self._fusion = FusionState(self.fuse) if self.fuse is not None else None
+        self._post_sync = {}
+        return self._new_group(tuple(range(p)))
+
     def run(
         self,
         program: Callable[..., Generator],
@@ -214,50 +235,38 @@ class Engine:
         or ``ValueError`` before any program code runs; all execution
         backends share this contract.
         """
-        try:
-            p = operator.index(p)
-        except TypeError:
-            raise TypeError(
-                f"p must be an integer, got {type(p).__name__} ({p!r})"
-            ) from None
-        if p < 1:
-            raise ValueError(f"p must be >= 1, got {p}")
+        world = self._begin_run(p)
+        p = world.size
         kwargs = kwargs or {}
-        # Group ids restart every run so gids (and traces) are a pure
-        # function of (program, p, seed), even on a reused engine.
-        self._next_gid = 0
-        self._split_seq = {}
-        self._fusion = FusionState(self.fuse) if self.fuse is not None else None
-        self._post_sync = {}
         tracer = self._tracer
         events_before = len(tracer)
         streams = RngStreams(seed)
         counters = [ProcCounters() for _ in range(p)]
-        world = self._new_group(tuple(range(p)))
-        ctxs = [
-            Context(
-                rank=r, p=p, comm=Communicator(world, r),
-                rng=streams.for_rank(r), counters=counters[r], cache=self.cache,
+        gens = [
+            program(
+                Context(
+                    rank=r, p=p, comm=Communicator(world, r),
+                    rng=streams.for_rank(r), counters=counters[r],
+                    cache=self.cache,
+                ),
+                *args, **kwargs,
             )
             for r in range(p)
         ]
-        gens: list[Generator | None] = [program(ctx, *args, **kwargs) for ctx in ctxs]
         values: list[Any] = [None] * p
         inbox: list[Any] = [None] * p          # value to send into the generator
-        pending: dict[int, CollectiveOp | None] = {}  # rank -> blocked request
+        pending: dict[int, CollectiveOp] = {}  # rank -> blocked request
+        live = set(range(p))                   # ranks not yet terminated
         runnable: list[int] = list(range(p))
 
-        while True:
+        while live:
             # Phase 1: advance runnable processors until they block or finish.
             for r in runnable:
-                gen = gens[r]
-                assert gen is not None
                 try:
-                    op = gen.send(inbox[r])
+                    op = gens[r].send(inbox[r])
                 except StopIteration as stop:
                     values[r] = stop.value
-                    gens[r] = None
-                    pending[r] = None
+                    live.discard(r)
                     continue
                 if not isinstance(op, CollectiveOp):
                     raise TypeError(
@@ -273,48 +282,13 @@ class Engine:
                 inbox[r] = None
             runnable = []
 
-            if all(g is None for g in gens):
-                break
-
-            # Phase 2: find groups whose live members all posted a request.
-            by_group: dict[int, list[CollectiveOp]] = {}
-            for r, op in pending.items():
-                if op is not None:
-                    by_group.setdefault(op.group.gid, []).append(op)
-            executed_any = False
-            for gid in sorted(by_group):
-                ops = by_group[gid]
-                group = ops[0].group
-                waiting = {op.sender for op in ops}
-                missing = [m for m in group.members if m not in waiting]
-                if any(gens[m] is not None for m in missing):
-                    continue  # someone is still computing; not ready yet
-                if missing:
-                    dead = [m for m in missing if gens[m] is None]
-                    raise DeadlockError(
-                        f"collective {ops[0].kind!r} on group {gid} can never "
-                        f"complete: member(s) {dead} already terminated while "
-                        f"{sorted(waiting)} are waiting"
-                    )
-                self._execute(group, ops, counters, ctxs, inbox)
+            # Phase 2: execute the groups whose members all posted a request.
+            for group, ops in self._ready(pending, live, p):
+                self._execute(group, ops, counters, inbox)
                 for op in ops:
-                    pending[op.sender] = None
+                    del pending[op.sender]
                     runnable.append(op.sender)
-                executed_any = True
             runnable.sort()
-
-            if not executed_any:
-                blocked = {
-                    r: f"{op.kind} on group {op.group.gid}"
-                    for r, op in pending.items()
-                    if op is not None
-                }
-                if not blocked:
-                    break  # everything finished
-                raise DeadlockError(
-                    f"no collective can complete; blocked processors: {blocked}; "
-                    f"terminated: {[r for r in range(p) if gens[r] is None]}"
-                )
 
         trace = None
         if tracer.enabled:
@@ -327,6 +301,45 @@ class Engine:
         return RunResult(values=values, report=report,
                          time=self.machine.predict(report),
                          trace=trace)
+
+    def _ready(self, pending: dict[int, CollectiveOp], live, p: int,
+               ) -> list[tuple[Group, list[CollectiveOp]]]:
+        """The groups, in gid order, whose members have all posted a request.
+
+        ``pending`` maps each blocked rank to its request; ``live`` holds
+        the ranks that have not terminated — blocked or, on the mp
+        coordinator, still computing.  Raises :class:`DeadlockError` when a
+        waiting group has a terminated member, and when every live rank is
+        blocked yet no group is complete.
+        """
+        by_group: dict[int, list[CollectiveOp]] = {}
+        for op in pending.values():
+            by_group.setdefault(op.group.gid, []).append(op)
+        ready = []
+        for gid in sorted(by_group):
+            ops = by_group[gid]
+            group = ops[0].group
+            waiting = {op.sender for op in ops}
+            missing = [m for m in group.members if m not in waiting]
+            if any(m in live for m in missing):
+                continue  # computing, or blocked on another group; not ready
+            if missing:
+                raise DeadlockError(
+                    f"collective {ops[0].kind!r} on group {gid} can never "
+                    f"complete: member(s) {missing} already terminated while "
+                    f"{sorted(waiting)} are waiting"
+                )
+            ready.append((group, ops))
+        if not ready and pending and len(pending) == len(live):
+            blocked = {
+                r: f"{op.kind} on group {op.group.gid}"
+                for r, op in sorted(pending.items())
+            }
+            raise DeadlockError(
+                f"no collective can complete; blocked processors: {blocked}; "
+                f"terminated: {[r for r in range(p) if r not in live]}"
+            )
+        return ready
 
     # -- collective execution ------------------------------------------------
 
@@ -357,9 +370,13 @@ class Engine:
         group: Group,
         ops: list[CollectiveOp],
         counters: list[ProcCounters],
-        ctxs: list[Context],
         inbox: list[Any],
+        wall_s: float = 0.0,
     ) -> None:
+        """Run one matched collective: sync accounting, fusion, charges on
+        ``counters``, trace record, results into ``inbox``.  ``wall_s`` is
+        the measured time since the previous record (mp coordinator only).
+        """
         ops.sort(key=lambda o: o.local_rank)
         handler = self._handler_for(group, ops)
         kind = ops[0].kind
@@ -401,7 +418,7 @@ class Engine:
                 counters[m].ops_at_last_sync = counters[m].ops
                 counters[m].supersteps += 1
 
-        results = handler(group, ops, counters, ctxs)
+        results = handler(group, ops, counters)
         if self._tracer.enabled:
             # Post-collective cumulative snapshots: the tracer derives the
             # exact since-sync deltas itself (ops[i].sender == members[i]).
@@ -411,12 +428,12 @@ class Engine:
             if merged:
                 self._tracer.on_merge(
                     kind=kind, gid=gid, participants=members,
-                    words=words, snapshots=snapshots,
+                    words=words, snapshots=snapshots, wall_s=wall_s,
                 )
             else:
                 self._tracer.on_collective(
                     kind=kind, gid=gid, participants=members,
-                    words=words, snapshots=snapshots,
+                    words=words, snapshots=snapshots, wall_s=wall_s,
                     fused=tuple(s.kind for s in ops[0].payload)
                     if kind == "fused" else (),
                     clean=clean,
@@ -435,12 +452,12 @@ class Engine:
             sent, recv, misses=self.cache.scan(moved) if moved else 0.0
         )
 
-    def _exec_barrier(self, group, ops, counters, ctxs):
+    def _exec_barrier(self, group, ops, counters):
         for op in ops:
             self._charge(counters, op.sender, 1, 1)
         return [None] * len(ops)
 
-    def _exec_bcast(self, group, ops, counters, ctxs):
+    def _exec_bcast(self, group, ops, counters):
         value = ops[ops[0].root].payload  # ops are sorted by local rank
         k = payload_words(value)
         for op in ops:
@@ -450,7 +467,7 @@ class Engine:
                 self._charge(counters, op.sender, 0, k)
         return [value] * len(ops)
 
-    def _exec_gather(self, group, ops, counters, ctxs):
+    def _exec_gather(self, group, ops, counters):
         gathered = [op.payload for op in ops]
         total = sum(payload_words(v) for v in gathered)
         results = []
@@ -463,14 +480,14 @@ class Engine:
                 results.append(None)
         return results
 
-    def _exec_allgather(self, group, ops, counters, ctxs):
+    def _exec_allgather(self, group, ops, counters):
         gathered = [op.payload for op in ops]
         total = sum(payload_words(v) for v in gathered)
         for op in ops:
             self._charge(counters, op.sender, payload_words(op.payload), total)
         return [gathered] * len(ops)
 
-    def _exec_scatter(self, group, ops, counters, ctxs):
+    def _exec_scatter(self, group, ops, counters):
         values = ops[ops[0].root].payload  # ops are sorted by local rank
         results = []
         for op in ops:
@@ -494,7 +511,7 @@ class Engine:
             counters[op.sender].charge(ops=float(k))
         return acc
 
-    def _exec_reduce(self, group, ops, counters, ctxs):
+    def _exec_reduce(self, group, ops, counters):
         acc = self._reduce_values(ops, counters)
         k = payload_words(acc)
         results = []
@@ -507,7 +524,7 @@ class Engine:
                 results.append(None)
         return results
 
-    def _exec_allreduce(self, group, ops, counters, ctxs):
+    def _exec_allreduce(self, group, ops, counters):
         acc = self._reduce_values(ops, counters)
         k = payload_words(acc)
         for op in ops:
@@ -533,7 +550,7 @@ class Engine:
                 f"group {group.gid} members' bundles do not align: {exc}"
             ) from None
 
-    def _exec_gatherv(self, group, ops, counters, ctxs):
+    def _exec_gatherv(self, group, ops, counters):
         gathered = self._concat_bundles(group, [op.payload for op in ops])
         total = gathered.__bsp_words__()
         results = []
@@ -546,14 +563,14 @@ class Engine:
                 results.append(None)
         return results
 
-    def _exec_allgatherv(self, group, ops, counters, ctxs):
+    def _exec_allgatherv(self, group, ops, counters):
         gathered = self._concat_bundles(group, [op.payload for op in ops])
         total = gathered.__bsp_words__()
         for op in ops:
             self._charge(counters, op.sender, payload_words(op.payload), total)
         return [gathered] * len(ops)
 
-    def _exec_scatterv(self, group, ops, counters, ctxs):
+    def _exec_scatterv(self, group, ops, counters):
         bundle = ops[ops[0].root].payload  # ops are sorted by local rank
         parts = bundle.split_rows(bundle.counts)
         results = []
@@ -566,7 +583,7 @@ class Engine:
             results.append(part)
         return results
 
-    def _exec_alltoallv(self, group, ops, counters, ctxs):
+    def _exec_alltoallv(self, group, ops, counters):
         size = group.size
         for op in ops:
             if len(op.payload) != size:
@@ -584,7 +601,7 @@ class Engine:
             results.append(received)
         return results
 
-    def _exec_alltoall(self, group, ops, counters, ctxs):
+    def _exec_alltoall(self, group, ops, counters):
         size = group.size
         for op in ops:
             if len(op.payload) != size:
@@ -601,7 +618,7 @@ class Engine:
             results.append(received)
         return results
 
-    def _exec_split(self, group, ops, counters, ctxs):
+    def _exec_split(self, group, ops, counters):
         # payload = (color, key); new groups ordered by color, then (key, rank).
         # Child gids are a deterministic function of (parent gid, split
         # sequence number, color) so that traces match across backends.
@@ -628,8 +645,7 @@ class Engine:
 
         ``ops`` are the members' batch requests in local-rank order; slot
         ``i`` of every member must carry the same collective kind (and, for
-        rooted kinds, the same root).  Shared with the mp coordinator so
-        both backends reject malformed batches identically.
+        rooted kinds, the same root).
         """
         n = len(ops[0].payload)
         for op in ops:
@@ -671,7 +687,7 @@ class Engine:
                     )
             yield kind, subs
 
-    def _exec_fused(self, group, ops, counters, ctxs):
+    def _exec_fused(self, group, ops, counters):
         # One superstep (the sync accounting already ran once for the whole
         # batch); the sub-collectives execute back-to-back, charging their
         # ordinary computation/transfer/miss costs in batch order.  Each
@@ -679,7 +695,7 @@ class Engine:
         results: list[list[Any]] = [[] for _ in ops]
         for kind, subs in self._iter_fused(group, ops):
             handler = getattr(self, f"_exec_{kind}")
-            for acc, res in zip(results, handler(group, subs, counters, ctxs)):
+            for acc, res in zip(results, handler(group, subs, counters)):
                 acc.append(res)
         return [tuple(acc) for acc in results]
 

@@ -81,10 +81,10 @@ class FusionConfig:
 class FusionState:
     """One run's adjacent-fusion bookkeeping.
 
-    The simulator (``Engine._execute``) and the mp coordinator both call
-    :meth:`step` once per matched collective, so the merge criterion and
-    the chain accounting exist once and fused runs stay bit-identical
-    across backends.
+    ``Engine._execute`` calls :meth:`step` once per matched collective —
+    under the simulator and, on worker-shipped counters, under the mp
+    coordinator — so the merge criterion and the chain accounting exist
+    once and fused runs stay bit-identical across backends.
     """
 
     def __init__(self, config: FusionConfig):

@@ -10,14 +10,15 @@ coordinator — this parent process — over a per-rank pipe, with bulk numpy
 payloads travelling through POSIX shared memory
 (:mod:`repro.runtime.transport`).
 
-The coordinator mirrors the simulator's scheduling semantics exactly: a
-collective executes once every member of its group has posted a matching
-request, requests are validated the same way (kind and root agreement,
-deadlock on terminated members), and the collective itself is computed by
-the *same* ``Engine._exec_*`` handlers the simulator uses — value
-semantics, sub-communicator construction in ``split``, and analytic
-communication charges are shared code, which is what makes the two
-backends byte-identical in results *and* counters for a fixed seed.
+The coordinator *is* the simulator's engine with remote generators: every
+request carries the worker's :class:`~repro.bsp.counters.ProcCounters`,
+``Engine._ready`` says which groups have all their members' requests in
+(and raises on a deadlock), ``Engine._execute`` runs the collective on the
+shipped counters — sync accounting, fusion, validation, charges, trace
+record — and each member's reply returns its counters for the worker to
+adopt.  One superstep, written once: the backends are byte-identical in
+results, counters and traces for a fixed seed because the same code adds
+the same floats in the same order.
 
 Fault handling: a worker that raises surfaces as
 :class:`~repro.runtime.errors.WorkerProgramError` with the remote
@@ -34,19 +35,18 @@ import glob
 import itertools
 import logging
 import multiprocessing
-import operator as _operator
 import os
 import time
+from dataclasses import replace
 from multiprocessing.connection import wait as _conn_wait
 from multiprocessing.reduction import ForkingPickler
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Sequence
 
-from repro.bsp.comm import CollectiveOp, payload_words
+from repro.bsp.comm import CollectiveOp
 from repro.bsp.counters import CountersReport, ProcCounters
 from repro.bsp.engine import Engine, RunResult
-from repro.bsp.errors import DeadlockError
-from repro.bsp.fusion import FusionConfig, FusionState, as_fusion_config
+from repro.bsp.fusion import FusionConfig, as_fusion_config
 from repro.bsp.machine import TimeEstimate
 from repro.cache.model import CacheParams
 from repro.faults import FaultSpec
@@ -217,11 +217,10 @@ class MpBackend(Backend):
         Per-superstep collective tracing, mirroring the simulator's:
         ``trace=True`` records into a default
         :class:`~repro.trace.tracer.RecordingTracer`, or pass an explicit
-        tracer.  Workers then ship their since-sync counter snapshots
-        with every collective request, and the coordinator emits events
-        bit-identical to the simulator's for the same seed (only the
-        measured ``wall_s`` differs).  Off by default: untraced runs use
-        exactly the pre-trace wire protocol.
+        tracer.  The coordinator's engine emits the events from the
+        counters every request carries anyway — bit-identical to the
+        simulator's for the same seed (only the measured ``wall_s``
+        differs) — so tracing changes nothing on the wire.  Off by default.
     fuse:
         Automatic adjacent superstep fusion (see
         :mod:`repro.bsp.fusion`): ``True`` for the default
@@ -271,11 +270,8 @@ class MpBackend(Backend):
         self.timeout = timeout
         self.shm_threshold = int(shm_threshold)
         self.use_arena = bool(use_arena)
-        #: Automatic adjacent-fusion policy, mirroring ``Engine(fuse=...)``:
-        #: the coordinator merges a collective into the group's previous
-        #: superstep when every member reported itself clean (no local
-        #: charges since its last reply) — the simulator's exact criterion,
-        #: so fused runs stay bit-identical across backends.
+        #: Automatic adjacent-fusion policy, handed to the coordinator's
+        #: ``Engine(fuse=...)`` unchanged.
         self.fuse = as_fusion_config(fuse)
         self.graph_plane = (default_plane_enabled() if graph_plane is None
                             else bool(graph_plane))
@@ -284,6 +280,21 @@ class MpBackend(Backend):
         self.last_transport_stats: dict | None = None
 
     # -- main entry ----------------------------------------------------------
+
+    def _begin(self, p, args, kwargs, pins: list[str]):
+        """What every ``run`` starts with: this run's engine (shared
+        collective semantics; validates ``p``), the world group, and the
+        arguments with graph-plane markers staged — each marked graph
+        published once and shipped as an O(1) handle, its pin appended to
+        ``pins`` for the caller to drop — or, plane off, resolved locally.
+        """
+        engine = Engine(cache=self.cache, tracer=self.tracer, fuse=self.fuse)
+        world = engine._begin_run(p)
+        args, kwargs = tuple(args), dict(kwargs or {})
+        if self.graph_plane:
+            return (engine, world,
+                    stage_plane(args, pins), stage_plane(kwargs, pins))
+        return engine, world, localize_plane(args), localize_plane(kwargs)
 
     def run(
         self,
@@ -301,32 +312,13 @@ class MpBackend(Backend):
         records at the worker driver loop (see :mod:`repro.faults`); the
         default ``None`` is the fault-free fast path.
         """
-        try:
-            p = _operator.index(p)
-        except TypeError:
-            raise TypeError(
-                f"p must be an integer processor count, got {type(p).__name__}"
-            ) from None
-        if p < 1:
-            raise ValueError(f"p must be >= 1, got {p}")
-
-        engine = Engine(cache=self.cache)  # shared collective semantics
-        world = engine._new_group(tuple(range(p)))
-        ctx = multiprocessing.get_context(self.start_method)
-        args = tuple(args)
-        kwargs = dict(kwargs or {})
-        # Graph-plane staging: publish each marked graph once and ship
-        # O(1) handles; pins are dropped (and segments unlinked unless a
-        # longer-lived layer also pins them) in the finally below — a
-        # crashed run cannot leak a published segment.
+        # Pins are dropped (and segments unlinked unless a longer-lived
+        # layer also pins them) in the finally below — a crashed run
+        # cannot leak a published segment.
         plane_pins: list[str] = []
-        if self.graph_plane:
-            args = stage_plane(args, plane_pins)
-            kwargs = stage_plane(kwargs, plane_pins)
-        else:
-            args = localize_plane(args)
-            kwargs = localize_plane(kwargs)
-
+        engine, world, args, kwargs = self._begin(p, args, kwargs, plane_pins)
+        p = world.size
+        ctx = multiprocessing.get_context(self.start_method)
         fault_specs = tuple(faults or ())
         slab_token = _run_slab_token() if self.use_arena else None
 
@@ -335,7 +327,6 @@ class MpBackend(Backend):
                 rank=rank, p=p, world_gid=world.gid, seed=seed,
                 cache=self.cache, program=program, args=args, kwargs=kwargs,
                 shm_threshold=self.shm_threshold,
-                trace=self.tracer.enabled,
                 use_arena=self.use_arena,
                 faults=fault_specs,
                 slab_prefix=(f"{slab_token}r{rank}n" if slab_token else None),
@@ -381,7 +372,7 @@ class MpBackend(Backend):
                     input_bytes: int = 0) -> RunResult:
         tracer = self.tracer
         events_before = len(tracer)
-        last_event_t = [perf_counter()]  # wall clock between collectives
+        last_event_t = perf_counter()  # wall clock between collectives
         owns_transport = transport is None
         if owns_transport:
             transport = Transport(threshold=self.shm_threshold,
@@ -394,13 +385,12 @@ class MpBackend(Backend):
         # Input shipping gets its own stats kind so benches can report
         # bytes-per-query with the graph plane on vs off.
         transport.stats.note("input", messages=p, pickle_bytes=input_bytes)
-        # pending: rank -> (op, since_sync, clean, pre-request snapshot)
-        pending: dict[int, tuple[CollectiveOp, float, bool, tuple | None]] = {}
-        finished: set[int] = set()
-        # Adjacent-fusion bookkeeping, the same object Engine._execute drives:
-        fusion = FusionState(self.fuse) if self.fuse is not None else None
+        # The engine's own run state, fed by messages instead of generators:
+        pending: dict[int, CollectiveOp] = {}  # rank -> blocked request
+        live = set(range(p))                   # ranks yet to report DONE
+        counters: list[ProcCounters | None] = [None] * p  # latest shipped
+        inbox: list[Any] = [None] * p          # results awaiting their reply
         values: list[Any] = [None] * p
-        counters: list[ProcCounters | None] = [None] * p
         app_s = [0.0] * p
         mpi_s = [0.0] * p
         # Completed supersteps per rank (replies shipped): a failure stamps
@@ -416,161 +406,49 @@ class MpBackend(Backend):
             transport.release(reply_refs[rank])  # previous reply consumed
             reply_refs[rank].clear()
             if tag == MSG_OP:
-                op, since_sync, clean = msg[2], msg[3], msg[4]
-                snap = msg[5] if len(msg) > 5 else None  # tracing only
+                op, counters[rank] = msg[2], msg[3]
                 pool.worker_segments |= collect_slab_names(op.payload)
-                op = CollectiveOp(
-                    group=op.group, kind=op.kind, sender=op.sender,
-                    local_rank=op.local_rank,
-                    payload=transport.decode(op.payload),
-                    root=op.root, op=op.op,
-                )
-                pending[rank] = (op, float(since_sync), bool(clean), snap)
+                pending[rank] = replace(
+                    op, payload=transport.decode(op.payload))
             elif tag == MSG_DONE:
-                value, procs_counters, app, mpi = msg[2:6]
+                value, counters[rank], app_s[rank], mpi_s[rank], stats = \
+                    msg[2:]
                 values[rank] = decode_payload(value)
-                counters[rank] = procs_counters
-                app_s[rank] = app
-                mpi_s[rank] = mpi
-                if len(msg) > 6:  # the worker's transport stats
-                    transport.stats.merge(msg[6])
-                finished.add(rank)
+                transport.stats.merge(stats)  # the worker's transport stats
+                live.discard(rank)
             elif tag == MSG_ERROR:
                 _, _, exc_type, tb = msg
                 raise WorkerProgramError(rank, exc_type, tb)
             else:  # pragma: no cover - protocol guard
                 raise RuntimeError(f"unknown worker message tag {tag!r}")
 
-        def reply(m: int, kind: str, *body) -> None:
-            """Ship rank ``m`` its collective result and retire its request."""
-            buf = ForkingPickler.dumps((REPLY_RESULT, *body))
-            transport.note_pickle(kind, len(buf))
-            try:
-                pool.conns[m].send_bytes(buf)
-            except (BrokenPipeError, OSError):
-                raise self._crash(pool, m, steps[m]) from None
-            del pending[m]
-            steps[m] += 1
-
         def execute_ready() -> None:
-            by_gid: dict[int, list[int]] = {}
-            for rank, (op, _s, _c, _snap) in pending.items():
-                by_gid.setdefault(op.group.gid, []).append(rank)
-            for gid in sorted(by_gid):
-                ranks = by_gid[gid]
-                group = pending[ranks[0]][0].group
-                waiting = set(ranks)
-                missing = [m for m in group.members if m not in waiting]
-                if any(m not in finished for m in missing):
-                    continue  # someone is still computing; not ready yet
-                if missing:
-                    raise DeadlockError(
-                        f"collective {pending[ranks[0]][0].kind!r} on group "
-                        f"{gid} can never complete: member(s) {missing} "
-                        f"already terminated while {sorted(waiting)} are "
-                        "waiting"
-                    )
-                ops = sorted((pending[r][0] for r in ranks),
-                             key=lambda o: o.local_rank)
-                handler = engine._handler_for(group, ops)
+            nonlocal last_event_t
+            for group, ops in engine._ready(pending, live, p):
+                now = perf_counter()
+                engine._execute(group, ops, counters, inbox,
+                                wall_s=now - last_event_t)
+                last_event_t = now
                 kind = ops[0].kind
-                # Adjacent fusion (FusionState.step): the workers' self-
-                # reported clean flags stand in for the simulator's counters.
-                words = -1
-                merged = False
-                cleans = tuple(pending[m][2] for m in group.members)
-                if fusion is not None:
-                    merged, words = fusion.step(group, ops, cleans)
-                since = {r: pending[r][1] for r in ranks}
-                slowest = max(since.values())
-                posts = [] if tracer.enabled else None
-                if kind == "fused":
-                    # Explicit batch: one superstep, sub-collectives run
-                    # back-to-back.  Each sub-op gets its *own* scratch so
-                    # the worker (and the traced replica below) can apply
-                    # the charges one sub-op at a time — the simulator's
-                    # exact float addition order.
-                    per_member_res: list[list] = [[] for _ in ops]
-                    per_member_chg: list[list] = [[] for _ in ops]
-                    for subkind, subs in engine._iter_fused(group, ops):
-                        sub_handler = getattr(engine, f"_exec_{subkind}")
-                        scratch = [ProcCounters() for _ in range(p)]
-                        sub_res = sub_handler(group, subs, scratch, None)
-                        for j, op in enumerate(ops):
-                            sc = scratch[op.sender]
-                            per_member_res[j].append(sub_res[j])
-                            per_member_chg[j].append(
-                                (sc.ops, sc.words_sent,
-                                 sc.words_recv, sc.misses)
-                            )
-                    for j, op in enumerate(ops):
-                        m = op.sender
-                        res = tuple(per_member_res[j])
-                        charges = tuple(per_member_chg[j])
-                        wire, reply_refs[m] = transport.encode(res, kind)
-                        wait_delta = slowest - since[m]
-                        if posts is not None:
-                            o, se, re_, mi, wait0, ss0 = pending[m][3]
-                            for c_ops, c_sent, c_recv, c_miss in charges:
-                                o += c_ops
-                                se += c_sent
-                                re_ += c_recv
-                                mi += c_miss
-                            posts.append((o, se, re_, mi,
-                                          wait0 + wait_delta, ss0 + 1))
-                        reply(m, kind, wire, wait_delta, charges)
-                else:
-                    # Scratch counters collect this collective's charges;
-                    # the workers apply them so per-rank totals accumulate
-                    # in the simulator's exact order (bit-equal floats).
-                    scratch = [ProcCounters() for _ in range(p)]
-                    results = handler(group, ops, scratch, None)
-                    for op, res in zip(ops, results):
-                        m = op.sender
-                        wire, reply_refs[m] = transport.encode(res, kind)
-                        sc = scratch[m]
-                        wait_delta = slowest - since[m]
-                        if posts is not None:
-                            # Replicate the worker's post-collective
-                            # counters from its pre-request snapshot, using
-                            # the same single-addition-per-field arithmetic
-                            # the worker applies, so the recorded snapshot
-                            # is bit-equal to both the worker's and the
-                            # simulator's state.
-                            ops0, sent0, recv0, misses0, wait0, ss0 = \
-                                pending[m][3]
-                            posts.append((
-                                ops0 + sc.ops, sent0 + sc.words_sent,
-                                recv0 + sc.words_recv, misses0 + sc.misses,
-                                wait0 + wait_delta,
-                                ss0 if merged else ss0 + 1,
-                            ))
-                        reply(m, kind, wire, wait_delta, sc.ops, sc.words_sent,
-                              sc.words_recv, sc.misses, not merged)
-                if posts is not None:
-                    now = perf_counter()
-                    if words < 0:
-                        words = sum(payload_words(op.payload) for op in ops)
-                    if merged:
-                        tracer.on_merge(
-                            kind=kind, gid=gid, participants=group.members,
-                            words=words, snapshots=posts,
-                            wall_s=now - last_event_t[0],
-                        )
-                    else:
-                        tracer.on_collective(
-                            kind=kind, gid=gid, participants=group.members,
-                            words=words, snapshots=posts,
-                            wall_s=now - last_event_t[0],
-                            fused=tuple(s.kind for s in ops[0].payload)
-                            if kind == "fused" else (),
-                            clean=cleans,
-                        )
-                    last_event_t[0] = now
+                for op in ops:
+                    # Ship the member its result and the counters the
+                    # engine just charged; retire its request.
+                    m = op.sender
+                    wire, reply_refs[m] = transport.encode(inbox[m], kind)
+                    inbox[m] = None
+                    buf = ForkingPickler.dumps(
+                        (REPLY_RESULT, wire, counters[m]))
+                    transport.note_pickle(kind, len(buf))
+                    try:
+                        pool.conns[m].send_bytes(buf)
+                    except (BrokenPipeError, OSError):
+                        raise self._crash(pool, m, steps[m]) from None
+                    del pending[m]
+                    steps[m] += 1
 
         try:
-            self._event_loop(engine, pool, p, pending, finished, handle,
-                             execute_ready, steps)
+            self._event_loop(pool, pending, live, handle, execute_ready,
+                             steps)
         finally:
             # Replies a worker never consumed (error teardown) would leak
             # their segments; reclaim them here (no-op on clean runs: the
@@ -587,7 +465,7 @@ class MpBackend(Backend):
         trace = None
         if tracer.enabled:
             tracer.on_finish([c.snapshot() for c in counters],
-                             wall_s=perf_counter() - last_event_t[0])
+                             wall_s=perf_counter() - last_event_t)
             trace = tracer.events()[events_before:]
         return RunResult(
             values=values,
@@ -596,29 +474,26 @@ class MpBackend(Backend):
             trace=trace,
         )
 
-    def _event_loop(self, engine, pool, p, pending, finished, handle,
-                    execute_ready, steps) -> None:
-        while len(finished) < p:
-            waitables = [
-                pool.conns[r] for r in range(p) if r not in finished
-            ] + [
-                pool.procs[r].sentinel for r in range(p) if r not in finished
-            ]
-            ready = _conn_wait(waitables, timeout=self.timeout)
+    def _event_loop(self, pool, pending, live, handle, execute_ready,
+                    steps) -> None:
+        while live:
+            ranks = sorted(live)
+            ready = _conn_wait(
+                [pool.conns[r] for r in ranks]
+                + [pool.procs[r].sentinel for r in ranks],
+                timeout=self.timeout,
+            )
             if not ready:
-                silent = sorted(
-                    r for r in range(p)
-                    if r not in finished and r not in pending
-                ) or sorted(r for r in range(p) if r not in finished)
+                silent = sorted(live - pending.keys()) or ranks
                 raise WorkerTimeoutError(
                     self.timeout, silent,
                     supersteps={r: steps[r] for r in silent},
                 )
             ready_ids = {id(obj) for obj in ready}
             # Messages first: a worker that reported and exited is not a crash.
-            for rank in range(p):
+            for rank in ranks:
                 conn = pool.conns[rank]
-                if rank in finished or id(conn) not in ready_ids:
+                if id(conn) not in ready_ids:
                     continue
                 try:
                     while conn.poll():
@@ -627,14 +502,14 @@ class MpBackend(Backend):
                     pass  # fall through to the sentinel check
             for obj in ready:
                 rank = pool.sentinel_rank.get(obj)
-                if rank is None or rank in finished:
+                if rank is None or rank not in live:
                     continue
                 try:
                     while pool.conns[rank].poll():
                         handle(pool.conns[rank].recv())
                 except EOFError:
                     pass
-                if rank not in finished:
+                if rank in live:
                     # Died before reporting — either mid-compute or while
                     # blocked inside a collective request.
                     raise self._crash(pool, rank, steps[rank])

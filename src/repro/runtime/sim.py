@@ -32,7 +32,7 @@ def _with_faults(program: Callable[..., Generator],
     The wrapper relays collectives untouched; right before a rank's
     ``step``-th collective is issued it applies that rank's faults exactly
     where the mp worker driver does — so a ``work`` charge lands before
-    the engine snapshots ``since_sync`` and the synthetic imbalance
+    the engine reads the since-sync ops and the synthetic imbalance
     propagates into wait counters bit-identically to the mp backend.
     ``crash`` and ``drop`` raise the mp backend's typed errors directly
     (the simulator has no processes to kill or timeouts to wait out).

@@ -42,14 +42,13 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
-import operator as _operator
 from collections import OrderedDict
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Generator, Iterable, Sequence
 
-from repro.bsp.engine import Engine, RunResult
+from repro.bsp.engine import RunResult
 from repro.faults import FaultSpec
-from repro.graph.shm import localize_plane, release_pins, stage_plane, unpin
+from repro.graph.shm import release_pins, unpin
 from repro.runtime.mp import MpBackend, _Pool, _run_slab_token
 from repro.runtime.transport import Transport
 from repro.runtime.worker import (
@@ -108,15 +107,13 @@ class WarmMpBackend(MpBackend):
             slab_token = _run_slab_token() if self.use_arena else None
 
             def spec_for(rank: int) -> WorkerSpec:
-                # Per-run fields (program/args/seed/world gid/trace/
-                # faults) are placeholders here; every CMD_RUN replaces
-                # them.  The transport geometry is fixed for the pool's
-                # lifetime.
+                # Per-run fields (program/args/seed/world gid/faults) are
+                # placeholders here; every CMD_RUN replaces them.  The
+                # transport geometry is fixed for the pool's lifetime.
                 return WorkerSpec(
                     rank=rank, p=p, world_gid=0, seed=0, cache=self.cache,
                     program=None, args=(), kwargs={},
                     shm_threshold=self.shm_threshold,
-                    trace=self.tracer.enabled,
                     use_arena=self.use_arena,
                     faults=(),
                     slab_prefix=(f"{slab_token}r{rank}n"
@@ -212,44 +209,27 @@ class WarmMpBackend(MpBackend):
         faults: Sequence[FaultSpec] | None = None,
     ) -> RunResult:
         """Run ``program`` on the warm pool (spawning it if needed)."""
-        try:
-            p = _operator.index(p)
-        except TypeError:
-            raise TypeError(
-                f"p must be an integer processor count, got {type(p).__name__}"
-            ) from None
-        if p < 1:
-            raise ValueError(f"p must be >= 1, got {p}")
-
-        engine = Engine(cache=self.cache)  # shared collective semantics
-        world = engine._new_group(tuple(range(p)))
-        pool = self._ensure_pool(p)
-        args = tuple(args)
-        kwargs = dict(kwargs or {})
         # Graph plane: publish/pin marked graphs for this run; afterwards
         # the pins migrate into the LRU retention window so the next
         # query on the same graph ships only its O(1) handle.
         run_pins: list[str] = []
-        if self.graph_plane:
-            args = stage_plane(args, run_pins)
-            kwargs = stage_plane(kwargs, run_pins)
-        else:
-            args = localize_plane(args)
-            kwargs = localize_plane(kwargs)
-        # Program token: ship the callable once per pool generation, a
-        # small token thereafter (the workers cache it by token).
-        token = self._program_tokens.get(program)
-        wire_program = None if token is not None else program
-        if token is None:
-            token = self._program_tokens[program] = \
-                len(self._program_tokens)
-        cmd = (CMD_RUN, world.gid, seed, token, wire_program, args, kwargs,
-               self.tracer.enabled, tuple(faults or ()))
-        # One pickle for all ranks: send_bytes reuses the buffer, so the
-        # per-run input cost is p pipe writes of one encoding — and with
-        # the plane on, that encoding is O(1) in the graph size.
-        buf = bytes(ForkingPickler.dumps(cmd))
+        engine, world, args, kwargs = self._begin(p, args, kwargs, run_pins)
+        p = world.size
         try:
+            pool = self._ensure_pool(p)
+            # Program token: ship the callable once per pool generation, a
+            # small token thereafter (the workers cache it by token).
+            token = self._program_tokens.get(program)
+            wire_program = None if token is not None else program
+            if token is None:
+                token = self._program_tokens[program] = \
+                    len(self._program_tokens)
+            cmd = (CMD_RUN, world.gid, seed, token, wire_program, args,
+                   kwargs, tuple(faults or ()))
+            # One pickle for all ranks: send_bytes reuses the buffer, so the
+            # per-run input cost is p pipe writes of one encoding — and with
+            # the plane on, that encoding is O(1) in the graph size.
+            buf = bytes(ForkingPickler.dumps(cmd))
             for rank, conn in enumerate(pool.conns):
                 try:
                     conn.send_bytes(buf)

@@ -9,10 +9,11 @@ the request to the coordinator over a pipe (bulk arrays via shared
 memory), blocks for the result, and resumes the generator with it.
 
 Counter parity with the simulator is bit-exact by construction: program
-charges accumulate locally in exactly the simulator's order, and the
-coordinator's reply carries the collective's charges (imbalance wait,
-reduction ops, transfer words, transfer misses) which are applied in the
-same field order the engine uses.  Wall-clock is split into *application*
+charges accumulate locally in exactly the simulator's order, every request
+carries this rank's :class:`~repro.bsp.counters.ProcCounters`, the
+coordinator runs the simulator's own ``Engine._execute`` on them, and the
+reply carries them back to be adopted in place — the same code adds the
+same floats in the same order.  Wall-clock is split into *application*
 time (generator running) and *MPI* time (blocked on a collective), the
 measured analogue of the paper's T_app/T_MPI decomposition.
 
@@ -72,12 +73,6 @@ class WorkerSpec:
     args: tuple
     kwargs: dict
     shm_threshold: int
-    #: When True, every collective request additionally carries this
-    #: rank's cumulative pre-request counter snapshot so the coordinator
-    #: can emit per-superstep trace events.  Off by default: untraced
-    #: requests carry only the op, the since-sync value, and the
-    #: cleanliness flag that feeds the coordinator's fusion decision.
-    trace: bool = False
     #: Pooled-arena transport (default); False selects the legacy
     #: one-segment-per-array codec, kept for differential benchmarking.
     use_arena: bool = True
@@ -121,13 +116,6 @@ def _drive(conn, spec: WorkerSpec, transport: Transport | None = None) -> None:
         transport.stats = TransportStats()
     injector = FaultInjector(spec.faults, spec.rank)
     local_step = 0  # collectives this rank has completed
-    #: (ops, misses) right after the previous reply was applied: the
-    #: coordinator merges adjacent collectives into one superstep only
-    #: when *every* member arrived with no local charges since its last
-    #: one — the same cleanliness test the simulator applies (a `work`
-    #: fault charges ops before this comparison, marking the rank dirty
-    #: exactly as the simulator's fault wrapper does).
-    post_sync = (counters.ops, counters.misses)
 
     # Graph-plane markers resolve here, once per run: attach the published
     # segment (cached across a warm worker's runs) and rebuild zero-copy
@@ -158,8 +146,8 @@ def _drive(conn, spec: WorkerSpec, transport: Transport | None = None) -> None:
         # Deterministic fault injection point: after local compute, before
         # this rank's `local_step`-th collective request leaves the process
         # (the simulator wrapper injects at the same point — see
-        # repro.faults).  `work` charges land before the since_sync
-        # snapshot below, so the synthetic imbalance propagates into wait
+        # repro.faults).  `work` charges land before the counters are
+        # pickled below, so the synthetic imbalance propagates into wait
         # counters exactly as real computation would.
         delay_s = 0.0
         dropped = False
@@ -176,18 +164,9 @@ def _drive(conn, spec: WorkerSpec, transport: Transport | None = None) -> None:
             elif fault.kind == "drop":
                 dropped = True
 
-        # Snapshot the imbalance input *before* blocking: ops charged since
-        # this rank's previous synchronization (the engine's `since_sync`).
-        since_sync = counters.ops - counters.ops_at_last_sync
-        clean = (counters.ops, counters.misses) == post_sync
         t1 = perf_counter()
         wire_payload, slabs = transport.encode(op.payload, op.kind)
-        wire = replace(op, payload=wire_payload)
-        if spec.trace:
-            msg = (MSG_OP, spec.rank, wire, since_sync, clean,
-                   counters.snapshot())
-        else:
-            msg = (MSG_OP, spec.rank, wire, since_sync, clean)
+        msg = (MSG_OP, spec.rank, replace(op, payload=wire_payload), counters)
         buf = ForkingPickler.dumps(msg)
         transport.note_pickle(op.kind, len(buf))
         if dropped:
@@ -206,36 +185,11 @@ def _drive(conn, spec: WorkerSpec, transport: Transport | None = None) -> None:
 
         if msg[0] != REPLY_RESULT:  # pragma: no cover - protocol guard
             raise RuntimeError(f"unexpected coordinator reply {msg[0]!r}")
-        if len(msg) == 4:
-            # Explicit batch: per-sub-op charge tuples, applied one by one
-            # so cumulative floats accumulate in the simulator's exact
-            # addition order (one batch = one superstep).
-            _, payload, wait_delta, charges = msg
-            counters.wait_ops += wait_delta
-            counters.ops_at_last_sync = counters.ops
-            counters.supersteps += 1
-            for extra_ops, sent, recv, comm_misses in charges:
-                counters.charge(ops=extra_ops)
-                counters.charge_comm(sent, recv, misses=comm_misses)
-        else:
-            _, payload, wait_delta, extra_ops, sent, recv, comm_misses, \
-                ss_inc = msg
-
-            # Apply the collective's charges in the engine's order: sync
-            # accounting first, then the handler's computation/transfer
-            # costs.  A collective the coordinator fused into the previous
-            # superstep (`ss_inc` False) arrives with a zero wait delta and
-            # an unchanged ops total, so skipping the superstep increment
-            # is the *only* state difference — exactly the simulator's
-            # merge semantics.
-            counters.wait_ops += wait_delta
-            counters.ops_at_last_sync = counters.ops
-            if ss_inc:
-                counters.supersteps += 1
-            counters.charge(ops=extra_ops)
-            counters.charge_comm(sent, recv, misses=comm_misses)
+        # The coordinator ran the collective on the counters this request
+        # carried; adopt the result in place (the program holds `counters`).
+        _, payload, charged = msg
+        vars(counters).update(vars(charged))
         inbox = transport.decode(payload)
-        post_sync = (counters.ops, counters.misses)
         local_step += 1
 
     # The DONE value rides legacy one-shot segments: this process (or, in
@@ -287,8 +241,8 @@ def persistent_worker_main(conn, spec: WorkerSpec) -> None:
     """Warm-pool process entry point: run many programs, one arena.
 
     Blocks on :data:`CMD_RUN` commands — each carries the per-run fields
-    of the :class:`WorkerSpec` (program, args, seed, world gid, trace
-    flag, fault specs; everything else is fixed at pool spawn) — and
+    of the :class:`WorkerSpec` (program, args, seed, world gid, fault
+    specs; everything else is fixed at pool spawn) — and
     drives each through :func:`_drive` against a single long-lived
     :class:`~repro.runtime.transport.Transport`, so arena slabs stay
     mapped across runs.  Programs arrive pickled by *reference* (module
@@ -316,15 +270,14 @@ def persistent_worker_main(conn, spec: WorkerSpec) -> None:
                 break
             if msg[0] != CMD_RUN:  # pragma: no cover - protocol guard
                 raise RuntimeError(f"unknown warm-pool command {msg[0]!r}")
-            _, world_gid, seed, token, program, args, kwargs, trace, \
-                faults = msg
+            _, world_gid, seed, token, program, args, kwargs, faults = msg
             if program is None:
                 program = programs[token]
             else:
                 programs[token] = program
             _drive(conn, replace(
                 spec, world_gid=world_gid, seed=seed, program=program,
-                args=args, kwargs=kwargs, trace=trace, faults=faults,
+                args=args, kwargs=kwargs, faults=faults,
             ), transport=transport)
     except BaseException as exc:  # noqa: BLE001 - forwarded to coordinator
         try:

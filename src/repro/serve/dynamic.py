@@ -86,6 +86,23 @@ class DynamicSessionManager:
         return (os.path.join(self.dir, f"{sid}.json"),
                 os.path.join(self.dir, f"{sid}.updates.jsonl"))
 
+    @staticmethod
+    def _whole_records(log_path: str) -> list[dict]:
+        """The update log's records, a torn tail truncated away first.
+
+        A final record with no terminating newline was cut short inside
+        :meth:`DynamicSession._append` — never fsynced, never acknowledged
+        to a client — so dropping it resumes at the last whole epoch.  A
+        malformed record anywhere else raises ``ValueError``.
+        """
+        with open(log_path, "rb+") as fh:
+            data = fh.read()
+            whole = data.rfind(b"\n") + 1
+            if whole < len(data):
+                fh.truncate(whole)
+        return [json.loads(line) for line in data[:whole].splitlines()
+                if line.strip()]
+
     # -- lifecycle -----------------------------------------------------------
 
     def open(self, g, *, path: str, fingerprint: str, seed: int, p: int,
@@ -117,9 +134,11 @@ class DynamicSessionManager:
 
         ``load_graph(path, expected_fp)`` supplies the initial graph
         (the daemon passes its cache's loader, so the fingerprint pin is
-        re-validated).  A session whose graph file vanished or changed
-        is skipped — its jobs will fail with a typed error rather than
-        silently serving different bits.  Returns resumed session ids.
+        re-validated).  A session whose graph file vanished or changed,
+        or whose log holds a malformed record (a torn *tail* is just
+        truncated, see :meth:`_whole_records`), is skipped — its jobs
+        will fail with a typed error rather than silently serving
+        different bits.  Returns resumed session ids.
         """
         resumed = []
         for name in sorted(os.listdir(self.dir)):
@@ -131,27 +150,27 @@ class DynamicSessionManager:
             sid = doc["id"]
             if sid in self.sessions:
                 continue
+            _doc_path, log_path = self._paths(sid)
             try:
                 g = load_graph(doc["path"], doc["fingerprint"])
             except Exception:
                 continue  # graph gone/changed: session unrecoverable
+            try:
+                entries = self._whole_records(log_path)
+            except ValueError:
+                continue  # malformed record before the tail: likewise
             dyn = DynamicGraph(g, p=int(doc["p"]), seed=int(doc["seed"]),
                                backend=backend, plane=plane,
                                plan_cache=plan_cache,
                                **doc.get("dyn_kwargs", {}))
-            _doc_path, log_path = self._paths(sid)
             # The hook is attached by DynamicSession below, AFTER the
             # replay — replayed rebuilds must not re-append log lines.
-            with open(log_path, encoding="utf-8") as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    entry = json.loads(line)
-                    if "ops" in entry:
-                        dyn.update_edges(entry["ops"])
-                    elif "resparsify" in entry:
-                        dyn.sparsifier.rebuild(dyn, dyn.snapshot(),
-                                               dyn.fingerprint())
+            for entry in entries:
+                if "ops" in entry:
+                    dyn.update_edges(entry["ops"])
+                elif "resparsify" in entry:
+                    dyn.sparsifier.rebuild(dyn, dyn.snapshot(),
+                                           dyn.fingerprint())
             session = DynamicSession(sid, doc, dyn, log_path)
             with self._lock:
                 self.sessions[sid] = session

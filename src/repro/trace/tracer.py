@@ -1,10 +1,11 @@
 """Tracer protocol: zero-overhead-when-off collective recording.
 
-The BSP engine and the multiprocess coordinator call exactly two hooks —
-:meth:`Tracer.on_collective` after every executed collective and
-:meth:`Tracer.on_finish` once all ranks have terminated — guarded by the
-``enabled`` flag, so an untraced run pays one attribute check per
-collective and nothing else (:class:`NullTracer`, the default, makes
+The BSP engine — driving generators or, under the multiprocess
+coordinator, worker messages — calls :meth:`Tracer.on_collective` (or
+:meth:`Tracer.on_merge`) after every executed collective, and the run's
+driver calls :meth:`Tracer.on_finish` once all ranks have terminated —
+guarded by the ``enabled`` flag, so an untraced run pays one attribute
+check per collective and nothing else (:class:`NullTracer`, the default, makes
 untraced runs byte-identical to the pre-trace engine).
 
 :class:`RecordingTracer` turns the hook stream into canonical

@@ -264,6 +264,57 @@ def test_restart_replays_resparsify_events(graph, graph_file, stream,
         ref.query_cut(mode="exact").value
 
 
+def test_restart_truncates_torn_log_tail(graph, graph_file, stream, tmp_path):
+    """A daemon killed inside ``DynamicSession._append`` leaves half a
+    record with no newline: never acknowledged, so the restart drops it
+    and resumes at the last whole epoch."""
+    import json
+
+    state = str(tmp_path / "state")
+    d1 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
+    sid = dyn_open(d1, graph_file, seed=0, p=4)
+    for ops in stream[:3]:
+        d1.handle_request({"op": "dyn_update", "session": sid, "ops": ops})
+    log_path = d1.dynamic.get(sid).log_path
+    del d1                                      # simulated kill ...
+    with open(log_path, encoding="utf-8") as fh:
+        whole = fh.read()
+    torn = json.dumps({"epoch": 4, "ops": stream[3]}, separators=(",", ":"))
+    with open(log_path, "a", encoding="utf-8") as fh:
+        fh.write(torn[:len(torn) // 2])         # ... halfway through a write
+
+    d2 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
+    st = d2.handle_request({"op": "dyn_staleness", "session": sid})
+    assert st["epoch"] == 3
+    with open(log_path, encoding="utf-8") as fh:
+        assert fh.read() == whole               # tail gone, records intact
+    jid = dyn_query(d2, sid, "components")
+    drive(d2)
+    ref = local_reference(graph, stream[:3]).query_components()
+    assert d2.jobs[jid].result["labels"] == [int(x) for x in ref.labels]
+    # the session keeps logging whole records after the cut
+    d2.handle_request({"op": "dyn_update", "session": sid, "ops": stream[3]})
+    del d2
+    d3 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
+    assert d3.handle_request(
+        {"op": "dyn_staleness", "session": sid})["epoch"] == 4
+
+
+def test_resume_skips_sessions_with_corrupt_log(graph_file, stream, tmp_path):
+    state = str(tmp_path / "state")
+    d1 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
+    sid = dyn_open(d1, graph_file)
+    d1.handle_request({"op": "dyn_update", "session": sid, "ops": stream[0]})
+    log_path = d1.dynamic.get(sid).log_path
+    del d1
+    with open(log_path, encoding="utf-8") as fh:
+        whole = fh.read()
+    with open(log_path, "w", encoding="utf-8") as fh:
+        fh.write('{"epoch":1,"ops":[[\n' + whole)  # malformed, not the tail
+    d2 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
+    assert d2.dynamic.get(sid) is None          # unrecoverable, not crashed
+
+
 def test_resume_skips_sessions_with_missing_graph(graph_file, tmp_path):
     import os
 

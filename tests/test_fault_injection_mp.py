@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from tests.conftest import require_mp
+from tests.test_trace_backends import strip_wall
 from repro.faults import CRASH_EXIT_CODE, FaultSpec
 from repro.runtime.errors import WorkerCrashError, WorkerTimeoutError
 from repro.runtime.mp import MpBackend
 from repro.runtime.sim import SimBackend
+from repro.runtime.warm import WarmMpBackend
 
 needs_dev_shm = pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="needs /dev/shm"
@@ -27,6 +29,21 @@ def two_step_program(ctx, nwords=1):
     ctx.charge(ops=float(ctx.rank) * 100.0)
     total = yield from ctx.comm.allreduce(total, op=operator.add)
     return float(total[0])
+
+
+def batched_program(ctx):
+    """A plain collective, then an explicit batch of two allreduces (two
+    ``ops`` charges inside one superstep), then an adjacent mergeable one;
+    returns this rank's own counters as the program sees them."""
+    comm = ctx.comm
+    ctx.charge(ops=10.0 * (ctx.rank + 1))
+    a = yield from comm.allreduce(ctx.rank + 1, op=operator.add)
+    b, c = yield from comm.batch(
+        comm.op_allreduce(np.full(3, 0.1 * (ctx.rank + 1)), op=operator.add),
+        comm.op_allreduce(a + ctx.rank, op=operator.add),
+    )
+    d = yield from comm.allreduce(c, op=operator.add)
+    return a, b.tolist(), c, d, dict(vars(ctx.counters))
 
 
 def _shm_entries() -> set:
@@ -115,6 +132,26 @@ class TestWorkFault:
                     r.wait, r.supersteps)
 
         assert tally(SimBackend()) == tally(MpBackend())
+
+    def test_adopted_counters_match_across_backends(self):
+        """The worker adopts the counters the coordinator's engine charged:
+        report, per-rank counters (``ops_at_last_sync`` included) and trace
+        events equal sim's with a work fault, fusion and tracing all on."""
+        require_mp()
+        faults = [FaultSpec("work", rank=1, step=1, ops=777.0)]
+
+        def run(cls):
+            backend = cls(trace=True, fuse=True)
+            try:
+                res = backend.run(batched_program, 3, seed=0, faults=faults)
+            finally:
+                getattr(backend, "close", lambda: None)()
+            return res.values, res.report, strip_wall(res.trace)
+
+        sim = run(SimBackend)
+        assert sim[2][1].fused == ("allreduce", "allreduce", "allreduce")
+        assert run(MpBackend) == sim
+        assert run(WarmMpBackend) == sim
 
     def test_work_fault_changes_only_target_rank(self):
         base = SimBackend().run(two_step_program, 2, seed=0)

@@ -20,6 +20,7 @@ from repro.runtime import (
     Backend,
     MpBackend,
     SimBackend,
+    WarmMpBackend,
     WorkerCrashError,
     WorkerProgramError,
     WorkerTimeoutError,
@@ -102,6 +103,15 @@ def prog_deadlock(ctx):
         return "bailed"
     v = yield from ctx.comm.allreduce(1, op=operator.add)
     return v
+
+
+def prog_cross_group_deadlock(ctx):
+    """Rank 1 waits on sub-group {1, 2} while ranks 0 and 2 wait on the
+    world: every live rank is blocked and no group is complete."""
+    sub = yield from ctx.comm.split(int(ctx.rank > 0), ctx.rank)
+    if ctx.rank == 1:
+        yield from sub.barrier()
+    yield from ctx.comm.barrier()
 
 
 def prog_big_payloads(ctx, n):
@@ -282,6 +292,22 @@ class TestMpFaults:
         require_mp()
         with pytest.raises(DeadlockError):
             MpBackend(timeout=60.0).run(prog_deadlock, 2, seed=0)
+
+    @pytest.mark.parametrize("name", ["sim", "mp", "warm"])
+    def test_cross_group_deadlock_detected(self, name):
+        # The matcher is Engine._ready on every backend: the coordinator
+        # raises as soon as the last live rank blocks, not at the timeout.
+        if name != "sim":
+            require_mp()
+        backend = {"sim": SimBackend, "mp": MpBackend,
+                   "warm": WarmMpBackend}[name]()  # mp/warm: 300 s timeout
+        t0 = time.monotonic()
+        try:
+            with pytest.raises(DeadlockError, match="no collective can"):
+                backend.run(prog_cross_group_deadlock, 3, seed=0)
+        finally:
+            getattr(backend, "close", lambda: None)()
+        assert time.monotonic() - t0 < 20.0
 
 
 # --- engine contract (satellite: p validation) -----------------------------

@@ -1,7 +1,7 @@
 """Differential trace tests: sim and mp emit identical event sequences.
 
-The coordinator replicates each worker's post-collective counters with the
-worker's own single-addition arithmetic, and the canonical Lamport order is
+The coordinator runs the simulator's ``Engine._execute`` on the counters
+each worker ships with its request, and the canonical Lamport order is
 a function of per-rank program order only — so for a fixed seed the two
 backends' traces must be *equal*, event for event, with ``wall_s`` as the
 single exempt field (measured on mp, zero on sim).
@@ -76,8 +76,8 @@ class TestTraceParity:
         assert any(ev.wall_s > 0.0 for ev in mp.trace)
 
     def test_untraced_mp_unchanged(self, graph):
-        """Tracing off: mp still matches sim bit-for-bit (the pre-trace
-        wire protocol is what untraced runs put on the wire)."""
+        """Tracing off: mp still matches sim bit-for-bit (the wire carries
+        the same counters either way)."""
         require_mp()
         sim = run_algorithm("parallel_cc", graph, p=3, seed=6, backend="sim")
         mp = run_algorithm("parallel_cc", graph, p=3, seed=6, backend="mp")
