@@ -4,8 +4,9 @@ Each benchmark times one :mod:`repro.kernels` entry point against the
 original per-element Python loop it replaced (kept verbatim in
 ``repro.kernels.reference``) on the same inputs, and reports wall-clock
 seconds plus the speedup ratio.  Prefix Selection is also timed per call
-at the sizes the Karger–Stein recursion actually asks for, and ``cc_labels``
-at the large m where it filters the edges through a sample's components.
+at the sizes the Karger–Stein recursion actually asks for, beside one whole
+recursion on the root those calls come from, and ``cc_labels`` at the large
+m where it filters the edges through a sample's components.
 The regression gate (``python -m benchmarks.perf_gate --check``) runs these
 and fails if the kernel timings regress past the blessed baseline or a
 speedup falls under its floor.
@@ -29,6 +30,7 @@ import time
 import numpy as np
 
 from repro.bsp.comm import payload_words
+from repro.core.karger_stein import karger_stein_matrix
 from repro.kernels import (
     bulk_contract_edges,
     cc_labels,
@@ -39,6 +41,7 @@ from repro.kernels import (
     scalar_prefix_select,
 )
 from repro.kernels.unionfind import _scipy_pass
+from repro.rng import philox_stream
 
 __all__ = ["run_benchmarks", "BENCHES"]
 
@@ -57,6 +60,9 @@ _PREFIX_N = 20_000
 #: the median call of an exact min cut (k=9), a mid-recursion call and the
 #: first contraction of an n=400 trial.  Not scaled by --scale.
 _PREFIX_SMALL = ((9, 32), (50, 162), (400, 2412))
+#: Root size of the ``ks_tail`` row: what the Eager Step hands the recursion
+#: in that same n=400, m=6400 trial (the e2e ``mc_dense`` graph).
+_KS_TAIL_N = 81
 _PAYLOAD_PARCELS = 20_000
 
 
@@ -148,7 +154,10 @@ def _bench_cc_large(scale: float, rng) -> dict:
 def bench_prefix_select(scale: float, rng) -> dict:
     """Prefix Selection: the list-based early-exit union-find vs the numpy
     scalar-indexing oracle at m=40 000, plus microseconds per call at the
-    recursion's own sizes (``small``; target ``t = ceil(1 + k / sqrt 2)``).
+    recursion's own sizes (``small``; target ``t = ceil(1 + k / sqrt 2)``)
+    and per whole ``karger_stein_matrix`` recursion — sampling, Prefix
+    Selection, contraction and the enumerated leaves — on a seeded integer
+    matrix (``ks_tail``).
     """
     m = max(16, int(_PREFIX_EDGES * scale))
     n = max(8, int(_PREFIX_N * scale))
@@ -175,8 +184,14 @@ def bench_prefix_select(scale: float, rng) -> dict:
         batch_t, _ = _best_of(batch, repeats=5)
         small[f"k{k}_s{s}"] = {"k": k, "s": s, "t": tk,
                                "us_per_call": 1e6 * batch_t / calls}
+    w = philox_stream(_KS_TAIL_N).integers(1, 100, size=(_KS_TAIL_N,) * 2)
+    a = np.triu(w, 1).astype(np.float64)
+    a += a.T
+    tail_t, _ = _best_of(lambda: karger_stein_matrix(a, philox_stream(0)),
+                         repeats=5)
+    tail = {f"n{_KS_TAIL_N}": {"n": _KS_TAIL_N, "us_per_call": 1e6 * tail_t}}
     return {"m": m, "fast_s": fast_t, "slow_s": slow_t,
-            "speedup": slow_t / fast_t, "small": small}
+            "speedup": slow_t / fast_t, "small": small, "ks_tail": tail}
 
 
 def _generic_payload_words(x):
@@ -252,6 +267,8 @@ def main(argv=None) -> int:
     for name, r in results.get("prefix_select", {}).get("small", {}).items():
         print(f"prefix_select {name} (t={r['t']}): "
               f"{r['us_per_call']:.1f} us/call")
+    for name, r in results.get("prefix_select", {}).get("ks_tail", {}).items():
+        print(f"karger_stein_matrix {name}: {r['us_per_call']:.0f} us/call")
     for name, r in results.get("cc", {}).get("large", {}).items():
         print(f"cc_labels {name} (n={r['n']}, m={r['m']}): {r['ms']:.1f} ms "
               f"(one scipy pass: {r['single_pass_ms']:.1f} ms)")

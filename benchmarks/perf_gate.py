@@ -18,6 +18,10 @@ Two kinds of baseline live in ``results/perf_baseline.json``:
   per :func:`~repro.kernels.prefix_select_labels` call at the sizes the
   Karger–Stein recursion visits (k=9, 50, 400), where fixed per-call cost
   is everything; each may not exceed ``slack x`` its blessed value.
+* **Recursion tail** (``ks_tail``) — microseconds per whole
+  :func:`~repro.core.karger_stein.karger_stein_matrix` recursion on a
+  seeded 81-vertex integer matrix (sampling, Prefix Selection, contraction
+  and the enumerated leaves together); same ceiling rule.
 * **Components at large m** (``cc_large``) — milliseconds per
   :func:`~repro.kernels.cc_labels` call on the three m >= 10^6 inputs of
   :mod:`benchmarks.bench_kernels` (uniform, ``(u, v)``-sorted, AppMC-style
@@ -108,6 +112,14 @@ BASELINE_PATH = RESULTS_DIR / "perf_baseline.json"
 
 #: Wall-clock slack multiplier for timing checks (noise tolerance).
 DEFAULT_SLACK = 2.0
+
+#: Ceiling sections: name -> (unit, bench_kernels benchmark, its row table,
+#: the gated field of a row).  A row may not exceed ``slack x`` its blessing.
+CEILINGS = {
+    "prefix_select_small": ("us/call", "prefix_select", "small", "us_per_call"),
+    "ks_tail": ("us/call", "prefix_select", "ks_tail", "us_per_call"),
+    "cc_large": ("ms", "cc", "large", "ms"),
+}
 
 #: Minimum vectorized-over-scalar speedup per microbenchmark.
 SPEEDUP_FLOORS = {
@@ -278,11 +290,9 @@ def measure(scale: float = 1.0, seed: int = 0) -> dict:
     return {
         "counters": counter_fingerprints(),
         "timings": timings,
-        "prefix_select_small": {
-            name: row["us_per_call"]
-            for name, row in timings["prefix_select"]["small"].items()},
-        "cc_large": {name: row["ms"]
-                     for name, row in timings["cc"]["large"].items()},
+        **{section: {name: row[field]
+                     for name, row in timings[bench][table].items()}
+           for section, (_unit, bench, table, field) in CEILINGS.items()},
         "transport": transport_fingerprints(scale=scale, seed=seed),
         "sched": sched_fingerprints(scale=scale, seed=seed),
         "two_out": two_out_fingerprints(scale=scale, seed=seed),
@@ -585,11 +595,10 @@ def check(scale: float, seed: int, slack: float) -> int:
     lines: list[str] = []
     counters_ok = _diff_counters(base["counters"], now["counters"], lines)
     timings_ok = _check_timings(base["timings"], now["timings"], slack, lines)
-    small_ok = _check_ceilings(
-        "prefix_select_small", "us/call", base.get("prefix_select_small"),
-        now["prefix_select_small"], slack, lines)
-    large_ok = _check_ceilings("cc_large", "ms", base.get("cc_large"),
-                               now["cc_large"], slack, lines)
+    ceilings_ok = all([  # a list, not a generator: every section reports
+        _check_ceilings(section, unit, base.get(section), now[section],
+                        slack, lines)
+        for section, (unit, *_row) in CEILINGS.items()])
     transport_ok = _check_transport(base.get("transport"), now["transport"],
                                     lines)
     sched_ok = _check_sched(base.get("sched"), now["sched"], lines)
@@ -599,7 +608,7 @@ def check(scale: float, seed: int, slack: float) -> int:
     plane_ok = _check_graph_plane(base.get("graph_plane"),
                                   now["graph_plane"], lines)
     dynamic_ok = _check_dynamic(base.get("dynamic"), now["dynamic"], lines)
-    if (counters_ok and timings_ok and small_ok and large_ok
+    if (counters_ok and timings_ok and ceilings_ok
             and transport_ok and sched_ok
             and two_out_ok and serve_ok and fusion_ok and plane_ok
             and dynamic_ok):
@@ -609,14 +618,13 @@ def check(scale: float, seed: int, slack: float) -> int:
             f"{k}={v['legacy_segments_created']}->"
             f"{v['pooled_segments_created']}"
             for k, v in sorted(now["transport"].items()))
-        small = ", ".join(
-            f"{k}={v:.1f}us"
-            for k, v in sorted(now["prefix_select_small"].items()))
-        large = ", ".join(f"{k}={v:.1f}ms"
-                          for k, v in sorted(now["cc_large"].items()))
+        ceilings = "; ".join(
+            f"{section} "
+            + ", ".join(f"{k}={v:.1f}" for k, v in sorted(now[section].items()))
+            + f" {unit}"
+            for section, (unit, *_row) in CEILINGS.items())
         print(f"perf_gate: OK — counters exact, timings within "
-              f"{slack:g}x slack ({speeds}; prefix selection per call "
-              f"{small}; cc_labels at large m {large}), "
+              f"{slack:g}x slack ({speeds}; {ceilings}), "
               f"transport segments exact "
               f"({segs}), scheduler overhead "
               f"{now['sched']['predicted_overhead_pct']:+.3f}% with "

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.cache.traced import MemoryTracker, NullTracker
 from repro.core.contraction import prefix_select
-from repro.graph.contract import components_from_edges
 
 __all__ = [
     "brute_force_matrix",
@@ -54,37 +53,41 @@ def keyed_cuts(sides, labels=None) -> dict[bytes, np.ndarray]:
     return {canonical_cut_key(side): side for side in sides}
 
 
-#: Below this size the recursion bottoms out in exhaustive enumeration.
-#: The recursion has Theta(n^2) leaves, so the base case is vectorized: one
-#: matmul evaluates all 2^(base-1) cuts at once.
-KS_BASE_SIZE = 8
+#: At or below this size the recursion bottoms out in exhaustive enumeration:
+#: one matmul over the 2^(n-1) side table instead of two contractions and two
+#: sub-recursions.  Enumeration wins 1.8x at 12, breaks even at 13 and loses
+#: 2.5x at 14 (measured, docs/kernels.md); 12 is the last size with a margin.
+KS_BASE_SIZE = 12
+
+#: Largest matrix :func:`brute_force_matrix` enumerates: its side table and
+#: the complement are 2 x 4 MB at 16 and double with every further vertex.
+_ENUM_LIMIT = 16
 
 #: Batch-size exponent of the matrix iterated sampling: s = k^(1+sigma).
 _MATRIX_SIGMA = 0.3
 
-#: Cached enumeration tables: n -> (2^(n-1)-1, n) float matrix of cut sides
-#: (vertex 0 fixed outside the cut, empty cut excluded).
-_SIDE_TABLES: dict[int, np.ndarray] = {}
+#: Cached enumeration tables: n -> (sides, 1 - sides), each a (2^(n-1)-1, n)
+#: float matrix of cut sides (vertex 0 fixed outside, empty cut excluded).
+_SIDE_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _side_table(n: int) -> np.ndarray:
-    table = _SIDE_TABLES.get(n)
-    if table is None:
+def _side_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    tables = _SIDE_TABLES.get(n)
+    if tables is None:
         masks = np.arange(1, 1 << (n - 1), dtype=np.uint32)
-        bits = (masks[:, None] >> np.arange(n - 1, dtype=np.uint32)) & 1
-        table = np.concatenate(
-            [np.zeros((masks.size, 1)), bits.astype(np.float64)], axis=1
-        )
-        _SIDE_TABLES[n] = table
-    return table
+        sides = np.zeros((masks.size, n))
+        sides[:, 1:] = (masks[:, None] >> np.arange(n - 1, dtype=np.uint32)) & 1
+        tables = _SIDE_TABLES[n] = (sides, 1.0 - sides)
+    return tables
 
 
 def brute_force_matrix(a: np.ndarray, collect: bool = False):
     """Exact minimum cut of a small matrix graph by enumeration.
 
     Returns ``(value, side)``; vertex 0 is fixed outside the cut so each cut
-    is enumerated once.  All 2^(n-1) - 1 cut values are evaluated with one
-    matrix product (the recursion calls this Theta(n^2) times).
+    is enumerated once.  All 2^(n-1) - 1 cut values come from one matrix
+    product ``sides @ a`` and one row-wise product-sum against the
+    complements — exact on integer weights, last-ulp on floats.
 
     ``collect`` returns ``(value, [sides])`` with *every* minimum cut — the
     find-all-minimum-cuts mode (Lemma 4.3) needs it, because the single-cut
@@ -93,30 +96,28 @@ def brute_force_matrix(a: np.ndarray, collect: bool = False):
     n = a.shape[0]
     if n < 2:
         raise ValueError("minimum cut needs at least 2 vertices")
-    if n > 24:
-        raise ValueError(f"brute force limited to n <= 24, got {n}")
-    sides = _side_table(n)
-    values = np.einsum("ki,ij,kj->k", sides, a, 1.0 - sides)
+    if n > _ENUM_LIMIT:
+        raise ValueError(
+            f"brute force limited to n <= {_ENUM_LIMIT} (a few MB of cut "
+            f"table), got {n}; use karger_stein_matrix"
+        )
+    sides, others = _side_tables(n)
+    values = np.einsum("kj,kj->k", sides @ a, others)
     if collect:
         best = values.min()
         hits = np.flatnonzero(values <= best + 1e-12)
         return float(best), [sides[i].astype(bool) for i in hits]
-    best = int(np.argmin(values))
+    best = int(values.argmin())
     return float(values[best]), sides[best].astype(bool)
 
 
-def _contract_matrix(a: np.ndarray, labels: np.ndarray, n_new: int,
-                     mem: MemoryTracker) -> np.ndarray:
-    """Row/column combine by label, zero diagonal (streaming passes)."""
+def _contract_matrix(a: np.ndarray, labels: np.ndarray, n_new: int) -> np.ndarray:
+    """Row/column combine by label as one one-hot product, zero diagonal."""
     n = a.shape[0]
-    rows = np.zeros((n_new, n), dtype=np.float64)
-    np.add.at(rows, labels, a)
-    out = np.zeros((n_new, n_new), dtype=np.float64)
-    np.add.at(out.T, labels, rows.T)
-    np.fill_diagonal(out, 0.0)
-    mem.alloc("ks_matrix", n * n)
-    mem.scan("ks_matrix", 0, n * n)
-    mem.ops(2 * n * n)
+    onehot = np.zeros((n_new, n))
+    onehot[labels, np.arange(n)] = 1.0
+    out = onehot @ a @ onehot.T
+    out.flat[::n_new + 1] = 0.0
     return out
 
 
@@ -140,27 +141,27 @@ def random_contract_matrix(
     k = n
     cur = a
     total_labels = np.arange(n, dtype=np.int64)
+    mem.alloc("ks_matrix", n * n)  # every later round fits inside it
     while k > t:
-        flat = cur.ravel()
-        total = flat.sum()
-        if total <= 0:
-            break  # disconnected remainder
-        s = min(max(32, math.ceil(k ** (1.0 + _MATRIX_SIGMA))), 4 * k * k)
         # Sample matrix entries proportionally to weight (each edge appears
         # twice with equal weight: proportionality is preserved).
-        cdf = np.cumsum(flat)
-        picks = np.searchsorted(cdf, rng.random(s) * cdf[-1], side="right")
-        su = picks // k
-        sv = picks % k
-        mem.alloc("ks_matrix", k * k)
+        cdf = cur.ravel().cumsum()
+        if cdf[-1] <= 0:
+            break  # disconnected remainder
+        s = min(max(32, math.ceil(k ** (1.0 + _MATRIX_SIGMA))), 4 * k * k)
+        picks = cdf.searchsorted(rng.random(s) * cdf[-1], side="right")
+        su, sv = np.divmod(picks, k)
         mem.scan("ks_matrix", 0, k * k)
         mem.touch("ks_matrix", picks)
-        mem.ops(k * k + s * max(1, int(math.log2(max(k, 2)))))
         labels, k_new = prefix_select(k, su, sv, t)
-        mem.ops(3 * s)
+        # cdf pass + one binary search per pick + Prefix Selection
+        ops = k * k + s * int(math.log2(k)) + 3 * s  # k > t >= 2
         if k_new == k:
+            mem.ops(ops)
             continue  # sample produced no contraction; redraw
-        cur = _contract_matrix(cur, labels, k_new, mem)
+        cur = _contract_matrix(cur, labels, k_new)
+        mem.scan("ks_matrix", 0, k * k)
+        mem.ops(ops + 2 * k * k)  # + the row and the column combine
         total_labels = labels[total_labels]
         k = k_new
     return cur, total_labels, k
@@ -194,22 +195,17 @@ def karger_stein_matrix(
         mem.ops((1 << n) * n)
         return val, (keyed_cuts(found) if collect else found)
 
-    if a.sum() <= 0:  # edgeless: every single vertex forms a zero cut
-        return 0.0, (keyed_cuts(np.eye(n, dtype=bool)) if collect
-                     else np.arange(n) == 0)
-
     t = math.ceil(1 + n / math.sqrt(2))
     best_val = math.inf
     best = None
     for _rep in range(2):
         cur, labels, k = random_contract_matrix(a, t, rng, mem)
         if k > t and cur.sum() <= 0:
-            # Disconnected: exact zero cuts along the current components.
-            iu, iv = np.nonzero(cur)
-            comp, ncomp = components_from_edges(k, iu, iv)
+            # Ran out of edges (at once, if ``a`` has none): each remaining
+            # vertex is a component, and every component an exact zero cut.
             if collect:
-                return 0.0, keyed_cuts((comp == c for c in range(ncomp)), labels)
-            return 0.0, (comp == comp[0])[labels]
+                return 0.0, keyed_cuts(labels == c for c in range(k))
+            return 0.0, labels == 0
         val, found = karger_stein_matrix(cur, rng, mem, collect)
         if val < best_val:
             best_val = val

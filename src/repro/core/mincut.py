@@ -45,7 +45,6 @@ from repro.core.contraction import (
 )
 from repro.core.karger_stein import (
     KS_BASE_SIZE,
-    brute_force_matrix,
     karger_stein_matrix,
     keyed_cuts,
 )
@@ -355,6 +354,15 @@ def dense_iterated_sampling(ctx, comm, rows, n, target, *, sigma=_EAGER_SIGMA):
     return rows, labels_total, k, disconnected
 
 
+def _recursion_leaf(ctx, a):
+    """One processor holds the whole matrix: sequential Karger–Stein on it
+    (a single enumeration at ``KS_BASE_SIZE`` and below), charged to ``ctx``."""
+    tracker = AnalyticTracker(ctx.cache)
+    val, side = karger_stein_matrix(a, ctx.rng, tracker)
+    ctx.charge(ops=tracker.op_count, misses=tracker.miss_count)
+    return val, side
+
+
 def recursive_step(ctx, comm, rows, n):
     """Generator: distributed Recursive Contraction (§4.3).
 
@@ -364,25 +372,19 @@ def recursive_step(ctx, comm, rows, n):
     """
     q = comm.size
     if q == 1:
-        tracker = AnalyticTracker(ctx.cache)
-        val, side = karger_stein_matrix(rows, ctx.rng, tracker)
-        ctx.charge(ops=tracker.op_count, misses=tracker.miss_count)
-        return val, side
+        return _recursion_leaf(ctx, rows)
 
     total_w = yield from comm.allreduce(float(rows.sum()), op=operator.add)
     if total_w <= 0:
         return 0.0, _zero_cut(n)
 
     if n <= max(KS_BASE_SIZE, q):
-        # Assemble the matrix at local rank 0 (gatherv's axis-0 concat of
-        # 2-D row blocks == vstack), enumerate there, broadcast the answer.
+        # Too few rows to split further: assemble the matrix at local rank 0
+        # (gatherv's axis-0 concat of 2-D row blocks == vstack), finish the
+        # recursion there, broadcast the answer.
         blocks = yield from comm.gatherv(rows, root=0)
-        payload = None
-        if comm.rank == 0:
-            payload = brute_force_matrix(blocks[0])
-            ctx.charge(ops=float(1 << n) * n)
-        val, side = yield from comm.bcast(payload, root=0)
-        return val, side
+        payload = _recursion_leaf(ctx, blocks[0]) if comm.rank == 0 else None
+        return (yield from comm.bcast(payload, root=0))
 
     t = max(2, math.ceil(1 + n / math.sqrt(2)))
     half = q // 2

@@ -16,6 +16,7 @@ from repro.core import (
 )
 from repro.cache.traced import AnalyticTracker
 from repro.core.karger_stein import (
+    KS_BASE_SIZE,
     brute_force_matrix,
     canonical_cut_key,
     karger_stein_matrix,
@@ -71,18 +72,22 @@ class TestBruteForceAll:
 
 
 class TestKargerSteinAll:
+    """On matrices of twice the base size: at or below ``KS_BASE_SIZE`` a
+    call is one enumeration, which ``TestBruteForceAll`` already covers."""
+
     def test_collects_ties_on_cycle(self):
-        g = weighted_cycle(6)
+        n = 2 * KS_BASE_SIZE
+        g = weighted_cycle(n)
         a = AdjacencyMatrix.from_edgelist(g).a
         found = {}
         for seed in range(12):
             val, cuts = karger_stein_matrix(a, philox_stream(seed), collect=True)
             if val == 2.0:
                 found.update(cuts)
-        assert len(found) == 15  # C(6,2) pairs of cycle edges
+        assert len(found) == n * (n - 1) // 2  # pairs of cycle edges
 
     def test_values_match_single_variant(self):
-        g = erdos_renyi(12, 40, philox_stream(30), weighted=True)
+        g = erdos_renyi(2 * KS_BASE_SIZE, 80, philox_stream(30), weighted=True)
         a = AdjacencyMatrix.from_edgelist(g).a
         val, cuts = karger_stein_matrix(a, philox_stream(0), collect=True)
         for side in cuts.values():
@@ -93,14 +98,16 @@ class TestKargerSteinAll:
         """One recursion, two result shapes: on a tie-free matrix both modes
         draw the same random numbers and charge the tracker identically."""
         n = 30
+        assert n >= 2 * KS_BASE_SIZE
         w = philox_stream(77).random((n, n)) + 0.5
         a = np.triu(w, 1)
         a = a + a.T
         single, collected = AnalyticTracker(), AnalyticTracker()
-        val, side = karger_stein_matrix(a, philox_stream(seed), single)
-        val_all, cuts = karger_stein_matrix(a, philox_stream(seed), collected,
-                                            collect=True)
+        rng, rng_all = philox_stream(seed), philox_stream(seed)
+        val, side = karger_stein_matrix(a, rng, single)
+        val_all, cuts = karger_stein_matrix(a, rng_all, collected, collect=True)
         assert val_all == val
+        assert rng.random() == rng_all.random()  # both streams stand equal
         assert (single.op_count, single.miss_count) == \
             (collected.op_count, collected.miss_count)
         # the one cut both found (the stored side may be its complement)

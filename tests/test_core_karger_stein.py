@@ -1,9 +1,12 @@
 """Tests for the sequential Karger–Stein recursion and its building blocks."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.cache import AnalyticTracker, LRUTracker
+from repro.core import karger_stein as ks
 from repro.core.karger_stein import (
     KS_BASE_SIZE,
     brute_force_matrix,
@@ -11,12 +14,47 @@ from repro.core.karger_stein import (
     random_contract_matrix,
 )
 from repro.graph import AdjacencyMatrix, complete_graph, erdos_renyi, two_cliques_bridge
-from repro.graph.validate import brute_force_mincut, networkx_components
+from repro.graph.validate import brute_force_mincut, networkx_mincut
 from repro.rng import philox_stream
+
+#: Recursion tests run well above the base case: at or below
+#: ``KS_BASE_SIZE`` a call is one enumeration and would test nothing else.
+N_REC = 2 * KS_BASE_SIZE
 
 
 def matrix_of(g):
     return AdjacencyMatrix.from_edgelist(g).a
+
+
+def random_matrix(n, seed, integer):
+    """Symmetric zero-diagonal weights: small integers or floats in [0.5, 1.5)."""
+    rng = philox_stream(seed)
+    w = rng.integers(1, 50, size=(n, n)) if integer else rng.random((n, n)) + 0.5
+    a = np.triu(w, 1).astype(np.float64)
+    return a + a.T
+
+
+def scalar_cut_values(a):
+    """Reference enumeration: every cut with vertex 0 outside, summed edge by
+    edge in plain Python floats, in the table order of the vectorized code."""
+    n = a.shape[0]
+    values = []
+    for mask in range(1, 1 << (n - 1)):
+        inside = [i for i in range(1, n) if mask >> (i - 1) & 1]
+        outside = [j for j in range(n) if j not in inside]
+        values.append(math.fsum(a[i, j] for i in inside for j in outside))
+    return values
+
+
+def add_at_contract_matrix(a, labels, n_new):
+    """The two-pass ``np.add.at`` contraction the one-hot product replaced,
+    kept as its oracle: rows combined in vertex order, then columns."""
+    rows = np.zeros((n_new, a.shape[0]), dtype=np.float64)
+    np.add.at(rows, labels, a)
+    out = np.zeros((n_new, n_new), dtype=np.float64)
+    np.add.at(out.T, labels, rows.T)
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 class TestBruteForceMatrix:
@@ -42,6 +80,49 @@ class TestBruteForceMatrix:
     def test_too_small(self):
         with pytest.raises(ValueError):
             brute_force_matrix(np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("n", [2, 5, KS_BASE_SIZE])
+    def test_integer_weights_bit_equal_to_scalar_reference(self, n):
+        a = random_matrix(n, seed=n, integer=True)
+        reference = scalar_cut_values(a)
+        val, side = brute_force_matrix(a)
+        assert val == min(reference)
+        # first minimum in table order, like the reference's list.index
+        mask = reference.index(val) + 1
+        assert side.tolist() == [False] + [bool(mask >> i & 1)
+                                           for i in range(n - 1)]
+        val_all, sides = brute_force_matrix(a, collect=True)
+        assert val_all == val
+        assert len(sides) == reference.count(val)
+
+    @pytest.mark.parametrize("n", [3, 7, KS_BASE_SIZE])
+    def test_float_weights_within_rounding_of_scalar_reference(self, n):
+        a = random_matrix(n, seed=100 + n, integer=False)
+        val, side = brute_force_matrix(a)
+        assert math.isclose(val, min(scalar_cut_values(a)), rel_tol=1e-12)
+        assert math.isclose(AdjacencyMatrix(a).cut_value(side), val,
+                            rel_tol=1e-12)
+
+    def test_ties_resolve_to_a_valid_witness(self):
+        """K_n has n tied minimum cuts (the singletons): the single-cut mode
+        returns one of them, the collect mode all of them."""
+        n = KS_BASE_SIZE
+        a = matrix_of(complete_graph(n))
+        val, side = brute_force_matrix(a)
+        assert val == n - 1
+        assert side.sum() in (1, n - 1)
+        val_all, sides = brute_force_matrix(a, collect=True)
+        assert val_all == val
+        assert sorted(int(min(s.sum(), n - s.sum())) for s in sides) == [1] * n
+
+    def test_limit_names_the_table_and_allocates_nothing(self):
+        n = ks._ENUM_LIMIT + 1
+        with pytest.raises(ValueError, match="MB"):
+            brute_force_matrix(matrix_of(complete_graph(n)))
+        with pytest.raises(ValueError, match="MB"):
+            brute_force_matrix(matrix_of(complete_graph(n)), collect=True)
+        assert max(ks._SIDE_TABLES, default=0) <= ks._ENUM_LIMIT
+        assert KS_BASE_SIZE <= ks._ENUM_LIMIT
 
 
 class TestRandomContract:
@@ -86,19 +167,34 @@ class TestRandomContract:
         with pytest.raises(ValueError):
             random_contract_matrix(matrix_of(complete_graph(4)), 1, philox_stream(0))
 
+    @pytest.mark.parametrize("n,n_new", [(14, 11), (30, 23), (81, 59)])
+    def test_one_hot_contraction_matches_add_at_reference(self, n, n_new):
+        labels = philox_stream(n).permutation(np.arange(n) % n_new)
+        exact = random_matrix(n, seed=n, integer=True)
+        assert np.array_equal(ks._contract_matrix(exact, labels, n_new),
+                              add_at_contract_matrix(exact, labels, n_new))
+        # float sums are taken in another order: equal to rounding, and the
+        # structure (symmetry, zero diagonal) exactly
+        rounded = random_matrix(n, seed=200 + n, integer=False)
+        got = ks._contract_matrix(rounded, labels, n_new)
+        want = add_at_contract_matrix(rounded, labels, n_new)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert (np.diag(got) == 0).all()
+
 
 class TestKargerStein:
     def test_cut_value_never_below_truth(self):
         """Any returned cut is a real cut: value >= the true minimum."""
         for seed in range(8):
-            g = erdos_renyi(10, 25, philox_stream(seed + 10), weighted=True)
-            truth = brute_force_mincut(g)
+            g = erdos_renyi(N_REC, 4 * N_REC, philox_stream(seed + 10),
+                            weighted=True)
+            truth = networkx_mincut(g)
             val, side = karger_stein_matrix(matrix_of(g), philox_stream(seed))
             assert val >= truth - 1e-9
             assert g.cut_value(side) == pytest.approx(val)
 
     def test_finds_bridge_with_repetition(self):
-        g = two_cliques_bridge(6)
+        g = two_cliques_bridge(KS_BASE_SIZE)  # 2 * base vertices
         a = matrix_of(g)
         best = min(
             karger_stein_matrix(a, philox_stream(s))[0] for s in range(8)
@@ -110,29 +206,44 @@ class TestKargerStein:
         val, _ = karger_stein_matrix(matrix_of(g), philox_stream(1))
         assert val == KS_BASE_SIZE - 1
 
+    def test_base_case_draws_nothing(self):
+        a = random_matrix(KS_BASE_SIZE, seed=1, integer=True)
+        rng = philox_stream(1)
+        karger_stein_matrix(a, rng)
+        assert rng.random() == philox_stream(1).random()
+
     def test_disconnected_returns_zero(self):
-        a = np.zeros((8, 8))
-        a[0, 1] = a[1, 0] = 3.0
-        a[5, 6] = a[6, 5] = 2.0
+        for n in (8, N_REC):  # enumerated, and through the recursion
+            a = np.zeros((n, n))
+            a[0, 1] = a[1, 0] = 3.0
+            a[5, 6] = a[6, 5] = 2.0
+            val, side = karger_stein_matrix(a, philox_stream(2))
+            assert val == 0.0
+            assert 0 < side.sum() < n
+            assert AdjacencyMatrix(a).cut_value(side) == 0.0
+
+    def test_edgeless_above_the_base(self):
+        a = np.zeros((N_REC, N_REC))
         val, side = karger_stein_matrix(a, philox_stream(2))
-        assert val == 0.0
-        assert 0 < side.sum() < 8
+        assert val == 0.0 and side.tolist() == [True] + [False] * (N_REC - 1)
+        val, cuts = karger_stein_matrix(a, philox_stream(2), collect=True)
+        assert val == 0.0 and len(cuts) == N_REC
 
     def test_witness_is_valid_partition(self):
-        g = erdos_renyi(14, 50, philox_stream(20), weighted=True)
+        g = erdos_renyi(N_REC + 4, 100, philox_stream(20), weighted=True)
         val, side = karger_stein_matrix(matrix_of(g), philox_stream(3))
         assert side.dtype == bool
         assert 0 < side.sum() < g.n
 
     def test_tracker_records_work(self):
-        g = erdos_renyi(16, 60, philox_stream(21), weighted=True)
+        g = erdos_renyi(N_REC + 8, 120, philox_stream(21), weighted=True)
         mem = AnalyticTracker()
         karger_stein_matrix(matrix_of(g), philox_stream(4), mem)
-        assert mem.op_count > 16 * 16
+        assert mem.op_count > g.n * g.n
         assert mem.miss_count > 0
 
     def test_lru_tracker_compatible(self):
-        g = erdos_renyi(12, 40, philox_stream(22), weighted=True)
+        g = erdos_renyi(N_REC, 80, philox_stream(22), weighted=True)
         mem = LRUTracker(M=1024, B=8)
         karger_stein_matrix(matrix_of(g), philox_stream(5), mem)
         assert mem.miss_count > 0

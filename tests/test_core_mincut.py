@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from repro.cache import LRUTracker
-from repro.core import minimum_cut, minimum_cut_sequential, minimum_cuts
+from repro.core import (
+    karger_stein,
+    mincut,
+    minimum_cut,
+    minimum_cut_sequential,
+    minimum_cuts,
+)
+from repro.core.karger_stein import KS_BASE_SIZE
 from repro.core.mincut import (
     _pick_min,
     mincut_trials_program,
@@ -117,6 +124,41 @@ class TestBackends:
         ref = minimum_cut(g, p=3, seed=34, trials=4)  # sim oracle
         res = minimum_cut(g, p=3, seed=34, trials=4, backend=backend)
         assert res.value == ref.value
+        assert np.array_equal(res.side, ref.side)
+        assert res.report == ref.report
+
+
+class TestGatheredRecursion:
+    """A group with at least as many processors as matrix rows gathers the
+    matrix at its rank 0, which finishes the recursion alone — by
+    Karger–Stein above ``KS_BASE_SIZE``, never by enumerating ``q`` vertices."""
+
+    @pytest.mark.parametrize("n,p,root", [(40, 64, 29), (30, 32, 22)])
+    def test_more_processors_than_rows(self, monkeypatch, n, p, root):
+        leaves = []
+        leaf = mincut._recursion_leaf
+
+        def spy(ctx, a):
+            leaves.append(a.shape[0])
+            return leaf(ctx, a)
+
+        monkeypatch.setattr(mincut, "_recursion_leaf", spy)
+        monkeypatch.setattr(karger_stein, "_SIDE_TABLES", {})
+        g = complete_graph(n)
+        r = minimum_cut(g, p=p, seed=0, trials=1)
+        assert r.value == n - 1
+        assert g.cut_value(r.side) == n - 1
+        assert leaves == [root] and root > KS_BASE_SIZE  # gathered at once
+        assert max(karger_stein._SIDE_TABLES) <= KS_BASE_SIZE
+
+    def test_backends_agree_on_the_gathered_branch(self, backend):
+        # K18 contracts to 14 rows on 14 processors: 14 > KS_BASE_SIZE, and
+        # only a group of more than KS_BASE_SIZE processors can get there.
+        g, p = complete_graph(18), 14
+        assert KS_BASE_SIZE < math.ceil(math.sqrt(g.m)) + 1 <= p
+        ref = minimum_cut(g, p=p, seed=2, trials=1)  # sim oracle
+        res = minimum_cut(g, p=p, seed=2, trials=1, backend=backend)
+        assert res.value == ref.value == 17.0
         assert np.array_equal(res.side, ref.side)
         assert res.report == ref.report
 

@@ -5,12 +5,18 @@ compare against the paper's probabilistic guarantees with generous slack
 (the bounds are lower bounds; empirical rates sit well above them).
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from repro.core.karger_stein import karger_stein_matrix, random_contract_matrix
+from benchmarks import audit_probabilistic
+from repro.core.karger_stein import (
+    KS_BASE_SIZE,
+    karger_stein_matrix,
+    random_contract_matrix,
+)
 from repro.core.mincut import sequential_trial
 from repro.core.trials import (
     eager_survival_probability,
@@ -73,6 +79,7 @@ class TestLemma22RecursiveContraction:
     Omega(1/log n)."""
 
     def test_success_rate_above_bound(self):
+        assert 24 >= 2 * KS_BASE_SIZE  # a recursion, not one enumeration
         g = erdos_renyi(24, 100, philox_stream(60), weighted=True)
         truth = networkx_mincut(g)
         a = AdjacencyMatrix.from_edgelist(g).a
@@ -90,7 +97,9 @@ class TestTrialBudget:
     """The §4 trial count actually reaches the requested success rate."""
 
     def test_trials_reach_success_probability(self):
-        g = erdos_renyi(28, 90, philox_stream(61), weighted=True)
+        g = erdos_renyi(60, 600, philox_stream(61), weighted=True)
+        # the Eager Step must hand the recursion more than one enumeration
+        assert math.ceil(math.sqrt(g.m)) + 1 >= 2 * KS_BASE_SIZE
         truth = networkx_mincut(g)
         trials = num_trials(g.n, g.m, success_prob=0.9)
         execs = 25
@@ -108,6 +117,26 @@ class TestTrialBudget:
             hits += best == truth
         # binomial(25, 0.9): P[hits <= 18] < 1%, so 19 is a safe floor
         assert hits >= 19, f"only {hits}/{execs} executions found the minimum"
+
+
+class TestProbabilisticAudit:
+    """What ``minimum_cut`` and one recursion deliver against what Lemmas
+    2.1/2.2 claim for them (``benchmarks/audit_probabilistic.py``)."""
+
+    def test_never_worse_than_claimed(self):
+        for row in audit_probabilistic.audit(seeds=range(10)):
+            for claim in ("minimum_cut_trials2", "karger_stein_matrix"):
+                cell = row[claim]
+                assert cell["rate"] >= cell["bound"], (row["graph"], claim, cell)
+
+    def test_published_audit_is_of_this_base_and_holds(self):
+        record = json.loads(audit_probabilistic.RESULT_PATH.read_text())
+        assert record["ks_base_size"] == KS_BASE_SIZE, "re-run the audit"
+        assert record["holds"] and record["seeds"] >= 10
+        for row in record["rows"]:
+            for claim in ("minimum_cut_trials2", "karger_stein_matrix"):
+                cell = row[claim]
+                assert min(cell["rate"], cell["rate_former_base"]) >= cell["bound"]
 
 
 class TestSamplingConcentration:
