@@ -116,17 +116,15 @@ def bench_cc(scale: float, rng) -> dict:
     v = rng.integers(0, n, size=m, dtype=np.int64)
 
     fast_t, fast = _best_of(lambda: cc_roots(n, u, v))
-    jump_t, jump = _best_of(lambda: cc_roots(n, u, v, backend="jumping"))
     slow_t, slow = _best_of(lambda: scalar_cc_roots(n, u, v), repeats=1)
-    assert np.array_equal(fast, slow) and np.array_equal(jump, slow), \
-        "cc backends disagree"
-    return {"m": m, "fast_s": fast_t, "jumping_s": jump_t, "slow_s": slow_t,
+    assert np.array_equal(fast, slow), "cc_roots disagrees with the oracle"
+    return {"m": m, "fast_s": fast_t, "slow_s": slow_t,
             "speedup": slow_t / fast_t, "large": _bench_cc_large(scale, rng)}
 
 
 def _bench_cc_large(scale: float, rng) -> dict:
     """``cc_labels`` at m >= 4n, where it filters through a sample, against
-    one scipy pass over all m; checked against the jumping backend."""
+    one scipy pass over all m, which it is also checked against."""
     rng = rng.spawn(1)[0]  # leaves the later benchmarks' inputs as they were
     inputs = {}
     for name, n, m, blocks in _CC_LARGE:
@@ -142,8 +140,7 @@ def _bench_cc_large(scale: float, rng) -> dict:
     rows = {}
     for name, (n, u, v) in inputs.items():
         fast_t, fast = _best_of(lambda: cc_labels(n, u, v), repeats=5)
-        single_t, _ = _best_of(lambda: _scipy_pass(n, u, v))
-        ref = cc_labels(n, u, v, backend="jumping")
+        single_t, ref = _best_of(lambda: _scipy_pass(n, u, v))
         assert np.array_equal(fast[0], ref[0]) and fast[1] == ref[1] \
             and fast[0].dtype == np.int64, "two-level cc_labels disagrees"
         rows[name] = {"n": n, "m": int(u.size), "ms": 1e3 * fast_t,

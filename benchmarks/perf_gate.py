@@ -1,111 +1,50 @@
-"""Benchmark regression gate for the vectorized kernel layer.
+"""Benchmark regression gate: one baseline, ``results/perf_baseline.json``.
 
-Two kinds of baseline live in ``results/perf_baseline.json``:
+* **Counter fingerprints** (``counters``) — BSP counter reports and result
+  values of six fixed Fig-1/Fig-3-style workloads.  *Exact*: the cost model
+  is analytic, so any drift means an algorithmic change (intended →
+  re-bless, unintended → a bug).  This is the check that proves a kernel or
+  runtime change did not alter a single simulated trajectory.
+* **Kernel timings** (``timings``) — wall-clock seconds and speedups of the
+  :mod:`benchmarks.bench_kernels` microbenchmarks.  Machine noise is real:
+  a timing may not exceed ``slack x baseline`` (default 2.0, override with
+  ``PERF_GATE_SLACK``), a kernel-over-oracle speedup may not fall under
+  its floor (:data:`SPEEDUP_FLOORS`).
+* **Ceilings** (:data:`CEILINGS`) — per-call cost where fixed overhead is
+  everything: Prefix Selection at the Karger–Stein recursion's own sizes,
+  one whole recursion on an 81-vertex matrix, ``cc_labels`` at m >= 10^6.
+  Same ``slack x blessed`` rule.
+* **Subsystem sections** (:data:`SECTIONS`) — the deterministic acceptance
+  bars of the transport, scheduler, 2-out, serve, fusion, graph-plane and
+  dynamic benchmarks, one table: each field of a benchmark's result is held
+  exactly, or must be true, or is a ratio against a floor or ceiling the
+  benchmark module names.  Raw seconds are recorded, never gated.
 
-* **Counter fingerprints** — BSP counter reports (ops, misses, volumes,
-  supersteps) and result values of six fixed Fig-1/Fig-3-style workloads.
-  These are *exact*: the cost model is analytic, so any drift means an
-  algorithmic change (intended → re-bless, unintended → a bug).  This is
-  the check that proves vectorization did not alter a single simulated
-  trajectory.
-* **Kernel timings** — wall-clock seconds and speedup ratios of the
-  :mod:`benchmarks.bench_kernels` microbenchmarks.  Checked with slack
-  (machine noise is real): a vectorized timing may not exceed
-  ``slack x baseline`` (default 2.0, override with ``PERF_GATE_SLACK``),
-  and each speedup ratio must stay above its floor — 10x for the
-  contraction kernel (the acceptance bar), 1.2x elsewhere.
-* **Prefix Selection per call** (``prefix_select_small``) — microseconds
-  per :func:`~repro.kernels.prefix_select_labels` call at the sizes the
-  Karger–Stein recursion visits (k=9, 50, 400), where fixed per-call cost
-  is everything; each may not exceed ``slack x`` its blessed value.
-* **Recursion tail** (``ks_tail``) — microseconds per whole
-  :func:`~repro.core.karger_stein.karger_stein_matrix` recursion on a
-  seeded 81-vertex integer matrix (sampling, Prefix Selection, contraction
-  and the enumerated leaves together); same ceiling rule.
-* **Components at large m** (``cc_large``) — milliseconds per
-  :func:`~repro.kernels.cc_labels` call on the three m >= 10^6 inputs of
-  :mod:`benchmarks.bench_kernels` (uniform, ``(u, v)``-sorted, AppMC-style
-  blocks), where the kernel filters the edges through a sample's
-  components first; same ceiling rule.
-* **Transport fingerprints** — the mp backend's shared-memory segment
-  allocation counts on the :mod:`benchmarks.bench_transport` workloads.
-  Segment counts are deterministic (payload sizes are seed-fixed), so
-  they are checked *exactly*, plus two floors: the pooled arena must
-  allocate at least 2x fewer segments than the legacy codec, and both
-  codecs must produce identical results.  Wall-clock is recorded by the
-  benchmark but never gated.
-* **Scheduler fingerprints** — the fault-tolerant trial scheduler's
-  deterministic acceptance bars from :mod:`benchmarks.bench_faults`:
-  the scheduled dispatch must match the legacy dispatch's cut value, a
-  crash-recovery run must retry exactly once and reproduce the
-  fault-free ledger fingerprint bit-for-bit, and the predicted
-  (analytic-model) overhead with injection off must stay under 2%.
-* **2-out fingerprints** — the random 2-out contraction preprocessing's
-  deterministic headline numbers from :mod:`benchmarks.bench_two_out`:
-  exact cut values and trial counts (contracted sizes, planned and
-  dispatched trials against the default budget), the exactness flags,
-  and the >= 3x dispatched-trial reduction floor on the dense workload.
-* **Serve fingerprints** — the :mod:`repro.serve` daemon's acceptance
-  bars from :mod:`benchmarks.bench_serve`: exact headline result values,
-  the served-equals-direct ``results_match`` flag, and the >= 3x
-  warm-repeat-over-cold-one-shot latency floor.  Raw seconds are
-  recorded in ``results/BENCH_serve.json`` but never gated.
-* **Graph-plane fingerprints** — the shared graph plane's deterministic
-  input-shipping byte counts from :func:`bench_serve.plane_bytes_per_query`:
-  exact bytes per warm repeat query with the plane off and on (pickle
-  sizes are deterministic by construction), the bit-identical
-  ``results_match`` flag, and the >= 5x off-over-on bytes-reduction
-  floor at p=4.
-* **Dynamic fingerprints** — the streaming-update subsystem's
-  deterministic acceptance bars from :mod:`benchmarks.bench_dynamic`:
-  final component count and canonical label sha after the churn
-  workload, final exact/approx cut values and the sparsifier's content
-  sha (all bit-exact by the replay-determinism contract), the
-  every-epoch ``results_match`` flag, and the >= 3x
-  incremental-over-full-recompute query floor.  Raw update/query
-  latencies are recorded in ``results/BENCH_dynamic.json`` but never
-  gated.
-* **Fusion fingerprints** — superstep fusion and group-shrink headline
-  numbers from :mod:`benchmarks.bench_fusion`: exact superstep and
-  total-ops counts per configuration (the schedule is deterministic, so
-  drift means the fusion/shrink decisions changed), the bit-identical
-  ``values_match`` flags, the >= 1.3x predicted-time reduction floor on
-  the dense approximate-min-cut workload (cluster machine profile) and
-  the >= 1.2x total-work reduction floor from group-shrink on the
-  multi-round CC workload.
-
-Usage::
+Usage (``--check`` exits 1 with a readable diff on any regression, 2 if no
+baseline has been blessed yet)::
 
     PYTHONPATH=src python -m benchmarks.perf_gate --check     # gate
     PYTHONPATH=src python -m benchmarks.perf_gate --rebless   # new baseline
-
-``--check`` exits 1 with a readable diff on any regression, 2 if no
-baseline has been blessed yet.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
+from functools import partial, reduce
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from bench_faults import OVERHEAD_CEILING_PCT
-from bench_faults import run_benchmarks as run_fault_benchmarks
+import bench_dynamic
+import bench_faults
+import bench_fusion
+import bench_serve
+import bench_transport
+import bench_two_out
 from bench_kernels import run_benchmarks
-from bench_transport import ALLOC_REDUCTION_FLOOR
-from bench_transport import run_benchmarks as run_transport_benchmarks
-from bench_serve import BYTES_REDUCTION_FLOOR, WARM_SPEEDUP_FLOOR
-from bench_serve import plane_bytes_per_query
-from bench_serve import run_benchmarks as run_serve_benchmarks
-from bench_two_out import REDUCTION_FLOOR
-from bench_two_out import run_benchmarks as run_two_out_benchmarks
-from bench_dynamic import DYNAMIC_SPEEDUP_FLOOR
-from bench_dynamic import run_benchmarks as run_dynamic_benchmarks
-from bench_fusion import OPS_REDUCTION_FLOOR as FUSION_OPS_FLOOR
-from bench_fusion import REDUCTION_FLOOR as FUSION_REDUCTION_FLOOR
-from bench_fusion import run_benchmarks as run_fusion_benchmarks
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 BASELINE_PATH = RESULTS_DIR / "perf_baseline.json"
@@ -122,11 +61,189 @@ CEILINGS = {
 }
 
 #: Minimum vectorized-over-scalar speedup per microbenchmark.
-SPEEDUP_FLOORS = {
-    "contract": 10.0,
-    "cc": 1.2,
-    "prefix_select": 1.2,
-    "payload_words": 1.2,
+SPEEDUP_FLOORS = {"contract": 10.0, "cc": 1.2, "prefix_select": 1.2,
+                  "payload_words": 1.2}
+
+
+class Flag(NamedTuple):
+    """A field that must be true on every run."""
+
+    text: str | None = None  # failure text after the section name
+
+
+class Bound(NamedTuple):
+    """A field held to ``limit`` on every run."""
+
+    holds: Callable[[float, float], bool]  # operator.ge: floor, le: ceiling
+    limit: float
+    text: str  # failure text after the section name; {v} measured, {b} limit
+
+
+#: May not drift from its blessing: the field is a pure function of
+#: (workload, seed), so movement means the algorithm changed.
+EXACT = "exact"
+LOOSE = "loose"  # recorded in the baseline, not held
+TRUE = Flag()
+
+
+class Field(NamedTuple):
+    key: str
+    rule: Flag | Bound | str
+    #: Dotted path into the benchmark's result (default: the key) — or a
+    #: function of the recorded fields, computed when checked, not recorded.
+    path: str | Callable[[dict], float] | None = None
+
+
+class Section(NamedTuple):
+    """One subsystem's gate; fields are checked, and report, in this order."""
+
+    run: Callable[..., dict]  # (scale=, seed=) -> the benchmark's result
+    ok: str  # the OK line's fragment, formatted with the recorded fields
+    fields: tuple[Field, ...]
+    #: Set when the result is a table of workload rows, each recorded and
+    #: held on its own: a row's part of the OK fragment (``{0}`` its name).
+    per_row: str | None = None
+
+
+F = Field
+SECTIONS: dict[str, Section] = {
+    # Segment counts are deterministic: payload sizes are seed-fixed.
+    "transport": Section(
+        partial(bench_transport.run_benchmarks, repeats=1),
+        "transport segments exact ({})",
+        (F("pooled_segments_created", EXACT,
+           "pooled.stats.total.segments_created"),
+         F("legacy_segments_created", EXACT,
+           "legacy.stats.total.segments_created"),
+         F("results_match", Flag(
+             ": pooled and legacy codecs produced different results")),
+         F("reduction", Bound(
+             operator.ge, bench_transport.ALLOC_REDUCTION_FLOOR,
+             ": allocation reduction {v:.1f}x is under the {b:g}x floor"),
+           lambda n: n["legacy_segments_created"]
+           / max(n["pooled_segments_created"], 1))),
+        per_row="{0}={legacy_segments_created}->{pooled_segments_created}",
+    ),
+    # Values and the fault-free ledger fingerprint are analytic.
+    "sched": Section(
+        partial(bench_faults.run_benchmarks, repeats=1),
+        "scheduler overhead {predicted_overhead_pct:+.3f}% with bit-identical "
+        "crash recovery",
+        (F("legacy_value", EXACT, "legacy.value"),
+         F("scheduled_value", EXACT, "scheduled.value"),
+         F("ledger_fingerprint", EXACT, "scheduled.fingerprint"),
+         F("values_match", TRUE),
+         F("recovery_value_match", TRUE),
+         F("recovery_retried", TRUE),
+         F("fingerprint_match", TRUE),
+         F("predicted_overhead_pct", Bound(
+             operator.le, bench_faults.OVERHEAD_CEILING_PCT,
+             ".predicted_overhead_pct: {v:.3f}% exceeds the {b:g}% ceiling"))),
+    ),
+    # The preprocessing is replicated deterministic compute: contracted
+    # sizes and trial counts moving means the contraction trajectories did.
+    "two_out": Section(
+        bench_two_out.run_benchmarks,
+        "2-out trial reduction {reduction:.1f}x exact",
+        (F("dense_value", EXACT, "dense.value"),
+         F("contracted_n", EXACT, "dense.contracted_n"),
+         F("planned_trials", EXACT, "dense.planned_trials"),
+         F("dispatched_trials", EXACT, "dense.dispatched_trials"),
+         F("default_trials", EXACT, "dense.default_trials"),
+         F("values_match", TRUE),
+         F("small_truth_match", TRUE),
+         F("degrade_honest", TRUE),
+         F("zoo_values_match", TRUE),
+         F("reduction_ok", LOOSE),
+         F("reduction", Bound(
+             operator.ge, bench_two_out.REDUCTION_FLOOR, ".reduction: "
+             "{v:.1f}x is under the {b:g}x dispatched-trial floor"),
+           "dense.reduction")),
+    ),
+    # Every served answer is validated against the direct call, so the
+    # headline values moving means the served algorithms changed.
+    "serve": Section(
+        lambda scale, seed: bench_serve.run_benchmarks(repeats=3, seed=seed),
+        "serve warm speedup {min_warm_speedup:.1f}x with matching served "
+        "answers",
+        (F("cc_value", EXACT),
+         F("sq_value", EXACT),
+         F("results_match", Flag(".results_match: served answers differ "
+                                 "from direct run_algorithm results")),
+         F("speedup_ok", LOOSE),
+         F("min_warm_speedup", Bound(
+             operator.ge, bench_serve.WARM_SPEEDUP_FLOOR, ".min_warm_speedup: "
+             "{v:.1f}x is under the {b:g}x warm-over-cold floor"))),
+    ),
+    # The fusion/shrink schedule is deterministic: superstep counts or
+    # total work moving means the merge decisions or the shrink trigger did.
+    "fusion": Section(
+        bench_fusion.run_benchmarks,
+        "fusion reduction {appmc_reduction:.2f}x and shrink total-work "
+        "reduction {cc_ops_reduction:.2f}x with bit-identical results",
+        (F("appmc_supersteps_base", EXACT,
+           "appmc_dense.cluster.base.supersteps"),
+         F("appmc_supersteps_fused", EXACT,
+           "appmc_dense.cluster.fused_shrink.supersteps"),
+         F("cc_supersteps_base", EXACT,
+           "cc_multiround.default.base.supersteps"),
+         F("cc_supersteps_fused", EXACT,
+           "cc_multiround.default.fused.supersteps"),
+         F("cc_total_ops_base", EXACT, "cc_multiround.default.base.total_ops"),
+         F("cc_total_ops_shrunk", EXACT,
+           "cc_multiround.default.fused_shrink.total_ops"),
+         F("cc_released_min_supersteps", EXACT,
+           "cc_multiround.released_min_supersteps"),
+         F("cc_max_supersteps", EXACT, "cc_multiround.max_supersteps"),
+         F("appmc_values_match", TRUE, "appmc_dense.values_match"),
+         F("cc_values_match", TRUE, "cc_multiround.values_match"),
+         F("cc_shrink_fired", TRUE, "cc_multiround.shrink_fired"),
+         F("appmc_default_reduction", LOOSE, "appmc_dense.default_reduction"),
+         F("appmc_reduction", Bound(
+             operator.ge, bench_fusion.REDUCTION_FLOOR, ".appmc_reduction: "
+             "{v:.2f}x is under the {b:g}x predicted-time floor"),
+           "appmc_dense.reduction"),
+         F("cc_ops_reduction", Bound(
+             operator.ge, bench_fusion.OPS_REDUCTION_FLOOR,
+             ".cc_ops_reduction: {v:.2f}x is under the {b:g}x total-work "
+             "floor"),
+           "cc_multiround.ops_reduction")),
+    ),
+    # Input pickle sizes are deterministic (fixed-width segment names), so
+    # a byte moving means the wire format (handles, CMD_RUN tuple) changed.
+    "graph_plane": Section(
+        lambda scale, seed: bench_serve.plane_bytes_per_query(p=4, seed=seed),
+        "graph-plane input bytes {repeat_input_bytes_off}->"
+        "{repeat_input_bytes_on} ({reduction:.1f}x) exact",
+        (F("repeat_input_bytes_off", EXACT),
+         F("repeat_input_bytes_on", EXACT),
+         F("results_match", Flag(".results_match: plane-on and plane-off "
+                                 "runs produced different results")),
+         F("reduction_ok", LOOSE),
+         F("reduction", Bound(
+             operator.ge, bench_serve.BYTES_REDUCTION_FLOOR, ".reduction: "
+             "{v:.1f}x is under the {b:g}x input-bytes floor"))),
+    ),
+    # Final labels, cut values and sparsifier bytes are pure functions of
+    # (workload, seed, p) by the replay-determinism contract.
+    "dynamic": Section(
+        bench_dynamic.run_benchmarks,
+        "dynamic incremental speedup {speedup:.1f}x with bit-identical "
+        "replay",
+        (F("final_n_components", EXACT, "cc.final_n_components"),
+         F("final_labels_sha256", EXACT, "cc.final_labels_sha256"),
+         F("exact_value", EXACT, "cut.exact_value"),
+         F("approx_value", EXACT, "cut.approx_value"),
+         F("sparsifier_sha256", EXACT, "cut.sparsifier_sha256"),
+         F("resparsifications", EXACT, "cut.resparsifications"),
+         F("results_match", Flag(
+             ".results_match: incremental answers differ from full "
+             "recompute / replay / served answers")),
+         F("speedup_ok", LOOSE),
+         F("speedup", Bound(
+             operator.ge, bench_dynamic.DYNAMIC_SPEEDUP_FLOOR, ".speedup: "
+             "{v:.1f}x is under the {b:g}x incremental-over-full floor"))),
+    ),
 }
 
 
@@ -142,146 +259,40 @@ def counter_fingerprints() -> dict:
                 ("p", "computation", "volume", "supersteps", "misses",
                  "wait", "total_ops", "total_volume")}
 
+    def cut_row(r):
+        return {"value": r.value, "report": rep_dict(r.report)}
+
+    def cc_row(labels, count, report):
+        return {"count": int(count), "labels_sum": int(labels.sum()),
+                "report": rep_dict(report)}
+
     out = {}
     g1 = erdos_renyi(256, 1024, philox_stream(1), weighted=True)
-    r = minimum_cut(g1, p=4, seed=1, trials=8)
-    out["mincut_sparse_p4"] = {"value": r.value, "report": rep_dict(r.report)}
-    r = minimum_cut(g1, p=8, seed=2, trials=2)  # p > trials: grouped path
-    out["mincut_parallel_p8"] = {"value": r.value, "report": rep_dict(r.report)}
+    out["mincut_sparse_p4"] = cut_row(minimum_cut(g1, p=4, seed=1, trials=8))
+    out["mincut_parallel_p8"] = cut_row(  # p > trials: grouped path
+        minimum_cut(g1, p=8, seed=2, trials=2))
     g2 = barabasi_albert(2048, 8, philox_stream(3))
     r = connected_components(g2, p=4, seed=3)
-    out["cc_sparse_p4"] = {"count": int(r.n_components),
-                           "labels_sum": int(r.labels.sum()),
-                           "report": rep_dict(r.report)}
-    labels, count, rep, _t = galois_cc_parallel(g2, p=4, seed=3)
-    out["galois_p4"] = {"count": int(count), "labels_sum": int(labels.sum()),
-                        "report": rep_dict(rep)}
-    labels, count, rep, _t = pbgl_cc(g2, p=4, seed=3)
-    out["pbgl_p4"] = {"count": int(count), "labels_sum": int(labels.sum()),
-                      "report": rep_dict(rep)}
+    out["cc_sparse_p4"] = cc_row(r.labels, r.n_components, r.report)
+    out["galois_p4"] = cc_row(*galois_cc_parallel(g2, p=4, seed=3)[:3])
+    out["pbgl_p4"] = cc_row(*pbgl_cc(g2, p=4, seed=3)[:3])
     r = connected_components(g2, p=4, seed=3, hybrid=True)
-    out["cc_hybrid_p4"] = {"count": int(r.n_components),
-                           "labels_sum": int(r.labels.sum()),
-                           "report": rep_dict(r.report)}
+    out["cc_hybrid_p4"] = cc_row(r.labels, r.n_components, r.report)
     return out
 
 
-def transport_fingerprints(scale: float = 1.0, seed: int = 0) -> dict:
-    """Deterministic transport-gate fields per bench_transport workload."""
-    results = run_transport_benchmarks(scale=scale, seed=seed, repeats=1)
-    return {
-        name: {
-            "pooled_segments_created":
-                r["pooled"]["stats"]["total"]["segments_created"],
-            "legacy_segments_created":
-                r["legacy"]["stats"]["total"]["segments_created"],
-            "results_match": r["results_match"],
-        }
-        for name, r in results.items()
-    }
+def _fingerprint(sec: Section, scale: float, seed: int) -> dict:
+    """The recorded fields of one section's benchmark run."""
+    result = sec.run(scale=scale, seed=seed)
 
+    def pick(row):
+        return {f.key: reduce(operator.getitem, (f.path or f.key).split("."),
+                              row)
+                for f in sec.fields if not callable(f.path)}
 
-def sched_fingerprints(scale: float = 1.0, seed: int = 0) -> dict:
-    """Deterministic scheduler-gate fields from bench_faults."""
-    r = run_fault_benchmarks(scale=scale, seed=seed, repeats=1)
-    return {
-        "legacy_value": r["legacy"]["value"],
-        "scheduled_value": r["scheduled"]["value"],
-        "ledger_fingerprint": r["scheduled"]["fingerprint"],
-        "values_match": r["values_match"],
-        "recovery_value_match": r["recovery_value_match"],
-        "recovery_retried": r["recovery_retried"],
-        "fingerprint_match": r["fingerprint_match"],
-        "predicted_overhead_pct": r["predicted_overhead_pct"],
-    }
-
-
-def two_out_fingerprints(scale: float = 1.0, seed: int = 0) -> dict:
-    """Deterministic 2-out-gate fields from bench_two_out."""
-    r = run_two_out_benchmarks(scale=scale, seed=seed)
-    d = r["dense"]
-    return {
-        "dense_value": d["value"],
-        "contracted_n": d["contracted_n"],
-        "planned_trials": d["planned_trials"],
-        "dispatched_trials": d["dispatched_trials"],
-        "default_trials": d["default_trials"],
-        "reduction": d["reduction"],
-        "values_match": r["values_match"],
-        "small_truth_match": r["small_truth_match"],
-        "degrade_honest": r["degrade_honest"],
-        "zoo_values_match": r["zoo_values_match"],
-        "reduction_ok": r["reduction_ok"],
-    }
-
-
-def serve_fingerprints(seed: int = 0) -> dict:
-    """Deterministic serve-gate fields from bench_serve."""
-    r = run_serve_benchmarks(repeats=3, seed=seed)
-    return {
-        "cc_value": r["cc_value"],
-        "sq_value": r["sq_value"],
-        "min_warm_speedup": r["min_warm_speedup"],
-        "speedup_ok": r["speedup_ok"],
-        "results_match": r["results_match"],
-    }
-
-
-def graph_plane_fingerprints(seed: int = 0) -> dict:
-    """Deterministic shared-graph-plane gate fields from bench_serve.
-
-    Input-shipping bytes per warm repeat query are exact (fixed-width
-    segment names and slab tokens pin the pickle sizes), so both counts
-    are checked for drift; the off/on ratio must clear
-    :data:`~bench_serve.BYTES_REDUCTION_FLOOR` with bit-identical
-    results.
-    """
-    r = plane_bytes_per_query(p=4, seed=seed)
-    return {
-        "repeat_input_bytes_off": r["repeat_input_bytes_off"],
-        "repeat_input_bytes_on": r["repeat_input_bytes_on"],
-        "reduction": r["reduction"],
-        "reduction_ok": r["reduction_ok"],
-        "results_match": r["results_match"],
-    }
-
-
-def dynamic_fingerprints(scale: float = 1.0, seed: int = 0) -> dict:
-    """Deterministic dynamic-gate fields from bench_dynamic."""
-    r = run_dynamic_benchmarks(scale=scale, seed=seed)
-    return {
-        "final_n_components": r["cc"]["final_n_components"],
-        "final_labels_sha256": r["cc"]["final_labels_sha256"],
-        "exact_value": r["cut"]["exact_value"],
-        "approx_value": r["cut"]["approx_value"],
-        "sparsifier_sha256": r["cut"]["sparsifier_sha256"],
-        "resparsifications": r["cut"]["resparsifications"],
-        "speedup": r["speedup"],
-        "speedup_ok": r["speedup_ok"],
-        "results_match": r["results_match"],
-    }
-
-
-def fusion_fingerprints(scale: float = 1.0, seed: int = 0) -> dict:
-    """Deterministic fusion/shrink-gate fields from bench_fusion."""
-    r = run_fusion_benchmarks(scale=scale, seed=seed)
-    a, c = r["appmc_dense"], r["cc_multiround"]
-    return {
-        "appmc_supersteps_base": a["cluster"]["base"]["supersteps"],
-        "appmc_supersteps_fused": a["cluster"]["fused_shrink"]["supersteps"],
-        "appmc_reduction": a["reduction"],
-        "appmc_default_reduction": a["default_reduction"],
-        "appmc_values_match": a["values_match"],
-        "cc_supersteps_base": c["default"]["base"]["supersteps"],
-        "cc_supersteps_fused": c["default"]["fused"]["supersteps"],
-        "cc_total_ops_base": c["default"]["base"]["total_ops"],
-        "cc_total_ops_shrunk": c["default"]["fused_shrink"]["total_ops"],
-        "cc_ops_reduction": c["ops_reduction"],
-        "cc_shrink_fired": c["shrink_fired"],
-        "cc_released_min_supersteps": c["released_min_supersteps"],
-        "cc_max_supersteps": c["max_supersteps"],
-        "cc_values_match": c["values_match"],
-    }
+    if sec.per_row:
+        return {name: pick(row) for name, row in result.items()}
+    return pick(result)
 
 
 def measure(scale: float = 1.0, seed: int = 0) -> dict:
@@ -293,65 +304,51 @@ def measure(scale: float = 1.0, seed: int = 0) -> dict:
         **{section: {name: row[field]
                      for name, row in timings[bench][table].items()}
            for section, (_unit, bench, table, field) in CEILINGS.items()},
-        "transport": transport_fingerprints(scale=scale, seed=seed),
-        "sched": sched_fingerprints(scale=scale, seed=seed),
-        "two_out": two_out_fingerprints(scale=scale, seed=seed),
-        "serve": serve_fingerprints(seed=seed),
-        "fusion": fusion_fingerprints(scale=scale, seed=seed),
-        "graph_plane": graph_plane_fingerprints(seed=seed),
-        "dynamic": dynamic_fingerprints(scale=scale, seed=seed),
+        **{name: _fingerprint(sec, scale, seed)
+           for name, sec in SECTIONS.items()},
         "meta": {"scale": scale, "seed": seed},
     }
 
 
+def _diff(where: str, base, now, lines: list[str]) -> None:
+    """One line per leaf where two (nested) blessed and current values
+    differ — the exact-drift check of every section."""
+    if isinstance(base, dict) and isinstance(now, dict):
+        for key in sorted(set(base) | set(now)):
+            _diff(f"{where}.{key}", base.get(key), now.get(key), lines)
+    elif base != now:
+        lines.append(f"  {where}: baseline={base!r} current={now!r}")
+
+
 def _diff_counters(base: dict, now: dict, lines: list[str]) -> bool:
-    ok = True
+    before = len(lines)
     for wl in sorted(base):
-        b, n = base[wl], now.get(wl)
-        if n == b:
-            continue
-        ok = False
-        if n is None:
+        if wl not in now:
             lines.append(f"  counters[{wl}]: missing from current run")
-            continue
-        for key in sorted(set(b) | set(n)):
-            bv, nv = b.get(key), n.get(key)
-            if bv == nv:
-                continue
-            if isinstance(bv, dict) and isinstance(nv, dict):
-                for ck in sorted(set(bv) | set(nv)):
-                    if bv.get(ck) != nv.get(ck):
-                        lines.append(
-                            f"  counters[{wl}].{key}.{ck}: "
-                            f"baseline={bv.get(ck)!r} current={nv.get(ck)!r}")
-            else:
-                lines.append(f"  counters[{wl}].{key}: "
-                             f"baseline={bv!r} current={nv!r}")
-    return ok
+        else:
+            _diff(f"counters[{wl}]", base[wl], now[wl], lines)
+    return len(lines) == before
 
 
 def _check_timings(base: dict, now: dict, slack: float,
                    lines: list[str]) -> bool:
-    ok = True
+    before = len(lines)
     for name in sorted(base):
         b, n = base[name], now.get(name)
         if n is None:
-            ok = False
             lines.append(f"  timings[{name}]: missing from current run")
             continue
         limit = b["fast_s"] * slack
         if n["fast_s"] > limit:
-            ok = False
             lines.append(
                 f"  timings[{name}].fast_s: {n['fast_s']:.4f}s exceeds "
                 f"{limit:.4f}s (= {slack:g} x blessed {b['fast_s']:.4f}s)")
         floor = SPEEDUP_FLOORS.get(name, 1.0)
         if n["speedup"] < floor:
-            ok = False
             lines.append(
                 f"  timings[{name}].speedup: {n['speedup']:.1f}x is under "
                 f"the {floor:g}x floor (blessed: {b['speedup']:.1f}x)")
-    return ok
+    return len(lines) == before
 
 
 def _check_ceilings(section: str, unit: str, base: dict | None, now: dict,
@@ -361,228 +358,45 @@ def _check_ceilings(section: str, unit: str, base: dict | None, now: dict,
         lines.append(f"  {section}: section missing from blessed "
                      "baseline (re-bless to record it)")
         return False
-    ok = True
+    before = len(lines)
     for name in sorted(base):
         limit = base[name] * slack
         if name not in now:
-            ok = False
-            lines.append(f"  {section}[{name}]: missing from "
-                         f"current run")
+            lines.append(f"  {section}[{name}]: missing from current run")
         elif now[name] > limit:
-            ok = False
             lines.append(
                 f"  {section}[{name}]: {now[name]:.1f} {unit} "
                 f"exceeds {limit:.1f} (= {slack:g} x blessed "
                 f"{base[name]:.1f})")
-    return ok
+    return len(lines) == before
 
 
-def _check_transport(base: dict | None, now: dict, lines: list[str]) -> bool:
+def _check_section(name: str, base: dict | None, now: dict,
+                   lines: list[str]) -> bool:
+    """Hold one :data:`SECTIONS` entry against its blessing."""
+    sec = SECTIONS[name]
     if base is None:
-        lines.append("  transport: section missing from blessed baseline "
+        lines.append(f"  {name}: section missing from blessed baseline "
                      "(re-bless to record it)")
         return False
-    ok = True
-    for wl in sorted(base):
-        b, n = base[wl], now.get(wl)
+    rows = ([(f"{name}[{wl}]", base[wl], now.get(wl)) for wl in sorted(base)]
+            if sec.per_row else [(name, base, now)])
+    before = len(lines)
+    for where, b, n in rows:
         if n is None:
-            ok = False
-            lines.append(f"  transport[{wl}]: missing from current run")
+            lines.append(f"  {where}: missing from current run")
             continue
-        for key in ("pooled_segments_created", "legacy_segments_created"):
-            if b[key] != n[key]:
-                ok = False
-                lines.append(f"  transport[{wl}].{key}: "
-                             f"baseline={b[key]} current={n[key]}")
-        if not n["results_match"]:
-            ok = False
-            lines.append(f"  transport[{wl}]: pooled and legacy codecs "
-                         f"produced different results")
-        reduction = n["legacy_segments_created"] / max(
-            n["pooled_segments_created"], 1)
-        if reduction < ALLOC_REDUCTION_FLOOR:
-            ok = False
-            lines.append(
-                f"  transport[{wl}]: allocation reduction {reduction:.1f}x "
-                f"is under the {ALLOC_REDUCTION_FLOOR:g}x floor")
-    return ok
-
-
-def _check_sched(base: dict | None, now: dict, lines: list[str]) -> bool:
-    if base is None:
-        lines.append("  sched: section missing from blessed baseline "
-                     "(re-bless to record it)")
-        return False
-    ok = True
-    # Exact drift checks: values and the fault-free ledger fingerprint
-    # are analytic, so any change means the scheduled trial trajectories
-    # moved.
-    for key in ("legacy_value", "scheduled_value", "ledger_fingerprint"):
-        if base[key] != now[key]:
-            ok = False
-            lines.append(f"  sched.{key}: baseline={base[key]!r} "
-                         f"current={now[key]!r}")
-    # Acceptance bars, re-proved on every run.
-    for flag in ("values_match", "recovery_value_match",
-                 "recovery_retried", "fingerprint_match"):
-        if not now[flag]:
-            ok = False
-            lines.append(f"  sched.{flag}: False")
-    if now["predicted_overhead_pct"] > OVERHEAD_CEILING_PCT:
-        ok = False
-        lines.append(
-            f"  sched.predicted_overhead_pct: "
-            f"{now['predicted_overhead_pct']:.3f}% exceeds the "
-            f"{OVERHEAD_CEILING_PCT:g}% ceiling")
-    return ok
-
-
-def _check_two_out(base: dict | None, now: dict, lines: list[str]) -> bool:
-    if base is None:
-        lines.append("  two_out: section missing from blessed baseline "
-                     "(re-bless to record it)")
-        return False
-    ok = True
-    # Exact drift checks: the preprocessing is replicated deterministic
-    # compute, so contracted sizes and trial counts moving means the
-    # contraction trajectories changed.
-    for key in ("dense_value", "contracted_n", "planned_trials",
-                "dispatched_trials", "default_trials"):
-        if base[key] != now[key]:
-            ok = False
-            lines.append(f"  two_out.{key}: baseline={base[key]!r} "
-                         f"current={now[key]!r}")
-    # Acceptance bars, re-proved on every run.
-    for flag in ("values_match", "small_truth_match", "degrade_honest",
-                 "zoo_values_match"):
-        if not now[flag]:
-            ok = False
-            lines.append(f"  two_out.{flag}: False")
-    if now["reduction"] < REDUCTION_FLOOR:
-        ok = False
-        lines.append(
-            f"  two_out.reduction: {now['reduction']:.1f}x is under the "
-            f"{REDUCTION_FLOOR:g}x dispatched-trial floor")
-    return ok
-
-
-def _check_serve(base: dict | None, now: dict, lines: list[str]) -> bool:
-    if base is None:
-        lines.append("  serve: section missing from blessed baseline "
-                     "(re-bless to record it)")
-        return False
-    ok = True
-    # Exact drift checks: every served answer is validated against the
-    # direct call, so the headline result values moving means the served
-    # algorithms changed.
-    for key in ("cc_value", "sq_value"):
-        if base[key] != now[key]:
-            ok = False
-            lines.append(f"  serve.{key}: baseline={base[key]!r} "
-                         f"current={now[key]!r}")
-    # Acceptance bars, re-proved on every run.
-    if not now["results_match"]:
-        ok = False
-        lines.append("  serve.results_match: served answers differ from "
-                     "direct run_algorithm results")
-    if now["min_warm_speedup"] < WARM_SPEEDUP_FLOOR:
-        ok = False
-        lines.append(
-            f"  serve.min_warm_speedup: {now['min_warm_speedup']:.1f}x is "
-            f"under the {WARM_SPEEDUP_FLOOR:g}x warm-over-cold floor")
-    return ok
-
-
-def _check_fusion(base: dict | None, now: dict, lines: list[str]) -> bool:
-    if base is None:
-        lines.append("  fusion: section missing from blessed baseline "
-                     "(re-bless to record it)")
-        return False
-    ok = True
-    # Exact drift checks: the fusion/shrink schedule is deterministic, so
-    # superstep counts or total work moving means the merge decisions or
-    # the shrink trigger changed.
-    for key in ("appmc_supersteps_base", "appmc_supersteps_fused",
-                "cc_supersteps_base", "cc_supersteps_fused",
-                "cc_total_ops_base", "cc_total_ops_shrunk",
-                "cc_released_min_supersteps", "cc_max_supersteps"):
-        if base[key] != now[key]:
-            ok = False
-            lines.append(f"  fusion.{key}: baseline={base[key]!r} "
-                         f"current={now[key]!r}")
-    # Acceptance bars, re-proved on every run.
-    for flag in ("appmc_values_match", "cc_values_match", "cc_shrink_fired"):
-        if not now[flag]:
-            ok = False
-            lines.append(f"  fusion.{flag}: False")
-    if now["appmc_reduction"] < FUSION_REDUCTION_FLOOR:
-        ok = False
-        lines.append(
-            f"  fusion.appmc_reduction: {now['appmc_reduction']:.2f}x is "
-            f"under the {FUSION_REDUCTION_FLOOR:g}x predicted-time floor")
-    if now["cc_ops_reduction"] < FUSION_OPS_FLOOR:
-        ok = False
-        lines.append(
-            f"  fusion.cc_ops_reduction: {now['cc_ops_reduction']:.2f}x is "
-            f"under the {FUSION_OPS_FLOOR:g}x total-work floor")
-    return ok
-
-
-def _check_graph_plane(base: dict | None, now: dict,
-                       lines: list[str]) -> bool:
-    if base is None:
-        lines.append("  graph_plane: section missing from blessed baseline "
-                     "(re-bless to record it)")
-        return False
-    ok = True
-    # Exact drift checks: input pickle sizes are deterministic, so a
-    # byte moving means the wire format (handles, specs, CMD_RUN tuple)
-    # changed.
-    for key in ("repeat_input_bytes_off", "repeat_input_bytes_on"):
-        if base[key] != now[key]:
-            ok = False
-            lines.append(f"  graph_plane.{key}: baseline={base[key]!r} "
-                         f"current={now[key]!r}")
-    # Acceptance bars, re-proved on every run.
-    if not now["results_match"]:
-        ok = False
-        lines.append("  graph_plane.results_match: plane-on and plane-off "
-                     "runs produced different results")
-    if now["reduction"] < BYTES_REDUCTION_FLOOR:
-        ok = False
-        lines.append(
-            f"  graph_plane.reduction: {now['reduction']:.1f}x is under "
-            f"the {BYTES_REDUCTION_FLOOR:g}x input-bytes floor")
-    return ok
-
-
-def _check_dynamic(base: dict | None, now: dict, lines: list[str]) -> bool:
-    if base is None:
-        lines.append("  dynamic: section missing from blessed baseline "
-                     "(re-bless to record it)")
-        return False
-    ok = True
-    # Exact drift checks: the final labels, cut values and sparsifier
-    # bytes are pure functions of (workload, seed, p) by the replay-
-    # determinism contract, so any movement means the incremental
-    # maintenance or amortization policy changed.
-    for key in ("final_n_components", "final_labels_sha256", "exact_value",
-                "approx_value", "sparsifier_sha256", "resparsifications"):
-        if base[key] != now[key]:
-            ok = False
-            lines.append(f"  dynamic.{key}: baseline={base[key]!r} "
-                         f"current={now[key]!r}")
-    # Acceptance bars, re-proved on every run.
-    if not now["results_match"]:
-        ok = False
-        lines.append("  dynamic.results_match: incremental answers differ "
-                     "from full recompute / replay / served answers")
-    if now["speedup"] < DYNAMIC_SPEEDUP_FLOOR:
-        ok = False
-        lines.append(
-            f"  dynamic.speedup: {now['speedup']:.1f}x is under the "
-            f"{DYNAMIC_SPEEDUP_FLOOR:g}x incremental-over-full floor")
-    return ok
+        for key, rule, path in sec.fields:
+            if rule == EXACT:
+                _diff(f"{where}.{key}", b[key], n[key], lines)
+            elif isinstance(rule, Flag) and not n[key]:
+                lines.append(f"  {where}" + (rule.text or f".{key}: False"))
+            elif isinstance(rule, Bound):
+                v = path(n) if callable(path) else n[key]
+                if not rule.holds(v, rule.limit):
+                    lines.append(
+                        f"  {where}" + rule.text.format(v=v, b=rule.limit))
+    return len(lines) == before
 
 
 def check(scale: float, seed: int, slack: float) -> int:
@@ -593,57 +407,34 @@ def check(scale: float, seed: int, slack: float) -> int:
     base = json.loads(BASELINE_PATH.read_text())
     now = measure(scale=scale, seed=seed)
     lines: list[str] = []
-    counters_ok = _diff_counters(base["counters"], now["counters"], lines)
-    timings_ok = _check_timings(base["timings"], now["timings"], slack, lines)
-    ceilings_ok = all([  # a list, not a generator: every section reports
-        _check_ceilings(section, unit, base.get(section), now[section],
-                        slack, lines)
-        for section, (unit, *_row) in CEILINGS.items()])
-    transport_ok = _check_transport(base.get("transport"), now["transport"],
-                                    lines)
-    sched_ok = _check_sched(base.get("sched"), now["sched"], lines)
-    two_out_ok = _check_two_out(base.get("two_out"), now["two_out"], lines)
-    serve_ok = _check_serve(base.get("serve"), now["serve"], lines)
-    fusion_ok = _check_fusion(base.get("fusion"), now["fusion"], lines)
-    plane_ok = _check_graph_plane(base.get("graph_plane"),
-                                  now["graph_plane"], lines)
-    dynamic_ok = _check_dynamic(base.get("dynamic"), now["dynamic"], lines)
-    if (counters_ok and timings_ok and ceilings_ok
-            and transport_ok and sched_ok
-            and two_out_ok and serve_ok and fusion_ok and plane_ok
-            and dynamic_ok):
+    oks = [  # a list, not a generator: every section reports
+        _diff_counters(base["counters"], now["counters"], lines),
+        _check_timings(base["timings"], now["timings"], slack, lines),
+        *[_check_ceilings(section, unit, base.get(section), now[section],
+                          slack, lines)
+          for section, (unit, *_row) in CEILINGS.items()],
+        *[_check_section(name, base.get(name), now[name], lines)
+          for name in SECTIONS],
+    ]
+    if all(oks):
         speeds = ", ".join(f"{k}={v['speedup']:.1f}x"
                            for k, v in sorted(now["timings"].items()))
-        segs = ", ".join(
-            f"{k}={v['legacy_segments_created']}->"
-            f"{v['pooled_segments_created']}"
-            for k, v in sorted(now["transport"].items()))
         ceilings = "; ".join(
             f"{section} "
             + ", ".join(f"{k}={v:.1f}" for k, v in sorted(now[section].items()))
             + f" {unit}"
             for section, (unit, *_row) in CEILINGS.items())
+        fragments = [
+            sec.ok.format(", ".join(sec.per_row.format(wl, **row) for wl, row
+                                    in sorted(now[name].items())))
+            if sec.per_row else sec.ok.format(**now[name])
+            for name, sec in SECTIONS.items()]
         print(f"perf_gate: OK — counters exact, timings within "
               f"{slack:g}x slack ({speeds}; {ceilings}), "
-              f"transport segments exact "
-              f"({segs}), scheduler overhead "
-              f"{now['sched']['predicted_overhead_pct']:+.3f}% with "
-              f"bit-identical crash recovery, 2-out trial reduction "
-              f"{now['two_out']['reduction']:.1f}x exact, serve warm "
-              f"speedup {now['serve']['min_warm_speedup']:.1f}x with "
-              f"matching served answers, fusion reduction "
-              f"{now['fusion']['appmc_reduction']:.2f}x and shrink "
-              f"total-work reduction "
-              f"{now['fusion']['cc_ops_reduction']:.2f}x with bit-identical "
-              f"results, graph-plane input bytes "
-              f"{now['graph_plane']['repeat_input_bytes_off']}->"
-              f"{now['graph_plane']['repeat_input_bytes_on']} "
-              f"({now['graph_plane']['reduction']:.1f}x) exact, dynamic "
-              f"incremental speedup {now['dynamic']['speedup']:.1f}x with "
-              f"bit-identical replay")
+              + ", ".join(fragments))
         return 0
     print("perf_gate: REGRESSION", file=sys.stderr)
-    if not counters_ok:
+    if not oks[0]:
         print("  (counter drift means the simulated algorithm changed: fix "
               "the change, or re-bless if intended)", file=sys.stderr)
     for line in lines:

@@ -133,8 +133,20 @@ def _emit_trace(args, trace) -> None:
     print(format_summary(trace))
 
 
+def _read_graph(path: str):
+    """``read_edgelist``, with an unreadable or malformed file a usage error
+    (exit 2, one line naming the file and the reason), not a traceback."""
+    try:
+        return read_edgelist(path)
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"repro: error: cannot read graph file {path}: "
+              + " ".join(str(reason).split()), file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _cmd_parallel_cc(args) -> int:
-    g = read_edgelist(args.input)
+    g = _read_graph(args.input)
     res = connected_components(g, p=args.procs, seed=args.seed,
                                shrink=args.shrink,
                                backend=_backend_spec(args))
@@ -145,7 +157,7 @@ def _cmd_parallel_cc(args) -> int:
 
 
 def _cmd_approx_cut(args) -> int:
-    g = read_edgelist(args.input)
+    g = _read_graph(args.input)
     res = approx_minimum_cut(
         g, p=args.procs, seed=args.seed, pipelined=args.pipelined,
         shrink=args.shrink, backend=_backend_spec(args),
@@ -181,7 +193,7 @@ def _scheduler_spec(args):
 
 
 def _cmd_square_root(args) -> int:
-    g = read_edgelist(args.input)
+    g = _read_graph(args.input)
     scheduler = _scheduler_spec(args)
     res = minimum_cut(
         g, p=args.procs, seed=args.seed,
@@ -298,7 +310,7 @@ def _cmd_dynamic(args) -> int:
 
     if args.wait_server:
         wait_server(args.address, timeout=args.wait_server)
-    g = read_edgelist(args.input)
+    g = _read_graph(args.input)
     stream = update_stream(g, seed=args.seed, batches=args.batches,
                            batch_size=args.batch_size)
     mirror = (DynamicGraph(g, p=args.procs, seed=args.seed, backend="sim")

@@ -66,10 +66,6 @@ def cached_sampler(w: np.ndarray) -> CumulativeWeightSampler:
     return sampler
 
 
-#: Backward-compatible private alias (pre-2-out callers).
-_cached_sampler = cached_sampler
-
-
 def sparsify_weighted(ctx, comm, u, v, w, s, *, root=0):
     """Generator: weighted edge sample of size ``s``, gathered at ``root``.
 
@@ -105,7 +101,7 @@ def sparsify_weighted(ctx, comm, u, v, w, s, *, root=0):
             raise AssertionError(
                 "root scheduled samples from an empty slice (weight bookkeeping bug)"
             )
-        sampler = _cached_sampler(w)
+        sampler = cached_sampler(w)
         idx = sampler.sample(ctx.rng, int(my_count))
         part = (u[idx], v[idx], w[idx])
         ctx.charge_random(my_count * max(1.0, math.log2(max(m_local, 2))),

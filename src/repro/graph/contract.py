@@ -8,8 +8,7 @@ combining parallel edges, and computing the components induced by an edge
 subset (used by Prefix Selection and by the CC algorithm's root step).
 
 The per-edge work is carried by :mod:`repro.kernels`; the scalar loops that
-used to live here survive as the kernels' ``slow`` references, so
-``union_find_components(..., slow=True)`` still exercises them.
+used to live here are its test oracles (:mod:`repro.kernels.reference`).
 """
 
 from __future__ import annotations
@@ -74,18 +73,14 @@ def contract_edges(g: EdgeList, edge_index: np.ndarray) -> tuple[EdgeList, np.nd
     return combine_parallel_edges(h), labels
 
 
-def union_find_components(
-    n: int, u: np.ndarray, v: np.ndarray, *, slow: bool = False
-) -> np.ndarray:
-    """Connected-component root id per vertex over the edge set.
+def union_find_components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Connected-component root id per vertex over the edge set
+    (:func:`repro.kernels.cc_roots`).
 
-    The root of a component is its minimum member vertex (a deterministic
-    choice, shared by every backend); use :func:`compress_labels` for dense
-    ``0..k-1`` labels.  The default path runs the vectorized kernel
-    (:func:`repro.kernels.cc_roots`); ``slow=True`` runs the original
-    per-edge union-find loop — both return identical arrays.
+    The root of a component is its minimum member vertex; use
+    :func:`compress_labels` for dense ``0..k-1`` labels.
     """
-    return cc_roots(n, u, v, backend="scalar" if slow else "auto")
+    return cc_roots(n, u, v)
 
 
 def compress_labels(roots: np.ndarray) -> tuple[np.ndarray, int]:
@@ -100,6 +95,6 @@ def components_from_edges(
     """Connected components of ``(range(n), edges)``: dense labels + count.
 
     Labels are assigned in order of first appearance, so the output is
-    deterministic (and identical across the kernel backends).
+    deterministic (and identical to the scalar oracle's).
     """
     return cc_labels(n, u, v)

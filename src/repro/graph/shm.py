@@ -59,7 +59,6 @@ __all__ = [
     "PlaneSlices",
     "SlicedHandle",
     "plane_slices",
-    "default_plane_enabled",
     "eligible",
     "publish",
     "bump_epoch",
@@ -117,14 +116,15 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
                         after_in_child=_fresh_lock_after_fork)
 
 
-def default_plane_enabled() -> bool:
-    """Plane default for the mp backends; ``REPRO_GRAPH_PLANE=0`` disables."""
-    return os.environ.get("REPRO_GRAPH_PLANE", "1") != "0"
-
-
 def _untrack(name: str) -> None:
-    """Forget a segment in this process's resource tracker (the plane
-    manages unlinking itself; the tracker would warn or double-free)."""
+    """Forget a segment in this process's resource tracker.
+
+    Every ``SharedMemory`` — attach as well as create — registers with the
+    tracker on this Python; the plane and the transport
+    (:mod:`repro.runtime.transport` shares this and :func:`_shm_unlink`)
+    unlink their segments themselves, and the tracker would warn about or
+    double-free them.
+    """
     try:
         resource_tracker.unregister(f"/{name}" if not name.startswith("/")
                                     else name, "shared_memory")

@@ -3,13 +3,13 @@
 Every contraction-style algorithm in this reproduction — Iterated Sampling
 (§3.2), Prefix Selection and sparse/dense Bulk Edge Contraction (§4) — bottoms
 out in a handful of label/contraction primitives.  This package provides them
-(numpy-vectorized wherever that measured faster) with scalar reference
-implementations kept side by side for differential testing:
+(numpy-vectorized wherever that measured faster), one production path each,
+with the scalar loops they replaced kept beside them as test oracles:
 
 * :mod:`repro.kernels.unionfind` — connected-component labels and roots
-  (pointer-jumping label propagation / scipy traversal / scalar union-find),
-  the earliest-arrival spanning forest, and Prefix Selection (one early-exit
-  list union-find: the vectorized kernel lost to it at every measured size);
+  (compiled scipy traversal), the earliest-arrival spanning forest, and
+  Prefix Selection (one early-exit list union-find: the vectorized kernel
+  lost to it at every measured size);
 * :mod:`repro.kernels.contract` — bulk edge contraction over packed 64-bit
   endpoint keys (relabel via ``np.take``, self-loop mask, parallel-edge
   aggregation);
@@ -17,7 +17,7 @@ implementations kept side by side for differential testing:
   sampler of the GNT contraction preprocessing (one batched
   ``searchsorted`` over a shared incidence prefix-sum);
 * :mod:`repro.kernels.reference` — the original pure-Python loops, preserved
-  verbatim as the test oracles.
+  verbatim as the test oracles; tests call them, no parameter selects them.
 
 **Bit-exactness contract.**  Each fast kernel returns byte-identical output to
 its scalar reference (not merely the same partition): downstream sampling,
@@ -44,6 +44,7 @@ from repro.kernels.contract import (
 from repro.kernels.reference import (
     scalar_bulk_contract,
     scalar_cc_roots,
+    scalar_earliest_forest,
     scalar_prefix_select,
     scalar_two_out_sample,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "relabel_edge_arrays",
     "scalar_bulk_contract",
     "scalar_cc_roots",
+    "scalar_earliest_forest",
     "scalar_prefix_select",
     "scalar_two_out_sample",
     "stable_sort_with_order",

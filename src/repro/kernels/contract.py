@@ -5,16 +5,11 @@ reduce to: relabel endpoints under a vertex map (gather / ``np.take``), mask
 self-loops, canonicalize each edge to ``(lo, hi)``, pack the pair into one
 64-bit key ``lo * n_new + hi``, and aggregate parallel classes by key.
 
-Two aggregation methods are provided:
-
-* ``"reduceat"`` (default) — stable argsort + ``np.add.reduceat`` over equal
-  runs.  This is byte-compatible with the pre-kernel implementations (the
-  float sums accumulate in the same order), which the BSP counter baselines
-  rely on.
-* ``"bincount"`` — ``np.unique(..., return_inverse=True)`` +
-  ``np.bincount(inverse, weights=w)``.  Same keys, weights equal only up to
-  floating-point associativity (bincount accumulates in a different order),
-  so it is offered for workloads that don't need bit-stable trajectories.
+Parallel classes are aggregated by a stable sort + ``np.add.reduceat`` over
+equal runs: the float sums accumulate in arrival order within each class,
+byte-compatible with the pre-kernel implementations, which the BSP counter
+baselines rely on (a ``bincount`` would sum in another order — nothing that
+feeds a counter may use one).
 
 The kernels charge no costs; callers account for them analytically (see
 ``docs/kernels.md``).
@@ -81,18 +76,13 @@ def stable_sort_with_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def combine_packed(
-    keys: np.ndarray, w: np.ndarray, method: str = "reduceat"
+    keys: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Aggregate parallel classes: distinct sorted keys + summed weights."""
     if keys.size == 0:
         return keys, w
-    if method == "reduceat":
-        sorted_keys, order = stable_sort_with_order(keys)
-        return combine_sorted_run(sorted_keys, w[order])
-    if method == "bincount":
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        return uniq, np.bincount(inverse, weights=w, minlength=uniq.size)
-    raise ValueError(f"unknown combine method {method!r}")
+    sorted_keys, order = stable_sort_with_order(keys)
+    return combine_sorted_run(sorted_keys, w[order])
 
 
 def relabel_edge_arrays(
@@ -111,7 +101,6 @@ def bulk_contract_edges(
     w: np.ndarray,
     labels: np.ndarray,
     n_new: int,
-    method: str = "reduceat",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full sequential bulk contraction: relabel, drop loops, combine.
 
@@ -123,6 +112,6 @@ def bulk_contract_edges(
     if u.size == 0:
         return u, v, w
     keys = pack_edge_keys(u, v, n_new)
-    keys, w = combine_packed(keys, w, method=method)
+    keys, w = combine_packed(keys, w)
     out_u, out_v = unpack_edge_keys(keys, n_new)
     return out_u, out_v, w

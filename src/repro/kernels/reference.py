@@ -1,10 +1,11 @@
 """Scalar reference implementations of the hot-path kernels.
 
 These are the original pure-Python loops that the kernels in
-:mod:`repro.kernels.unionfind` and :mod:`repro.kernels.contract` replaced.
-They are kept (a) as the ``slow=`` escape hatch of the public entry points
-(all but :func:`scalar_prefix_select`), (b) as the ground truth of the
-differential tests, and (c) as the baseline the perf gate measures against.
+:mod:`repro.kernels.unionfind`, :mod:`repro.kernels.contract` and
+:mod:`repro.kernels.twosample` replaced.  Nothing in ``src/`` calls them
+and no parameter selects them: they are (a) the ground truth the
+differential tests call directly and (b) the baseline the perf gate
+measures against.
 
 Do not "optimize" these: their value is being obviously correct and
 byte-for-byte equal to the pre-vectorization behaviour.
@@ -16,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "scalar_cc_roots",
+    "scalar_earliest_forest",
     "scalar_prefix_select",
     "scalar_bulk_contract",
     "scalar_two_out_sample",
@@ -46,6 +48,24 @@ def scalar_cc_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     for x in range(n):
         parent[x] = _find(parent, x)
     return parent
+
+
+def scalar_earliest_forest(
+    n: int, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edges a min-wins union-find reading ``(u, v)`` front to back
+    merges on, in arrival order — the oracle of
+    :func:`repro.kernels.unionfind.earliest_forest`."""
+    parent = np.arange(n, dtype=np.int64)
+    fu, fv = [], []
+    for a, b in zip(u.tolist(), v.tolist()):
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra == rb:
+            continue
+        parent[max(ra, rb)] = min(ra, rb)
+        fu.append(a)
+        fv.append(b)
+    return np.array(fu, dtype=np.int64), np.array(fv, dtype=np.int64)
 
 
 def scalar_prefix_select(

@@ -21,9 +21,9 @@ edge set, the processor count and the execution backend.  That fixed
 keying is what makes the 2-out preprocessing invariant to ``p`` and
 backend, exactly like the per-trial streams of the minimum cut.
 
-**Bit-exactness contract.**  ``slow=True`` runs the scalar reference
-(:func:`repro.kernels.reference.scalar_two_out_sample`) on the same draw
-batch; outputs are byte-identical because both paths accumulate the same
+**Bit-exactness contract.**  The scalar oracle
+(:func:`repro.kernels.reference.scalar_two_out_sample`) given the same
+draw batch returns byte-identical output, because both accumulate the same
 prefix-sums in the same order and resolve draws with the same
 binary-search semantics (``bisect_right`` == ``searchsorted`` right) and
 the same round-off clamp.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.reference import scalar_two_out_sample
 from repro.rng.sampling import CumulativeWeightSampler
 
 __all__ = ["vertex_incidence", "two_out_sample"]
@@ -74,7 +73,6 @@ def two_out_sample(
     *,
     incidence: tuple[np.ndarray, np.ndarray] | None = None,
     sampler: CumulativeWeightSampler | None = None,
-    slow: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Two weighted incident-edge choices per vertex (the 2-out step).
 
@@ -88,13 +86,9 @@ def two_out_sample(
     :class:`~repro.rng.sampling.CumulativeWeightSampler` built over
     ``w[edge_idx]``) let callers amortize the preprocessing across the
     contraction replicas and rounds that resample the same graph; both
-    are rebuilt when omitted.  ``slow=True`` runs the scalar reference on
-    the same uniform batch (byte-identical output, identical RNG
-    consumption).
+    are rebuilt when omitted.
     """
     draws = rng.random(2 * n)
-    if slow:
-        return scalar_two_out_sample(n, u, v, w, draws)
     if incidence is None:
         incidence = vertex_incidence(n, u, v)
     edge_idx, starts = incidence

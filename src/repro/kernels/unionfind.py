@@ -1,23 +1,17 @@
 """Connected-components / union-find kernels.
 
-Three interchangeable backends compute component structure over edge arrays:
+One production path per kernel; the per-edge loops they replaced are the
+test oracles in :mod:`repro.kernels.reference`, called by the tests.
 
-* ``"scipy"`` — compiled traversal via ``scipy.sparse.csgraph`` (fastest).
-  scipy spends its time building CSR and CSC around the traversal, so dense
-  inputs (m >= 4n) go through it twice on far fewer edges: a strided sample
-  of 2n edges, then the edges that sample's components leave uncontracted
-  (:func:`_cc_labels_scipy`; same bytes out, table in
-  ``docs/kernels.md``);
-* ``"jumping"`` — pure-numpy hooking + pointer jumping (Shiloach–Vishkin
-  style: hook the larger root onto the smaller, then jump ``parent`` to its
-  fixpoint; O(log n) vectorized rounds);
-* ``"scalar"`` — the original per-edge Python loop
-  (:func:`repro.kernels.reference.scalar_cc_roots`).
-
-All backends return *byte-identical* results: roots are always the minimum
-vertex of each component (hence dense labels are in first-appearance order,
-which is exactly what scipy's traversal produces).  The differential tests
-assert exact array equality across backends.
+:func:`cc_labels` / :func:`cc_roots` run the compiled traversal of
+``scipy.sparse.csgraph``.  scipy spends its time building CSR and CSC
+around the traversal, so dense inputs (m >= 4n) go through it twice on far
+fewer edges: a strided sample of 2n edges, then the edges that sample's
+components leave uncontracted (:func:`_cc_labels_scipy`; same bytes out,
+table in ``docs/kernels.md``).  Roots are always the minimum vertex of
+each component, hence dense labels are in first-appearance order — exactly
+what scipy's traversal produces and what
+:func:`~repro.kernels.reference.scalar_cc_roots` returns byte for byte.
 
 :func:`earliest_forest` finds the edges a union-find reading a stream front
 to back merges on — the minimum spanning forest under *arrival-index
@@ -34,7 +28,6 @@ import functools
 import numpy as np
 
 from repro.kernels.contract import stable_sort_with_order
-from repro.kernels.reference import _find, scalar_cc_roots
 
 __all__ = [
     "cc_labels",
@@ -60,24 +53,12 @@ _ENGAGE_SAMPLES = 2
 _ENGAGE_MIN_EDGES = 1 << 15
 
 
-@functools.cache  # once per process: "auto" resolves on every kernel call
+@functools.cache  # the import, once per process
 def _scipy_csgraph():
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
     return coo_matrix, connected_components, minimum_spanning_tree
-
-
-def _resolve_backend(backend: str) -> str:
-    if backend == "auto":
-        try:
-            _scipy_csgraph()
-        except ImportError:  # pragma: no cover - scipy is a hard dependency
-            return "jumping"
-        return "scipy"
-    if backend not in ("scipy", "jumping", "scalar"):
-        raise ValueError(f"unknown union-find backend {backend!r}")
-    return backend
 
 
 def flatten_parents(parent: np.ndarray) -> np.ndarray:
@@ -96,49 +77,15 @@ def flatten_parents(parent: np.ndarray) -> np.ndarray:
     raise RuntimeError("parent array does not converge; cycle in forest?")
 
 
-def _cc_roots_jumping(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Hooking + pointer jumping; returns the min vertex of each component."""
-    parent = np.arange(n, dtype=np.int64)
-    if u.size == 0:
-        return parent
-    keep = u != v
-    u = u[keep]
-    v = v[keep]
-    for _ in range(max(2, 2 * n.bit_length() + 4)):
-        if u.size == 0:
-            return parent
-        pu = parent[u]
-        pv = parent[v]
-        hi = np.maximum(pu, pv)
-        lo = np.minimum(pu, pv)
-        live = hi != lo
-        if not live.any():
-            return parent
-        # Conditional hooking: every root named by an unresolved edge adopts
-        # the smallest root proposed for it...
-        np.minimum.at(parent, hi[live], lo[live])
-        # ...then full pointer jumping makes all trees stars again.
-        parent = flatten_parents(parent)
-        alive = parent[u] != parent[v]
-        u = u[alive]
-        v = v[alive]
-    raise RuntimeError("hooking/pointer-jumping did not converge; kernel bug")
-
-
-def cc_roots(
-    n: int, u: np.ndarray, v: np.ndarray, backend: str = "auto"
-) -> np.ndarray:
+def cc_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Root (= minimum member vertex) of every vertex's component.
 
-    Self-loops are ignored.  All backends agree exactly; see module docs.
+    Self-loops are ignored.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    backend = _resolve_backend(backend)
-    if backend == "scalar":
-        return scalar_cc_roots(n, u, v)
-    if backend == "jumping" or u.size == 0:
-        return _cc_roots_jumping(n, u, v)
+    if u.size == 0:
+        return np.arange(n, dtype=np.int64)
     labels, _k = _cc_labels_scipy(n, u, v)
     # scipy labels are in first-appearance order, so the first vertex holding
     # a label is the component minimum: map labels back to those vertices.
@@ -178,38 +125,29 @@ def _cc_labels_scipy(n: int, u: np.ndarray, v: np.ndarray):
     return labels.astype(np.int64), count
 
 
-def cc_labels(
-    n: int, u: np.ndarray, v: np.ndarray, backend: str = "auto"
-) -> tuple[np.ndarray, int]:
+def cc_labels(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense component labels ``0..k-1`` (first-appearance order) + count."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if u.size == 0:
         return np.arange(n, dtype=np.int64), n
-    backend = _resolve_backend(backend)
-    if backend == "scipy":
-        return _cc_labels_scipy(n, u, v)
-    roots = cc_roots(n, u, v, backend=backend)
-    uniq, labels = np.unique(roots, return_inverse=True)
-    return labels.astype(np.int64), int(uniq.size)
+    return _cc_labels_scipy(n, u, v)
 
 
 def earliest_forest(
-    n: int, u: np.ndarray, v: np.ndarray, backend: str = "auto"
+    n: int, u: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The arrival-order spanning forest of the edge stream ``(u, v)``.
 
     Returns exactly the edges (original orientation, ascending position) that
     a union-find processing the stream front to back would merge on — the
     minimum spanning forest under weight = arrival index, computed by the
-    compiled MSF routine instead of a per-edge Python loop.  Self-loops and
-    repeated parallel edges never merge and are dropped.
+    compiled MSF routine instead of a per-edge Python loop
+    (:func:`repro.kernels.reference.scalar_earliest_forest`, the oracle).
+    Self-loops and repeated parallel edges never merge and are dropped.
     """
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    backend = _resolve_backend(backend)
-    if backend in ("scalar", "jumping") or u.size == 0:
-        return _earliest_forest_scalar(n, u, v)
     keep = u != v
     idx = np.flatnonzero(keep)
     if idx.size == 0:
@@ -230,19 +168,6 @@ def earliest_forest(
     tree = minimum_spanning_tree(g.tocsr()).tocoo()
     merge_at = np.sort(tree.data.astype(np.int64) - 1)
     return u[merge_at], v[merge_at]
-
-
-def _earliest_forest_scalar(n, u, v):
-    parent = np.arange(n, dtype=np.int64)
-    fu, fv = [], []
-    for a, b in zip(u.tolist(), v.tolist()):
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra == rb:
-            continue
-        parent[max(ra, rb)] = min(ra, rb)
-        fu.append(a)
-        fv.append(b)
-    return np.array(fu, dtype=np.int64), np.array(fv, dtype=np.int64)
 
 
 def prefix_select_labels(

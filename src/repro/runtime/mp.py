@@ -2,13 +2,20 @@
 
 Architecture
 ------------
-``MpBackend.run`` starts ``p`` OS worker processes (``multiprocessing``,
-spawn-safe; fork by default where available because it is much faster).
-Each worker executes the unmodified generator program locally
-(:mod:`repro.runtime.worker`) and brokers every collective through the
-coordinator — this parent process — over a per-rank pipe, with bulk numpy
-payloads travelling through POSIX shared memory
-(:mod:`repro.runtime.transport`).
+A pool is ``p`` OS worker processes (``multiprocessing``, spawn-safe; fork
+by default where available because it is much faster), each a command
+loop (:mod:`repro.runtime.worker`) holding one transport arena for its
+lifetime.  A run is one ``CMD_RUN`` down every pipe: the worker executes
+the unmodified generator program locally and brokers every collective
+through the coordinator — this parent process — over its pipe, with bulk
+numpy payloads travelling through POSIX shared memory
+(:mod:`repro.runtime.transport`).  ``MpBackend.run`` is spawn → one
+``CMD_RUN`` → graceful stop; :class:`~repro.runtime.warm.WarmMpBackend`
+is the same dispatch on a pool it keeps.  Spawn (:meth:`MpBackend._spawn`),
+dispatch (:meth:`MpBackend._dispatch`) and teardown
+(:meth:`_Pool.shutdown`, graceful or after a failure) are written once,
+here.  Programs are pickled by reference into the ``CMD_RUN``, so they
+must be importable module-level functions under every start method.
 
 The coordinator *is* the simulator's engine with remote generators: every
 request carries the worker's :class:`~repro.bsp.counters.ProcCounters`,
@@ -50,12 +57,7 @@ from repro.bsp.fusion import FusionConfig, as_fusion_config
 from repro.bsp.machine import TimeEstimate
 from repro.cache.model import CacheParams
 from repro.faults import FaultSpec
-from repro.graph.shm import (
-    default_plane_enabled,
-    localize_plane,
-    release_pins,
-    stage_plane,
-)
+from repro.graph.shm import localize_plane, release_pins, stage_plane
 from repro.runtime.base import Backend
 from repro.runtime.errors import (
     WorkerCrashError,
@@ -73,12 +75,14 @@ from repro.runtime.transport import (
     unlink_segments,
 )
 from repro.runtime.worker import (
+    CMD_EXIT,
+    CMD_RUN,
     MSG_DONE,
     MSG_ERROR,
     MSG_OP,
     REPLY_RESULT,
     WorkerSpec,
-    worker_main,
+    persistent_worker_main,
 )
 
 __all__ = ["MpBackend", "default_start_method"]
@@ -94,13 +98,12 @@ _RUN_SEQ = itertools.count()
 
 
 def _run_slab_token() -> str:
-    """A short, per-run-unique shared-memory name token.
+    """A short, per-pool-unique shared-memory name token.
 
     Combines the coordinator pid, a monotonic per-process sequence and a
     millisecond timestamp so worker arena slab names (``{token}r{rank}n``)
-    never collide across coordinators or runs, while staying well under
-    the POSIX shm name limit.  Fixed-width fields keep spec pickle sizes
-    (the ``input`` transport stat) deterministic across runs.
+    never collide across coordinators or pools, while staying well under
+    the POSIX shm name limit.
     """
     return (f"rsh{os.getpid() & 0xFFFFFFFF:08x}g{next(_RUN_SEQ) & 0xFFFF:04x}"
             f"t{int(time.time() * 1000) & 0xFFFFFF:06x}")
@@ -120,35 +123,54 @@ def default_start_method() -> str:
 class _Pool:
     """The worker processes plus the coordinator-side bookkeeping."""
 
-    def __init__(self, ctx, p: int, spec_for: Callable[[int], WorkerSpec],
-                 slab_token: str | None = None,
-                 target: Callable = worker_main):
+    def __init__(self, ctx, specs: Sequence[WorkerSpec],
+                 slab_token: str | None, transport: Transport):
+        self.p = len(specs)
         self.conns = []
         self.procs = []
-        #: Per-run worker slab name token; shutdown sweeps
-        #: ``/dev/shm/{token}*`` so even never-shipped slabs of a killed
-        #: worker (retained free-list slabs) are reclaimed.
+        #: The coordinator's own endpoint: its arena and peer attachments
+        #: live as long as the workers'.
+        self.transport = transport
+        #: program -> small int token; workers cache the callable by
+        #: token, so a repeat run on this pool ships the token alone.
+        self.program_tokens: dict[Any, int] = {}
+        #: Worker slab name token; shutdown sweeps ``/dev/shm/{token}*``
+        #: so even never-shipped slabs of a killed worker (retained
+        #: free-list slabs) are reclaimed.
         self.slab_token = slab_token
         #: Every worker-arena slab name the coordinator has seen on the
         #: wire; swept (and leaks logged) after the workers are gone.
         self.worker_segments: set[str] = set()
-        for rank in range(p):
+        for spec in specs:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
-                target=target,
-                args=(child_conn, spec_for(rank)),
+                target=persistent_worker_main,
+                args=(child_conn, spec),
                 daemon=True,
-                name=f"repro-mp-{rank}",
+                name=f"repro-mp-{spec.rank}",
             )
             proc.start()
             child_conn.close()
             self.conns.append(parent_conn)
             self.procs.append(proc)
-        self.conn_rank = {id(c): r for r, c in enumerate(self.conns)}
         self.sentinel_rank = {pr.sentinel: r for r, pr in enumerate(self.procs)}
 
-    def shutdown(self) -> None:
-        """Terminate everything and reclaim stray shared-memory segments."""
+    def shutdown(self, graceful: bool = False) -> None:
+        """Stop the workers and reclaim stray shared-memory segments.
+
+        ``graceful`` (every run so far completed): each worker is asked to
+        exit and given time to — it unlinks its own arena on the way out.
+        Otherwise, and for any straggler, terminate: after a failure the
+        survivors may be wedged mid-collective.
+        """
+        if graceful:
+            for conn in self.conns:
+                try:
+                    conn.send((CMD_EXIT,))
+                except (BrokenPipeError, OSError):
+                    pass
+            for proc in self.procs:
+                proc.join(timeout=5.0)
         for conn in self.conns:
             try:
                 while conn.poll():
@@ -173,9 +195,10 @@ class _Pool:
                 proc.join(timeout=5.0)
         for conn in self.conns:
             conn.close()
-        # Workers unlink their own arenas on clean exit (before DONE), so
-        # anything still reclaimable here leaked — a worker died or was
-        # terminated mid-run.  Make that visible.  The wire sweep catches
+        self.transport.close()
+        # Workers unlink their own arenas on CMD_EXIT, so anything still
+        # reclaimable here leaked — a worker died or was terminated
+        # mid-run.  Make that visible.  The wire sweep catches
         # slabs whose names crossed the pipe; the prefix sweep below also
         # catches a killed worker's never-shipped (retained) slabs.
         names = set(self.worker_segments)
@@ -211,8 +234,8 @@ class MpBackend(Backend):
         arena mode, per array in legacy mode).
     use_arena:
         Pooled slab arena transport (default).  ``False`` selects the
-        legacy one-segment-per-array codec — kept for differential
-        benchmarking of the transport itself.
+        legacy one-segment-per-array codec — the transport gate's
+        reference.
     trace / tracer:
         Per-superstep collective tracing, mirroring the simulator's:
         ``trace=True`` records into a default
@@ -231,8 +254,8 @@ class MpBackend(Backend):
         sites that pass :func:`~repro.graph.shm.plane_slices` markers
         get their graph published once into a read-only shm segment and
         shipped to every worker as an O(1) handle instead of p pickled
-        copies.  Default on (``REPRO_GRAPH_PLANE=0`` flips the default);
-        off resolves markers locally — bit-identical results either way.
+        copies.  Default on; off resolves markers locally — bit-identical
+        results either way (the graph-plane gate's reference).
     """
 
     name = "mp"
@@ -273,8 +296,7 @@ class MpBackend(Backend):
         #: Automatic adjacent-fusion policy, handed to the coordinator's
         #: ``Engine(fuse=...)`` unchanged.
         self.fuse = as_fusion_config(fuse)
-        self.graph_plane = (default_plane_enabled() if graph_plane is None
-                            else bool(graph_plane))
+        self.graph_plane = graph_plane is None or bool(graph_plane)
         #: Per-kind transport stats of the most recent run (coordinator +
         #: all workers merged), as :meth:`TransportStats.as_dict`.
         self.last_transport_stats: dict | None = None
@@ -296,6 +318,50 @@ class MpBackend(Backend):
                     stage_plane(args, pins), stage_plane(kwargs, pins))
         return engine, world, localize_plane(args), localize_plane(kwargs)
 
+    def _spawn(self, p: int) -> _Pool:
+        """Start ``p`` command-loop workers and the coordinator's endpoint."""
+        slab_token = _run_slab_token() if self.use_arena else None
+        specs = [
+            WorkerSpec(
+                rank=rank, p=p, cache=self.cache,
+                shm_threshold=self.shm_threshold, use_arena=self.use_arena,
+                slab_prefix=(f"{slab_token}r{rank}n" if slab_token else None),
+            )
+            for rank in range(p)
+        ]
+        if self.start_method == "fork":
+            # Workers inherit sys.modules: do the kernels' lazy import here,
+            # or every pool's root pays it (~0.3 s) after the fork.
+            import scipy.sparse.csgraph  # noqa: F401
+        return _Pool(
+            multiprocessing.get_context(self.start_method), specs, slab_token,
+            Transport(threshold=self.shm_threshold, use_arena=self.use_arena),
+        )
+
+    def _dispatch(self, engine: Engine, pool: _Pool, world_gid: int,
+                  seed: int, program, args, kwargs, faults) -> RunResult:
+        """One run on ``pool``: ship the ``CMD_RUN``, then coordinate."""
+        # Program token: ship the callable once per pool, a small token
+        # thereafter (the workers cache it by token).
+        token = pool.program_tokens.get(program)
+        first = token is None
+        if first:
+            token = len(pool.program_tokens)
+        cmd = (CMD_RUN, world_gid, seed, token, program if first else None,
+               args, kwargs, tuple(faults or ()))
+        # One pickle for all ranks: send_bytes reuses the buffer, so the
+        # per-run input cost is p pipe writes of one encoding — and with
+        # the plane on, that encoding is O(1) in the graph size.
+        buf = bytes(ForkingPickler.dumps(cmd))
+        pool.program_tokens[program] = token
+        for rank, conn in enumerate(pool.conns):
+            try:
+                conn.send_bytes(buf)
+            except (BrokenPipeError, OSError):
+                raise self._crash(pool, rank) from None
+        return self._coordinate(engine, pool, pool.transport,
+                                input_bytes=len(buf) * pool.p)
+
     def run(
         self,
         program: Callable[..., Generator],
@@ -306,7 +372,8 @@ class MpBackend(Backend):
         kwargs: dict | None = None,
         faults: Sequence[FaultSpec] | None = None,
     ) -> RunResult:
-        """Run ``program`` on ``p`` worker processes; measured time split.
+        """Run ``program`` on ``p`` fresh worker processes; measured time
+        split.
 
         ``faults`` injects the given deterministic :class:`FaultSpec`
         records at the worker driver loop (see :mod:`repro.faults`); the
@@ -317,42 +384,17 @@ class MpBackend(Backend):
         # cannot leak a published segment.
         plane_pins: list[str] = []
         engine, world, args, kwargs = self._begin(p, args, kwargs, plane_pins)
-        p = world.size
-        ctx = multiprocessing.get_context(self.start_method)
-        fault_specs = tuple(faults or ())
-        slab_token = _run_slab_token() if self.use_arena else None
-
-        def spec_for(rank: int) -> WorkerSpec:
-            return WorkerSpec(
-                rank=rank, p=p, world_gid=world.gid, seed=seed,
-                cache=self.cache, program=program, args=args, kwargs=kwargs,
-                shm_threshold=self.shm_threshold,
-                use_arena=self.use_arena,
-                faults=fault_specs,
-                slab_prefix=(f"{slab_token}r{rank}n" if slab_token else None),
-            )
-
-        specs = [spec_for(rank) for rank in range(p)]
-        # Logical input footprint: what shipping the specs costs in
-        # pickle bytes (under spawn this is literally what crosses the
-        # wire; under fork it is the same byte count, just not paid).
-        # Guarded: fork-only callers may pass non-picklable programs.
-        input_bytes = 0
         try:
-            input_bytes = sum(
-                len(ForkingPickler.dumps(s)) for s in specs)
-        except Exception:
-            pass
-        if self.start_method == "fork":
-            # Workers inherit sys.modules: do the kernels' lazy import here,
-            # or every run's root pays it (~0.3 s) after the fork.
-            import scipy.sparse.csgraph  # noqa: F401
-        pool = _Pool(ctx, p, specs.__getitem__, slab_token=slab_token)
-        try:
-            return self._coordinate(engine, pool, p,
-                                    input_bytes=input_bytes)
+            pool = self._spawn(world.size)
+            try:
+                result = self._dispatch(engine, pool, world.gid, seed,
+                                        program, args, kwargs, faults)
+            except BaseException:
+                pool.shutdown()  # workers may be wedged mid-collective
+                raise
+            pool.shutdown(graceful=True)
+            return result
         finally:
-            pool.shutdown()
             release_pins(plane_pins)
 
     # -- coordinator ---------------------------------------------------------
@@ -367,21 +409,15 @@ class MpBackend(Backend):
         proc.join(timeout=5.0)
         return WorkerCrashError(rank, proc.exitcode, superstep=superstep)
 
-    def _coordinate(self, engine: Engine, pool: _Pool, p: int,
-                    transport: Transport | None = None,
-                    input_bytes: int = 0) -> RunResult:
+    def _coordinate(self, engine: Engine, pool: _Pool, transport: Transport,
+                    input_bytes: int) -> RunResult:
+        p = pool.p
         tracer = self.tracer
         events_before = len(tracer)
         last_event_t = perf_counter()  # wall clock between collectives
-        owns_transport = transport is None
-        if owns_transport:
-            transport = Transport(threshold=self.shm_threshold,
-                                  use_arena=self.use_arena)
-        else:
-            # Warm pool: the caller's transport (and its arena slabs)
-            # outlives this run; stats restart so last_transport_stats
-            # stays per-run.
-            transport.stats = TransportStats()
+        # The transport (and its arena slabs) outlives the run; stats
+        # restart so last_transport_stats stays per-run.
+        transport.stats = TransportStats()
         # Input shipping gets its own stats kind so benches can report
         # bytes-per-query with the graph plane on vs off.
         transport.stats.note("input", messages=p, pickle_bytes=input_bytes)
@@ -457,8 +493,6 @@ class MpBackend(Backend):
                 unlink_segments(
                     name for names in reply_refs.values() for name in names
                 )
-            if owns_transport:
-                transport.close()
             self.last_transport_stats = transport.stats.as_dict()
 
         report = CountersReport.from_procs(list(counters))
@@ -498,8 +532,10 @@ class MpBackend(Backend):
                 try:
                     while conn.poll():
                         handle(conn.recv())
-                except EOFError:
-                    pass  # fall through to the sentinel check
+                except (EOFError, ConnectionError):
+                    # Gone (a reset: it died with a command unread); fall
+                    # through to the sentinel check.
+                    pass
             for obj in ready:
                 rank = pool.sentinel_rank.get(obj)
                 if rank is None or rank not in live:
@@ -507,7 +543,7 @@ class MpBackend(Backend):
                 try:
                     while pool.conns[rank].poll():
                         handle(pool.conns[rank].recv())
-                except EOFError:
+                except (EOFError, ConnectionError):
                     pass
                 if rank in live:
                     # Died before reporting — either mid-compute or while

@@ -28,8 +28,8 @@ the coordinator additionally sweeps every worker slab name it has seen
 after the pool is torn down and **logs** any it actually had to reclaim,
 so leaks are visible instead of silent.
 
-**Legacy one-shot** (``use_arena=False``, kept for differential
-benchmarking): the sender copies each large array into a fresh segment
+**Legacy one-shot** (``use_arena=False``, the transport gate's
+reference): the sender copies each large array into a fresh segment
 (:class:`ShmArrayRef`), the receiver attaches, copies out, and unlinks.
 Strictly single-reader in both modes: every encoded message has exactly
 one recipient.  Senders/attachers unregister segments from their own
@@ -46,11 +46,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 
 import numpy as np
 
 from repro.bsp.arrays import ArrayBundle
+from repro.graph.shm import _shm_unlink, _untrack
 
 __all__ = [
     "DEFAULT_SHM_THRESHOLD",
@@ -119,31 +120,6 @@ class BundleRef:
 
     columns: tuple
     counts: object
-
-
-try:  # POSIX: raw shm_unlink, bypassing the resource tracker
-    import _posixshmem
-
-    def _shm_unlink(name: str) -> None:
-        _posixshmem.shm_unlink(name)
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    def _shm_unlink(name: str) -> None:
-        seg = shared_memory.SharedMemory(name=name)
-        seg.close()
-        seg.unlink()
-
-
-def _untrack(name: str) -> None:
-    """Forget a segment in this process's resource tracker.
-
-    Every ``SharedMemory`` — attach as well as create — registers with the
-    tracker on this Python; without unregistering, the tracker would warn
-    about (and try to double-unlink) segments the owning side reclaims.
-    """
-    try:
-        resource_tracker.unregister(name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker is best-effort anyway
-        pass
 
 
 def _size_class(nbytes: int) -> int:
@@ -292,19 +268,17 @@ def collect_slab_names(obj, out: set[str] | None = None) -> set[str]:
 def unlink_segments(names) -> list[str]:
     """Reclaim segments by name; returns the names that actually existed.
 
-    Only ``FileNotFoundError`` (already reclaimed by the other side) is
-    tolerated — anything else is a real bug and propagates.
+    Unlinks at the OS level without attaching: a segment its creator was
+    killed inside (``shm_open`` done, ``ftruncate`` not) is zero-length and
+    cannot be mapped, but must still go.  Only ``FileNotFoundError``
+    (already reclaimed by the other side) is tolerated — anything else is
+    a real bug and propagates.
     """
     reclaimed = []
     for name in names:
         try:
-            seg = shared_memory.SharedMemory(name=name)
+            _shm_unlink(name if name.startswith("/") else f"/{name}")
         except FileNotFoundError:
-            continue
-        seg.close()
-        try:
-            seg.unlink()
-        except FileNotFoundError:  # pragma: no cover - concurrent unlink
             continue
         reclaimed.append(name)
     return reclaimed

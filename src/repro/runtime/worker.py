@@ -1,4 +1,4 @@
-"""Worker-process side of the multiprocess backend.
+"""Worker-process side of the multiprocess backends.
 
 Each OS process runs the **same generator program** the simulator runs,
 with a real :class:`~repro.bsp.engine.Context` (own Philox stream, own
@@ -17,9 +17,12 @@ same floats in the same order.  Wall-clock is split into *application*
 time (generator running) and *MPI* time (blocked on a collective), the
 measured analogue of the paper's T_app/T_MPI decomposition.
 
-Must be spawn-safe: this module is imported fresh in spawned children, the
-worker entry point is a top-level function, and everything a worker needs
-arrives in a picklable :class:`WorkerSpec`.
+One lifecycle under ``mp`` and ``warm``: a worker is a command loop
+(:func:`persistent_worker_main`) with one transport opened at process
+start and closed at exit.  What is fixed for the process arrives in a
+picklable :class:`WorkerSpec`; what belongs to a run arrives in its
+``CMD_RUN``.  Must be spawn-safe: this module is imported fresh in spawned
+children and the entry point is a top-level function.
 """
 
 from __future__ import annotations
@@ -31,19 +34,19 @@ import traceback
 from dataclasses import dataclass, replace
 from multiprocessing.reduction import ForkingPickler
 from time import perf_counter
-from typing import Any, Callable, Generator
+from typing import Callable
 
 from repro.bsp.comm import CollectiveOp, Communicator, Group
 from repro.bsp.counters import ProcCounters
 from repro.bsp.engine import Context
 from repro.bsp.errors import CollectiveMismatchError
 from repro.cache.model import CacheParams
-from repro.faults import FaultInjector, FaultSpec
+from repro.faults import FaultInjector
 from repro.graph.shm import resolve_plane
 from repro.rng.streams import RngStreams
 from repro.runtime.transport import Transport, TransportStats, encode_payload
 
-__all__ = ["WorkerSpec", "worker_main", "persistent_worker_main",
+__all__ = ["WorkerSpec", "persistent_worker_main",
            "MSG_OP", "MSG_DONE", "MSG_ERROR",
            "REPLY_RESULT", "CMD_RUN", "CMD_EXIT"]
 
@@ -52,76 +55,60 @@ MSG_OP = "op"
 MSG_DONE = "done"
 MSG_ERROR = "error"
 
-#: Wire tags: coordinator -> worker.
+#: Wire tags: coordinator -> worker, inside a run.
 REPLY_RESULT = "result"
 
-#: Wire tags: coordinator -> persistent worker (warm-pool command loop).
+#: Wire tags: coordinator -> worker, between runs (the command loop).
 CMD_RUN = "run"
 CMD_EXIT = "exit"
 
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything one worker needs, shipped picklable at process start."""
+    """What is fixed for a worker's lifetime, shipped picklable at process
+    start; everything that belongs to a run travels in its ``CMD_RUN``."""
 
     rank: int
     p: int
-    world_gid: int
-    seed: int
     cache: CacheParams
-    program: Callable[..., Generator]
-    args: tuple
-    kwargs: dict
     shm_threshold: int
     #: Pooled-arena transport (default); False selects the legacy
-    #: one-segment-per-array codec, kept for differential benchmarking.
+    #: one-segment-per-array codec, the transport gate's reference.
     use_arena: bool = True
-    #: Deterministic faults to fire in this run (all ranks' specs; the
-    #: worker filters by its own rank).  See :mod:`repro.faults`.
-    faults: tuple[FaultSpec, ...] = ()
     #: Shared-memory slab name prefix for this rank's arena.  Set by the
-    #: coordinator to a per-run deterministic value so that a killed
+    #: coordinator to a per-pool deterministic value so that a killed
     #: worker's slabs can be swept by name prefix at pool shutdown.
     slab_prefix: str | None = None
 
 
-def _drive(conn, spec: WorkerSpec, transport: Transport | None = None) -> None:
-    """Run the program to completion, brokering collectives via ``conn``.
+def _drive(conn, spec: WorkerSpec, transport: Transport, *, world_gid, seed,
+           program, args, kwargs, faults) -> None:
+    """Run one ``CMD_RUN`` to completion, brokering collectives via ``conn``.
 
-    ``transport`` hands in an externally owned transport (the warm pool's
-    per-worker arena, kept open across runs); the default ``None`` creates
-    a run-local one and closes it before the DONE report, exactly the
-    one-shot worker lifecycle.  Either way the DONE message carries this
-    run's stats only.
+    ``transport`` is the worker's one arena, open across runs; its stats
+    restart here so the DONE message carries this run's only.
     """
-    world = Group(spec.world_gid, tuple(range(spec.p)))
+    world = Group(world_gid, tuple(range(spec.p)))
     counters = ProcCounters()
     ctx = Context(
         rank=spec.rank,
         p=spec.p,
         comm=Communicator(world, spec.rank),
-        rng=RngStreams(spec.seed).for_rank(spec.rank),
+        rng=RngStreams(seed).for_rank(spec.rank),
         counters=counters,
         cache=spec.cache,
     )
     gen = gen_value = None
     app_s = mpi_s = 0.0
     inbox = None
-    owns_transport = transport is None
-    if owns_transport:
-        transport = Transport(threshold=spec.shm_threshold,
-                              use_arena=spec.use_arena,
-                              slab_prefix=spec.slab_prefix)
-    else:
-        transport.stats = TransportStats()
-    injector = FaultInjector(spec.faults, spec.rank)
+    transport.stats = TransportStats()
+    injector = FaultInjector(faults, spec.rank)
     local_step = 0  # collectives this rank has completed
 
     # Graph-plane markers resolve here, once per run: attach the published
     # segment (cached across a warm worker's runs) and rebuild zero-copy
     # read-only views — the O(1)-pickle input path (repro.graph.shm).
-    gen = spec.program(ctx, *resolve_plane(spec.args),
-                       **resolve_plane(spec.kwargs))
+    gen = program(ctx, *resolve_plane(args), **resolve_plane(kwargs))
     while True:
         t0 = perf_counter()
         try:
@@ -192,17 +179,13 @@ def _drive(conn, spec: WorkerSpec, transport: Transport | None = None) -> None:
         inbox = transport.decode(payload)
         local_step += 1
 
-    # The DONE value rides legacy one-shot segments: this process (or, in
-    # warm mode, this *run*) is past its arena sends when the coordinator
-    # decodes, so arena slabs cannot carry it.
+    # The DONE value rides legacy one-shot segments: this run is past its
+    # arena sends when the coordinator decodes, so arena slabs cannot
+    # carry it.
     done_value = encode_payload(gen_value, spec.shm_threshold)
-    stats = transport.stats
-    if owns_transport:
-        transport.close()  # unlink own slabs *before* DONE: a clean exit
-        #                    leaves nothing for the leak sweep to find
     conn.send((
         MSG_DONE, spec.rank, done_value,
-        counters, app_s, mpi_s, stats,
+        counters, app_s, mpi_s, transport.stats,
     ))
 
 
@@ -220,37 +203,19 @@ def _reset_inherited_signals() -> None:
         pass
 
 
-def worker_main(conn, spec: WorkerSpec) -> None:
-    """Process entry point: drive the program, report errors, never raise."""
-    _reset_inherited_signals()
-    try:
-        _drive(conn, spec)
-    except BaseException as exc:  # noqa: BLE001 - forwarded to coordinator
-        try:
-            conn.send((
-                MSG_ERROR, spec.rank, type(exc).__name__,
-                traceback.format_exc(),
-            ))
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
-    finally:
-        conn.close()
-
-
 def persistent_worker_main(conn, spec: WorkerSpec) -> None:
-    """Warm-pool process entry point: run many programs, one arena.
+    """Process entry point: the command loop.  Never raises.
 
-    Blocks on :data:`CMD_RUN` commands — each carries the per-run fields
-    of the :class:`WorkerSpec` (program, args, seed, world gid, fault
-    specs; everything else is fixed at pool spawn) — and
-    drives each through :func:`_drive` against a single long-lived
-    :class:`~repro.runtime.transport.Transport`, so arena slabs stay
-    mapped across runs.  Programs arrive pickled by *reference* (module
-    + qualname) the **first** time a coordinator-assigned token appears;
-    repeat runs ship only the token and the worker replays the cached
-    callable — warm pools therefore require module-level program
-    functions, true of every program in the tree.  :data:`CMD_EXIT` (or
-    EOF from a departed coordinator) closes the arena and exits cleanly;
+    Blocks on :data:`CMD_RUN` commands and drives each through
+    :func:`_drive` against the one :class:`~repro.runtime.transport.
+    Transport` opened here, so arena slabs stay mapped across runs.
+    Programs arrive pickled by *reference* (module + qualname) the
+    **first** time a coordinator-assigned token appears; repeat runs ship
+    only the token and the worker replays the cached callable — programs
+    must therefore be importable module-level functions, true of every
+    program in the tree.  :data:`CMD_EXIT` (or EOF from a departed
+    coordinator) closes the arena — unlinking this worker's own slabs, so
+    a clean exit leaves nothing for the leak sweep to find — and exits;
     any error is reported and ends the process, because a failed
     collective can leave peers blocked mid-protocol — the coordinator
     discards the whole pool on failure anyway.
@@ -269,16 +234,14 @@ def persistent_worker_main(conn, spec: WorkerSpec) -> None:
             if msg[0] == CMD_EXIT:
                 break
             if msg[0] != CMD_RUN:  # pragma: no cover - protocol guard
-                raise RuntimeError(f"unknown warm-pool command {msg[0]!r}")
+                raise RuntimeError(f"unknown worker command {msg[0]!r}")
             _, world_gid, seed, token, program, args, kwargs, faults = msg
             if program is None:
                 program = programs[token]
             else:
                 programs[token] = program
-            _drive(conn, replace(
-                spec, world_gid=world_gid, seed=seed, program=program,
-                args=args, kwargs=kwargs, faults=faults,
-            ), transport=transport)
+            _drive(conn, spec, transport, world_gid=world_gid, seed=seed,
+                   program=program, args=args, kwargs=kwargs, faults=faults)
     except BaseException as exc:  # noqa: BLE001 - forwarded to coordinator
         try:
             conn.send((

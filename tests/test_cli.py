@@ -84,9 +84,33 @@ class TestAlgorithms:
         b = capsys.readouterr().out
         assert a == b
 
-    def test_missing_file_errors(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["parallel_cc", str(tmp_path / "missing.txt")])
+    @staticmethod
+    def _usage_error(argv, capsys) -> str:
+        """The one stderr line of a run that must exit 2, not traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    def test_missing_file_errors(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.txt")
+        err = self._usage_error(["parallel_cc", path], capsys)
+        assert path in err and "No such file" in err
+
+    @pytest.mark.parametrize("command", ["approx_cut", "square_root"])
+    @pytest.mark.parametrize("text, reason", [
+        pytest.param("3 2\n0 1 1.0\n1 2\n", "number of columns changed",
+                     id="ragged"),
+        pytest.param("", "missing header line", id="empty"),
+    ])
+    def test_malformed_file_errors(self, tmp_path, capsys, command, text,
+                                   reason):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        err = self._usage_error([command, str(path)], capsys)
+        assert str(path) in err and reason in err
 
     def test_no_command_rejected(self):
         with pytest.raises(SystemExit):

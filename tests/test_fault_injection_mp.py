@@ -2,6 +2,8 @@
 the transport seam, error context (superstep, trials in flight), and the
 zero-shm-leak guarantee after a worker is killed mid-collective."""
 
+import logging
+import multiprocessing
 import operator
 import os
 import sys
@@ -12,7 +14,11 @@ import pytest
 from tests.conftest import require_mp
 from tests.test_trace_backends import strip_wall
 from repro.faults import CRASH_EXIT_CODE, FaultSpec
-from repro.runtime.errors import WorkerCrashError, WorkerTimeoutError
+from repro.runtime.errors import (
+    WorkerCrashError,
+    WorkerProgramError,
+    WorkerTimeoutError,
+)
 from repro.runtime.mp import MpBackend
 from repro.runtime.sim import SimBackend
 from repro.runtime.warm import WarmMpBackend
@@ -46,8 +52,35 @@ def batched_program(ctx):
     return a, b.tolist(), c, d, dict(vars(ctx.counters))
 
 
+def raising_program(ctx, nwords=1):
+    """One collective with live slabs, then rank 1 raises."""
+    data = np.full(nwords, float(ctx.rank + 1))
+    yield from ctx.comm.allreduce(data, op=operator.add)
+    if ctx.rank == 1:
+        raise ValueError("boom from rank 1")
+    yield from ctx.comm.allreduce(data, op=operator.add)
+
+
 def _shm_entries() -> set:
     return set(os.listdir("/dev/shm"))
+
+
+def _children() -> set:
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
+@pytest.fixture(params=[MpBackend, WarmMpBackend], ids=["mp", "warm"])
+def real_backend(request):
+    """One worker lifecycle under both: every typed failure below reads
+    the same on ``mp`` and ``warm`` and leaves no process and no segment."""
+    require_mp()
+    shm_before, children_before = _shm_entries(), _children()
+    backend = request.param(timeout=2.0)
+    yield backend
+    getattr(backend, "close", lambda: None)()
+    assert _children() <= children_before
+    if sys.platform.startswith("linux"):
+        assert _shm_entries() - shm_before == set()
 
 
 class TestCrash:
@@ -119,6 +152,79 @@ class TestDrop:
             SimBackend().run(two_step_program, 2, seed=0,
                              faults=[FaultSpec("drop", rank=1, step=1)])
         assert exc_info.value.supersteps == {1: 1}
+
+
+class TestOneLifecycle:
+    """``mp`` and ``warm`` are one worker lifecycle: every typed failure
+    reads the same on both and leaves no process and no segment behind."""
+
+    @pytest.mark.parametrize("fault, error, stamps", [
+        ("crash", WorkerCrashError,
+         {"rank": 1, "superstep": 1, "exitcode": CRASH_EXIT_CODE}),
+        ("drop", WorkerTimeoutError, {"missing": [1], "supersteps": {1: 1}}),
+        ("raise", WorkerProgramError, {"rank": 1, "exc_type": "ValueError"}),
+    ])
+    def test_typed_failure_then_recovery(self, real_backend, fault, error,
+                                         stamps):
+        # Big payloads force the arena path: peers hold live slabs when
+        # rank 1 fails in its second superstep.
+        big = {"nwords": 1 << 16}
+        with pytest.raises(error) as exc_info:
+            if fault == "raise":
+                real_backend.run(raising_program, 3, seed=0, kwargs=big)
+            else:
+                real_backend.run(two_step_program, 2, seed=0, kwargs=big,
+                                 faults=[FaultSpec(fault, rank=1, step=1)])
+        for attr, want in stamps.items():
+            assert getattr(exc_info.value, attr) == want
+        res = real_backend.run(two_step_program, 2, seed=0)
+        assert res.values == [6.0, 6.0]  # the same backend recovers
+
+    def test_unpicklable_program_fails_before_any_worker_runs(self,
+                                                              real_backend):
+        """Programs travel in the CMD_RUN by reference on both backends: a
+        locally defined one fails in the coordinator's pickler, the pool
+        is torn down, and the next run on the same backend works."""
+        def local_program(ctx):
+            yield from ctx.comm.barrier()
+
+        children_before = _children()
+        with pytest.raises((AttributeError, TypeError, ValueError),
+                           match="local_program"):
+            real_backend.run(local_program, 2, seed=0)
+        assert _children() <= children_before
+        res = real_backend.run(two_step_program, 2, seed=0)
+        assert res.values == [6.0, 6.0]
+
+    def test_mp_and_fresh_warm_ship_the_same_input(self):
+        """One dispatch protocol: the same CMD_RUN bytes, counted once
+        (``len(buf) * p``), whichever backend sends them."""
+        require_mp()
+        mp_backend = MpBackend()
+        mp_backend.run(two_step_program, 2, seed=0, kwargs={"nwords": 64})
+        with WarmMpBackend() as warm:
+            warm.run(two_step_program, 2, seed=0, kwargs={"nwords": 64})
+            assert (warm.last_transport_stats["per_kind"]["input"]
+                    == mp_backend.last_transport_stats["per_kind"]["input"])
+
+    @needs_dev_shm
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_clean_run_reaps_workers_who_unlinked_their_own_arenas(
+            self, start_method, caplog):
+        require_mp()
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {start_method} on this platform")
+        before, children_before = _shm_entries(), _children()
+        backend = MpBackend(start_method=start_method, timeout=180.0)
+        with caplog.at_level(logging.WARNING, logger="repro.runtime"):
+            res = backend.run(two_step_program, 2, seed=0,
+                              kwargs={"nwords": 1 << 16})
+        assert res.values == [6.0, 6.0]
+        stats = backend.last_transport_stats["total"]
+        assert stats["segments_created"] > 0  # arenas were really in play
+        assert _children() <= children_before
+        assert _shm_entries() - before == set()
+        assert "reclaimed" not in caplog.text  # nothing left for the sweep
 
 
 class TestWorkFault:

@@ -23,12 +23,12 @@ from repro.baselines import galois_cc_parallel
 from repro.cache.traced import AnalyticTracker
 from repro.core import connected_components, minimum_cut
 from repro.graph import erdos_renyi
+from repro.graph.contract import compress_labels
 from repro.kernels import (
-    cc_labels,
-    cc_roots,
+    scalar_cc_roots,
+    scalar_earliest_forest,
     scalar_prefix_select,
 )
-from repro.kernels.unionfind import _earliest_forest_scalar
 from repro.rng import philox_stream
 
 
@@ -58,7 +58,7 @@ def test_cc_counters_unchanged_by_components_kernel(monkeypatch):
     fast = connected_components(g, p=4, seed=6)
 
     def slow_components(n, u, v):
-        return cc_labels(n, u, v, backend="scalar")
+        return compress_labels(scalar_cc_roots(n, u, v))
 
     monkeypatch.setattr(components_mod, "components_from_edges",
                         slow_components)
@@ -73,12 +73,9 @@ def test_galois_counters_unchanged_by_forest_kernels(monkeypatch):
     g = erdos_renyi(512, 1200, philox_stream(23))
     fl, fc, frep, _ = galois_cc_parallel(g, p=4, seed=7)
 
-    monkeypatch.setattr(
-        cc_async_mod, "earliest_forest",
-        lambda n, u, v: _earliest_forest_scalar(n, u, v))
-    monkeypatch.setattr(
-        cc_async_mod, "cc_roots",
-        lambda n, u, v: cc_roots(n, u, v, backend="scalar"))
+    monkeypatch.setattr(cc_async_mod, "earliest_forest",
+                        scalar_earliest_forest)
+    monkeypatch.setattr(cc_async_mod, "cc_roots", scalar_cc_roots)
     sl, sc, srep, _ = galois_cc_parallel(g, p=4, seed=7)
 
     assert fc == sc

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.contraction import prefix_select
-from repro.graph.contract import union_find_components
+from repro.graph.contract import compress_labels
 from repro.kernels import (
     bulk_contract_edges,
     cc_labels,
@@ -28,11 +28,11 @@ from repro.kernels import (
     prefix_select_labels,
     scalar_bulk_contract,
     scalar_cc_roots,
+    scalar_earliest_forest,
     scalar_prefix_select,
     stable_sort_with_order,
 )
 from repro.kernels import unionfind
-from repro.kernels.unionfind import _earliest_forest_scalar
 
 # ---------------------------------------------------------------------------
 # Edge-set families
@@ -85,32 +85,34 @@ def edge_streams(draw):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-@pytest.mark.parametrize("backend", ["scipy", "jumping"])
-def test_cc_roots_backends_exact(family, backend):
+def scalar_cc_labels(n, u, v):
+    """Dense labels + count from the scalar oracle's min-vertex roots."""
+    return compress_labels(scalar_cc_roots(n, u, v))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES),
+                         ids=lambda family: f"scipy-{family}")
+def test_cc_roots_backends_exact(family):
     n, u, v = FAMILIES[family]
-    expected = scalar_cc_roots(n, u, v)
-    np.testing.assert_array_equal(cc_roots(n, u, v, backend=backend), expected)
+    np.testing.assert_array_equal(cc_roots(n, u, v),
+                                  scalar_cc_roots(n, u, v))
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_cc_labels_backends_exact(family):
     n, u, v = FAMILIES[family]
-    ref_labels, ref_count = cc_labels(n, u, v, backend="scalar")
-    for backend in ("scipy", "jumping", "auto"):
-        labels, count = cc_labels(n, u, v, backend=backend)
-        assert count == ref_count
-        np.testing.assert_array_equal(labels, ref_labels)
+    ref_labels, ref_count = scalar_cc_labels(n, u, v)
+    labels, count = cc_labels(n, u, v)
+    assert count == ref_count
+    np.testing.assert_array_equal(labels, ref_labels)
 
 
 @given(edge_streams())
 @settings(max_examples=120, deadline=None)
 def test_cc_roots_random_exact(stream):
     n, u, v = stream
-    expected = scalar_cc_roots(n, u, v)
-    np.testing.assert_array_equal(cc_roots(n, u, v, backend="scipy"), expected)
-    np.testing.assert_array_equal(cc_roots(n, u, v, backend="jumping"),
-                                  expected)
+    np.testing.assert_array_equal(cc_roots(n, u, v),
+                                  scalar_cc_roots(n, u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +196,7 @@ def _single_pass_calls(monkeypatch):
 @pytest.mark.parametrize("family", sorted(DENSE_FAMILIES))
 def test_two_level_cc_matches_scalar_oracle(family, no_edge_floor):
     n, u, v = DENSE_FAMILIES[family]
-    ref_labels, ref_count = cc_labels(n, u, v, backend="scalar")
+    ref_labels, ref_count = scalar_cc_labels(n, u, v)
     labels, count = cc_labels(n, u, v)
     assert labels.dtype == np.int64 and labels.flags.c_contiguous
     assert isinstance(count, int) and count == ref_count
@@ -224,7 +226,7 @@ def test_two_level_engages_at_the_edge_floor(monkeypatch, m, passes):
     v[: n // 2] = u[: n // 2]
     labels, count = cc_labels(n, u, v)
     assert len(calls) == passes
-    ref_labels, ref_count = cc_labels(n, u, v, backend="jumping")
+    ref_labels, ref_count = unionfind._scipy_pass(n, u, v)  # one pass, all m
     assert count == ref_count
     np.testing.assert_array_equal(labels, ref_labels)
 
@@ -238,15 +240,6 @@ def test_two_level_sample_extremes(monkeypatch, no_edge_floor):
     n, u, v = DENSE_FAMILIES["sample_all_loops"]
     cc_labels(n, u, v)
     assert calls == [100, int((u != v).sum())]  # nothing filtered but loops
-
-
-def test_two_level_references_stay_single_pass(monkeypatch, no_edge_floor):
-    calls = _single_pass_calls(monkeypatch)
-    n, u, v = DENSE_FAMILIES["dense_er"]
-    for backend in ("jumping", "scalar"):
-        cc_labels(n, u, v, backend=backend)
-        cc_roots(n, u, v, backend=backend)
-    assert calls == []
 
 
 @st.composite
@@ -269,8 +262,7 @@ def test_two_level_labels_in_first_appearance_order(stream):
     uniq, first_seen = np.unique(labels, return_index=True)
     np.testing.assert_array_equal(uniq, np.arange(count))
     assert np.all(np.diff(first_seen) > 0)
-    np.testing.assert_array_equal(labels,
-                                  cc_labels(n, u, v, backend="scalar")[0])
+    np.testing.assert_array_equal(labels, scalar_cc_labels(n, u, v)[0])
 
 
 def _golden_runs(backend):
@@ -323,14 +315,6 @@ def test_two_level_changes_nothing_above_the_kernel(backend, monkeypatch,
         assert passes > len(calls) > 0, "the two-level path never engaged"
 
 
-def test_union_find_components_fast_vs_slow():
-    for n, u, v in FAMILIES.values():
-        np.testing.assert_array_equal(
-            union_find_components(n, u, v),
-            union_find_components(n, u, v, slow=True),
-        )
-
-
 def test_flatten_parents_matches_naive():
     rng = np.random.default_rng(3)
     for n in (1, 2, 17, 200):
@@ -354,7 +338,7 @@ def test_flatten_parents_matches_naive():
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_earliest_forest_exact(family):
     n, u, v = FAMILIES[family]
-    su, sv = _earliest_forest_scalar(n, u, v)
+    su, sv = scalar_earliest_forest(n, u, v)
     fu, fv = earliest_forest(n, u, v)
     np.testing.assert_array_equal(fu, su)
     np.testing.assert_array_equal(fv, sv)
@@ -364,7 +348,7 @@ def test_earliest_forest_exact(family):
 @settings(max_examples=120, deadline=None)
 def test_earliest_forest_random_exact(stream):
     n, u, v = stream
-    su, sv = _earliest_forest_scalar(n, u, v)
+    su, sv = scalar_earliest_forest(n, u, v)
     fu, fv = earliest_forest(n, u, v)
     np.testing.assert_array_equal(fu, su)
     np.testing.assert_array_equal(fv, sv)
@@ -513,18 +497,6 @@ def test_stable_sort_with_order_is_stable():
     sorted_big, order_big = stable_sort_with_order(big)
     np.testing.assert_array_equal(order_big, np.argsort(big, kind="stable"))
     np.testing.assert_array_equal(sorted_big, big[order_big])
-
-
-def test_combine_packed_bincount_same_keys_close_weights():
-    rng = np.random.default_rng(13)
-    keys = rng.integers(0, 50, size=2000).astype(np.int64)
-    w = rng.random(2000)
-    k1, w1 = combine_packed(keys, w, method="reduceat")
-    k2, w2 = combine_packed(keys, w, method="bincount")
-    np.testing.assert_array_equal(k1, k2)
-    np.testing.assert_allclose(w1, w2, rtol=1e-12)
-    with pytest.raises(ValueError):
-        combine_packed(keys, w, method="nope")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ OS segment namespace.
 """
 
 import glob
+import os
 import sys
 
 import numpy as np
@@ -226,6 +227,20 @@ class TestLegacyCodec:
         name = wire.name
         assert unlink_segments([name, "psm_no_such_segment"]) == [name]
         assert unlink_segments([name]) == []  # already gone
+
+    @needs_dev_shm
+    def test_unlink_segments_reclaims_a_half_created_segment(self):
+        """A worker killed between ``shm_open`` and ``ftruncate`` leaves a
+        zero-length file that cannot be mapped; the sweep unlinks by name."""
+        name = f"rshtestempty{os.getpid()}"
+        path = os.path.join("/dev/shm", name)
+        open(path, "xb").close()
+        try:
+            assert unlink_segments([name]) == [name]
+            assert not os.path.exists(path)
+        finally:
+            if os.path.exists(path):
+                os.unlink(path)
 
 
 def _rounds_program(ctx, n, rounds):
