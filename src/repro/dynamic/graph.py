@@ -1,36 +1,25 @@
 """Dynamic graphs: batched edge updates with warm CC and cut queries.
 
 A :class:`DynamicGraph` owns an evolving weighted graph on a fixed
-vertex set.  Updates arrive in **batches** (:meth:`update_edges`); each
-batch closes an *epoch*, the unit of identity for every cache in the
-repo: the epoch's canonical snapshot (edges in sorted ``(u, v)`` order,
+vertex set.  Updates arrive in atomic **batches** (:meth:`update_edges`);
+each batch closes an *epoch*, the unit of identity for every cache in
+the repo: the epoch's canonical snapshot (edges sorted by ``(u, v)``,
 arrays frozen) has a content fingerprint, and graph-plane segments,
-2-out plans and result caches key off that fingerprint — they
-invalidate exactly when an epoch closes, never mid-batch and never on a
-query.
+2-out plans and result caches key off it — they invalidate exactly
+when an epoch closes, never mid-batch and never on a query.
 
-Two query families stay warm across epochs:
+Two query families stay warm across epochs (``docs/dynamic.md``):
 
 * :meth:`query_components` — an incremental spanning forest plus a
-  union-by-minimum union-find.  Inserts union in O(α); deleting a
-  non-tree edge is free; deleting a tree edge triggers a **bounded
-  reconnection search** (flood the smaller-looking tree side, scan its
-  incident edges for a replacement).  When the search exceeds its
-  budget the epoch is marked dirty and the next query falls back to the
-  existing :func:`~repro.core.components.cc_kernel` pipeline through
-  the configured backend, rebuilding the forest from the result.
-  Labels are always returned in the canonical
-  :func:`~repro.kernels.cc_labels` form (component root = minimum
-  vertex, dense first-appearance ids), so every answer — incremental,
-  forest-rebuilt, or fallback, under sim or mp — is **bit-identical**
-  to ``cc_labels`` on the epoch snapshot.
-* :meth:`query_cut` — ``mode="exact"`` runs the 2-out minimum-cut
-  pipeline on the epoch snapshot with the preprocessing plan cached per
-  (epoch fingerprint, seed, p); ``mode="approx"`` runs the approximate
-  cut on the incrementally maintained :class:`~repro.dynamic.sparsifier.
-  CutSparsifier` (lazy per-edge rates, drift-triggered BSP
-  re-sparsification through ``sparsify_weighted``) and certifies the
-  answer with the sparsifier's certificate.
+  union-by-minimum union-find, a bounded reconnection search on
+  tree-edge deletes, and the :func:`~repro.core.components.cc_kernel`
+  pipeline as the over-budget fallback.  Every path returns the
+  canonical :func:`~repro.kernels.cc_labels` form, so answers are
+  **bit-identical** to ``cc_labels`` on the epoch snapshot.
+* :meth:`query_cut` — ``"exact"``: the 2-out pipeline on the snapshot,
+  plan cached per (epoch fingerprint, seed, p); ``"approx"``: the
+  approximate cut on the lazily maintained, certified
+  :class:`~repro.dynamic.sparsifier.CutSparsifier`.
 
 Determinism: every answer is a pure function of ``(initial graph,
 update stream, seed, p)`` — replaying the same stream into a fresh
@@ -168,28 +157,39 @@ class DynamicGraph:
         self.trial_scale = float(trial_scale)
         self._streams = RngStreams(self.seed)
 
-        # -- edge state: canonical key (min, max) -> weight ------------------
-        self._edges: dict[tuple[int, int], float] = {}
+        # -- edge state: the canonical store is the last fold's frozen
+        # snapshot, sorted by the int64 key ``u * n + v`` (u < v) kept in
+        # ``_keys``; ``_edges`` (key -> weight) and ``_adj`` index it for
+        # the O(1) update path, ``_touched`` is what the next fold merges.
+        n = self.n
+        self._edges: dict[int, float] = {}
         self._adj: dict[int, set[int]] = {}
         for a, b, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
-            key = (a, b) if a < b else (b, a)
+            if a > b:
+                a, b = b, a
+            key = a * n + b
             self._edges[key] = self._edges.get(key, 0.0) + float(w)
-            self._adj.setdefault(key[0], set()).add(key[1])
-            self._adj.setdefault(key[1], set()).add(key[0])
+            self._adj.setdefault(a, set()).add(b)
+            self._adj.setdefault(b, set()).add(a)
+        self._touched: set[int] = set(self._edges)
+        self._keys = np.zeros(0, dtype=np.int64)
+        self._snapshot = EdgeList(n, self._keys, self._keys, validate=False)
+        self._snapshot_epoch = -1
 
         self.epoch = 0
         self.updates_total = 0
-        self._snapshot: EdgeList | None = None
-        self._snapshot_epoch = -1
         self._labels_cache: DynamicCCResult | None = None
         self._published_fp: str | None = None
         self._plan_cache = plan_cache
         self._plans: dict[tuple, object] = {}
+        # Owner hooks (the serve session's write-ahead log):
+        # ``on_batch(epoch, ops)`` fires once a batch has validated, before
+        # it mutates anything; ``on_resparsify(epoch)`` on every rebuild.
+        self.on_batch = None
+        self.on_resparsify = None
 
-        # -- incremental CC state -------------------------------------------
-        self._parent = np.arange(self.n, dtype=np.int64)
-        self._tree: set[tuple[int, int]] = set()
-        self._tree_adj: dict[int, set[int]] = {}
+        # -- incremental CC state: ``_tree`` (forest edges, by key),
+        # ``_tree_adj`` and ``_parent`` come from the initial forest below.
         self._uf_stale = False    # forest exact, parent needs rebuild
         self._cc_dirty = False    # forest unknown, needs cc_kernel fallback
         self.counters = {
@@ -198,29 +198,23 @@ class DynamicGraph:
             "splits": 0, "cc_fallbacks": 0, "uf_rebuilds": 0,
             "resparsifications": 0, "epoch_bumps": 0,
         }
-        self._build_initial_forest()
+        self._parent = cc_roots(self.n, *self._reforest(self.snapshot()))
 
         # -- sparsifier ------------------------------------------------------
         self.sparsifier = CutSparsifier(
             eps=eps, drift_threshold=drift_threshold,
             sample_scale=sample_scale)
 
-    # -- construction helpers ------------------------------------------------
-
-    def _build_initial_forest(self) -> None:
-        snap = self.snapshot()
+    def _reforest(self, snap: EdgeList) -> tuple[np.ndarray, np.ndarray]:
+        """Reset the forest to the snapshot's earliest spanning forest."""
         fu, fv = earliest_forest(self.n, snap.u, snap.v)
-        self._set_forest(fu, fv)
-        self._parent = cc_roots(self.n, fu, fv)
-
-    def _set_forest(self, fu: np.ndarray, fv: np.ndarray) -> None:
-        self._tree = set()
+        self._tree = set((np.minimum(fu, fv) * self.n
+                          + np.maximum(fu, fv)).tolist())
         self._tree_adj = {}
         for a, b in zip(fu.tolist(), fv.tolist()):
-            key = (a, b) if a < b else (b, a)
-            self._tree.add(key)
-            self._tree_adj.setdefault(key[0], set()).add(key[1])
-            self._tree_adj.setdefault(key[1], set()).add(key[0])
+            self._tree_adj.setdefault(a, set()).add(b)
+            self._tree_adj.setdefault(b, set()).add(a)
+        return fu, fv
 
     # -- union-find (union by minimum root) ----------------------------------
 
@@ -241,21 +235,42 @@ class DynamicGraph:
         Canonical order makes the snapshot — and therefore its content
         fingerprint and every downstream RNG trajectory — a pure
         function of the edge *set*, independent of the order updates
-        arrived in.
+        arrived in and of which earlier epochs were ever materialized.
         """
-        if self._snapshot is None or self._snapshot_epoch != self.epoch:
-            keys = sorted(self._edges)
-            u = np.fromiter((k[0] for k in keys), dtype=np.int64,
-                            count=len(keys))
-            v = np.fromiter((k[1] for k in keys), dtype=np.int64,
-                            count=len(keys))
-            w = np.fromiter((self._edges[k] for k in keys),
-                            dtype=np.float64, count=len(keys))
-            snap = EdgeList(self.n, u, v, w, canonical=False, validate=False)
-            cached_fingerprint(snap, freeze=True)
-            self._snapshot = snap
+        if self._snapshot_epoch != self.epoch:
+            if self._touched:
+                self._fold()
             self._snapshot_epoch = self.epoch
         return self._snapshot
+
+    def _fold(self) -> None:
+        """Merge the keys touched since the last fold into the store.
+
+        O(k log k + m) for k touched keys: each is looked up once in
+        the sorted key array, then one overwrite / delete / insert pass
+        builds fresh arrays (snapshots handed out earlier stay valid).
+        """
+        old_keys, n = self._keys, self.n
+        tk = np.fromiter(self._touched, np.int64, len(self._touched))
+        tk.sort()
+        # weights are positive, so 0.0 marks a key that is absent now
+        tw = np.array([self._edges.get(k, 0.0) for k in tk.tolist()])
+        live = tw > 0
+        pos = np.searchsorted(old_keys, tk)
+        was = np.append(old_keys, -1)[pos] == tk      # -1: past the end
+        w = self._snapshot.w.copy()
+        w[pos[was & live]] = tw[was & live]          # reweighted
+        drop = pos[was & ~live]                       # deleted
+        new = live & ~was                             # inserted
+        keys = np.delete(old_keys, drop)
+        at = np.searchsorted(keys, tk[new])
+        self._keys = np.insert(keys, at, tk[new])
+        u, v = np.divmod(self._keys, n)
+        snap = EdgeList(n, u, v, np.insert(np.delete(w, drop), at, tw[new]),
+                        canonical=False, validate=False)
+        cached_fingerprint(snap, freeze=True)
+        self._snapshot = snap
+        self._touched.clear()
 
     def fingerprint(self) -> str:
         return cached_fingerprint(self.snapshot())
@@ -266,8 +281,8 @@ class DynamicGraph:
         Called by query paths when ``plane=True``: the first query of an
         epoch pays one :func:`~repro.graph.shm.bump_epoch` (unpinning
         the previous epoch's ``rgpl*`` segment); repeats are free.
-        Returns the handle, or ``None`` when the plane is off or the
-        snapshot is below the plane's size floor.
+        Returns the handle, or ``None`` if the plane is off or the
+        snapshot is below its size floor.
         """
         if not self.plane:
             return None
@@ -304,87 +319,103 @@ class DynamicGraph:
         JSON-decoded lists).  Inserting an existing edge combines the
         weights (multigraph semantics, matching
         :func:`~repro.graph.contract.combine_parallel_edges`); deleting
-        or reweighting a missing edge raises.  No backend work happens
-        here — expensive maintenance (CC fallback, re-sparsification)
-        is deferred to the next query, so sustained update throughput is
-        bounded by the O(α) bookkeeping alone.
+        or reweighting a missing edge raises.  A batch is **atomic**:
+        :meth:`_checked` validates all of it first, so a rejected batch
+        leaves the graph, its epoch and every cache as they were.  No
+        backend work happens here — CC fallback, re-sparsification and
+        the snapshot fold wait for the next query, so update throughput
+        is bounded by the O(α) bookkeeping alone.
         """
         ops = list(ops)
-        for op in ops:
-            verb = op[0]
+        batch, keys = self._checked(ops)
+        if self.on_batch is not None:
+            self.on_batch(self.epoch + 1, ops)
+        self._touched.update(keys)
+        for verb, key, a, b, w in batch:
             if verb == "insert":
-                self._insert(int(op[1]), int(op[2]), float(op[3]))
+                self._insert(key, a, b, w)
             elif verb == "delete":
-                self._delete(int(op[1]), int(op[2]))
-            elif verb == "reweight":
-                self._reweight(int(op[1]), int(op[2]), float(op[3]))
+                self._delete(key, a, b)
             else:
-                raise ValueError(
-                    f"unknown update op {verb!r}; expected one of "
-                    f"{UPDATE_OPS}")
+                self._reweight(key, w)
         self.updates_total += len(ops)
         self.epoch += 1
-        self._snapshot = None
         self._labels_cache = None
         return self.staleness()
 
-    def _key(self, a: int, b: int) -> tuple[int, int]:
-        if a == b:
-            raise ValueError("self-loops are not allowed")
-        if not (0 <= a < self.n and 0 <= b < self.n):
-            raise ValueError(f"vertex out of range: ({a}, {b})")
-        return (a, b) if a < b else (b, a)
+    def _checked(self, ops: list) -> tuple[list[tuple], dict[int, bool]]:
+        """Validate a whole batch into ``(verb, key, lo, hi, w)`` rows.
 
-    def _insert(self, a: int, b: int, w: float) -> None:
-        if w <= 0:
-            raise ValueError("edge weights must be positive")
-        key = self._key(a, b)
+        Each op is checked against the edge set as the ops before it
+        would leave it (insert-then-delete of one key is legal, deleting
+        it twice is not); nothing mutates, so the apply loop cannot raise.
+        Also returns the keys the batch names (-> present afterwards).
+        """
+        n, edges = self.n, self._edges
+        present: dict[int, bool] = {}
+        rows = []
+        for op in ops:
+            try:
+                verb, a, b = op[0], int(op[1]), int(op[2])
+                w = 0.0 if verb == "delete" else float(op[3])
+            except (IndexError, TypeError, ValueError) as exc:
+                raise ValueError(f"malformed update op {op!r}") from exc
+            if verb not in UPDATE_OPS:
+                raise ValueError(f"unknown update op {verb!r}; expected "
+                                 f"one of {UPDATE_OPS}")
+            if a == b or not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"({a}, {b}) is a self-loop or names a "
+                                 f"vertex outside 0..{n - 1}")
+            if verb != "delete" and not w > 0:    # also rejects NaN
+                raise ValueError("edge weights must be positive")
+            if a > b:
+                a, b = b, a
+            key = a * n + b
+            if verb != "insert" and not present.get(key, key in edges):
+                raise KeyError(f"edge ({a}, {b}) not present")
+            present[key] = verb != "delete"
+            rows.append((verb, key, a, b, w))
+        return rows, present
+
+    def _insert(self, key: int, a: int, b: int, w: float) -> None:
         self.counters["inserts"] += 1
         if key in self._edges:
             self._edges[key] += w
             self.sparsifier.note_reweight(key, self._edges[key], delta=w)
             return
         self._edges[key] = w
-        self._adj.setdefault(key[0], set()).add(key[1])
-        self._adj.setdefault(key[1], set()).add(key[0])
+        self._adj.setdefault(a, set()).add(b)
+        self._adj.setdefault(b, set()).add(a)
         self.sparsifier.note_insert(key, w)
         if self._cc_dirty:
             return
         if self._uf_stale:
             self._rebuild_parent_from_forest()
-        ra, rb = self._find(key[0]), self._find(key[1])
+        ra, rb = self._find(a), self._find(b)
         if ra != rb:
             # union by minimum: the canonical root survives
             lo, hi = (ra, rb) if ra < rb else (rb, ra)
             self._parent[hi] = lo
             self._tree.add(key)
-            self._tree_adj.setdefault(key[0], set()).add(key[1])
-            self._tree_adj.setdefault(key[1], set()).add(key[0])
+            self._tree_adj.setdefault(a, set()).add(b)
+            self._tree_adj.setdefault(b, set()).add(a)
             self.counters["unions"] += 1
 
-    def _delete(self, a: int, b: int) -> None:
-        key = self._key(a, b)
-        if key not in self._edges:
-            raise KeyError(f"edge {key} not present")
+    def _delete(self, key: int, a: int, b: int) -> None:
         w_old = self._edges.pop(key)
-        self._adj[key[0]].discard(key[1])
-        self._adj[key[1]].discard(key[0])
+        self._adj[a].discard(b)
+        self._adj[b].discard(a)
         self.counters["deletes"] += 1
         self.sparsifier.note_delete(key, w_old)
         if self._cc_dirty or key not in self._tree:
             return  # non-tree edge: partition provably unchanged
         self.counters["tree_deletes"] += 1
         self._tree.discard(key)
-        self._tree_adj[key[0]].discard(key[1])
-        self._tree_adj[key[1]].discard(key[0])
-        self._reconnect(key)
+        self._tree_adj[a].discard(b)
+        self._tree_adj[b].discard(a)
+        self._reconnect(a, b)
 
-    def _reweight(self, a: int, b: int, w: float) -> None:
-        if w <= 0:
-            raise ValueError("edge weights must be positive")
-        key = self._key(a, b)
-        if key not in self._edges:
-            raise KeyError(f"edge {key} not present")
+    def _reweight(self, key: int, w: float) -> None:
         old = self._edges[key]
         self._edges[key] = w
         self.counters["reweights"] += 1
@@ -392,26 +423,24 @@ class DynamicGraph:
 
     # -- bounded reconnection search -----------------------------------------
 
-    def _reconnect(self, removed: tuple[int, int]) -> None:
-        """Repair the forest after deleting tree edge ``removed``.
+    def _reconnect(self, a: int, b: int) -> None:
+        """Repair the forest after deleting tree edge ``(a, b)``.
 
         Floods the two tree sides of the deleted edge **in lockstep**
         (one scan step each, alternating), so the cost is bounded by
-        the *smaller* side — the standard trick that keeps tree-edge
-        deletions cheap even when one side is almost the whole graph.
-        The first side to complete is then scanned for a replacement
-        crossing edge.  Finding one keeps the partition; exhausting the
-        side proves a split; blowing ``reconnect_budget`` (total scan
-        steps across both phases) marks the epoch dirty for the
-        cc_kernel fallback.  Deterministic: floods and scans walk
-        sorted adjacency, so the replacement edge is a pure function of
-        the graph state.
+        the *smaller* side even when the other is almost the whole
+        graph.  The first side to complete is then scanned for a
+        replacement crossing edge.  Finding one keeps the partition;
+        exhausting the side proves a split; blowing ``reconnect_budget``
+        (scan steps across both phases) marks the epoch dirty for the
+        cc_kernel fallback.  Deterministic: floods and scans walk sorted
+        adjacency, so the replacement is a function of the graph state.
         """
         budget = self.reconnect_budget
         scanned = 0
         # lockstep flood: sides[i] grows one vertex expansion per turn
-        sides = [{removed[0]}, {removed[1]}]
-        queues = [[removed[0]], [removed[1]]]
+        sides = [{a}, {b}]
+        queues = [[a], [b]]
         done = None
         while done is None:
             for i in (0, 1):
@@ -436,8 +465,8 @@ class DynamicGraph:
                     self._cc_dirty = True
                     return
                 if y not in side:
-                    key = (x, y) if x < y else (y, x)
-                    self._tree.add(key)
+                    self._tree.add(x * self.n + y if x < y
+                                   else y * self.n + x)
                     self._tree_adj.setdefault(x, set()).add(y)
                     self._tree_adj.setdefault(y, set()).add(x)
                     self.counters["reconnects"] += 1
@@ -449,11 +478,8 @@ class DynamicGraph:
         self._uf_stale = True
 
     def _rebuild_parent_from_forest(self) -> None:
-        tu = np.fromiter((k[0] for k in self._tree), dtype=np.int64,
-                         count=len(self._tree))
-        tv = np.fromiter((k[1] for k in self._tree), dtype=np.int64,
-                         count=len(self._tree))
-        self._parent = cc_roots(self.n, tu, tv)
+        keys = np.fromiter(self._tree, np.int64, len(self._tree))
+        self._parent = cc_roots(self.n, *np.divmod(keys, self.n))
         self._uf_stale = False
         self.counters["uf_rebuilds"] += 1
 
@@ -464,9 +490,7 @@ class DynamicGraph:
 
         The answer certifies its graph by **epoch**; the content
         fingerprint rides along only when the epoch snapshot is already
-        materialized (cut queries always materialize it) — computing it
-        here would cost an O(m) canonical rebuild per query and erase
-        the point of incremental maintenance.
+        materialized (cut queries always do) — see :meth:`staleness`.
         """
         if (self._labels_cache is not None
                 and self._labels_cache.epoch == self.epoch):
@@ -480,8 +504,7 @@ class DynamicGraph:
             self._parent = flatten_parents(self._parent)
             roots, via = self._parent.copy(), "incremental"
         uniq, labels = np.unique(roots, return_inverse=True)
-        fresh = (self._snapshot is not None
-                 and self._snapshot_epoch == self.epoch)
+        fresh = self._snapshot_epoch == self.epoch
         result = DynamicCCResult(
             labels=labels.astype(np.int64), n_components=int(uniq.size),
             epoch=self.epoch,
@@ -492,11 +515,9 @@ class DynamicGraph:
     def _cc_fallback(self) -> np.ndarray:
         """Full recompute through the existing cc_kernel pipeline.
 
-        Runs :func:`~repro.core.components.connected_components` on the
-        epoch snapshot via the configured backend (the same dispatch a
-        from-scratch caller would make), canonicalizes the labels, and
-        rebuilds the forest and union-find from the snapshot so
-        subsequent updates are incremental again.
+        The dispatch a from-scratch caller would make, on the epoch
+        snapshot; labels are canonicalized and the forest and union-find
+        rebuilt from the snapshot, so later updates are incremental again.
         """
         from repro.core.components import connected_components
 
@@ -506,8 +527,7 @@ class DynamicGraph:
         res = connected_components(snap, self.p, seed=seed,
                                    backend=self.backend)
         roots = canonical_roots(res.labels)
-        fu, fv = earliest_forest(self.n, snap.u, snap.v)
-        self._set_forest(fu, fv)
+        self._reforest(snap)
         self._parent = roots.copy()
         self._cc_dirty = self._uf_stale = False
         self.counters["cc_fallbacks"] += 1
@@ -515,11 +535,7 @@ class DynamicGraph:
 
     def connected(self, a: int, b: int) -> bool:
         """O(α) connectivity query (resolves any pending maintenance)."""
-        if self._cc_dirty:
-            self.query_components()
-        elif self._uf_stale:
-            self._rebuild_parent_from_forest()
-        return self._find(int(a)) == self._find(int(b))
+        return self.component_of(a) == self.component_of(b)
 
     def component_of(self, x: int) -> int:
         """O(α) canonical component root of vertex ``x``."""
@@ -532,13 +548,12 @@ class DynamicGraph:
     def query_cut(self, mode: str = "exact") -> DynamicCutResult:
         """Minimum cut of the current epoch's graph (module docstring).
 
-        ``mode="exact"``: the 2-out pipeline on the epoch snapshot, its
-        preprocessing plan cached per (epoch fingerprint, seed, p) so
-        repeat queries at one epoch skip preprocessing entirely.
-        ``mode="approx"``: the O(log n)-approximate cut on the certified
-        sparsifier, with the witness side re-evaluated exactly on the
-        snapshot.  Disconnected epochs answer 0.0 with a canonical
-        witness (component 0) in either mode.
+        ``mode="exact"``: the 2-out pipeline on the epoch snapshot; its
+        plan is cached per (epoch fingerprint, seed, p), so repeats at
+        one epoch skip preprocessing.  ``mode="approx"``: the O(log n)-
+        approximate cut on the certified sparsifier, the witness side
+        re-evaluated exactly on the snapshot.  Disconnected epochs answer
+        0.0 with a canonical witness (component 0) in either mode.
         """
         if mode not in ("exact", "approx"):
             raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
@@ -626,12 +641,11 @@ class DynamicGraph:
         """JSON-ready report of how far warm state lags the epoch.
 
         ``fingerprint`` is reported only once a query has materialized
-        the epoch snapshot (``null`` before that): computing it eagerly
-        would cost an O(m) canonical rebuild per update batch, defeating
-        the cheap-updates contract.  :meth:`fingerprint` forces it.
+        the epoch snapshot (``null`` before that): an eager O(m) fold
+        and hash per batch would defeat the cheap-updates contract.
+        :meth:`fingerprint` forces it.
         """
-        fresh = (self._snapshot is not None
-                 and self._snapshot_epoch == self.epoch)
+        fresh = self._snapshot_epoch == self.epoch
         return {
             "epoch": self.epoch,
             "fingerprint": self.fingerprint() if fresh else None,

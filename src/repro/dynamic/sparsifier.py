@@ -5,30 +5,25 @@ weighted sampling primitive (:func:`~repro.core.sparsify.
 sparsify_weighted`, §3.1 of the paper):
 
 * A **rebuild** draws ``s`` i.i.d. weighted edge samples from the epoch
-  snapshot as a BSP program through the configured backend — the same
-  O(1)-superstep gather/multinomial/scatter pipeline every other
-  consumer uses — and assigns each sampled slot the importance weight
-  ``W/s`` (an unbiased estimator of every cut).  Per-edge sampling
-  rates are ``r_e = s·w_e/W``; they are recorded, not re-drawn, when
-  weights move.
-* Between rebuilds the sparsifier is maintained **lazily**: inserted
-  edges ride in an exact overlay (sampling rate 1), deleted edges drop
-  their sampled slots, and reweighted edges scale their slots by
-  ``w_new/w_old`` (the lazy-rate update — the slot keeps its original
+  snapshot as a BSP program through the configured backend and gives
+  each sampled slot the importance weight ``W/s`` (an unbiased
+  estimator of every cut).  Per-edge sampling rates ``r_e = s·w_e/W``
+  are recorded, not re-drawn, when weights move.
+* Between rebuilds maintenance is **lazy**: inserted edges ride in an
+  exact overlay (rate 1), deleted edges drop their slots, reweighted
+  edges scale their slots by ``w_new/w_old`` (the slot keeps its
   inclusion probability, only its value moves).  Every change adds its
   absolute weight delta to a **drift** accumulator.
 * Once drift crosses ``drift_threshold × W_rebuild`` the next
-  materialization re-sparsifies from scratch through the same BSP path
-  — periodic amortized rebuilds, never per-update and never per-query.
+  materialization re-sparsifies — amortized, never per update or query.
 
 Every materialization returns ``(EdgeList, certificate)``; the
-certificate carries enough (sample size, total weight, rates provenance,
-drift, a sha256 of the materialized arrays) for a client to audit what
-its approximate answer was computed on.  Determinism: the rebuild seed
-is keyed by ``(dynamic seed, rebuild index)`` via the same
-:meth:`~repro.rng.streams.RngStreams.spawn` discipline as trial
-streams, so a replayed update stream re-sparsifies identically on
-either backend.
+certificate (sample size, total weight, rebuild provenance, drift, a
+sha256 of the materialized arrays) lets a client audit what its
+approximate answer was computed on.  Determinism: the rebuild seed is
+keyed by ``(dynamic seed, rebuild index)`` through
+:meth:`~repro.rng.streams.RngStreams.spawn`, so a replayed update
+stream re-sparsifies identically on either backend.
 """
 
 from __future__ import annotations
@@ -59,10 +54,10 @@ def sparsify_program(ctx, slices, s):
 class CutSparsifier:
     """Lazy-rate cut sparsifier state (module docstring).
 
-    Owned by a :class:`~repro.dynamic.graph.DynamicGraph`; all
-    bookkeeping here is O(1) per update, and the only non-trivial work
-    (the BSP sampling dispatch) happens inside :meth:`materialize` when
-    there is no base yet or drift crossed the threshold.
+    Owned by a :class:`~repro.dynamic.graph.DynamicGraph`, which names
+    edges by its int key ``u * n + v`` (u < v).  Bookkeeping is O(1) per
+    update; the BSP sampling dispatch happens inside :meth:`materialize`
+    when there is no base yet or drift crossed the threshold.
     """
 
     def __init__(self, *, eps: float = 0.2, drift_threshold: float = 0.25,
@@ -79,16 +74,16 @@ class CutSparsifier:
         self.rebuild_epoch: int | None = None
         self.rebuild_fingerprint: str | None = None
         self._base_u = self._base_v = None      # sampled slots (int64)
-        self._base_w = None                     # slot weights at rebuild
-        self._base_keys: list[tuple[int, int]] = []
-        self._base_key_set: set[tuple[int, int]] = set()
-        self._base_orig: dict[tuple[int, int], float] = {}  # w_e at rebuild
+        self._base_w = None                     # each slot's w_e at rebuild
+        self._slot_key = np.zeros(0, dtype=np.int64)  # slot keys, sorted
+        self._slot_order = self._slot_key       # ... and the slot of each
+        self._base_key_set: set[int] = set()    # distinct slot keys
         self.W_rebuild = 0.0
         self.s = 0
         self.drift = 0.0
-        self._inserted: dict[tuple[int, int], float] = {}
-        self._removed: set[tuple[int, int]] = set()
-        self._rescaled: dict[tuple[int, int], float] = {}   # key -> w_new
+        self._inserted: dict[int, float] = {}   # exact overlay: key -> w
+        self._removed: set[int] = set()
+        self._rescaled: dict[int, float] = {}   # key -> w_new
 
     # -- lazy per-update bookkeeping (called by DynamicGraph) ----------------
 
@@ -140,14 +135,6 @@ class CutSparsifier:
             return self.drift > 0
         return self.drift > self.drift_threshold * self.W_rebuild
 
-    def sampling_rate(self, key, w: float) -> float:
-        """The lazy per-edge rate ``min(1, s·w/W)`` (1.0 for overlay edges)."""
-        if key in self._inserted:
-            return 1.0
-        if self.W_rebuild <= 0:
-            return 0.0
-        return min(1.0, self.s * float(w) / self.W_rebuild)
-
     # -- rebuild + materialization -------------------------------------------
 
     def rebuild(self, dyn, snap: EdgeList, fp: str) -> None:
@@ -155,8 +142,7 @@ class CutSparsifier:
         seed = dyn._streams.spawn(_SPARSIFY_SALT + self.rebuilds).seed
         s = self.sample_size(snap.n, snap.m)
         if s == 0:
-            su = sv = np.zeros(0, dtype=np.int64)
-            sw = np.zeros(0, dtype=np.float64)
+            su = sv = sw = ()
         else:
             runtime = resolve_backend(dyn.backend)
             result = runtime.run(
@@ -166,11 +152,11 @@ class CutSparsifier:
         self._base_u = np.asarray(su, dtype=np.int64)
         self._base_v = np.asarray(sv, dtype=np.int64)
         self._base_w = np.asarray(sw, dtype=np.float64)
-        self._base_keys = list(zip(self._base_u.tolist(),
-                                   self._base_v.tolist()))
-        self._base_key_set = set(self._base_keys)
-        self._base_orig = {k: w for k, w in zip(self._base_keys,
-                                                self._base_w.tolist())}
+        key = self._base_u * snap.n + self._base_v
+        self._slot_order = np.argsort(key, kind="stable")
+        self._slot_key = key[self._slot_order]
+        first = np.flatnonzero(np.diff(self._slot_key, prepend=-1))
+        self._base_key_set = set(self._slot_key[first].tolist())
         self.W_rebuild = snap.total_weight()
         self.s = int(s)
         self.drift = 0.0
@@ -181,54 +167,50 @@ class CutSparsifier:
         self.rebuild_epoch = dyn.epoch
         self.rebuild_fingerprint = fp
         dyn.counters["resparsifications"] += 1
-        # Rebuilds are query-triggered, so the sparsifier base depends
-        # on *when* approx queries happened — owners that replay state
-        # (the serve session's write-ahead log) hook this to record the
-        # event and re-trigger it on resume, keeping replayed approx
-        # answers bit-identical.
-        hook = getattr(dyn, "on_resparsify", None)
-        if hook is not None:
-            hook(dyn.epoch)
+        # Rebuilds are query-triggered, so the base depends on *when*
+        # approx queries happened: an owner that replays state records
+        # the event here and re-triggers it on resume.
+        if dyn.on_resparsify is not None:
+            dyn.on_resparsify(dyn.epoch)
+
+    def _slots_of(self, keys):
+        """Base slots drawn by ``keys``: ``(slots, rank, sorted keys)``.
+
+        ``rank[i]`` indexes the sorted key that drew ``slots[i]``; a key
+        with several slots lists them all, one with none lists nothing.
+        O(k log s + hits) for k keys — never a pass over the s slots.
+        """
+        ks = np.sort(np.fromiter(keys, dtype=np.int64, count=len(keys)))
+        lo = np.searchsorted(self._slot_key, ks, "left")
+        cnt = np.searchsorted(self._slot_key, ks, "right") - lo
+        at = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+        slots = self._slot_order[at + np.arange(at.size)]
+        return slots, np.repeat(np.arange(ks.size), cnt), ks
 
     def materialize(self, dyn, snap: EdgeList, fp: str):
         """``(sparsifier graph, certificate)`` for the current epoch.
 
         Rebuilds first when there is no base yet or drift crossed the
         amortization threshold; otherwise assembles base slots (minus
-        removed, times lazy rescales) plus the exact overlay — O(s)
-        numpy work, no dispatch.
+        removed, times lazy rescales) plus the exact overlay, in slot
+        then key order — O(s) array copies, no dispatch.
         """
         if self.needs_rebuild:
             self.rebuild(dyn, snap, fp)
-        if self.s > 0:
-            keep = np.fromiter(
-                (k not in self._removed for k in self._base_keys),
-                dtype=bool, count=len(self._base_keys))
-            bu = self._base_u[keep]
-            bv = self._base_v[keep]
-            slot = np.full(int(keep.sum()), self.W_rebuild / self.s,
-                           dtype=np.float64)
-            if self._rescaled:
-                scale = np.fromiter(
-                    ((self._rescaled[k] / self._base_orig[k]
-                      if k in self._rescaled else 1.0)
-                     for k, live in zip(self._base_keys, keep.tolist())
-                     if live),
-                    dtype=np.float64, count=int(keep.sum()))
-                slot = slot * scale
-        else:
-            bu = bv = np.zeros(0, dtype=np.int64)
-            slot = np.zeros(0, dtype=np.float64)
-        overlay = sorted(self._inserted.items())
-        ou = np.fromiter((k[0] for k, _w in overlay), dtype=np.int64,
-                         count=len(overlay))
-        ov = np.fromiter((k[1] for k, _w in overlay), dtype=np.int64,
-                         count=len(overlay))
-        ow = np.fromiter((w for _k, w in overlay), dtype=np.float64,
-                         count=len(overlay))
+        slot = np.full(self._base_u.size, self.W_rebuild / max(self.s, 1))
+        slots, rank, ks = self._slots_of(self._rescaled)
+        w_new = np.array([self._rescaled[k] for k in ks.tolist()])
+        slot[slots] *= w_new[rank] / self._base_w[slots]   # lazy rates
+        keep = np.ones(slot.size, dtype=bool)
+        keep[self._slots_of(self._removed)[0]] = False
+        bu, bv = self._base_u[keep], self._base_v[keep]
+        ok = np.fromiter(self._inserted, np.int64, len(self._inserted))
+        ow = np.fromiter(self._inserted.values(), np.float64, ok.size)
+        order = np.argsort(ok)
+        ou, ov = np.divmod(ok[order], snap.n)
         u = np.concatenate([bu, ou])
         v = np.concatenate([bv, ov])
-        w = np.concatenate([slot, ow])
+        w = np.concatenate([slot[keep], ow[order]])
         sg = EdgeList(snap.n, u, v, w, canonical=False, validate=False)
         sha = hashlib.sha256()
         for arr in (u, v, w):

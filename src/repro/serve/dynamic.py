@@ -38,6 +38,9 @@ class DynamicSession:
         self.dyn = dyn
         self.log_path = log_path
         self.lock = threading.Lock()
+        # The graph calls back once a batch has validated (and before it
+        # mutates anything), so a rejected batch never reaches the log.
+        dyn.on_batch = self._log_batch
         # Sparsifier rebuilds are query-triggered, so replaying updates
         # alone would leave a resumed session's approx answers on a
         # different (fresher) base.  Recording each rebuild epoch makes
@@ -52,13 +55,19 @@ class DynamicSession:
             fh.flush()
             os.fsync(fh.fileno())
 
+    def _log_batch(self, epoch: int, ops: list) -> None:
+        self._append({"epoch": epoch, "ops": ops})
+
     def _log_resparsify(self, epoch: int) -> None:
         self._append({"resparsify": epoch})
 
     def update(self, ops: list) -> dict:
-        """Write-ahead log one batch, apply it, return the staleness doc."""
+        """Validate one batch, write-ahead log it, apply it atomically.
+
+        Raises ``KeyError``/``ValueError`` (the daemon's ``BadUpdate``)
+        with the log, the graph and its epoch untouched.
+        """
         with self.lock:
-            self._append({"epoch": self.dyn.epoch + 1, "ops": ops})
             return self.dyn.update_edges(ops)
 
 
@@ -135,8 +144,9 @@ class DynamicSessionManager:
         ``load_graph(path, expected_fp)`` supplies the initial graph
         (the daemon passes its cache's loader, so the fingerprint pin is
         re-validated).  A session whose graph file vanished or changed,
-        or whose log holds a malformed record (a torn *tail* is just
-        truncated, see :meth:`_whole_records`), is skipped — its jobs
+        or whose log holds a malformed record or a batch the graph
+        rejects (a torn *tail* is just truncated, see
+        :meth:`_whole_records`), is skipped — its jobs
         will fail with a typed error rather than silently serving
         different bits.  Returns resumed session ids.
         """
@@ -163,14 +173,17 @@ class DynamicSessionManager:
                                backend=backend, plane=plane,
                                plan_cache=plan_cache,
                                **doc.get("dyn_kwargs", {}))
-            # The hook is attached by DynamicSession below, AFTER the
-            # replay — replayed rebuilds must not re-append log lines.
-            for entry in entries:
-                if "ops" in entry:
-                    dyn.update_edges(entry["ops"])
-                elif "resparsify" in entry:
-                    dyn.sparsifier.rebuild(dyn, dyn.snapshot(),
-                                           dyn.fingerprint())
+            # The hooks are attached by DynamicSession below, AFTER the
+            # replay — replayed records must not re-append log lines.
+            try:
+                for entry in entries:
+                    if "ops" in entry:
+                        dyn.update_edges(entry["ops"])
+                    elif "resparsify" in entry:
+                        dyn.sparsifier.rebuild(dyn, dyn.snapshot(),
+                                               dyn.fingerprint())
+            except (KeyError, ValueError):
+                continue  # a logged batch no longer applies: likewise
             session = DynamicSession(sid, doc, dyn, log_path)
             with self._lock:
                 self.sessions[sid] = session

@@ -24,7 +24,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.serve.protocol import (
     ALGORITHMS,
@@ -84,7 +84,13 @@ class Job:
         }
 
     def to_doc(self) -> dict:
-        return asdict(self)
+        """The persisted document: a *shallow* field dict.
+
+        ``dataclasses.asdict`` would deep-copy ``result`` (a finished
+        ``parallel_cc`` job carries its whole label list) on every save;
+        the store only serializes the doc, so sharing is safe.
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Job":

@@ -39,7 +39,9 @@ Dynamic-graph sessions (``docs/dynamic.md``):
     ``{"op": "dyn_update", "session": <id>, "ops": [["insert", u, v, w],
     ["delete", u, v], ["reweight", u, v, w], ...]}`` → the new epoch's
     staleness document.  Applied inline (no backend work); each batch
-    closes an epoch and is write-ahead logged for restart replay.
+    closes an epoch and is write-ahead logged for restart replay.  A
+    batch with an invalid op is refused whole (``BadUpdate``): nothing
+    is applied and nothing is logged.
 ``dyn_query``
     ``{"op": "dyn_query", "session": <id>, "query": "components" |
     "cut", "mode": "exact" | "approx", "if_stale": "reject" |

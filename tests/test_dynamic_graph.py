@@ -15,6 +15,8 @@ Everything here fuzzes those claims against the trusted kernels on the
 epoch snapshot, across both execution backends.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,12 @@ from repro.dynamic import (
     canonical_roots,
     update_stream,
 )
-from repro.graph import EdgeList, erdos_renyi, two_cliques_bridge
+from repro.graph import (
+    EdgeList,
+    content_fingerprint,
+    erdos_renyi,
+    two_cliques_bridge,
+)
 from repro.kernels import cc_labels
 from repro.rng import philox_stream
 
@@ -122,6 +129,306 @@ def test_staleness_fingerprint_is_lazy():
     assert dyn.query_components().fingerprint is None
     fp = dyn.fingerprint()                      # forces the snapshot
     assert dyn.staleness()["fingerprint"] == fp
+
+
+# -- atomic batches -----------------------------------------------------------
+
+
+def test_rejected_batch_leaves_no_trace():
+    """A batch that fails on a later op applies none of its ops."""
+    g, stream = churn(batches=4)
+    dyn = DynamicGraph(g, p=2, seed=0, drift_threshold=0.05)
+    twin = DynamicGraph(g, p=2, seed=0, drift_threshold=0.05)
+    for d in (dyn, twin):
+        d.update_edges(stream[0])
+        d.query_cut(mode="approx")
+    before = dyn.staleness()
+    snap, fp, labels = dyn.snapshot(), dyn.fingerprint(), dyn.query_components()
+    a, b = int(snap.u[0]), int(snap.v[0])
+    for bad, exc in (
+            ([["insert", 0, 3, 2.0], ["delete", a, b], ["delete", a, b]],
+             KeyError),
+            ([["delete", a, b], ["reweight", a, b, 1.0]], KeyError),
+            ([["reweight", a, b, 3.0], ["insert", 0, 3, float("nan")]],
+             ValueError),
+            ([["delete", a, b], ["insert", 0]], ValueError),
+            ([["delete", a, b], ["insert", "x", 1, 1.0]], ValueError),
+            ([["delete", a, b], ["frobnicate", 0, 1]], ValueError)):
+        with pytest.raises(exc):
+            dyn.update_edges(bad)
+        assert dyn.staleness() == before
+        assert dyn.snapshot() is snap and dyn.fingerprint() == fp
+        assert dyn.query_components() is labels
+    # ... and the graph carries on exactly like one that never saw them
+    for ops in stream[1:]:
+        for d in (dyn, twin):
+            d.update_edges(ops)
+        assert dyn.fingerprint() == twin.fingerprint()
+        assert np.array_equal(dyn.query_components().labels,
+                              twin.query_components().labels)
+        assert (dyn.query_cut(mode="approx").certificate
+                == twin.query_cut(mode="approx").certificate)
+
+
+def test_batch_ops_see_the_ops_before_them():
+    g = EdgeList.from_pairs(5, [(0, 1), (1, 2)])
+    dyn = DynamicGraph(g, p=2, seed=0)
+    dyn.update_edges([("insert", 3, 4, 1.0), ("reweight", 4, 3, 2.0),
+                      ("insert", 0, 4, 1.0), ("delete", 4, 0),
+                      ("delete", 0, 1), ("insert", 0, 1, 7.0)])
+    snap = dyn.snapshot()
+    assert list(zip(snap.u.tolist(), snap.v.tolist(), snap.w.tolist())) == \
+        [(0, 1, 7.0), (1, 2, 1.0), (3, 4, 2.0)]
+    with pytest.raises(KeyError):
+        dyn.update_edges([("delete", 1, 2), ("delete", 2, 1)])
+    assert dyn.epoch == 1 and dyn.snapshot() is snap
+
+
+# -- differential: the array edge store vs. the sorted dict -------------------
+
+
+class Mirror:
+    """The pre-array-store edge state and sparsifier, kept as the oracle.
+
+    A tuple-keyed dict sorted in the interpreter on every snapshot, and
+    a sparsifier whose ``materialize`` walks every base slot through
+    Python — the code ``repro.dynamic`` ran before the store became
+    arrays.  Fed the same ops, it must produce the same bytes.
+    """
+
+    def __init__(self, g):
+        self.n = g.n
+        self.edges = {}
+        for a, b, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
+            key = (a, b) if a < b else (b, a)
+            self.edges[key] = self.edges.get(key, 0.0) + float(w)
+        self.base_keys, self.base_orig = [], {}
+        self.W = self.drift = 0.0
+        self.s = 0
+        self.inserted, self.removed, self.rescaled = {}, set(), {}
+
+    def watch(self, dyn):
+        """Re-base on every rebuild of ``dyn``'s sparsifier."""
+        dyn.on_resparsify = lambda _epoch: self.rebase(dyn.sparsifier)
+        return self
+
+    def rebase(self, sp):
+        self.base_keys = list(zip(sp._base_u.tolist(), sp._base_v.tolist()))
+        self.base_orig = dict(zip(self.base_keys, sp._base_w.tolist()))
+        self.W, self.s, self.drift = sp.W_rebuild, sp.s, 0.0
+        self.inserted, self.removed, self.rescaled = {}, set(), {}
+
+    def _note_reweight(self, key, w_new, delta):
+        if key in self.inserted:
+            self.inserted[key] = w_new
+        elif key in self.base_orig and key not in self.removed:
+            self.rescaled[key] = w_new
+        self.drift += abs(delta)
+
+    def apply(self, ops):
+        for op in ops:
+            a, b = int(op[1]), int(op[2])
+            key = (a, b) if a < b else (b, a)
+            if op[0] == "insert":
+                w = float(op[3])
+                if key in self.edges:
+                    self.edges[key] += w
+                    self._note_reweight(key, self.edges[key], w)
+                else:
+                    self.edges[key] = w
+                    self.inserted[key] = self.inserted.get(key, 0.0) + w
+                    self.drift += w
+            elif op[0] == "delete":
+                w_old = self.edges.pop(key)
+                if key in self.inserted:
+                    del self.inserted[key]
+                elif key in self.base_orig:
+                    self.removed.add(key)
+                    self.rescaled.pop(key, None)
+                self.drift += w_old
+            else:
+                w = float(op[3])
+                old, self.edges[key] = self.edges[key], w
+                self._note_reweight(key, w, w - old)
+
+    def snapshot(self):
+        keys = sorted(self.edges)
+        u = np.fromiter((k[0] for k in keys), dtype=np.int64, count=len(keys))
+        v = np.fromiter((k[1] for k in keys), dtype=np.int64, count=len(keys))
+        w = np.fromiter((self.edges[k] for k in keys), dtype=np.float64,
+                        count=len(keys))
+        return EdgeList(self.n, u, v, w, canonical=False, validate=False)
+
+    def materialize(self):
+        live = [k for k in self.base_keys if k not in self.removed]
+        slot = [(self.W / self.s)
+                * (self.rescaled[k] / self.base_orig[k]
+                   if k in self.rescaled else 1.0) for k in live]
+        overlay = sorted(self.inserted.items())
+        keys = live + [k for k, _w in overlay]
+        u = np.array([k[0] for k in keys], dtype=np.int64)
+        v = np.array([k[1] for k in keys], dtype=np.int64)
+        w = np.array(slot + [w for _k, w in overlay], dtype=np.float64)
+        return u, v, w, len(live), len(overlay)
+
+
+def assert_same_snapshot(dyn, mirror):
+    got, want = dyn.snapshot(), mirror.snapshot()
+    for a, b in zip((got.u, got.v, got.w), (want.u, want.v, want.w)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+    assert dyn.fingerprint() == content_fingerprint(want)
+    assert dyn.snapshot() is got                # repeats are free
+    assert dyn.staleness()["m"] == want.m
+
+
+def assert_same_sparsifier(dyn, mirror):
+    """Materialize now (rebuilding if due) and compare with the oracle."""
+    sp = dyn.sparsifier
+    sg, cert = sp.materialize(dyn, dyn.snapshot(), dyn.fingerprint())
+    u, v, w, live, overlay = mirror.materialize()
+    sha = hashlib.sha256()
+    for got, want in zip((sg.u, sg.v, sg.w), (u, v, w)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        sha.update(want.tobytes())
+    assert cert["sparsifier_sha256"] == sha.hexdigest()
+    assert (cert["base_slots_live"], cert["overlay_edges"]) == (live, overlay)
+    assert (cert["s"], cert["W_rebuild"], cert["drift"]) == \
+        (mirror.s, mirror.W, mirror.drift)
+    st = sp.staleness()
+    assert (st["overlay_edges"], st["removed_base_edges"],
+            st["rescaled_base_edges"], st["drift"]) == \
+        (len(mirror.inserted), len(mirror.removed), len(mirror.rescaled),
+         mirror.drift)
+    return cert
+
+
+@pytest.mark.parametrize("stride", [1, 3, 7])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_store_matches_sorted_dict_on_random_streams(seed, stride):
+    """Snapshots agree at every ``stride``-th epoch (the rest are skipped,
+    so one fold merges several batches, as WAL replay does)."""
+    g, stream = churn(n=50, m=120, seed=seed, batches=21, batch_size=14,
+                      insert_frac=0.4, delete_frac=0.4)
+    dyn, mirror = DynamicGraph(g, p=2, seed=seed), Mirror(g)
+    assert_same_snapshot(dyn, mirror)
+    for epoch, ops in enumerate(stream, start=1):
+        dyn.update_edges(ops)
+        mirror.apply(ops)
+        if epoch % stride == 0:
+            assert_same_snapshot(dyn, mirror)
+
+
+def test_store_fold_window_edge_cases():
+    n = 6
+    g = EdgeList(n, np.array([1, 2]), np.array([2, 3]), np.array([1.0, 2.0]))
+    dyn, mirror = DynamicGraph(g, p=2, seed=0), Mirror(g)
+    windows = [
+        # insert + delete of one key: in one batch, then across two
+        [[("insert", 0, 5, 1.0), ("delete", 0, 5)]],
+        [[("insert", 0, 5, 1.0)], [("delete", 5, 0)]],
+        # delete + reinsert of one key, same and different batch
+        [[("delete", 1, 2), ("insert", 1, 2, 4.5)]],
+        [[("delete", 2, 3)], [("insert", 3, 2, 0.25)]],
+        # reweight of a just-inserted edge; insert combining into it
+        [[("insert", 2, 4, 1.0)], [("reweight", 2, 4, 3.0)],
+         [("insert", 4, 2, 0.5)]],
+        # new first and new last key of the sorted store
+        [[("insert", 0, 1, 1.0), ("insert", 4, 5, 1.0)]],
+        [[]],                                   # an empty batch is an epoch
+        # emptying the graph, then growing it back from nothing
+        [[("delete", 0, 1), ("delete", 1, 2), ("delete", 2, 3)],
+         [("delete", 2, 4), ("delete", 4, 5)]],
+        [[("insert", 3, 5, 2.0)]],
+    ]
+    for window in windows:
+        for ops in window:
+            dyn.update_edges(ops)
+            mirror.apply(ops)
+        assert_same_snapshot(dyn, mirror)
+    assert dyn.snapshot().m == 1 and dyn.epoch == 14
+
+
+def test_fingerprint_is_a_function_of_the_edge_set():
+    g, stream = churn(n=40, m=90, seed=4, batches=1, batch_size=20)
+    ops = stream[0]
+    a, b = DynamicGraph(g, p=2, seed=0), DynamicGraph(g, p=2, seed=0)
+    a.update_edges(ops)
+    # the same ops one per batch, keys in descending order, snapshots taken
+    # along the way: another history, one edge set
+    for op in sorted(ops, key=lambda op: (-min(op[1:3]), -max(op[1:3]))):
+        b.update_edges([op])
+        b.snapshot()
+    assert a.epoch != b.epoch
+    assert a.fingerprint() == b.fingerprint()
+
+
+def test_duplicate_input_edges_combine_in_arrival_order():
+    # float addition does not associate: the sum order is observable
+    ws = [0.1, 0.2, 0.3]
+    assert (ws[0] + ws[1]) + ws[2] != ws[0] + (ws[1] + ws[2])
+    g = EdgeList(3, np.array([0, 1, 1, 0]), np.array([1, 0, 2, 1]),
+                 np.array([ws[0], ws[1], 5.0, ws[2]]), validate=False)
+    dyn = DynamicGraph(g, p=2, seed=0)
+    assert dyn.snapshot().w.tolist() == [(ws[0] + ws[1]) + ws[2], 5.0]
+    assert_same_snapshot(dyn, Mirror(g))
+
+
+# -- differential: array-native sparsifier vs. per-slot loops -----------------
+
+
+def test_sparsifier_matches_per_slot_oracle_on_scenarios():
+    # a sample smaller than m: some edges draw several slots, some none
+    g = erdos_renyi(30, 150, philox_stream(23), weighted=True)
+    dyn = DynamicGraph(g, p=2, seed=2, sample_scale=0.005,
+                       drift_threshold=1e9)
+    mirror = Mirror(g).watch(dyn)
+    sp = dyn.sparsifier
+    cert = assert_same_sparsifier(dyn, mirror)   # straight after a rebuild
+    assert cert["rebuilds"] == 1 and 0 < cert["s"] < g.m
+    slots = {}
+    for key in mirror.base_keys:
+        slots[key] = slots.get(key, 0) + 1
+    multi = [k for k, c in sorted(slots.items()) if c >= 2]
+    none = sorted(set(mirror.edges) - set(slots))
+    assert len(multi) >= 3 and none
+
+    def step(*ops):
+        dyn.update_edges(list(ops))
+        mirror.apply(ops)
+        return assert_same_sparsifier(dyn, mirror)
+
+    live = cert["base_slots_live"]
+    cert = step(("delete", *multi[0]))           # every slot of the key goes
+    assert cert["base_slots_live"] == live - slots[multi[0]]
+    cert = step(("insert", *multi[0], 1.5))      # removed *and* overlaid
+    assert sp.staleness()["removed_base_edges"] == 1
+    assert cert["overlay_edges"] == 1
+    assert cert["base_slots_live"] == live - slots[multi[0]]
+    step(("reweight", *multi[1], 9.0))           # every slot rescales
+    assert sp.staleness()["rescaled_base_edges"] == 1
+    cert = step(("delete", *multi[1]))           # rescaled, then deleted
+    assert sp.staleness()["rescaled_base_edges"] == 0
+    assert cert["base_slots_live"] == live - slots[multi[0]] - slots[multi[1]]
+    drift = sp.drift
+    cert = step(("reweight", *none[0], 3.0))     # no slot: pure drift
+    assert sp.drift > drift and sp.staleness()["rescaled_base_edges"] == 0
+    step(("insert", *multi[2], 0.5))             # combine = lazy reweight
+    step(("delete", *none[0]), ("reweight", *multi[2], 0.75))
+    assert cert["rebuilds"] == 1                 # all of it on one base
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sparsifier_matches_per_slot_oracle_on_random_streams(seed):
+    g, stream = churn(n=40, m=160, seed=seed, batches=12, batch_size=10)
+    dyn = DynamicGraph(g, p=2, seed=seed, drift_threshold=0.2)
+    mirror = Mirror(g).watch(dyn)
+    for epoch, ops in enumerate(stream, start=1):
+        dyn.update_edges(ops)
+        mirror.apply(ops)
+        if epoch % 2 == 0:
+            assert_same_sparsifier(dyn, mirror)
+    assert dyn.counters["resparsifications"] >= 2
 
 
 # -- differential fuzz: components --------------------------------------------

@@ -315,6 +315,72 @@ def test_resume_skips_sessions_with_corrupt_log(graph_file, stream, tmp_path):
     assert d2.dynamic.get(sid) is None          # unrecoverable, not crashed
 
 
+def test_rejected_batch_never_reaches_the_log(graph, graph_file, stream,
+                                              tmp_path):
+    """A batch failing on its last op is a typed error and nothing else:
+    not half-applied, not logged, and a restart resumes bit-identically
+    (it used to poison the log: the restart re-raised out of
+    ``Daemon.__init__``)."""
+    knobs = dict(seed=0, p=4, drift_threshold=0.05)
+    state = str(tmp_path / "state")
+    d1 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
+    sid = dyn_open(d1, graph_file, **knobs)
+    for ops in stream[:3]:
+        d1.handle_request({"op": "dyn_update", "session": sid, "ops": ops})
+    session = d1.dynamic.get(sid)
+    with open(session.log_path, encoding="utf-8") as fh:
+        log = fh.read()
+    fp = session.dyn.fingerprint()
+    for bad in ([["insert", 0, 59, 2.0], ["delete", 0, 59],
+                 ["delete", 0, 59]],
+                [stream[3][0], ["insert", 0]]):
+        reply = d1.handle_request({"op": "dyn_update", "session": sid,
+                                   "ops": bad})
+        assert reply["error"] == "BadUpdate"
+    assert session.dyn.epoch == 3 and session.dyn.fingerprint() == fp
+    with open(session.log_path, encoding="utf-8") as fh:
+        assert fh.read() == log
+    reply = d1.handle_request({"op": "dyn_update", "session": sid,
+                               "ops": stream[3]})
+    assert reply["ok"] and reply["epoch"] == 4
+    del d1                                      # simulated kill
+
+    d2 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
+    assert d2.handle_request(
+        {"op": "dyn_staleness", "session": sid})["epoch"] == 4
+    for ops in stream[4:]:
+        d2.handle_request({"op": "dyn_update", "session": sid, "ops": ops})
+    ref = local_reference(graph, stream, drift_threshold=0.05)
+    jid = dyn_query(d2, sid, "components")
+    cut = dyn_query(d2, sid, "cut", mode="approx")
+    drive(d2)
+    assert d2.jobs[jid].result["labels"] == \
+        [int(x) for x in ref.query_components().labels]
+    rcut = ref.query_cut(mode="approx")
+    assert d2.jobs[cut].result["value"] == rcut.value
+    assert (d2.jobs[cut].result["certificate"]["sparsifier_sha256"]
+            == rcut.certificate["sparsifier_sha256"])
+
+
+def test_resume_skips_sessions_whose_log_no_longer_applies(
+        graph_file, stream, tmp_path):
+    """A log written before batches were atomic can hold a rejected one."""
+    state = str(tmp_path / "state")
+    d1 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
+    sid = dyn_open(d1, graph_file)
+    other = dyn_open(d1, graph_file)
+    for s in (sid, other):
+        d1.handle_request({"op": "dyn_update", "session": s,
+                           "ops": stream[0]})
+    log_path = d1.dynamic.get(sid).log_path
+    del d1
+    with open(log_path, "a", encoding="utf-8") as fh:
+        fh.write('{"epoch":2,"ops":[["delete",0,59],["delete",0,59]]}\n')
+    d2 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
+    assert d2.dynamic.get(sid) is None          # unrecoverable, not crashed
+    assert d2.dynamic.get(other).dyn.epoch == 1
+
+
 def test_resume_skips_sessions_with_missing_graph(graph_file, tmp_path):
     import os
 

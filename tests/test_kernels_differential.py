@@ -288,7 +288,7 @@ def _golden_runs(backend):
                     dataclasses.asdict(cut.report)))
     with DynamicGraph(g, p=2, seed=4, backend=backend,
                       reconnect_budget=0) as dyn:
-        a, b = sorted(dyn._tree)[0]
+        a, b = divmod(min(dyn._tree), dyn.n)   # keys are u * n + v
         dyn.update_edges([("delete", a, b)])
         res = dyn.query_components()
         assert res.via == "cc_kernel"

@@ -11,6 +11,7 @@ Two harness styles:
   sim backend, talked to through the real :class:`~repro.serve.Client`.
 """
 
+import dataclasses
 import glob
 import io
 import json
@@ -367,6 +368,9 @@ def test_jobstore_save_bytes_and_atomic_replace(tmp_path, monkeypatch):
               path=None, fingerprint="ab" * 8, seed=3, p=2,
               kwargs={"eps": 0.25, "note": "caf\u00e9"},
               result={"labels": list(range(4000)), "value": 1.5e-7})
+    # the doc is what asdict would build, minus its deep copy of `result`
+    assert job.to_doc() == dataclasses.asdict(job)
+    assert job.to_doc()["result"] is job.result
     streamed = io.StringIO()  # the file json.dump(doc, fh) used to write
     json.dump(job.to_doc(), streamed, sort_keys=True)
     path = store.job_path(job.id)
