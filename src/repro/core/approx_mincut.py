@@ -127,58 +127,36 @@ def appmc_program(
                 seen[np.packbits(side).tobytes()] = side
         return list(seen.values())
 
-    if pipelined:
-        # One union over all (level, trial) pairs; a single CC call.
-        pairs = [(i, t) for i in range(1, n_levels + 1) for t in range(trials)]
+    # One stage per level, stopping at the first disconnected one — or
+    # (pipelined) every level in one stage: one union, a single CC call.
+    levels = range(1, n_levels + 1)
+    stages = [list(levels)] if pipelined else [[level] for level in levels]
+    estimate = None
+    candidates = []
+    for stage in stages:
+        pairs = [(level, t) for level in stage for t in range(trials)]
         uu, vv = _sample_level_union(ctx, u, v, w, n, pairs)
         labels_union, _ = yield from cc_kernel(
             ctx, comm, uu, vv, n * len(pairs), eps=eps, delta=delta,
             root=root, shrink=shrink,
         )
+        payload = None
         if ctx.rank == root:
-            disc = _blocks_disconnected(labels_union, n, len(pairs))
-            estimate = None
-            candidates = []
-            for b, (level, _t) in enumerate(pairs):
-                if disc[b]:
-                    if estimate is None:
-                        estimate = float(2 ** level)
-                        first_level = level
-                    if pairs[b][0] == first_level:
-                        candidates.append(b)
-            if candidates:
-                candidates = witnesses_from(labels_union, candidates)
-            payload = estimate
-        else:
-            candidates = []
-            payload = None
+            hits = np.flatnonzero(
+                _blocks_disconnected(labels_union, n, len(pairs))).tolist()
+            if hits:
+                # Blocks run in level order: the first hit names the level.
+                first_level = pairs[hits[0]][0]
+                candidates = witnesses_from(
+                    labels_union,
+                    [b for b in hits if pairs[b][0] == first_level])
+                payload = float(2 ** first_level)
         estimate = yield from comm.bcast(payload, root=root)
-    else:
-        # Staged: levels in order, stop at the first disconnected one.
-        estimate = None
-        candidates = []
-        for level in range(1, n_levels + 1):
-            pairs = [(level, t) for t in range(trials)]
-            uu, vv = _sample_level_union(ctx, u, v, w, n, pairs)
-            labels_union, _ = yield from cc_kernel(
-                ctx, comm, uu, vv, n * trials, eps=eps, delta=delta,
-                root=root, shrink=shrink,
-            )
-            if ctx.rank == root:
-                disc = _blocks_disconnected(labels_union, n, trials)
-                hits = np.flatnonzero(disc)
-                if hits.size:
-                    candidates = witnesses_from(labels_union, hits.tolist())
-                payload = float(2 ** level) if hits.size else None
-            else:
-                payload = None
-            found = yield from comm.bcast(payload, root=root)
-            if found is not None:
-                estimate = found
-                break
-        if estimate is None:
-            # Never disconnected: the cut is at least ~W; report the top level.
-            estimate = float(2 ** n_levels)
+        if estimate is not None:
+            break
+    if estimate is None:
+        # Never disconnected: the cut is at least ~W; report the top level.
+        estimate = float(2 ** n_levels)
 
     # (3) Evaluate every candidate witness's true value (one pass, one
     #     reduce) and keep the cheapest — every disconnected trial at the

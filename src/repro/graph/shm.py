@@ -5,21 +5,21 @@ every worker's :class:`~repro.runtime.worker.WorkerSpec` (or per-query
 ``CMD_RUN`` tuple) — **p independent copies of the edge arrays per
 dispatch**, even when the serve daemon's cache already holds the exact
 same graph.  This module removes that O(p·m) input path for the common
-case (the graph itself):
+case (the graph itself), on the segment mechanics of :mod:`repro.shmem`
+(shared with the transport arena):
 
-* :func:`publish` copies a graph's ``u``/``v``/``w`` arrays **once** into
-  a single read-only, 64-byte-aligned POSIX shared-memory segment keyed
-  by :func:`~repro.graph.fingerprint.content_fingerprint`, and returns a
-  :class:`GraphHandle` — fingerprint, segment name, dtypes, shapes,
-  offsets — that pickles in O(1) regardless of ``m``.  Publishing the
-  same fingerprint again is idempotent and free.
-* Workers resolve handles lazily (:func:`resolve_plane`): attach the
-  segment, reconstruct zero-copy read-only numpy views, and keep both
-  the attachment and the derived slice lists in process-local caches so
-  repeat queries on the same graph are attach-free *and* return the
-  identical :class:`~repro.graph.edgelist.EdgeList` objects (which keeps
-  the samplers' identity-keyed caches warm, mirroring the arena's cached
-  peer attachments in :mod:`repro.runtime.transport`).
+* :func:`publish` packs a graph's ``u``/``v``/``w`` arrays **once** into
+  a single read-only segment keyed by
+  :func:`~repro.graph.fingerprint.content_fingerprint`, and returns a
+  :class:`GraphHandle` — fingerprint, segment name, dtypes, offsets —
+  that pickles in O(1) regardless of ``m``.  Publishing the same
+  fingerprint again is idempotent and free.
+* Workers resolve handles lazily (:func:`resolve_plane`): attach through
+  the bounded cache, reconstruct zero-copy read-only views, and keep the
+  derived slice lists beside the attachment, so repeat queries on the
+  same graph are attach-free *and* return the identical
+  :class:`~repro.graph.edgelist.EdgeList` objects (which keeps the
+  samplers' identity-keyed caches warm).
 * Lifetime is pin-counted: the publishing coordinator pins a fingerprint
   for each layer that needs it alive (a run in flight, the warm
   backend's retention window, the serve daemon's ``GraphCache``) and
@@ -43,14 +43,20 @@ import atexit
 import itertools
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 
 from repro.graph.edgelist import EdgeList
 from repro.graph.fingerprint import cached_fingerprint, freeze_edges
+from repro.shmem import (
+    AttachCache,
+    close_and_unlink,
+    create_segment,
+    pack,
+    view,
+    walk,
+)
 
 __all__ = [
     "PLANE_MIN_BYTES",
@@ -74,9 +80,6 @@ __all__ = [
     "shutdown_plane",
 ]
 
-#: Array-byte alignment inside a published segment (cache-line starts).
-_ALIGN = 64
-
 #: Graphs whose combined edge-array bytes fall below this stay inline in
 #: the dispatch pickle: a pipe round-trip beats segment bookkeeping for
 #: tiny inputs (the transport applies the same logic per message).
@@ -85,10 +88,6 @@ PLANE_MIN_BYTES = 1 << 15
 #: Every published segment name starts with this, so tests and CI leak
 #: checks can assert cleanliness with one ``/dev/shm/rgpl*`` glob.
 SEGMENT_PREFIX = "rgpl"
-
-#: Process-local cap on cached peer attachments (distinct graphs a
-#: worker keeps mapped); LRU beyond it.
-_ATTACH_CAP = 8
 
 #: Monotonic per-process publish sequence; fixed-width in the segment
 #: name so handle pickle sizes are deterministic across runs.
@@ -105,7 +104,7 @@ def _fresh_lock_after_fork() -> None:
 # A fork copies every lock in whatever state some other thread holds it,
 # and a lock copied locked is never released.  The daemon forks its warm
 # pool from the executor thread while request threads publish; the workers
-# then hung in _resolve_graph — on _LOCK, or on the stdlib resource
+# then hung in GraphHandle.graph — on _LOCK, or on the stdlib resource
 # tracker's own lock, which SharedMemory() takes (and, on its first use,
 # holds while it spawns the tracker process) inside publish's critical
 # section.  So a fork waits for that section to end, and the child starts
@@ -114,22 +113,6 @@ if hasattr(os, "register_at_fork"):  # absent where there is no fork
     os.register_at_fork(before=lambda: _LOCK.acquire(),
                         after_in_parent=lambda: _LOCK.release(),
                         after_in_child=_fresh_lock_after_fork)
-
-
-def _untrack(name: str) -> None:
-    """Forget a segment in this process's resource tracker.
-
-    Every ``SharedMemory`` — attach as well as create — registers with the
-    tracker on this Python; the plane and the transport
-    (:mod:`repro.runtime.transport` shares this and :func:`_shm_unlink`)
-    unlink their segments themselves, and the tracker would warn about or
-    double-free them.
-    """
-    try:
-        resource_tracker.unregister(f"/{name}" if not name.startswith("/")
-                                    else name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker is best-effort anyway
-        pass
 
 
 def _segment_name() -> str:
@@ -163,7 +146,15 @@ class GraphHandle:
     def graph(self) -> EdgeList:
         """The published graph: registry object in the publisher process,
         cached zero-copy attachment elsewhere."""
-        return _resolve_graph(self)
+        with _LOCK:
+            entry = _REGISTRY.get(self.fingerprint)
+            if entry is not None and entry.seg.name == self.segment:
+                return entry.graph  # publisher process: the original object
+        seg = _ATTACHED.attach(self.segment)
+        views = _VIEWS.setdefault(self.segment, {})
+        if None not in views:
+            views[None] = _views_from_buffer(self, seg.buf)
+        return views[None]
 
 
 class PlaneSlices:
@@ -204,7 +195,14 @@ class SlicedHandle:
     p: int
 
     def resolve(self) -> list[EdgeList]:
-        return _resolve_slices(self)
+        slices = _VIEWS.get(self.handle.segment, {}).get(self.p)
+        if slices is None:
+            slices = self.handle.graph().slices(self.p)
+            # Publisher-process resolutions are not attachment-backed;
+            # their slice lists live until unpublish (registry entries
+            # outlive their pins' holders).
+            _VIEWS.setdefault(self.handle.segment, {})[self.p] = slices
+        return slices
 
 
 def plane_slices(g: EdgeList, p: int) -> PlaneSlices:
@@ -262,23 +260,12 @@ def publish(g: EdgeList, *, fingerprint: str | None = None) -> GraphHandle:
             np.ascontiguousarray(g.v, dtype=np.int64),
             np.ascontiguousarray(g.w, dtype=np.float64),
         )
-        offsets = []
-        cursor = 0
-        for a in arrays:
-            cursor = -(-cursor // _ALIGN) * _ALIGN
-            offsets.append(cursor)
-            cursor += a.nbytes
-        seg = shared_memory.SharedMemory(name=_segment_name(), create=True,
-                                         size=max(cursor, 1))
-        _untrack(seg._name)
-        for a, off in zip(arrays, offsets):
-            dst = np.ndarray(a.shape, dtype=a.dtype, buffer=seg.buf,
-                             offset=off)
-            dst[...] = a
+        seg, layout = pack(
+            arrays, lambda size: create_segment(size, _segment_name()))
         handle = GraphHandle(
             fingerprint=fp, n=int(g.n), m=int(g.m), segment=seg.name,
-            offsets=tuple(offsets),
-            dtypes=tuple(a.dtype.str for a in arrays),
+            offsets=tuple(off for off, _, _ in layout),
+            dtypes=tuple(dtype for _, _, dtype in layout),
         )
         _REGISTRY[fp] = _Entry(seg, handle, g)
         if not _ATEXIT_REGISTERED:
@@ -304,8 +291,7 @@ def bump_epoch(old_fp: str | None, g_new: EdgeList, *,
     earlier (an in-flight dispatch holds its own pin) and never later.
     """
     if old_fp is not None:
-        unpin(old_fp)
-        unpublish(old_fp)
+        release_pins([old_fp])
     handle = publish(g_new, fingerprint=fingerprint)
     pin(handle.fingerprint)
     return handle
@@ -338,32 +324,9 @@ def unpublish(fp: str) -> bool:
         if entry is None or entry.pins > 0:
             return False
         del _REGISTRY[fp]
-        name = entry.seg.name
-        for key in [k for k in _ATTACHED_SLICES if k[0] == name]:
-            del _ATTACHED_SLICES[key]
-        _close_and_unlink(entry.seg)
+        _VIEWS.pop(entry.seg.name, None)
+        close_and_unlink(entry.seg)
         return True
-
-
-def _close_and_unlink(seg) -> None:
-    name = seg._name
-    seg.close()
-    try:
-        _shm_unlink(name)
-    except FileNotFoundError:  # pragma: no cover - already swept
-        pass
-
-
-try:  # POSIX: raw shm_unlink, bypassing the resource tracker
-    import _posixshmem
-
-    def _shm_unlink(name: str) -> None:
-        _posixshmem.shm_unlink(name)
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    def _shm_unlink(name: str) -> None:
-        seg = shared_memory.SharedMemory(name=name)
-        seg.close()
-        seg.unlink()
 
 
 def published() -> dict[str, int]:
@@ -396,12 +359,9 @@ def shutdown_plane() -> None:
         entries = list(_REGISTRY.values())
         _REGISTRY.clear()
         for entry in entries:
-            _close_and_unlink(entry.seg)
-        for seg in _ATTACHED.values():
-            seg.close()
+            close_and_unlink(entry.seg)
         _ATTACHED.clear()
-        _ATTACHED_GRAPHS.clear()
-        _ATTACHED_SLICES.clear()
+        _VIEWS.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -425,97 +385,51 @@ def stage_plane(obj, pinned: list[str]):
         pinned.append(handle.fingerprint)
         return SlicedHandle(handle, marker.p)
 
-    return _walk_markers(obj, fn)
+    return _map_markers(obj, fn)
 
 
 def localize_plane(obj):
     """Resolve every marker in ``obj`` locally (sim / plane-off path)."""
-    return _walk_markers(obj, PlaneSlices.resolve)
+    return _map_markers(obj, PlaneSlices.resolve)
 
 
-def _walk_markers(obj, fn):
-    if isinstance(obj, PlaneSlices):
-        return fn(obj)
-    if isinstance(obj, tuple):
-        return tuple(_walk_markers(x, fn) for x in obj)
-    if isinstance(obj, list):
-        return [_walk_markers(x, fn) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _walk_markers(v, fn) for k, v in obj.items()}
-    return obj
+def _map_markers(obj, fn):
+    return walk(obj, lambda x: fn(x) if isinstance(x, PlaneSlices) else x)
 
 
 # ---------------------------------------------------------------------------
 # Worker-side resolution (process-local caches)
 # ---------------------------------------------------------------------------
 
-#: segment name -> attached SharedMemory (LRU-bounded by _ATTACH_CAP).
-_ATTACHED: OrderedDict[str, shared_memory.SharedMemory] = OrderedDict()
-#: segment name -> reconstructed EdgeList (views over _ATTACHED[name]).
-_ATTACHED_GRAPHS: dict[str, EdgeList] = {}
-#: (segment name, p) -> slice list; identical objects on repeat queries
-#: keep the samplers' identity-keyed caches warm across CMD_RUNs.
-_ATTACHED_SLICES: dict[tuple[str, int], list[EdgeList]] = {}
+#: segment name -> what was derived from it: the reconstructed EdgeList
+#: under ``None`` (views over the cached attachment) and one slice list
+#: per ``p``; identical objects on repeat queries keep the samplers'
+#: identity-keyed caches warm across CMD_RUNs.  Dropped as one when the
+#: attachment is evicted or the publisher unpublishes.
+_VIEWS: dict[str, dict] = {}
+#: The attachments themselves (distinct graphs a worker keeps mapped).
+_ATTACHED = AttachCache(on_evict=lambda name: _VIEWS.pop(name, None))
 
 
 def _views_from_buffer(handle: GraphHandle, buf) -> EdgeList:
     """Zero-copy read-only EdgeList over a published segment's buffer."""
     cols = []
     for off, dt in zip(handle.offsets, handle.dtypes):
-        a = np.ndarray((handle.m,), dtype=np.dtype(dt), buffer=buf,
-                       offset=off)
+        a = view(buf, off, (handle.m,), dt)
         a.flags.writeable = False  # programs only read their inputs
         cols.append(a)
     return EdgeList(handle.n, cols[0], cols[1], cols[2],
                     canonical=False, validate=False)
 
 
-def _resolve_graph(handle: GraphHandle) -> EdgeList:
-    with _LOCK:
-        entry = _REGISTRY.get(handle.fingerprint)
-        if entry is not None and entry.seg.name == handle.segment:
-            return entry.graph  # publisher process: the original object
-    g = _ATTACHED_GRAPHS.get(handle.segment)
-    if g is not None:
-        _ATTACHED.move_to_end(handle.segment)
-        return g
-    seg = shared_memory.SharedMemory(name=handle.segment)
-    _untrack(seg._name)
-    while len(_ATTACHED) >= _ATTACH_CAP:
-        old, old_seg = _ATTACHED.popitem(last=False)
-        _ATTACHED_GRAPHS.pop(old, None)
-        for key in [k for k in _ATTACHED_SLICES if k[0] == old]:
-            del _ATTACHED_SLICES[key]
-        old_seg.close()
-    _ATTACHED[handle.segment] = seg
-    g = _views_from_buffer(handle, seg.buf)
-    _ATTACHED_GRAPHS[handle.segment] = g
-    return g
-
-
-def _resolve_slices(marker: SlicedHandle) -> list[EdgeList]:
-    key = (marker.handle.segment, marker.p)
-    slices = _ATTACHED_SLICES.get(key)
-    if slices is None:
-        slices = _resolve_graph(marker.handle).slices(marker.p)
-        # Publisher-process resolutions are not attachment-backed; only
-        # cache slice lists tied to a cached attachment (or the
-        # registry, whose entries outlive their pins' holders).
-        _ATTACHED_SLICES[key] = slices
-    return slices
-
-
 def resolve_plane(obj):
     """Materialize every wire marker in ``obj`` (worker-side inverse of
     :func:`stage_plane`; plain inputs pass through untouched)."""
-    if isinstance(obj, SlicedHandle):
-        return obj.resolve()
-    if isinstance(obj, GraphHandle):
-        return obj.graph()
-    if isinstance(obj, tuple):
-        return tuple(resolve_plane(x) for x in obj)
-    if isinstance(obj, list):
-        return [resolve_plane(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: resolve_plane(v) for k, v in obj.items()}
-    return obj
+    def leaf(x):
+        if isinstance(x, SlicedHandle):
+            return x.resolve()
+        if isinstance(x, GraphHandle):
+            return x.graph()
+        return x
+
+    return walk(obj, leaf)

@@ -67,12 +67,12 @@ from repro.runtime.errors import (
 from repro.trace.tracer import NULL_TRACER, RecordingTracer, Tracer
 from repro.runtime.transport import (
     DEFAULT_SHM_THRESHOLD,
+    ShmArrayRef,
+    SlabArrayRef,
     Transport,
     TransportStats,
-    collect_shm_names,
-    collect_slab_names,
     decode_payload,
-    unlink_segments,
+    iter_refs,
 )
 from repro.runtime.worker import (
     CMD_EXIT,
@@ -84,6 +84,7 @@ from repro.runtime.worker import (
     WorkerSpec,
     persistent_worker_main,
 )
+from repro.shmem import unlink_segments
 
 __all__ = ["MpBackend", "default_start_method"]
 
@@ -175,14 +176,14 @@ class _Pool:
             try:
                 while conn.poll():
                     msg = conn.recv()
-                    if msg and msg[0] == MSG_OP:
+                    if msg and msg[0] in (MSG_OP, MSG_DONE):
+                        wire = msg[2].payload if msg[0] == MSG_OP else msg[2]
                         # One-shot segments: unlink without copying out.
                         # Arena slabs: remember the names for the sweep.
-                        unlink_segments(collect_shm_names(msg[2].payload))
-                        self.worker_segments |= collect_slab_names(
-                            msg[2].payload)
-                    elif msg and msg[0] == MSG_DONE:
-                        unlink_segments(collect_shm_names(msg[2]))
+                        unlink_segments(
+                            r.name for r in iter_refs(wire, ShmArrayRef))
+                        self.worker_segments.update(
+                            r.name for r in iter_refs(wire, SlabArrayRef))
             except (EOFError, OSError):
                 pass
         for proc in self.procs:
@@ -443,7 +444,8 @@ class MpBackend(Backend):
             reply_refs[rank].clear()
             if tag == MSG_OP:
                 op, counters[rank] = msg[2], msg[3]
-                pool.worker_segments |= collect_slab_names(op.payload)
+                pool.worker_segments.update(
+                    ref.name for ref in iter_refs(op.payload, SlabArrayRef))
                 pending[rank] = replace(
                     op, payload=transport.decode(op.payload))
             elif tag == MSG_DONE:
@@ -474,7 +476,7 @@ class MpBackend(Backend):
                     inbox[m] = None
                     buf = ForkingPickler.dumps(
                         (REPLY_RESULT, wire, counters[m]))
-                    transport.note_pickle(kind, len(buf))
+                    transport.stats.note(kind, pickle_bytes=len(buf))
                     try:
                         pool.conns[m].send_bytes(buf)
                     except (BrokenPipeError, OSError):

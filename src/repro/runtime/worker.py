@@ -155,7 +155,7 @@ def _drive(conn, spec: WorkerSpec, transport: Transport, *, world_gid, seed,
         wire_payload, slabs = transport.encode(op.payload, op.kind)
         msg = (MSG_OP, spec.rank, replace(op, payload=wire_payload), counters)
         buf = ForkingPickler.dumps(msg)
-        transport.note_pickle(op.kind, len(buf))
+        transport.stats.note(op.kind, pickle_bytes=len(buf))
         if dropped:
             # The request never reaches the coordinator: go silent until
             # the inactivity timeout tears the pool down.

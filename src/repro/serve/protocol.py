@@ -166,7 +166,8 @@ def result_doc(algorithm: str, result: Any) -> dict:
         return {
             "algorithm": algorithm,
             "estimate": float(result.estimate),
-            "witness_value": float(result.witness_value),
+            "witness_value": (None if result.witness_value is None
+                              else float(result.witness_value)),
             "witness_side": (None if result.witness_side is None
                              else encode_side(result.witness_side)),
         }

@@ -77,6 +77,29 @@ class TestAlgorithms:
         rc = main(["approx_cut", str(graph_file), "--pipelined"])
         assert rc == 0
 
+    def test_schedules_agree_when_nothing_disconnects(self, tmp_path, capsys):
+        """One edge of weight 1000 survives every sampling level: both
+        schedules must fall back to the top level (the pipelined one used
+        to return ``estimate=None`` and crash the CLI's formatter)."""
+        import numpy as np
+
+        from repro.core.approx_mincut import approx_minimum_cut
+        from repro.graph import EdgeList, write_edgelist
+
+        g = EdgeList(2, np.array([0]), np.array([1]), np.array([1000.0]))
+        staged = approx_minimum_cut(g, p=2, seed=1, pipelined=False)
+        piped = approx_minimum_cut(g, p=2, seed=1, pipelined=True)
+        assert staged.estimate == piped.estimate == 128.0
+        assert staged.witness_value is None and piped.witness_value is None
+        path = tmp_path / "heavy.txt"
+        write_edgelist(g, str(path))
+        values = []
+        for extra in ([], ["--pipelined"]):
+            assert main(["approx_cut", str(path), "--procs", "2",
+                         "--seed", "1", *extra]) == 0
+            values.append(capsys.readouterr().out.strip().split(",")[8])
+        assert values == ["128", "128"]
+
     def test_same_seed_same_output(self, graph_file, capsys):
         main(["parallel_cc", str(graph_file), "--seed", "9"])
         a = capsys.readouterr().out

@@ -225,6 +225,26 @@ def test_status_and_result_docs(graph, graph_file, tmp_path):
     assert res["n_components"] == solo.n_components
 
 
+def test_approx_cut_without_witness_served_equals_direct(tmp_path):
+    """One heavy edge never disconnects under sampling: no witness, and the
+    served document must say so (``null``) exactly like the direct one."""
+    from repro.graph import EdgeList
+    from repro.serve.protocol import result_doc
+
+    g = EdgeList(2, np.array([0]), np.array([1]), np.array([1000.0]))
+    path = str(tmp_path / "heavy.edges")
+    write_edgelist(g, path)
+    d = threadless(tmp_path)
+    jid = submit(d, "approx_cut", path, seed=1)
+    drive(d)
+    assert d.handle_request({"op": "status", "job": jid})["state"] == "done"
+    res = d.handle_request({"op": "result", "job": jid})["result"]
+    direct = result_doc("approx_cut",
+                        run_algorithm("approx_cut", g, p=4, seed=1))
+    assert res == direct
+    assert res["witness_value"] is None and res["estimate"] == 128.0
+
+
 def test_stats_doc(graph_file, tmp_path):
     d = threadless(tmp_path)
     submit(d, "parallel_cc", graph_file, client="a")

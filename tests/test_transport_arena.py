@@ -8,7 +8,6 @@ encode/decode round trip, and a full MpBackend run checked against the
 OS segment namespace.
 """
 
-import glob
 import os
 import sys
 
@@ -18,19 +17,22 @@ import pytest
 from repro.bsp.arrays import ArrayBundle
 from repro.runtime.transport import (
     ShmArena,
+    SlabArrayRef,
     Transport,
     _size_class,
-    collect_slab_names,
     decode_payload,
     encode_payload,
-    unlink_segments,
+    iter_refs,
 )
+from repro.shmem import unlink_segments
 from tests.conftest import require_mp
 
 
 def _shm_names() -> set:
-    """Segments currently visible in the OS shm namespace (POSIX only)."""
-    return {n.rsplit("/", 1)[-1] for n in glob.glob("/dev/shm/psm_*")}
+    """Everything now in the OS shm namespace (POSIX only): callers diff it
+    before/after, so kernel-random ``psm_`` one-shots, prefixed ``rsh``
+    pool slabs and ``rgpl`` plane segments are all covered."""
+    return set(os.listdir("/dev/shm"))
 
 
 needs_dev_shm = pytest.mark.skipif(
@@ -168,7 +170,7 @@ class TestTransportArena:
             b = ArrayBundle(np.arange(100), np.ones(100))
             wire, slabs = tx.encode(b, "small")
             assert slabs == []
-            assert collect_slab_names(wire) == set()
+            assert iter_refs(wire, SlabArrayRef) == []
             out = decode_payload(wire)  # no attach needed: all inline
             assert out == b
         finally:
