@@ -6,17 +6,20 @@ prices both paths on the same deterministic churn workload
 (:func:`repro.dynamic.update_stream`) and writes
 ``results/BENCH_dynamic.json``:
 
-* ``incremental`` — a :class:`~repro.dynamic.DynamicGraph` absorbing
+* incremental — a :class:`~repro.dynamic.DynamicGraph` absorbing
   every batch (O(alpha) bookkeeping + bounded reconnection) and
-  answering ``query_components()`` after each epoch: sustained
-  updates/s plus per-epoch query latency percentiles;
-* ``full`` — the no-subsystem alternative: re-running
+  answering ``query_components()`` after each epoch;
+* full — the no-subsystem alternative: re-running
   :func:`~repro.core.connected_components` from scratch on the same
   epoch snapshot (same seed discipline as the incremental fallback, so
   the canonicalized labels must agree bit for bit);
 * ``serve`` — the same stream through a live daemon session (sim
-  backend, unix socket): warm ``dyn_components`` latency at bounded
-  staleness (every answer certifies the epoch it describes).
+  backend, unix socket) at bounded staleness (every answer certifies
+  the epoch it describes); its final answer must equal the local one.
+
+Only the full-over-incremental ratio of the per-epoch medians is
+recorded.  Update throughput and latency distributions are the
+end-to-end benchmark's job (``benchmarks/e2e/run.py --workload dyn_churn``).
 
 Acceptance bars (gated in :mod:`benchmarks.perf_gate`):
 
@@ -59,16 +62,6 @@ def _labels_sha(labels) -> str:
         np.ascontiguousarray(labels, dtype=np.int64).tobytes()).hexdigest()
 
 
-def _percentiles(samples: list[float]) -> dict:
-    xs = np.sort(np.asarray(samples))
-    return {
-        "n": len(xs),
-        "p50_s": float(np.percentile(xs, 50)),
-        "p99_s": float(np.percentile(xs, 99)),
-        "mean_s": float(xs.mean()),
-    }
-
-
 def churn_workload(scale: float = 1.0, seed: int = 0):
     """The benchmark's fixed (graph, update stream) churn workload."""
     from repro.dynamic import update_stream
@@ -98,19 +91,13 @@ def incremental_vs_full(scale: float = 1.0, seed: int = 0, p: int = 4) -> dict:
     g, stream = churn_workload(scale=scale, seed=seed)
     dyn = DynamicGraph(g, p=p, seed=seed, backend="sim")
 
-    update_s = 0.0
-    total_ops = 0
     inc_lat, full_lat = [], []
     match = True
     for ops in stream:
         t0 = time.perf_counter()
         dyn.update_edges(ops)
-        t1 = time.perf_counter()
         cc = dyn.query_components()
-        t2 = time.perf_counter()
-        update_s += t1 - t0
-        total_ops += len(ops)
-        inc_lat.append(t2 - t0)
+        inc_lat.append(time.perf_counter() - t0)
 
         fallback_seed = dyn._streams.spawn(_CC_SALT + dyn.epoch).seed
         t0 = time.perf_counter()
@@ -127,16 +114,11 @@ def incremental_vs_full(scale: float = 1.0, seed: int = 0, p: int = 4) -> dict:
     speedup = float(np.median(full_lat) / max(np.median(inc_lat), 1e-9))
     return {
         "n": g.n, "m": g.m, "p": p, "epochs": dyn.epoch,
-        "total_update_ops": total_ops,
-        "updates_per_s": total_ops / max(update_s, 1e-9),
-        "incremental": _percentiles(inc_lat),
-        "full": _percentiles(full_lat),
         "speedup": speedup,
         "speedup_ok": speedup >= DYNAMIC_SPEEDUP_FLOOR,
         "labels_match_every_epoch": bool(match),
         "final_n_components": int(final.n_components),
         "final_labels_sha256": _labels_sha(final.labels),
-        "counters": dict(dyn.counters),
     }
 
 
@@ -189,7 +171,7 @@ def cut_determinism(scale: float = 1.0, seed: int = 0, p: int = 4) -> dict:
     }
 
 
-def serve_latency(scale: float = 1.0, seed: int = 0, p: int = 4) -> dict:
+def serve_replay(scale: float = 1.0, seed: int = 0, p: int = 4) -> dict:
     """The same churn through a live daemon's dynamic session."""
     from repro.graph import write_edgelist
     from repro.serve import Client, Daemon, ServeConfig, wait_server
@@ -201,24 +183,17 @@ def serve_latency(scale: float = 1.0, seed: int = 0, p: int = 4) -> dict:
     cfg = ServeConfig(bind=os.path.join(tmp, "serve.sock"),
                       state_dir=os.path.join(tmp, "state"),
                       backend="sim", p=p)
-    update_lat, query_lat = [], []
     with Daemon(cfg) as daemon:
         wait_server(daemon.address)
         with Client(daemon.address, client="bench") as client:
             sid = client.dyn_open(graph_path, seed=seed, p=p)
             last = None
             for ops in stream:
-                t0 = time.perf_counter()
                 st = client.dyn_update(sid, ops)
-                update_lat.append(time.perf_counter() - t0)
-                t0 = time.perf_counter()
                 last = client.dyn_components(sid)
-                query_lat.append(time.perf_counter() - t0)
                 assert last["epoch"] == st["epoch"]  # bounded staleness
             client.dyn_close(sid)
     return {
-        "update": _percentiles(update_lat),
-        "query": _percentiles(query_lat),
         "final_epoch": int(last["epoch"]),
         "final_n_components": int(last["n_components"]),
         "final_labels_sha256": last["labels_sha256"],
@@ -228,7 +203,7 @@ def serve_latency(scale: float = 1.0, seed: int = 0, p: int = 4) -> dict:
 def run_benchmarks(scale: float = 1.0, seed: int = 0, p: int = 4) -> dict:
     cc = incremental_vs_full(scale=scale, seed=seed, p=p)
     cut = cut_determinism(scale=scale, seed=seed, p=p)
-    serve = serve_latency(scale=scale, seed=seed, p=p)
+    serve = serve_replay(scale=scale, seed=seed, p=p)
     # The daemon replays the identical stream, so its final answer must
     # equal the local incremental one bit for bit.
     served_match = (
@@ -262,10 +237,8 @@ def main(argv=None) -> int:
                               + "\n")
     cc = record["cc"]
     print(f"bench_dynamic: {cc['epochs']} epochs on n={cc['n']} m={cc['m']}, "
-          f"{cc['updates_per_s']:.0f} updates/s, incremental p50 "
-          f"{cc['incremental']['p50_s'] * 1e3:.2f}ms vs full recompute "
-          f"{cc['full']['p50_s'] * 1e3:.2f}ms: {record['speedup']:.1f}x "
-          f"(floor {DYNAMIC_SPEEDUP_FLOOR:g}x), "
+          f"incremental update+query {record['speedup']:.1f}x faster than "
+          f"full recompute (floor {DYNAMIC_SPEEDUP_FLOOR:g}x), "
           f"results_match={record['results_match']} -> {args.out}")
     return 0
 

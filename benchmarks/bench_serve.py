@@ -6,19 +6,22 @@ backend) worker-pool spawn on **every** query; the daemon pays them
 once.  This benchmark prices both paths on the same workload and writes
 ``results/BENCH_serve.json``:
 
-* ``cold`` — median wall-clock of ``python -m repro.cli <algorithm>``
+* cold — median wall-clock of ``python -m repro.cli <algorithm>``
   subprocess invocations (the artifact's execution model);
-* ``warm`` — per-query latencies against a live in-process daemon (sim
-  backend, unix socket): the first query (cache miss) separately from
-  the steady-state repeats, with p50/p99 and queries/s.  The min-cut
-  leg runs the 2-out variant, whose random contraction makes replicas
-  tiny — so serving overhead (process start-up, imports, graph load,
-  preprocessing) dominates the query and the daemon's graph and plan
-  caches pay off on every repeat;
-* ``concurrent`` — an open loop of several clients issuing interleaved
-  queries at different priorities: aggregate throughput, per-client
-  p50/p99, and a ``results_match`` flag proving every answer equals the
-  direct :func:`~repro.harness.run_algorithm` result bit for bit.
+* warm — median steady-state repeat latency against a live in-process
+  daemon (sim backend, unix socket), after one first query that pays the
+  cache miss.  The min-cut leg runs the 2-out variant, whose random
+  contraction makes replicas tiny — so serving overhead (process
+  start-up, imports, graph load, preprocessing) dominates the query and
+  the daemon's graph and plan caches pay off on every repeat;
+* concurrent — several clients issuing interleaved queries at different
+  priorities; their answers, like the warm ones, go into the
+  ``results_match`` flag: every answer equals the direct
+  :func:`~repro.harness.run_algorithm` result bit for bit.
+
+Only the cold-over-warm ratios are recorded.  Latency distributions and
+throughput are the end-to-end benchmark's job
+(``benchmarks/e2e/run.py --workload serve_mix``).
 
 Acceptance bars (gated in :mod:`benchmarks.perf_gate`):
 
@@ -43,9 +46,11 @@ import os
 import subprocess
 import sys
 import tempfile
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+
+import numpy as np
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -97,99 +102,57 @@ def plane_bytes_per_query(p: int = 4, seed: int = 0) -> dict:
     out["results_match"] = values["off"] == values["on"]
     return out
 
-def _percentiles(samples: list[float]) -> dict:
-    import numpy as np
 
-    xs = np.sort(np.asarray(samples))
-    return {
-        "n": len(xs),
-        "p50_s": float(np.percentile(xs, 50)),
-        "p99_s": float(np.percentile(xs, 99)),
-        "mean_s": float(xs.mean()),
-    }
+def _median_s(fn, repeats: int) -> float:
+    samples = []
+    for _rep in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - t0)
+    return float(np.median(samples))
 
 
 def _cold_runs(graph_path: str, seed: int, repeats: int) -> dict:
     """One-shot CLI subprocesses: the per-query cost without the daemon."""
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-    out = {}
-    for algorithm, extra in (("parallel_cc", []),
-                             ("square_root", ["--variant", "2out"])):
-        samples = []
-        for _rep in range(repeats):
-            t0 = time.perf_counter()
-            subprocess.run(
-                [sys.executable, "-m", "repro.cli", algorithm, graph_path,
-                 "--seed", str(seed), *extra],
-                check=True, capture_output=True, env=env)
-            samples.append(time.perf_counter() - t0)
-        out[algorithm] = _percentiles(samples)
-    return out
+    return {
+        algorithm: _median_s(lambda: subprocess.run(
+            [sys.executable, "-m", "repro.cli", algorithm, graph_path,
+             "--seed", str(seed), *extra],
+            check=True, capture_output=True, env=env), repeats)
+        for algorithm, extra in (("parallel_cc", []),
+                                 ("square_root", ["--variant", "2out"]))}
 
 
-def _warm_runs(client, graph_path: str, seed: int, repeats: int) -> dict:
-    """Repeat queries against a live daemon over one connection."""
-    out = {}
+def _warm_runs(client, graph_path: str, seed: int, repeats: int):
+    """Repeat queries against a live daemon over one connection: median
+    repeat latency and the first answer (which paid the graph-cache miss)."""
+    medians, first = {}, {}
     for algorithm, extra in (("parallel_cc", {}),
                              ("square_root", {"variant": "2out"})):
-        t0 = time.perf_counter()
-        first = client.run(algorithm, graph_path, seed=seed, **extra)
-        first_s = time.perf_counter() - t0
-        samples = []
-        for _rep in range(repeats):
-            t0 = time.perf_counter()
-            client.run(algorithm, graph_path, seed=seed, **extra)
-            samples.append(time.perf_counter() - t0)
-        out[algorithm] = {
-            "first_query_s": first_s,     # pays the graph-cache miss
-            **_percentiles(samples),
-            "qps": len(samples) / max(sum(samples), 1e-9),
-            "first_result": first,
-        }
-    return out
+        first[algorithm] = client.run(algorithm, graph_path, seed=seed,
+                                      **extra)
+        medians[algorithm] = _median_s(
+            lambda: client.run(algorithm, graph_path, seed=seed, **extra),
+            repeats)
+    return medians, first
 
 
-def _concurrent_runs(address: str, graph_path: str, seed: int,
-                     clients: int, per_client: int) -> dict:
-    """Open loop: several prioritized clients interleaving queries."""
+def _concurrent_answers(address: str, graph_path: str, seed: int,
+                        clients: int, per_client: int) -> list[list]:
+    """Several prioritized clients interleaving queries; client ``idx``'s
+    ``q``-th answer is for seed ``seed + idx * per_client + q``."""
     from repro.serve import Client
 
-    latencies: dict[str, list[float]] = {}
-    results: dict[str, list] = {}
-
     def worker(idx: int):
-        name = f"bench{idx}"
-        lat, res = [], []
-        with Client(address, client=name,
+        with Client(address, client=f"bench{idx}",
                     priority=float(1 + idx % 2)) as c:
-            for q in range(per_client):
-                t0 = time.perf_counter()
-                res.append(c.run("square_root", graph_path,
-                                 seed=seed + idx * per_client + q,
-                                 variant="2out"))
-                lat.append(time.perf_counter() - t0)
-        latencies[name] = lat
-        results[name] = res
+            return [c.run("square_root", graph_path,
+                          seed=seed + idx * per_client + q, variant="2out")
+                    for q in range(per_client)]
 
-    threads = [threading.Thread(target=worker, args=(i,))
-               for i in range(clients)]
-    t0 = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    wall = time.perf_counter() - t0
-    every = [x for lat in latencies.values() for x in lat]
-    return {
-        "clients": clients,
-        "queries": clients * per_client,
-        "wall_s": wall,
-        "qps": clients * per_client / max(wall, 1e-9),
-        **_percentiles(every),
-        "per_client": {name: _percentiles(lat)
-                       for name, lat in sorted(latencies.items())},
-        "results": results,
-    }
+    with ThreadPoolExecutor(clients) as pool:
+        return list(pool.map(worker, range(clients)))
 
 
 def run_benchmarks(repeats: int = 5, seed: int = 0,
@@ -213,38 +176,28 @@ def run_benchmarks(repeats: int = 5, seed: int = 0,
     with Daemon(cfg) as daemon:
         wait_server(daemon.address)
         with Client(daemon.address, client="bench") as client:
-            warm = _warm_runs(client, graph_path, seed, repeats)
-        concurrent = _concurrent_runs(daemon.address, graph_path, seed,
-                                      clients, per_client)
+            warm, first = _warm_runs(client, graph_path, seed, repeats)
+        concurrent = _concurrent_answers(daemon.address, graph_path, seed,
+                                         clients, per_client)
 
     # every served answer must equal the direct call, bit for bit
     match = True
     d_cc = run_algorithm("parallel_cc", g, p=4, seed=seed)
-    cc_first = warm["parallel_cc"].pop("first_result")
-    match &= cc_first["n_components"] == d_cc.n_components
-    sq_first = warm["square_root"].pop("first_result")
+    match &= first["parallel_cc"]["n_components"] == d_cc.n_components
     d_sq = run_algorithm("square_root", g, p=4, seed=seed, variant="2out")
-    match &= sq_first["value"] == d_sq.value
-    for idx in range(clients):
-        rs = concurrent["results"][f"bench{idx}"]
-        for q, r in enumerate(rs):
+    match &= first["square_root"]["value"] == d_sq.value
+    for idx, answers in enumerate(concurrent):
+        for q, r in enumerate(answers):
             solo = run_algorithm("square_root", g, p=4,
                                  seed=seed + idx * per_client + q,
                                  variant="2out")
             match &= r["value"] == solo.value
-    concurrent.pop("results")
 
-    speedups = {
-        algorithm: cold[algorithm]["p50_s"] / max(
-            warm[algorithm]["p50_s"], 1e-9)
-        for algorithm in cold
-    }
+    speedups = {algorithm: cold[algorithm] / max(warm[algorithm], 1e-9)
+                for algorithm in cold}
     record = {
-        "workload": {"n": g.n, "m": g.m, "seed": seed,
-                     "repeats": repeats},
-        "cold": cold,
-        "warm": warm,
-        "concurrent": concurrent,
+        "workload": {"n": g.n, "m": g.m, "seed": seed, "repeats": repeats,
+                     "clients": clients, "per_client": per_client},
         "warm_speedup": speedups,
         "min_warm_speedup": min(speedups.values()),
         "speedup_ok": min(speedups.values()) >= WARM_SPEEDUP_FLOOR,
@@ -275,11 +228,10 @@ def main(argv=None) -> int:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True)
                               + "\n")
-    print(f"bench_serve: cold cc p50 {record['cold']['parallel_cc']['p50_s']:.3f}s, "
-          f"warm p50 {record['warm']['parallel_cc']['p50_s']:.3f}s; "
-          f"min warm speedup {record['min_warm_speedup']:.1f}x "
+    print(f"bench_serve: cold-over-warm cc "
+          f"{record['warm_speedup']['parallel_cc']:.1f}x, min "
+          f"{record['min_warm_speedup']:.1f}x "
           f"(floor {WARM_SPEEDUP_FLOOR:g}x), "
-          f"concurrent {record['concurrent']['qps']:.1f} qps, "
           f"results_match={record['results_match']} -> {args.out}")
     gp = record.get("graph_plane")
     if gp:

@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Regenerate EXPERIMENTS.md from the benchmark records under results/.
+"""Regenerate EXPERIMENTS.md from the records under results/experiments/.
 
-Run the benchmarks first (``pytest benchmarks/ --benchmark-only``), then::
+That directory holds paper-figure experiment records only — what
+:func:`benchmarks.common.report_experiment` writes; the gate baseline and
+the ``BENCH_*`` / ``AUDIT_*`` snapshots live one level up.  Run the
+benchmarks first (``pytest benchmarks/ --benchmark-only``), then::
 
-    python benchmarks/collect_experiments.py
+    PYTHONPATH=src python -m benchmarks.collect_experiments
 
 Each experiment section pairs the paper's reported behaviour with the
 regenerated series and the reproduction verdict asserted by the bench.
+EXPERIMENTS.md is a pure function of the checked-in records
+(``tests/test_harness.py`` regenerates it and compares byte for byte).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-RESULTS = ROOT / "results"
+RESULTS = ROOT / "results" / "experiments"
 OUT = ROOT / "EXPERIMENTS.md"
 
 #: Paper-side context per experiment id: (paper setup, paper observation).
@@ -179,8 +184,8 @@ PAPER = {
 HEADER = """\
 # EXPERIMENTS — paper vs reproduction
 
-Regenerated from ``results/*.json`` by ``benchmarks/collect_experiments.py``
-after ``pytest benchmarks/ --benchmark-only``.
+Regenerated from ``results/experiments/*.json`` by
+``benchmarks/collect_experiments.py`` after ``pytest benchmarks/ --benchmark-only``.
 
 **Reading guide.** The paper ran MPI on Piz Daint (Cray XC50, up to 1536
 cores); this reproduction runs the same algorithms on a deterministic BSP
@@ -234,7 +239,7 @@ def fmt(x):
     return str(x)
 
 
-def main():
+def main(out: Path = OUT):
     sections = [HEADER]
     order = list(PAPER)
     extras = sorted(p.stem for p in RESULTS.glob("*.json")
@@ -262,8 +267,8 @@ def main():
             lines += ["", f"*Measured shape:* {data['notes']}"]
         lines.append("")
         sections.append("\n".join(lines))
-    OUT.write_text("\n".join(sections))
-    print(f"wrote {OUT} ({len(order + extras)} experiments)")
+    out.write_text("\n".join(sections))
+    print(f"wrote {out} ({len(order + extras)} experiments)")
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Every benchmark regenerates one table/figure of the paper's §5 at reduced
 scale: it sweeps the figure's x-axis, reports the paper's metric computed
 from BSP counters (or LRU cache simulation for the sequential studies),
 prints the series in a paper-style table, and records them under
-``results/`` for EXPERIMENTS.md.
+``results/experiments/`` for EXPERIMENTS.md.
 
 "Execution time" is always the §5.3 machine-model prediction applied to
 the measured counters — the same constant-factor translation the authors
@@ -29,7 +29,8 @@ MODEL = MachineModel()
 #: (the paper's 45 MiB LLC plays the same role at 10^6-vertex scale).
 STUDY_CACHE = CacheParams(M=1 << 15, B=8)
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+#: Paper-figure experiment records, and nothing else, live here.
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "results" / "experiments"
 
 
 def sequential_time(mem: MemoryTracker, model: MachineModel = MODEL) -> float:
@@ -38,7 +39,7 @@ def sequential_time(mem: MemoryTracker, model: MachineModel = MODEL) -> float:
 
 
 def report_experiment(exp_id, description, headers, rows, notes=""):
-    """Print the paper-style series and persist them under results/."""
+    """Print the paper-style series and persist them under RESULTS_DIR."""
     table = format_table(f"[{exp_id}] {description}", headers, rows)
     print("\n" + table)
     if notes:

@@ -74,7 +74,7 @@ import os
 import sys
 
 from repro.core import approx_minimum_cut, connected_components, minimum_cut
-from repro.core.mincut import VARIANTS
+from repro.core.trials import FIELD_DOMAINS, VARIANTS, field_error
 from repro.graph import (
     barabasi_albert,
     erdos_renyi,
@@ -602,28 +602,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate_args(parser: argparse.ArgumentParser, args) -> None:
     """Reject out-of-domain numeric options with a usage error (exit 2),
     before any input is read or any process is spawned."""
-    procs = getattr(args, "procs", None)
-    if procs is not None and procs < 1:
-        parser.error(f"--procs must be >= 1, got {procs}")
-    trial_scale = getattr(args, "trial_scale", None)
-    if trial_scale is not None and not trial_scale > 0:
-        parser.error(f"--trial-scale must be > 0, got {trial_scale}")
-    success_prob = getattr(args, "success_prob", None)
-    if success_prob is not None and not 0 < success_prob < 1:
-        parser.error(f"--success-prob must be in (0, 1), got {success_prob}")
-    trials = getattr(args, "trials", None)
-    if trials is not None and trials < 1:
-        parser.error(f"--trials must be >= 1, got {trials}")
-    max_retries = getattr(args, "max_retries", None)
-    if max_retries is not None and max_retries < 0:
-        parser.error(f"--max-retries must be >= 0, got {max_retries}")
-    retry_backoff = getattr(args, "retry_backoff", None)
-    if retry_backoff is not None and retry_backoff < 0:
-        parser.error(f"--retry-backoff must be >= 0, got {retry_backoff}")
+    for option, value in vars(args).items():
+        name = "p" if option == "procs" else option
+        if name in FIELD_DOMAINS and value is not None:
+            bad = field_error(name, value)
+            if bad:
+                parser.error(f"--{option.replace('_', '-')} {bad}")
     if getattr(args, "resume", False) and not getattr(args, "checkpoint", None):
         parser.error("--resume requires --checkpoint")
     if getattr(args, "variant", None) == "2out":
-        if trials is not None:
+        if getattr(args, "trials", None) is not None:
             parser.error("--variant 2out recomputes the trial budget from "
                          "the contracted graphs; --trials is not supported")
         if getattr(args, "checkpoint", None) or getattr(args, "resume", False):
@@ -643,25 +631,11 @@ def _validate_args(parser: argparse.ArgumentParser, args) -> None:
         d = os.path.dirname(os.path.abspath(checkpoint))
         if not os.path.isdir(d):
             parser.error(f"--checkpoint directory does not exist: {d}")
-    wave_size = getattr(args, "wave_size", None)
-    if wave_size is not None and wave_size < 1:
-        parser.error(f"--wave-size must be >= 1, got {wave_size}")
-    quantum = getattr(args, "quantum", None)
-    if quantum is not None and not quantum > 0:
-        parser.error(f"--quantum must be > 0, got {quantum}")
     if getattr(args, "command", None) == "query":
         probe = args.ping or args.stats or args.shutdown
         if not probe and not (args.algorithm and args.input):
             parser.error("query needs an algorithm and an input file "
                          "(or one of --ping/--stats/--shutdown)")
-    if getattr(args, "command", None) == "dynamic":
-        if args.batches < 1:
-            parser.error(f"--batches must be >= 1, got {args.batches}")
-        if args.batch_size < 1:
-            parser.error(f"--batch-size must be >= 1, got {args.batch_size}")
-        if args.query_every < 1:
-            parser.error(f"--query-every must be >= 1, got "
-                         f"{args.query_every}")
     trace = getattr(args, "trace", None)
     if trace is not None:
         d = os.path.dirname(os.path.abspath(trace))
@@ -672,10 +646,6 @@ def _validate_args(parser: argparse.ArgumentParser, args) -> None:
     if getattr(args, "command", None) == "analyze-trace":
         if not os.path.isfile(args.trace_file):
             parser.error(f"trace file does not exist: {args.trace_file}")
-        if args.top < 1:
-            parser.error(f"--top must be >= 1, got {args.top}")
-        if args.max_words < 1:
-            parser.error(f"--max-words must be >= 1, got {args.max_words}")
         if args.max_chain < 2:
             parser.error(f"--max-chain must be >= 2, got {args.max_chain}")
 

@@ -203,7 +203,6 @@ def approx_minimum_cut(
     eps: float = 0.25,
     delta: float = 0.5,
     shrink: bool = False,
-    fuse=None,
     backend: str | Backend | None = None,
 ) -> ApproxMinCutResult:
     """O(log n)-approximate global minimum cut on ``p`` virtual processors.
@@ -212,13 +211,13 @@ def approx_minimum_cut(
     of the first disconnected trial) and its exact value on ``g``.
     ``backend`` selects the runtime (``"sim"``/``"mp"``/instance); results
     are backend-independent for a fixed ``seed``.  ``shrink=True`` enables
-    group-shrink inside the CC subcalls and ``fuse`` automatic superstep
-    fusion on a freshly constructed backend — both leave results
-    bit-identical.
+    group-shrink inside the CC subcalls; automatic superstep fusion is
+    configured on the backend (``backend=SimBackend(fuse=True)``) — both
+    leave results bit-identical.
     """
     if g.n < 2:
         raise ValueError("minimum cut needs at least 2 vertices")
-    runtime = resolve_backend(backend, fuse=fuse)
+    runtime = resolve_backend(backend)
     slices = plane_slices(g, p)  # shared-graph-plane marker
     result = runtime.run(
         appmc_program, p, seed=seed,

@@ -264,7 +264,6 @@ def connected_components(
     delta: float = 0.5,
     hybrid: bool = False,
     shrink: bool = False,
-    fuse=None,
     backend: str | Backend | None = None,
 ) -> CCResult:
     """Find the connected components of ``g`` on ``p`` virtual processors.
@@ -277,9 +276,8 @@ def connected_components(
 
     ``shrink=True`` lets the sampling loop release processors whose edge
     slice has contracted away (see :func:`cc_kernel`); results are
-    bit-identical either way.  ``fuse`` (bool or
-    :class:`~repro.bsp.fusion.FusionConfig`) enables automatic superstep
-    fusion on a freshly constructed backend.
+    bit-identical either way.  Automatic superstep fusion is configured
+    on the backend (``backend=SimBackend(fuse=True)``).
 
     ``backend`` selects the runtime: ``"sim"`` (default, the BSP
     simulator on ``p`` virtual processors), ``"mp"`` (``p`` real OS
@@ -292,7 +290,7 @@ def connected_components(
             "shrink= applies to the iterated-sampling kernel only; the "
             "hybrid finish redistributes edges across the full group"
         )
-    runtime = resolve_backend(backend, fuse=fuse)
+    runtime = resolve_backend(backend)
     # Lazy marker: the simulator resolves it to g.slices(p) locally; a
     # plane-enabled mp backend ships an O(1) handle instead of p copies.
     slices = plane_slices(g, p)

@@ -49,7 +49,7 @@ from repro.core.karger_stein import (
     keyed_cuts,
 )
 from repro.core.sparsify import sparsify_weighted
-from repro.core.trials import num_trials
+from repro.core.trials import VARIANTS, num_trials
 from repro.graph.edgelist import EdgeList
 from repro.graph.shm import plane_slices
 from repro.kernels import bulk_contract_edges
@@ -596,11 +596,8 @@ class MinCutResult:
     two_out: Any = None
 
 
-VARIANTS = ("default", "2out")
-
-
 def _exact_cut(g, p, collect, *, seed, success_prob, trials, trial_scale,
-               fuse, backend, scheduler, resume,
+               backend, scheduler, resume,
                preprocess=False, variant="default"):
     """The one driver behind :func:`minimum_cut` and :func:`minimum_cuts`.
 
@@ -626,7 +623,7 @@ def _exact_cut(g, p, collect, *, seed, success_prob, trials, trial_scale,
             raise ValueError(
                 "variant='2out' does not support resume: one checkpoint "
                 "cannot span the per-replica dispatches")
-    runtime = resolve_backend(backend, fuse=fuse)
+    runtime = resolve_backend(backend)
     lift = None
     if preprocess:
         from repro.core.preprocess import contract_heavy_edges
@@ -689,7 +686,6 @@ def minimum_cut(
     trial_scale: float = 1.0,
     preprocess: bool = False,
     variant: str = "default",
-    fuse=None,
     backend: str | Backend | None = None,
     scheduler: "Any | None" = None,
     resume: bool = False,
@@ -720,9 +716,9 @@ def minimum_cut(
     ``achieved_success_prob``/``ledger`` on the result.  The cut value is
     bit-identical to the unscheduled path for the same ``seed``.
 
-    ``fuse`` (bool or :class:`~repro.bsp.fusion.FusionConfig`) enables
-    automatic superstep fusion on a freshly constructed backend; results
-    stay bit-identical.  There is deliberately *no* ``shrink=`` here: the
+    Automatic superstep fusion is configured on the backend
+    (``backend=SimBackend(fuse=True)``); results stay bit-identical.
+    There is deliberately *no* ``shrink=`` here: the
     exact pipeline cannot release idle ranks without changing results —
     the eager contraction's sort splitters span ``comm.size`` (a smaller
     group redraws the root's multinomial refill), and the recursion's
@@ -733,7 +729,7 @@ def minimum_cut(
     return _exact_cut(
         g, p, False, seed=seed, success_prob=success_prob, trials=trials,
         trial_scale=trial_scale, preprocess=preprocess, variant=variant,
-        fuse=fuse, backend=backend, scheduler=scheduler, resume=resume,
+        backend=backend, scheduler=scheduler, resume=resume,
     )
 
 
@@ -762,7 +758,6 @@ def minimum_cuts(
     success_prob: float = 0.9,
     trials: int | None = None,
     trial_scale: float = 1.0,
-    fuse=None,
     backend: str | Backend | None = None,
     scheduler: "Any | None" = None,
     resume: bool = False,
@@ -773,13 +768,12 @@ def minimum_cuts(
     with high probability; this driver collects the distinct witnesses
     discovered across trials (a side and its complement count once).
     ``backend`` selects the runtime and ``scheduler`` routes the trials
-    through the fault-tolerant dispatch loop, and ``fuse`` enables
-    automatic superstep fusion, as in :func:`minimum_cut`.
+    through the fault-tolerant dispatch loop, as in :func:`minimum_cut`.
     """
     return _exact_cut(
         g, p, True, seed=seed, success_prob=success_prob, trials=trials,
-        trial_scale=trial_scale, fuse=fuse, backend=backend,
-        scheduler=scheduler, resume=resume,
+        trial_scale=trial_scale, backend=backend, scheduler=scheduler,
+        resume=resume,
     )
 
 

@@ -24,11 +24,50 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "FIELD_DOMAINS",
+    "VARIANTS",
+    "field_error",
     "eager_survival_probability",
     "recursive_success_probability",
     "num_trials",
     "achieved_success_probability",
 ]
+
+#: Exact-min-cut pipelines: the paper's, or 2-out contraction first.
+VARIANTS = ("default", "2out")
+
+_INT, _REAL, _BOOL = (int,), (int, float), (bool,)
+_COUNT = (_INT, lambda v: v >= 1, ">= 1")
+_NONNEGATIVE = (_INT, lambda v: v >= 0, ">= 0")
+_POSITIVE = (_REAL, lambda v: 0 < v < math.inf, "> 0")
+_PROBABILITY = (_REAL, lambda v: 0 < v < 1, "in (0, 1)")
+_FLAG = (_BOOL, lambda v: True, "true or false")
+#: Domain of every numeric or flag option the CLI takes and field the serve
+#: wire carries, one table for both (:func:`field_error`):
+#: name -> (accepted types, predicate, the domain in words).
+FIELD_DOMAINS = {
+    "seed": (_INT, lambda v: True, "an integer"),
+    **dict.fromkeys(("p", "trials", "trials_per_level", "wave_size", "batches",
+                     "batch_size", "query_every", "top", "max_words"), _COUNT),
+    **dict.fromkeys(("reconnect_budget", "max_retries"), _NONNEGATIVE),
+    "retry_backoff": (_REAL, lambda v: 0 <= v < math.inf, ">= 0"),
+    **dict.fromkeys(("priority", "trial_scale", "eps", "sample_scale",
+                     "drift_threshold", "quantum"), _POSITIVE),
+    **dict.fromkeys(("success_prob", "delta"), _PROBABILITY),
+    "variant": ((str,), lambda v: v in VARIANTS, f"one of {VARIANTS}"),
+    **dict.fromkeys(("hybrid", "pipelined", "preprocess", "dense"), _FLAG),
+}
+
+
+def field_error(name: str, value) -> str | None:
+    """``"must be <domain>, got <value>"`` if ``value`` is of the wrong type
+    for field ``name`` (a bool is not a number) or outside its domain
+    (NaN and infinities are outside every one), else ``None``."""
+    types, holds, words = FIELD_DOMAINS[name]
+    if (isinstance(value, types) and holds(value)
+            and isinstance(value, bool) == (types is _BOOL)):
+        return None
+    return f"must be {words}, got {value!r}"
 
 
 def eager_survival_probability(n: int, t: int) -> float:

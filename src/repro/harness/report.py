@@ -1,8 +1,8 @@
 """Paper-style reporting: aligned tables and experiment records.
 
 Every benchmark prints the series of the figure/table it regenerates and
-appends a machine-readable record under ``results/`` so EXPERIMENTS.md can
-cite the exact numbers.
+appends a machine-readable record under ``results/experiments/`` so
+EXPERIMENTS.md can cite the exact numbers.
 """
 
 from __future__ import annotations
@@ -69,9 +69,10 @@ def write_experiment_record(
     headers: Sequence[str],
     rows: Sequence[Sequence[object]],
     notes: str = "",
-    results_dir: str | Path = "results",
+    results_dir: str | Path = "results/experiments",
 ) -> Path:
-    """Persist a benchmark's regenerated series as JSON under ``results/``."""
+    """Persist a benchmark's regenerated series as JSON under
+    ``results/experiments/``."""
     results_dir = Path(results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
     path = results_dir / f"{exp_id}.json"

@@ -16,8 +16,8 @@ package decides *where* such a program runs:
   backend (:mod:`repro.serve`).
 
 :func:`resolve_backend` maps a spec (``"sim"``/``"mp"``/``"warm"``/
-instance/None) to a backend; :mod:`repro.runtime.differential` holds the
-backends to each other.
+instance/None) to a backend; ``tests/parity.py`` holds the backends to
+each other.
 """
 
 from repro.runtime.base import Backend, available_backends, resolve_backend
@@ -30,13 +30,6 @@ from repro.runtime.errors import (
 from repro.runtime.mp import MpBackend, default_start_method
 from repro.runtime.sim import SimBackend
 from repro.runtime.warm import WarmMpBackend
-from repro.runtime.differential import (
-    ALGORITHMS,
-    BackendParityError,
-    ParityReport,
-    assert_backend_parity,
-    compare_backends,
-)
 
 __all__ = [
     "Backend",
@@ -50,9 +43,4 @@ __all__ = [
     "WorkerCrashError",
     "WorkerProgramError",
     "WorkerTimeoutError",
-    "ALGORITHMS",
-    "BackendParityError",
-    "ParityReport",
-    "compare_backends",
-    "assert_backend_parity",
 ]

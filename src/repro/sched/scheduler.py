@@ -305,8 +305,6 @@ class TrialScheduler:
         checkpoint: str | None = None,
         fault_plan: FaultPlan | None = None,
         on_failure: str = "raise",
-        straggler_factor: float = 4.0,
-        straggler_min_deficit_ops: float = 1000.0,
         sleep=time.sleep,
     ):
         if max_retries < 0:
@@ -331,8 +329,6 @@ class TrialScheduler:
         self.checkpoint = checkpoint
         self.fault_plan = fault_plan
         self.on_failure = on_failure
-        self.straggler_factor = float(straggler_factor)
-        self.straggler_min_deficit_ops = float(straggler_min_deficit_ops)
         self.sleep = sleep
 
     # -- helpers -------------------------------------------------------------
@@ -506,11 +502,7 @@ class TrialScheduler:
         if rr.trace is not None:
             run.traced_any = True
             run.events.extend(rr.trace)
-            found = detect_stragglers(
-                rr.trace,
-                factor=self.straggler_factor,
-                min_deficit_ops=self.straggler_min_deficit_ops,
-            )
+            found = detect_stragglers(rr.trace)
             if found:
                 run.stragglers[wave] = found
                 logger.warning(

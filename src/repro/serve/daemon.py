@@ -35,8 +35,9 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.core.trials import field_error
 from repro.harness.experiment import run_algorithm
 from repro.runtime.base import Backend, resolve_backend
 from repro.sched.scheduler import TrialRun, TrialScheduler
@@ -70,6 +71,16 @@ _ALGO_KWARGS = {
 }
 
 
+def _checked(req: dict, names) -> dict:
+    """The fields of ``names`` present in ``req``, each inside its domain."""
+    out = {k: req[k] for k in names if k in req}
+    for k, v in out.items():
+        bad = field_error(k, v)
+        if bad:
+            raise ProtocolError(f"'{k}' {bad}")
+    return out
+
+
 @dataclass
 class ServeConfig:
     """Daemon configuration.
@@ -92,11 +103,8 @@ class ServeConfig:
     wave_size: int = 8
     quantum: float = 8.0
     cache_edges: float = 50_000_000
-    cache_plans: int = 64
     max_retries: int = 2
     backoff_s: float = 0.05
-    accept_timeout_s: float = 0.2
-    extra: dict = field(default_factory=dict)
 
 
 class Daemon:
@@ -113,7 +121,6 @@ class Daemon:
         # LRU eviction, so repeat queries are publish-free.
         self.cache = GraphCache(
             capacity_edges=config.cache_edges,
-            derivative_capacity=config.cache_plans,
             plane=bool(getattr(self.backend, "graph_plane", False)),
         )
         self.queue = DeficitFairQueue(quantum=config.quantum)
@@ -193,7 +200,7 @@ class Daemon:
             sock.bind((host or "127.0.0.1", int(port or 0)))
             self.address = "%s:%d" % sock.getsockname()[:2]
         sock.listen(64)
-        sock.settimeout(self.config.accept_timeout_s)
+        sock.settimeout(0.2)  # how often the accept loop polls _stopping
         self._listener = sock
         for name, fn in (("serve-accept", self._accept_loop),
                          ("serve-exec", self._executor_loop)):
@@ -336,7 +343,8 @@ class Daemon:
         path = req.get("path")
         if not isinstance(path, str):
             raise ProtocolError("submit needs a graph file 'path'")
-        kwargs = {k: req[k] for k in _ALGO_KWARGS[algorithm] if k in req}
+        head = _checked(req, ("seed", "p", "priority"))
+        kwargs = _checked(req, _ALGO_KWARGS[algorithm])
         try:
             g, fp = self.cache.load(path, expected_fp=req.get("fingerprint"))
         except FingerprintMismatch as exc:
@@ -347,10 +355,8 @@ class Daemon:
             id=self.store.new_id(),
             client=str(req.get("client", "anon")),
             algorithm=algorithm, path=path, fingerprint=fp,
-            seed=int(req.get("seed", 0)),
-            p=int(req.get("p", self.config.p)),
-            priority=float(req.get("priority", 1.0)),
-            kwargs=kwargs,
+            seed=head.get("seed", 0), p=head.get("p", self.config.p),
+            priority=float(head.get("priority", 1.0)), kwargs=kwargs,
         )
         with self._lock:
             self.jobs[job.id] = job
@@ -428,18 +434,18 @@ class Daemon:
         path = req.get("path")
         if not isinstance(path, str):
             raise ProtocolError("dyn_open needs a graph file 'path'")
+        head = _checked(req, ("seed", "p"))
+        kwargs = _checked(req, ("reconnect_budget", "drift_threshold", "eps",
+                                "sample_scale", "success_prob", "trial_scale"))
         try:
             g, fp = self.cache.load(path, expected_fp=req.get("fingerprint"))
         except FingerprintMismatch as exc:
             return error_doc("FingerprintMismatch", str(exc))
         except OSError as exc:
             return error_doc("GraphUnreadable", str(exc))
-        kwargs = {k: req[k] for k in ("reconnect_budget", "drift_threshold",
-                                      "eps", "sample_scale", "success_prob",
-                                      "trial_scale") if k in req}
         session = self.dynamic.open(
             g, path=path, fingerprint=fp,
-            seed=int(req.get("seed", 0)), p=int(req.get("p", self.config.p)),
+            seed=head.get("seed", 0), p=head.get("p", self.config.p),
             backend=self.backend, plane=self.cache.plane,
             plan_cache=self.cache, **kwargs)
         return ok_doc(session=session.id, epoch=0, fingerprint=fp)
@@ -481,6 +487,7 @@ class Daemon:
         if if_stale not in ("reject", "requeue"):
             raise ProtocolError(
                 f"'if_stale' must be 'reject' or 'requeue', got {if_stale!r}")
+        priority = float(_checked(req, ("priority",)).get("priority", 1.0))
         # The job pins the session's epoch at submit; the executor
         # compares it against the live epoch at dispatch.  The stored
         # fingerprint pins the session's *base* graph — the epoch
@@ -493,8 +500,7 @@ class Daemon:
                        else "dyn_cut"),
             path=session.doc["path"],
             fingerprint=session.doc["fingerprint"],
-            seed=session.dyn.seed, p=session.dyn.p,
-            priority=float(req.get("priority", 1.0)),
+            seed=session.dyn.seed, p=session.dyn.p, priority=priority,
             kwargs={"session": session.id, "epoch": session.dyn.epoch,
                     "mode": mode, "if_stale": if_stale},
         )

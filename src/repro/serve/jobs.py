@@ -21,6 +21,7 @@ it just re-spends the compute.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 import time
@@ -34,6 +35,8 @@ from repro.serve.protocol import (
 )
 
 __all__ = ["Job", "JobStore"]
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -141,10 +144,15 @@ class JobStore:
             return Job.from_doc(json.load(fh))
 
     def load_all(self) -> list[Job]:
-        """Every persisted job, id order (resume scan at daemon start)."""
+        """Every readable persisted job, id order (resume scan at daemon
+        start).  A truncated, hand-edited or unknown-field record is skipped
+        and logged: one bad file must not keep the daemon from restarting."""
         jobs = []
         for name in sorted(os.listdir(self.dir)):
             if name.endswith(".json") and not name.endswith(".tmp"):
-                with open(os.path.join(self.dir, name), encoding="utf-8") as fh:
-                    jobs.append(Job.from_doc(json.load(fh)))
+                try:
+                    jobs.append(self.load(name[:-len(".json")]))
+                except (ValueError, TypeError) as exc:
+                    logger.warning("skipping unreadable job record %s: %s",
+                                   name, exc)
         return jobs

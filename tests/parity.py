@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bsp.counters import CountersReport
+from repro.harness import run_algorithm
 
 __all__ = [
     "ALGORITHMS",
@@ -52,25 +53,6 @@ class ParityReport:
     def ok(self) -> bool:
         """Whether the two backends agreed on everything compared."""
         return not self.mismatches
-
-
-def _run(algorithm: str, g, p: int, seed: int, backend, **kwargs):
-    # Imported lazily: repro.core imports repro.runtime at module load.
-    from repro.core import (
-        approx_minimum_cut,
-        connected_components,
-        minimum_cut,
-    )
-
-    if algorithm == "parallel_cc":
-        return connected_components(g, p=p, seed=seed, backend=backend,
-                                    **kwargs)
-    if algorithm == "approx_cut":
-        return approx_minimum_cut(g, p=p, seed=seed, backend=backend,
-                                  **kwargs)
-    if algorithm == "square_root":
-        return minimum_cut(g, p=p, seed=seed, backend=backend, **kwargs)
-    raise ValueError(f"unknown algorithm {algorithm!r}; have {ALGORITHMS}")
 
 
 def _cmp_scalar(out: list[str], name: str, a, b) -> None:
@@ -126,8 +108,8 @@ def compare_backends(
     """
     if len(backends) != 2:
         raise ValueError("compare_backends expects exactly two backends")
-    ra = _run(algorithm, g, p, seed, backends[0], **kwargs)
-    rb = _run(algorithm, g, p, seed, backends[1], **kwargs)
+    ra, rb = (run_algorithm(algorithm, g, p=p, seed=seed, backend=b, **kwargs)
+              for b in backends)
     names = tuple(
         b if isinstance(b, str) else getattr(b, "name", type(b).__name__)
         for b in backends

@@ -1,0 +1,47 @@
+"""Smokes of the mp runtime under spawn, and the leak check's own test."""
+import pytest
+
+from repro import shmem
+from repro.core.components import connected_components
+from repro.faults import parse_fault_plan
+from repro.graph import erdos_renyi, two_cliques_bridge
+from repro.rng import philox_stream
+from repro.runtime import MpBackend
+from repro.sched import TrialScheduler
+from tests.smoke.conftest import no_shm_leaks
+
+
+def test_arena():
+    """Transport arena stress smoke (spawn, alltoallv-heavy, zero leaks)."""
+    g = erdos_renyi(20_000, 80_000, philox_stream(5))
+    mp_ = MpBackend(start_method="spawn", timeout=300.0, shm_threshold=1 << 12)
+    res = connected_components(g, p=2, seed=4, hybrid=True, backend=mp_)
+    sim = connected_components(g, p=2, seed=4, hybrid=True)
+    assert res.n_components == sim.n_components
+    assert (res.labels == sim.labels).all()
+    assert res.report == sim.report
+    stats = mp_.last_transport_stats
+    assert stats["per_kind"].get("alltoallv", {}).get("messages", 0) > 0, stats
+    assert stats["total"]["segments_reused"] > 0, stats
+
+
+def test_crash():
+    """Crash-injection smoke (spawn, recovery, zero leaked segments)."""
+    g = two_cliques_bridge(8, bridge_weight=2.0)
+    backend = MpBackend(start_method="spawn", timeout=300.0)
+    plan = parse_fault_plan("crash:rank=1,step=1")  # killed mid-collective
+    res = TrialScheduler(fault_plan=plan, backoff_s=0.0).run(
+        g, 2, backend=backend, seed=7, trials=6)
+    clean = TrialScheduler().run(g, 2, seed=7, trials=6)
+    assert res.retries == 1, res.retries
+    assert res.value == clean.value == 2.0
+    # the retry reproduced the fault-free ledger
+    assert res.ledger.fingerprint() == clean.ledger.fingerprint()
+
+
+def test_leak_check_can_fail():
+    """PR 20 found a CI check that could not: ``psm_*`` glob, ``rsh…`` slabs."""
+    with pytest.raises(AssertionError, match="leaked shm segments"):
+        with no_shm_leaks():
+            seg = shmem.create_segment(64, name="rsh_smoke_planted")
+    shmem.close_and_unlink(seg)

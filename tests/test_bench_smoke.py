@@ -34,6 +34,16 @@ def test_perf_gate_importable():
     assert perf_gate.SPEEDUP_FLOORS["contract"] == 10.0
 
 
+def gate_reads(section: str, result: dict) -> dict:
+    """The fields ``perf_gate.SECTIONS[section]`` picks out of a benchmark
+    result (KeyError if the benchmark stopped producing one)."""
+    from benchmarks import perf_gate
+
+    sec = perf_gate.SECTIONS[section]
+    return perf_gate._fingerprint(
+        sec._replace(run=lambda scale, seed: result), 1.0, 0)
+
+
 def test_bench_two_out_smoke_small_scale():
     from benchmarks.bench_two_out import run_benchmarks as run_two_out
 
@@ -54,10 +64,14 @@ def test_bench_serve_smoke():
     require_mp()
     from benchmarks.bench_serve import run_benchmarks as run_serve
 
-    r = run_serve(repeats=1, seed=1, clients=2, per_client=2)
+    r = run_serve(repeats=1, seed=1, clients=2, per_client=2, plane=True)
     assert r["results_match"]
     assert np.isfinite(r["cc_value"]) and np.isfinite(r["sq_value"])
-    assert r["min_warm_speedup"] > 0
+    assert r["min_warm_speedup"] == min(r["warm_speedup"].values()) > 0
+    # every field the gate holds is still produced; raw seconds are not
+    assert gate_reads("serve", r)["results_match"]
+    assert gate_reads("graph_plane", r["graph_plane"])["results_match"]
+    assert not {"cold", "warm", "concurrent"} & set(r)
 
 
 def test_bench_fusion_smoke_small_scale():
@@ -88,6 +102,11 @@ def test_bench_dynamic_smoke_small_scale():
     assert r["cut"]["replay_match"]
     assert r["speedup"] > 0
     assert r["serve"]["final_epoch"] == r["cc"]["epochs"]
+    # every field the gate holds is still produced; latency tables are not
+    assert gate_reads("dynamic", r)["results_match"]
+    assert not {"incremental", "full", "updates_per_s"} & set(r["cc"])
+    assert set(r["serve"]) == {"final_epoch", "final_n_components",
+                               "final_labels_sha256"}
 
 
 @pytest.mark.perf

@@ -66,6 +66,13 @@ def test_dyn_verbs_validate(graph_file, tmp_path):
     bad_fp = d.handle_request({"op": "dyn_open", "path": graph_file,
                                "fingerprint": "f" * 64})
     assert bad_fp["error"] == "FingerprintMismatch"
+    for field in ({"p": 0}, {"seed": "x"}, {"success_prob": 7},
+                  {"trial_scale": "big"}, {"reconnect_budget": -1},
+                  {"drift_threshold": 0}):
+        reply = d.handle_request({"op": "dyn_open", "path": graph_file,
+                                  **field})
+        assert reply["error"] == "ProtocolError", (field, reply)
+    assert d.dynamic.sessions == {} and len(d.jobs) == 0
     gone = d.handle_request({"op": "dyn_update", "session": "dX",
                              "ops": []})
     assert gone["error"] == "ProtocolError"
@@ -81,6 +88,10 @@ def test_dyn_verbs_validate(graph_file, tmp_path):
     assert d.handle_request(
         {"op": "dyn_query", "session": sid, "query": "cut",
          "if_stale": "shrug"})["error"] == "ProtocolError"
+    assert d.handle_request(
+        {"op": "dyn_query", "session": sid, "query": "cut",
+         "priority": 0})["error"] == "ProtocolError"
+    assert len(d.jobs) == 0
 
 
 def test_dyn_update_bad_ops_typed_error(graph_file, tmp_path):

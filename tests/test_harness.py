@@ -127,3 +127,14 @@ class TestExperimentRecord:
             results_dir=tmp_path / "nested" / "dir",
         )
         assert path.exists()
+
+
+def test_experiments_md_is_a_pure_function_of_the_records(tmp_path):
+    """``collect_experiments`` on the checked-in ``results/experiments/``
+    reproduces the checked-in EXPERIMENTS.md byte for byte — it raised
+    ``KeyError`` from PR 1 to PR 20 and nothing noticed."""
+    from benchmarks import collect_experiments
+
+    out = tmp_path / "EXPERIMENTS.md"
+    collect_experiments.main(out)
+    assert out.read_bytes() == collect_experiments.OUT.read_bytes()

@@ -12,13 +12,13 @@ import pytest
 
 from repro.graph import erdos_renyi, two_cliques_bridge
 from repro.rng import philox_stream
-from repro.runtime import (
+from tests.conftest import require_mp
+from tests.parity import (
     ALGORITHMS,
     BackendParityError,
     assert_backend_parity,
     compare_backends,
 )
-from tests.conftest import require_mp
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +80,7 @@ class TestHarnessItself:
 
     def test_error_message_names_field(self, parity_graph, monkeypatch):
         require_mp()
-        import repro.runtime.differential as diff
+        import tests.parity as diff
 
         real_cmp = diff._cmp_counters
 

@@ -186,6 +186,23 @@ def test_submit_validates(graph_file, tmp_path):
                      )["error"] == "GraphUnreadable"
     assert d.handle_request({"op": "status", "job": "jX"}
                      )["error"] == "ProtocolError"
+    # out-of-domain fields are refused at the door, not on the executor
+    for algorithm, field in (("parallel_cc", {"p": 0}),
+                             ("parallel_cc", {"seed": "x"}),
+                             ("parallel_cc", {"priority": 0}),
+                             ("parallel_cc", {"hybrid": "yes"}),
+                             ("approx_cut", {"trials_per_level": 0}),
+                             ("square_root", {"trials": "many"}),
+                             ("square_root", {"success_prob": 7}),
+                             ("square_root", {"trial_scale": -1.0}),
+                             ("square_root", {"variant": "3out"})):
+        reply = d.handle_request({"op": "submit", "algorithm": algorithm,
+                                  "path": graph_file, **field})
+        assert reply["error"] == "ProtocolError", (field, reply)
+        assert next(iter(field)) in reply["message"]
+    assert len(d.jobs) == 0 and len(d.queue) == 0
+    assert os.listdir(d.store.dir) == []         # nothing saved
+    assert d.store.new_id() == "j000001"         # no job id burned
 
 
 def test_submit_rejects_fingerprint_mismatch(graph_file, tmp_path):
@@ -378,6 +395,32 @@ def test_restart_keeps_terminal_results(graph_file, tmp_path):
     assert d2.jobs[jid].state == "done"
     assert d2.jobs[jid].result == result
     assert len(d2.queue) == 0                # nothing requeued
+
+
+def test_restart_skips_unreadable_job_records(graph_file, tmp_path, caplog):
+    """One truncated or hand-edited ``jobs/j*.json`` must not keep the
+    daemon from coming back on its state dir; every other job resumes."""
+    state = str(tmp_path / "state")
+    d1 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
+    done = submit(d1, "parallel_cc", graph_file, seed=5)
+    drive(d1)
+    queued = submit(d1, "parallel_cc", graph_file, seed=6)
+    doc = open(d1.store.job_path(done), encoding="utf-8").read()
+    planted = {"j000003": doc[:len(doc) // 2],                  # half-written
+               "j000004": '{"id": "j000004", "surprise": 1}',   # unknown field
+               "j000005": "[]"}                                 # not a record
+    for jid, text in planted.items():
+        with open(d1.store.job_path(jid), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    del d1
+    with caplog.at_level("WARNING", logger="repro.serve.jobs"):
+        d2 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
+    assert sorted(d2.jobs) == [done, queued]
+    assert all(jid in caplog.text for jid in planted)
+    assert d2.jobs[done].state == "done" and len(d2.queue) == 1
+    drive(d2)
+    assert d2.jobs[queued].state == "done"
+    assert d2.store.new_id() == "j000006"    # never reuses a skipped id
 
 
 def test_jobstore_save_bytes_and_atomic_replace(tmp_path, monkeypatch):
