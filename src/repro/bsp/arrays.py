@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["ArrayBundle", "as_bundle"]
+__all__ = ["ArrayBundle", "as_bundle", "concat_columns"]
 
 
 class ArrayBundle:
@@ -122,20 +122,7 @@ class ArrayBundle:
         The result's ``counts`` records each input bundle's row count, so
         a receiver can recover the per-member boundaries.
         """
-        if not bundles:
-            raise ValueError("cannot concatenate zero bundles")
-        ncols = bundles[0].ncols
-        for b in bundles:
-            if b.ncols != ncols:
-                raise ValueError(
-                    "bundles must agree on the column count; got "
-                    f"{[b.ncols for b in bundles]}"
-                )
-        cols = tuple(
-            np.concatenate([b.columns[j] for b in bundles])
-            for j in range(ncols)
-        )
-        counts = np.array([b.nrows for b in bundles], dtype=np.int64)
+        cols, counts = concat_columns(bundles)
         return cls(*cols, counts=counts)
 
     def split_rows(self, counts: Iterable[int]) -> list["ArrayBundle"]:
@@ -153,6 +140,22 @@ class ArrayBundle:
             ArrayBundle(*(c[bounds[i]:bounds[i + 1]] for c in self.columns))
             for i in range(counts.size)
         ]
+
+
+def concat_columns(bundles, join=np.concatenate):
+    """``(columns, counts)`` of the column-wise ``join`` of aligned bundles
+    — anything with ``columns`` whose entries have a ``shape``.
+    :meth:`ArrayBundle.concat` joins arrays; the mp transport joins their
+    descriptors, under this validation and its wording."""
+    if not bundles:
+        raise ValueError("cannot concatenate zero bundles")
+    ncols = [len(b.columns) for b in bundles]
+    if len(set(ncols)) != 1:
+        raise ValueError(
+            f"bundles must agree on the column count; got {ncols}")
+    cols = [join([b.columns[j] for b in bundles]) for j in range(ncols[0])]
+    return tuple(cols), np.array([b.columns[0].shape[0] for b in bundles],
+                                 dtype=np.int64)
 
 
 def as_bundle(x) -> ArrayBundle:

@@ -22,7 +22,6 @@ from typing import Any, Callable, Generator, Iterable
 
 import numpy as np
 
-from repro.bsp.arrays import ArrayBundle
 from repro.bsp.comm import CollectiveOp, Communicator, Group, payload_words
 from repro.bsp.counters import CountersReport, ProcCounters
 from repro.bsp.errors import CollectiveMismatchError, DeadlockError
@@ -543,8 +542,9 @@ class Engine:
 
     @staticmethod
     def _concat_bundles(group, parts):
+        # ArrayBundle — or, on the mp coordinator, its wire descriptor.
         try:
-            return ArrayBundle.concat(parts)
+            return type(parts[0]).concat(parts)
         except ValueError as exc:
             raise CollectiveMismatchError(
                 f"group {group.gid} members' bundles do not align: {exc}"

@@ -25,7 +25,9 @@ shipped counters — sync accounting, fusion, validation, charges, trace
 record — and each member's reply returns its counters for the worker to
 adopt.  One superstep, written once: the backends are byte-identical in
 results, counters and traces for a fixed seed because the same code adds
-the same floats in the same order.
+the same floats in the same order.  In arena mode it runs the collectives
+that only move values (:data:`_FORWARDED`) on the senders' slab
+*descriptors* and forwards those: the bytes go worker to worker.
 
 Fault handling: a worker that raises surfaces as
 :class:`~repro.runtime.errors.WorkerProgramError` with the remote
@@ -93,6 +95,10 @@ logger = logging.getLogger(__name__)
 #: Default inactivity timeout (seconds): generous enough for real
 #: benchmark-scale local compute phases, finite so nothing ever hangs.
 DEFAULT_TIMEOUT_S = 300.0
+
+#: Collectives that move values without folding (or slicing) them.
+_FORWARDED = frozenset({"bcast", "gather", "allgather", "scatter",
+                        "alltoall", "gatherv", "allgatherv", "alltoallv"})
 
 #: Per-process sequence distinguishing concurrent runs' slab prefixes.
 _RUN_SEQ = itertools.count()
@@ -433,21 +439,46 @@ class MpBackend(Backend):
         # Completed supersteps per rank (replies shipped): a failure stamps
         # the failing rank's count so errors name the superstep in flight.
         steps = [0] * p
-        # Segments backing each rank's outstanding reply: the rank's next
-        # message proves the reply was decoded, releasing the slabs back
+        # Coordinator slabs backing each rank's outstanding reply: the
+        # rank's next message proves the reply was decoded, releasing them
         # to the pool (legacy: the worker already unlinked its one-shots).
         reply_refs: dict[int, list[str]] = {r: [] for r in range(p)}
+        # Worker slabs, ref-counted: name -> [owner, readers].  The
+        # coordinator reads until it has decoded the request or forwarded
+        # its descriptors; a member whose reply points into the slab, until
+        # its next message.  At zero the name joins ``freed[owner]`` and
+        # rides the owner's next reply.
+        lent: dict[str, list[int]] = {}
+        posted: dict[int, list[str]] = {}  # rank -> its latest request's slabs
+        borrowed: dict[int, list[str]] = {r: [] for r in range(p)}
+        freed: dict[int, list[str]] = {r: [] for r in range(p)}
+
+        def slabs_of(wire) -> list[str]:
+            return list(dict.fromkeys(
+                ref.name for ref in iter_refs(wire, SlabArrayRef)))
+
+        def unread(names) -> None:
+            for name in names:
+                loan = lent[name]
+                loan[1] -= 1
+                if not loan[1]:
+                    freed[lent.pop(name)[0]].append(name)
 
         def handle(msg) -> None:
             tag, rank = msg[0], msg[1]
             transport.release(reply_refs[rank])  # previous reply consumed
-            reply_refs[rank].clear()
+            unread(borrowed[rank])
+            reply_refs[rank], borrowed[rank] = [], []
             if tag == MSG_OP:
                 op, counters[rank] = msg[2], msg[3]
-                pool.worker_segments.update(
-                    ref.name for ref in iter_refs(op.payload, SlabArrayRef))
-                pending[rank] = replace(
-                    op, payload=transport.decode(op.payload))
+                slabs = posted[rank] = slabs_of(op.payload)
+                pool.worker_segments.update(slabs)
+                lent.update((name, [rank, 1]) for name in slabs)
+                if not (self.use_arena and op.kind in _FORWARDED):
+                    op = replace(
+                        op, payload=transport.decode(op.payload, op.kind))
+                    unread(slabs)
+                pending[rank] = op
             elif tag == MSG_DONE:
                 value, counters[rank], app_s[rank], mpi_s[rank], stats = \
                     msg[2:]
@@ -468,14 +499,30 @@ class MpBackend(Backend):
                                 wall_s=now - last_event_t)
                 last_event_t = now
                 kind = ops[0].kind
+                forwarded = self.use_arena and kind in _FORWARDED
+                if forwarded and any(posted[op.sender] for op in ops):
+                    # The results are the senders' descriptors, regrouped:
+                    # each member becomes a reader of what its result
+                    # points into, then the coordinator stops being one.
+                    for op in ops:
+                        borrowed[op.sender] = slabs_of(inbox[op.sender])
+                        for name in borrowed[op.sender]:
+                            lent[name][1] += 1
+                    for op in ops:
+                        unread(posted[op.sender])
                 for op in ops:
-                    # Ship the member its result and the counters the
-                    # engine just charged; retire its request.
+                    # Ship the member its result, its charged counters and
+                    # the slabs it may pool again; retire its request.
                     m = op.sender
-                    wire, reply_refs[m] = transport.encode(inbox[m], kind)
+                    if forwarded:
+                        wire = inbox[m]
+                        transport.stats.note(kind, messages=1)
+                    else:
+                        wire, reply_refs[m] = transport.encode(inbox[m], kind)
                     inbox[m] = None
                     buf = ForkingPickler.dumps(
-                        (REPLY_RESULT, wire, counters[m]))
+                        (REPLY_RESULT, wire, counters[m], freed[m]))
+                    freed[m] = []
                     transport.stats.note(kind, pickle_bytes=len(buf))
                     try:
                         pool.conns[m].send_bytes(buf)
@@ -503,15 +550,19 @@ class MpBackend(Backend):
             tracer.on_finish([c.snapshot() for c in counters],
                              wall_s=perf_counter() - last_event_t)
             trace = tracer.events()[events_before:]
-        return RunResult(
-            values=values,
-            report=report,
-            time=TimeEstimate(app_s=max(app_s), mpi_s=max(mpi_s)),
-            trace=trace,
-        )
+        measured = TimeEstimate(app_s=max(app_s), mpi_s=max(mpi_s))
+        return RunResult(values=values, report=report, time=measured,
+                         trace=trace)
 
     def _event_loop(self, pool, pending, live, handle, execute_ready,
                     steps) -> None:
+        def drain(rank) -> None:
+            try:
+                while pool.conns[rank].poll():
+                    handle(pool.conns[rank].recv())
+            except (EOFError, ConnectionError):
+                pass  # gone (a reset: it died with a command unread)
+
         while live:
             ranks = sorted(live)
             ready = _conn_wait(
@@ -528,27 +579,14 @@ class MpBackend(Backend):
             ready_ids = {id(obj) for obj in ready}
             # Messages first: a worker that reported and exited is not a crash.
             for rank in ranks:
-                conn = pool.conns[rank]
-                if id(conn) not in ready_ids:
-                    continue
-                try:
-                    while conn.poll():
-                        handle(conn.recv())
-                except (EOFError, ConnectionError):
-                    # Gone (a reset: it died with a command unread); fall
-                    # through to the sentinel check.
-                    pass
+                if id(pool.conns[rank]) in ready_ids:
+                    drain(rank)
             for obj in ready:
                 rank = pool.sentinel_rank.get(obj)
-                if rank is None or rank not in live:
-                    continue
-                try:
-                    while pool.conns[rank].poll():
-                        handle(pool.conns[rank].recv())
-                except (EOFError, ConnectionError):
-                    pass
                 if rank in live:
-                    # Died before reporting — either mid-compute or while
-                    # blocked inside a collective request.
-                    raise self._crash(pool, rank, steps[rank])
+                    drain(rank)
+                    if rank in live:
+                        # Died before reporting — either mid-compute or
+                        # while blocked inside a collective request.
+                        raise self._crash(pool, rank, steps[rank])
             execute_ready()

@@ -1,43 +1,28 @@
 """Shared-memory payload transport for the multiprocess backend.
 
-Control messages travel over ``multiprocessing`` pipes (pickle), but bulk
-numpy payloads — edge arrays, gathered samples, dense matrix blocks — are
-hoisted out of the pickle stream into POSIX shared memory.  Layout,
-descriptors, the bounded attachment cache and untracked ownership are
-:mod:`repro.shmem`'s (shared with the graph plane); this module is what
+Control messages travel over ``multiprocessing`` pipes (pickle); bulk numpy
+payloads are hoisted out of the pickle stream into POSIX shared memory.
+Layout, descriptors, the bounded attachment cache and untracked ownership
+are :mod:`repro.shmem`'s (shared with the graph plane); this module is what
 is particular to *messages*.  Two codecs run through the same walk:
 
-**Pooled arena** (the default, :class:`Transport` with ``use_arena=True``):
-each endpoint owns a :class:`ShmArena` of size-classed slabs (power-of-two
-sizes from 64 KiB up).  All ndarray leaves of one message — including the
-columns of an :class:`~repro.bsp.arrays.ArrayBundle` — are packed into
-*one* slab and shipped as :class:`SlabArrayRef` descriptors, so a whole
-multi-column collective costs one segment and one copy per side instead
-of one ``shm_open``/``mmap``/``unlink`` per array.  Slabs are recycled
-through a free list:
+**Pooled arena** (the default): each endpoint owns a :class:`ShmArena` of
+size-classed slabs.  All ndarray leaves of one message — the columns of an
+:class:`~repro.bsp.arrays.ArrayBundle` included — are packed into *one*
+slab and shipped as :class:`SlabArrayRef` descriptors once their combined
+size reaches the threshold (below it they stay inline in the pickle: a pipe
+round trip is cheaper than page-aligned copies).  Descriptors can be
+*forwarded*: the coordinator sequences the collectives that only move
+values on shapes alone, and the receiving worker reads its peers' slabs
+itself.  A slab returns to its owner's free list once every reader has
+provably decoded it — who proves what to whom is ``docs/runtime.md``
+("Transport arena").  Each arena unlinks what it owns at close; the
+coordinator sweeps, and **logs**, whatever a dead worker left behind.
 
-* a worker's *request* slab is released when the coordinator's reply
-  arrives (the coordinator decodes a request on receipt, so by reply time
-  the slab is provably consumed);
-* the coordinator's *reply* slab is released when that rank's next
-  message arrives (the worker is strictly synchronous, so its next
-  request proves the reply was decoded).
-
-Each arena unlinks everything it owns at close; the coordinator
-additionally sweeps every worker slab name it has seen after the pool is
-torn down and **logs** any it actually had to reclaim, so leaks are
-visible instead of silent.
-
-**Legacy one-shot** (``use_arena=False``, the transport gate's
-reference, and the ``MSG_DONE`` carrier): the sender copies each large
-array into a fresh segment (:class:`ShmArrayRef`), the receiver attaches,
-copies out, and unlinks.  Strictly single-reader in both modes: every
-encoded message has exactly one recipient.
-
-Arrays below the threshold stay inline in the pickle — a pipe round-trip
-is cheaper than page-aligned copies for small payloads.  (In arena mode
-the decision is per *message*: leaves are packed when their combined size
-crosses the threshold.)
+**Legacy one-shot** (``use_arena=False``, the transport gate's reference,
+and the ``MSG_DONE`` carrier): the sender copies each large array into a
+fresh segment (:class:`ShmArrayRef`); its single reader attaches, copies
+out and unlinks — so nothing is forwarded, the coordinator decodes.
 """
 
 from __future__ import annotations
@@ -49,7 +34,8 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.bsp.arrays import ArrayBundle
+from repro.bsp.arrays import ArrayBundle, concat_columns
+from repro.bsp.comm import payload_words
 from repro.shmem import (
     AttachCache,
     close_and_unlink,
@@ -66,6 +52,7 @@ __all__ = [
     "ShmArrayRef",
     "SlabArrayRef",
     "BundleRef",
+    "ConcatRef",
     "ShmArena",
     "Transport",
     "TransportStats",
@@ -82,15 +69,27 @@ DEFAULT_SHM_THRESHOLD = 1 << 16
 #: bytes are unlinked instead of pooled (bounds the high-water mark).
 DEFAULT_MAX_RETAINED = 32 << 20
 
-#: Peer slabs an endpoint keeps mapped.  The coordinator reads p workers'
-#: arenas, each with a few slabs in rotation, so the graph plane's
+#: Peer slabs an endpoint keeps mapped.  Every endpoint reads all p
+#: workers' arenas, each with a few slabs in rotation, so the graph plane's
 #: :data:`~repro.shmem.ATTACH_CAP` would thrash above p = 8 (a cyclic
 #: reader past the cap re-attaches on every message: correct, slower).
 _SLAB_ATTACH_CAP = 64
 
 
+class _Described:
+    """Sizes from a descriptor's ``shape``/``dtype``: what the coordinator
+    charges and traces a payload by without mapping it."""
+
+    @property
+    def nbytes(self) -> int:
+        return math.prod(self.shape) * np.dtype(self.dtype).itemsize
+
+    def __bsp_words__(self) -> int:
+        return math.prod(self.shape)
+
+
 @dataclass(frozen=True)
-class ShmArrayRef:
+class ShmArrayRef(_Described):
     """Wire descriptor of an ndarray parked in a one-shot segment.
 
     Legacy path: the receiver attaches, copies out, and unlinks.
@@ -102,7 +101,7 @@ class ShmArrayRef:
 
 
 @dataclass(frozen=True)
-class SlabArrayRef:
+class SlabArrayRef(_Described):
     """Wire descriptor of an ndarray packed into a pooled arena slab.
 
     The slab stays owned by the sender's arena: the receiver attaches
@@ -111,6 +110,17 @@ class SlabArrayRef:
 
     name: str
     offset: int
+    shape: tuple
+    dtype: str
+
+
+@dataclass(frozen=True)
+class ConcatRef(_Described):
+    """Wire form of a gathered column: the members' ``parts`` (slab refs,
+    or small inline arrays) in local-rank order, with the ``shape`` and
+    ``dtype`` ``np.concatenate`` gives them."""
+
+    parts: tuple
     shape: tuple
     dtype: str
 
@@ -126,6 +136,23 @@ class BundleRef:
 
     columns: tuple
     counts: object
+
+    def __bsp_words__(self) -> int:
+        return sum(payload_words(c) for c in self.columns)
+
+    @classmethod
+    def concat(cls, bundles) -> "BundleRef":
+        """:meth:`ArrayBundle.concat` on descriptors: no bytes move."""
+        def join(parts):
+            # Zero-row stand-ins get numpy's own alignment check (and its
+            # message) and dtype promotion without touching the payload.
+            like = np.concatenate(
+                [np.empty((0, *p.shape[1:]), p.dtype) for p in parts])
+            rows = sum(p.shape[0] for p in parts)
+            return ConcatRef(tuple(parts), (rows, *like.shape[1:]),
+                             like.dtype.str)
+
+        return cls(*concat_columns(bundles, join))
 
 
 def _size_class(nbytes: int) -> int:
@@ -179,22 +206,40 @@ def encode_payload(obj, threshold: int = DEFAULT_SHM_THRESHOLD):
     return walk(obj, _on_arrays(stash))
 
 
-def decode_payload(obj, attach=None):
+def decode_payload(obj, attach=None, read=None):
     """Inverse of :func:`encode_payload` / :meth:`Transport.encode`.
 
     One-shot refs are reclaimed (attach + copy + unlink).  Slab refs are
     read through ``attach`` — a callable ``name -> SharedMemory`` (the
-    transport's cached attacher); without one, an ephemeral attach is used
-    and the slab is left alone (it belongs to the sender's arena).
+    transport's cached attacher; only a wire without slab refs decodes
+    without one) — and the slab left alone: it belongs to the sender's
+    arena.  Every array returned is a copy, and no view outlives the
+    statement that made it: a cache eviction closes the mapping under it.
+    ``read``, a list, collects the bytes copied out of each segment.
     """
+    def slab(ref):
+        if read is not None:
+            read.append(ref.nbytes)
+        return view(attach(ref.name).buf, ref.offset, ref.shape, ref.dtype)
+
     def load(ref):
         if isinstance(ref, ShmArrayRef):
-            return fetch(ref.name, 0, ref.shape, ref.dtype, unlink=True)
+            if read is not None:
+                read.append(ref.nbytes)
+            return fetch(ref.name, ref.shape, ref.dtype)
         if isinstance(ref, SlabArrayRef):
-            if attach is None:
-                return fetch(ref.name, ref.offset, ref.shape, ref.dtype)
-            return view(attach(ref.name).buf, ref.offset, ref.shape,
-                        ref.dtype).copy()
+            return slab(ref).copy()
+        if isinstance(ref, ConcatRef):
+            # One pass, peer slabs -> result; part by part, so no view is
+            # held across the next attach.
+            out = np.empty(ref.shape, ref.dtype)
+            row = 0
+            for part in ref.parts:
+                stop = row + part.shape[0]
+                out[row:stop] = \
+                    slab(part) if isinstance(part, SlabArrayRef) else part
+                row = stop
+            return out
         return ref
 
     return walk(obj, _on_arrays(load))
@@ -207,8 +252,8 @@ def iter_refs(wire, cls=(ShmArrayRef, SlabArrayRef)) -> list:
     refs = []
 
     def leaf(obj):
-        if isinstance(obj, BundleRef):
-            for c in obj.columns:
+        if isinstance(obj, (BundleRef, ConcatRef)):
+            for c in obj.parts if isinstance(obj, ConcatRef) else obj.columns:
                 leaf(c)
         elif isinstance(obj, cls):
             refs.append(obj)
@@ -230,11 +275,9 @@ class ShmArena:
     thread-safe; each process endpoint owns exactly one.
 
     ``name_prefix`` makes slab names deterministic (``{prefix}{seq}``)
-    instead of kernel-random: the multiprocess coordinator hands every
-    worker a unique per-run prefix so that slabs a killed worker never
-    got to unlink — including retained free-list slabs whose names never
-    crossed the wire — can be found and reclaimed by a prefix sweep at
-    pool shutdown.
+    instead of kernel-random, so that a killed worker's slabs — retained
+    ones whose names never crossed the wire included — can be found and
+    reclaimed by a prefix sweep at pool shutdown.
     """
 
     def __init__(self, max_retained: int = DEFAULT_MAX_RETAINED,
@@ -252,12 +295,10 @@ class ShmArena:
     def acquire(self, nbytes: int) -> shared_memory.SharedMemory:
         """A slab with capacity >= nbytes, recycled when possible.
 
-        Best-fit from the free list: the smallest pooled class that can
-        hold the request is reused (its most recently released slab), even
-        if larger than the exact class — shrinking workloads (CC frontiers,
-        contracting graphs) then keep recycling their round-one slab
-        instead of allocating a fresh segment per size class on the way
-        down.
+        Best-fit: the smallest pooled class that can hold the request is
+        reused (its most recently released slab), even if larger than the
+        exact class — shrinking workloads (CC frontiers, contracting
+        graphs) keep recycling their round-one slab on the way down.
         """
         cls = _size_class(nbytes)
         seg = min((s for s in reversed(self._free) if s.size >= cls),
@@ -278,7 +319,7 @@ class ShmArena:
         return seg
 
     def release(self, name: str) -> None:
-        """Return a slab to the pool once its single reader has decoded it."""
+        """Return a slab to the pool once its readers have all decoded it."""
         seg = self._segs.get(name)
         if seg is None or seg in self._free:
             return
@@ -307,13 +348,14 @@ class TransportStats:
 
     For each message kind (collective kind, or ``"done"``/``"value"`` for
     result shipping) tracks: messages encoded, pickle bytes put on the
-    pipe, shared-memory segments created vs reused, and array bytes copied
-    into segments.  ``high_water`` is the max over the contributing
-    arenas' high-water marks.
+    pipe, shared-memory segments created vs reused, array bytes copied
+    into segments (``bytes_copied``, encode side) and out of them
+    (``bytes_read``, decode side).  ``high_water`` is the max over the
+    contributing arenas' high-water marks.
     """
 
     _FIELDS = ("messages", "pickle_bytes", "segments_created",
-               "segments_reused", "bytes_copied")
+               "segments_reused", "bytes_copied", "bytes_read")
 
     def __init__(self):
         self.kinds: dict[str, dict[str, int]] = {}
@@ -332,11 +374,8 @@ class TransportStats:
         self.high_water = max(self.high_water, other.high_water)
 
     def totals(self) -> dict[str, int]:
-        out = dict.fromkeys(self._FIELDS, 0)
-        for b in self.kinds.values():
-            for f in self._FIELDS:
-                out[f] += b[f]
-        return out
+        return {f: sum(b[f] for b in self.kinds.values())
+                for f in self._FIELDS}
 
     def as_dict(self) -> dict:
         """JSON-ready snapshot: per-kind buckets plus totals."""
@@ -380,9 +419,7 @@ class Transport:
             refs = iter_refs(wire)
             self.stats.note(
                 kind, messages=1, segments_created=len(refs),
-                bytes_copied=sum(
-                    math.prod(r.shape) * np.dtype(r.dtype).itemsize
-                    for r in refs),
+                bytes_copied=sum(r.nbytes for r in refs),
             )
             return wire, [r.name for r in refs]
 
@@ -420,12 +457,17 @@ class Transport:
     # -- decode --------------------------------------------------------------
 
     def attach(self, name: str) -> shared_memory.SharedMemory:
-        """Cached attachment to a peer-owned slab (one mmap per name)."""
-        return self._attached.attach(name)
+        """The mapping of a slab: this arena's own, or a cached attachment
+        to a peer's (one mmap per name)."""
+        return self.arena._segs.get(name) or self._attached.attach(name)
 
-    def decode(self, obj):
+    def decode(self, obj, kind: str = "?"):
         """Decode a wire payload through the attachment cache."""
-        return decode_payload(obj, self.attach)
+        read: list[int] = []
+        out = decode_payload(obj, self.attach, read)
+        if read:
+            self.stats.note(kind, bytes_read=sum(read))
+        return out
 
     # -- lifetime ------------------------------------------------------------
 
@@ -433,6 +475,10 @@ class Transport:
         """Return arena slabs to the pool (no-op on one-shot names)."""
         for name in names:
             self.arena.release(name)
+
+    def release_all(self) -> None:
+        """Pool every owned slab (between runs: no reader is left)."""
+        self.release(list(self.arena._segs))
 
     def close(self) -> list[str]:
         """Drop peer attachments and unlink the own arena; returns the

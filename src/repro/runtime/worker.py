@@ -8,14 +8,12 @@ generator until it yields a :class:`~repro.bsp.comm.CollectiveOp`, ships
 the request to the coordinator over a pipe (bulk arrays via shared
 memory), blocks for the result, and resumes the generator with it.
 
-Counter parity with the simulator is bit-exact by construction: program
-charges accumulate locally in exactly the simulator's order, every request
-carries this rank's :class:`~repro.bsp.counters.ProcCounters`, the
-coordinator runs the simulator's own ``Engine._execute`` on them, and the
-reply carries them back to be adopted in place — the same code adds the
-same floats in the same order.  Wall-clock is split into *application*
-time (generator running) and *MPI* time (blocked on a collective), the
-measured analogue of the paper's T_app/T_MPI decomposition.
+Program charges accumulate locally in exactly the simulator's order;
+every request carries this rank's :class:`~repro.bsp.counters.ProcCounters`
+and the reply carries them back, charged, to be adopted in place
+(:mod:`repro.runtime.mp` has the parity argument).  Wall-clock is split
+into *application* time (generator running) and *MPI* time (blocked on a
+collective), the measured analogue of the paper's T_app/T_MPI split.
 
 One lifecycle under ``mp`` and ``warm``: a worker is a command loop
 (:func:`persistent_worker_main`) with one transport opened at process
@@ -102,6 +100,9 @@ def _drive(conn, spec: WorkerSpec, transport: Transport, *, world_gid, seed,
     app_s = mpi_s = 0.0
     inbox = None
     transport.stats = TransportStats()
+    # Every MSG_DONE of the previous run is in, so every peer has decoded
+    # what this arena lent it: slabs no reply got to name are free.
+    transport.release_all()
     injector = FaultInjector(faults, spec.rank)
     local_step = 0  # collectives this rank has completed
 
@@ -152,7 +153,7 @@ def _drive(conn, spec: WorkerSpec, transport: Transport, *, world_gid, seed,
                 dropped = True
 
         t1 = perf_counter()
-        wire_payload, slabs = transport.encode(op.payload, op.kind)
+        wire_payload, _ = transport.encode(op.payload, op.kind)
         msg = (MSG_OP, spec.rank, replace(op, payload=wire_payload), counters)
         buf = ForkingPickler.dumps(msg)
         transport.stats.note(op.kind, pickle_bytes=len(buf))
@@ -165,18 +166,18 @@ def _drive(conn, spec: WorkerSpec, transport: Transport, *, world_gid, seed,
             time.sleep(delay_s)
         conn.send_bytes(buf)
         msg = conn.recv()
-        # The reply proves the coordinator decoded the request (it decodes
-        # on receipt, before the collective runs): the slab is free again.
-        transport.release(slabs)
         mpi_s += perf_counter() - t1
 
         if msg[0] != REPLY_RESULT:  # pragma: no cover - protocol guard
             raise RuntimeError(f"unexpected coordinator reply {msg[0]!r}")
         # The coordinator ran the collective on the counters this request
         # carried; adopt the result in place (the program holds `counters`).
-        _, payload, charged = msg
+        # `freed` names the slabs of this arena every reader — coordinator
+        # or peer — has provably decoded; none is pooled before it is named.
+        _, payload, charged, freed = msg
+        transport.release(freed)
         vars(counters).update(vars(charged))
-        inbox = transport.decode(payload)
+        inbox = transport.decode(payload, op.kind)
         local_step += 1
 
     # The DONE value rides legacy one-shot segments: this run is past its

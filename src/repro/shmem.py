@@ -8,7 +8,7 @@ transport arena (:mod:`repro.runtime.transport`, collective *payloads*).
   vocabulary; the users' wire dataclasses only bundle them.
 * **Attachment** — :class:`AttachCache`, LRU-bounded: a mapping outlives
   its segment's unlink, so an unbounded cache pins memory the owner
-  already gave back.  :func:`fetch` is the uncached attach-copy-close.
+  already gave back.  :func:`fetch` is the uncached attach-copy-unlink.
 * **Ownership** — segments are created *untracked* and unlinked by name
   at the OS level, by their owner: the plane's registry (``rgpl…``, at
   the last unpin), an arena (its ``rsh…``-prefixed or kernel-random
@@ -22,7 +22,9 @@ transport arena (:mod:`repro.runtime.transport`, collective *payloads*).
 
 from __future__ import annotations
 
-from multiprocessing import resource_tracker, shared_memory
+import os
+import threading
+from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -83,38 +85,49 @@ def pack(arrays, alloc):
                  for a, off in zip(arrays, offsets)]
 
 
-def _untracked(seg: shared_memory.SharedMemory):
-    """``seg``, forgotten by this process's resource tracker: every
-    ``SharedMemory`` — attach as well as create — registers on this
-    Python, and we unlink our segments ourselves."""
-    try:
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker is best-effort anyway
-        pass
-    return seg
+class _NoTracker:
+    register = unregister = staticmethod(lambda name, rtype: None)
+
+
+#: The tracker swap below is process-global.  A pool forked while another
+#: thread (the daemon has several) is inside it starts with a fresh lock.
+_OPENING = threading.Lock()
+os.register_at_fork(after_in_child=_OPENING._at_fork_reinit)
+
+
+def _untracked(**kwargs) -> shared_memory.SharedMemory:
+    """A ``SharedMemory`` this process's resource tracker never hears of:
+    attach as well as create registers on this Python, we unlink our
+    segments ourselves, and two processes attaching one name race their
+    register/unregister pairs into a ``KeyError`` on the tracker's stderr."""
+    with _OPENING:
+        tracker = shared_memory.resource_tracker
+        shared_memory.resource_tracker = _NoTracker
+        try:
+            return shared_memory.SharedMemory(**kwargs)
+        finally:
+            shared_memory.resource_tracker = tracker
 
 
 def create_segment(size: int, name: str | None = None):
     """A fresh untracked segment (kernel-random ``psm_…`` name if None)."""
-    return _untracked(
-        shared_memory.SharedMemory(name=name, create=True, size=size))
+    return _untracked(name=name, create=True, size=size)
 
 
 def attach_segment(name: str):
     """An untracked attachment to an existing segment."""
-    return _untracked(shared_memory.SharedMemory(name=name))
+    return _untracked(name=name)
 
 
-def fetch(name: str, offset: int, shape, dtype, *, unlink: bool = False):
-    """Attach, copy one array out, close — and reclaim the segment if the
-    caller is its single reader (``unlink``)."""
+def fetch(name: str, shape, dtype) -> np.ndarray:
+    """A one-shot segment's single reader: attach, copy its array out,
+    close, reclaim the segment."""
     seg = attach_segment(name)
     try:
-        return view(seg.buf, offset, shape, dtype).copy()
+        return view(seg.buf, 0, shape, dtype).copy()
     finally:
         seg.close()
-        if unlink:
-            unlink_segments([name])
+        unlink_segments([name])
 
 
 try:  # POSIX: raw shm_unlink, bypassing the resource tracker

@@ -6,23 +6,43 @@ from repro.core.components import connected_components
 from repro.faults import parse_fault_plan
 from repro.graph import erdos_renyi, two_cliques_bridge
 from repro.rng import philox_stream
-from repro.runtime import MpBackend
+from repro.runtime import MpBackend, SimBackend, WarmMpBackend
 from repro.sched import TrialScheduler
 from tests.smoke.conftest import no_shm_leaks
+from tests.test_transport_arena import _forwarding_program
 
 
 def test_arena():
     """Transport arena stress smoke (spawn, alltoallv-heavy, zero leaks)."""
     g = erdos_renyi(20_000, 80_000, philox_stream(5))
-    mp_ = MpBackend(start_method="spawn", timeout=300.0, shm_threshold=1 << 12)
-    res = connected_components(g, p=2, seed=4, hybrid=True, backend=mp_)
     sim = connected_components(g, p=2, seed=4, hybrid=True)
-    assert res.n_components == sim.n_components
-    assert (res.labels == sim.labels).all()
-    assert res.report == sim.report
-    stats = mp_.last_transport_stats
+    # Forwarded descriptors leave this call three slab messages, each
+    # still lent when the next is packed; the repeat on the kept pool must
+    # run entirely on what the first one allocated.
+    with WarmMpBackend(start_method="spawn", timeout=300.0,
+                       shm_threshold=1 << 12) as mp_:
+        for _ in range(2):
+            res = connected_components(g, p=2, seed=4, hybrid=True,
+                                       backend=mp_)
+            assert res.n_components == sim.n_components
+            assert (res.labels == sim.labels).all()
+            assert res.report == sim.report
+        stats = mp_.last_transport_stats
     assert stats["per_kind"].get("alltoallv", {}).get("messages", 0) > 0, stats
     assert stats["total"]["segments_reused"] > 0, stats
+    assert stats["total"]["segments_created"] == 0, stats
+
+
+def test_forwarding():
+    """Descriptor-forwarding stress smoke (spawn, p = 3: allgatherv, bcast,
+    allgather and gatherv in a loop, every slab read by its peers)."""
+    args = (20_000, 12)
+    mp_ = MpBackend(start_method="spawn", timeout=300.0, shm_threshold=1 << 12)
+    res = mp_.run(_forwarding_program, 3, seed=1, args=args)
+    sim = SimBackend().run(_forwarding_program, 3, seed=1, args=args)
+    assert res.values == sim.values and res.report == sim.report
+    stats = mp_.last_transport_stats["total"]
+    assert stats["segments_reused"] > stats["segments_created"], stats
 
 
 def test_crash():

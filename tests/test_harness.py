@@ -138,3 +138,20 @@ def test_experiments_md_is_a_pure_function_of_the_records(tmp_path):
     out = tmp_path / "EXPERIMENTS.md"
     collect_experiments.main(out)
     assert out.read_bytes() == collect_experiments.OUT.read_bytes()
+
+
+def test_history_names_a_landed_row_by_its_parent():
+    """A row is appended before its commit exists; the next append finds the
+    commit whose first parent is the row's ``parent`` (PR 21's stayed null)."""
+    from benchmarks.history import fill_commits
+
+    rows = [{"pr": 1, "commit": "aaaaaaa", "parent": "0000000"},
+            {"pr": 2, "commit": None, "parent": "aaaaaaa"},
+            {"pr": 3, "commit": None, "parent": "ccccccc"}]  # not landed
+    log = ("b" * 40 + " " + "a" * 40 + " " + "f" * 40 + "\n"  # a merge
+           + "a" * 40 + " " + "0" * 40 + "\n" + "0" * 40 + " \n")
+    lines = [json.dumps(r) for r in rows]
+    filled = fill_commits(lines, log)
+    assert [json.loads(x)["commit"] for x in filled] == \
+        ["aaaaaaa", "bbbbbbb", None]
+    assert filled[0] is lines[0]  # a named row is not rewritten

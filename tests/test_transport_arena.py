@@ -8,6 +8,7 @@ encode/decode round trip, and a full MpBackend run checked against the
 OS segment namespace.
 """
 
+import multiprocessing
 import os
 import sys
 
@@ -291,3 +292,135 @@ class TestMpEndToEnd:
         created_pooled = pooled.last_transport_stats["total"]["segments_created"]
         created_legacy = legacy.last_transport_stats["total"]["segments_created"]
         assert created_legacy >= 2 * max(created_pooled, 1)
+
+
+# --- forwarded descriptors: a slab is lent to peers, not read in place ------
+
+def _lend_then_churn_program(ctx, n, rounds):
+    """Every rank lends the root a gatherv slab, then churns through
+    same-size-class slabs in a singleton group the root is no part of."""
+    own = yield from ctx.comm.split(ctx.rank)
+    cols = (np.full(n, ctx.rank + 1, dtype=np.int64),
+            np.full(n, 0.5 * (ctx.rank + 1)))
+    got = yield from ctx.comm.gatherv(*cols, root=0)
+    total = 0
+    for i in range(rounds):
+        x = yield from own.allgatherv(cols[0] + i, cols[1])
+        total += int(x[0].sum())
+    return total, got and [c.tolist() for c in (*got, got.counts)]
+
+
+def _forwarding_program(ctx, n, rounds):
+    """Forwarded kinds in a loop: every slab is lent to every rank."""
+    total = 0.0
+    for i in range(rounds):
+        u = np.arange(n, dtype=np.int64) * (ctx.rank + 1) + i
+        ag = yield from ctx.comm.allgatherv(u, u / 2.0)
+        root = i % ctx.comm.size
+        top = yield from ctx.comm.bcast(ag[1] if ctx.rank == root else None,
+                                       root=root)
+        parts = yield from ctx.comm.allgather(u[:n // 2])
+        got = yield from ctx.comm.gatherv(u, u * 0.25, root=root)
+        total += float(ag[0].sum() + top.sum() + sum(x.sum() for x in parts))
+        total += float(got[1].sum()) if got else 0.0
+    return total
+
+
+def _pool_bytes(backend) -> int:
+    """Bytes the pool's worker arenas hold right now, read off the OS."""
+    token = backend._pool.slab_token
+    return sum(os.stat(os.path.join("/dev/shm", name)).st_size
+               for name in os.listdir("/dev/shm") if name.startswith(token))
+
+
+@needs_dev_shm
+class TestForwardedSlabLifetime:
+    def test_lent_slab_is_not_recycled_while_its_reader_is_silent(self):
+        """'Free at the owner's next reply' is not enough: after a split,
+        owner and reader need not share their next collective."""
+        require_mp()
+        from repro.faults import FaultSpec
+        from repro.runtime.mp import MpBackend
+        from repro.runtime.sim import SimBackend
+
+        args = (30_000, 8)
+        backend = MpBackend(timeout=180.0, shm_threshold=1 << 12)
+        # The root goes quiet after the gatherv, before its next request.
+        res = backend.run(_lend_then_churn_program, 2, args=args, faults=[
+            FaultSpec("stall", rank=0, step=2, seconds=0.5)])
+        assert res.values == SimBackend().run(
+            _lend_then_churn_program, 2, args=args).values
+        # Rank 1 could not reuse the slab rank 0 had yet to prove it read.
+        stats = backend.last_transport_stats["per_kind"]
+        assert stats["allgatherv"]["segments_created"] >= 1
+
+    def test_slab_lent_to_every_rank_returns_to_the_pool_once(self):
+        require_mp()
+        from repro.runtime.sim import SimBackend
+        from repro.runtime.warm import WarmMpBackend
+
+        args = (20_000, 3)
+        want = SimBackend().run(_forwarding_program, 3, args=args).values
+        before = _shm_names()
+        with WarmMpBackend(timeout=180.0, shm_threshold=1 << 12) as backend:
+            assert backend.run(_forwarding_program, 3, args=args).values == want
+            held = _pool_bytes(backend)
+            for _ in range(20):
+                res = backend.run(_forwarding_program, 3, args=args)
+                assert res.values == want
+                assert _pool_bytes(backend) == held
+                total = backend.last_transport_stats["total"]
+                assert total["segments_created"] == 0
+        assert _shm_names() <= before
+
+    def test_attach_cap_below_the_group_size_is_only_slower(self, monkeypatch):
+        require_mp()
+        from repro.runtime import transport
+        from repro.runtime.mp import MpBackend
+        from repro.runtime.sim import SimBackend
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the patched cap reaches the workers by fork")
+        monkeypatch.setattr(transport, "_SLAB_ATTACH_CAP", 2)
+        args = (20_000, 3)
+        res = MpBackend(timeout=180.0, shm_threshold=1 << 12,
+                        start_method="fork").run(
+            _forwarding_program, 4, args=args)
+        assert res.values == SimBackend().run(
+            _forwarding_program, 4, args=args).values
+
+    def test_crash_after_lending_names_the_superstep_and_leaks_nothing(self):
+        require_mp()
+        from repro.faults import FaultSpec
+        from repro.runtime.errors import WorkerCrashError
+        from repro.runtime.mp import MpBackend
+
+        before = _shm_names()
+        with pytest.raises(WorkerCrashError) as err:
+            MpBackend(timeout=180.0, shm_threshold=1 << 12).run(
+                _lend_then_churn_program, 2, args=(30_000, 4),
+                faults=[FaultSpec("crash", rank=1, step=2)])
+        assert err.value.rank == 1 and err.value.superstep == 2
+        assert _shm_names() - before == set()
+
+
+@needs_dev_shm
+def test_traced_cc_copies_each_gathered_byte_once_per_side():
+    """``bytes_copied`` is the encode side only; ``bytes_read`` is the
+    decode side.  Forwarded, a gathered payload is packed by its sender and
+    read by its receiver — the coordinator adds no copy of either kind."""
+    require_mp()
+    from repro.core.components import connected_components
+    from repro.graph import erdos_renyi
+    from repro.rng import philox_stream
+    from repro.runtime.mp import MpBackend
+
+    g = erdos_renyi(4000, 80_000, philox_stream(5))
+    backend = MpBackend(timeout=180.0, shm_threshold=1 << 12, trace=True)
+    connected_components(g, p=2, seed=5, backend=backend)
+    events = backend.tracer.events()
+    payload = 8 * sum(ev.words for ev in events if ev.kind == "gatherv")
+    assert payload > 1 << 16
+    stats = backend.last_transport_stats["per_kind"]["gatherv"]
+    assert stats["bytes_copied"] <= 1.1 * payload
+    assert stats["bytes_copied"] + stats["bytes_read"] <= 2.2 * payload

@@ -287,3 +287,50 @@ class TestBackendParity:
             typed_mix_program, 2, seed=4, args=(3000,))
         assert sim.values == mp_.values
         assert sim.report == mp_.report
+
+
+# --- validation stays at the coordinator, worded as the simulator words it --
+
+def unaligned_program(ctx, case, n):
+    """An allgatherv whose members' bundles do not concatenate — or, for
+    ``promote``, do only by promoting a column's dtype."""
+    r = ctx.rank
+    cols = {
+        "ncols": (np.arange(n),) * (1 + r),
+        "ndim": (np.zeros(n) if r == 0 else np.zeros((n, 2)),),
+        "trailing": (np.zeros((n, 2 + r)),),
+        "promote": (np.arange(n, dtype=np.int64 if r == 0 else np.float64),),
+    }[case]
+    got = yield from ctx.comm.allgatherv(*cols)
+    return [(c.dtype.str, c.shape, float(c.sum())) for c in got]
+
+
+class TestDescriptorValidationParity:
+    """The arena coordinator concatenates descriptors, never bytes: what it
+    rejects, and how it says so, must not depend on that."""
+
+    # Under and over the shm threshold: inline arrays and slab descriptors.
+    sizes = pytest.mark.parametrize("n", [8, 4000])
+
+    @sizes
+    @pytest.mark.parametrize("case", ["ncols", "ndim", "trailing"])
+    def test_mismatch_message_matches_sim(self, case, n):
+        require_mp()
+
+        def message(backend):
+            with pytest.raises(CollectiveMismatchError) as err:
+                backend.run(unaligned_program, 2, args=(case, n))
+            return str(err.value)
+
+        want = message(SimBackend())
+        assert "do not align" in want
+        assert message(MpBackend(timeout=120.0, shm_threshold=1 << 12)) == want
+
+    @sizes
+    def test_dtype_promotion_matches_concat(self, n):
+        require_mp()
+        sim = SimBackend().run(unaligned_program, 2, args=("promote", n))
+        mp_ = MpBackend(timeout=120.0, shm_threshold=1 << 12).run(
+            unaligned_program, 2, args=("promote", n))
+        assert sim.values == mp_.values and sim.report == mp_.report
+        assert sim.values[0][0][0] == np.dtype(np.float64).str
