@@ -5,8 +5,12 @@ Prices both exact-min-cut pipelines on a dense clustered graph (the
 explodes) and writes ``results/BENCH_two_out.json``:
 
 * ``dense``: ``variant="2out"`` end to end — planned and dispatched trial
-  counts against the default budget, the cut value against the planted
-  minimum, and the predicted (analytic-model) time against a two-point
+  counts against the default budget (``planned_trials`` is the plan's
+  price list; a replica contracted to at most ``KS_BASE_SIZE`` vertices is
+  a leaf, enumerated inside the plan, and dispatches none of it —
+  ``dispatched_trials`` is 0 when every replica is one), the cut value
+  against the planted minimum, and the predicted (analytic-model) time
+  against a two-point
   extrapolation of the default pipeline (running the full default budget
   would take minutes; two probe runs pin down its per-trial cost
   exactly, since the analytic model is linear in the trial count);
@@ -25,8 +29,10 @@ Wall-clock seconds are recorded for context but never gated.
 
 Acceptance bars:
 
-* ``reduction_ok`` — dispatched-trial reduction >= 3x on the dense
-  workload (:data:`REDUCTION_FLOOR`);
+* ``reduction_ok`` — the default budget over the *planned* 2-out budget
+  is >= 3x on the dense workload (:data:`REDUCTION_FLOOR`).  Planned, not
+  dispatched: the price list is what the degrade decision compares, and a
+  ratio over zero dispatched trials would hold no matter what;
 * ``values_match`` — the 2-out value equals the planted minimum cut;
 * ``small_truth_match`` — exact agreement with the sequential reference;
 * ``degrade_honest`` — the sparse workload degrades with reduction 1.0;
@@ -48,7 +54,7 @@ from pathlib import Path
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
-#: Acceptance bar: dispatched Karger–Stein trials, default over 2-out.
+#: Acceptance bar: budgeted Karger–Stein trials, default over 2-out plan.
 REDUCTION_FLOOR = 3.0
 
 #: Trial counts for the two default-pipeline probe runs the per-trial
@@ -109,7 +115,7 @@ def run_benchmarks(scale: float = 1.0, seed: int = 0) -> dict:
             "planned_reduction": zr.two_out.reduction,
         }
 
-    reduction = s.default_trials / max(dispatched, 1)
+    reduction = s.reduction  # default budget over the plan's price list
     return {
         "workload": {"n": g.n, "m": g.m, "p": p, "seed": seed,
                      "planted_cut": planted},
@@ -157,8 +163,9 @@ def main(argv=None) -> int:
 
     d = record["dense"]
     print(f"dense      value {d['value']:g}  trials "
-          f"{d['dispatched_trials']}/{d['default_trials']} "
-          f"(reduction {d['reduction']:.1f}x)  predicted "
+          f"{d['planned_trials']}/{d['default_trials']} "
+          f"(reduction {d['reduction']:.1f}x, {d['dispatched_trials']} "
+          f"dispatched)  predicted "
           f"{d['predicted_s']:.4f}s vs default {d['default_predicted_s']:.4f}s "
           f"(speedup {d['predicted_speedup']:.1f}x)")
     print(f"sparse     degraded {record['sparse']['degraded']}  "

@@ -157,7 +157,7 @@ SECTIONS: dict[str, Section] = {
          F("reduction_ok", LOOSE),
          F("reduction", Bound(
              operator.ge, bench_two_out.REDUCTION_FLOOR, ".reduction: "
-             "{v:.1f}x is under the {b:g}x dispatched-trial floor"),
+             "{v:.1f}x is under the {b:g}x planned-trial floor"),
            "dense.reduction")),
     ),
     # Every served answer is validated against the direct call, so the

@@ -61,9 +61,10 @@ collectives ``--fuse`` would merge, and what that saves)::
     python -m repro.cli analyze-trace t.jsonl --top 5 --plan plan.json
 
 ``--variant 2out`` (``repro.core.two_out``) runs the random 2-out
-contraction preprocessing first and dispatches the recomputed — usually
-far smaller — trial budget on the contracted replicas, printing a
-``two_out:`` summary line; it degrades to the default pipeline whenever
+contraction preprocessing first and prices the recomputed — usually far
+smaller — trial budget of the contracted replicas (enumerated outright
+at 12 vertices or fewer, dispatched above), printing a ``two_out:``
+summary line; it degrades to the default pipeline whenever
 the preprocessing buys nothing.
 """
 

@@ -539,9 +539,10 @@ def mincut_trials_program(ctx, slices, n, trial_ids, trial_seed,
     ``dense`` runs each trial directly through the dense bulk-contraction
     recursion (:func:`~repro.core.karger_stein.karger_stein_matrix`) on
     an adjacency matrix densified **once per wave**, skipping the sparse
-    eager step entirely.  That is the right shape for tiny graphs — the
-    2-out pipeline's ~16-vertex contracted replicas — where the n x n
-    matrix is a few KB and the eager step's per-trial sampling dominates.
+    eager step entirely.  That is the right shape for tiny graphs — a
+    2-out replica above ``KS_BASE_SIZE`` (smaller ones are leaves of the
+    plan and dispatch nothing) — where the n x n matrix is a few KB and
+    the eager step's per-trial sampling dominates.
     Dense trials consume different RNG trajectories than sparse ones, so
     the per-trial (value, side) bits differ; each trial still finds the
     minimum cut with at least the Lemma 2.2 probability the budget was

@@ -23,13 +23,13 @@ contraction — no prefix of the sample can merge below ``c`` — and when
 the sample is connected it leaves two blobs instead of one.  The
 contracted edge set is always a subset of the 2-out sample, so every cut
 GNT preserve is still preserved, and no replica ever contracts below two
-vertices, so every replica keeps a (tiny) usable trial budget.
+vertices — where it is a leaf: enumerated exactly, no trials needed.
 
 The preservation bound only carries weight when the minimum cut is
 non-singleton, in which case its weight is at most the minimum weighted
 degree and GNT's argument applies; when the true minimum cut is a
-singleton, :func:`singleton_cut` finds it exactly and the replicas'
-trials are merely a (cheap) upper-bound search.
+singleton, :func:`singleton_cut` finds it exactly and the replicas
+are merely a (cheap) upper-bound search.
 
 The payoff is the §4 trial budget: Karger–Stein needs
 ``Theta((n^2/m) log^2 n)`` trials on the input but only the (much smaller)
@@ -68,6 +68,9 @@ import numpy as np
 from repro.bsp.counters import CountersReport
 from repro.bsp.machine import TimeEstimate
 from repro.cache.traced import AnalyticTracker, MemoryTracker, NullTracker
+from repro.core.karger_stein import KS_BASE_SIZE, brute_force_matrix
+from repro.core.mincut import MinCutResult, _edges_to_dense, _pick_min, \
+    _replicate_edges, _zero_cut, minimum_cut
 from repro.core.sparsify import cached_sampler
 from repro.core.trials import achieved_success_probability, num_trials
 from repro.graph.edgelist import EdgeList
@@ -107,9 +110,10 @@ REPLICA_TRIAL_PROB = 0.75
 #: contraction round refuses to run.
 MIN_DEGREE_GUARD = 3
 
-#: Contraction rounds stop once this few vertices remain: trials on
-#: graphs this small are already nearly free, so another round would
-#: spend preservation probability without buying budget.
+#: Contraction rounds stop once this few vertices remain: another round
+#: would spend preservation probability without buying budget.  A round
+#: rarely stops *at* it — measured, one round takes every non-degraded
+#: plan straight to 2-3 vertices (table under DENSE_TRIAL_THRESHOLD).
 TARGET_FLOOR = 16
 
 #: Default number of contraction rounds ("a constant number of rounds").
@@ -117,10 +121,11 @@ DEFAULT_ROUNDS = 2
 
 #: Contracted replicas at or under this many vertices dispatch their
 #: trials through the dense bulk-contraction path (``dense=True`` on
-#: :func:`~repro.core.mincut.mincut_trials_program`): the n' x n'
-#: matrix is a few KB, densified once per wave, and skipping the sparse
-#: eager step saves its per-trial sampling.  Replicas land at
-#: ~:data:`TARGET_FLOOR` vertices, far under this.
+#: :func:`~repro.core.mincut.mincut_trials_program`).  Only replicas
+#: above ``KS_BASE_SIZE`` dispatch at all, and measured ``contracted_n``
+#: (12 replicas, rounds 1 and 2) is ``[2] * 12`` on the gate's dense
+#: graph, e2e ``serve_mix`` B and ``mc_dense``, ER 2000/40 000, clustered
+#: 2048/32; 2-4 on zoo ``ring_4x5`` and with 3 clusters — all leaves.
 DENSE_TRIAL_THRESHOLD = 64
 
 #: Philox stream ids for preprocessing draws:
@@ -253,29 +258,40 @@ def two_out_contract(
     return u, v, w, labels_total, k
 
 
+def _leaf_cut(cu, cv, cw, k, mem):
+    """Exact ``(value, side)`` of a leaf replica, None above the base size.
+
+    At ``k <= KS_BASE_SIZE`` every trial of the replica would enumerate
+    this same matrix without drawing a random number (the base branch of
+    ``karger_stein_matrix``): enumerate it once, charged as that leaf is.
+    """
+    if not 2 <= k <= KS_BASE_SIZE:
+        return None
+    if cu.size == 0:
+        return 0.0, _zero_cut(k)
+    mem.ops((1 << k) * k)
+    return brute_force_matrix(_edges_to_dense(cu, cv, cw, k))
+
+
 def two_out_program(ctx, slices, n, seed, replicas, rounds):
     """SPMD program: replicate the edge array, compute all replicas.
 
     One ``allgatherv`` is the only communication; the ``replicas``
     contractions are replicated deterministic compute (RNG keyed by
     ``(seed, replica, round)``, never by rank), so every rank returns the
-    same list of ``(u, v, w, labels, k)`` tuples bit for bit — invariant
+    same ``(contractions, leaves)`` bit for bit — per replica a
+    ``(u, v, w, labels, k)`` tuple and its :func:`_leaf_cut` — invariant
     to the processor count and the execution backend.
     """
-    comm = ctx.comm
-    g = slices[ctx.rank]
-    parts = yield from comm.allgatherv(g.u, g.v, g.w)
-    fu, fv, fw = parts
-    ctx.charge_scan(fu.size, words_per_elem=3)
+    fu, fv, fw = yield from _replicate_edges(ctx, slices)
     tracker = AnalyticTracker(ctx.cache)
     tracker.alloc("edges", fu.size, words_per_elem=3)
     tracker.alloc("labels", n)
-    out = []
-    for r in range(replicas):
-        out.append(two_out_contract(
-            fu, fv, fw, n, seed, r, rounds=rounds, mem=tracker))
+    out = [two_out_contract(fu, fv, fw, n, seed, r, rounds=rounds, mem=tracker)
+           for r in range(replicas)]
+    leaves = [_leaf_cut(cu, cv, cw, k, tracker) for cu, cv, cw, _, k in out]
     ctx.charge(ops=tracker.op_count, misses=tracker.miss_count)
-    return out
+    return out, leaves
 
 
 @dataclass(frozen=True)
@@ -286,6 +302,10 @@ class TwoOutPlan:
     rounds: int
     #: Per replica: the contracted ``(u, v, w, labels, k)``.
     contractions: list
+    #: Per replica: the enumerated ``(value, side)`` of a leaf replica
+    #: (``2 <= k <= KS_BASE_SIZE``; side over its ``k`` vertices), None
+    #: for one that needs trials.
+    leaves: list
     contracted_n: tuple[int, ...]
     contracted_m: tuple[int, ...]
     #: Lemma 2.1 x 2.2 budget of each contracted graph at
@@ -334,7 +354,7 @@ def plan_two_out(
         two_out_program, p, seed=seed,
         args=(plane_slices(g, p), g.n, seed, R, rounds),
     )
-    contractions = rr.root_value
+    contractions, leaves = rr.root_value
     budgets = tuple(
         0 if k < 2 else num_trials(k, max(int(cu.size), 1),
                                    success_prob=REPLICA_TRIAL_PROB,
@@ -346,7 +366,7 @@ def plan_two_out(
                                 scale=trial_scale)
     degraded = total == 0 or total >= default_trials
     return TwoOutPlan(
-        replicas=R, rounds=rounds, contractions=contractions,
+        replicas=R, rounds=rounds, contractions=contractions, leaves=leaves,
         contracted_n=tuple(int(k) for (*_a, k) in contractions),
         contracted_m=tuple(int(cu.size) for (cu, *_a) in contractions),
         trials_per_replica=budgets, total_trials=total,
@@ -409,16 +429,16 @@ def two_out_minimum_cut(
 ):
     """The ``variant="2out"`` pipeline behind :func:`minimum_cut`.
 
-    Preprocess (:func:`plan_two_out`), then either dispatch each
-    replica's recomputed trial budget through a
-    :class:`~repro.sched.scheduler.TrialScheduler` and fold the minimum
-    over the singleton check and all replica results, or — when the plan
-    is degraded — fall back to the unmodified default pipeline (the
-    result is then bit-identical to ``variant="default"``).
+    Preprocess (:func:`plan_two_out`), then fold the minimum over the
+    singleton check, the plan's leaf solutions and — for each replica
+    above ``KS_BASE_SIZE`` — its recomputed trial budget dispatched
+    through a :class:`~repro.sched.scheduler.TrialScheduler`; or, when
+    the plan is degraded, fall back to the unmodified default pipeline
+    (the result is then bit-identical to ``variant="default"``).
 
-    Replicas contracted to at most ``dense_threshold`` vertices dispatch
-    their trials through the dense bulk-contraction path (pass 0 to
-    force every replica through the sparse path).  ``force=True`` skips
+    Dispatched replicas of at most ``dense_threshold`` vertices run the
+    dense bulk-contraction path (pass 0 for the sparse path; leaves run
+    no trials either way).  ``force=True`` skips
     the degrade decision and runs the replica path regardless
     (benchmark/test hook for exercising the genuine pipeline on graphs
     where the default budget would still be cheaper).
@@ -431,7 +451,6 @@ def two_out_minimum_cut(
     Returns a :class:`~repro.core.mincut.MinCutResult` with ``variant``
     and ``two_out`` filled in.
     """
-    from repro.core.mincut import MinCutResult, _pick_min, minimum_cut
     from repro.sched.scheduler import TrialScheduler, merge_reports
 
     if scheduler is not None and scheduler.checkpoint:
@@ -475,6 +494,11 @@ def two_out_minimum_cut(
     for r, (cu, cv, cw, labels, k) in enumerate(plan.contractions):
         budget = plan.trials_per_replica[r]
         if budget == 0:
+            continue
+        if plan.leaves[r] is not None:  # enumerated in the plan: x_r = 1
+            value, side = plan.leaves[r]
+            best = _pick_min(best, (value, side[labels]))
+            failure *= 1.0 - PRESERVATION_PROB
             continue
         g_r = EdgeList(int(k), cu, cv, cw, canonical=False, validate=False)
         sres = sched.run(

@@ -47,6 +47,7 @@ from repro.serve.jobs import Job, JobStore
 from repro.serve.protocol import (
     ALGORITHMS,
     DYNAMIC_ALGORITHMS,
+    MAX_REQUEST_LINE,
     PROTOCOL_VERSION,
     ProtocolError,
     decode_line,
@@ -247,7 +248,7 @@ class Daemon:
             for job in self.jobs.values():
                 if not job.terminal and job.state != "queued":
                     job.state = "queued"   # resumable on restart
-                self.store.save(job)
+                    self.store.save(job)   # every other record is current
         # Drop every plane pin this daemon holds — open runs' plan pins,
         # then the cache's residency pins, then the warm backend's
         # retention pins (inside close) — so a clean shutdown leaves
@@ -288,7 +289,13 @@ class Daemon:
     def _serve_conn(self, conn: socket.socket) -> None:
         try:
             with conn.makefile("rwb") as fh:
-                for line in fh:
+                for line in iter(lambda: fh.readline(MAX_REQUEST_LINE + 1),
+                                 b""):
+                    if len(line) > MAX_REQUEST_LINE:
+                        fh.write(encode_line(error_doc(
+                            "ProtocolError", "request line over "
+                            f"{MAX_REQUEST_LINE} bytes; closing")))
+                        return
                     if not line.strip():
                         continue
                     req = {}

@@ -78,6 +78,7 @@ import numpy as np
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "MAX_REQUEST_LINE",
     "ALGORITHMS",
     "DYNAMIC_ALGORITHMS",
     "JOB_STATES",
@@ -111,6 +112,11 @@ TERMINAL_STATES = ("done", "failed", "cancelled")
 
 #: Label arrays at most this long ride along in cc result docs.
 _MAX_INLINE_LABELS = 4096
+
+#: Longest request line the daemon buffers (bytes, newline included): a
+#: longer one is answered with a ``ProtocolError`` and its connection
+#: closed.  8 MiB is some 250 000 ``dyn_update`` ops on one line.
+MAX_REQUEST_LINE = 1 << 23
 
 
 class ProtocolError(Exception):
@@ -160,7 +166,7 @@ def result_doc(algorithm: str, result: Any) -> dict:
             "labels_sha256": _labels_sha(labels),
         }
         if labels.size <= _MAX_INLINE_LABELS:
-            doc["labels"] = [int(x) for x in labels]
+            doc["labels"] = labels.tolist()
         return doc
     if algorithm == "approx_cut":
         return {
@@ -209,7 +215,7 @@ def dyn_result_doc(result) -> dict:
             "via": result.via,
         }
         if labels.size <= _MAX_INLINE_LABELS:
-            doc["labels"] = [int(x) for x in labels]
+            doc["labels"] = labels.tolist()
         return doc
     return {
         "algorithm": "dyn_cut",

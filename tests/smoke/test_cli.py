@@ -14,13 +14,19 @@ def test_backend(cli, graphs):
     assert sim[:5] == mp[:5]
 
 
-def test_two_out(cli, graphs):
+def test_two_out(cli, graphs, tmp_path):
     """2-out contraction mp smoke (2 real processes)."""
     sim, mp = (cli("square_root", graphs["dense"], "--procs", 2, "--backend",
-                   b, "--variant", "2out") for b in ("sim", "mp"))
+                   b, "--variant", "2out", "--trace", tmp_path / b)
+               for b in ("sim", "mp"))
     assert sim[0].split(",")[8] == mp[0].split(",")[8], (sim, mp)  # cut value
     # identical two_out summary (trial counts, reduction) either way
     assert sim[1] == mp[1] and "reduction" in sim[1], (sim[1], mp[1])
+    # one FINAL record per engine run: the plan's dispatch and no other —
+    # every replica is a leaf the plan enumerated (one worker pool, not 13)
+    for b in ("sim", "mp"):
+        finals = [e for e in read_jsonl(tmp_path / b) if e.kind == FINAL]
+        assert len(finals) == 1, (b, len(finals))
 
 
 def test_dynamic_cli(cli, graphs, tmp_path):

@@ -51,8 +51,11 @@ def test_bench_two_out_smoke_small_scale():
     assert r["values_match"] and r["small_truth_match"]
     assert r["degrade_honest"]
     assert not r["dense"]["degraded"]
-    assert r["dense"]["dispatched_trials"] >= 1
-    assert r["dense"]["reduction"] > 1.0
+    # every replica is a leaf of the plan: priced, enumerated, not dispatched
+    assert max(r["dense"]["contracted_n"]) <= 12
+    assert r["dense"]["dispatched_trials"] == 0
+    assert r["dense"]["planned_trials"] >= 1
+    assert r["dense"]["reduction"] == r["dense"]["planned_reduction"] > 1.0
 
 
 def test_bench_serve_smoke():

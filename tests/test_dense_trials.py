@@ -20,6 +20,7 @@ from repro.core.two_out import (
 )
 from repro.graph import erdos_renyi, two_cliques_bridge
 from repro.rng import philox_stream
+from repro.runtime import SimBackend
 from repro.sched import TrialScheduler
 
 
@@ -65,15 +66,18 @@ def test_dense_invariant_to_p(bridge):
     assert a.ledger.fingerprint() == b.ledger.fingerprint()
 
 
-def test_two_out_routes_tiny_replicas_densely(bridge):
-    """Replicas contract far below the threshold, so the 2-out pipeline
-    dispatches them on the dense kernel — same cut value as forcing the
-    sparse path, bit for bit."""
+def test_two_out_routes_tiny_replicas_densely():
+    """A replica above the base size and under the threshold dispatches
+    on the dense kernel — same cut value as forcing the sparse path."""
+    bridge = two_cliques_bridge(7, bridges=1)  # contracted_n = 14
     dense_res = two_out_minimum_cut(bridge, 2, seed=5, backend="sim",
                                     force=True)
     sparse_res = two_out_minimum_cut(bridge, 2, seed=5, backend="sim",
                                      force=True, dense_threshold=0)
-    assert dense_res.value == sparse_res.value == 2.0
+    assert dense_res.two_out.replica_completed == \
+        sparse_res.two_out.replica_completed == \
+        dense_res.two_out.trials_per_replica
+    assert dense_res.value == sparse_res.value == 1.0
     assert dense_res.two_out.replicas == sparse_res.two_out.replicas
     assert dense_res.two_out.total_trials == sparse_res.two_out.total_trials
 
@@ -82,11 +86,19 @@ def test_two_out_plan_reuse_is_bit_identical(bridge):
     plan = plan_two_out(bridge, 2, seed=5, backend="sim")
     fresh = two_out_minimum_cut(bridge, 2, seed=5, backend="sim",
                                 force=True)
-    reused = two_out_minimum_cut(bridge, 2, seed=5, backend="sim",
+
+    class NoDispatch(SimBackend):
+        def run(self, *args, **kwargs):
+            raise AssertionError("a reused all-leaf plan dispatched")
+
+    # every replica is a leaf (k = 2): the reused plan folds, runs nothing
+    assert None not in plan.leaves
+    reused = two_out_minimum_cut(bridge, 2, seed=5, backend=NoDispatch(),
                                  force=True, plan=plan)
     assert reused.value == fresh.value
     assert np.array_equal(reused.side, fresh.side)
-    assert reused.two_out.total_trials == fresh.two_out.total_trials
+    assert reused.two_out == fresh.two_out
+    assert reused.achieved_success_prob == fresh.achieved_success_prob
 
 
 def test_dense_counters_are_charged(bridge):

@@ -173,7 +173,68 @@ def test_socket_shutdown_op_stops_daemon(graph_file, tmp_path):
     assert not os.path.exists(cfg.bind)
 
 
+def test_overlong_request_line_is_refused(graph_file, tmp_path):
+    """A line that never ends is cut off at the cap with a typed error (or
+    a clean close) while other clients are served and nothing leaks."""
+    import socket
+
+    from repro.serve.protocol import MAX_REQUEST_LINE, decode_line
+
+    shm_before = sorted(os.listdir("/dev/shm"))
+    cfg = ServeConfig(bind=str(tmp_path / "s.sock"),
+                      state_dir=str(tmp_path / "state"), backend="sim")
+    with Daemon(cfg) as daemon:
+        wait_server(daemon.address)
+        hog = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        hog.settimeout(30)
+        hog.connect(daemon.address)
+        half = MAX_REQUEST_LINE // 2
+        try:
+            # half the cap is in flight, unterminated: others still served
+            hog.sendall(b"x" * half)
+            with Client(daemon.address) as c:
+                assert c.ping()["ok"]
+            hog.sendall(b"x" * (MAX_REQUEST_LINE + 1 - half))
+            reply = b""
+            while not reply.endswith(b"\n"):
+                got = hog.recv(4096)
+                if not got:
+                    break
+                reply += got
+        except (BrokenPipeError, ConnectionResetError):
+            reply = b""  # the daemon hung up first: the clean close
+        finally:
+            hog.close()
+        if reply:
+            doc = decode_line(reply)
+            assert not doc["ok"] and doc["error"] == "ProtocolError"
+            assert str(MAX_REQUEST_LINE) in doc["message"]
+        with Client(daemon.address) as c:   # the daemon itself is fine
+            assert c.ping()["ok"]
+        for _ in range(200):                # and dropped the connection
+            if not daemon._conns:
+                break
+            time.sleep(0.05)
+        assert not daemon._conns
+    assert sorted(os.listdir("/dev/shm")) == shm_before
+
+
 # -- threadless: protocol -----------------------------------------------------
+
+
+def test_inline_labels_encode_to_the_same_bytes(graph):
+    """``labels.tolist()`` replaced a per-element ``int()`` loop."""
+    from repro.dynamic.graph import DynamicCCResult
+    from repro.serve.protocol import dyn_result_doc, encode_line, result_doc
+
+    res = run_algorithm("parallel_cc", graph, p=2, seed=5)
+    for doc in (result_doc("parallel_cc", res),
+                dyn_result_doc(DynamicCCResult(
+                    labels=res.labels, n_components=res.n_components,
+                    epoch=3, fingerprint=None, via="cc_kernel"))):
+        assert all(type(x) is int for x in doc["labels"])
+        old = dict(doc, labels=[int(x) for x in res.labels])
+        assert encode_line(doc) == encode_line(old)
 
 
 def test_submit_validates(graph_file, tmp_path):
@@ -395,6 +456,33 @@ def test_restart_keeps_terminal_results(graph_file, tmp_path):
     assert d2.jobs[jid].state == "done"
     assert d2.jobs[jid].result == result
     assert len(d2.queue) == 0                # nothing requeued
+
+
+def test_stop_writes_only_the_jobs_it_requeues(graph, graph_file, tmp_path):
+    d1 = threadless(tmp_path)
+    done = submit(d1, "parallel_cc", graph_file, seed=5)
+    drive(d1)
+    running = submit(d1, "square_root", graph_file, seed=7)
+    d1._run_slice(d1.jobs[d1.queue.pop()[1]])          # one wave, then stop
+    assert d1.jobs[running].state == "running"
+    queued = submit(d1, "square_root", graph_file, seed=7, variant="2out")
+    untouched = {j: os.stat(d1.store.job_path(j)) for j in (done, queued)}
+    d1.stop()
+    for j, before in untouched.items():
+        after = os.stat(d1.store.job_path(j))
+        assert (after.st_ino, after.st_mtime_ns) == (
+            before.st_ino, before.st_mtime_ns), j
+    assert d1.store.load(running).state == "queued"
+
+    d2 = threadless(tmp_path)                           # graceful restart
+    assert d2.jobs[done].state == "done"
+    assert d2.jobs[queued].state == d2.jobs[running].state == "queued"
+    drive(d2)
+    solo = run_algorithm("square_root", graph, p=4, seed=7, variant="2out")
+    assert d2.jobs[queued].state == "done"
+    assert d2.jobs[queued].result["value"] == solo.value
+    assert d2.jobs[running].state == "done"
+    assert d2.jobs[running].result["value"] == solo.value
 
 
 def test_restart_skips_unreadable_job_records(graph_file, tmp_path, caplog):

@@ -129,6 +129,15 @@ class TestProbabilisticAudit:
                 cell = row[claim]
                 assert cell["rate"] >= cell["bound"], (row["graph"], claim, cell)
 
+    def test_two_out_never_worse_than_claimed(self):
+        """Leaf replicas claim ``x_r = 1``; the pipeline must deliver."""
+        rows = audit_probabilistic.audit_two_out(seeds=range(10))
+        assert len(rows) == 4
+        for row in rows:
+            assert row["contracted_n_max"] <= KS_BASE_SIZE   # all leaves
+            assert row["bound"] >= 0.9
+            assert row["rate"] >= row["bound"], row
+
     def test_published_audit_is_of_this_base_and_holds(self):
         record = json.loads(audit_probabilistic.RESULT_PATH.read_text())
         assert record["ks_base_size"] == KS_BASE_SIZE, "re-run the audit"
@@ -137,6 +146,9 @@ class TestProbabilisticAudit:
             for claim in ("minimum_cut_trials2", "karger_stein_matrix"):
                 cell = row[claim]
                 assert min(cell["rate"], cell["rate_former_base"]) >= cell["bound"]
+        assert len(record["two_out_rows"]) == 4
+        for row in record["two_out_rows"]:
+            assert row["holds"] and row["rate"] >= row["bound"], row
 
 
 class TestSamplingConcentration:

@@ -19,7 +19,9 @@ from repro.core import (
     singleton_cut,
     two_out_minimum_cut,
 )
+from repro.core.karger_stein import KS_BASE_SIZE
 from repro.core.two_out import (
+    _REPLICA_SEED_SALT,
     MIN_DEGREE_GUARD,
     PRESERVATION_PROB,
     REPLICA_TRIAL_PROB,
@@ -27,13 +29,16 @@ from repro.core.two_out import (
 from repro.graph import (
     EdgeList,
     clustered_er,
+    complete_graph,
     erdos_renyi,
     star_graph,
+    two_cliques_bridge,
     verification_suite,
     weighted_cycle,
 )
 from repro.kernels import scalar_two_out_sample, two_out_sample
-from repro.rng import philox_stream
+from repro.rng import RngStreams, philox_stream
+from repro.runtime import SimBackend, resolve_backend
 from repro.sched import TrialScheduler
 from tests.conftest import require_mp
 
@@ -253,9 +258,104 @@ class TestEndToEnd:
         res = minimum_cut(dense_clustered, 2, seed=SEED, variant="2out")
         s = res.two_out
         assert s.total_trials == sum(s.trials_per_replica)
-        assert s.replica_completed == s.trials_per_replica
+        # every replica lands at 2 vertices: a leaf, enumerated, no trials
+        assert s.contracted_n == (2,) * s.replicas
+        assert s.replica_completed == (0,) * s.replicas
         assert len(s.contracted_n) == s.replicas
         assert res.trials == s.total_trials
+
+
+def _two_blobs():
+    """Two dense clusters and no edge between them: every replica
+    contracts to 2 vertices with no edge left."""
+    g = clustered_er(64, 16, philox_stream(9), bridges=2)
+    keep = (g.u < 32) == (g.v < 32)
+    return EdgeList(64, g.u[keep], g.v[keep], g.w[keep])
+
+
+def _leaf_graphs():
+    for case in verification_suite():
+        if 2 <= case.graph.n <= KS_BASE_SIZE:
+            yield case.name, case.graph
+    yield "serve_mix_B", clustered_er(512, 64, philox_stream(4))
+    yield "two_blobs", _two_blobs()
+
+
+class CountingSim(SimBackend):
+    """The simulator, counting its dispatches."""
+
+    runs = 0
+
+    def run(self, *args, **kwargs):
+        self.runs += 1
+        return super().run(*args, **kwargs)
+
+
+class TestLeafReplicas:
+    """A replica at or under ``KS_BASE_SIZE`` is enumerated in the plan;
+    the oracle is the trial dispatch it replaces."""
+
+    @pytest.mark.parametrize("backend_name", ["sim", "mp", "warm"])
+    def test_leaf_equals_its_trial_dispatch(self, backend_name):
+        if backend_name != "sim":
+            require_mp()
+        runtime = resolve_backend(backend_name)
+        seed, p, seen_edgeless = 5, 2, False
+        try:
+            for name, g in _leaf_graphs():
+                plan = plan_two_out(g, p, seed=seed, replicas=3,
+                                    backend=runtime)
+                streams = RngStreams(seed ^ _REPLICA_SEED_SALT)
+                for r, (cu, cv, cw, labels, k) in enumerate(
+                        plan.contractions):
+                    assert 2 <= k <= KS_BASE_SIZE, name
+                    seen_edgeless |= cu.size == 0
+                    want = TrialScheduler().run(
+                        EdgeList(int(k), cu, cv, cw, canonical=False,
+                                 validate=False),
+                        p, backend=runtime, seed=streams.spawn(r).seed,
+                        trials=plan.trials_per_replica[r], dense=True)
+                    value, side = plan.leaves[r]
+                    assert value == want.value, (name, r)
+                    assert side.dtype == np.bool_
+                    assert side.tobytes() == want.side.tobytes(), (name, r)
+        finally:
+            runtime.close()
+        assert seen_edgeless
+
+    @pytest.mark.parametrize("g, value, side_hex, k, completed", [
+        (complete_graph(13, weight=2.0), 24.0, "8000", 13, 8),
+        # zoo bridge_k7_x3
+        (two_cliques_bridge(7, bridges=3), 3.0, "01fc", 14, 14),
+    ], ids=["k13", "bridge_k7_x3"])
+    def test_above_base_size_still_dispatches(self, g, value, side_hex, k,
+                                              completed):
+        """Pinned to the answers of the commit before leaves existed
+        (PR 22): that path is untouched."""
+        assert k > KS_BASE_SIZE
+        runtime = CountingSim()
+        res = two_out_minimum_cut(g, 2, seed=0, backend=runtime, force=True)
+        s = res.two_out
+        assert s.contracted_n == (k,) * s.replicas
+        assert s.replica_completed == (completed,) * s.replicas
+        assert runtime.runs == 1 + s.replicas
+        assert res.report.supersteps == 1 + 2 * s.replicas
+        assert res.value == value
+        assert np.packbits(res.side).tobytes().hex() == side_hex
+
+    def test_all_leaf_query_runs_only_the_plan(self, dense_clustered):
+        runtime = CountingSim()
+        plan = plan_two_out(dense_clustered, 4, seed=SEED, backend=runtime)
+        assert not plan.degraded and None not in plan.leaves
+        res = two_out_minimum_cut(dense_clustered, 4, seed=SEED,
+                                  backend=runtime, plan=plan)
+        assert runtime.runs == 1  # the plan's own dispatch, nothing after
+        assert res.report.supersteps == plan.report.supersteps == 1
+        assert res.report.total_ops == plan.report.total_ops
+        # enumeration is exact: x_r = 1 for every replica
+        assert res.achieved_success_prob == pytest.approx(
+            1.0 - (1.0 - PRESERVATION_PROB) ** plan.replicas)
+        assert res.trials == plan.total_trials  # the price list stands
 
 
 class TestCli:
