@@ -4,19 +4,38 @@ The connectivity of a random subgraph tracks the minimum cut value: keeping
 each edge ``e`` with probability ``1 - (1 - 2^-i)^w(e)`` (i.e. keeping the
 edge iff at least one of its ``w(e)`` unit copies survives a coin with
 success 2^-i), the sampled subgraph first becomes disconnected around
-``2^i ~ mincut``.  The algorithm runs ``ceil(ln W)`` sparsity levels with
+``2^i ~ mincut``.  The algorithm has ``ceil(ln W)`` sparsity levels with
 ``Theta(log n)`` independent trials each and outputs ``2^j`` for the
 smallest level ``j`` with a disconnected trial — an O(log n)-approximation
 w.h.p. (Theorem 3.4).
 
+**One draw couples the levels.**  The keep probability falls with ``i``, so
+each rank draws one uniform ``U[t, e]`` per (trial, local edge) and trial
+``t``'s level-``i`` subgraph is ``U[t] < keep_probability(w, i)``.  Per
+level the marginal is exactly §3.3's and edges and trials stay independent
+— all Theorem 3.4 uses besides a union bound over levels, which needs no
+independence *between* them — while a trial's subgraphs become nested, so
+"some trial is disconnected at level ``i``" is monotone in ``i``.  ``U`` is
+one word per (edge, trial): no more than the level-1 union (two words per
+kept pair, keep probability >= 1/2) a level-by-level scan builds first.
+
 Two execution schedules, as in the paper:
 
-* ``pipelined=True``: all levels and trials are merged into one big labeled
-  union graph and answered by a *single* connected-components computation —
-  O(1) supersteps.
+* ``pipelined=True``: every level of every trial in one labeled union
+  graph, answered by a *single* connected-components computation — O(1)
+  supersteps.  It is the exhaustive scan of the subgraphs the staged
+  schedule probes: for a fixed seed both return the same estimate.
 * ``pipelined=False`` (default, the variant the authors found faster in
-  practice): levels run one after the other, stopping at the first
-  disconnected one — O(log mu) supersteps and a log-factor less space.
+  practice): one level per stage, *searched*.  A bracket ``lo`` (connected;
+  level 0 is the input) / ``hi`` (disconnected; ``n_levels + 1`` is
+  "never") is probed first where the average weighted degree ``2W/n``
+  predicts an isolated vertex among the ``n * trials`` sampled ones, then
+  by doubling steps away from that level, then by bisection: at most
+  ``2 ceil(log2 n_levels) + 1`` stages whatever the answer, a log-factor
+  less space than the pipeline.  The trade (DESIGN.md §1, item 3): a scan
+  from level 1 stops after *answer-level* stages, so a minimum cut far
+  below the average degree — two cliques and a unit bridge, a skewed R-MAT
+  — costs a few stages over sparse unions where the scan paid one or two.
 """
 
 from __future__ import annotations
@@ -30,6 +49,7 @@ import numpy as np
 from repro.bsp.counters import CountersReport
 from repro.bsp.machine import TimeEstimate
 from repro.core.components import cc_kernel
+from repro.core.trials import field_error
 from repro.graph.edgelist import EdgeList
 from repro.graph.shm import plane_slices
 from repro.runtime.base import Backend, resolve_backend
@@ -43,25 +63,20 @@ def _keep_probability(w: np.ndarray, level: int) -> np.ndarray:
     return -np.expm1(w * math.log1p(-(2.0 ** (-level))))
 
 
-def _sample_level_union(ctx, u, v, w, n, levels_trials):
-    """Sample one subgraph per (level, trial) pair, with offset vertex ids.
-
-    Returns concatenated local edge arrays of the union graph whose vertex
-    space is ``n * len(levels_trials)``; block ``b`` holds the subgraph of
-    ``levels_trials[b]``.
-    """
+def _sample_union(ctx, u, v, w, n, draws, levels):
+    """Local edges of the union graph of trial ``t``'s level-``levels[b]``
+    subgraph ``draws[t] < keep probability``, in vertex block
+    ``b * trials + t`` of ``n * trials * len(levels)``."""
+    trials = draws.shape[0]
     us, vs = [], []
-    prob_level = prob = None  # a level's trials are consecutive blocks
-    for block, (level, _trial) in enumerate(levels_trials):
-        if level != prob_level:
-            prob_level, prob = level, _keep_probability(w, level)
-        keep = ctx.rng.random(u.size) < prob
-        off = np.int64(block) * n
-        us.append(u[keep] + off)
-        vs.append(v[keep] + off)
-        ctx.charge_scan(u.size, words_per_elem=3)
-    if not us:
-        return u[:0], v[:0]
+    for b, level in enumerate(levels):
+        # flat indices: far cheaper than a 2-d nonzero
+        t, e = np.divmod(
+            np.flatnonzero(draws < _keep_probability(w, level)), u.size)
+        off = (t + b * trials) * np.int64(n)
+        us.append(u[e] + off)
+        vs.append(v[e] + off)
+        ctx.charge_scan(draws.size, words_per_elem=3)  # compare, compress
     return np.concatenate(us), np.concatenate(vs)
 
 
@@ -98,7 +113,7 @@ def appmc_program(
     if total_w <= 0:
         raise ValueError("approximate minimum cut needs positive edge weight")
     n_levels = max(1, math.ceil(math.log(total_w)))
-    trials = trials_per_level or max(2, math.ceil(math.log2(max(n, 2))))
+    trials = trials_per_level or max(2, math.ceil(math.log2(n)))
 
     # (2) Connectivity precheck: a disconnected input has cut value 0.
     labels, count = yield from cc_kernel(
@@ -107,76 +122,76 @@ def appmc_program(
     count = yield from comm.bcast(count if ctx.rank == root else None, root=root)
     if count > 1:
         if ctx.rank == root:
-            side = labels == labels[0]
-            return 0.0, 0.0, side
+            return 0.0, 0.0, labels == labels[0]
         return 0.0, None, None
 
-    def witness_from(labels_union, block):
-        """Smallest component of a disconnected trial, as an original-vertex side."""
-        block_labels = labels_union[block * n:(block + 1) * n]
-        vals, counts = np.unique(block_labels, return_counts=True)
-        smallest = vals[np.argmin(counts)]
-        return block_labels == smallest
-
     def witnesses_from(labels_union, blocks):
-        """Candidate sides from every disconnected trial (dedup by key)."""
+        """The smallest component of every disconnected trial in ``blocks``,
+        as original-vertex sides (dedup by key)."""
         seen = {}
         for b in blocks:
-            side = witness_from(labels_union, b)
-            if 0 < side.sum() < n:
-                seen[np.packbits(side).tobytes()] = side
+            block_labels = labels_union[b * n:(b + 1) * n]
+            vals, counts = np.unique(block_labels, return_counts=True)
+            side = block_labels == vals[np.argmin(counts)]
+            seen[np.packbits(side).tobytes()] = side
         return list(seen.values())
 
-    # One stage per level, stopping at the first disconnected one — or
-    # (pipelined) every level in one stage: one union, a single CC call.
-    levels = range(1, n_levels + 1)
-    stages = [list(levels)] if pipelined else [[level] for level in levels]
-    estimate = None
+    # (3) One uniform per (trial, edge) defines every level's subgraph.
+    draws = ctx.rng.random((trials, u.size))
+    ctx.charge_scan(draws.size)
+
+    # Bracket the first disconnected level: every trial is connected at lo,
+    # some trial is not at hi.  A stage is every level (pipelined) or one
+    # probe, the first where 2W/n predicts an isolated sampled vertex.
+    lo, hi, step = 0, n_levels + 1, 1
+    first_isolated = (2 * total_w / n) / math.log(n * trials)
+    stage = (list(range(1, n_levels + 1)) if pipelined else
+             [min(max(math.floor(math.log2(first_isolated)), 1), n_levels)])
     candidates = []
-    for stage in stages:
-        pairs = [(level, t) for level in stage for t in range(trials)]
-        uu, vv = _sample_level_union(ctx, u, v, w, n, pairs)
+    while hi - lo > 1:
+        uu, vv = _sample_union(ctx, u, v, w, n, draws, stage)
         labels_union, _ = yield from cc_kernel(
-            ctx, comm, uu, vv, n * len(pairs), eps=eps, delta=delta,
+            ctx, comm, uu, vv, n * trials * len(stage), eps=eps, delta=delta,
             root=root, shrink=shrink,
         )
         payload = None
         if ctx.rank == root:
             hits = np.flatnonzero(
-                _blocks_disconnected(labels_union, n, len(pairs))).tolist()
-            if hits:
-                # Blocks run in level order: the first hit names the level.
-                first_level = pairs[hits[0]][0]
+                _blocks_disconnected(labels_union, n, trials * len(stage)))
+            if hits.size:
+                # Blocks run in level order: the first hit names the level,
+                # and its disconnected trials replace the witness candidates.
+                payload = int(hits[0]) // trials
                 candidates = witnesses_from(
-                    labels_union,
-                    [b for b in hits if pairs[b][0] == first_level])
-                payload = float(2 ** first_level)
-        estimate = yield from comm.bcast(payload, root=root)
-        if estimate is not None:
-            break
-    if estimate is None:
-        # Never disconnected: the cut is at least ~W; report the top level.
-        estimate = float(2 ** n_levels)
+                    labels_union, hits[hits // trials == payload].tolist())
+        first = yield from comm.bcast(payload, root=root)
+        if first is None:
+            lo = stage[-1]
+        else:
+            hi = stage[first]
+            lo = stage[first - 1] if first else lo
+        # Next probe: gallop while only one outcome was seen and the step
+        # fits the bracket, else bisect, rounding to the cheaper sparse side.
+        level = hi - step if lo == 0 else lo + step
+        if (lo > 0 and hi <= n_levels) or not lo < level < hi:
+            level = (lo + hi + 1) // 2
+        stage, step = [level], 2 * step
+    # Never disconnected: the cut is at least ~W; report the top level.
+    estimate = float(2 ** min(hi, n_levels))
 
-    # (3) Evaluate every candidate witness's true value (one pass, one
+    # (4) Evaluate every candidate witness's true value (one pass, one
     #     reduce) and keep the cheapest — every disconnected trial at the
-    #     stopping level proposes a cut; the best is the useful upper bound.
+    #     final hi proposes a cut; the best is the useful upper bound.
     sides = yield from comm.bcast(candidates if ctx.rank == root else None,
                                   root=root)
+    totals = None
     if sides:
-        crossing = np.array(
-            [float(w[s[u] != s[v]].sum()) for s in sides]
-        )
+        crossing = np.array([float(w[s[u] != s[v]].sum()) for s in sides])
         ctx.charge_scan(len(sides) * u.size, words_per_elem=3)
         totals = yield from comm.reduce(crossing, op=operator.add, root=root)
-    else:
-        totals = None
-
-    if ctx.rank == root:
-        if totals is not None and len(sides):
-            best = int(np.argmin(totals))
-            return estimate, float(totals[best]), sides[best]
-        return estimate, None, None
+    if totals is not None:
+        best = int(np.argmin(totals))
+        return estimate, float(totals[best]), sides[best]
     return estimate, None, None
 
 
@@ -217,18 +232,16 @@ def approx_minimum_cut(
     """
     if g.n < 2:
         raise ValueError("minimum cut needs at least 2 vertices")
+    kwargs = {"trials_per_level": trials_per_level, "eps": eps, "delta": delta}
+    for name, value in kwargs.items():
+        bad = field_error(name, value)
+        if bad and not (value is None and name == "trials_per_level"):
+            raise ValueError(f"{name} {bad}")
     runtime = resolve_backend(backend)
     slices = plane_slices(g, p)  # shared-graph-plane marker
     result = runtime.run(
-        appmc_program, p, seed=seed,
-        args=(slices, g.n),
-        kwargs={
-            "trials_per_level": trials_per_level,
-            "pipelined": pipelined,
-            "eps": eps,
-            "delta": delta,
-            "shrink": shrink,
-        },
+        appmc_program, p, seed=seed, args=(slices, g.n),
+        kwargs=dict(kwargs, pipelined=pipelined, shrink=shrink),
     )
     estimate, witness_value, side = result.root_value
     return ApproxMinCutResult(

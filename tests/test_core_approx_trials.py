@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core import approx_minimum_cut, num_trials, eager_survival_probability
-from repro.core.approx_mincut import _blocks_disconnected, _keep_probability
+from repro.core import approx_mincut
+from repro.core.approx_mincut import (
+    _blocks_disconnected,
+    _keep_probability,
+    _sample_union,
+)
 from repro.core.trials import (
     achieved_success_probability,
     recursive_success_probability,
@@ -54,6 +59,123 @@ def test_blocks_disconnected_matches_per_block_unique():
                 for b in range(n_blocks)]
     assert 0 < sum(expected) < n_blocks
     assert _blocks_disconnected(labels, n, n_blocks).tolist() == expected
+
+
+class _NoCharge:
+    """Stands in for the rank context where only the sampler is under test."""
+
+    def charge_scan(self, *_args, **_kwargs):
+        pass
+
+
+class TestCoupledSampling:
+    """One uniform per (trial, edge) defines every level (§3.3 marginals,
+    nested across levels)."""
+
+    def _edge_sets(self, levels, trials=6, m=4000):
+        """``(w, sets)``: ``sets[b][t]`` = edges of trial ``t`` at
+        ``levels[b]``, on a cycle so ``u`` names the edge."""
+        rng = np.random.default_rng(11)
+        u = np.arange(m)
+        v = (u + 1) % m
+        w = rng.integers(1, 9, m).astype(float)
+        draws = rng.random((trials, m))
+        uu, vv = _sample_union(_NoCharge(), u, v, w, m, draws, levels)
+        block = uu // m
+        assert np.array_equal(block, vv // m)  # an edge stays in its block
+        assert np.array_equal((uu + 1) % m, vv % m)
+        return w, [[uu[block == b * trials + t] % m for t in range(trials)]
+                   for b in range(len(levels))]
+
+    def test_levels_are_nested_per_trial(self):
+        _w, sets = self._edge_sets(list(range(1, 9)))
+        for sparse, dense in zip(sets[1:], sets):
+            for a, b in zip(sparse, dense):
+                assert a.size < b.size and np.isin(a, b).all()
+
+    def test_kept_fraction_matches_the_marginal(self):
+        levels = [1, 2, 4, 7]
+        w, sets = self._edge_sets(levels)
+        for level, per_trial in zip(levels, sets):
+            prob = _keep_probability(w, level)
+            sigma = math.sqrt((prob * (1 - prob)).sum())
+            for kept in per_trial:
+                assert abs(kept.size - prob.sum()) <= 5 * sigma, level
+
+
+class TestStagedSearch:
+    """The staged schedule searches the nested levels; the pipelined one
+    evaluates all of them on the same draws."""
+
+    @pytest.fixture
+    def probed(self, monkeypatch):
+        """Levels of every stage, as rank 0 sampled them."""
+        stages = []
+
+        def spy(ctx, u, v, w, n, draws, levels):
+            if ctx.rank == 0:
+                stages.append(list(levels))
+            return _sample_union(ctx, u, v, w, n, draws, levels)
+
+        monkeypatch.setattr(approx_mincut, "_sample_union", spy)
+        return stages
+
+    @staticmethod
+    def _stage_bound(g):
+        n_levels = max(1, math.ceil(math.log(g.w.sum())))
+        return n_levels, 2 * math.ceil(math.log2(n_levels)) + 1
+
+    def test_staged_equals_pipelined_on_the_zoo(self):
+        for case in verification_suite():
+            if case.mincut is None:
+                continue
+            for p in (1, 2, 3, 4):
+                for seed in range(16):
+                    a = approx_minimum_cut(case.graph, p=p, seed=seed)
+                    b = approx_minimum_cut(case.graph, p=p, seed=seed,
+                                           pipelined=True)
+                    assert a.estimate == b.estimate, (case.name, p, seed)
+
+    def test_small_cut_under_high_degree(self, probed):
+        """Two cliques and a unit bridge: the degree rule starts above the
+        answer and gallops down to level 1."""
+        g = two_cliques_bridge(64)
+        r = approx_minimum_cut(g, p=2, seed=3)
+        _n_levels, bound = self._stage_bound(g)
+        assert r.estimate == 2.0 and r.witness_value == 1.0
+        assert probed == [[3], [2], [1]] and len(probed) <= bound
+
+    def test_heavy_clique_never_disconnects(self, probed):
+        g = complete_graph(8, weight=1e6)
+        r = approx_minimum_cut(g, p=2, seed=3)
+        n_levels, bound = self._stage_bound(g)
+        assert r.estimate == 2.0 ** n_levels
+        assert r.witness_value is None and r.witness_side is None
+        assert probed == [[n_levels]] and len(probed) <= bound
+
+    def test_disconnected_input_draws_nothing(self, probed):
+        g = EdgeList.from_pairs(6, [(0, 1), (1, 2), (3, 4)])
+        assert approx_minimum_cut(g, p=2, seed=3).estimate == 0.0
+        assert probed == []
+
+    @pytest.mark.parametrize("weight", [1.0, 40.0, 3e4])
+    def test_stage_bound_whatever_the_answer(self, probed, monkeypatch, weight):
+        """Drive the search with an oracle that disconnects every trial from
+        level ``answer`` on: it must return ``2^answer`` (``2^n_levels`` for
+        "never") within the stage bound, from any starting probe."""
+        g = complete_graph(12, weight=weight)
+        n_levels, bound = self._stage_bound(g)
+        for answer in range(1, n_levels + 2):
+            del probed[:]
+
+            def oracle(labels, n, n_blocks, answer=answer):
+                return np.full(n_blocks, probed[-1][0] >= answer)
+
+            monkeypatch.setattr(approx_mincut, "_blocks_disconnected", oracle)
+            r = approx_minimum_cut(g, p=1, seed=0)
+            assert r.estimate == 2.0 ** min(answer, n_levels), answer
+            assert len(probed) <= bound, (answer, probed)
+            assert len(set(map(tuple, probed))) == len(probed)  # no re-probe
 
 
 class TestApproxMinCut:
@@ -127,6 +249,19 @@ class TestApproxMinCut:
     def test_single_vertex_rejected(self):
         with pytest.raises(ValueError):
             approx_minimum_cut(EdgeList.empty(1), p=1, seed=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials_per_level", -1),   # used to return 2^n_levels, no witness
+        ("trials_per_level", 0),    # used to mean "default"
+        ("trials_per_level", 2.5),  # used to die in range()
+        ("trials_per_level", True),
+        ("eps", 0.0), ("eps", math.inf), ("eps", "0.25"),
+        ("delta", 0.0), ("delta", 1.0), ("delta", math.nan),
+    ])
+    def test_out_of_domain_option_rejected(self, field, value):
+        """The library entry validates what the CLI and the daemon do."""
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            approx_minimum_cut(complete_graph(5), p=2, seed=0, **{field: value})
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError):

@@ -138,6 +138,21 @@ class TestProbabilisticAudit:
             assert row["bound"] >= 0.9
             assert row["rate"] >= row["bound"], row
 
+    def test_appmc_estimate_inside_theorem_34_band(self):
+        """§3.3's estimate stays within O(log n) of the minimum cut, every
+        witness is a real cut, and seeds 0-9 fall inside the published
+        64-seed range (a stale record would not contain them for long)."""
+        published = {row["graph"]: row for row in json.loads(
+            audit_probabilistic.RESULT_PATH.read_text())["appmc_rows"]}
+        rows = audit_probabilistic.audit_appmc(seeds=range(10))
+        assert len(rows) == 5
+        for row in rows:
+            assert audit_probabilistic.appmc_in_band(row), row
+            assert row["witness_ratio_min"] >= 1.0, row
+            wide = published[row["graph"]]
+            assert wide["ratio_min"] <= row["ratio_min"], "re-run the audit"
+            assert row["ratio_max"] <= wide["ratio_max"], "re-run the audit"
+
     def test_published_audit_is_of_this_base_and_holds(self):
         record = json.loads(audit_probabilistic.RESULT_PATH.read_text())
         assert record["ks_base_size"] == KS_BASE_SIZE, "re-run the audit"
@@ -149,6 +164,11 @@ class TestProbabilisticAudit:
         assert len(record["two_out_rows"]) == 4
         for row in record["two_out_rows"]:
             assert row["holds"] and row["rate"] >= row["bound"], row
+        assert len(record["appmc_rows"]) == 5
+        for row in record["appmc_rows"]:
+            assert row["holds"] and audit_probabilistic.appmc_in_band(row), row
+            # coupling the levels widened no graph's worst miss
+            assert row["worst_log2"] <= row["before"]["worst_log2"], row
 
 
 class TestSamplingConcentration:
