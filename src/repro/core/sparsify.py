@@ -18,9 +18,12 @@ O(s log n + m/p) time and O(s log n + m/(pB)) cache misses (Lemma 3.2).
 Unweighted variant (§3.2 refinement, used by connected components): the
 root round-trip is skipped — each processor oversamples ``(1+delta) mu_i``
 edges locally (Chernoff bound), or contributes *all* its edges when its
-expected count is below ``9 ln(n) / delta^2``.  Since component finding does
-not need a random order, no permutation is applied, and uniform sampling
-costs O(1) per edge.
+expected count is below ``9 ln(n) / delta^2``.  The same whole-slice rule
+holds at the top: a processor whose ``ceil((1+delta) mu_i)`` reaches its
+slice size ``m_i`` ships the slice as it is — the same volume as ``m_i``
+draws with replacement, but every edge instead of ~63 % of them, and no
+draw.  Since component finding does not need a random order, no
+permutation is applied, and uniform sampling costs O(1) per edge.
 """
 
 from __future__ import annotations
@@ -127,8 +130,9 @@ def sparsify_unweighted(ctx, comm, u, v, s, *, n, delta=0.5, root=0):
 
     Local oversampling variant: no root scheduling round-trip, no final
     permutation, O(1) work per drawn edge.  Processors whose expected count
-    ``mu_i = s * m_i / m`` is below the Chernoff threshold contribute their
-    whole slice.  Returns ``(su, sv)`` at the root, ``None`` elsewhere.
+    ``mu_i = s * m_i / m`` is below the Chernoff threshold, or whose
+    oversampled count reaches ``m_i``, contribute their whole slice.
+    Returns ``(su, sv)`` at the root, ``None`` elsewhere.
     """
     if s < 0:
         raise ValueError(f"sample size must be non-negative, got {s}")
@@ -143,8 +147,8 @@ def sparsify_unweighted(ctx, comm, u, v, s, *, n, delta=0.5, root=0):
     else:
         mu = s * m_local / m_total
         threshold = 9.0 * math.log(max(n, 2)) / (delta * delta)
-        if mu >= threshold:
-            k = min(m_local, math.ceil((1.0 + delta) * mu))
+        k = math.ceil((1.0 + delta) * mu)
+        if mu >= threshold and k < m_local:
             idx = ctx.rng.integers(0, m_local, size=k)
             part = (u[idx], v[idx])
             ctx.charge_random(k, working_set=m_local)

@@ -5,14 +5,17 @@ weighted sampling primitive (:func:`~repro.core.sparsify.
 sparsify_weighted`, §3.1 of the paper):
 
 * A **rebuild** draws ``s`` i.i.d. weighted edge samples from the epoch
-  snapshot as a BSP program through the configured backend and gives
-  each sampled slot the importance weight ``W/s`` (an unbiased
-  estimator of every cut).  Per-edge sampling rates ``r_e = s·w_e/W``
-  are recorded, not re-drawn, when weights move.
+  snapshot as a BSP program through the configured backend; each slot
+  carries the importance weight ``W/s`` (an unbiased estimator of every
+  cut).  Slots that drew the same edge fold into one base edge with an
+  integer multiplicity ``mult`` — a reweighted subgraph, one edge per
+  sampled pair, whose every cut equals the per-slot sum.  A base edge
+  materializes with weight ``mult * (W_rebuild / s)``, then times
+  ``w_new / w_rebuild`` if it was reweighted since (in that order).
 * Between rebuilds maintenance is **lazy**: inserted edges ride in an
-  exact overlay (rate 1), deleted edges drop their slots, reweighted
-  edges scale their slots by ``w_new/w_old`` (the slot keeps its
-  inclusion probability, only its value moves).  Every change adds its
+  exact overlay (rate 1), deleted edges drop their base edge, reweighted
+  ones rescale it as above (it keeps its inclusion probability, only
+  its value moves).  Every change adds its
   absolute weight delta to a **drift** accumulator.
 * Once drift crosses ``drift_threshold × W_rebuild`` the next
   materialization re-sparsifies — amortized, never per update or query.
@@ -73,11 +76,11 @@ class CutSparsifier:
         self.rebuilds = 0
         self.rebuild_epoch: int | None = None
         self.rebuild_fingerprint: str | None = None
-        self._base_u = self._base_v = None      # sampled slots (int64)
-        self._base_w = None                     # each slot's w_e at rebuild
-        self._slot_key = np.zeros(0, dtype=np.int64)  # slot keys, sorted
-        self._slot_order = self._slot_key       # ... and the slot of each
-        self._base_key_set: set[int] = set()    # distinct slot keys
+        self._base_key = np.zeros(0, dtype=np.int64)  # sampled keys, sorted
+        self._base_u = self._base_v = self._base_key  # ... their endpoints
+        self._base_w = None                     # each edge's w_e at rebuild
+        self._mult = self._base_key             # slots each key drew
+        self._base_key_set: set[int] = set()    # O(1) membership for note_*
         self.W_rebuild = 0.0
         self.s = 0
         self.drift = 0.0
@@ -149,14 +152,13 @@ class CutSparsifier:
                 sparsify_program, dyn.p, seed=seed,
                 args=(plane_slices(snap, dyn.p), int(s)))
             su, sv, sw = result.root_value
-        self._base_u = np.asarray(su, dtype=np.int64)
-        self._base_v = np.asarray(sv, dtype=np.int64)
-        self._base_w = np.asarray(sw, dtype=np.float64)
-        key = self._base_u * snap.n + self._base_v
-        self._slot_order = np.argsort(key, kind="stable")
-        self._slot_key = key[self._slot_order]
-        first = np.flatnonzero(np.diff(self._slot_key, prepend=-1))
-        self._base_key_set = set(self._slot_key[first].tolist())
+        key = (np.asarray(su, dtype=np.int64) * snap.n
+               + np.asarray(sv, dtype=np.int64))
+        self._base_key, first, self._mult = np.unique(
+            key, return_index=True, return_counts=True)
+        self._base_u, self._base_v = np.divmod(self._base_key, snap.n)
+        self._base_w = np.asarray(sw, dtype=np.float64)[first]
+        self._base_key_set = set(self._base_key.tolist())
         self.W_rebuild = snap.total_weight()
         self.s = int(s)
         self.drift = 0.0
@@ -173,44 +175,38 @@ class CutSparsifier:
         if dyn.on_resparsify is not None:
             dyn.on_resparsify(dyn.epoch)
 
-    def _slots_of(self, keys):
-        """Base slots drawn by ``keys``: ``(slots, rank, sorted keys)``.
+    def _rows_of(self, keys):
+        """Base rows of ``keys``: one ``searchsorted``, O(k log s).
 
-        ``rank[i]`` indexes the sorted key that drew ``slots[i]``; a key
-        with several slots lists them all, one with none lists nothing.
-        O(k log s + hits) for k keys — never a pass over the s slots.
+        ``_removed`` and ``_rescaled`` only ever hold base keys (the
+        ``note_*`` membership tests), so every key hits its row.
         """
-        ks = np.sort(np.fromiter(keys, dtype=np.int64, count=len(keys)))
-        lo = np.searchsorted(self._slot_key, ks, "left")
-        cnt = np.searchsorted(self._slot_key, ks, "right") - lo
-        at = np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
-        slots = self._slot_order[at + np.arange(at.size)]
-        return slots, np.repeat(np.arange(ks.size), cnt), ks
+        return np.searchsorted(
+            self._base_key, np.fromiter(keys, np.int64, len(keys)))
 
     def materialize(self, dyn, snap: EdgeList, fp: str):
         """``(sparsifier graph, certificate)`` for the current epoch.
 
         Rebuilds first when there is no base yet or drift crossed the
-        amortization threshold; otherwise assembles base slots (minus
-        removed, times lazy rescales) plus the exact overlay, in slot
-        then key order — O(s) array copies, no dispatch.
+        amortization threshold; otherwise assembles the base edges (minus
+        removed, weights as in the module docstring) then the exact
+        overlay, each in key order — O(s) array copies, no dispatch.
         """
         if self.needs_rebuild:
             self.rebuild(dyn, snap, fp)
-        slot = np.full(self._base_u.size, self.W_rebuild / max(self.s, 1))
-        slots, rank, ks = self._slots_of(self._rescaled)
-        w_new = np.array([self._rescaled[k] for k in ks.tolist()])
-        slot[slots] *= w_new[rank] / self._base_w[slots]   # lazy rates
-        keep = np.ones(slot.size, dtype=bool)
-        keep[self._slots_of(self._removed)[0]] = False
-        bu, bv = self._base_u[keep], self._base_v[keep]
+        bw = self._mult * (self.W_rebuild / max(self.s, 1))
+        at = self._rows_of(self._rescaled)
+        w_new = np.fromiter(self._rescaled.values(), np.float64, at.size)
+        bw[at] *= w_new / self._base_w[at]                  # lazy rates
+        keep = np.ones(bw.size, dtype=bool)
+        keep[self._rows_of(self._removed)] = False
         ok = np.fromiter(self._inserted, np.int64, len(self._inserted))
         ow = np.fromiter(self._inserted.values(), np.float64, ok.size)
         order = np.argsort(ok)
         ou, ov = np.divmod(ok[order], snap.n)
-        u = np.concatenate([bu, ou])
-        v = np.concatenate([bv, ov])
-        w = np.concatenate([slot[keep], ow[order]])
+        u = np.concatenate([self._base_u[keep], ou])
+        v = np.concatenate([self._base_v[keep], ov])
+        w = np.concatenate([bw[keep], ow[order]])
         sg = EdgeList(snap.n, u, v, w, canonical=False, validate=False)
         sha = hashlib.sha256()
         for arr in (u, v, w):
@@ -225,7 +221,7 @@ class CutSparsifier:
             "epoch": dyn.epoch,
             "drift": float(self.drift),
             "drift_threshold": self.drift_threshold,
-            "base_slots_live": int(bu.size),
+            "base_slots_live": int(self._mult[keep].sum()),
             "overlay_edges": int(ou.size),
             "sparsifier_sha256": sha.hexdigest(),
         }

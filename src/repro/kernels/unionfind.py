@@ -50,7 +50,7 @@ _SAMPLE_BLOCK = 256
 # call doubles it.
 _SAMPLE_EDGES_PER_VERTEX = 2
 _ENGAGE_SAMPLES = 2
-_ENGAGE_MIN_EDGES = 1 << 15
+_ENGAGE_MIN_EDGES = 1 << 14
 
 
 @functools.cache  # the import, once per process

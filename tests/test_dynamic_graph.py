@@ -25,14 +25,17 @@ from repro.dynamic import (
     canonical_roots,
     update_stream,
 )
+from repro.dynamic.sparsifier import _SPARSIFY_SALT, sparsify_program
 from repro.graph import (
     EdgeList,
     content_fingerprint,
     erdos_renyi,
     two_cliques_bridge,
 )
+from repro.graph.shm import plane_slices
 from repro.kernels import cc_labels
 from repro.rng import philox_stream
+from repro.runtime import SimBackend
 
 from .conftest import require_mp
 
@@ -191,9 +194,10 @@ class Mirror:
     """The pre-array-store edge state and sparsifier, kept as the oracle.
 
     A tuple-keyed dict sorted in the interpreter on every snapshot, and
-    a sparsifier whose ``materialize`` walks every base slot through
-    Python — the code ``repro.dynamic`` ran before the store became
-    arrays.  Fed the same ops, it must produce the same bytes.
+    a sparsifier that re-draws each rebuild's per-slot sample itself and
+    folds it through Python dicts — the code ``repro.dynamic`` ran before
+    the store became arrays, plus the fold written out by hand.  Fed the
+    same ops, it must produce the same bytes.
     """
 
     def __init__(self, g):
@@ -202,21 +206,39 @@ class Mirror:
         for a, b, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
             key = (a, b) if a < b else (b, a)
             self.edges[key] = self.edges.get(key, 0.0) + float(w)
-        self.base_keys, self.base_orig = [], {}
+        self.slots, self.mult, self.base_orig = [], {}, {}
         self.W = self.drift = 0.0
         self.s = 0
         self.inserted, self.removed, self.rescaled = {}, set(), {}
 
     def watch(self, dyn):
         """Re-base on every rebuild of ``dyn``'s sparsifier."""
-        dyn.on_resparsify = lambda _epoch: self.rebase(dyn.sparsifier)
+        dyn.on_resparsify = lambda _epoch: self.rebase(dyn)
         return self
 
-    def rebase(self, sp):
-        self.base_keys = list(zip(sp._base_u.tolist(), sp._base_v.tolist()))
-        self.base_orig = dict(zip(self.base_keys, sp._base_w.tolist()))
-        self.W, self.s, self.drift = sp.W_rebuild, sp.s, 0.0
+    def rebase(self, dyn):
+        """Draw the rebuild's per-slot sample at its seed, then fold it."""
+        snap, sp = self.snapshot(), dyn.sparsifier
+        seed = dyn._streams.spawn(_SPARSIFY_SALT + sp.rebuilds - 1).seed
+        self.s = sp.sample_size(snap.n, snap.m)
+        sample = SimBackend().run(
+            sparsify_program, dyn.p, seed=seed,
+            args=(plane_slices(snap, dyn.p), self.s)).root_value
+        su, sv, sw = (a.tolist() for a in sample)
+        self.slots = list(zip(su, sv))
+        self.mult, self.base_orig = {}, {}
+        for key, w in zip(self.slots, sw):
+            self.mult[key] = self.mult.get(key, 0) + 1
+            self.base_orig[key] = w
+        self.W, self.drift = snap.total_weight(), 0.0
         self.inserted, self.removed, self.rescaled = {}, set(), {}
+
+    def weight(self, key, mult):
+        """``mult`` slots of ``key``, as ``mult * (W / s)`` then rescaled."""
+        w = mult * (self.W / self.s)
+        if key in self.rescaled:
+            w *= self.rescaled[key] / self.base_orig[key]
+        return w
 
     def _note_reweight(self, key, w_new, delta):
         if key in self.inserted:
@@ -260,16 +282,14 @@ class Mirror:
         return EdgeList(self.n, u, v, w, canonical=False, validate=False)
 
     def materialize(self):
-        live = [k for k in self.base_keys if k not in self.removed]
-        slot = [(self.W / self.s)
-                * (self.rescaled[k] / self.base_orig[k]
-                   if k in self.rescaled else 1.0) for k in live]
+        live = [k for k in sorted(self.mult) if k not in self.removed]
         overlay = sorted(self.inserted.items())
         keys = live + [k for k, _w in overlay]
         u = np.array([k[0] for k in keys], dtype=np.int64)
         v = np.array([k[1] for k in keys], dtype=np.int64)
-        w = np.array(slot + [w for _k, w in overlay], dtype=np.float64)
-        return u, v, w, len(live), len(overlay)
+        w = np.array([self.weight(k, self.mult[k]) for k in live]
+                     + [w for _k, w in overlay], dtype=np.float64)
+        return u, v, w, sum(self.mult[k] for k in live), len(overlay)
 
 
 def assert_same_snapshot(dyn, mirror):
@@ -374,7 +394,7 @@ def test_duplicate_input_edges_combine_in_arrival_order():
     assert_same_snapshot(dyn, Mirror(g))
 
 
-# -- differential: array-native sparsifier vs. per-slot loops -----------------
+# -- differential: the folded sparsifier vs. per-slot loops -------------------
 
 
 def test_sparsifier_matches_per_slot_oracle_on_scenarios():
@@ -386,9 +406,7 @@ def test_sparsifier_matches_per_slot_oracle_on_scenarios():
     sp = dyn.sparsifier
     cert = assert_same_sparsifier(dyn, mirror)   # straight after a rebuild
     assert cert["rebuilds"] == 1 and 0 < cert["s"] < g.m
-    slots = {}
-    for key in mirror.base_keys:
-        slots[key] = slots.get(key, 0) + 1
+    slots = mirror.mult
     multi = [k for k, c in sorted(slots.items()) if c >= 2]
     none = sorted(set(mirror.edges) - set(slots))
     assert len(multi) >= 3 and none
@@ -399,13 +417,13 @@ def test_sparsifier_matches_per_slot_oracle_on_scenarios():
         return assert_same_sparsifier(dyn, mirror)
 
     live = cert["base_slots_live"]
-    cert = step(("delete", *multi[0]))           # every slot of the key goes
+    cert = step(("delete", *multi[0]))           # all its slots go at once
     assert cert["base_slots_live"] == live - slots[multi[0]]
     cert = step(("insert", *multi[0], 1.5))      # removed *and* overlaid
     assert sp.staleness()["removed_base_edges"] == 1
     assert cert["overlay_edges"] == 1
     assert cert["base_slots_live"] == live - slots[multi[0]]
-    step(("reweight", *multi[1], 9.0))           # every slot rescales
+    step(("reweight", *multi[1], 9.0))           # the folded edge rescales
     assert sp.staleness()["rescaled_base_edges"] == 1
     cert = step(("delete", *multi[1]))           # rescaled, then deleted
     assert sp.staleness()["rescaled_base_edges"] == 0
@@ -429,6 +447,30 @@ def test_sparsifier_matches_per_slot_oracle_on_random_streams(seed):
         if epoch % 2 == 0:
             assert_same_sparsifier(dyn, mirror)
     assert dyn.counters["resparsifications"] >= 2
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_folded_cuts_equal_per_slot_sums(seed):
+    """Every cut of the folded sparsifier is the sum over its slots."""
+    g, stream = churn(n=40, m=160, seed=seed, batches=6, batch_size=10)
+    dyn = DynamicGraph(g, p=2, seed=seed, drift_threshold=1e9)
+    mirror = Mirror(g).watch(dyn)
+    rng = philox_stream(seed + 99)
+    for ops in [[]] + stream:
+        dyn.update_edges(ops)
+        mirror.apply(ops)
+        sg, _cert = dyn.sparsifier.materialize(dyn, dyn.snapshot(),
+                                               dyn.fingerprint())
+        assert np.unique(sg.u * sg.n + sg.v).size == sg.m   # one per pair
+        assert len(mirror.slots) > len(mirror.mult)          # folds happened
+        slots = [(k, mirror.weight(k, 1)) for k in mirror.slots
+                 if k not in mirror.removed]
+        slots += list(mirror.inserted.items())
+        for _ in range(20):
+            side = rng.random(g.n) < 0.5
+            want = sum(w for (a, b), w in slots if side[a] != side[b])
+            assert sg.cut_value(side) == pytest.approx(want, rel=1e-12)
+    assert dyn.counters["resparsifications"] == 1
 
 
 # -- differential fuzz: components --------------------------------------------

@@ -217,7 +217,7 @@ def test_two_level_engages_at_four_edges_per_vertex(monkeypatch, m, passes,
         assert calls[0] == u[::m // (2 * n)].size  # the strided sample
 
 
-@pytest.mark.parametrize("m, passes", [((1 << 15) - 1, 1), (1 << 15, 2)])
+@pytest.mark.parametrize("m, passes", [((1 << 14) - 1, 1), (1 << 14, 2)])
 def test_two_level_engages_at_the_edge_floor(monkeypatch, m, passes):
     calls = _single_pass_calls(monkeypatch)
     rng = np.random.default_rng(13)

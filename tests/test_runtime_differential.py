@@ -67,11 +67,14 @@ class TestHarnessItself:
         a = compare_backends("parallel_cc", parity_graph, p=2, seed=1,
                              backends=("sim", "sim"))
         assert a.ok
-        from repro.core import connected_components
+        from repro.core import approx_minimum_cut
 
-        ra = connected_components(parity_graph, p=2, seed=1)
-        rb = connected_components(parity_graph, p=2, seed=2)
-        # Different seeds give different counter trajectories on this graph.
+        # A connected graph, so AppMC draws its sparsity levels (CC on the
+        # parity graph ships whole slices: no draw, seed-independent);
+        # different seeds give different counter trajectories.
+        g = erdos_renyi(250, 2000, philox_stream(42), weighted=True)
+        ra = approx_minimum_cut(g, 2, seed=1)
+        rb = approx_minimum_cut(g, 2, seed=2)
         assert ra.report != rb.report
 
     def test_unknown_algorithm_rejected(self, parity_graph):

@@ -1,8 +1,9 @@
 """Trace-replay corpus: blessed JSONL traces pin the superstep structure.
 
-``tests/data/traces/`` holds recorded traces of three fixed-seed
-workloads (iterated-sampling CC, the approximate min-cut pipeline, and
-the 2-out-contraction min cut).  Each test replays a blessed file
+``tests/data/traces/`` holds recorded traces of four fixed-seed
+workloads (iterated-sampling CC, the approximate min-cut pipeline on a
+disconnected and on a connected graph, and the 2-out-contraction min
+cut).  Each test replays a blessed file
 through the full offline path — :func:`repro.trace.read_jsonl` →
 :func:`repro.trace.aggregate_trace` → the analyzer
 (:func:`repro.trace.fusion_plan` / :func:`repro.trace.format_analysis`)
@@ -50,6 +51,11 @@ CORPUS = {
     "approx_cut_p3_seed9.jsonl": dict(
         algorithm="approx_cut", n=80, m=200, gseed=42, p=3, seed=9,
         kwargs={}),
+    # Connected, so the run passes the precheck and pins the sampler:
+    # the draw, the level search and the unions' CC rounds.
+    "approx_cut_connected_p3_seed9.jsonl": dict(
+        algorithm="approx_cut", n=80, m=400, gseed=42, p=3, seed=9,
+        kwargs={}),
     "two_out_p4_seed5.jsonl": dict(
         algorithm="square_root", n=80, m=200, gseed=42, p=4, seed=5,
         kwargs={"variant": "2out", "trial_scale": 0.25}),
@@ -62,6 +68,8 @@ CORPUS = {
 ANALYZER_PINS = {
     "cc_p4_seed3.jsonl": {"supersteps": 5, "saved_supersteps": 1},
     "approx_cut_p3_seed9.jsonl": {"supersteps": 7, "saved_supersteps": 3},
+    "approx_cut_connected_p3_seed9.jsonl": {"supersteps": 21,
+                                            "saved_supersteps": 8},
     "two_out_p4_seed5.jsonl": {"supersteps": 3, "saved_supersteps": 1},
 }
 
@@ -141,6 +149,16 @@ class TestReplay:
             pins["saved_supersteps"]
         assert plan["predicted"]["supersteps_after"] == \
             pins["supersteps"] - pins["saved_supersteps"]
+
+    def test_connected_appmc_entry_reaches_the_sampler(self):
+        """The connected entry answers after the precheck, with a witness."""
+        spec = CORPUS["approx_cut_connected_p3_seed9.jsonl"]
+        g = erdos_renyi(spec["n"], spec["m"], philox_stream(spec["gseed"]),
+                        weighted=True)
+        res = run_algorithm(spec["algorithm"], g, p=spec["p"],
+                            seed=spec["seed"], backend="sim")
+        assert res.estimate > 0
+        assert res.witness_value == g.cut_value(res.witness_side)
 
     def test_plan_agrees_with_fused_rerun(self):
         """The analyzer's prediction on the blessed CC trace equals what
