@@ -31,7 +31,7 @@ Acceptance bars (gated in :mod:`benchmarks.perf_gate`):
 
 Wall-clock seconds are environment-dependent; the gate checks the flags
 and the deterministic fields (final label sha, component count, cut
-values, sparsifier sha), never raw seconds.
+values), never raw seconds.
 
 Usage::
 
@@ -123,14 +123,12 @@ def incremental_vs_full(scale: float = 1.0, seed: int = 0, p: int = 4) -> dict:
 
 
 def cut_determinism(scale: float = 1.0, seed: int = 0, p: int = 4) -> dict:
-    """Warm cut queries after the churn, re-proved by a cold replay.
+    """Cut queries after the churn, re-proved by a cold replay.
 
-    Streams the workload once (querying as it goes, the warm path),
-    then replays it into a fresh :class:`~repro.dynamic.DynamicGraph`
-    with the **same query schedule** — approx answers are replay-
-    deterministic (sparsifier rebuilds are query-triggered, which is
-    why the serve session logs them), so the replay must report
-    identical exact values and identical sparsifier bytes.
+    Streams the workload into a :class:`~repro.dynamic.DynamicGraph`,
+    then replays it into a fresh one: both cut modes are functions of
+    the epoch graph, the seed and ``p``, so the replay must report
+    identical exact and approximate values.
     """
     from repro.dynamic import DynamicGraph, update_stream
     from repro.graph import erdos_renyi
@@ -142,32 +140,18 @@ def cut_determinism(scale: float = 1.0, seed: int = 0, p: int = 4) -> dict:
     stream = list(update_stream(g, seed=seed + 2, batches=6, batch_size=12))
     knobs = dict(p=p, seed=seed, backend="sim", trial_scale=0.2)
 
-    warm = DynamicGraph(g, **knobs)
-    for ops in stream:
-        warm.update_edges(ops)
-        if warm.epoch % 3 == 0:
-            warm.query_cut(mode="approx")   # exercises drift/rebuild
-    w_exact = warm.query_cut(mode="exact")
-    w_approx = warm.query_cut(mode="approx")
-
-    cold = DynamicGraph(g, **knobs)
-    for ops in stream:
-        cold.update_edges(ops)
-        if cold.epoch % 3 == 0:
-            cold.query_cut(mode="approx")
-    c_exact = cold.query_cut(mode="exact")
-    c_approx = cold.query_cut(mode="approx")
-
-    match = (w_exact.value == c_exact.value
-             and w_approx.value == c_approx.value
-             and (w_approx.certificate.get("sparsifier_sha256")
-                  == c_approx.certificate.get("sparsifier_sha256")))
+    answers = []
+    for _ in range(2):
+        dyn = DynamicGraph(g, **knobs)
+        for ops in stream:
+            dyn.update_edges(ops)
+        answers.append((dyn.query_cut(mode="exact").value,
+                        dyn.query_cut(mode="approx").value))
+    (exact, approx), replay = answers
     return {
-        "exact_value": float(w_exact.value),
-        "approx_value": float(w_approx.value),
-        "sparsifier_sha256": w_approx.certificate.get("sparsifier_sha256"),
-        "resparsifications": warm.counters["resparsifications"],
-        "replay_match": bool(match),
+        "exact_value": float(exact),
+        "approx_value": float(approx),
+        "replay_match": (exact, approx) == replay,
     }
 
 

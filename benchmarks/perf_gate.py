@@ -224,8 +224,8 @@ SECTIONS: dict[str, Section] = {
              operator.ge, bench_serve.BYTES_REDUCTION_FLOOR, ".reduction: "
              "{v:.1f}x is under the {b:g}x input-bytes floor"))),
     ),
-    # Final labels, cut values and sparsifier bytes are pure functions of
-    # (workload, seed, p) by the replay-determinism contract.
+    # Final labels and cut values are pure functions of (workload, seed,
+    # p) by the determinism contract.
     "dynamic": Section(
         bench_dynamic.run_benchmarks,
         "dynamic incremental speedup {speedup:.1f}x with bit-identical "
@@ -234,8 +234,6 @@ SECTIONS: dict[str, Section] = {
          F("final_labels_sha256", EXACT, "cc.final_labels_sha256"),
          F("exact_value", EXACT, "cut.exact_value"),
          F("approx_value", EXACT, "cut.approx_value"),
-         F("sparsifier_sha256", EXACT, "cut.sparsifier_sha256"),
-         F("resparsifications", EXACT, "cut.resparsifications"),
          F("results_match", Flag(
              ".results_match: incremental answers differ from full "
              "recompute / replay / served answers")),

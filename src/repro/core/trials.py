@@ -51,8 +51,7 @@ FIELD_DOMAINS = {
                      "batch_size", "query_every", "top", "max_words"), _COUNT),
     **dict.fromkeys(("reconnect_budget", "max_retries"), _NONNEGATIVE),
     "retry_backoff": (_REAL, lambda v: 0 <= v < math.inf, ">= 0"),
-    **dict.fromkeys(("priority", "trial_scale", "eps", "sample_scale",
-                     "drift_threshold", "quantum"), _POSITIVE),
+    **dict.fromkeys(("priority", "trial_scale", "eps", "quantum"), _POSITIVE),
     **dict.fromkeys(("success_prob", "delta"), _PROBABILITY),
     "variant": ((str,), lambda v: v in VARIANTS, f"one of {VARIANTS}"),
     **dict.fromkeys(("hybrid", "pipelined", "preprocess", "dense"), _FLAG),

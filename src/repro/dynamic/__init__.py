@@ -4,9 +4,9 @@ Batched inserts/deletes/reweights close *epochs*; each epoch has a
 canonical frozen snapshot and content fingerprint that every cache
 (graph plane, 2-out plans, serve layer) keys off.  Components stay warm
 through an incremental spanning forest + union-find with a bounded
-reconnection search (cc_kernel fallback); cuts stay warm through an
-incrementally maintained certified sparsifier with drift-triggered
-BSP re-sparsification.  See ``docs/dynamic.md``.
+reconnection search (cc_kernel fallback).  Exact cuts reuse a 2-out
+plan cached per epoch; approximate cuts run §3.3's algorithm on the
+epoch snapshot itself.  See ``docs/dynamic.md``.
 """
 
 from repro.dynamic.graph import (
@@ -16,17 +16,14 @@ from repro.dynamic.graph import (
     DynamicGraph,
     canonical_roots,
 )
-from repro.dynamic.sparsifier import CutSparsifier, sparsify_program
 from repro.dynamic.stream import apply_stream, update_stream
 
 __all__ = [
     "UPDATE_OPS",
-    "CutSparsifier",
     "DynamicCCResult",
     "DynamicCutResult",
     "DynamicGraph",
     "apply_stream",
     "canonical_roots",
-    "sparsify_program",
     "update_stream",
 ]

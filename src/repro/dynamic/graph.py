@@ -18,8 +18,7 @@ Two query families stay warm across epochs (``docs/dynamic.md``):
   **bit-identical** to ``cc_labels`` on the epoch snapshot.
 * :meth:`query_cut` — ``"exact"``: the 2-out pipeline on the snapshot,
   plan cached per (epoch fingerprint, seed, p); ``"approx"``: the
-  approximate cut on the lazily maintained, certified
-  :class:`~repro.dynamic.sparsifier.CutSparsifier`.
+  O(log n)-approximate cut on the epoch snapshot itself.
 
 Determinism: every answer is a pure function of ``(initial graph,
 update stream, seed, p)`` — replaying the same stream into a fresh
@@ -33,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dynamic.sparsifier import CutSparsifier
 from repro.graph.edgelist import EdgeList
 from repro.graph.fingerprint import cached_fingerprint
 from repro.graph.shm import bump_epoch, eligible, release_pins
@@ -54,7 +52,7 @@ UPDATE_OPS = ("insert", "delete", "reweight")
 #: Salt separating the CC-fallback seed space from trial/update streams.
 _CC_SALT = 3 << 16
 
-#: Salt for exact-cut query seeds (per epoch, stable across repeats).
+#: Salt for cut query seeds (exact: one per session; approx: + 1 + epoch).
 _CUT_SALT = 4 << 16
 
 
@@ -96,7 +94,7 @@ class DynamicCCResult:
 class DynamicCutResult:
     """One cut answer (approx or exact), tagged with its epoch."""
 
-    value: float              # exact value / sparsifier estimate
+    value: float              # exact value / approximate estimate
     mode: str                 # "exact" | "approx"
     epoch: int
     fingerprint: str
@@ -104,7 +102,7 @@ class DynamicCutResult:
     #: mode; equals ``value`` in exact mode).
     witness_value: float | None = None
     side: np.ndarray | None = None
-    #: Sparsifier certificate (approx mode) / plan provenance (exact).
+    #: Query seed (approx mode) / plan provenance (exact).
     certificate: dict | None = None
 
 
@@ -117,15 +115,11 @@ class DynamicGraph:
         Initial graph (epoch 0); copied, never aliased.
     p, seed, backend:
         Execution parameters for every backend dispatch (CC fallback,
-        re-sparsification, cut queries).  All answers are deterministic
-        in ``(g, updates, seed, p)`` and backend-independent.
+        cut queries).  All answers are deterministic in ``(g, updates,
+        seed, p)`` and backend-independent.
     reconnect_budget:
         Max vertices+edges a tree-edge deletion may scan before the
         epoch falls back to the full CC pipeline.
-    drift_threshold:
-        Fraction of the sparsifier's rebuild-time total weight that
-        accumulated update drift may reach before the next approx query
-        re-sparsifies through ``sparsify_weighted``.
     success_prob, trial_scale:
         Exact-cut trial budget knobs, forwarded to the 2-out pipeline
         (and part of the plan-cache key).
@@ -141,10 +135,7 @@ class DynamicGraph:
     """
 
     def __init__(self, g: EdgeList, *, p: int = 4, seed: int = 0,
-                 backend=None, eps: float = 0.2,
-                 reconnect_budget: int = 256,
-                 drift_threshold: float = 0.25,
-                 sample_scale: float = 1.0,
+                 backend=None, reconnect_budget: int = 256,
                  success_prob: float = 0.9, trial_scale: float = 1.0,
                  plane: bool = False, plan_cache=None):
         self.n = int(g.n)
@@ -182,16 +173,15 @@ class DynamicGraph:
         self._published_fp: str | None = None
         self._plan_cache = plan_cache
         self._plans: dict[tuple, object] = {}
-        # Owner hooks (the serve session's write-ahead log):
-        # ``on_batch(epoch, ops)`` fires once a batch has validated, before
-        # it mutates anything; ``on_resparsify(epoch)`` on every rebuild.
+        # Owner hook (the serve session's write-ahead log): fires once a
+        # batch has validated, before it mutates anything.
         self.on_batch = None
-        self.on_resparsify = None
 
         # -- incremental CC state: ``_tree`` (forest edges, by key),
         # ``_tree_adj`` and ``_parent`` come from the initial forest below.
         self._uf_stale = False    # forest exact, parent needs rebuild
         self._cc_dirty = False    # forest unknown, needs cc_kernel fallback
+        # ``resparsifications`` stays 0: benchmark readers still name it.
         self.counters = {
             "inserts": 0, "deletes": 0, "reweights": 0,
             "unions": 0, "tree_deletes": 0, "reconnects": 0,
@@ -199,11 +189,6 @@ class DynamicGraph:
             "resparsifications": 0, "epoch_bumps": 0,
         }
         self._parent = cc_roots(self.n, *self._reforest(self.snapshot()))
-
-        # -- sparsifier ------------------------------------------------------
-        self.sparsifier = CutSparsifier(
-            eps=eps, drift_threshold=drift_threshold,
-            sample_scale=sample_scale)
 
     def _reforest(self, snap: EdgeList) -> tuple[np.ndarray, np.ndarray]:
         """Reset the forest to the snapshot's earliest spanning forest."""
@@ -322,9 +307,9 @@ class DynamicGraph:
         or reweighting a missing edge raises.  A batch is **atomic**:
         :meth:`_checked` validates all of it first, so a rejected batch
         leaves the graph, its epoch and every cache as they were.  No
-        backend work happens here — CC fallback, re-sparsification and
-        the snapshot fold wait for the next query, so update throughput
-        is bounded by the O(α) bookkeeping alone.
+        backend work happens here — CC fallback and the snapshot fold
+        wait for the next query, so update throughput is bounded by the
+        O(α) bookkeeping alone.
         """
         ops = list(ops)
         batch, keys = self._checked(ops)
@@ -381,12 +366,10 @@ class DynamicGraph:
         self.counters["inserts"] += 1
         if key in self._edges:
             self._edges[key] += w
-            self.sparsifier.note_reweight(key, self._edges[key], delta=w)
             return
         self._edges[key] = w
         self._adj.setdefault(a, set()).add(b)
         self._adj.setdefault(b, set()).add(a)
-        self.sparsifier.note_insert(key, w)
         if self._cc_dirty:
             return
         if self._uf_stale:
@@ -402,11 +385,10 @@ class DynamicGraph:
             self.counters["unions"] += 1
 
     def _delete(self, key: int, a: int, b: int) -> None:
-        w_old = self._edges.pop(key)
+        del self._edges[key]
         self._adj[a].discard(b)
         self._adj[b].discard(a)
         self.counters["deletes"] += 1
-        self.sparsifier.note_delete(key, w_old)
         if self._cc_dirty or key not in self._tree:
             return  # non-tree edge: partition provably unchanged
         self.counters["tree_deletes"] += 1
@@ -416,10 +398,8 @@ class DynamicGraph:
         self._reconnect(a, b)
 
     def _reweight(self, key: int, w: float) -> None:
-        old = self._edges[key]
         self._edges[key] = w
         self.counters["reweights"] += 1
-        self.sparsifier.note_reweight(key, w, delta=w - old)
 
     # -- bounded reconnection search -----------------------------------------
 
@@ -551,9 +531,11 @@ class DynamicGraph:
         ``mode="exact"``: the 2-out pipeline on the epoch snapshot; its
         plan is cached per (epoch fingerprint, seed, p), so repeats at
         one epoch skip preprocessing.  ``mode="approx"``: the O(log n)-
-        approximate cut on the certified sparsifier, the witness side
-        re-evaluated exactly on the snapshot.  Disconnected epochs answer
-        0.0 with a canonical witness (component 0) in either mode.
+        approximate cut on the snapshot at a per-epoch seed, the witness
+        side evaluated exactly.  Both are functions of the epoch's edge
+        set, the seed and ``p`` alone, never of earlier queries.
+        Disconnected epochs answer 0.0 with a canonical witness
+        (component 0) in either mode.
         """
         if mode not in ("exact", "approx"):
             raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
@@ -616,24 +598,14 @@ class DynamicGraph:
     def _approx_cut(self, fp: str) -> DynamicCutResult:
         from repro.core.approx_mincut import approx_minimum_cut
 
-        snap = self.snapshot()
-        sg, certificate = self.sparsifier.materialize(
-            self, snap, fp)
         seed = self._streams.spawn(_CUT_SALT + 1 + self.epoch).seed
-        res = approx_minimum_cut(sg, self.p, seed=seed,
+        res = approx_minimum_cut(self.snapshot(), self.p, seed=seed,
                                  backend=self.backend)
-        side = res.witness_side
-        witness = None
-        if side is not None:
-            side = np.asarray(side, dtype=bool)
-            k = int(side.sum())
-            if 0 < k < self.n:
-                witness = snap.cut_value(side)  # exact, on the true graph
-        certificate = dict(certificate, query_seed=int(seed))
         return DynamicCutResult(
             value=float(res.estimate), mode="approx", epoch=self.epoch,
-            fingerprint=fp, witness_value=witness, side=side,
-            certificate=certificate)
+            fingerprint=fp, witness_value=res.witness_value,
+            side=res.witness_side,
+            certificate={"query_seed": int(seed)})
 
     # -- staleness -----------------------------------------------------------
 
@@ -654,6 +626,5 @@ class DynamicGraph:
             "updates_total": self.updates_total,
             "cc_dirty": bool(self._cc_dirty),
             "uf_stale": bool(self._uf_stale),
-            "sparsifier": self.sparsifier.staleness(),
             "counters": dict(self.counters),
         }

@@ -442,8 +442,8 @@ class Daemon:
         if not isinstance(path, str):
             raise ProtocolError("dyn_open needs a graph file 'path'")
         head = _checked(req, ("seed", "p"))
-        kwargs = _checked(req, ("reconnect_budget", "drift_threshold", "eps",
-                                "sample_scale", "success_prob", "trial_scale"))
+        kwargs = _checked(req, ("reconnect_budget", "success_prob",
+                                "trial_scale"))
         try:
             g, fp = self.cache.load(path, expected_fp=req.get("fingerprint"))
         except FingerprintMismatch as exc:

@@ -5,12 +5,10 @@ the daemon's ``dyn_*`` verbs.  Durability follows the job store's
 pattern: a session document (``<state_dir>/dynamic/<id>.json``) pins the
 initial graph by path + content fingerprint, and an append-only update
 log (``<id>.updates.jsonl``) records every accepted batch **before** it
-is applied (write-ahead), interleaved with the sparsifier's rebuild
-events (which are query-triggered, so updates alone don't pin them).
-Because every dynamic answer is then a pure function of ``(initial
-graph, log, seed, p)``, a daemon killed mid-stream and restarted
-replays the log and serves bit-identical answers from the exact epoch
-it reached — the dynamic analogue of the trial ledger's resume story.
+is applied (write-ahead).  Every dynamic answer is a pure function of
+the epoch graph, the seed and ``p``, so a daemon killed mid-stream
+replays the log on restart and serves bit-identical answers from the
+epoch it reached — the dynamic analogue of the trial ledger's resume.
 
 Updates are applied inline on the connection thread (O(α) bookkeeping,
 no backend work); queries go through the job queue so the single-tenant
@@ -41,12 +39,6 @@ class DynamicSession:
         # The graph calls back once a batch has validated (and before it
         # mutates anything), so a rejected batch never reaches the log.
         dyn.on_batch = self._log_batch
-        # Sparsifier rebuilds are query-triggered, so replaying updates
-        # alone would leave a resumed session's approx answers on a
-        # different (fresher) base.  Recording each rebuild epoch makes
-        # the whole trajectory — updates *and* amortization events — a
-        # pure function of the log.
-        dyn.on_resparsify = self._log_resparsify
 
     def _append(self, doc: dict) -> None:
         line = json.dumps(doc, separators=(",", ":"))
@@ -57,9 +49,6 @@ class DynamicSession:
 
     def _log_batch(self, epoch: int, ops: list) -> None:
         self._append({"epoch": epoch, "ops": ops})
-
-    def _log_resparsify(self, epoch: int) -> None:
-        self._append({"resparsify": epoch})
 
     def update(self, ops: list) -> dict:
         """Validate one batch, write-ahead log it, apply it atomically.
@@ -143,21 +132,25 @@ class DynamicSessionManager:
 
         ``load_graph(path, expected_fp)`` supplies the initial graph
         (the daemon passes its cache's loader, so the fingerprint pin is
-        re-validated).  A session whose graph file vanished or changed,
-        or whose log holds a malformed record or a batch the graph
-        rejects (a torn *tail* is just truncated, see
-        :meth:`_whole_records`), is skipped — its jobs
-        will fail with a typed error rather than silently serving
-        different bits.  Returns resumed session ids.
+        re-validated).  A session is skipped — its jobs fail with a typed
+        error rather than silently serving different bits — when its
+        document is unreadable or names a knob the graph no longer takes,
+        its graph file vanished or changed, or its log holds a malformed
+        record or a batch the graph rejects (a torn *tail* is just
+        truncated, see :meth:`_whole_records`).  Log records other than
+        ``ops`` are ignored.  Returns resumed session ids.
         """
         resumed = []
         for name in sorted(os.listdir(self.dir)):
             if not (name.startswith("d") and name.endswith(".json")):
                 continue
-            doc_path = os.path.join(self.dir, name)
-            with open(doc_path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            sid = doc["id"]
+            try:
+                with open(os.path.join(self.dir, name),
+                          encoding="utf-8") as fh:
+                    doc = json.load(fh)
+                sid = doc["id"]
+            except (OSError, ValueError, KeyError, TypeError):
+                continue  # unreadable session document
             if sid in self.sessions:
                 continue
             _doc_path, log_path = self._paths(sid)
@@ -167,23 +160,17 @@ class DynamicSessionManager:
                 continue  # graph gone/changed: session unrecoverable
             try:
                 entries = self._whole_records(log_path)
-            except ValueError:
-                continue  # malformed record before the tail: likewise
-            dyn = DynamicGraph(g, p=int(doc["p"]), seed=int(doc["seed"]),
-                               backend=backend, plane=plane,
-                               plan_cache=plan_cache,
-                               **doc.get("dyn_kwargs", {}))
-            # The hooks are attached by DynamicSession below, AFTER the
-            # replay — replayed records must not re-append log lines.
-            try:
+                dyn = DynamicGraph(g, p=int(doc["p"]), seed=int(doc["seed"]),
+                                   backend=backend, plane=plane,
+                                   plan_cache=plan_cache,
+                                   **doc.get("dyn_kwargs", {}))
+                # The hooks are attached by DynamicSession below, AFTER the
+                # replay — replayed records must not re-append log lines.
                 for entry in entries:
                     if "ops" in entry:
                         dyn.update_edges(entry["ops"])
-                    elif "resparsify" in entry:
-                        dyn.sparsifier.rebuild(dyn, dyn.snapshot(),
-                                               dyn.fingerprint())
-            except (KeyError, ValueError):
-                continue  # a logged batch no longer applies: likewise
+            except (KeyError, TypeError, ValueError):
+                continue  # bad record, unknown knob, batch that won't apply
             session = DynamicSession(sid, doc, dyn, log_path)
             with self._lock:
                 self.sessions[sid] = session

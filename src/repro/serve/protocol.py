@@ -32,9 +32,11 @@ Ops:
 Dynamic-graph sessions (``docs/dynamic.md``):
 
 ``dyn_open``
-    ``{"op": "dyn_open", "path": <graph file>, "seed": int, "p": int}``
-    → ``{"ok": true, "session": <id>, "epoch": 0, "fingerprint": ...}``.
-    Opens a streaming session on the file's graph (epoch 0).
+    ``{"op": "dyn_open", "path": <graph file>, "seed": int, "p": int,
+    "reconnect_budget": int, "success_prob": float, "trial_scale":
+    float}`` (all but ``path`` optional) → ``{"ok": true, "session":
+    <id>, "epoch": 0, "fingerprint": ...}``.  Opens a streaming session
+    on the file's graph (epoch 0).
 ``dyn_update``
     ``{"op": "dyn_update", "session": <id>, "ops": [["insert", u, v, w],
     ["delete", u, v], ["reweight", u, v, w], ...]}`` → the new epoch's
@@ -52,8 +54,10 @@ Dynamic-graph sessions (``docs/dynamic.md``):
     error; ``"requeue"`` re-pins it to the latest epoch and the result
     reports ``repinned_from_epoch``.
 ``dyn_staleness``
-    ``{"op": "dyn_staleness", "session": <id>}`` → epoch, fingerprint,
-    sparsifier drift/rebuild state, maintenance counters.
+    ``{"op": "dyn_staleness", "session": <id>}`` → epoch, fingerprint
+    (``null`` until a query materialized the snapshot), ``n``, ``m``,
+    updates so far, the forest's ``cc_dirty``/``uf_stale`` flags,
+    maintenance counters.
 ``dyn_close``
     ``{"op": "dyn_close", "session": <id>}`` → drops the session, its
     plane pin and (by default) its persisted stream.

@@ -1,21 +1,15 @@
-"""repro.dynamic: differential fuzz, determinism, sparsifier amortization.
+"""repro.dynamic: differential fuzz and determinism.
 
 The load-bearing property is the determinism contract from
-``docs/dynamic.md``:
-
-* ``query_components()`` and exact ``query_cut()`` are **history
-  independent** — bit-identical to a from-scratch computation on the
-  same epoch's snapshot, no matter which queries happened earlier and
-  no matter which of incremental / forest / cc_kernel paths answered;
-* approx ``query_cut()`` is **replay deterministic** — a pure function
-  of (initial graph, update+query history, seed, p), because sparsifier
-  rebuilds are query-triggered.
+``docs/dynamic.md``: ``query_components()`` and both ``query_cut()``
+modes are **history independent** — bit-identical to a from-scratch
+computation on the same epoch's snapshot, no matter which queries
+happened earlier and no matter which of incremental / forest /
+cc_kernel paths answered.
 
 Everything here fuzzes those claims against the trusted kernels on the
 epoch snapshot, across both execution backends.
 """
-
-import hashlib
 
 import numpy as np
 import pytest
@@ -25,19 +19,14 @@ from repro.dynamic import (
     canonical_roots,
     update_stream,
 )
-from repro.dynamic.sparsifier import _SPARSIFY_SALT, sparsify_program
 from repro.graph import (
     EdgeList,
     content_fingerprint,
     erdos_renyi,
     two_cliques_bridge,
 )
-from repro.graph.shm import plane_slices
 from repro.kernels import cc_labels
 from repro.rng import philox_stream
-from repro.runtime import SimBackend
-
-from .conftest import require_mp
 
 
 def churn(n=80, m=240, seed=0, batches=6, batch_size=12, **kw):
@@ -140,8 +129,8 @@ def test_staleness_fingerprint_is_lazy():
 def test_rejected_batch_leaves_no_trace():
     """A batch that fails on a later op applies none of its ops."""
     g, stream = churn(batches=4)
-    dyn = DynamicGraph(g, p=2, seed=0, drift_threshold=0.05)
-    twin = DynamicGraph(g, p=2, seed=0, drift_threshold=0.05)
+    dyn = DynamicGraph(g, p=2, seed=0)
+    twin = DynamicGraph(g, p=2, seed=0)
     for d in (dyn, twin):
         d.update_edges(stream[0])
         d.query_cut(mode="approx")
@@ -191,12 +180,10 @@ def test_batch_ops_see_the_ops_before_them():
 
 
 class Mirror:
-    """The pre-array-store edge state and sparsifier, kept as the oracle.
+    """The pre-array-store edge state, kept as the oracle.
 
-    A tuple-keyed dict sorted in the interpreter on every snapshot, and
-    a sparsifier that re-draws each rebuild's per-slot sample itself and
-    folds it through Python dicts — the code ``repro.dynamic`` ran before
-    the store became arrays, plus the fold written out by hand.  Fed the
+    A tuple-keyed dict sorted in the interpreter on every snapshot — the
+    code ``repro.dynamic`` ran before the store became arrays.  Fed the
     same ops, it must produce the same bytes.
     """
 
@@ -206,72 +193,17 @@ class Mirror:
         for a, b, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist()):
             key = (a, b) if a < b else (b, a)
             self.edges[key] = self.edges.get(key, 0.0) + float(w)
-        self.slots, self.mult, self.base_orig = [], {}, {}
-        self.W = self.drift = 0.0
-        self.s = 0
-        self.inserted, self.removed, self.rescaled = {}, set(), {}
-
-    def watch(self, dyn):
-        """Re-base on every rebuild of ``dyn``'s sparsifier."""
-        dyn.on_resparsify = lambda _epoch: self.rebase(dyn)
-        return self
-
-    def rebase(self, dyn):
-        """Draw the rebuild's per-slot sample at its seed, then fold it."""
-        snap, sp = self.snapshot(), dyn.sparsifier
-        seed = dyn._streams.spawn(_SPARSIFY_SALT + sp.rebuilds - 1).seed
-        self.s = sp.sample_size(snap.n, snap.m)
-        sample = SimBackend().run(
-            sparsify_program, dyn.p, seed=seed,
-            args=(plane_slices(snap, dyn.p), self.s)).root_value
-        su, sv, sw = (a.tolist() for a in sample)
-        self.slots = list(zip(su, sv))
-        self.mult, self.base_orig = {}, {}
-        for key, w in zip(self.slots, sw):
-            self.mult[key] = self.mult.get(key, 0) + 1
-            self.base_orig[key] = w
-        self.W, self.drift = snap.total_weight(), 0.0
-        self.inserted, self.removed, self.rescaled = {}, set(), {}
-
-    def weight(self, key, mult):
-        """``mult`` slots of ``key``, as ``mult * (W / s)`` then rescaled."""
-        w = mult * (self.W / self.s)
-        if key in self.rescaled:
-            w *= self.rescaled[key] / self.base_orig[key]
-        return w
-
-    def _note_reweight(self, key, w_new, delta):
-        if key in self.inserted:
-            self.inserted[key] = w_new
-        elif key in self.base_orig and key not in self.removed:
-            self.rescaled[key] = w_new
-        self.drift += abs(delta)
 
     def apply(self, ops):
         for op in ops:
             a, b = int(op[1]), int(op[2])
             key = (a, b) if a < b else (b, a)
             if op[0] == "insert":
-                w = float(op[3])
-                if key in self.edges:
-                    self.edges[key] += w
-                    self._note_reweight(key, self.edges[key], w)
-                else:
-                    self.edges[key] = w
-                    self.inserted[key] = self.inserted.get(key, 0.0) + w
-                    self.drift += w
+                self.edges[key] = self.edges.get(key, 0.0) + float(op[3])
             elif op[0] == "delete":
-                w_old = self.edges.pop(key)
-                if key in self.inserted:
-                    del self.inserted[key]
-                elif key in self.base_orig:
-                    self.removed.add(key)
-                    self.rescaled.pop(key, None)
-                self.drift += w_old
+                del self.edges[key]
             else:
-                w = float(op[3])
-                old, self.edges[key] = self.edges[key], w
-                self._note_reweight(key, w, w - old)
+                self.edges[key] = float(op[3])
 
     def snapshot(self):
         keys = sorted(self.edges)
@@ -280,16 +212,6 @@ class Mirror:
         w = np.fromiter((self.edges[k] for k in keys), dtype=np.float64,
                         count=len(keys))
         return EdgeList(self.n, u, v, w, canonical=False, validate=False)
-
-    def materialize(self):
-        live = [k for k in sorted(self.mult) if k not in self.removed]
-        overlay = sorted(self.inserted.items())
-        keys = live + [k for k, _w in overlay]
-        u = np.array([k[0] for k in keys], dtype=np.int64)
-        v = np.array([k[1] for k in keys], dtype=np.int64)
-        w = np.array([self.weight(k, self.mult[k]) for k in live]
-                     + [w for _k, w in overlay], dtype=np.float64)
-        return u, v, w, sum(self.mult[k] for k in live), len(overlay)
 
 
 def assert_same_snapshot(dyn, mirror):
@@ -300,27 +222,6 @@ def assert_same_snapshot(dyn, mirror):
     assert dyn.fingerprint() == content_fingerprint(want)
     assert dyn.snapshot() is got                # repeats are free
     assert dyn.staleness()["m"] == want.m
-
-
-def assert_same_sparsifier(dyn, mirror):
-    """Materialize now (rebuilding if due) and compare with the oracle."""
-    sp = dyn.sparsifier
-    sg, cert = sp.materialize(dyn, dyn.snapshot(), dyn.fingerprint())
-    u, v, w, live, overlay = mirror.materialize()
-    sha = hashlib.sha256()
-    for got, want in zip((sg.u, sg.v, sg.w), (u, v, w)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        sha.update(want.tobytes())
-    assert cert["sparsifier_sha256"] == sha.hexdigest()
-    assert (cert["base_slots_live"], cert["overlay_edges"]) == (live, overlay)
-    assert (cert["s"], cert["W_rebuild"], cert["drift"]) == \
-        (mirror.s, mirror.W, mirror.drift)
-    st = sp.staleness()
-    assert (st["overlay_edges"], st["removed_base_edges"],
-            st["rescaled_base_edges"], st["drift"]) == \
-        (len(mirror.inserted), len(mirror.removed), len(mirror.rescaled),
-         mirror.drift)
-    return cert
 
 
 @pytest.mark.parametrize("stride", [1, 3, 7])
@@ -392,85 +293,6 @@ def test_duplicate_input_edges_combine_in_arrival_order():
     dyn = DynamicGraph(g, p=2, seed=0)
     assert dyn.snapshot().w.tolist() == [(ws[0] + ws[1]) + ws[2], 5.0]
     assert_same_snapshot(dyn, Mirror(g))
-
-
-# -- differential: the folded sparsifier vs. per-slot loops -------------------
-
-
-def test_sparsifier_matches_per_slot_oracle_on_scenarios():
-    # a sample smaller than m: some edges draw several slots, some none
-    g = erdos_renyi(30, 150, philox_stream(23), weighted=True)
-    dyn = DynamicGraph(g, p=2, seed=2, sample_scale=0.005,
-                       drift_threshold=1e9)
-    mirror = Mirror(g).watch(dyn)
-    sp = dyn.sparsifier
-    cert = assert_same_sparsifier(dyn, mirror)   # straight after a rebuild
-    assert cert["rebuilds"] == 1 and 0 < cert["s"] < g.m
-    slots = mirror.mult
-    multi = [k for k, c in sorted(slots.items()) if c >= 2]
-    none = sorted(set(mirror.edges) - set(slots))
-    assert len(multi) >= 3 and none
-
-    def step(*ops):
-        dyn.update_edges(list(ops))
-        mirror.apply(ops)
-        return assert_same_sparsifier(dyn, mirror)
-
-    live = cert["base_slots_live"]
-    cert = step(("delete", *multi[0]))           # all its slots go at once
-    assert cert["base_slots_live"] == live - slots[multi[0]]
-    cert = step(("insert", *multi[0], 1.5))      # removed *and* overlaid
-    assert sp.staleness()["removed_base_edges"] == 1
-    assert cert["overlay_edges"] == 1
-    assert cert["base_slots_live"] == live - slots[multi[0]]
-    step(("reweight", *multi[1], 9.0))           # the folded edge rescales
-    assert sp.staleness()["rescaled_base_edges"] == 1
-    cert = step(("delete", *multi[1]))           # rescaled, then deleted
-    assert sp.staleness()["rescaled_base_edges"] == 0
-    assert cert["base_slots_live"] == live - slots[multi[0]] - slots[multi[1]]
-    drift = sp.drift
-    cert = step(("reweight", *none[0], 3.0))     # no slot: pure drift
-    assert sp.drift > drift and sp.staleness()["rescaled_base_edges"] == 0
-    step(("insert", *multi[2], 0.5))             # combine = lazy reweight
-    step(("delete", *none[0]), ("reweight", *multi[2], 0.75))
-    assert cert["rebuilds"] == 1                 # all of it on one base
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sparsifier_matches_per_slot_oracle_on_random_streams(seed):
-    g, stream = churn(n=40, m=160, seed=seed, batches=12, batch_size=10)
-    dyn = DynamicGraph(g, p=2, seed=seed, drift_threshold=0.2)
-    mirror = Mirror(g).watch(dyn)
-    for epoch, ops in enumerate(stream, start=1):
-        dyn.update_edges(ops)
-        mirror.apply(ops)
-        if epoch % 2 == 0:
-            assert_same_sparsifier(dyn, mirror)
-    assert dyn.counters["resparsifications"] >= 2
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_folded_cuts_equal_per_slot_sums(seed):
-    """Every cut of the folded sparsifier is the sum over its slots."""
-    g, stream = churn(n=40, m=160, seed=seed, batches=6, batch_size=10)
-    dyn = DynamicGraph(g, p=2, seed=seed, drift_threshold=1e9)
-    mirror = Mirror(g).watch(dyn)
-    rng = philox_stream(seed + 99)
-    for ops in [[]] + stream:
-        dyn.update_edges(ops)
-        mirror.apply(ops)
-        sg, _cert = dyn.sparsifier.materialize(dyn, dyn.snapshot(),
-                                               dyn.fingerprint())
-        assert np.unique(sg.u * sg.n + sg.v).size == sg.m   # one per pair
-        assert len(mirror.slots) > len(mirror.mult)          # folds happened
-        slots = [(k, mirror.weight(k, 1)) for k in mirror.slots
-                 if k not in mirror.removed]
-        slots += list(mirror.inserted.items())
-        for _ in range(20):
-            side = rng.random(g.n) < 0.5
-            want = sum(w for (a, b), w in slots if side[a] != side[b])
-            assert sg.cut_value(side) == pytest.approx(want, rel=1e-12)
-    assert dyn.counters["resparsifications"] == 1
 
 
 # -- differential fuzz: components --------------------------------------------
@@ -584,13 +406,11 @@ def test_exact_cut_history_independence():
     """Interleaved approx queries never move the exact answer."""
     g, stream = churn(n=48, m=300, seed=13, batches=4, batch_size=8)
     plain = DynamicGraph(g, p=2, seed=13, trial_scale=0.2)
-    noisy = DynamicGraph(g, p=2, seed=13, trial_scale=0.2,
-                         drift_threshold=0.05)
+    noisy = DynamicGraph(g, p=2, seed=13, trial_scale=0.2)
     for ops in stream:
         plain.update_edges(ops)
         noisy.update_edges(ops)
         noisy.query_cut(mode="approx")    # extra history on one side
-    assert noisy.counters["resparsifications"] >= 1
     a = plain.query_cut(mode="exact")
     b = noisy.query_cut(mode="exact")
     assert a.value == b.value
@@ -602,20 +422,46 @@ def test_approx_cut_replay_determinism_with_query_schedule():
     g, stream = churn(n=60, m=240, seed=15, batches=6, batch_size=10)
 
     def run():
-        dyn = DynamicGraph(g, p=2, seed=15, drift_threshold=0.05)
-        shas = []
+        dyn = DynamicGraph(g, p=2, seed=15)
+        answers = []
         for i, ops in enumerate(stream):
             dyn.update_edges(ops)
             if i % 2 == 1:
                 r = dyn.query_cut(mode="approx")
-                shas.append((r.value,
-                             r.certificate["sparsifier_sha256"]))
-        return shas, dyn.counters["resparsifications"]
+                answers.append((r.value, r.witness_value, r.side.tobytes(),
+                                r.certificate))
+        return answers
 
-    a, ra = run()
-    b, rb = run()
-    assert ra == rb and ra >= 1
-    assert a == b
+    assert run() == run()
+
+
+def test_approx_cut_is_history_independent(backend):
+    """Approx answers depend on the epoch graph, seed and p alone.
+
+    Two graphs fed one stream but queried on different schedules agree
+    at the end, and both equal a from-scratch ``approx_minimum_cut`` on
+    the epoch snapshot at the certificate's seed.
+    """
+    from repro.core.approx_mincut import approx_minimum_cut
+
+    g, stream = churn(n=60, m=240, seed=25, batches=8, batch_size=10)
+    every = DynamicGraph(g, p=2, seed=25, backend=backend)
+    never = DynamicGraph(g, p=2, seed=25, backend=backend)
+    for ops in stream:
+        every.update_edges(ops)
+        never.update_edges(ops)
+        every.query_cut(mode="approx")
+    a = every.query_cut(mode="approx")
+    b = never.query_cut(mode="approx")
+    ref = approx_minimum_cut(every.snapshot(), 2,
+                             seed=a.certificate["query_seed"],
+                             backend=backend)
+    for res in (a, b):
+        assert res.value == ref.estimate
+        assert res.witness_value == ref.witness_value
+        assert np.array_equal(res.side, ref.witness_side)
+    assert a.certificate == b.certificate
+    assert a.fingerprint == b.fingerprint == every.fingerprint()
 
 
 def test_approx_cut_witness_is_exact_on_true_graph():
@@ -625,9 +471,7 @@ def test_approx_cut_witness_is_exact_on_true_graph():
     assert res.side is not None
     assert res.witness_value == pytest.approx(
         dyn.snapshot().cut_value(res.side))
-    cert = res.certificate
-    assert cert["s"] > 0 and cert["rebuilds"] == 1
-    assert cert["sparsifier_sha256"]
+    assert isinstance(res.certificate["query_seed"], int)
 
 
 def test_disconnected_epoch_answers_zero_cut():
@@ -642,65 +486,25 @@ def test_disconnected_epoch_answers_zero_cut():
 
 def test_cut_backend_parity(backend):
     g, stream = churn(n=40, m=200, seed=17, batches=2, batch_size=8)
-    dyn = DynamicGraph(g, p=2, seed=17, backend=backend, trial_scale=0.2,
-                       drift_threshold=0.05)
+    dyn = DynamicGraph(g, p=2, seed=17, backend=backend, trial_scale=0.2)
     for ops in stream:
         dyn.update_edges(ops)
     exact = dyn.query_cut(mode="exact")
     approx = dyn.query_cut(mode="approx")
     # sim reference: the full contract is value equality across backends
-    ref = DynamicGraph(g, p=2, seed=17, backend="sim", trial_scale=0.2,
-                       drift_threshold=0.05)
+    ref = DynamicGraph(g, p=2, seed=17, backend="sim", trial_scale=0.2)
     for ops in stream:
         ref.update_edges(ops)
     assert exact.value == ref.query_cut(mode="exact").value
     r_approx = ref.query_cut(mode="approx")
     assert approx.value == r_approx.value
-    assert (approx.certificate["sparsifier_sha256"]
-            == r_approx.certificate["sparsifier_sha256"])
-
-
-# -- sparsifier amortization --------------------------------------------------
-
-
-def test_sparsifier_drift_triggers_rebuild_only_past_threshold():
-    g, stream = churn(n=60, m=240, seed=19, batches=6, batch_size=10)
-    dyn = DynamicGraph(g, p=2, seed=19, drift_threshold=1e9)
-    dyn.query_cut(mode="approx")                # initial rebuild
-    assert dyn.counters["resparsifications"] == 1
-    for ops in stream:
-        dyn.update_edges(ops)
-        dyn.query_cut(mode="approx")
-    # astronomically high threshold: the initial base is never replaced
-    assert dyn.counters["resparsifications"] == 1
-    st = dyn.sparsifier.staleness()
-    assert st["drift"] > 0 and not st["resparsify_pending"]
-
-    eager = DynamicGraph(g, p=2, seed=19, drift_threshold=1e-6)
-    eager.query_cut(mode="approx")
-    for ops in stream:
-        eager.update_edges(ops)
-        eager.query_cut(mode="approx")
-    # tiny threshold: every queried epoch re-sparsifies
-    assert eager.counters["resparsifications"] == len(stream) + 1
-
-
-def test_sparsifier_overlay_tracks_updates_between_rebuilds():
-    g = two_cliques_bridge(8)
-    dyn = DynamicGraph(g, p=2, seed=0, drift_threshold=1e9)
-    dyn.query_cut(mode="approx")
-    dyn.update_edges([("insert", 0, 12, 1.5)])
-    st = dyn.sparsifier.staleness()
-    assert st["overlay_edges"] == 1
-    r = dyn.query_cut(mode="approx")
-    assert r.certificate["overlay_edges"] == 1
-    assert r.certificate["rebuilds"] == 1       # overlay, not a rebuild
+    assert approx.certificate == r_approx.certificate
+    assert np.array_equal(approx.side, r_approx.side)
 
 
 def test_sparsifier_certificate_estimates_cuts():
-    # the sparsifier estimate of the bridge cut must be within a few
-    # multiples on this easy instance (it is eps-accurate w.h.p. at the
-    # blessed sample size; this is a sanity bound, not the proof)
+    # the approximate estimate of the bridge cut must be within a few
+    # multiples on this easy instance (a sanity bound, not the proof)
     g = two_cliques_bridge(12, bridge_weight=4.0)
     dyn = DynamicGraph(g, p=2, seed=1)
     res = dyn.query_cut(mode="approx")

@@ -68,7 +68,7 @@ def test_dyn_verbs_validate(graph_file, tmp_path):
     assert bad_fp["error"] == "FingerprintMismatch"
     for field in ({"p": 0}, {"seed": "x"}, {"success_prob": 7},
                   {"trial_scale": "big"}, {"reconnect_budget": -1},
-                  {"drift_threshold": 0}):
+                  {"trial_scale": 0}):
         reply = d.handle_request({"op": "dyn_open", "path": graph_file,
                                   **field})
         assert reply["error"] == "ProtocolError", (field, reply)
@@ -230,47 +230,56 @@ def test_restart_replays_update_log_bit_identically(
     assert doc["labels"] == [int(x) for x in ref.labels]
 
 
-def test_restart_replays_resparsify_events(graph, graph_file, stream,
-                                           tmp_path):
+def test_restart_ignores_resparsify_records(graph, graph_file, stream,
+                                            tmp_path):
     """Approx answers after a restart match the uninterrupted run.
 
-    Rebuilds are query-triggered, so the session's write-ahead log
-    records them; a resumed daemon must re-trigger each one during
-    replay to keep the sparsifier base (and so every later approx
-    answer) bit-identical.
+    An approximate cut is a function of the epoch graph, so the log
+    carries update batches only; a log written when it also recorded
+    sparsifier rebuilds (``{"resparsify": epoch}``) still resumes, and
+    those records are skipped.
     """
-    knobs = dict(seed=0, p=4, drift_threshold=0.05, trial_scale=0.2)
+    from repro.core.approx_mincut import approx_minimum_cut
+
+    knobs = dict(seed=0, p=4, trial_scale=0.2)
 
     def stream_with_queries(d, sid, batches):
-        sha = None
+        doc = None
         for ops in batches:
             d.handle_request({"op": "dyn_update", "session": sid,
                               "ops": ops})
             jid = dyn_query(d, sid, "cut", mode="approx")
             drive(d)
-            sha = d.jobs[jid].result["certificate"]["sparsifier_sha256"]
-        return sha
+            doc = d.jobs[jid].result
+        return doc
 
     # uninterrupted reference
     d0 = Daemon(ServeConfig(bind="", state_dir=str(tmp_path / "s0"),
                             backend="sim"))
     s0 = dyn_open(d0, graph_file, **knobs)
-    ref_sha = stream_with_queries(d0, s0, stream)
-    assert d0.dynamic.get(s0).dyn.counters["resparsifications"] >= 2
+    ref_doc = stream_with_queries(d0, s0, stream)
 
-    # killed after 3 batches, restarted, streams the rest
+    # killed after 3 batches, legacy records in its log, restarted
     state = str(tmp_path / "state")
     d1 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
     sid = dyn_open(d1, graph_file, **knobs)
     stream_with_queries(d1, sid, stream[:3])
+    log_path = d1.dynamic.get(sid).log_path
     del d1
+    with open(log_path, "a", encoding="utf-8") as fh:
+        fh.write('{"resparsify":3}\n')
     d2 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
-    got_sha = stream_with_queries(d2, sid, stream[3:])
-    assert got_sha == ref_sha
+    got_doc = stream_with_queries(d2, sid, stream[3:])
+    for key in ("epoch", "fingerprint", "value", "witness_value",
+                "certificate"):
+        assert got_doc[key] == ref_doc[key], key
+    ref = local_reference(graph, stream, trial_scale=0.2)
+    scratch = approx_minimum_cut(ref.snapshot(), 4,
+                                 seed=got_doc["certificate"]["query_seed"],
+                                 backend="sim")
+    assert got_doc["value"] == scratch.estimate
     jid = dyn_query(d2, sid, "cut", mode="exact")
     drive(d2)
-    ref = local_reference(graph, stream, **{k: v for k, v in knobs.items()
-                                            if k not in ("seed", "p")})
     assert d2.jobs[jid].result["value"] == \
         ref.query_cut(mode="exact").value
 
@@ -332,7 +341,7 @@ def test_rejected_batch_never_reaches_the_log(graph, graph_file, stream,
     not half-applied, not logged, and a restart resumes bit-identically
     (it used to poison the log: the restart re-raised out of
     ``Daemon.__init__``)."""
-    knobs = dict(seed=0, p=4, drift_threshold=0.05)
+    knobs = dict(seed=0, p=4)
     state = str(tmp_path / "state")
     d1 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
     sid = dyn_open(d1, graph_file, **knobs)
@@ -361,7 +370,7 @@ def test_rejected_batch_never_reaches_the_log(graph, graph_file, stream,
         {"op": "dyn_staleness", "session": sid})["epoch"] == 4
     for ops in stream[4:]:
         d2.handle_request({"op": "dyn_update", "session": sid, "ops": ops})
-    ref = local_reference(graph, stream, drift_threshold=0.05)
+    ref = local_reference(graph, stream)
     jid = dyn_query(d2, sid, "components")
     cut = dyn_query(d2, sid, "cut", mode="approx")
     drive(d2)
@@ -369,8 +378,7 @@ def test_rejected_batch_never_reaches_the_log(graph, graph_file, stream,
         [int(x) for x in ref.query_components().labels]
     rcut = ref.query_cut(mode="approx")
     assert d2.jobs[cut].result["value"] == rcut.value
-    assert (d2.jobs[cut].result["certificate"]["sparsifier_sha256"]
-            == rcut.certificate["sparsifier_sha256"])
+    assert d2.jobs[cut].result["certificate"] == rcut.certificate
 
 
 def test_resume_skips_sessions_whose_log_no_longer_applies(
@@ -390,6 +398,52 @@ def test_resume_skips_sessions_whose_log_no_longer_applies(
     d2 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
     assert d2.dynamic.get(sid) is None          # unrecoverable, not crashed
     assert d2.dynamic.get(other).dyn.epoch == 1
+
+
+def test_resume_skips_unreadable_session_documents(graph_file, stream,
+                                                  tmp_path):
+    """A session document that does not parse, or that names a knob the
+    graph does not take (``eps``/``drift_threshold``/``sample_scale``
+    from before the dynamic cut sparsifier went, or anything else), is
+    skipped: the daemon still starts, the other sessions resume, and a
+    persisted query of a skipped session fails typed."""
+    import json
+    import os
+
+    state = str(tmp_path / "state")
+    d1 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
+    corrupt, legacy, unknown, healthy = (dyn_open(d1, graph_file)
+                                         for _ in range(4))
+    for sid in (corrupt, legacy, unknown, healthy):
+        d1.handle_request({"op": "dyn_update", "session": sid,
+                           "ops": stream[0]})
+    pending = dyn_query(d1, legacy, "components")   # persisted, never run
+    ddir = d1.dynamic.dir
+    del d1
+
+    def doc_path(sid):
+        return os.path.join(ddir, f"{sid}.json")
+
+    with open(doc_path(corrupt), encoding="utf-8") as fh:
+        text = fh.read()
+    with open(doc_path(corrupt), "w", encoding="utf-8") as fh:
+        fh.write(text[:len(text) // 2])
+    for sid, kwargs in ((legacy, {"eps": 0.2, "drift_threshold": 0.25,
+                                  "sample_scale": 1.0}),
+                        (unknown, {"frobnicate": 1})):
+        with open(doc_path(sid), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["dyn_kwargs"] = kwargs
+        with open(doc_path(sid), "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+
+    d2 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
+    for sid in (corrupt, legacy, unknown):
+        assert d2.dynamic.get(sid) is None      # unrecoverable, not crashed
+    assert d2.dynamic.get(healthy).dyn.epoch == 1
+    drive(d2)
+    job = d2.jobs[pending]
+    assert job.state == "failed" and job.error_type == "SessionClosed"
 
 
 def test_resume_skips_sessions_with_missing_graph(graph_file, tmp_path):
