@@ -170,9 +170,7 @@ def earliest_forest(
     return u[merge_at], v[merge_at]
 
 
-def prefix_select_labels(
-    n: int, su: np.ndarray, sv: np.ndarray, t: int
-) -> tuple[np.ndarray, int]:
+def prefix_select_labels(n: int, su: np.ndarray, sv: np.ndarray, t):
     """Prefix Selection: contract the longest prefix of the randomly permuted
     sample ``(su, sv)`` (labels ``0..n-1``) leaving at least ``t`` components.
 
@@ -184,17 +182,28 @@ def prefix_select_labels(
     :func:`repro.kernels.reference.scalar_prefix_select`.  The sample is
     read ``_SAMPLE_BLOCK`` edges at a time, so an early stop never converts
     the tail and extra memory is O(block), not O(s).
+
+    A ``(B, s)`` sample (a Karger–Stein level) is ``B`` selections, row by
+    row, ``t`` one target or one per row: ``(B, n)`` labels and ``B`` counts.
     """
+    su, sv = np.asarray(su), np.asarray(sv)
+    if su.ndim == 1:
+        labels, count = _select_row(n, su, sv, t)
+        return np.array(labels, dtype=np.int64), count
+    labels, counts = zip(*map(_select_row, [n] * len(su), su, sv,
+                              np.broadcast_to(t, len(su)).tolist()))
+    return np.array(labels, dtype=np.int64), np.array(counts, dtype=np.int64)
+
+
+def _select_row(n: int, su: np.ndarray, sv: np.ndarray, t: int):
+    """One sample's Prefix Selection: labels as a list, and their count."""
     if t < 1:
         raise ValueError(f"target component count must be >= 1, got {t}")
-    su, sv = np.asarray(su), np.asarray(sv)
-    if n <= t or su.size == 0:
-        return np.arange(n, dtype=np.int64), n
     par = list(range(n))
     size = [1] * n
     count = n
     for lo in range(0, su.size, _SAMPLE_BLOCK):
-        if count == t:
+        if count <= t:
             break
         hi = lo + _SAMPLE_BLOCK
         for a, b in zip(su[lo:hi].tolist(), sv[lo:hi].tolist()):
@@ -222,4 +231,4 @@ def prefix_select_labels(
         while par[x] != x:
             x = par[x]
         labels.append(size[x])
-    return np.array(labels, dtype=np.int64), count
+    return labels, count

@@ -170,16 +170,64 @@ class TestRandomContract:
     @pytest.mark.parametrize("n,n_new", [(14, 11), (30, 23), (81, 59)])
     def test_one_hot_contraction_matches_add_at_reference(self, n, n_new):
         labels = philox_stream(n).permutation(np.arange(n) % n_new)
+
+        def one(a):
+            return ks._contract_stack(a[None], labels[None], n_new)[0]
+
         exact = random_matrix(n, seed=n, integer=True)
-        assert np.array_equal(ks._contract_matrix(exact, labels, n_new),
+        assert np.array_equal(one(exact),
                               add_at_contract_matrix(exact, labels, n_new))
         # float sums are taken in another order: equal to rounding, and the
         # structure (symmetry, zero diagonal) exactly
         rounded = random_matrix(n, seed=200 + n, integer=False)
-        got = ks._contract_matrix(rounded, labels, n_new)
+        got = one(rounded)
         want = add_at_contract_matrix(rounded, labels, n_new)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         assert (np.diag(got) == 0).all()
+        # a matrix contracts to the same bytes alone and inside a stack
+        stack = np.stack([exact, rounded, rounded[::-1, ::-1]])
+        both = ks._contract_stack(stack, np.stack([labels] * 3), n_new)
+        assert np.array_equal(both[1], got)
+
+
+class RoundLog(AnalyticTracker):
+    """Records each round's (matrix size, sample size) per contraction."""
+
+    def __init__(self):
+        super().__init__()
+        self.rounds, self._k = [], None
+
+    def scan(self, name, start=0, length=None):
+        self._k = math.isqrt(length)
+        super().scan(name, start, length)
+
+    def touch(self, name, idx):
+        self.rounds.append((self._k, len(idx)))
+        super().touch(name, idx)
+
+
+class TestRounds:
+    def test_each_round_samples_at_its_own_size(self):
+        """Round r samples s(k_r) entries, k_r the size the matrix has then;
+        in a stack, rows of different sizes pad with loops and contract as
+        they would alone."""
+        a = random_matrix(40, seed=3, integer=True)
+        b = a.copy()
+        a[0, 1] = a[1, 0] = b[0, 1] = b[1, 0] = b[2, 3] = b[3, 2] = 1e7
+        t = math.ceil(1 + 40 / math.sqrt(2))
+        draws = ks._keyed(5, 0, 0, 2)
+        mem = RoundLog()
+        _, labels, n_new = random_contract_matrix(np.stack([a, b]), t, draws,
+                                                  mem)
+        assert (n_new == t).all()
+        # round 1 finds the rows at two sizes below 40: one pads with loops
+        assert [k for k, _ in mem.rounds[:2]] == [40, 40]
+        assert len({k for k, _ in mem.rounds[2:4]} - {40}) == 2
+        assert all(s == ks._sample_size(k) for k, s in mem.rounds)
+        for i, m in enumerate((a, b)):
+            _, alone, _ = random_contract_matrix(m[None], t,
+                                                 ks._keyed(5, 0, i, 1))
+            np.testing.assert_array_equal(alone[0], labels[i])
 
 
 class TestKargerStein:
@@ -247,3 +295,126 @@ class TestKargerStein:
         mem = LRUTracker(M=1024, B=8)
         karger_stein_matrix(matrix_of(g), philox_stream(5), mem)
         assert mem.miss_count > 0
+
+
+class TracingAnalytic(AnalyticTracker):
+    """Closed-form charges (order-free) that ask for the traced walk."""
+
+    is_tracing = True
+
+
+class TestTwoOrders:
+    """By levels and depth-first in stacks of one: same draws, same answer,
+    same charges."""
+
+    @staticmethod
+    def both(a, seed, collect=False):
+        out = []
+        for mem in (AnalyticTracker(), TracingAnalytic()):
+            val, found = karger_stein_matrix(a, philox_stream(seed), mem,
+                                             collect=collect)
+            out.append((val, found, mem.op_count, mem.miss_count))
+        return out
+
+    @pytest.mark.parametrize("n", [30, 60, 81])
+    def test_value_side_cuts_and_charges_agree(self, n):
+        for seed in range(8):
+            a = random_matrix(n, seed=1000 * n + seed, integer=seed % 2 == 0)
+            (v1, s1, o1, m1), (v2, s2, o2, m2) = self.both(a, seed)
+            assert (v1, o1, m1) == (v2, o2, m2)
+            np.testing.assert_array_equal(s1, s2)
+            (c1, k1, o1, m1), (c2, k2, o2, m2) = self.both(a, seed, True)
+            assert (c1, sorted(k1), o1, m1) == (c2, sorted(k2), o2, m2)
+            assert c1 == v1
+
+    @pytest.mark.parametrize("isolated,components", [(0, 3), (20, 22)])
+    def test_disconnected_agrees(self, isolated, components):
+        """Three blocks reach the leaves; isolating the first block's 20
+        vertices makes level 3 (target 19 < 22 components) run out of
+        edges."""
+        a = random_matrix(60, seed=7, integer=True)
+        a[:20, 20:] = a[20:, :20] = 0.0
+        a[40:, :40] = a[:40, 40:] = 0.0
+        a[:isolated, :] = a[:, :isolated] = 0.0
+        for seed in range(3):
+            (v1, s1, o1, m1), (v2, s2, o2, m2) = self.both(a, seed)
+            assert v1 == v2 == 0.0 and (o1, m1) == (o2, m2)
+            np.testing.assert_array_equal(s1, s2)
+            assert AdjacencyMatrix(a).cut_value(s1) == 0.0
+            (_, k1, *_), (_, k2, *_) = self.both(a, seed, True)
+            assert sorted(k1) == sorted(k2) and len(k1) == components
+
+    def test_multi_round_contractions_agree(self):
+        """Heavy edges make the first round merge little, so contractions
+        take several rounds, each sampling at its own size."""
+        a = random_matrix(60, seed=11, integer=True)
+        for i in range(0, 12, 2):
+            a[i, i + 1] = a[i + 1, i] = 1e6
+        for seed in range(4):
+            (v1, s1, o1, m1), (v2, s2, o2, m2) = self.both(a, seed)
+            assert (v1, o1, m1) == (v2, o2, m2)
+            np.testing.assert_array_equal(s1, s2)
+
+    @pytest.mark.parametrize("chunk", [1, 2000])
+    def test_chunked_walk_is_the_whole_level_walk(self, monkeypatch, chunk):
+        """A small ``_CHUNK_ENTRIES`` walks each level in chunks (of one
+        matrix, at 1): same value, side, cuts and charges, and no call takes
+        more than the budget or one matrix.  Integer weights: leaves regroup
+        by the budget too, and float sums may round differently."""
+        contract, inputs = ks.random_contract_matrix, []
+
+        def recording(stack, *args):
+            inputs.append(stack.shape)
+            return contract(stack, *args)
+
+        def run(a, seed, entries, collect):
+            monkeypatch.setattr(ks, "_CHUNK_ENTRIES", entries)
+            mem = AnalyticTracker()
+            val, found = karger_stein_matrix(a, philox_stream(seed), mem,
+                                             collect=collect)
+            return val, found, mem.op_count, mem.miss_count
+
+        monkeypatch.setattr(ks, "random_contract_matrix", recording)
+        for n, seed in [(40, 0), (60, 1), (81, 2), (81, 3)]:
+            a = random_matrix(n, seed=50 + seed, integer=True)
+            inputs.clear()
+            whole = run(a, seed, ks._CHUNK_ENTRIES, False)
+            assert max(b * k * k for b, k, _ in inputs) > chunk  # will split
+            whole_cuts = run(a, seed, ks._CHUNK_ENTRIES, True)
+            inputs.clear()
+            (v, side, *charges) = run(a, seed, chunk, False)
+            assert (v, *charges) == (whole[0], *whole[2:])
+            np.testing.assert_array_equal(side, whole[1])
+            assert all(b == 1 or b * k * k <= chunk for b, k, _ in inputs)
+            (v, cuts, *charges) = run(a, seed, chunk, True)
+            assert (v, sorted(cuts), *charges) == \
+                (whole_cuts[0], sorted(whole_cuts[1]), *whole_cuts[2:])
+
+    def test_contraction_draws_depend_on_position_only(self):
+        """Level 1's child 3 reads row 3 of its round's block, whoever asks."""
+        whole = ks._keyed(99, 1, 0, 4)(2, 40)
+        np.testing.assert_array_equal(ks._keyed(99, 1, 3, 1)(2, 40), whole[3:])
+
+
+class TestStackSampling:
+    def test_per_matrix_frequencies_match_weights(self):
+        """Totals 1, 1e3 and 1e6 with zero entries: every draw stays in its
+        own matrix, never on a zero, at the weights' frequencies."""
+        from scipy.stats import chisquare
+
+        w = np.array([[0.0, 0.25, 0.0, 0.5, 0.25, 0.0],
+                      [100.0, 0.0, 300.0, 0.0, 0.0, 600.0],
+                      [0.0, 0.0, 0.0, 1e5, 4e5, 5e5]])
+        draws = 100_000
+        u = philox_stream(8).random((3, draws))
+        # the largest uniform: a shared search over rows normalised and
+        # offset by their index would round it into the next row
+        u[:, 0] = np.nextafter(1.0, 0.0)
+        picks = ks._weighted_picks(w.cumsum(axis=1), u)
+        assert picks.shape == (3, draws)
+        assert ((0 <= picks) & (picks < w.shape[1])).all()
+        assert (np.take_along_axis(w, picks, axis=1) > 0).all()
+        for row, got in zip(w, picks):
+            nz = np.flatnonzero(row)
+            freq = np.bincount(got, minlength=row.size)[nz]
+            assert chisquare(freq, draws * row[nz] / row.sum()).pvalue > 1e-3

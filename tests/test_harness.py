@@ -155,3 +155,34 @@ def test_history_names_a_landed_row_by_its_parent():
     assert [json.loads(x)["commit"] for x in filled] == \
         ["aaaaaaa", "bbbbbbb", None]
     assert filled[0] is lines[0]  # a named row is not rewritten
+
+
+def _run_stdout(workload, *metric_values):
+    """run.py's stdout for one run per ``{metric: value}`` dict."""
+    return "".join(
+        f"== {workload} (untraced) ==\n  table line\n"
+        + json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                      "metrics": {k: {"value": v, "unit": "ms"}
+                                  for k, v in values.items()}}) + "\n"
+        for values in metric_values)
+
+
+def test_history_row_records_the_same_session_parent():
+    """``--parent``: the parent runs' medians and change ÷ parent per
+    metric, beside the change's own medians (the row format stays)."""
+    from benchmarks.history import make_row
+
+    change = _run_stdout("mc_dense", {"main_p25_ms": 10.0, "ops_per_s": 100},
+                         {"main_p25_ms": 12.0, "ops_per_s": 90},
+                         {"main_p25_ms": 11.0, "ops_per_s": 0})
+    parent = _run_stdout("mc_dense", {"main_p25_ms": 20.0, "ops_per_s": 50},
+                         {"main_p25_ms": 22.0, "ops_per_s": 60})
+    row = make_row("7", change, "abcdef0", parent)
+    assert row["pr"] == 7 and row["parent"] == "abcdef0"
+    assert row["commit"] is None and row["correct"] and row["parent_correct"]
+    assert row["mc_dense"] == {"main_p25_ms": 11.0, "ops_per_s": 90}
+    assert row["parent_runs"]["mc_dense"] == {"main_p25_ms": 21.0,
+                                              "ops_per_s": 55}
+    assert row["vs_parent"]["mc_dense"] == {"main_p25_ms": 11.0 / 21.0,
+                                            "ops_per_s": 90 / 55}
+    assert "parent_runs" not in make_row("7", change, "abcdef0")

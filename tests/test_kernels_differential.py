@@ -440,9 +440,36 @@ def test_prefix_select_large_matches_oracle(t):
                            rng.integers(0, n, size=s), t)
 
 
+@pytest.mark.parametrize("n,s", [(1, 4), (9, 32), (14, 32), (81, 302)])
+def test_prefix_select_stack_is_its_rows(monkeypatch, n, s):
+    """A ``(B, s)`` sample is B single calls, byte for byte, and each row is
+    the scalar oracle's: one target or one per row, rows that stop early,
+    never reach ``t`` or cross a block."""
+    monkeypatch.setattr(unionfind, "_SAMPLE_BLOCK", 16)
+    rng = np.random.default_rng(n)
+    su = rng.integers(0, n, size=(7, s))
+    sv = np.where(rng.random((7, s)) < 0.2, su, rng.integers(0, n, size=(7, s)))
+    su[2, :], sv[2, :] = su[2, 0], sv[2, 0]  # one edge, repeated: stalls
+    t_row = rng.integers(1, n + 1, size=7)
+    for t in (t_row, max(1, n // 2)):
+        labels, counts = prefix_select_labels(n, su, sv, t)
+        assert labels.shape == (7, n) and counts.shape == (7,)
+        assert labels.dtype == counts.dtype == np.int64
+        for b, tb in enumerate(np.broadcast_to(t, 7).tolist()):
+            one, count = prefix_select_labels(n, su[b], sv[b], tb)
+            assert counts[b] == count
+            np.testing.assert_array_equal(labels[b], one)
+            want, want_count = scalar_prefix_select(n, su[b], sv[b], tb)
+            assert count == want_count
+            np.testing.assert_array_equal(one, want)
+
+
 def test_prefix_select_rejects_bad_target():
     with pytest.raises(ValueError):
         prefix_select_labels(4, np.array([0]), np.array([1]), 0)
+    with pytest.raises(ValueError):
+        prefix_select_labels(4, np.zeros((2, 1), int), np.ones((2, 1), int),
+                             np.array([2, 0]))
     with pytest.raises(ValueError):
         scalar_prefix_select(4, np.array([0]), np.array([1]), 0)
 
