@@ -198,8 +198,7 @@ def _component_cut(labels):
     return _zero_cut(labels.size) if side.all() else side
 
 
-def _iter_trials(u, v, w, n, trial_ids, trial_seed, mem,
-                 collect=False, dense=False):
+def _iter_trials(u, v, w, n, trial_ids, trial_seed, mem, collect=False):
     """The per-rank trial loop: yields ``(trial_id, value, payload)``.
 
     ``u, v, w`` is the whole (replicated) edge array and ``trial_ids`` the
@@ -208,30 +207,14 @@ def _iter_trials(u, v, w, n, trial_ids, trial_seed, mem,
     ``(graph, seed, ti)`` — independent of who runs it, in which batch, on
     how many processors.  ``payload`` is the trial's witness side, or with
     ``collect`` its ``{canonical_key: side}`` set; costs go to ``mem``.
-
-    ``dense`` skips the sparse Eager Step and runs the recursion straight
-    on the ``n x n`` matrix, densified once per call (see
-    :func:`mincut_trials_program`).
     """
     streams = RngStreams(trial_seed)
-    if dense:
-        a0 = _edges_to_dense(u, v, w, n)
-        mem.alloc("edges", u.size, words_per_elem=3)
-        mem.alloc("ks_matrix", n * n)
-        mem.scan("edges", 0, u.size)
-    else:  # the Eager Step allocates its own arrays
-        first_sampler = CumulativeWeightSampler(w)
+    first_sampler = CumulativeWeightSampler(w)
     for ti in trial_ids:
-        rng = streams.aux(int(ti))
-        if dense:
-            mem.scan("ks_matrix", 0, n * n)
-            mem.ops(n * n)
-            val, payload = karger_stein_matrix(a0.copy(), rng, mem, collect)
-        else:
-            val, payload = sequential_trial(
-                u, v, w, n, rng, mem=mem, first_sampler=first_sampler,
-                collect=collect,
-            )
+        val, payload = sequential_trial(
+            u, v, w, n, streams.aux(int(ti)), mem=mem,
+            first_sampler=first_sampler, collect=collect,
+        )
         yield int(ti), float(val), payload
 
 
@@ -518,7 +501,7 @@ def mincut_program(ctx, slices, n, trials, trial_seed, collect_all=False):
 
 
 def mincut_trials_program(ctx, slices, n, trial_ids, trial_seed,
-                          collect_all=False, dense=False):
+                          collect_all=False):
     """SPMD program: run the given trials, gather per-trial results to root.
 
     The scheduler's wave: where :func:`mincut_program` runs
@@ -536,19 +519,6 @@ def mincut_trials_program(ctx, slices, n, trial_ids, trial_seed,
     carrying every tied minimum-cut witness the trial found (Lemma 4.3);
     other ranks return ``None``.
 
-    ``dense`` runs each trial directly through the dense bulk-contraction
-    recursion (:func:`~repro.core.karger_stein.karger_stein_matrix`) on
-    an adjacency matrix densified **once per wave**, skipping the sparse
-    eager step entirely.  That is the right shape for tiny graphs — a
-    2-out replica above ``KS_BASE_SIZE`` (smaller ones are leaves of the
-    plan and dispatch nothing) — where the n x n matrix is a few KB and
-    the eager step's per-trial sampling dominates.
-    Dense trials consume different RNG trajectories than sparse ones, so
-    the per-trial (value, side) bits differ; each trial still finds the
-    minimum cut with at least the Lemma 2.2 probability the budget was
-    priced for (a direct recursion from n preserves a min cut at least
-    as well as eager-contraction to ~sqrt(m) followed by the recursion).
-
     Two collectives: the graph-replication ``allgatherv`` and the result
     ``gather`` — so fault ``step=0`` fires before any trial work and
     ``step=1`` fires after a rank finished its trials but before the
@@ -562,7 +532,7 @@ def mincut_trials_program(ctx, slices, n, trial_ids, trial_seed,
     else:
         tracker = AnalyticTracker(ctx.cache)
         mine = list(_iter_trials(fu, fv, fw, n, my_ids, trial_seed, tracker,
-                                 collect=collect_all, dense=dense))
+                                 collect=collect_all))
         ctx.charge(ops=tracker.op_count, misses=tracker.miss_count)
     gathered = yield from ctx.comm.gather(mine, root=0)
     if ctx.rank != 0:

@@ -50,11 +50,13 @@ FIELD_DOMAINS = {
     **dict.fromkeys(("p", "trials", "trials_per_level", "wave_size", "batches",
                      "batch_size", "query_every", "top", "max_words"), _COUNT),
     **dict.fromkeys(("reconnect_budget", "max_retries"), _NONNEGATIVE),
-    "retry_backoff": (_REAL, lambda v: 0 <= v < math.inf, ">= 0"),
+    **dict.fromkeys(("retry_backoff", "timeout"),
+                    (_REAL, lambda v: 0 <= v < math.inf, ">= 0")),
     **dict.fromkeys(("priority", "trial_scale", "eps", "quantum"), _POSITIVE),
     **dict.fromkeys(("success_prob", "delta"), _PROBABILITY),
     "variant": ((str,), lambda v: v in VARIANTS, f"one of {VARIANTS}"),
-    **dict.fromkeys(("hybrid", "pipelined", "preprocess", "dense"), _FLAG),
+    **dict.fromkeys(("hybrid", "pipelined", "preprocess", "wait", "discard"),
+                    _FLAG),
 }
 
 

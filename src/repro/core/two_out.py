@@ -74,6 +74,7 @@ from repro.core.mincut import MinCutResult, _edges_to_dense, _pick_min, \
 from repro.core.sparsify import cached_sampler
 from repro.core.trials import achieved_success_probability, num_trials
 from repro.graph.edgelist import EdgeList
+from repro.graph.fingerprint import cached_fingerprint
 from repro.graph.shm import plane_slices
 from repro.kernels import bulk_contract_edges, prefix_select_labels, \
     two_out_sample, vertex_incidence
@@ -81,7 +82,6 @@ from repro.rng.streams import RngStreams, philox_stream
 from repro.runtime.base import Backend, resolve_backend
 
 __all__ = [
-    "DENSE_TRIAL_THRESHOLD",
     "MIN_DEGREE_GUARD",
     "PRESERVATION_PROB",
     "REPLICA_TRIAL_PROB",
@@ -113,20 +113,11 @@ MIN_DEGREE_GUARD = 3
 #: Contraction rounds stop once this few vertices remain: another round
 #: would spend preservation probability without buying budget.  A round
 #: rarely stops *at* it — measured, one round takes every non-degraded
-#: plan straight to 2-3 vertices (table under DENSE_TRIAL_THRESHOLD).
+#: plan straight to 2-4 vertices (``docs/two_out.md``).
 TARGET_FLOOR = 16
 
 #: Default number of contraction rounds ("a constant number of rounds").
 DEFAULT_ROUNDS = 2
-
-#: Contracted replicas at or under this many vertices dispatch their
-#: trials through the dense bulk-contraction path (``dense=True`` on
-#: :func:`~repro.core.mincut.mincut_trials_program`).  Only replicas
-#: above ``KS_BASE_SIZE`` dispatch at all, and measured ``contracted_n``
-#: (12 replicas, rounds 1 and 2) is ``[2] * 12`` on the gate's dense
-#: graph, e2e ``serve_mix`` B and ``mc_dense``, ER 2000/40 000, clustered
-#: 2048/32; 2-4 on zoo ``ring_4x5`` and with 3 clusters — all leaves.
-DENSE_TRIAL_THRESHOLD = 64
 
 #: Philox stream ids for preprocessing draws:
 #: ``_STREAM_BASE + replica * _ROUND_STRIDE + round``.  Rank streams live
@@ -419,13 +410,10 @@ def two_out_minimum_cut(
     seed: int = 0,
     success_prob: float = 0.9,
     trial_scale: float = 1.0,
-    rounds: int = DEFAULT_ROUNDS,
-    replicas: int | None = None,
     scheduler=None,
     backend: "str | Backend | None" = None,
     force: bool = False,
-    dense_threshold: int = DENSE_TRIAL_THRESHOLD,
-    plan: TwoOutPlan | None = None,
+    plans=None,
 ):
     """The ``variant="2out"`` pipeline behind :func:`minimum_cut`.
 
@@ -436,18 +424,15 @@ def two_out_minimum_cut(
     the plan is degraded, fall back to the unmodified default pipeline
     (the result is then bit-identical to ``variant="default"``).
 
-    Dispatched replicas of at most ``dense_threshold`` vertices run the
-    dense bulk-contraction path (pass 0 for the sparse path; leaves run
-    no trials either way).  ``force=True`` skips
-    the degrade decision and runs the replica path regardless
-    (benchmark/test hook for exercising the genuine pipeline on graphs
-    where the default budget would still be cheaper).
-    ``replicas``/``rounds`` override the derived defaults the same way.
-    ``plan`` supplies a precomputed :class:`TwoOutPlan` (the serve
-    layer's derivative cache replays one plan across many queries; it
-    must have been produced by :func:`plan_two_out` with the same
-    ``g``/``seed``/``success_prob``/``trial_scale``/``rounds``/
-    ``replicas`` or the results will not match an uncached run).
+    ``force=True`` skips the degrade decision and runs the replica path
+    regardless (benchmark/test hook for exercising the genuine pipeline
+    on graphs where the default budget would still be cheaper).
+    ``plans`` is a caller-owned :class:`~repro.cache.store.BoundedLRU`
+    of plans, keyed here by ``(cached_fingerprint(g), seed, p,
+    success_prob, trial_scale)`` — every input :func:`plan_two_out` is
+    deterministic in — so a hit replays the exact plan a fresh call
+    would build, minus its dispatch (the serve daemon and dynamic
+    sessions hold one across queries).
     Returns a :class:`~repro.core.mincut.MinCutResult` with ``variant``
     and ``two_out`` filled in.
     """
@@ -458,12 +443,16 @@ def two_out_minimum_cut(
             "variant='2out' does not support scheduler checkpoints: one "
             "ledger cannot span the per-replica dispatches")
     runtime = resolve_backend(backend)
+    key = plan = None
+    if plans is not None:
+        key = (cached_fingerprint(g), int(seed), int(p),
+               float(success_prob), float(trial_scale))
+        plan = plans.get(key)
     if plan is None:
-        plan = plan_two_out(
-            g, p, seed=seed, success_prob=success_prob,
-            trial_scale=trial_scale, rounds=rounds, replicas=replicas,
-            backend=runtime,
-        )
+        plan = plan_two_out(g, p, seed=seed, success_prob=success_prob,
+                            trial_scale=trial_scale, backend=runtime)
+        if plans is not None:
+            plans.put(key, plan)
 
     if plan.degraded and not force:
         base = minimum_cut(
@@ -504,7 +493,6 @@ def two_out_minimum_cut(
         sres = sched.run(
             g_r, p, backend=runtime, seed=replica_streams.spawn(r).seed,
             success_prob=REPLICA_TRIAL_PROB, trials=budget,
-            dense=int(k) <= dense_threshold,
         )
         side = sres.side[labels] if sres.side is not None else None
         best = _pick_min(best, (sres.value, side))

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cache.store import BoundedLRU
 from repro.graph.edgelist import EdgeList
 from repro.graph.fingerprint import cached_fingerprint
 from repro.graph.shm import bump_epoch, eligible, release_pins
@@ -128,10 +129,9 @@ class DynamicGraph:
         plane, advancing the pinned segment via
         :func:`~repro.graph.shm.bump_epoch` when the epoch closes.
     plan_cache:
-        Optional external 2-out plan cache with the
-        :class:`~repro.serve.cache.GraphCache` ``plan_key``/``get_plan``/
-        ``put_plan`` API (the serve daemon shares its own); defaults to
-        a small internal dict.
+        The :class:`~repro.cache.store.BoundedLRU` of 2-out plans handed
+        to ``two_out_minimum_cut(plans=...)`` (the serve daemon shares
+        its derivative cache); defaults to a private one of 8 plans.
     """
 
     def __init__(self, g: EdgeList, *, p: int = 4, seed: int = 0,
@@ -171,8 +171,7 @@ class DynamicGraph:
         self.updates_total = 0
         self._labels_cache: DynamicCCResult | None = None
         self._published_fp: str | None = None
-        self._plan_cache = plan_cache
-        self._plans: dict[tuple, object] = {}
+        self.plans = plan_cache if plan_cache is not None else BoundedLRU(8)
         # Owner hook (the serve session's write-ahead log): fires once a
         # batch has validated, before it mutates anything.
         self.on_batch = None
@@ -554,45 +553,21 @@ class DynamicGraph:
         return self._approx_cut(fp)
 
     def _exact_cut(self, fp: str) -> DynamicCutResult:
-        from repro.core.two_out import (
-            DEFAULT_ROUNDS,
-            plan_two_out,
-            two_out_minimum_cut,
-        )
+        from repro.core.two_out import two_out_minimum_cut
 
-        snap = self.snapshot()
         seed = self._streams.spawn(_CUT_SALT).seed
-        cache = self._plan_cache
-        if cache is not None:
-            key = cache.plan_key(fp, seed=seed, p=self.p,
-                                 success_prob=self.success_prob,
-                                 trial_scale=self.trial_scale,
-                                 rounds=DEFAULT_ROUNDS, replicas=None)
-            plan = cache.get_plan(key)
-        else:
-            key = (fp, seed, self.p, self.success_prob, self.trial_scale)
-            plan = self._plans.get(key)
-        plan_hit = plan is not None
-        if plan is None:
-            plan = plan_two_out(snap, self.p, seed=seed,
-                                success_prob=self.success_prob,
-                                trial_scale=self.trial_scale,
-                                backend=self.backend)
-            if cache is not None:
-                cache.put_plan(key, plan)
-            else:
-                if len(self._plans) >= 8:
-                    self._plans.pop(next(iter(self._plans)))
-                self._plans[key] = plan
-        res = two_out_minimum_cut(snap, self.p, seed=seed,
+        # A shared store is only queried from the daemon's one executor
+        # thread, so the hit count moves iff this query's plan was cached.
+        hits = self.plans.hits
+        res = two_out_minimum_cut(self.snapshot(), self.p, seed=seed,
                                   success_prob=self.success_prob,
                                   trial_scale=self.trial_scale,
-                                  backend=self.backend, plan=plan)
+                                  backend=self.backend, plans=self.plans)
         return DynamicCutResult(
             value=float(res.value), mode="exact", epoch=self.epoch,
             fingerprint=fp, witness_value=float(res.value), side=res.side,
             certificate={"variant": "2out", "seed": int(seed),
-                         "p": self.p, "plan_cached": bool(plan_hit),
+                         "p": self.p, "plan_cached": self.plans.hits > hits,
                          "trials": int(res.trials)})
 
     def _approx_cut(self, fp: str) -> DynamicCutResult:

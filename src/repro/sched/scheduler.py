@@ -205,7 +205,6 @@ class TrialRun:
     success_prob: float
     trials: int
     collect_all: bool
-    dense: bool
     checkpoint: str | None
     ledger: TrialLedger
     slices: object  # PlaneSlices marker; backends stage or localize it
@@ -384,7 +383,6 @@ class TrialScheduler:
         trial_scale: float = 1.0,
         resume: bool = False,
         collect_all: bool = False,
-        dense: bool = False,
         checkpoint: str | None = None,
     ) -> "TrialRun":
         """Plan a scheduled run and return its open :class:`TrialRun` state.
@@ -423,7 +421,7 @@ class TrialScheduler:
         return TrialRun(
             scheduler=self, runtime=runtime, p=p, seed=seed, n=n, m=m,
             success_prob=success_prob, trials=trials,
-            collect_all=collect_all, dense=dense, checkpoint=checkpoint,
+            collect_all=collect_all, checkpoint=checkpoint,
             ledger=ledger, slices=slices, waves=waves,
             jitter_rng=jitter_rng, plane_fp=plane_fp,
         )
@@ -440,16 +438,11 @@ class TrialScheduler:
                 ledger.save(run.checkpoint)
             run.events.append(
                 _sched_event(SCHED_DISPATCH, wave, attempt, len(ids)))
-            kwargs = {}
-            if run.collect_all:
-                kwargs["collect_all"] = True
-            if run.dense:
-                kwargs["dense"] = True
             try:
                 rr = run.runtime.run(
                     mincut_trials_program, run.p, seed=run.seed,
                     args=(run.slices, run.n, tuple(ids), run.seed),
-                    kwargs=kwargs or None,
+                    kwargs={"collect_all": True} if run.collect_all else None,
                     faults=specs or None,
                 )
             except WorkerFailure as exc:
@@ -551,7 +544,6 @@ class TrialScheduler:
         trial_scale: float = 1.0,
         resume: bool = False,
         collect_all: bool = False,
-        dense: bool = False,
     ) -> ScheduledMinCut:
         """Scheduled minimum cut of ``g``: plan, dispatch, retry, fold.
 
@@ -564,7 +556,7 @@ class TrialScheduler:
         run = self.begin(
             g, p, backend=backend, seed=seed, success_prob=success_prob,
             trials=trials, trial_scale=trial_scale, resume=resume,
-            collect_all=collect_all, dense=dense,
+            collect_all=collect_all,
         )
         try:
             while run.step():

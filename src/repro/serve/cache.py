@@ -11,11 +11,10 @@ Two levels, both bounded LRU (:class:`repro.cache.store.BoundedLRU`):
   hot has a second-order payoff: the samplers' identity-keyed caches
   (:func:`repro.core.sparsify.cached_sampler`, the 2-out incidence
   cache) stay warm automatically across queries on the same graph.
-* **Derivative cache** — ``(fingerprint, seed, p, success_prob,
-  trial_scale, rounds, replicas) → TwoOutPlan``: the 2-out preprocessing
-  dispatch is deterministic in exactly those inputs, so replaying a
-  cached plan through ``two_out_minimum_cut(plan=...)`` is bit-identical
-  to recomputing it.
+* **Derivative cache** — the store of 2-out plans the daemon hands to
+  ``two_out_minimum_cut(plans=...)``, which keys it by the inputs the
+  preprocessing dispatch is deterministic in, so a replayed plan is
+  bit-identical to a recomputed one.
 
 Clients may pin a graph identity by sending the fingerprint they expect
 (``fingerprint`` field on submit); a mismatch against the loaded file is
@@ -140,20 +139,6 @@ class GraphCache:
 
     def get_graph(self, fp: str):
         return self.graphs.get(fp)
-
-    # -- derivatives ---------------------------------------------------------
-
-    @staticmethod
-    def plan_key(fp: str, *, seed: int, p: int, success_prob: float,
-                 trial_scale: float, rounds, replicas) -> tuple:
-        return ("2out-plan", fp, int(seed), int(p), float(success_prob),
-                float(trial_scale), rounds, replicas)
-
-    def get_plan(self, key: tuple):
-        return self.derivatives.get(key)
-
-    def put_plan(self, key: tuple, plan) -> None:
-        self.derivatives.put(key, plan)
 
     def close(self) -> None:
         """Release everything: evict all entries (dropping their plane

@@ -68,7 +68,7 @@ _ALGO_KWARGS = {
     "parallel_cc": ("eps", "delta", "hybrid"),
     "approx_cut": ("eps", "delta", "trials_per_level", "pipelined"),
     "square_root": ("variant", "trials", "trial_scale", "success_prob",
-                    "preprocess", "dense"),
+                    "preprocess"),
 }
 
 
@@ -149,7 +149,7 @@ class Daemon:
         self.dynamic.resume_all(
             lambda path, fp: self.cache.load(path, expected_fp=fp)[0],
             backend=self.backend, plane=self.cache.plane,
-            plan_cache=self.cache)
+            plan_cache=self.cache.derivatives)
         self._resume_persisted_jobs()
 
     # -- restart resume ------------------------------------------------------
@@ -352,6 +352,10 @@ class Daemon:
             raise ProtocolError("submit needs a graph file 'path'")
         head = _checked(req, ("seed", "p", "priority"))
         kwargs = _checked(req, _ALGO_KWARGS[algorithm])
+        if kwargs.get("variant") == "2out" and "trials" in kwargs:
+            raise ProtocolError(
+                "'trials' does not apply to variant '2out': it recomputes "
+                "the trial budget from the contracted replicas")
         try:
             g, fp = self.cache.load(path, expected_fp=req.get("fingerprint"))
         except FingerprintMismatch as exc:
@@ -383,10 +387,11 @@ class Daemon:
         return ok_doc(**self._get_job(req).status_doc())
 
     def _op_result(self, req: dict) -> dict:
+        opts = _checked(req, ("wait", "timeout"))
         job = self._get_job(req)
-        if req.get("wait"):
-            deadline = (time.monotonic() + float(req["timeout"])
-                        if "timeout" in req else None)
+        if opts.get("wait"):
+            deadline = (time.monotonic() + opts["timeout"]
+                        if "timeout" in opts else None)
             with self._cv:
                 while not job.terminal and not self._stopping.is_set():
                     remaining = (None if deadline is None
@@ -454,7 +459,7 @@ class Daemon:
             g, path=path, fingerprint=fp,
             seed=head.get("seed", 0), p=head.get("p", self.config.p),
             backend=self.backend, plane=self.cache.plane,
-            plan_cache=self.cache, **kwargs)
+            plan_cache=self.cache.derivatives, **kwargs)
         return ok_doc(session=session.id, epoch=0, fingerprint=fp)
 
     def _get_session(self, req: dict):
@@ -519,9 +524,9 @@ class Daemon:
                       epoch=session.dyn.epoch)
 
     def _op_dyn_close(self, req: dict) -> dict:
+        discard = _checked(req, ("discard",)).get("discard", True)
         sid = req.get("session")
-        closed = self.dynamic.close(sid, discard=bool(req.get("discard",
-                                                              True)))
+        closed = self.dynamic.close(sid, discard=discard)
         return ok_doc(session=sid, closed=closed)
 
     # -- executor ------------------------------------------------------------
@@ -590,7 +595,6 @@ class Daemon:
                 g, job.p, backend=self.backend, seed=job.seed,
                 success_prob=float(job.kwargs.get("success_prob", 0.9)),
                 trial_scale=float(job.kwargs.get("trial_scale", 1.0)),
-                dense=bool(job.kwargs.get("dense", False)),
                 checkpoint=ledger,
                 resume=os.path.exists(ledger),
             )
@@ -679,44 +683,22 @@ class Daemon:
         """cc / approx / 2-out / fixed-trials jobs: one dispatch, one slice."""
         g = self._graph_for(job)
         kwargs = dict(job.kwargs)
-        if (job.algorithm == "square_root"
-                and kwargs.get("variant") == "2out"):
-            result = self._run_two_out(job, g, kwargs)
+        if kwargs.get("variant") == "2out" and not kwargs.get("preprocess"):
+            # Plans come from the derivative store, so a repeat query skips
+            # the preprocessing dispatch.  `preprocess` rewrites the graph
+            # first, so such a job takes run_algorithm's road instead.
+            from repro.core.two_out import two_out_minimum_cut
+
+            result = two_out_minimum_cut(
+                g, job.p, seed=job.seed,
+                success_prob=kwargs.get("success_prob", 0.9),
+                trial_scale=kwargs.get("trial_scale", 1.0),
+                backend=self.backend, plans=self.cache.derivatives)
         else:
             result = run_algorithm(job.algorithm, g, p=job.p, seed=job.seed,
                                    backend=self.backend, **kwargs)
         job.waves_total = job.waves_done = 1
         self._finish_job(job, result=result_doc(job.algorithm, result))
-
-    def _run_two_out(self, job: Job, g, kwargs: dict):
-        """2-out min cut with the preprocessing plan served from cache.
-
-        ``plan_two_out`` is deterministic in exactly the key's fields, so
-        replaying a cached plan is bit-identical to recomputing it — the
-        warm path only skips the preprocessing dispatch.
-        """
-        from repro.core.two_out import (
-            DEFAULT_ROUNDS,
-            plan_two_out,
-            two_out_minimum_cut,
-        )
-
-        success_prob = float(kwargs.get("success_prob", 0.9))
-        trial_scale = float(kwargs.get("trial_scale", 1.0))
-        key = self.cache.plan_key(
-            job.fingerprint, seed=job.seed, p=job.p,
-            success_prob=success_prob, trial_scale=trial_scale,
-            rounds=DEFAULT_ROUNDS, replicas=None)
-        plan = self.cache.get_plan(key)
-        if plan is None:
-            plan = plan_two_out(g, job.p, seed=job.seed,
-                                success_prob=success_prob,
-                                trial_scale=trial_scale,
-                                backend=self.backend)
-            self.cache.put_plan(key, plan)
-        return two_out_minimum_cut(
-            g, job.p, seed=job.seed, success_prob=success_prob,
-            trial_scale=trial_scale, backend=self.backend, plan=plan)
 
     def _finish_job(self, job: Job, result: dict | None = None,
                     error: str | None = None,

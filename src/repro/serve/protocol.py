@@ -12,15 +12,18 @@ Ops:
     ``{"ok": true, "job": <id>}``.  ``priority`` is the client's fair-
     queue weight (default 1.0; higher drains faster, never starves
     others).  Optional algorithm kwargs: ``variant``/``trials``/
-    ``trial_scale``/``success_prob`` for ``square_root``, ``eps``/
-    ``delta`` for the others where applicable.
+    ``trial_scale``/``success_prob``/``preprocess`` for ``square_root``
+    (``variant: "2out"`` refuses ``trials``: it recomputes the budget),
+    ``eps``/``delta`` for the others where applicable.  A field outside
+    its domain is a ``ProtocolError`` and nothing is persisted.
 ``status``
     ``{"op": "status", "job": <id>}`` → job state (``queued`` /
     ``running`` / ``done`` / ``failed`` / ``cancelled``) plus progress
     (waves completed / planned).
 ``result``
     ``{"op": "result", "job": <id>, "wait": bool, "timeout": float}`` →
-    the result document (below), blocking until terminal when ``wait``.
+    the result document (below), blocking until terminal when ``wait``
+    (a flag) for at most ``timeout`` (a real >= 0) seconds.
 ``cancel``
     ``{"op": "cancel", "job": <id>}`` → cancels a queued/running job.
 ``stats``
@@ -59,8 +62,9 @@ Dynamic-graph sessions (``docs/dynamic.md``):
     updates so far, the forest's ``cc_dirty``/``uf_stale`` flags,
     maintenance counters.
 ``dyn_close``
-    ``{"op": "dyn_close", "session": <id>}`` → drops the session, its
-    plane pin and (by default) its persisted stream.
+    ``{"op": "dyn_close", "session": <id>, "discard": bool}`` → drops
+    the session, its plane pin and (unless ``discard`` is false) its
+    persisted stream.
 
 Result documents are JSON-safe summaries, not pickles: ``parallel_cc``
 reports ``n_components`` and a sha256 of the label array (plus the

@@ -55,6 +55,8 @@ def test_plane(queries, warm_daemon):
         stats = c.stats()
     assert stats["graph_plane"]["published"] >= 1, stats
     assert stats["cache"]["plane_pinned"] >= 1, stats
+    # the repeated 2-out query replayed its plan from the plan store
+    assert stats["cache"]["derivatives"]["hits"] >= 1, stats
     for name, (_, algorithm, _, _, direct) in queries.items():
         # the repeat (an O(1) handle from the pinned cache) is byte-identical
         # to the first answer, and both to a direct run (same doc encoding)

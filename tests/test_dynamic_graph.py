@@ -520,13 +520,15 @@ def test_plan_cache_invalidates_exactly_at_epoch_close():
 
     g, stream = churn(n=40, m=200, seed=21, batches=2, batch_size=6)
     cache = GraphCache(plane=False)
-    dyn = DynamicGraph(g, p=2, seed=21, trial_scale=0.2, plan_cache=cache)
-    dyn.query_cut(mode="exact")
-    dyn.query_cut(mode="exact")
+    dyn = DynamicGraph(g, p=2, seed=21, trial_scale=0.2,
+                       plan_cache=cache.derivatives)
+    assert not dyn.query_cut(mode="exact").certificate["plan_cached"]
+    assert dyn.query_cut(mode="exact").certificate["plan_cached"]
     st = cache.stats()["derivatives"]
     assert st["entries"] == 1 and st["hits"] == 1
     dyn.update_edges(stream[0])
-    dyn.query_cut(mode="exact")                 # new epoch: new plan key
+    res = dyn.query_cut(mode="exact")           # new epoch: new plan key
+    assert not res.certificate["plan_cached"]
     st = cache.stats()["derivatives"]
     assert st["entries"] == 2 and st["hits"] == 1
     cache.close()

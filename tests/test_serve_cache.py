@@ -179,13 +179,16 @@ def test_graph_cache_serves_oversize_graph_uncached(g, tmp_path):
     assert cache.get_graph(fp) is None           # not cached, but served
 
 
-def test_graph_cache_plan_roundtrip(g):
+def test_graph_cache_plan_roundtrip():
+    """The derivative store is the 2-out pipeline's plan store: a repeat
+    query hits, a different seed misses."""
+    from repro.core.two_out import two_out_minimum_cut
+    from repro.graph import two_cliques_bridge
+
+    bridge = two_cliques_bridge(12, bridges=2)
     cache = GraphCache()
-    fp = cache.put_graph(g)
-    key = cache.plan_key(fp, seed=1, p=2, success_prob=0.9,
-                         trial_scale=1.0, rounds=2, replicas=None)
-    assert cache.get_plan(key) is None
-    cache.put_plan(key, "plan")
-    assert cache.get_plan(key) == "plan"
-    assert key != cache.plan_key(fp, seed=2, p=2, success_prob=0.9,
-                                 trial_scale=1.0, rounds=2, replicas=None)
+    for seed in (1, 1, 2):
+        two_out_minimum_cut(bridge, 2, seed=seed, backend="sim",
+                            plans=cache.derivatives)
+    st = cache.stats()["derivatives"]
+    assert (st["entries"], st["hits"], st["misses"]) == (2, 1, 2)

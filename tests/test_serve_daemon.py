@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.graph import erdos_renyi, write_edgelist
+from repro.graph import erdos_renyi, read_edgelist, write_edgelist
 from repro.harness.experiment import run_algorithm
 from repro.rng import philox_stream
 from repro.serve import Client, Daemon, ServeConfig, ServeError, wait_server
@@ -264,6 +264,56 @@ def test_submit_validates(graph_file, tmp_path):
     assert len(d.jobs) == 0 and len(d.queue) == 0
     assert os.listdir(d.store.dir) == []         # nothing saved
     assert d.store.new_id() == "j000001"         # no job id burned
+
+
+def test_two_out_refuses_trials_and_honours_preprocess(tmp_path):
+    """2-out recomputes its budget, so a ``trials`` override is refused at
+    the door; ``preprocess`` is applied, as in the direct call."""
+    from repro.graph import clustered_er
+    from repro.serve.protocol import result_doc
+
+    path = str(tmp_path / "clustered.edges")
+    write_edgelist(clustered_er(64, 16, philox_stream(9), bridges=2), path)
+    g = read_edgelist(path)
+    d = threadless(tmp_path)
+    reply = d.handle_request({"op": "submit", "algorithm": "square_root",
+                              "path": path, "variant": "2out", "trials": 5})
+    assert reply["error"] == "ProtocolError" and "trials" in reply["message"]
+    assert len(d.jobs) == 0 and os.listdir(d.store.dir) == []
+    jid = submit(d, "square_root", path, seed=7, variant="2out",
+                 preprocess=True)
+    drive(d)
+    direct = run_algorithm("square_root", g, p=4, seed=7, variant="2out",
+                           preprocess=True)
+    assert d.jobs[jid].result == result_doc("square_root", direct)
+    assert d.jobs[jid].result != result_doc("square_root", run_algorithm(
+        "square_root", g, p=4, seed=7, variant="2out"))
+
+
+def test_sloppy_result_and_close_fields_are_refused(graph_file, tmp_path):
+    d = threadless(tmp_path)
+    jid = submit(d, "parallel_cc", graph_file, seed=5)
+    drive(d)
+    for field, value in (("wait", "yes"), ("wait", 1), ("timeout", "soon"),
+                         ("timeout", -1.0), ("timeout", float("nan"))):
+        reply = d.handle_request({"op": "result", "job": jid, "wait": True,
+                                  field: value})
+        assert reply["error"] == "ProtocolError", (field, value, reply)
+        assert field in reply["message"]
+    assert d.handle_request({"op": "result", "job": jid, "wait": True,
+                             "timeout": 0})["state"] == "done"
+
+    sid = d.handle_request({"op": "dyn_open", "path": graph_file})["session"]
+    persisted = d.dynamic._paths(sid)
+    for bad in ("false", 0, None):
+        reply = d.handle_request({"op": "dyn_close", "session": sid,
+                                  "discard": bad})
+        assert reply["error"] == "ProtocolError", (bad, reply)
+        assert d.dynamic.get(sid) is not None
+        assert all(os.path.exists(p) for p in persisted)
+    assert d.handle_request({"op": "dyn_close", "session": sid,
+                             "discard": False})["closed"]
+    assert all(os.path.exists(p) for p in persisted)   # kept, as asked
 
 
 def test_submit_rejects_fingerprint_mismatch(graph_file, tmp_path):

@@ -10,6 +10,7 @@ default pipeline) and the CLI surface.
 import numpy as np
 import pytest
 
+from repro.cache.store import BoundedLRU
 from repro.cli import main
 from repro.core import (
     minimum_cut,
@@ -295,6 +296,10 @@ class TestLeafReplicas:
     """A replica at or under ``KS_BASE_SIZE`` is enumerated in the plan;
     the oracle is the trial dispatch it replaces."""
 
+    @staticmethod
+    def _graph(cu, cv, cw, k):
+        return EdgeList(int(k), cu, cv, cw, canonical=False, validate=False)
+
     @pytest.mark.parametrize("backend_name", ["sim", "mp", "warm"])
     def test_leaf_equals_its_trial_dispatch(self, backend_name):
         if backend_name != "sim":
@@ -310,15 +315,16 @@ class TestLeafReplicas:
                         plan.contractions):
                     assert 2 <= k <= KS_BASE_SIZE, name
                     seen_edgeless |= cu.size == 0
+                    replica = self._graph(cu, cv, cw, k)
                     want = TrialScheduler().run(
-                        EdgeList(int(k), cu, cv, cw, canonical=False,
-                                 validate=False),
-                        p, backend=runtime, seed=streams.spawn(r).seed,
-                        trials=plan.trials_per_replica[r], dense=True)
+                        replica, p, backend=runtime,
+                        seed=streams.spawn(r).seed,
+                        trials=plan.trials_per_replica[r])
                     value, side = plan.leaves[r]
                     assert value == want.value, (name, r)
                     assert side.dtype == np.bool_
-                    assert side.tobytes() == want.side.tobytes(), (name, r)
+                    # ties may break differently; the side must cut `value`
+                    assert replica.cut_value(side) == value, (name, r)
         finally:
             runtime.close()
         assert seen_edgeless
@@ -330,8 +336,8 @@ class TestLeafReplicas:
     ], ids=["k13", "bridge_k7_x3"])
     def test_above_base_size_still_dispatches(self, g, value, side_hex, k,
                                               completed):
-        """Pinned to the answers of the commit before leaves existed
-        (PR 22): that path is untouched."""
+        """Pinned to the answers from before leaves existed, when these
+        replicas ran a dense trial program; the sparse one agrees."""
         assert k > KS_BASE_SIZE
         runtime = CountingSim()
         res = two_out_minimum_cut(g, 2, seed=0, backend=runtime, force=True)
@@ -345,10 +351,11 @@ class TestLeafReplicas:
 
     def test_all_leaf_query_runs_only_the_plan(self, dense_clustered):
         runtime = CountingSim()
-        plan = plan_two_out(dense_clustered, 4, seed=SEED, backend=runtime)
-        assert not plan.degraded and None not in plan.leaves
+        plans = BoundedLRU(8)
         res = two_out_minimum_cut(dense_clustered, 4, seed=SEED,
-                                  backend=runtime, plan=plan)
+                                  backend=runtime, plans=plans)
+        plan = plans.peek(next(plans.keys()))
+        assert not plan.degraded and None not in plan.leaves
         assert runtime.runs == 1  # the plan's own dispatch, nothing after
         assert res.report.supersteps == plan.report.supersteps == 1
         assert res.report.total_ops == plan.report.total_ops
@@ -356,6 +363,41 @@ class TestLeafReplicas:
         assert res.achieved_success_prob == pytest.approx(
             1.0 - (1.0 - PRESERVATION_PROB) ** plan.replicas)
         assert res.trials == plan.total_trials  # the price list stands
+
+
+class TestPlanStore:
+    """``plans=``: the caller owns the store, the pipeline owns the key."""
+
+    def test_hit_is_bit_identical_to_a_fresh_plan(self):
+        bridge = two_cliques_bridge(12, bridges=2)
+        fresh = two_out_minimum_cut(bridge, 2, seed=5, backend="sim",
+                                    force=True)
+        plans = BoundedLRU(8)
+        two_out_minimum_cut(bridge, 2, seed=5, backend="sim", force=True,
+                            plans=plans)
+
+        class NoDispatch(SimBackend):
+            def run(self, *args, **kwargs):
+                raise AssertionError("a cached all-leaf plan dispatched")
+
+        reused = two_out_minimum_cut(bridge, 2, seed=5, backend=NoDispatch(),
+                                     force=True, plans=plans)
+        assert (plans.hits, plans.misses) == (1, 1)
+        assert reused.value == fresh.value
+        assert reused.side.tobytes() == fresh.side.tobytes()
+        assert reused.two_out == fresh.two_out
+        assert reused.achieved_success_prob == fresh.achieved_success_prob
+        assert reused.report == fresh.report
+
+    def test_changed_trial_scale_misses(self):
+        bridge = two_cliques_bridge(12, bridges=2)
+        plans = BoundedLRU(8)
+        for scale in (1.0, 0.5):
+            res = two_out_minimum_cut(bridge, 2, seed=5, backend="sim",
+                                      trial_scale=scale, plans=plans)
+            assert res.trials == plan_two_out(
+                bridge, 2, seed=5, trial_scale=scale).total_trials
+        assert (plans.hits, plans.misses, len(plans)) == (0, 2, 2)
 
 
 class TestCli:
