@@ -33,9 +33,9 @@ class BoundedLRU:
     ``on_evict(key, value)`` is called for every entry that *leaves* the
     store — LRU evictions, :meth:`pop` and :meth:`clear`, but **not**
     same-key replacement (the key is still present) — always outside the
-    lock, so a callback may re-enter the store.  The serve layer uses it
-    to keep graph-plane pins in lockstep with residency: eviction is the
-    single unpin site.
+    lock, so a callback may re-enter the store.  The shared-memory
+    attachment cache (:class:`repro.shmem.AttachCache`) uses it to close
+    a mapping when its entry leaves.
     """
 
     def __init__(self, capacity: float,

@@ -162,10 +162,7 @@ def cc_hybrid_program(ctx, slices, n, *, eps=0.25, delta=0.5, rounds=2):
 
     Returns ``(labels, count)`` at rank 0.
     """
-    import operator
-
     from repro.baselines.cc_bsp import pbgl_cc_program
-    from repro.core.sparsify import sparsify_unweighted
 
     comm = ctx.comm
     g = slices[ctx.rank]

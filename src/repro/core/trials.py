@@ -42,8 +42,8 @@ _NONNEGATIVE = (_INT, lambda v: v >= 0, ">= 0")
 _POSITIVE = (_REAL, lambda v: 0 < v < math.inf, "> 0")
 _PROBABILITY = (_REAL, lambda v: 0 < v < 1, "in (0, 1)")
 _FLAG = (_BOOL, lambda v: True, "true or false")
-#: Domain of every numeric or flag option the CLI takes and field the serve
-#: wire carries, one table for both (:func:`field_error`):
+#: Domain of every numeric or flag option the CLI takes and of every typed
+#: field the serve wire carries, one table for both (:func:`field_error`):
 #: name -> (accepted types, predicate, the domain in words).
 FIELD_DOMAINS = {
     "seed": (_INT, lambda v: True, "an integer"),
@@ -55,6 +55,8 @@ FIELD_DOMAINS = {
     **dict.fromkeys(("priority", "trial_scale", "eps", "quantum"), _POSITIVE),
     **dict.fromkeys(("success_prob", "delta"), _PROBABILITY),
     "variant": ((str,), lambda v: v in VARIANTS, f"one of {VARIANTS}"),
+    **dict.fromkeys(("job", "session", "fingerprint"),
+                    ((str,), lambda v: True, "a string")),
     **dict.fromkeys(("hybrid", "pipelined", "preprocess", "wait", "discard"),
                     _FLAG),
 }

@@ -4,9 +4,9 @@ A :class:`DynamicGraph` owns an evolving weighted graph on a fixed
 vertex set.  Updates arrive in atomic **batches** (:meth:`update_edges`);
 each batch closes an *epoch*, the unit of identity for every cache in
 the repo: the epoch's canonical snapshot (edges sorted by ``(u, v)``,
-arrays frozen) has a content fingerprint, and graph-plane segments,
-2-out plans and result caches key off it — they invalidate exactly
-when an epoch closes, never mid-batch and never on a query.
+arrays frozen) has a content fingerprint, and 2-out plans, result
+caches and graph-plane segments key off it — a new epoch is new content
+under a new key, never mid-batch and never on a query.
 
 Two query families stay warm across epochs (``docs/dynamic.md``):
 
@@ -35,7 +35,6 @@ import numpy as np
 from repro.cache.store import BoundedLRU
 from repro.graph.edgelist import EdgeList
 from repro.graph.fingerprint import cached_fingerprint
-from repro.graph.shm import bump_epoch, eligible, release_pins
 from repro.kernels import cc_roots, earliest_forest, flatten_parents
 from repro.rng.streams import RngStreams
 
@@ -124,10 +123,6 @@ class DynamicGraph:
     success_prob, trial_scale:
         Exact-cut trial budget knobs, forwarded to the 2-out pipeline
         (and part of the plan-cache key).
-    plane:
-        Publish each queried epoch's snapshot into the shared graph
-        plane, advancing the pinned segment via
-        :func:`~repro.graph.shm.bump_epoch` when the epoch closes.
     plan_cache:
         The :class:`~repro.cache.store.BoundedLRU` of 2-out plans handed
         to ``two_out_minimum_cut(plans=...)`` (the serve daemon shares
@@ -137,12 +132,11 @@ class DynamicGraph:
     def __init__(self, g: EdgeList, *, p: int = 4, seed: int = 0,
                  backend=None, reconnect_budget: int = 256,
                  success_prob: float = 0.9, trial_scale: float = 1.0,
-                 plane: bool = False, plan_cache=None):
+                 plan_cache=None):
         self.n = int(g.n)
         self.p = int(p)
         self.seed = int(seed)
         self.backend = backend
-        self.plane = bool(plane)
         self.reconnect_budget = int(reconnect_budget)
         self.success_prob = float(success_prob)
         self.trial_scale = float(trial_scale)
@@ -170,7 +164,6 @@ class DynamicGraph:
         self.epoch = 0
         self.updates_total = 0
         self._labels_cache: DynamicCCResult | None = None
-        self._published_fp: str | None = None
         self.plans = plan_cache if plan_cache is not None else BoundedLRU(8)
         # Owner hook (the serve session's write-ahead log): fires once a
         # batch has validated, before it mutates anything.
@@ -185,7 +178,7 @@ class DynamicGraph:
             "inserts": 0, "deletes": 0, "reweights": 0,
             "unions": 0, "tree_deletes": 0, "reconnects": 0,
             "splits": 0, "cc_fallbacks": 0, "uf_rebuilds": 0,
-            "resparsifications": 0, "epoch_bumps": 0,
+            "resparsifications": 0,
         }
         self._parent = cc_roots(self.n, *self._reforest(self.snapshot()))
 
@@ -259,33 +252,11 @@ class DynamicGraph:
     def fingerprint(self) -> str:
         return cached_fingerprint(self.snapshot())
 
-    def publish_epoch(self):
-        """Publish the epoch snapshot into the graph plane (lazy).
-
-        Called by query paths when ``plane=True``: the first query of an
-        epoch pays one :func:`~repro.graph.shm.bump_epoch` (unpinning
-        the previous epoch's ``rgpl*`` segment); repeats are free.
-        Returns the handle, or ``None`` if the plane is off or the
-        snapshot is below its size floor.
-        """
-        if not self.plane:
-            return None
-        snap = self.snapshot()
-        if not eligible(snap):
-            return None
-        fp = self.fingerprint()
-        if fp == self._published_fp:
-            return None
-        handle = bump_epoch(self._published_fp, snap, fingerprint=fp)
-        self._published_fp = fp
-        self.counters["epoch_bumps"] += 1
-        return handle
-
     def close(self) -> None:
-        """Drop the plane pin held for the current epoch (idempotent)."""
-        if self._published_fp is not None:
-            release_pins((self._published_fp,))
-            self._published_fp = None
+        """Nothing to release: the graph holds no shared resources (an
+        epoch snapshot a plane-enabled backend published belongs to that
+        backend's retention window).  Kept so ``with`` blocks and callers
+        that close a session stay valid."""
 
     def __enter__(self) -> "DynamicGraph":
         return self
@@ -501,7 +472,6 @@ class DynamicGraph:
         from repro.core.components import connected_components
 
         snap = self.snapshot()
-        self.publish_epoch()
         seed = self._streams.spawn(_CC_SALT + self.epoch).seed
         res = connected_components(snap, self.p, seed=seed,
                                    backend=self.backend)
@@ -547,7 +517,6 @@ class DynamicGraph:
                 witness_value=0.0, side=side,
                 certificate={"disconnected": True,
                              "n_components": cc.n_components})
-        self.publish_epoch()
         if mode == "exact":
             return self._exact_cut(fp)
         return self._approx_cut(fp)

@@ -40,7 +40,7 @@ from repro.graph.fingerprint import (
     content_fingerprint,
     freeze_edges,
 )
-from repro.graph.shm import GraphHandle, bump_epoch, plane_slices
+from repro.graph.shm import GraphHandle, plane_slices
 
 __all__ = [
     "EdgeList",
@@ -69,6 +69,5 @@ __all__ = [
     "cached_fingerprint",
     "freeze_edges",
     "GraphHandle",
-    "bump_epoch",
     "plane_slices",
 ]

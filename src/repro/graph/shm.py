@@ -20,14 +20,14 @@ case (the graph itself), on the segment mechanics of :mod:`repro.shmem`
   same graph are attach-free *and* return the identical
   :class:`~repro.graph.edgelist.EdgeList` objects (which keeps the
   samplers' identity-keyed caches warm).
-* Lifetime is pin-counted: the publishing coordinator pins a fingerprint
-  for each layer that needs it alive (a run in flight, the warm
-  backend's retention window, the serve daemon's ``GraphCache``) and
-  :func:`unpublish` unlinks only once every pin is dropped.  An
-  ``atexit`` sweep plus the per-run ``finally`` blocks in the backends
-  guarantee a crashed run leaks zero ``/dev/shm`` segments; segment
-  names carry the fixed :data:`SEGMENT_PREFIX` so leak checks (tests,
-  CI) can simply glob ``/dev/shm/rgpl*``.
+* Lifetime is pin-counted, with two owners: the run in flight (one pin,
+  released in the backend's ``finally``) and, between runs, the warm
+  backend's retention window (one pin for each of the ``plane_retain``
+  most recently run graphs).  :func:`unpublish` unlinks only once every
+  pin is dropped.  An ``atexit`` sweep plus the per-run ``finally``
+  blocks in the backends guarantee a crashed run leaks zero ``/dev/shm``
+  segments; segment names carry the fixed :data:`SEGMENT_PREFIX` so leak
+  checks (tests, CI) can simply glob ``/dev/shm/rgpl*``.
 
 Dispatch sites opt in by passing :func:`plane_slices(g, p) <plane_slices>`
 instead of ``g.slices(p)``.  The marker is **transport, not semantics**:
@@ -67,7 +67,6 @@ __all__ = [
     "plane_slices",
     "eligible",
     "publish",
-    "bump_epoch",
     "pin",
     "unpin",
     "unpublish",
@@ -102,13 +101,15 @@ def _fresh_lock_after_fork() -> None:
 
 
 # A fork copies every lock in whatever state some other thread holds it,
-# and a lock copied locked is never released.  The daemon forks its warm
-# pool from the executor thread while request threads publish; the workers
-# then hung in GraphHandle.graph — on _LOCK, or on the stdlib resource
-# tracker's own lock, which SharedMemory() takes (and, on its first use,
-# holds while it spawns the tracker process) inside publish's critical
-# section.  So a fork waits for that section to end, and the child starts
-# with a lock of its own and a registry that is never a torn copy.
+# and a lock copied locked is never released.  A warm pool is forked by
+# whichever thread first runs on it, while other threads may be inside this
+# registry (publishing, or reading plane_stats for the daemon's stats
+# verb); workers forked that way hung in GraphHandle.graph — on _LOCK, or
+# on the stdlib resource tracker's own lock, which SharedMemory() takes
+# (and, on its first use, holds while it spawns the tracker process)
+# inside publish's critical section.  So a fork waits for that section to
+# end, and the child starts with a lock of its own and a registry that is
+# never a torn copy.
 if hasattr(os, "register_at_fork"):  # absent where there is no fork
     os.register_at_fork(before=lambda: _LOCK.acquire(),
                         after_in_parent=lambda: _LOCK.release(),
@@ -245,8 +246,9 @@ def publish(g: EdgeList, *, fingerprint: str | None = None) -> GraphHandle:
     freeze_edges`): the registry serves the original object back to the
     publisher process keyed by this fingerprint, so an in-place edit
     after publish would silently alias stale content — freezing turns
-    that into a ``ValueError`` at the mutation site.  Mutation happens
-    by *epoch*, not in place: see :func:`bump_epoch`.
+    that into a ``ValueError`` at the mutation site.  A changed graph is
+    new content under a new fingerprint (a dynamic graph's next epoch
+    snapshot), published beside the old one.
     """
     global _ATEXIT_REGISTERED
     fp = fingerprint or cached_fingerprint(g)
@@ -272,29 +274,6 @@ def publish(g: EdgeList, *, fingerprint: str | None = None) -> GraphHandle:
             atexit.register(shutdown_plane)
             _ATEXIT_REGISTERED = True
         return handle
-
-
-def bump_epoch(old_fp: str | None, g_new: EdgeList, *,
-               fingerprint: str | None = None) -> GraphHandle:
-    """Advance a published graph identity to a new epoch.
-
-    The plane's mutation model: a graph never changes in place (publish
-    freezes its arrays) — instead an *epoch* closes and the identity
-    moves to new content.  ``bump_epoch`` is that transition in one
-    call: drop the epoch-holder's pin on ``old_fp`` and unlink its
-    ``rgpl*`` segment if that pin was the last one, then publish and pin
-    ``g_new``'s content, returning the fresh handle.  Idempotent per new
-    fingerprint like :func:`publish`; ``old_fp=None`` opens the first
-    epoch.  Callers (the dynamic-graph epoch machinery, the serve
-    daemon's session layer) hold exactly one pin per live epoch, so the
-    old segment disappears exactly when the epoch closes — never
-    earlier (an in-flight dispatch holds its own pin) and never later.
-    """
-    if old_fp is not None:
-        release_pins([old_fp])
-    handle = publish(g_new, fingerprint=fingerprint)
-    pin(handle.fingerprint)
-    return handle
 
 
 def pin(fp: str) -> None:

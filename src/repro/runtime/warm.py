@@ -22,7 +22,8 @@ simulator for a fixed seed.  What this class adds is what it keeps:
 * Graph-plane inputs (:mod:`repro.graph.shm`) stay *pinned* across runs:
   an LRU window of ``plane_retain`` recently queried graphs keeps their
   published segments alive, so a repeat query ships only an O(1) handle
-  and the workers' cached attachments make it attach-free too.
+  and the workers' cached attachments make it attach-free too.  The
+  window is the only owner of a segment between runs.
 * On any failure the whole pool is discarded — surviving workers may be
   blocked mid-collective — and the next ``run()`` transparently respawns
   it.  Failure behavior therefore matches ``mp`` observationally (same

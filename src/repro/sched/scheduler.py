@@ -43,7 +43,7 @@ from repro.core.mincut import mincut_trials_program
 from repro.core.trials import achieved_success_probability, num_trials
 from repro.faults import FaultPlan
 from repro.graph.fingerprint import cached_fingerprint
-from repro.graph.shm import eligible, pin, plane_slices, publish, release_pins
+from repro.graph.shm import plane_slices
 from repro.rng.streams import RngStreams
 from repro.runtime.base import Backend, resolve_backend
 from repro.runtime.errors import WorkerFailure
@@ -220,11 +220,6 @@ class TrialRun:
     dispatches: int = 0
     retries: int = 0
     next_wave: int = 0
-    #: Plan-scoped graph-plane pin: set by ``begin`` on plane-enabled
-    #: backends so the published graph survives *between* waves (each
-    #: wave's own publish/pin is a registry hit, not a copy).  Dropped by
-    #: ``release`` — called from ``finish`` and every abandon path.
-    plane_fp: str | None = None
 
     def __post_init__(self):
         if self.reports is None:
@@ -246,17 +241,6 @@ class TrialRun:
         self.scheduler.run_wave(self, self.next_wave)
         self.next_wave += 1
         return True
-
-    def release(self) -> None:
-        """Drop the plan-scoped graph-plane pin (idempotent).
-
-        Called by ``finish``; multi-tenant callers must also call it on
-        every abandon path (cancel, error, shutdown) so an unfinished
-        run never strands a ``/dev/shm`` segment.
-        """
-        fp, self.plane_fp = self.plane_fp, None
-        if fp is not None:
-            release_pins((fp,))
 
 
 class TrialScheduler:
@@ -404,14 +388,6 @@ class TrialScheduler:
                                   resume=resume, checkpoint=checkpoint,
                                   graph_fp=graph_fp)
         slices = plane_slices(g, p)
-        # Plan-scoped pin: publish once per *plan*, not once per wave —
-        # each wave's stage_plane is then a registry hit, and the
-        # segment stays mapped across the whole retry/backoff schedule.
-        plane_fp = None
-        if getattr(runtime, "graph_plane", False) and eligible(g):
-            publish(g, fingerprint=graph_fp)
-            pin(graph_fp)
-            plane_fp = graph_fp
         pending = ledger.pending_ids()
         size = self.wave_size or max(1, len(pending))
         waves = [pending[i:i + size] for i in range(0, len(pending), size)]
@@ -423,7 +399,7 @@ class TrialScheduler:
             success_prob=success_prob, trials=trials,
             collect_all=collect_all, checkpoint=checkpoint,
             ledger=ledger, slices=slices, waves=waves,
-            jitter_rng=jitter_rng, plane_fp=plane_fp,
+            jitter_rng=jitter_rng,
         )
 
     def run_wave(self, run: "TrialRun", wave: int) -> None:
@@ -505,7 +481,6 @@ class TrialScheduler:
 
     def finish(self, run: "TrialRun") -> ScheduledMinCut:
         """Fold ``run``'s ledger into the final :class:`ScheduledMinCut`."""
-        run.release()
         ledger = run.ledger
         value, side = ledger.best()
         completed = ledger.completed
@@ -558,9 +533,6 @@ class TrialScheduler:
             trials=trials, trial_scale=trial_scale, resume=resume,
             collect_all=collect_all,
         )
-        try:
-            while run.step():
-                pass
-            return self.finish(run)
-        finally:
-            run.release()
+        while run.step():
+            pass
+        return self.finish(run)

@@ -29,7 +29,6 @@ import threading
 
 from repro.cache.store import BoundedLRU
 from repro.graph import content_fingerprint, read_edgelist
-from repro.graph.shm import eligible, pin, publish, release_pins
 
 __all__ = ["FingerprintMismatch", "GraphCache"]
 
@@ -52,36 +51,19 @@ class GraphCache:
 
     ``capacity_edges`` bounds the total cached edge count;
     ``derivative_capacity`` bounds the number of cached 2-out plans.
-
-    With ``plane=True`` (the daemon sets it when its backend has the
-    shared graph plane) every resident graph above the plane's size
-    floor is published and pinned for exactly as long as it is resident:
-    LRU eviction is the single unpin/unlink site, so cache residency and
-    ``/dev/shm`` segment lifetime move in lockstep and repeat queries on
-    a cached graph ship O(1) handles with zero publish work.
+    Residency is memory only: a plane-enabled backend publishes a graph
+    when it runs it, and its retention window keeps the segment alive
+    between runs (:mod:`repro.runtime.warm`).
     """
 
     def __init__(self, capacity_edges: float = 50_000_000,
-                 derivative_capacity: int = 64, plane: bool = False):
-        self.plane = bool(plane)
-        self.graphs = BoundedLRU(capacity_edges,
-                                 on_evict=self._on_graph_evict)
+                 derivative_capacity: int = 64):
+        self.graphs = BoundedLRU(capacity_edges)
         self.derivatives = BoundedLRU(derivative_capacity)
         # stat-key -> fingerprint; tiny, pruned opportunistically against
         # the graph store so it cannot grow unboundedly.
         self._stat_index: dict[tuple, str] = {}
-        # fingerprints holding a cache-residency plane pin.
-        self._pinned: set[str] = set()
         self._lock = threading.Lock()
-
-    def _on_graph_evict(self, fp, _g) -> None:
-        # Called by BoundedLRU outside its lock for every departure
-        # (eviction, pop, clear) — never for same-key replacement.
-        with self._lock:
-            held = fp in self._pinned
-            self._pinned.discard(fp)
-        if held:
-            release_pins((fp,))
 
     @staticmethod
     def _stat_key(path: str) -> tuple:
@@ -116,20 +98,8 @@ class GraphCache:
         # A graph bigger than the whole cache is served uncached rather
         # than rejected; callers reload it per use.
         weight = max(1, g.m)
-        if weight > self.graphs.capacity:
-            return
-        if self.plane and eligible(g):
-            # Pin before insert so the segment exists for the graph's
-            # entire residency; same-fingerprint re-puts keep the one
-            # existing pin (replacement fires no evict callback).
-            with self._lock:
-                fresh = fp not in self._pinned
-                if fresh:
-                    self._pinned.add(fp)
-            if fresh:
-                publish(g, fingerprint=fp)
-                pin(fp)
-        self.graphs.put(fp, g, weight=weight)
+        if weight <= self.graphs.capacity:
+            self.graphs.put(fp, g, weight=weight)
 
     def put_graph(self, g, fp: str | None = None) -> str:
         """Insert an already-loaded graph (tests, generated graphs)."""
@@ -141,19 +111,13 @@ class GraphCache:
         return self.graphs.get(fp)
 
     def close(self) -> None:
-        """Release everything: evict all entries (dropping their plane
-        pins through the evict callback) and sweep any stragglers."""
+        """Drop every cached graph and plan."""
         self.graphs.clear()
         self.derivatives.clear()
-        with self._lock:
-            leftover = list(self._pinned)
-            self._pinned.clear()
-        release_pins(leftover)
 
     def stats(self) -> dict:
         return {
             "graphs": self.graphs.stats(),
             "derivatives": self.derivatives.stats(),
             "stat_index_entries": len(self._stat_index),
-            "plane_pinned": len(self._pinned),
         }

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from repro.core.trials import field_error
 from repro.harness.experiment import run_algorithm
 from repro.runtime.base import Backend, resolve_backend
+from repro.sched.ledger import encode_side
 from repro.sched.scheduler import TrialRun, TrialScheduler
 from repro.serve.cache import FingerprintMismatch, GraphCache
 from repro.serve.dynamic import DynamicSessionManager
@@ -82,6 +83,14 @@ def _checked(req: dict, names) -> dict:
     return out
 
 
+class _Refused(Exception):
+    """A request refused with a typed error other than ``ProtocolError``."""
+
+    def __init__(self, error: str, exc: Exception):
+        super().__init__(str(exc))
+        self.error = error
+
+
 @dataclass
 class ServeConfig:
     """Daemon configuration.
@@ -117,13 +126,7 @@ class Daemon:
         self.store = JobStore(config.state_dir)
         self.backend = (config.backend if isinstance(config.backend, Backend)
                         else resolve_backend(config.backend))
-        # Cache residency drives graph-plane pins when the backend ships
-        # plane handles: a cached graph's segment stays published until
-        # LRU eviction, so repeat queries are publish-free.
-        self.cache = GraphCache(
-            capacity_edges=config.cache_edges,
-            plane=bool(getattr(self.backend, "graph_plane", False)),
-        )
+        self.cache = GraphCache(capacity_edges=config.cache_edges)
         self.queue = DeficitFairQueue(quantum=config.quantum)
         self.scheduler = TrialScheduler(
             max_retries=config.max_retries, backoff_s=config.backoff_s,
@@ -148,8 +151,7 @@ class Daemon:
         self.dynamic = DynamicSessionManager(config.state_dir)
         self.dynamic.resume_all(
             lambda path, fp: self.cache.load(path, expected_fp=fp)[0],
-            backend=self.backend, plane=self.cache.plane,
-            plan_cache=self.cache.derivatives)
+            backend=self.backend, plan_cache=self.cache.derivatives)
         self._resume_persisted_jobs()
 
     # -- restart resume ------------------------------------------------------
@@ -249,15 +251,9 @@ class Daemon:
                 if not job.terminal and job.state != "queued":
                     job.state = "queued"   # resumable on restart
                     self.store.save(job)   # every other record is current
-        # Drop every plane pin this daemon holds — open runs' plan pins,
-        # then the cache's residency pins, then the warm backend's
-        # retention pins (inside close) — so a clean shutdown leaves
-        # /dev/shm empty.
-        for run in list(self._runs.values()):
-            run.release()
-        self._runs.clear()
-        self.dynamic.close_all()   # epoch pins (session state stays on disk)
         self.cache.close()
+        # The backend holds every graph-plane pin (its retention window),
+        # so closing it leaves /dev/shm empty.
         self.backend.close()
         addr = self.address
         if addr and os.sep in addr and os.path.exists(addr):
@@ -331,6 +327,8 @@ class Daemon:
             return handler(req)
         except ProtocolError as exc:
             return error_doc("ProtocolError", str(exc))
+        except _Refused as exc:
+            return error_doc(exc.error, str(exc))
         except Exception as exc:  # never kill the connection
             logger.exception("request failed")
             return error_doc(type(exc).__name__, str(exc))
@@ -342,26 +340,32 @@ class Daemon:
     def _op_shutdown(self, req: dict) -> dict:
         return ok_doc(stopping=True)
 
+    def _load_graph(self, req: dict, verb: str):
+        """``(path, graph, fingerprint)`` of the request's graph file,
+        through the cache; an optional ``fingerprint`` field must match."""
+        path = req.get("path")
+        if not isinstance(path, str):
+            raise ProtocolError(f"{verb} needs a graph file 'path'")
+        expected = _checked(req, ("fingerprint",)).get("fingerprint")
+        try:
+            return (path, *self.cache.load(path, expected_fp=expected))
+        except FingerprintMismatch as exc:
+            raise _Refused("FingerprintMismatch", exc) from exc
+        except OSError as exc:
+            raise _Refused("GraphUnreadable", exc) from exc
+
     def _op_submit(self, req: dict) -> dict:
         algorithm = req.get("algorithm")
         if algorithm not in ALGORITHMS:
             raise ProtocolError(
                 f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-        path = req.get("path")
-        if not isinstance(path, str):
-            raise ProtocolError("submit needs a graph file 'path'")
         head = _checked(req, ("seed", "p", "priority"))
         kwargs = _checked(req, _ALGO_KWARGS[algorithm])
         if kwargs.get("variant") == "2out" and "trials" in kwargs:
             raise ProtocolError(
                 "'trials' does not apply to variant '2out': it recomputes "
                 "the trial budget from the contracted replicas")
-        try:
-            g, fp = self.cache.load(path, expected_fp=req.get("fingerprint"))
-        except FingerprintMismatch as exc:
-            return error_doc("FingerprintMismatch", str(exc))
-        except OSError as exc:
-            return error_doc("GraphUnreadable", str(exc))
+        path, _g, fp = self._load_graph(req, "submit")
         job = Job(
             id=self.store.new_id(),
             client=str(req.get("client", "anon")),
@@ -376,7 +380,7 @@ class Daemon:
         return ok_doc(job=job.id, fingerprint=fp)
 
     def _get_job(self, req: dict) -> Job:
-        jid = req.get("job")
+        jid = _checked(req, ("job",)).get("job")
         with self._lock:
             job = self.jobs.get(jid)
         if job is None:
@@ -417,7 +421,7 @@ class Daemon:
             job.state = "cancelled"
             job.finished_at = time.time()
             self._cv.notify_all()
-        self._release_run(job.id)
+        self._runs.pop(job.id, None)
         self.queue.drop_items(lambda jid: jid == job.id)
         self.store.save(job)
         return ok_doc(job=job.id, state="cancelled")
@@ -443,27 +447,19 @@ class Daemon:
     # -- dynamic sessions ----------------------------------------------------
 
     def _op_dyn_open(self, req: dict) -> dict:
-        path = req.get("path")
-        if not isinstance(path, str):
-            raise ProtocolError("dyn_open needs a graph file 'path'")
         head = _checked(req, ("seed", "p"))
         kwargs = _checked(req, ("reconnect_budget", "success_prob",
                                 "trial_scale"))
-        try:
-            g, fp = self.cache.load(path, expected_fp=req.get("fingerprint"))
-        except FingerprintMismatch as exc:
-            return error_doc("FingerprintMismatch", str(exc))
-        except OSError as exc:
-            return error_doc("GraphUnreadable", str(exc))
+        path, g, fp = self._load_graph(req, "dyn_open")
         session = self.dynamic.open(
             g, path=path, fingerprint=fp,
             seed=head.get("seed", 0), p=head.get("p", self.config.p),
-            backend=self.backend, plane=self.cache.plane,
-            plan_cache=self.cache.derivatives, **kwargs)
+            backend=self.backend, plan_cache=self.cache.derivatives,
+            **kwargs)
         return ok_doc(session=session.id, epoch=0, fingerprint=fp)
 
     def _get_session(self, req: dict):
-        sid = req.get("session")
+        sid = _checked(req, ("session",)).get("session")
         session = self.dynamic.get(sid)
         if session is None:
             raise ProtocolError(f"unknown dynamic session {sid!r}")
@@ -524,9 +520,9 @@ class Daemon:
                       epoch=session.dyn.epoch)
 
     def _op_dyn_close(self, req: dict) -> dict:
-        discard = _checked(req, ("discard",)).get("discard", True)
-        sid = req.get("session")
-        closed = self.dynamic.close(sid, discard=discard)
+        fields = _checked(req, ("discard", "session"))
+        sid = fields.get("session")
+        closed = self.dynamic.close(sid, discard=fields.get("discard", True))
         return ok_doc(session=sid, closed=closed)
 
     # -- executor ------------------------------------------------------------
@@ -549,23 +545,12 @@ class Daemon:
                 self._run_slice(job)
             except Exception as exc:
                 logger.exception("job %s failed", job.id)
-                self._release_run(job.id)
+                self._runs.pop(job.id, None)
                 self._finish_job(job, error=f"{type(exc).__name__}: {exc}")
-
-    def _release_run(self, job_id: str) -> None:
-        """Abandon a job's open TrialRun, dropping its plane pin.
-
-        Every path that leaves a run unfinished (cancel, executor error,
-        shutdown) funnels through here; an in-flight wave is unaffected
-        because each dispatch holds its own pin for its duration.
-        """
-        run = self._runs.pop(job_id, None)
-        if run is not None:
-            run.release()
 
     def _graph_for(self, job: Job):
         g = self.cache.get_graph(job.fingerprint)
-        if g is None:  # evicted; reload and re-pin the identity
+        if g is None:  # evicted; reload and re-check the identity
             g, _ = self.cache.load(job.path, expected_fp=job.fingerprint)
         return g
 
@@ -616,7 +601,7 @@ class Daemon:
         with self._cv:
             cancelled = job.state == "cancelled"
         if cancelled:
-            self._release_run(job.id)
+            self._runs.pop(job.id, None)
             return
         if not run.done:
             return
@@ -626,7 +611,7 @@ class Daemon:
             "algorithm": job.algorithm,
             "value": float(sres.value),
             "side": (None if sres.side is None else
-                     _encode_side(sres.side)),
+                     encode_side(sres.side)),
             "trials": int(sres.trials),
             "achieved_success_prob": float(sres.achieved_success_prob),
             "variant": "default",
@@ -714,9 +699,3 @@ class Daemon:
                 job.finished_at = time.time()
                 self._cv.notify_all()
         self.store.save(job)
-
-
-def _encode_side(side) -> str:
-    from repro.sched.ledger import encode_side
-
-    return encode_side(side)

@@ -104,8 +104,7 @@ class DynamicSessionManager:
     # -- lifecycle -----------------------------------------------------------
 
     def open(self, g, *, path: str, fingerprint: str, seed: int, p: int,
-             backend=None, plane: bool = False, plan_cache=None,
-             **dyn_kwargs) -> DynamicSession:
+             backend=None, plan_cache=None, **dyn_kwargs) -> DynamicSession:
         """Create, persist and register a fresh session at epoch 0."""
         with self._lock:
             sid = f"d{self._seq:06d}"
@@ -120,13 +119,13 @@ class DynamicSessionManager:
         os.replace(tmp, doc_path)
         open(log_path, "a").close()
         dyn = DynamicGraph(g, p=int(p), seed=int(seed), backend=backend,
-                           plane=plane, plan_cache=plan_cache, **dyn_kwargs)
+                           plan_cache=plan_cache, **dyn_kwargs)
         session = DynamicSession(sid, doc, dyn, log_path)
         with self._lock:
             self.sessions[sid] = session
         return session
 
-    def resume_all(self, load_graph, *, backend=None, plane: bool = False,
+    def resume_all(self, load_graph, *, backend=None,
                    plan_cache=None) -> list[str]:
         """Rebuild every persisted session by replaying its update log.
 
@@ -161,8 +160,7 @@ class DynamicSessionManager:
             try:
                 entries = self._whole_records(log_path)
                 dyn = DynamicGraph(g, p=int(doc["p"]), seed=int(doc["seed"]),
-                                   backend=backend, plane=plane,
-                                   plan_cache=plan_cache,
+                                   backend=backend, plan_cache=plan_cache,
                                    **doc.get("dyn_kwargs", {}))
                 # The hooks are attached by DynamicSession below, AFTER the
                 # replay — replayed records must not re-append log lines.
@@ -187,7 +185,6 @@ class DynamicSessionManager:
             session = self.sessions.pop(sid, None)
         if session is None:
             return False
-        session.dyn.close()
         if discard:
             for path in self._paths(sid):
                 try:
@@ -195,14 +192,6 @@ class DynamicSessionManager:
                 except FileNotFoundError:
                     pass
         return True
-
-    def close_all(self) -> None:
-        """Release every live session's plane pin (state stays on disk)."""
-        with self._lock:
-            sessions = list(self.sessions.values())
-            self.sessions.clear()
-        for session in sessions:
-            session.dyn.close()
 
     def stats(self) -> dict:
         with self._lock:

@@ -53,13 +53,14 @@ def test_plane(queries, warm_daemon):
             for name, (_, algorithm, path, kw, _) in queries.items():
                 docs[name].append(c.run(algorithm, path, seed=4, p=2, **kw))
         stats = c.stats()
-    assert stats["graph_plane"]["published"] >= 1, stats
-    assert stats["cache"]["plane_pinned"] >= 1, stats
+    plane = stats["graph_plane"]
+    # between runs only the warm backend's retention window holds pins
+    assert 1 <= plane["pinned"] == plane["published"] <= 8, stats
     # the repeated 2-out query replayed its plan from the plan store
     assert stats["cache"]["derivatives"]["hits"] >= 1, stats
     for name, (_, algorithm, _, _, direct) in queries.items():
-        # the repeat (an O(1) handle from the pinned cache) is byte-identical
-        # to the first answer, and both to a direct run (same doc encoding)
+        # the repeat (an O(1) handle from the retention window) is
+        # byte-identical to the first answer, and both to a direct run
         assert docs[name][0] == docs[name][1], docs[name]
         assert docs[name][0] == result_doc(algorithm, direct), docs[name][0]
 

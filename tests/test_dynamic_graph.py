@@ -512,14 +512,14 @@ def test_sparsifier_certificate_estimates_cuts():
     assert res.witness_value <= 6.0 * max(res.value, 4.0)
 
 
-# -- plane + plan cache integration -------------------------------------------
+# -- plan cache integration ---------------------------------------------------
 
 
 def test_plan_cache_invalidates_exactly_at_epoch_close():
     from repro.serve.cache import GraphCache
 
     g, stream = churn(n=40, m=200, seed=21, batches=2, batch_size=6)
-    cache = GraphCache(plane=False)
+    cache = GraphCache()
     dyn = DynamicGraph(g, p=2, seed=21, trial_scale=0.2,
                        plan_cache=cache.derivatives)
     assert not dyn.query_cut(mode="exact").certificate["plan_cached"]

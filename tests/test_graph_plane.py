@@ -8,10 +8,10 @@ Four layers of guarantees:
 * **Bit-identity** — sim / mp(plane on) / mp(plane off) / warm produce
   identical results, counters and traces: the plane is transport, not
   semantics.
-* **Lifetime** — the warm backend's retention window, the serve
-  GraphCache's residency pins, and the per-run ``finally`` blocks leave
-  zero ``/dev/shm`` segments after normal shutdown *and* after a worker
-  crash mid-run.
+* **Lifetime** — two owners: the run in flight and, between runs, the
+  warm backend's retention window (one pin per retained graph).  They
+  leave zero ``/dev/shm`` segments after normal shutdown *and* after a
+  worker crash mid-run.
 * **Store plumbing** — BoundedLRU's ``on_evict`` fires for every
   departure (eviction, pop, clear) and never for same-key replacement.
 """
@@ -93,7 +93,8 @@ def _resolve_in_child(handle, m):
 def test_fork_while_lock_held(big_graph):
     """A fork taken while another thread is inside the registry's critical
     section must not hand the child a lock nobody will ever release (the
-    daemon forks its warm pool while request threads publish)."""
+    daemon forks its warm pool while request threads may read the
+    registry)."""
     require_mp()
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no fork start method on this platform")
@@ -285,72 +286,55 @@ def test_worker_crash_leaks_no_segments(big_graph):
     assert shm_segments() == []
 
 
-# -- epoch bumps (dynamic graphs) --------------------------------------------
+# -- one owner between runs ---------------------------------------------------
 
-def test_bump_epoch_retires_old_segment_and_republishes(big_graph):
-    g2 = erdos_renyi(400, 4000, philox_stream(8), weighted=True)
-    fp1 = cached_fingerprint(big_graph)
-    fp2 = cached_fingerprint(g2)
-    plane.publish(big_graph)
-    plane.pin(fp1)
-    assert plane.published() == {fp1: 1}
-
-    h = plane.bump_epoch(fp1, g2)
-    # old epoch's segment: unpinned and unlinked; new epoch: pinned
-    assert h.fingerprint == fp2
-    assert plane.published() == {fp2: 1}
-    assert len(shm_segments()) == 1
-    plane.release_pins((fp2,))
-    assert shm_segments() == []
-
-
-def test_bump_epoch_from_nothing_just_publishes(big_graph):
-    h = plane.bump_epoch(None, big_graph)
-    assert plane.published() == {h.fingerprint: 1}
-    plane.release_pins((h.fingerprint,))
-    assert shm_segments() == []
-
-
-def test_dynamic_graph_bumps_plane_per_epoch(big_graph):
-    """A DynamicGraph with plane=True advances the pinned ``rgpl*``
-    segment exactly when a query touches a new epoch, and its close()
-    releases the last pin."""
+def test_warm_retention_is_the_only_owner_between_runs(big_graph):
+    """A scheduled run's waves, repeat CC queries and a dynamic graph's
+    epochs on one warm backend: between runs every published graph holds
+    exactly the retention window's one pin, a repeat keeps its segment
+    (published once), the window bounds what stays, and close() unlinks
+    it all."""
+    require_mp()
+    from repro.core.components import connected_components
     from repro.dynamic import DynamicGraph
+    from repro.runtime.warm import WarmMpBackend
+    from repro.sched.scheduler import TrialScheduler
 
-    with DynamicGraph(big_graph, p=2, seed=0, plane=True) as dyn:
-        dyn.query_components()
-        dyn.publish_epoch()
-        fp0 = dyn.fingerprint()
-        assert plane.published() == {fp0: 1}
-        dyn.update_edges([("insert", 0, 399, 1.0)])
-        assert plane.published() == {fp0: 1}    # lazy: bumps on query
-        dyn.query_components()
-        dyn.publish_epoch()
-        fp1 = dyn.fingerprint()
-        assert fp1 != fp0
-        assert plane.published() == {fp1: 1}    # old epoch retired
-        assert len(shm_segments()) == 1
-        assert dyn.counters["epoch_bumps"] == 2
-    assert plane.published() == {}
-    assert shm_segments() == []
+    be = WarmMpBackend(graph_plane=True, plane_retain=3)
 
+    def between_runs() -> dict[str, str]:
+        """fingerprint -> segment name, once the invariants are checked."""
+        pins = plane.published()
+        assert set(pins.values()) <= {1}, pins
+        assert 1 <= len(pins) <= be.plane_retain
+        assert len(shm_segments()) == len(pins)
+        return {fp: plane._REGISTRY[fp].seg.name for fp in pins}
 
-# -- serve GraphCache pin lockstep -------------------------------------------
-
-def test_graph_cache_pins_follow_residency(big_graph):
-    from repro.serve.cache import GraphCache
-
-    g2 = erdos_renyi(400, 4000, philox_stream(13), weighted=True)
-    cache = GraphCache(capacity_edges=big_graph.m + 100,  # holds exactly one
-                       plane=True)
-    fp1 = cache.put_graph(big_graph)
-    assert plane.published() == {fp1: 1}
-    fp2 = cache.put_graph(g2)                   # evicts g1 -> unpins/unlinks
-    assert plane.published() == {fp2: 1}
-    assert len(shm_segments()) == 1
-    cache.put_graph(g2)                         # same-key re-put: still 1 pin
-    assert plane.published() == {fp2: 1}
-    cache.close()
+    try:
+        sched = TrialScheduler(wave_size=2)
+        run = sched.begin(big_graph, 2, backend=be, seed=3, trials=6)
+        assert len(run.waves) == 3
+        seen = []
+        while run.step():
+            seen.append(between_runs())
+        assert sched.finish(run).completed == 6
+        first = seen[0]
+        assert list(first) == [cached_fingerprint(big_graph)]
+        assert seen == [first] * 3               # one publish for 3 waves
+        for _ in range(2):
+            connected_components(big_graph, p=2, seed=1, backend=be)
+            assert between_runs() == first
+        with DynamicGraph(big_graph, p=2, seed=0, backend=be) as dyn:
+            epochs = set()
+            for i in range(3):
+                dyn.update_edges([("insert", i, 399 - i, 1.0)])
+                assert dyn.query_cut(mode="approx").epoch == i + 1
+                epochs.add(dyn.fingerprint())
+                assert dyn.fingerprint() in between_runs()
+        # a window of 3: the three epochs pushed the base graph out
+        assert len(epochs) == 3 and set(between_runs()) == epochs
+    finally:
+        be.close()
     assert plane.published() == {}
     assert shm_segments() == []
 
@@ -358,29 +342,10 @@ def test_graph_cache_pins_follow_residency(big_graph):
 def test_graph_cache_plane_off_publishes_nothing(big_graph):
     from repro.serve.cache import GraphCache
 
-    cache = GraphCache(plane=False)
+    cache = GraphCache()
     cache.put_graph(big_graph)
     assert plane.published() == {}
     cache.close()
-
-
-def test_scheduler_plan_scoped_pin(big_graph):
-    require_mp()
-    from repro.runtime.mp import MpBackend
-    from repro.sched.scheduler import TrialScheduler
-
-    be = MpBackend(graph_plane=True)
-    sched = TrialScheduler(wave_size=2)
-    run = sched.begin(big_graph, 2, backend=be, seed=3, trials=4)
-    assert run.plane_fp == cached_fingerprint(big_graph)
-    assert plane.published() == {run.plane_fp: 1}
-    while run.step():
-        assert plane.published()[run.plane_fp] >= 1  # alive between waves
-    res = sched.finish(run)
-    assert res.completed == 4
-    assert plane.published() == {}              # finish dropped the pin
-    run.release()                               # idempotent
-    assert shm_segments() == []
 
 
 # -- BoundedLRU on_evict ------------------------------------------------------

@@ -119,9 +119,10 @@ def test_socket_concurrent_clients_bit_identical_to_solo(
 def test_warm_pool_fork_races_first_queries(tmp_path):
     """Two clients' *first* queries arrive together, unprimed, 20 times.
 
-    The warm pool is forked by the executor thread on the first dispatch
-    while the other request's thread may be publishing its graph into the
-    plane; the workers must not inherit the plane's lock held.
+    The warm pool is forked by the executor thread on the first dispatch,
+    which also publishes the graph into the plane, while the other
+    request's thread is still being served; the workers must not inherit
+    a lock held.
     """
     require_mp()
     graph = erdos_renyi(400, 4000, philox_stream(7), weighted=True)
@@ -327,6 +328,33 @@ def test_submit_rejects_fingerprint_mismatch(graph_file, tmp_path):
     jid = submit(d, "parallel_cc", graph_file, fingerprint=good_fp)
     drive(d)
     assert d.jobs[jid].state == "done"
+
+
+@pytest.mark.parametrize("op", ["submit", "dyn_open"])
+def test_non_string_fingerprint_is_refused(graph_file, tmp_path, op):
+    d = threadless(tmp_path)
+    reply = d.handle_request({"op": op, "algorithm": "parallel_cc",
+                              "path": graph_file, "fingerprint": 5})
+    assert reply["error"] == "ProtocolError", reply
+    assert "fingerprint" in reply["message"]
+    assert len(d.jobs) == 0 and d.dynamic.sessions == {}
+
+
+@pytest.mark.parametrize("bad", [[1], {}])
+@pytest.mark.parametrize("op, field", [
+    ("status", "job"), ("result", "job"), ("cancel", "job"),
+    ("dyn_update", "session"), ("dyn_query", "session"),
+    ("dyn_staleness", "session"), ("dyn_close", "session")])
+def test_wrong_typed_ids_are_refused(graph_file, tmp_path, op, field, bad):
+    """An unhashable job or session id is a ProtocolError, not a TypeError
+    from a dict lookup, with a job and a session to look up present."""
+    d = threadless(tmp_path)
+    submit(d, "parallel_cc", graph_file)
+    assert d.handle_request({"op": "dyn_open", "path": graph_file})["ok"]
+    reply = d.handle_request({"op": op, field: bad, "ops": [],
+                              "query": "components"})
+    assert reply["error"] == "ProtocolError", reply
+    assert field in reply["message"]
 
 
 def test_cancel_queued_and_running(graph_file, tmp_path):
