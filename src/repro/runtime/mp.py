@@ -5,17 +5,19 @@ Architecture
 A pool is ``p`` OS worker processes (``multiprocessing``, spawn-safe; fork
 by default where available because it is much faster), each a command
 loop (:mod:`repro.runtime.worker`) holding one transport arena for its
-lifetime.  A run is one ``CMD_RUN`` down every pipe: the worker executes
-the unmodified generator program locally and brokers every collective
+lifetime.  A run is one ``CMD_RUN`` per worker: the worker executes the
+unmodified generator program locally and brokers every collective
 through the coordinator — this parent process — over its pipe, with bulk
 numpy payloads travelling through POSIX shared memory
-(:mod:`repro.runtime.transport`).  ``MpBackend.run`` is spawn → one
-``CMD_RUN`` → graceful stop; :class:`~repro.runtime.warm.WarmMpBackend`
-is the same dispatch on a pool it keeps.  Spawn (:meth:`MpBackend._spawn`),
-dispatch (:meth:`MpBackend._dispatch`) and teardown
+(:mod:`repro.runtime.transport`).  Under ``fork``, ``MpBackend.run``
+forks workers holding the ``CMD_RUN`` in their arguments — inherited,
+never pickled or sent; otherwise it spawns and sends one pickled
+``CMD_RUN`` down every pipe (:meth:`MpBackend._dispatch`), the dispatch
+:class:`~repro.runtime.warm.WarmMpBackend` makes on a pool it keeps.
+Spawn (:meth:`MpBackend._spawn`), dispatch and teardown
 (:meth:`_Pool.shutdown`, graceful or after a failure) are written once,
-here.  Programs are pickled by reference into the ``CMD_RUN``, so they
-must be importable module-level functions under every start method.
+here.  Programs must pickle by reference (the fork path checks before it
+forks), so they must be importable module-level functions.
 
 The coordinator *is* the simulator's engine with remote generators: every
 request carries the worker's :class:`~repro.bsp.counters.ProcCounters`,
@@ -131,7 +133,7 @@ class _Pool:
     """The worker processes plus the coordinator-side bookkeeping."""
 
     def __init__(self, ctx, specs: Sequence[WorkerSpec],
-                 slab_token: str | None, transport: Transport):
+                 slab_token: str | None, transport: Transport, first=None):
         self.p = len(specs)
         self.conns = []
         self.procs = []
@@ -148,18 +150,26 @@ class _Pool:
         #: Every worker-arena slab name the coordinator has seen on the
         #: wire; swept (and leaks logged) after the workers are gone.
         self.worker_segments: set[str] = set()
-        for spec in specs:
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=persistent_worker_main,
-                args=(child_conn, spec),
-                daemon=True,
-                name=f"repro-mp-{spec.rank}",
-            )
-            proc.start()
-            child_conn.close()
-            self.conns.append(parent_conn)
-            self.procs.append(proc)
+        try:
+            for spec in specs:
+                parent_conn, child_conn = ctx.Pipe()
+                self.conns.append(parent_conn)
+                proc = ctx.Process(
+                    target=persistent_worker_main,
+                    args=(child_conn, spec, first),
+                    daemon=True,
+                    name=f"repro-mp-{spec.rank}",
+                )
+                try:
+                    proc.start()
+                finally:
+                    child_conn.close()
+                self.procs.append(proc)
+        except BaseException:
+            # A failed start (EAGAIN, ENOMEM) must not strand the workers
+            # already running, blocked on their pipes.
+            self.shutdown()
+            raise
         self.sentinel_rank = {pr.sentinel: r for r, pr in enumerate(self.procs)}
 
     def shutdown(self, graceful: bool = False) -> None:
@@ -262,7 +272,10 @@ class MpBackend(Backend):
         get their graph published once into a read-only shm segment and
         shipped to every worker as an O(1) handle instead of p pickled
         copies.  Default on; off resolves markers locally — bit-identical
-        results either way (the graph-plane gate's reference).
+        results either way (the graph-plane gate's reference).  It
+        governs warm pools and ``spawn``/``forkserver`` one-shot runs
+        only: a ``fork`` one-shot run always resolves locally and hands
+        the slices to its workers through the fork.
     """
 
     name = "mp"
@@ -310,23 +323,26 @@ class MpBackend(Backend):
 
     # -- main entry ----------------------------------------------------------
 
-    def _begin(self, p, args, kwargs, pins: list[str]):
+    def _begin(self, p, args, kwargs, pins: list[str], stage: bool = True):
         """What every ``run`` starts with: this run's engine (shared
         collective semantics; validates ``p``), the world group, and the
         arguments with graph-plane markers staged — each marked graph
         published once and shipped as an O(1) handle, its pin appended to
-        ``pins`` for the caller to drop — or, plane off, resolved locally.
+        ``pins`` for the caller to drop — or, plane off or ``stage``
+        false, resolved locally.
         """
         engine = Engine(cache=self.cache, tracer=self.tracer, fuse=self.fuse)
         world = engine._begin_run(p)
         args, kwargs = tuple(args), dict(kwargs or {})
-        if self.graph_plane:
+        if stage and self.graph_plane:
             return (engine, world,
                     stage_plane(args, pins), stage_plane(kwargs, pins))
         return engine, world, localize_plane(args), localize_plane(kwargs)
 
-    def _spawn(self, p: int) -> _Pool:
-        """Start ``p`` command-loop workers and the coordinator's endpoint."""
+    def _spawn(self, p: int, first=None) -> _Pool:
+        """Start ``p`` command-loop workers and the coordinator's endpoint;
+        ``first`` is a ``CMD_RUN`` the workers start on (fork only: it is
+        inherited, never pickled)."""
         slab_token = _run_slab_token() if self.use_arena else None
         specs = [
             WorkerSpec(
@@ -343,6 +359,7 @@ class MpBackend(Backend):
         return _Pool(
             multiprocessing.get_context(self.start_method), specs, slab_token,
             Transport(threshold=self.shm_threshold, use_arena=self.use_arena),
+            first,
         )
 
     def _dispatch(self, engine: Engine, pool: _Pool, world_gid: int,
@@ -384,18 +401,33 @@ class MpBackend(Backend):
 
         ``faults`` injects the given deterministic :class:`FaultSpec`
         records at the worker driver loop (see :mod:`repro.faults`); the
-        default ``None`` is the fault-free fast path.
+        default ``None`` is the fault-free fast path.  Under ``fork`` the
+        workers inherit the run (markers resolved here; nothing published,
+        pickled or sent); otherwise it is staged and dispatched.
         """
+        inherit = self.start_method == "fork"
         # Pins are dropped (and segments unlinked unless a longer-lived
         # layer also pins them) in the finally below — a crashed run
         # cannot leak a published segment.
         plane_pins: list[str] = []
-        engine, world, args, kwargs = self._begin(p, args, kwargs, plane_pins)
+        engine, world, args, kwargs = self._begin(p, args, kwargs, plane_pins,
+                                                  stage=not inherit)
         try:
-            pool = self._spawn(world.size)
+            first = None
+            if inherit:
+                # Fail where a CMD_RUN would, before any worker exists: an
+                # unimportable program does not pickle by reference.
+                ForkingPickler.dumps(program)
+                first = (CMD_RUN, world.gid, seed, 0, program, args, kwargs,
+                         tuple(faults or ()))
+            pool = self._spawn(world.size, first)
             try:
-                result = self._dispatch(engine, pool, world.gid, seed,
-                                        program, args, kwargs, faults)
+                if inherit:
+                    result = self._coordinate(engine, pool, pool.transport,
+                                              input_bytes=0)
+                else:
+                    result = self._dispatch(engine, pool, world.gid, seed,
+                                            program, args, kwargs, faults)
             except BaseException:
                 pool.shutdown()  # workers may be wedged mid-collective
                 raise

@@ -2,8 +2,10 @@
 
 :class:`WarmMpBackend` is :class:`~repro.runtime.mp.MpBackend` with the
 per-run setup amortized away.  ``MpBackend`` pays, on **every** ``run()``:
-spawn ``p`` OS processes, import state (under ``spawn``, re-import the
-scientific stack), create per-worker shm arenas, and tear it all down.
+start ``p`` OS processes (under ``spawn``, re-import the scientific stack
+and receive the input: a published graph plus one pickled ``CMD_RUN``;
+under ``fork``, fault in the inherited pages as they are touched),
+create per-worker shm arenas, and tear it all down.
 The warm backend spawns the pool once, keeps the worker *and* coordinator
 :class:`~repro.runtime.transport.Transport` arenas mapped, and dispatches
 each subsequent run as a small ``CMD_RUN`` command down the existing

@@ -204,10 +204,13 @@ def _reset_inherited_signals() -> None:
         pass
 
 
-def persistent_worker_main(conn, spec: WorkerSpec) -> None:
+def persistent_worker_main(conn, spec: WorkerSpec, first=None) -> None:
     """Process entry point: the command loop.  Never raises.
 
-    Blocks on :data:`CMD_RUN` commands and drives each through
+    ``first``, when given, is a :data:`CMD_RUN` the worker starts on
+    without waiting — a fork-started one-shot pool hands the run over in
+    the process arguments.  Then it blocks on commands and drives each
+    :data:`CMD_RUN` through
     :func:`_drive` against the one :class:`~repro.runtime.transport.
     Transport` opened here, so arena slabs stay mapped across runs.
     Programs arrive pickled by *reference* (module + qualname) the
@@ -229,7 +232,7 @@ def persistent_worker_main(conn, spec: WorkerSpec) -> None:
     try:
         while True:
             try:
-                msg = conn.recv()
+                msg, first = first or conn.recv(), None
             except EOFError:  # coordinator went away: clean exit
                 break
             if msg[0] == CMD_EXIT:

@@ -2,6 +2,7 @@
 the transport seam, error context (superstep, trials in flight), and the
 zero-shm-leak guarantee after a worker is killed mid-collective."""
 
+import errno
 import logging
 import multiprocessing
 import operator
@@ -196,16 +197,28 @@ class TestOneLifecycle:
         res = real_backend.run(two_step_program, 2, seed=0)
         assert res.values == [6.0, 6.0]
 
-    def test_mp_and_fresh_warm_ship_the_same_input(self):
-        """One dispatch protocol: the same CMD_RUN bytes, counted once
-        (``len(buf) * p``), whichever backend sends them."""
-        require_mp()
-        mp_backend = MpBackend()
-        mp_backend.run(two_step_program, 2, seed=0, kwargs={"nwords": 64})
-        with WarmMpBackend() as warm:
-            warm.run(two_step_program, 2, seed=0, kwargs={"nwords": 64})
-            assert (warm.last_transport_stats["per_kind"]["input"]
-                    == mp_backend.last_transport_stats["per_kind"]["input"])
+    def test_failed_worker_start_leaks_no_worker(self, real_backend,
+                                                 monkeypatch):
+        """A pool whose second worker fails to start stops the first before
+        the error surfaces, and the next run spawns a whole pool."""
+        ctx = multiprocessing.get_context(real_backend.start_method)
+        real_start = ctx.Process.start
+        starts = []
+
+        def start(proc):
+            starts.append(proc)
+            if len(starts) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            real_start(proc)
+
+        children_before = _children()
+        with monkeypatch.context() as patch:
+            patch.setattr(ctx.Process, "start", start)
+            with pytest.raises(OSError):
+                real_backend.run(two_step_program, 2, seed=0)
+        assert _children() <= children_before
+        res = real_backend.run(two_step_program, 2, seed=0)
+        assert res.values == [6.0, 6.0]
 
     @needs_dev_shm
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])

@@ -18,6 +18,7 @@ Four layers of guarantees:
 
 import glob
 import multiprocessing
+import os
 import pickle
 import threading
 import time
@@ -190,36 +191,73 @@ def _canon(rr):
 
 
 def test_sim_mp_warm_bit_identity(big_graph):
+    """Every input path gives the simulator's answer: a fork one-shot run
+    inherits its slices, a spawn one-shot run attaches the published
+    graph, a warm pool attaches and retains it."""
     require_mp()
+    from repro.core.approx_mincut import approx_minimum_cut
     from repro.core.components import connected_components
     from repro.runtime.mp import MpBackend
+    from repro.runtime.sim import SimBackend
     from repro.runtime.warm import WarmMpBackend
+    from tests.test_trace_backends import strip_wall
 
-    ref = connected_components(big_graph, p=4, seed=3, backend="sim")
-    for make in (lambda: MpBackend(graph_plane=True),
-                 lambda: MpBackend(graph_plane=False),
-                 lambda: WarmMpBackend(graph_plane=True)):
+    def answers(be):
+        cc = connected_components(big_graph, p=2, seed=3, backend=be)
+        cut = approx_minimum_cut(big_graph, p=2, seed=3, backend=be)
+        return (cc.n_components, cc.labels.tolist(), cc.report,
+                strip_wall(cc.trace), cut.estimate, cut.witness_value,
+                cut.witness_side.tolist(), cut.report, strip_wall(cut.trace))
+
+    ref = answers(SimBackend(trace=True))
+    starts = [m for m in ("fork", "spawn")
+              if m in multiprocessing.get_all_start_methods()]
+    for make in [lambda m=m: MpBackend(start_method=m, trace=True)
+                 for m in starts] + [lambda: WarmMpBackend(trace=True)]:
         be = make()
         try:
-            res = be, connected_components(big_graph, p=4, seed=3, backend=be)
-            r = res[1]
-            assert r.n_components == ref.n_components
-            assert np.array_equal(r.labels, ref.labels)
-            assert r.report == ref.report
+            assert answers(be) == ref, (be.name, be.start_method)
         finally:
             be.close()
     assert shm_segments() == []
 
 
-def test_mp_input_bytes_reduction(big_graph):
+def test_fork_one_shot_publishes_and_pickles_nothing(big_graph, monkeypatch):
+    """Fork workers inherit the run: no plane segment, no /dev/shm entry
+    left behind, and the ``input`` stats kind reads 0 argument bytes."""
     require_mp()
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no fork start method on this platform")
+    from repro.core.components import connected_components
+    from repro.runtime.mp import MpBackend
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fork one-shot run published its input")
+
+    monkeypatch.setattr(plane, "publish", refuse)
+    before = set(os.listdir("/dev/shm"))
+    be = MpBackend(start_method="fork")
+    r = connected_components(big_graph, p=2, seed=3, backend=be)
+    ref = connected_components(big_graph, p=2, seed=3, backend="sim")
+    assert np.array_equal(r.labels, ref.labels)
+    assert plane.published() == {}
+    assert set(os.listdir("/dev/shm")) == before
+    assert be.last_transport_stats["per_kind"]["input"]["pickle_bytes"] == 0
+
+
+def test_mp_input_bytes_reduction(big_graph):
+    """Under spawn a one-shot run still ships its input: the plane cuts
+    it to handles."""
+    require_mp()
+    if "spawn" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no spawn start method on this platform")
     from repro.core.mincut import minimum_cut
     from repro.runtime.mp import MpBackend
 
     inputs = {}
     values = {}
     for label, on in (("off", False), ("on", True)):
-        be = MpBackend(graph_plane=on)
+        be = MpBackend(start_method="spawn", graph_plane=on)
         r = minimum_cut(big_graph, p=4, seed=5, trials=4, backend=be)
         values[label] = r.value
         inputs[label] = \
