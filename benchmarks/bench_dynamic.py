@@ -80,13 +80,11 @@ def incremental_vs_full(scale: float = 1.0, seed: int = 0, p: int = 4) -> dict:
     """Per-epoch incremental maintenance vs from-scratch recompute.
 
     The full leg runs :func:`~repro.core.connected_components` on the
-    identical epoch snapshot with the seed the incremental structure's
-    own fallback would use, then canonicalizes — so agreement is
+    identical epoch snapshot, then canonicalizes — so agreement is
     required bit for bit, not just up to relabeling.
     """
     from repro.core import connected_components
     from repro.dynamic import DynamicGraph, canonical_roots
-    from repro.dynamic.graph import _CC_SALT
 
     g, stream = churn_workload(scale=scale, seed=seed)
     dyn = DynamicGraph(g, p=p, seed=seed, backend="sim")
@@ -99,13 +97,11 @@ def incremental_vs_full(scale: float = 1.0, seed: int = 0, p: int = 4) -> dict:
         cc = dyn.query_components()
         inc_lat.append(time.perf_counter() - t0)
 
-        fallback_seed = dyn._streams.spawn(_CC_SALT + dyn.epoch).seed
         t0 = time.perf_counter()
         # From-scratch pays the canonical array rebuild AND the BSP
         # dispatch every epoch; the incremental query touches neither.
         snap = dyn.snapshot()
-        full = connected_components(snap, p, seed=fallback_seed,
-                                    backend="sim")
+        full = connected_components(snap, p, seed=seed, backend="sim")
         roots = canonical_roots(np.asarray(full.labels))
         _, full_labels = np.unique(roots, return_inverse=True)
         full_lat.append(time.perf_counter() - t0)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "ALGORITHMS",
     "FIELD_DOMAINS",
     "VARIANTS",
     "field_error",
@@ -36,13 +37,22 @@ __all__ = [
 #: Exact-min-cut pipelines: the paper's, or 2-out contraction first.
 VARIANTS = ("default", "2out")
 
+#: The artifact executables: CC (§3.2), approximate cut (§3.3), exact cut (§4).
+ALGORITHMS = ("parallel_cc", "approx_cut", "square_root")
+
 _INT, _REAL, _BOOL = (int,), (int, float), (bool,)
 _COUNT = (_INT, lambda v: v >= 1, ">= 1")
 _NONNEGATIVE = (_INT, lambda v: v >= 0, ">= 0")
 _POSITIVE = (_REAL, lambda v: 0 < v < math.inf, "> 0")
 _PROBABILITY = (_REAL, lambda v: 0 < v < 1, "in (0, 1)")
 _FLAG = (_BOOL, lambda v: True, "true or false")
-#: Domain of every numeric or flag option the CLI takes and of every typed
+
+
+def _one_of(values: tuple) -> tuple:
+    return ((str,), lambda v: v in values, f"one of {values}")
+
+
+#: Domain of every numeric, flag or named option the CLI takes and of every
 #: field the serve wire carries, one table for both (:func:`field_error`):
 #: name -> (accepted types, predicate, the domain in words).
 FIELD_DOMAINS = {
@@ -54,9 +64,14 @@ FIELD_DOMAINS = {
                     (_REAL, lambda v: 0 <= v < math.inf, ">= 0")),
     **dict.fromkeys(("priority", "trial_scale", "eps", "quantum"), _POSITIVE),
     **dict.fromkeys(("success_prob", "delta"), _PROBABILITY),
-    "variant": ((str,), lambda v: v in VARIANTS, f"one of {VARIANTS}"),
-    **dict.fromkeys(("job", "session", "fingerprint"),
+    "variant": _one_of(VARIANTS),
+    "algorithm": _one_of(ALGORITHMS),
+    "query": _one_of(("components", "cut")),
+    "mode": _one_of(("exact", "approx")),
+    "if_stale": _one_of(("reject", "requeue")),
+    **dict.fromkeys(("job", "session", "fingerprint", "path", "client"),
                     ((str,), lambda v: True, "a string")),
+    "ops": ((list,), lambda v: True, "a list"),
     **dict.fromkeys(("hybrid", "pipelined", "preprocess", "wait", "discard"),
                     _FLAG),
 }

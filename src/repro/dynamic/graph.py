@@ -12,8 +12,8 @@ Two query families stay warm across epochs (``docs/dynamic.md``):
 
 * :meth:`query_components` — an incremental spanning forest plus a
   union-by-minimum union-find, a bounded reconnection search on
-  tree-edge deletes, and the :func:`~repro.core.components.cc_kernel`
-  pipeline as the over-budget fallback.  Every path returns the
+  tree-edge deletes, and a from-scratch forest rebuild on the epoch
+  snapshot as the over-budget fallback.  Every path returns the
   canonical :func:`~repro.kernels.cc_labels` form, so answers are
   **bit-identical** to ``cc_labels`` on the epoch snapshot.
 * :meth:`query_cut` — ``"exact"``: the 2-out pipeline on the snapshot,
@@ -29,6 +29,7 @@ reproduces every epoch's answers bit for bit, on either backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -49,11 +50,23 @@ __all__ = [
 #: The three update verbs a batch may carry.
 UPDATE_OPS = ("insert", "delete", "reweight")
 
-#: Salt separating the CC-fallback seed space from trial/update streams.
-_CC_SALT = 3 << 16
-
 #: Salt for cut query seeds (exact: one per session; approx: + 1 + epoch).
 _CUT_SALT = 4 << 16
+
+
+def _vertex(x) -> int:
+    """An update op's vertex id: an integer, never a bool, float or str."""
+    if x.__class__ is bool:
+        raise TypeError(x)
+    return index(x)
+
+
+def _weight(w) -> float:
+    """An update op's weight: a real number, never a bool or string."""
+    if w.__class__ is bool or not isinstance(
+            w, (int, float, np.integer, np.floating)):
+        raise TypeError(w)
+    return float(w)
 
 
 def canonical_roots(labels: np.ndarray) -> np.ndarray:
@@ -62,8 +75,8 @@ def canonical_roots(labels: np.ndarray) -> np.ndarray:
     The backend CC pipelines return exact partitions whose label *ids*
     are trajectory-dependent; this projects them onto the canonical form
     shared with :func:`~repro.kernels.cc_labels` (root = minimum member
-    vertex), which is what makes incremental and fallback answers
-    byte-comparable.
+    vertex), which is what makes a session's answers byte-comparable
+    with a from-scratch ``connected_components`` run.
     """
     labels = np.asarray(labels, dtype=np.int64)
     order = np.argsort(labels, kind="stable")  # vertices ascend per class
@@ -86,7 +99,8 @@ class DynamicCCResult:
     #: Epoch content fingerprint when the snapshot was materialized at
     #: answer time (cut queries always materialize it), else None.
     fingerprint: str | None
-    #: Which path produced it: "incremental" | "forest" | "cc_kernel".
+    #: Which path produced it: "incremental" | "forest" | "cc_kernel" (the
+    #: from-scratch forest rebuild; the wire name predates it).
     via: str
 
 
@@ -114,12 +128,12 @@ class DynamicGraph:
     g:
         Initial graph (epoch 0); copied, never aliased.
     p, seed, backend:
-        Execution parameters for every backend dispatch (CC fallback,
-        cut queries).  All answers are deterministic in ``(g, updates,
+        Execution parameters for every backend dispatch (the cut
+        queries).  All answers are deterministic in ``(g, updates,
         seed, p)`` and backend-independent.
     reconnect_budget:
         Max vertices+edges a tree-edge deletion may scan before the
-        epoch falls back to the full CC pipeline.
+        epoch falls back to a from-scratch forest rebuild.
     success_prob, trial_scale:
         Exact-cut trial budget knobs, forwarded to the 2-out pipeline
         (and part of the plan-cache key).
@@ -166,13 +180,14 @@ class DynamicGraph:
         self._labels_cache: DynamicCCResult | None = None
         self.plans = plan_cache if plan_cache is not None else BoundedLRU(8)
         # Owner hook (the serve session's write-ahead log): fires once a
-        # batch has validated, before it mutates anything.
+        # batch has validated, before it mutates anything, with the batch
+        # as checked (``[verb, lo, hi(, w)]``: int ids, a float weight).
         self.on_batch = None
 
         # -- incremental CC state: ``_tree`` (forest edges, by key),
         # ``_tree_adj`` and ``_parent`` come from the initial forest below.
         self._uf_stale = False    # forest exact, parent needs rebuild
-        self._cc_dirty = False    # forest unknown, needs cc_kernel fallback
+        self._cc_dirty = False    # forest unknown, needs the fallback
         # ``resparsifications`` stays 0: benchmark readers still name it.
         self.counters = {
             "inserts": 0, "deletes": 0, "reweights": 0,
@@ -277,14 +292,16 @@ class DynamicGraph:
         or reweighting a missing edge raises.  A batch is **atomic**:
         :meth:`_checked` validates all of it first, so a rejected batch
         leaves the graph, its epoch and every cache as they were.  No
-        backend work happens here — CC fallback and the snapshot fold
+        backend work happens here — the CC fallback and the snapshot fold
         wait for the next query, so update throughput is bounded by the
         O(α) bookkeeping alone.
         """
         ops = list(ops)
         batch, keys = self._checked(ops)
-        if self.on_batch is not None:
-            self.on_batch(self.epoch + 1, ops)
+        if self.on_batch is not None:    # the checked rows: ints, floats
+            self.on_batch(self.epoch + 1,
+                          [[v, a, b] if v == "delete" else [v, a, b, w]
+                           for v, _key, a, b, w in batch])
         self._touched.update(keys)
         for verb, key, a, b, w in batch:
             if verb == "insert":
@@ -311,9 +328,18 @@ class DynamicGraph:
         rows = []
         for op in ops:
             try:
-                verb, a, b = op[0], int(op[1]), int(op[2])
-                w = 0.0 if verb == "delete" else float(op[3])
-            except (IndexError, TypeError, ValueError) as exc:
+                if op.__class__ is not list and not isinstance(op, tuple):
+                    raise TypeError
+                verb, a, b = op[0], op[1], op[2]
+                w = 0.0 if verb == "delete" else op[3]
+                # exact int / float (what JSON decodes to) is the fast path
+                if a.__class__ is not int:
+                    a = _vertex(a)
+                if b.__class__ is not int:
+                    b = _vertex(b)
+                if w.__class__ is not float:
+                    w = _weight(w)
+            except (IndexError, TypeError, OverflowError) as exc:
                 raise ValueError(f"malformed update op {op!r}") from exc
             if verb not in UPDATE_OPS:
                 raise ValueError(f"unknown update op {verb!r}; expected "
@@ -383,8 +409,9 @@ class DynamicGraph:
         replacement crossing edge.  Finding one keeps the partition;
         exhausting the side proves a split; blowing ``reconnect_budget``
         (scan steps across both phases) marks the epoch dirty for the
-        cc_kernel fallback.  Deterministic: floods and scans walk sorted
-        adjacency, so the replacement is a function of the graph state.
+        from-scratch fallback.  Deterministic: floods and scans walk
+        sorted adjacency, so the replacement is a function of the graph
+        state.
         """
         budget = self.reconnect_budget
         scanned = 0
@@ -463,20 +490,12 @@ class DynamicGraph:
         return result
 
     def _cc_fallback(self) -> np.ndarray:
-        """Full recompute through the existing cc_kernel pipeline.
-
-        The dispatch a from-scratch caller would make, on the epoch
-        snapshot; labels are canonicalized and the forest and union-find
-        rebuilt from the snapshot, so later updates are incremental again.
+        """From-scratch rebuild: the epoch snapshot's earliest spanning
+        forest, whose component roots (minimum member vertex) are the
+        answer.  Forest and union-find are exact again afterwards, so
+        later updates are incremental.  Dispatches nothing on any backend.
         """
-        from repro.core.components import connected_components
-
-        snap = self.snapshot()
-        seed = self._streams.spawn(_CC_SALT + self.epoch).seed
-        res = connected_components(snap, self.p, seed=seed,
-                                   backend=self.backend)
-        roots = canonical_roots(res.labels)
-        self._reforest(snap)
+        roots = cc_roots(self.n, *self._reforest(self.snapshot()))
         self._parent = roots.copy()
         self._cc_dirty = self._uf_stale = False
         self.counters["cc_fallbacks"] += 1

@@ -37,7 +37,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.core.trials import field_error
 from repro.harness.experiment import run_algorithm
 from repro.runtime.base import Backend, resolve_backend
 from repro.sched.ledger import encode_side
@@ -46,7 +45,6 @@ from repro.serve.cache import FingerprintMismatch, GraphCache
 from repro.serve.dynamic import DynamicSessionManager
 from repro.serve.jobs import Job, JobStore
 from repro.serve.protocol import (
-    ALGORITHMS,
     DYNAMIC_ALGORITHMS,
     MAX_REQUEST_LINE,
     PROTOCOL_VERSION,
@@ -56,6 +54,7 @@ from repro.serve.protocol import (
     encode_line,
     error_doc,
     ok_doc,
+    parse,
     result_doc,
 )
 from repro.serve.queue import DeficitFairQueue
@@ -63,24 +62,6 @@ from repro.serve.queue import DeficitFairQueue
 __all__ = ["ServeConfig", "Daemon"]
 
 logger = logging.getLogger(__name__)
-
-#: submit fields forwarded as algorithm kwargs, per algorithm.
-_ALGO_KWARGS = {
-    "parallel_cc": ("eps", "delta", "hybrid"),
-    "approx_cut": ("eps", "delta", "trials_per_level", "pipelined"),
-    "square_root": ("variant", "trials", "trial_scale", "success_prob",
-                    "preprocess"),
-}
-
-
-def _checked(req: dict, names) -> dict:
-    """The fields of ``names`` present in ``req``, each inside its domain."""
-    out = {k: req[k] for k in names if k in req}
-    for k, v in out.items():
-        bad = field_error(k, v)
-        if bad:
-            raise ProtocolError(f"'{k}' {bad}")
-    return out
 
 
 class _Refused(Exception):
@@ -318,13 +299,12 @@ class Daemon:
     # -- request handlers ----------------------------------------------------
 
     def handle_request(self, req: dict) -> dict:
-        """Answer one request document; never raises (see the protocol)."""
+        """Answer one request document; never raises (see the protocol).
+        Handlers get the arguments :func:`parse` makes of it."""
         try:
             op = req.get("op")
-            handler = getattr(self, f"_op_{op}", None)
-            if op is None or handler is None:
-                raise ProtocolError(f"unknown op {op!r}")
-            return handler(req)
+            args = parse(op, req, {"p": self.config.p})
+            return getattr(self, f"_op_{op}")(args)
         except ProtocolError as exc:
             return error_doc("ProtocolError", str(exc))
         except _Refused as exc:
@@ -333,45 +313,31 @@ class Daemon:
             logger.exception("request failed")
             return error_doc(type(exc).__name__, str(exc))
 
-    def _op_ping(self, req: dict) -> dict:
+    def _op_ping(self, args: dict) -> dict:
         return ok_doc(version=PROTOCOL_VERSION, backend=self.backend.name,
                       uptime_s=time.time() - self.started_at)
 
-    def _op_shutdown(self, req: dict) -> dict:
+    def _op_shutdown(self, args: dict) -> dict:
         return ok_doc(stopping=True)
 
-    def _load_graph(self, req: dict, verb: str):
-        """``(path, graph, fingerprint)`` of the request's graph file,
-        through the cache; an optional ``fingerprint`` field must match."""
-        path = req.get("path")
-        if not isinstance(path, str):
-            raise ProtocolError(f"{verb} needs a graph file 'path'")
-        expected = _checked(req, ("fingerprint",)).get("fingerprint")
+    def _load_graph(self, args: dict):
+        """``(graph, fingerprint)`` of the request's graph file, through
+        the cache; a ``fingerprint`` sent must match."""
         try:
-            return (path, *self.cache.load(path, expected_fp=expected))
+            return self.cache.load(args["path"],
+                                   expected_fp=args["fingerprint"])
         except FingerprintMismatch as exc:
             raise _Refused("FingerprintMismatch", exc) from exc
         except OSError as exc:
             raise _Refused("GraphUnreadable", exc) from exc
 
-    def _op_submit(self, req: dict) -> dict:
-        algorithm = req.get("algorithm")
-        if algorithm not in ALGORITHMS:
-            raise ProtocolError(
-                f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-        head = _checked(req, ("seed", "p", "priority"))
-        kwargs = _checked(req, _ALGO_KWARGS[algorithm])
-        if kwargs.get("variant") == "2out" and "trials" in kwargs:
-            raise ProtocolError(
-                "'trials' does not apply to variant '2out': it recomputes "
-                "the trial budget from the contracted replicas")
-        path, _g, fp = self._load_graph(req, "submit")
+    def _op_submit(self, args: dict) -> dict:
+        _g, fp = self._load_graph(args)
         job = Job(
-            id=self.store.new_id(),
-            client=str(req.get("client", "anon")),
-            algorithm=algorithm, path=path, fingerprint=fp,
-            seed=head.get("seed", 0), p=head.get("p", self.config.p),
-            priority=float(head.get("priority", 1.0)), kwargs=kwargs,
+            id=self.store.new_id(), client=args["client"],
+            algorithm=args["algorithm"], path=args["path"], fingerprint=fp,
+            seed=args["seed"], p=args["p"],
+            priority=args["priority"], kwargs=args["kwargs"],
         )
         with self._lock:
             self.jobs[job.id] = job
@@ -379,23 +345,21 @@ class Daemon:
         self._enqueue(job)
         return ok_doc(job=job.id, fingerprint=fp)
 
-    def _get_job(self, req: dict) -> Job:
-        jid = _checked(req, ("job",)).get("job")
+    def _get_job(self, args: dict) -> Job:
         with self._lock:
-            job = self.jobs.get(jid)
+            job = self.jobs.get(args["job"])
         if job is None:
-            raise ProtocolError(f"unknown job {jid!r}")
+            raise ProtocolError(f"unknown job {args['job']!r}")
         return job
 
-    def _op_status(self, req: dict) -> dict:
-        return ok_doc(**self._get_job(req).status_doc())
+    def _op_status(self, args: dict) -> dict:
+        return ok_doc(**self._get_job(args).status_doc())
 
-    def _op_result(self, req: dict) -> dict:
-        opts = _checked(req, ("wait", "timeout"))
-        job = self._get_job(req)
-        if opts.get("wait"):
-            deadline = (time.monotonic() + opts["timeout"]
-                        if "timeout" in opts else None)
+    def _op_result(self, args: dict) -> dict:
+        job = self._get_job(args)
+        if args["wait"]:
+            deadline = (None if args["timeout"] is None
+                        else time.monotonic() + args["timeout"])
             with self._cv:
                 while not job.terminal and not self._stopping.is_set():
                     remaining = (None if deadline is None
@@ -413,8 +377,8 @@ class Daemon:
             return error_doc("JobCancelled", f"job {job.id} was cancelled")
         return ok_doc(job=job.id, state=job.state, result=None)
 
-    def _op_cancel(self, req: dict) -> dict:
-        job = self._get_job(req)
+    def _op_cancel(self, args: dict) -> dict:
+        job = self._get_job(args)
         with self._cv:
             if job.terminal:
                 return ok_doc(job=job.id, state=job.state)
@@ -426,7 +390,7 @@ class Daemon:
         self.store.save(job)
         return ok_doc(job=job.id, state="cancelled")
 
-    def _op_stats(self, req: dict) -> dict:
+    def _op_stats(self, args: dict) -> dict:
         with self._lock:
             states: dict[str, int] = {}
             for job in self.jobs.values():
@@ -446,71 +410,50 @@ class Daemon:
 
     # -- dynamic sessions ----------------------------------------------------
 
-    def _op_dyn_open(self, req: dict) -> dict:
-        head = _checked(req, ("seed", "p"))
-        kwargs = _checked(req, ("reconnect_budget", "success_prob",
-                                "trial_scale"))
-        path, g, fp = self._load_graph(req, "dyn_open")
+    def _op_dyn_open(self, args: dict) -> dict:
+        g, fp = self._load_graph(args)
         session = self.dynamic.open(
-            g, path=path, fingerprint=fp,
-            seed=head.get("seed", 0), p=head.get("p", self.config.p),
-            backend=self.backend, plan_cache=self.cache.derivatives,
-            **kwargs)
+            g, path=args["path"], fingerprint=fp, seed=args["seed"],
+            p=args["p"], backend=self.backend,
+            plan_cache=self.cache.derivatives, **args["kwargs"])
         return ok_doc(session=session.id, epoch=0, fingerprint=fp)
 
-    def _get_session(self, req: dict):
-        sid = _checked(req, ("session",)).get("session")
-        session = self.dynamic.get(sid)
+    def _get_session(self, args: dict):
+        session = self.dynamic.get(args["session"])
         if session is None:
-            raise ProtocolError(f"unknown dynamic session {sid!r}")
+            raise ProtocolError(
+                f"unknown dynamic session {args['session']!r}")
         return session
 
-    def _op_dyn_update(self, req: dict) -> dict:
-        session = self._get_session(req)
-        ops = req.get("ops")
-        if not isinstance(ops, list):
-            raise ProtocolError("dyn_update needs a list of 'ops'")
+    def _op_dyn_update(self, args: dict) -> dict:
+        session = self._get_session(args)
         try:
-            staleness = session.update(ops)
+            staleness = session.update(args["ops"])
         except (KeyError, ValueError) as exc:
             return error_doc("BadUpdate", str(exc))
         return ok_doc(session=session.id, **staleness)
 
-    def _op_dyn_staleness(self, req: dict) -> dict:
-        session = self._get_session(req)
+    def _op_dyn_staleness(self, args: dict) -> dict:
+        session = self._get_session(args)
         return ok_doc(session=session.id, **session.dyn.staleness())
 
-    def _op_dyn_query(self, req: dict) -> dict:
-        session = self._get_session(req)
-        query = req.get("query")
-        if query not in ("components", "cut"):
-            raise ProtocolError(
-                f"dyn_query 'query' must be 'components' or 'cut', "
-                f"got {query!r}")
-        mode = req.get("mode", "exact")
-        if mode not in ("exact", "approx"):
-            raise ProtocolError(
-                f"dyn_query 'mode' must be 'exact' or 'approx', got {mode!r}")
-        if_stale = req.get("if_stale", "reject")
-        if if_stale not in ("reject", "requeue"):
-            raise ProtocolError(
-                f"'if_stale' must be 'reject' or 'requeue', got {if_stale!r}")
-        priority = float(_checked(req, ("priority",)).get("priority", 1.0))
+    def _op_dyn_query(self, args: dict) -> dict:
+        session = self._get_session(args)
         # The job pins the session's epoch at submit; the executor
         # compares it against the live epoch at dispatch.  The stored
         # fingerprint pins the session's *base* graph — the epoch
         # integer is the version pin (forcing the epoch's content
         # fingerprint here would cost an O(m) snapshot per submit).
         job = Job(
-            id=self.store.new_id(),
-            client=str(req.get("client", "anon")),
-            algorithm=("dyn_components" if query == "components"
+            id=self.store.new_id(), client=args["client"],
+            algorithm=("dyn_components" if args["query"] == "components"
                        else "dyn_cut"),
             path=session.doc["path"],
             fingerprint=session.doc["fingerprint"],
-            seed=session.dyn.seed, p=session.dyn.p, priority=priority,
+            seed=session.dyn.seed, p=session.dyn.p,
+            priority=args["priority"],
             kwargs={"session": session.id, "epoch": session.dyn.epoch,
-                    "mode": mode, "if_stale": if_stale},
+                    "mode": args["mode"], "if_stale": args["if_stale"]},
         )
         with self._lock:
             self.jobs[job.id] = job
@@ -519,11 +462,9 @@ class Daemon:
         return ok_doc(job=job.id, session=session.id,
                       epoch=session.dyn.epoch)
 
-    def _op_dyn_close(self, req: dict) -> dict:
-        fields = _checked(req, ("discard", "session"))
-        sid = fields.get("session")
-        closed = self.dynamic.close(sid, discard=fields.get("discard", True))
-        return ok_doc(session=sid, closed=closed)
+    def _op_dyn_close(self, args: dict) -> dict:
+        closed = self.dynamic.close(args["session"], discard=args["discard"])
+        return ok_doc(session=args["session"], closed=closed)
 
     # -- executor ------------------------------------------------------------
 
@@ -631,18 +572,18 @@ class Daemon:
         it to the latest epoch (the result doc then carries
         ``repinned_from_epoch`` so the client knows what it got).
         """
-        session = self.dynamic.get(job.kwargs.get("session"))
+        sid = job.kwargs["session"]
+        session = self.dynamic.get(sid)
         if session is None:
-            self._finish_job(
-                job, error=f"dynamic session {job.kwargs.get('session')!r} "
-                           f"is gone", error_type="SessionClosed")
+            self._finish_job(job, error=f"dynamic session {sid!r} is gone",
+                             error_type="SessionClosed")
             return
-        pinned = int(job.kwargs.get("epoch", 0))
+        pinned = job.kwargs["epoch"]
         repinned_from = None
         with session.lock:
             live = session.dyn.epoch
             if live != pinned:
-                if job.kwargs.get("if_stale", "reject") == "reject":
+                if job.kwargs["if_stale"] == "reject":
                     self._finish_job(
                         job,
                         error=(f"epoch advanced {pinned} -> {live} between "
@@ -655,8 +596,7 @@ class Daemon:
             if job.algorithm == "dyn_components":
                 result = session.dyn.query_components()
             else:
-                result = session.dyn.query_cut(
-                    mode=job.kwargs.get("mode", "exact"))
+                result = session.dyn.query_cut(mode=job.kwargs["mode"])
         doc = dyn_result_doc(result)
         doc["session"] = session.id
         if repinned_from is not None:

@@ -66,6 +66,7 @@ class Job:
     finished_at: float | None = None
 
     def __post_init__(self):
+        self.priority = float(self.priority)   # the wire may send an int
         if self.algorithm not in ALGORITHMS + DYNAMIC_ALGORITHMS:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; "

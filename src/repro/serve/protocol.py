@@ -1,70 +1,26 @@
 """The line-delimited-JSON wire protocol of the serve daemon.
 
 One connection, one JSON object per line, request/response in lockstep.
-Every request carries ``{"op": <name>, ...}``; every response carries
+Every request carries ``{"op": <verb>, ...}``; every response carries
 ``{"ok": true, ...}`` or ``{"ok": false, "error": <type>, "message": ...}``.
-Ops:
 
-``submit``
-    ``{"op": "submit", "algorithm": "parallel_cc" | "approx_cut" |
-    "square_root", "path": <graph file>, "seed": int, "p": int,
-    "client": str, "priority": float, ...algorithm kwargs}`` →
-    ``{"ok": true, "job": <id>}``.  ``priority`` is the client's fair-
-    queue weight (default 1.0; higher drains faster, never starves
-    others).  Optional algorithm kwargs: ``variant``/``trials``/
-    ``trial_scale``/``success_prob``/``preprocess`` for ``square_root``
-    (``variant: "2out"`` refuses ``trials``: it recomputes the budget),
-    ``eps``/``delta`` for the others where applicable.  A field outside
-    its domain is a ``ProtocolError`` and nothing is persisted.
-``status``
-    ``{"op": "status", "job": <id>}`` → job state (``queued`` /
-    ``running`` / ``done`` / ``failed`` / ``cancelled``) plus progress
-    (waves completed / planned).
-``result``
-    ``{"op": "result", "job": <id>, "wait": bool, "timeout": float}`` →
-    the result document (below), blocking until terminal when ``wait``
-    (a flag) for at most ``timeout`` (a real >= 0) seconds.
-``cancel``
-    ``{"op": "cancel", "job": <id>}`` → cancels a queued/running job.
-``stats``
-    daemon-wide counters: cache stats, queue depths, per-client served
-    slices, backend pool spawns, uptime.
-``ping`` / ``shutdown``
-    liveness probe / graceful stop.
+:data:`VERBS` is the wire: every field each verb takes and its default.
+:func:`parse` checks a request against it, each field against its
+``FIELD_DOMAINS`` entry, before any handler runs.  What the verbs do:
 
-Dynamic-graph sessions (``docs/dynamic.md``):
-
-``dyn_open``
-    ``{"op": "dyn_open", "path": <graph file>, "seed": int, "p": int,
-    "reconnect_budget": int, "success_prob": float, "trial_scale":
-    float}`` (all but ``path`` optional) → ``{"ok": true, "session":
-    <id>, "epoch": 0, "fingerprint": ...}``.  Opens a streaming session
-    on the file's graph (epoch 0).
-``dyn_update``
-    ``{"op": "dyn_update", "session": <id>, "ops": [["insert", u, v, w],
-    ["delete", u, v], ["reweight", u, v, w], ...]}`` → the new epoch's
-    staleness document.  Applied inline (no backend work); each batch
-    closes an epoch and is write-ahead logged for restart replay.  A
-    batch with an invalid op is refused whole (``BadUpdate``): nothing
-    is applied and nothing is logged.
-``dyn_query``
-    ``{"op": "dyn_query", "session": <id>, "query": "components" |
-    "cut", "mode": "exact" | "approx", "if_stale": "reject" |
-    "requeue"}`` → ``{"ok": true, "job": <id>}``.  Queries run through
-    the job queue (the backend is single-tenant); the job pins the
-    session's epoch at submit.  If the epoch advanced before dispatch,
-    ``"reject"`` (default) fails the job with the typed ``StaleEpoch``
-    error; ``"requeue"`` re-pins it to the latest epoch and the result
-    reports ``repinned_from_epoch``.
-``dyn_staleness``
-    ``{"op": "dyn_staleness", "session": <id>}`` → epoch, fingerprint
-    (``null`` until a query materialized the snapshot), ``n``, ``m``,
-    updates so far, the forest's ``cc_dirty``/``uf_stale`` flags,
-    maintenance counters.
-``dyn_close``
-    ``{"op": "dyn_close", "session": <id>, "discard": bool}`` → drops
-    the session, its plane pin and (unless ``discard`` is false) its
-    persisted stream.
+* ``submit`` queues an artifact run and answers its job id; ``status``,
+  ``result`` (blocking while ``wait``, for at most ``timeout`` s) and
+  ``cancel`` follow a job; ``stats``, ``ping`` and ``shutdown`` are the
+  daemon's counters, a liveness probe and a graceful stop.
+  ``priority`` is the client's fair-queue weight (higher drains faster,
+  never starves others).
+* ``dyn_open``, ``dyn_update``, ``dyn_query``, ``dyn_staleness`` and
+  ``dyn_close`` drive streaming sessions (``docs/dynamic.md``).  A
+  ``dyn_update`` batch with an invalid op is refused whole
+  (``BadUpdate``): nothing is applied or logged.  A ``dyn_query`` job
+  pins the session's epoch at submit; if it advanced before dispatch,
+  ``if_stale: "reject"`` fails the job (``StaleEpoch``) and
+  ``"requeue"`` re-pins it (the result reports ``repinned_from_epoch``).
 
 Result documents are JSON-safe summaries, not pickles: ``parallel_cc``
 reports ``n_components`` and a sha256 of the label array (plus the
@@ -84,14 +40,21 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.trials import ALGORITHMS, field_error
+
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_REQUEST_LINE",
     "ALGORITHMS",
+    "ALGORITHM_FIELDS",
+    "VERBS",
+    "REQUIRED",
+    "FORWARDED",
     "DYNAMIC_ALGORITHMS",
     "JOB_STATES",
     "TERMINAL_STATES",
     "ProtocolError",
+    "parse",
     "encode_line",
     "decode_line",
     "error_doc",
@@ -102,11 +65,10 @@ __all__ = [
 
 #: Bumped on incompatible wire changes; ping reports it.  2 added the
 #: dynamic-session verbs (dyn_open/dyn_update/dyn_query/dyn_staleness/
-#: dyn_close) — a pure extension, so 1-era clients keep working.
-PROTOCOL_VERSION = 2
-
-#: Algorithm tags accepted by ``submit`` (the artifact executables).
-ALGORITHMS = ("parallel_cc", "approx_cut", "square_root")
+#: dyn_close) — a pure extension, so 1-era clients keep working.  3
+#: refuses unknown fields: a request carrying one, which 2 answered by
+#: ignoring the field, is now a ``ProtocolError``.
+PROTOCOL_VERSION = 3
 
 #: Internal job tags for dynamic-session queries (created by
 #: ``dyn_query``, never by ``submit``).
@@ -129,6 +91,86 @@ MAX_REQUEST_LINE = 1 << 23
 
 class ProtocolError(Exception):
     """Malformed request or illegal op (reported, never fatal)."""
+
+
+#: Defaults that are markers (compared by identity): a field the verb
+#: cannot do without; an optional field passed on to the callee only when
+#: sent, the callee (the algorithm, the dynamic graph) owning its default.
+REQUIRED, FORWARDED = "<required>", "<forwarded>"
+
+#: ``submit``'s forwarded fields, per algorithm: the rest are refused.
+ALGORITHM_FIELDS = {
+    "parallel_cc": ("eps", "delta", "hybrid"),
+    "approx_cut": ("eps", "delta", "trials_per_level", "pipelined"),
+    "square_root": ("variant", "trials", "trial_scale", "success_prob",
+                    "preprocess"),
+}
+
+#: The wire: verb -> {field: default, REQUIRED or FORWARDED}.  Every field
+#: is checked against its ``FIELD_DOMAINS`` entry; a ``None`` default
+#: stands for "not sent" (no domain admits ``None``).  ``p``'s is the
+#: serving daemon's configured ``p``, which it hands :func:`parse`.
+VERBS = {
+    "ping": {}, "stats": {}, "shutdown": {},
+    "submit": {
+        "algorithm": REQUIRED, "path": REQUIRED, "seed": 0, "p": None,
+        "client": "anon", "priority": 1.0, "fingerprint": None,
+        **dict.fromkeys(sum(ALGORITHM_FIELDS.values(), ()), FORWARDED)},
+    "status": {"job": REQUIRED},
+    "result": {"job": REQUIRED, "wait": False, "timeout": None},
+    "cancel": {"job": REQUIRED},
+    "dyn_open": {
+        "path": REQUIRED, "seed": 0, "p": None, "fingerprint": None,
+        **dict.fromkeys(("reconnect_budget", "success_prob", "trial_scale"),
+                        FORWARDED)},
+    "dyn_update": {"session": REQUIRED, "ops": REQUIRED},
+    "dyn_staleness": {"session": REQUIRED},
+    "dyn_query": {
+        "session": REQUIRED, "query": REQUIRED, "mode": "exact",
+        "if_stale": "reject", "client": "anon", "priority": 1.0},
+    "dyn_close": {"session": REQUIRED, "discard": True},
+}
+
+
+def parse(verb, req: dict, defaults: dict | None = None) -> dict:
+    """``req``'s arguments for ``verb``, checked against :data:`VERBS`.
+
+    Every field the verb declares comes back under its name (the value
+    sent, else ``defaults``' entry, else the table's default), except the
+    FORWARDED ones, which come back under ``"kwargs"`` and only when sent.
+    ``submit``'s algorithm fields must be its algorithm's, and a 2-out
+    ``submit`` refuses ``trials``.
+    Raises :class:`ProtocolError` naming the field at fault.
+    """
+    fields = VERBS.get(verb) if isinstance(verb, str) else None
+    if fields is None:
+        raise ProtocolError(f"unknown op {verb!r}")
+    for name in req:
+        if name != "op" and name not in fields:
+            raise ProtocolError(f"{verb} has no field {name!r}")
+    args, kwargs, defaults = {}, {}, defaults or {}
+    for name, default in fields.items():
+        if name not in req:
+            if default is REQUIRED:
+                raise ProtocolError(f"{verb} needs '{name}'")
+            if default is not FORWARDED:
+                args[name] = defaults.get(name, default)
+            continue
+        bad = field_error(name, req[name])
+        if bad:
+            raise ProtocolError(f"'{name}' {bad}")
+        (kwargs if default is FORWARDED else args)[name] = req[name]
+    args["kwargs"] = kwargs
+    if verb == "submit":                      # the cross-field rules
+        for name in kwargs:
+            if name not in ALGORITHM_FIELDS[args["algorithm"]]:
+                raise ProtocolError(
+                    f"'{name}' does not apply to {args['algorithm']}")
+        if kwargs.get("variant") == "2out" and "trials" in kwargs:
+            raise ProtocolError(
+                "'trials' does not apply to variant '2out': it recomputes "
+                "the trial budget from the contracted replicas")
+    return args
 
 
 def encode_line(doc: dict) -> bytes:

@@ -176,6 +176,33 @@ def test_batch_ops_see_the_ops_before_them():
     assert dyn.epoch == 1 and dyn.snapshot() is snap
 
 
+@pytest.mark.parametrize("op", [
+    ["insert", 0.9, 12, 1.0], ["insert", "3", "12", "1.5"],
+    ["insert", 3, 12, "1.5"], ["insert", True, 12, 1.0],
+    ["insert", np.bool_(True), 12, 1.0], ["reweight", 0, 1, True],
+    ["insert", 3, 12, None], ["insert", 3, 12, [1.0]],
+    ["insert", 3, 12, 10 ** 400], {"x": 1}, 7, "insert"])
+def test_update_ops_are_typed_not_coerced(op):
+    """Vertex ids are integers and weights real numbers: a float, string or
+    bool is refused (``int``/``float`` used to coerce it), and so is an op
+    that is not a sequence; the batch applies and logs nothing."""
+    g = EdgeList.from_pairs(16, [(0, 1), (1, 2)])
+    dyn = DynamicGraph(g, p=2, seed=0)
+    logged = []
+    dyn.on_batch = lambda epoch, ops: logged.append(epoch)
+    fp = dyn.fingerprint()
+    with pytest.raises(ValueError, match="malformed update op"):
+        dyn.update_edges([["insert", 4, 5, 1.0], op])
+    assert dyn.epoch == 0 and logged == [] and dyn.fingerprint() == fp
+    # numpy integers and reals, and integer weights, are what they say
+    dyn.update_edges([("insert", np.int64(3), np.int32(12), np.float32(1.5)),
+                      ["reweight", 0, 1, 2]])
+    snap = dyn.snapshot()
+    assert list(zip(snap.u.tolist(), snap.v.tolist(), snap.w.tolist())) == \
+        [(0, 1, 2.0), (1, 2, 1.0), (3, 12, 1.5)]
+    assert dyn.epoch == 1
+
+
 # -- differential: the array edge store vs. the sorted dict -------------------
 
 
@@ -363,7 +390,7 @@ def test_components_backend_parity(backend):
     g, stream = churn(n=90, m=130, seed=9, batches=5, batch_size=12,
                       insert_frac=0.1, delete_frac=0.7)
     dyn = DynamicGraph(g, p=2, seed=9, backend=backend,
-                       reconnect_budget=2)   # force cc_kernel dispatches
+                       reconnect_budget=2)   # force fallbacks
     shas = []
     for ops in stream:
         dyn.update_edges(ops)

@@ -383,21 +383,48 @@ def test_rejected_batch_never_reaches_the_log(graph, graph_file, stream,
 
 def test_resume_skips_sessions_whose_log_no_longer_applies(
         graph_file, stream, tmp_path):
-    """A log written before batches were atomic can hold a rejected one."""
+    """A log written before batches were atomic can hold a rejected one,
+    and one written before ops were checked strictly can hold a value
+    ``int``/``float`` used to coerce (a string id, a bool weight).  Such a
+    session is skipped and its queued query fails typed."""
     state = str(tmp_path / "state")
     d1 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
-    sid = dyn_open(d1, graph_file)
-    other = dyn_open(d1, graph_file)
-    for s in (sid, other):
+    sid, coerced, other = (dyn_open(d1, graph_file) for _ in range(3))
+    for s in (sid, coerced, other):
         d1.handle_request({"op": "dyn_update", "session": s,
                            "ops": stream[0]})
-    log_path = d1.dynamic.get(sid).log_path
+    pending = dyn_query(d1, coerced, "components")  # persisted, never run
+    for s, record in (
+            (sid, '[["delete",0,59],["delete",0,59]]'),
+            (coerced, '[["insert","3",59.0,true]]')):
+        with open(d1.dynamic.get(s).log_path, "a", encoding="utf-8") as fh:
+            fh.write('{"epoch":2,"ops":%s}\n' % record)
     del d1
-    with open(log_path, "a", encoding="utf-8") as fh:
-        fh.write('{"epoch":2,"ops":[["delete",0,59],["delete",0,59]]}\n')
     d2 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
-    assert d2.dynamic.get(sid) is None          # unrecoverable, not crashed
+    for s in (sid, coerced):
+        assert d2.dynamic.get(s) is None        # unrecoverable, not crashed
     assert d2.dynamic.get(other).dyn.epoch == 1
+    drive(d2)
+    job = d2.jobs[pending]
+    assert job.state == "failed" and job.error_type == "SessionClosed"
+
+
+def test_update_log_holds_the_checked_ops(graph_file, tmp_path):
+    """The write-ahead log records each batch as validated — int ids in
+    (lo, hi) order, float weights — not as sent."""
+    import json
+
+    import numpy as np
+
+    d = threadless(tmp_path)
+    sid = dyn_open(d, graph_file)
+    session = d.dynamic.get(sid)
+    session.update([("insert", np.int64(5), np.int32(3), 2),
+                    ["reweight", 3, 5, np.float32(1.5)], ("delete", 5, 3)])
+    with open(session.log_path, encoding="utf-8") as fh:
+        assert [json.loads(line) for line in fh] == [{"epoch": 1, "ops": [
+            ["insert", 3, 5, 2.0], ["reweight", 3, 5, 1.5],
+            ["delete", 3, 5]]}]
 
 
 def test_resume_skips_unreadable_session_documents(graph_file, stream,

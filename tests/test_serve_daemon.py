@@ -333,8 +333,9 @@ def test_submit_rejects_fingerprint_mismatch(graph_file, tmp_path):
 @pytest.mark.parametrize("op", ["submit", "dyn_open"])
 def test_non_string_fingerprint_is_refused(graph_file, tmp_path, op):
     d = threadless(tmp_path)
-    reply = d.handle_request({"op": op, "algorithm": "parallel_cc",
-                              "path": graph_file, "fingerprint": 5})
+    fields = {"submit": {"algorithm": "parallel_cc"}}.get(op, {})
+    reply = d.handle_request({"op": op, **fields, "path": graph_file,
+                              "fingerprint": 5})
     assert reply["error"] == "ProtocolError", reply
     assert "fingerprint" in reply["message"]
     assert len(d.jobs) == 0 and d.dynamic.sessions == {}
@@ -351,8 +352,9 @@ def test_wrong_typed_ids_are_refused(graph_file, tmp_path, op, field, bad):
     d = threadless(tmp_path)
     submit(d, "parallel_cc", graph_file)
     assert d.handle_request({"op": "dyn_open", "path": graph_file})["ok"]
-    reply = d.handle_request({"op": op, field: bad, "ops": [],
-                              "query": "components"})
+    fields = {"dyn_update": {"ops": []},
+              "dyn_query": {"query": "components"}}.get(op, {})
+    reply = d.handle_request({"op": op, field: bad, **fields})
     assert reply["error"] == "ProtocolError", reply
     assert field in reply["message"]
 
