@@ -1,22 +1,13 @@
 """Typed multi-column array payloads for the array collectives.
 
 An :class:`ArrayBundle` is the unit the typed collectives
-(``gatherv``/``allgatherv``/``scatterv``/``alltoallv``) move: a tuple of
-numpy *columns* aligned on axis 0 — e.g. the ``(u, v, w)`` columns of an
-edge-array slice — plus an optional per-member ``counts`` vector.  The
-columns are the payload; ``counts`` is metadata (an MPI ``recvcounts``
-analogue) and is **not** charged as communication volume, exactly as MPI
-does not charge the count arrays of ``MPI_Gatherv``.
-
-Keeping the columns in one container is what lets the transport layer
-pack a whole multi-column payload into a single contiguous shared-memory
-buffer (one ``(counts, dtype, flat-buffer)`` triple per column) instead
-of pickling a tuple of arrays part by part, and it lets the engine
-concatenate gathered contributions column-wise without an object-walk.
-
-Inside the simulator bundles are passed by reference — receivers must
-treat the columns as read-only, the standing rule for all received
-payloads (:mod:`repro.bsp.comm`).
+(``gatherv``/``allgatherv``/``scatterv``/``alltoallv``) move: numpy
+*columns* aligned on axis 0 — e.g. an edge slice's ``(u, v, w)`` — plus
+an optional per-member ``counts`` vector, metadata that is not charged as
+volume (as MPI does not charge ``MPI_Gatherv``'s count arrays).  One
+container lets the transport pack a multi-column payload into one
+shared-memory slab and the engine concatenate contributions column-wise.
+Receivers treat the columns as read-only (:mod:`repro.bsp.comm`).
 """
 
 from __future__ import annotations

@@ -2,16 +2,13 @@
 
 Runs ``p`` virtual processors, each executing the same generator program
 (SPMD).  A processor runs local code until it yields a
-:class:`~repro.bsp.comm.CollectiveOp`; once every live member of the
-operation's group has yielded a matching request, the engine executes the
-collective, charges communication costs and synchronization imbalance, and
-resumes the members with their results.  Sub-communicators created by
-``split`` progress independently — exactly the behaviour of processor groups
-running minimum-cut trials concurrently.
-
-Execution is fully deterministic: processors are scheduled in global-rank
-order, complete collectives are executed in group-id order, and all
-randomness flows from one root seed through per-rank Philox streams.
+:class:`~repro.bsp.comm.CollectiveOp`; once every member of the group has
+yielded a matching request, the engine executes the collective, charges
+communication and synchronization imbalance, and resumes the members.
+Sub-communicators from ``split`` progress independently, like processor
+groups running minimum-cut trials concurrently.  Execution is
+deterministic: ranks in order, complete collectives in gid order, all
+randomness from one root seed through per-rank Philox streams.
 """
 
 from __future__ import annotations
@@ -39,30 +36,15 @@ from repro.trace.tracer import NULL_TRACER, RecordingTracer, Tracer
 
 __all__ = ["Context", "Engine", "RunResult", "CollectiveEvent", "run_spmd"]
 
-#: The engine's original per-collective record is now the trace layer's
-#: event type (a strict superset: same leading kind/gid/participants/words
-#: fields, plus per-rank since-sync deltas and ordering metadata).
+#: The per-collective record is the trace layer's event type.
 CollectiveEvent = TraceEvent
 
 
 class Context:
-    """Per-processor execution context handed to SPMD programs.
-
-    Attributes
-    ----------
-    rank:
-        Global processor id, ``0..p-1``.
-    p:
-        Total processor count of the run.
-    comm:
-        World communicator (use ``split`` for groups).
-    rng:
-        This processor's independent Philox stream.
-    counters:
-        This processor's cost counters.
-    cache:
-        Cache geometry used for analytic CO charges.
-    """
+    """Per-processor execution context handed to SPMD programs: global
+    ``rank`` of ``p``, the world ``comm`` (``split`` it for groups), this
+    processor's Philox ``rng`` stream and cost ``counters``, and the
+    ``cache`` geometry of the analytic CO charges."""
 
     __slots__ = ("rank", "p", "comm", "rng", "counters", "cache")
 
@@ -198,11 +180,8 @@ class Engine:
 
     def _begin_run(self, p) -> Group:
         """Validate ``p``, reset the per-run state, return the world group.
-
-        Group ids restart every run so gids (and traces) are a pure
-        function of (program, p, seed), even on a reused engine.  The mp
-        coordinator starts its runs here too.
-        """
+        Group ids restart every run, so gids (and traces) are a pure
+        function of (program, p, seed) on every backend."""
         try:
             p = operator.index(p)
         except TypeError:
@@ -228,11 +207,9 @@ class Engine:
     ) -> RunResult:
         """Execute ``program(ctx, *args, **kwargs)`` on ``p`` processors.
 
-        ``p`` must be an integer >= 1 (``p = 1`` is a valid degenerate BSP
-        machine: every collective is a self-communication).  Anything else
-        — zero, negative, or a non-integral value — raises ``TypeError``
-        or ``ValueError`` before any program code runs; all execution
-        backends share this contract.
+        ``p`` must be an integer >= 1 (``p = 1``: every collective is a
+        self-communication); anything else raises ``TypeError`` or
+        ``ValueError`` before any program code runs, on every backend.
         """
         world = self._begin_run(p)
         p = world.size
@@ -306,10 +283,10 @@ class Engine:
         """The groups, in gid order, whose members have all posted a request.
 
         ``pending`` maps each blocked rank to its request; ``live`` holds
-        the ranks that have not terminated — blocked or, on the mp
-        coordinator, still computing.  Raises :class:`DeadlockError` when a
-        waiting group has a terminated member, and when every live rank is
-        blocked yet no group is complete.
+        the ranks that have not terminated (on mp workers: blocked or
+        still computing).  Raises :class:`DeadlockError` when a waiting
+        group has a terminated member, and when every live rank is blocked
+        yet no group is complete.
         """
         by_group: dict[int, list[CollectiveOp]] = {}
         for op in pending.values():
@@ -344,8 +321,7 @@ class Engine:
 
     def _handler_for(self, group: Group, ops: list[CollectiveOp]) -> Callable:
         """The ``_exec_<kind>`` method for a matched collective, once its
-        members are seen to agree on the kind and (if rooted) the root.
-        The mp coordinator validates through this too."""
+        members are seen to agree on the kind and (if rooted) the root."""
         kinds = {op.kind for op in ops}
         if len(kinds) != 1:
             detail = {op.sender: op.kind for op in ops}
@@ -374,8 +350,7 @@ class Engine:
     ) -> None:
         """Run one matched collective: sync accounting, fusion, charges on
         ``counters``, trace record, results into ``inbox``.  ``wall_s`` is
-        the measured time since the previous record (mp coordinator only).
-        """
+        the measured time since the previous record (mp workers only)."""
         ops.sort(key=lambda o: o.local_rank)
         handler = self._handler_for(group, ops)
         kind = ops[0].kind
@@ -383,21 +358,17 @@ class Engine:
         gid = group.gid
         fusion = self._fusion
 
-        # Adjacent fusion: when every member reached this collective with
-        # *zero* local charges since this group's previous one, a real
-        # runtime would piggyback it on the same synchronization — merge it
-        # retroactively into the group's current superstep.  The cleanliness
-        # precondition makes the merge a pure latency elision: since-sync
-        # values are all zero, so skipping the sync block changes neither
-        # wait nor ops_at_last_sync, only the superstep count.
+        # Adjacent fusion: every member arrived with *zero* local charges
+        # since this group's previous collective, so it joins the group's
+        # current superstep — a pure latency elision that changes only the
+        # superstep count (every since-sync value is zero).
         merged = False
         words = -1
         track = fusion is not None or self._tracer.enabled
         clean: tuple[bool, ...] = ()
         if track:
-            # Arrival cleanliness: no local (ops, misses) charges since the
-            # member's previous sync.  Feeds both the merge decision and
-            # the trace record (the analyzer cannot recover it offline).
+            # Arrival cleanliness: no (ops, misses) charges since the
+            # member's previous sync — for the merge and the trace record.
             clean = tuple(
                 self._post_sync.get(m, (0.0, 0.0))
                 == (counters[m].ops, counters[m].misses)
@@ -532,17 +503,13 @@ class Engine:
 
     # -- typed array collectives --------------------------------------------
     #
-    # Same group semantics and — by construction — the same communication
-    # charges as their untyped counterparts: a bundle's words are the sum
-    # of its column sizes, exactly what the tuple-of-arrays encoding
-    # charged, and ``counts`` metadata is free (as in MPI).  Results are
-    # concatenated/split column-wise in local-rank order, which is
-    # bit-identical to what receivers of the untyped collectives computed
-    # with their own ``np.concatenate`` calls.
+    # The untyped counterparts' semantics and charges: a bundle's words
+    # are its columns' (``counts`` is free, as in MPI), and results are
+    # concatenated/split column-wise in local-rank order.
 
     @staticmethod
     def _concat_bundles(group, parts):
-        # ArrayBundle — or, on the mp coordinator, its wire descriptor.
+        # ArrayBundle — or, on mp workers, its wire descriptor.
         try:
             return type(parts[0]).concat(parts)
         except ValueError as exc:
@@ -641,12 +608,9 @@ class Engine:
     # -- explicit superstep fusion ------------------------------------------
 
     def _iter_fused(self, group: Group, ops: list[CollectiveOp]):
-        """Validate an aligned ``fused`` batch; yield (kind, sub_ops) per slot.
-
-        ``ops`` are the members' batch requests in local-rank order; slot
-        ``i`` of every member must carry the same collective kind (and, for
-        rooted kinds, the same root).
-        """
+        """Validate an aligned ``fused`` batch (``ops`` in local-rank order;
+        slot ``i`` of every member has one kind and, if rooted, one root);
+        yield (kind, sub_ops) per slot."""
         n = len(ops[0].payload)
         for op in ops:
             if not isinstance(op.payload, tuple) or len(op.payload) != n:
@@ -688,10 +652,8 @@ class Engine:
             yield kind, subs
 
     def _exec_fused(self, group, ops, counters):
-        # One superstep (the sync accounting already ran once for the whole
-        # batch); the sub-collectives execute back-to-back, charging their
-        # ordinary computation/transfer/miss costs in batch order.  Each
-        # member receives the tuple of its sub-results.
+        # One superstep (synced once for the batch): the sub-collectives
+        # charge back-to-back in batch order; each member gets a tuple.
         results: list[list[Any]] = [[] for _ in ops]
         for kind, subs in self._iter_fused(group, ops):
             handler = getattr(self, f"_exec_{kind}")
@@ -713,15 +675,9 @@ def run_spmd(
     tracer: Tracer | None = None,
     fuse: bool | FusionConfig | None = None,
 ) -> RunResult:
-    """One-shot convenience wrapper: build an :class:`Engine` and run.
-
-    Shares :meth:`Engine.run`'s processor-count contract: ``p`` must be an
-    integer >= 1, enforced with ``TypeError``/``ValueError`` before any
-    program code runs.  ``trace=True`` (or an explicit ``tracer``) records
-    the per-superstep event stream in ``RunResult.trace``; ``fuse=True``
-    (or a :class:`~repro.bsp.fusion.FusionConfig`) enables automatic
-    adjacent superstep fusion.
-    """
+    """One-shot convenience wrapper: build an :class:`Engine` and run
+    (:meth:`Engine.run`'s contract; ``trace``/``tracer`` record the event
+    stream in ``RunResult.trace``, ``fuse`` enables adjacent fusion)."""
     return Engine(cache=cache, machine=machine, trace=trace, tracer=tracer,
                   fuse=fuse).run(
         program, p, seed=seed, args=args, kwargs=kwargs

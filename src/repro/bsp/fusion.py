@@ -82,9 +82,9 @@ class FusionState:
     """One run's adjacent-fusion bookkeeping.
 
     ``Engine._execute`` calls :meth:`step` once per matched collective —
-    under the simulator and, on worker-shipped counters, under the mp
-    coordinator — so the merge criterion and the chain accounting exist
-    once and fused runs stay bit-identical across backends.
+    under the simulator and, on posted counters, on every mp worker — so
+    the merge criterion and the chain accounting exist once and fused
+    runs stay bit-identical across backends.
     """
 
     def __init__(self, config: FusionConfig):

@@ -37,7 +37,7 @@ Fault kinds
     (mp: at the transport seam; sim: same point in the wrapper).
 ``drop``
     The rank's collective request is never delivered.  Under mp the worker
-    goes silent and the coordinator's inactivity timeout fires
+    goes silent and the parent's inactivity timeout fires
     (:class:`~repro.runtime.errors.WorkerTimeoutError`); the simulator
     raises the same error type immediately (it has no wall clock to wait
     out).

@@ -7,13 +7,11 @@ package decides *where* such a program runs:
 * :class:`SimBackend` — the deterministic single-process BSP simulator
   (:mod:`repro.bsp.engine`), with analytic cost counters and the §5.3
   machine-model time estimate.  The correctness and cost oracle.
-* :class:`MpBackend` — real OS processes (``multiprocessing``,
-  spawn-safe) communicating through a shared-memory transport, with
-  *measured* wall-clock application/MPI time and bit-identical results
-  and counters for a fixed seed.
-* :class:`WarmMpBackend` — ``MpBackend`` with a keep-alive worker pool
-  and persistent shm arenas: spawn once, run many.  The serving-layer
-  backend (:mod:`repro.serve`).
+* :class:`MpBackend` — real OS processes settling each collective among
+  its group's members in shared memory, with *measured* application/MPI
+  time and bit-identical results and counters for a fixed seed.
+* :class:`WarmMpBackend` — ``MpBackend`` with a keep-alive pool: spawn
+  once, run many.  The serving-layer backend (:mod:`repro.serve`).
 
 :func:`resolve_backend` maps a spec (``"sim"``/``"mp"``/``"warm"``/
 instance/None) to a backend; ``tests/parity.py`` holds the backends to

@@ -45,25 +45,17 @@ class Backend(ABC):
     ) -> RunResult:
         """Execute ``program(ctx, *args, **kwargs)`` on ``p`` processors.
 
-        Must be deterministic given ``seed``: for a fixed root seed every
-        backend returns byte-identical per-rank values and counters (the
-        simulator is the correctness/cost oracle for real runtimes).
-
-        ``faults`` injects deterministic :class:`~repro.faults.FaultSpec`
-        records at the backend's superstep seam (see :mod:`repro.faults`);
-        failures then surface as the same typed
-        :class:`~repro.runtime.errors.WorkerFailure` errors on every
-        backend.  ``None`` (the default) must be a zero-overhead fast
-        path.
+        Deterministic given ``seed``: every backend returns byte-identical
+        per-rank values and counters (the simulator is the oracle).
+        ``faults`` injects :class:`~repro.faults.FaultSpec` records at the
+        superstep seam, surfacing as the same typed
+        :class:`~repro.runtime.errors.WorkerFailure` on every backend;
+        ``None`` (the default) is a zero-overhead fast path.
         """
 
     def close(self) -> None:
-        """Release any long-lived resources (worker pools, shm arenas).
-
-        One-shot backends hold none between runs, so the default is a
-        no-op; keep-alive backends (:class:`~repro.runtime.warm.WarmMpBackend`)
-        override it.  Safe to call repeatedly and on a never-run backend.
-        """
+        """Release long-lived resources (a warm pool); idempotent, and a
+        no-op on one-shot backends."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -87,13 +79,10 @@ def resolve_backend(
 ) -> Backend:
     """Resolve a backend spec (name, instance or ``None``) to an instance.
 
-    ``tracer`` attaches a collective tracer to a freshly constructed
-    backend (either name); an already constructed instance carries its own
-    tracer, so combining the two is an error rather than a silent ignore.
-    ``fuse`` (a bool or :class:`~repro.bsp.fusion.FusionConfig`) enables
-    automatic superstep fusion on a freshly constructed backend, with the
-    same instance-conflict rule.  A custom machine model or cache geometry
-    goes on the instance: ``backend=SimBackend(machine=..., cache=...)``.
+    ``tracer`` and ``fuse`` (a bool or
+    :class:`~repro.bsp.fusion.FusionConfig`) configure a backend built from
+    a name; an instance carries its own, so passing either with one is an
+    error.  A custom machine model or cache geometry goes on the instance.
     """
     if isinstance(backend, Backend):
         if tracer is not None:

@@ -3,15 +3,11 @@
 Every error a real run can hit — a worker segfaulting, a program raising
 on one rank, a rank hanging past the inactivity timeout — surfaces as a
 :class:`WorkerFailure` (a ``RuntimeError``) carrying the failing rank(s),
-never as a hang: the coordinator bounds every wait and tears the worker
-pool down before re-raising.
-
-Failures additionally carry *where* the run was when it died: the
-coordinator stamps the failing rank's completed-superstep count
-(``superstep``), and the trial scheduler (:mod:`repro.sched`) stamps the
-trial ids that were in flight (:meth:`WorkerFailure.attach_trials`), so
-an error message names the exact retryable unit of work that was lost —
-which is what makes partial results recoverable instead of discarded.
+never as a hang: the parent bounds every wait and tears the worker pool
+down before re-raising.  Failures also carry *where* the run was: the
+failing rank's completed-superstep count (``superstep``, read from the
+control block) and, stamped by the trial scheduler (:mod:`repro.sched`),
+the trial ids in flight — the retryable unit of work that was lost.
 """
 
 from __future__ import annotations
@@ -58,9 +54,8 @@ class WorkerCrashError(WorkerFailure):
     """A worker process died without reporting a Python exception.
 
     Typically an abrupt exit (``os._exit``, OOM kill, segfault).  Carries
-    the global rank, the process exit code, and — when the coordinator
-    knows it — the number of supersteps the rank had completed when it
-    died (i.e. the superstep that was in flight).
+    the global rank, the exit code, and the number of supersteps the rank
+    had completed (the superstep in flight) when the parent knows it.
     """
 
     def __init__(self, rank: int, exitcode: int | None,
@@ -91,11 +86,11 @@ class WorkerProgramError(WorkerFailure):
 class WorkerTimeoutError(WorkerFailure):
     """No worker made progress within the configured inactivity timeout.
 
-    ``missing`` lists the global ranks the coordinator was still waiting
+    ``missing`` lists the global ranks the parent was still waiting
     on (alive but silent — hung, deadlocked outside a collective, or
     legitimately slower than the timeout allows); ``supersteps`` maps each
     missing rank to the number of supersteps it had completed, when the
-    coordinator knows it.
+    parent knows it.
     """
 
     def __init__(self, timeout_s: float, missing: list[int],

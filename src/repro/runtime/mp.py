@@ -1,43 +1,26 @@
 """Real shared-memory multiprocess backend for SPMD programs.
 
-Architecture
-------------
-A pool is ``p`` OS worker processes (``multiprocessing``, spawn-safe; fork
-by default where available because it is much faster), each a command
-loop (:mod:`repro.runtime.worker`) holding one transport arena for its
-lifetime.  A run is one ``CMD_RUN`` per worker: the worker executes the
-unmodified generator program locally and brokers every collective
-through the coordinator — this parent process — over its pipe, with bulk
-numpy payloads travelling through POSIX shared memory
-(:mod:`repro.runtime.transport`).  Under ``fork``, ``MpBackend.run``
-forks workers holding the ``CMD_RUN`` in their arguments — inherited,
-never pickled or sent; otherwise it spawns and sends one pickled
-``CMD_RUN`` down every pipe (:meth:`MpBackend._dispatch`), the dispatch
-:class:`~repro.runtime.warm.WarmMpBackend` makes on a pool it keeps.
-Spawn (:meth:`MpBackend._spawn`), dispatch and teardown
-(:meth:`_Pool.shutdown`, graceful or after a failure) are written once,
-here.  Programs must pickle by reference (the fork path checks before it
-forks), so they must be importable module-level functions.
+A pool is ``p`` worker processes (:mod:`repro.runtime.worker`; ``fork``
+where available, spawn-safe), one shared-memory control block and one
+doorbell semaphore per rank.  A run is one ``CMD_RUN`` per worker: each
+runs the unmodified generator program and settles every collective with
+its group's members alone, bulk payloads in shared memory
+(:mod:`repro.runtime.transport`).  Under ``fork`` a one-shot ``run`` forks
+workers holding the ``CMD_RUN`` in their arguments; otherwise — and on the
+pool :class:`~repro.runtime.warm.WarmMpBackend` keeps — one pickled
+``CMD_RUN`` goes down every pipe (:meth:`MpBackend._dispatch`).  Programs
+pickle by reference, so they must be importable module-level functions.
 
-The coordinator *is* the simulator's engine with remote generators: every
-request carries the worker's :class:`~repro.bsp.counters.ProcCounters`,
-``Engine._ready`` says which groups have all their members' requests in
-(and raises on a deadlock), ``Engine._execute`` runs the collective on the
-shipped counters — sync accounting, fusion, validation, charges, trace
-record — and each member's reply returns its counters for the worker to
-adopt.  One superstep, written once: the backends are byte-identical in
-results, counters and traces for a fixed seed because the same code adds
-the same floats in the same order.  In arena mode it runs the collectives
-that only move values (:data:`_FORWARDED`) on the senders' slab
-*descriptors* and forwards those: the bytes go worker to worker.
-
-Fault handling: a worker that raises surfaces as
-:class:`~repro.runtime.errors.WorkerProgramError` with the remote
-traceback; one that dies abruptly as :class:`WorkerCrashError` (process
-sentinels are part of the coordinator's wait set, so death is noticed
-immediately); total silence beyond the configurable inactivity timeout as
-:class:`WorkerTimeoutError`.  The worker pool is always torn down before
-re-raising — a failed run never hangs and never leaks processes.
+The parent keeps four jobs: spawn, dispatch, ``MSG_DONE`` collection —
+values, counters, transport stats, and the trace hook calls each group's
+lowest member recorded, replayed into the backend's tracer — and fault
+supervision (:meth:`MpBackend._supervise`).  A program that raises
+surfaces as :class:`~repro.runtime.errors.WorkerProgramError`, an error of
+the superstep itself (``DeadlockError``, ``CollectiveMismatchError``) as
+itself, a worker that dies as :class:`WorkerCrashError` (sentinels are in
+the parent's wait set), and a control block without progress for the
+inactivity timeout as :class:`WorkerTimeoutError`.  The pool is always
+torn down before re-raising: a failed run never hangs or leaks.
 """
 
 from __future__ import annotations
@@ -48,14 +31,12 @@ import logging
 import multiprocessing
 import os
 import time
-from dataclasses import replace
 from multiprocessing.connection import wait as _conn_wait
 from multiprocessing.reduction import ForkingPickler
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Sequence
 
-from repro.bsp.comm import CollectiveOp
-from repro.bsp.counters import CountersReport, ProcCounters
+from repro.bsp.counters import CountersReport
 from repro.bsp.engine import Engine, RunResult
 from repro.bsp.fusion import FusionConfig, as_fusion_config
 from repro.bsp.machine import TimeEstimate
@@ -72,23 +53,22 @@ from repro.trace.tracer import NULL_TRACER, RecordingTracer, Tracer
 from repro.runtime.transport import (
     DEFAULT_SHM_THRESHOLD,
     ShmArrayRef,
-    SlabArrayRef,
-    Transport,
     TransportStats,
     decode_payload,
     iter_refs,
 )
 from repro.runtime.worker import (
+    BLOCKED,
     CMD_EXIT,
     CMD_RUN,
     MSG_DONE,
     MSG_ERROR,
-    MSG_OP,
-    REPLY_RESULT,
+    MSG_FAULT,
+    ControlBlock,
     WorkerSpec,
     persistent_worker_main,
 )
-from repro.shmem import unlink_segments
+from repro.shmem import create_segment, unlink_segments
 
 __all__ = ["MpBackend", "default_start_method"]
 
@@ -98,65 +78,53 @@ logger = logging.getLogger(__name__)
 #: benchmark-scale local compute phases, finite so nothing ever hangs.
 DEFAULT_TIMEOUT_S = 300.0
 
-#: Collectives that move values without folding (or slicing) them.
-_FORWARDED = frozenset({"bcast", "gather", "allgather", "scatter",
-                        "alltoall", "gatherv", "allgatherv", "alltoallv"})
-
 #: Per-process sequence distinguishing concurrent runs' slab prefixes.
 _RUN_SEQ = itertools.count()
 
 
 def _run_slab_token() -> str:
-    """A short, per-pool-unique shared-memory name token.
-
-    Combines the coordinator pid, a monotonic per-process sequence and a
-    millisecond timestamp so worker arena slab names (``{token}r{rank}n``)
-    never collide across coordinators or pools, while staying well under
-    the POSIX shm name limit.
-    """
+    """A short, per-pool-unique name token (pid, sequence, milliseconds)
+    for the pool's segments: worker slabs ``{token}r{rank}n…`` and the
+    control block ``{token}c``."""
     return (f"rsh{os.getpid() & 0xFFFFFFFF:08x}g{next(_RUN_SEQ) & 0xFFFF:04x}"
             f"t{int(time.time() * 1000) & 0xFFFFFF:06x}")
 
 
 def default_start_method() -> str:
-    """Preferred ``multiprocessing`` start method on this platform.
-
-    ``fork`` (where available) avoids re-importing the scientific stack in
-    every worker; everything is nevertheless spawn-safe and ``spawn`` can
-    be forced via ``MpBackend(start_method="spawn")``.
-    """
+    """``fork`` where available (no re-import of the scientific stack per
+    worker), else ``spawn``; everything is spawn-safe."""
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
 
 
 class _Pool:
-    """The worker processes plus the coordinator-side bookkeeping."""
+    """The worker processes plus what the parent keeps of them: pipes,
+    sentinels, the control block and the doorbells."""
 
-    def __init__(self, ctx, specs: Sequence[WorkerSpec],
-                 slab_token: str | None, transport: Transport, first=None):
+    def __init__(self, ctx, specs: Sequence[WorkerSpec], token: str,
+                 first=None):
         self.p = len(specs)
         self.conns = []
         self.procs = []
-        #: The coordinator's own endpoint: its arena and peer attachments
-        #: live as long as the workers'.
-        self.transport = transport
-        #: program -> small int token; workers cache the callable by
-        #: token, so a repeat run on this pool ships the token alone.
+        #: program -> small int token the workers cache the callable by.
         self.program_tokens: dict[Any, int] = {}
-        #: Worker slab name token; shutdown sweeps ``/dev/shm/{token}*``
-        #: so even never-shipped slabs of a killed worker (retained
-        #: free-list slabs) are reclaimed.
-        self.slab_token = slab_token
-        #: Every worker-arena slab name the coordinator has seen on the
-        #: wire; swept (and leaks logged) after the workers are gone.
-        self.worker_segments: set[str] = set()
+        #: Name token of every segment of this pool (the shutdown sweep).
+        self.slab_token = token
+        #: Runs dispatched; a worker matches posts of its current run only.
+        self.runs = 1 if first else 0
+        #: One doorbell per rank; under spawn each holds a name in
+        #: /dev/shm until shutdown drops it.
+        self.bells = [ctx.Semaphore(0) for _ in specs]
+        self.block = None
         try:
+            self.block = ControlBlock(create_segment(
+                ControlBlock.nbytes(self.p), specs[0].block), self.p)
             for spec in specs:
                 parent_conn, child_conn = ctx.Pipe()
                 self.conns.append(parent_conn)
                 proc = ctx.Process(
                     target=persistent_worker_main,
-                    args=(child_conn, spec, first),
+                    args=(child_conn, spec, self.bells, first),
                     daemon=True,
                     name=f"repro-mp-{spec.rank}",
                 )
@@ -172,14 +140,17 @@ class _Pool:
             raise
         self.sentinel_rank = {pr.sentinel: r for r, pr in enumerate(self.procs)}
 
-    def shutdown(self, graceful: bool = False) -> None:
-        """Stop the workers and reclaim stray shared-memory segments.
+    def where(self, rank: int, run: int) -> tuple[int, bool]:
+        """``rank``'s completed steps in ``run`` and whether it is blocked
+        in a collective, from the control block."""
+        head_run, state, steps, _ = self.block.heads()[rank]
+        return (steps, state == BLOCKED) if head_run == run else (0, False)
 
-        ``graceful`` (every run so far completed): each worker is asked to
-        exit and given time to — it unlinks its own arena on the way out.
-        Otherwise, and for any straggler, terminate: after a failure the
-        survivors may be wedged mid-collective.
-        """
+    def shutdown(self, graceful: bool = False) -> None:
+        """Stop the workers and reclaim stray shared-memory segments:
+        ``graceful`` (every run completed) asks each worker to exit — it
+        unlinks its own arena — and terminates only stragglers; otherwise
+        terminate at once, as survivors may be wedged mid-collective."""
         if graceful:
             for conn in self.conns:
                 try:
@@ -192,14 +163,10 @@ class _Pool:
             try:
                 while conn.poll():
                     msg = conn.recv()
-                    if msg and msg[0] in (MSG_OP, MSG_DONE):
-                        wire = msg[2].payload if msg[0] == MSG_OP else msg[2]
+                    if msg and msg[0] == MSG_DONE:
                         # One-shot segments: unlink without copying out.
-                        # Arena slabs: remember the names for the sweep.
                         unlink_segments(
-                            r.name for r in iter_refs(wire, ShmArrayRef))
-                        self.worker_segments.update(
-                            r.name for r in iter_refs(wire, SlabArrayRef))
+                            r.name for r in iter_refs(msg[2], ShmArrayRef))
             except (EOFError, OSError):
                 pass
         for proc in self.procs:
@@ -212,19 +179,15 @@ class _Pool:
                 proc.join(timeout=5.0)
         for conn in self.conns:
             conn.close()
-        self.transport.close()
-        # Workers unlink their own arenas on CMD_EXIT, so anything still
-        # reclaimable here leaked — a worker died or was terminated
-        # mid-run.  Make that visible.  The wire sweep catches
-        # slabs whose names crossed the pipe; the prefix sweep below also
-        # catches a killed worker's never-shipped (retained) slabs.
-        names = set(self.worker_segments)
-        if self.slab_token and os.path.isdir("/dev/shm"):
-            names |= {
-                os.path.basename(path)
-                for path in glob.glob(f"/dev/shm/{self.slab_token}*")
-            }
-        leaked = unlink_segments(sorted(names))
+        self.bells = []
+        if self.block is not None:
+            self.block.close()
+            unlink_segments([self.block.seg.name])
+        # Anything of this pool still in /dev/shm leaked: a worker died or
+        # was terminated mid-run.  Make that visible.
+        leaked = unlink_segments(sorted(
+            os.path.basename(path)
+            for path in glob.glob(f"/dev/shm/{self.slab_token}*")))
         if leaked:
             logger.warning(
                 "reclaimed %d leaked worker shm segment(s) at shutdown: %s",
@@ -238,44 +201,31 @@ class MpBackend(Backend):
     Parameters
     ----------
     cache:
-        Cache geometry for the analytic counter charges (shared with the
-        workers so counters match the simulator's bit-for-bit).
+        Cache geometry for the analytic counter charges.
     start_method:
         ``"fork"``/``"spawn"``/``"forkserver"``; default per platform.
     timeout:
-        Inactivity timeout in seconds (no message from any worker) before
-        the run is aborted with :class:`WorkerTimeoutError`.  ``None``
-        disables the bound (not recommended).
+        Inactivity timeout in seconds — no message and no rank changing
+        state — before the run is aborted with
+        :class:`WorkerTimeoutError`; ``None`` disables the bound.
     shm_threshold:
         Minimum payload bytes for the shared-memory path (per message in
         arena mode, per array in legacy mode).
     use_arena:
-        Pooled slab arena transport (default).  ``False`` selects the
-        legacy one-segment-per-array codec — the transport gate's
-        reference.
+        Pooled slab arena transport (default); ``False`` selects the
+        legacy one-segment-per-array codec, the transport gate's reference.
     trace / tracer:
-        Per-superstep collective tracing, mirroring the simulator's:
-        ``trace=True`` records into a default
-        :class:`~repro.trace.tracer.RecordingTracer`, or pass an explicit
-        tracer.  The coordinator's engine emits the events from the
-        counters every request carries anyway — bit-identical to the
-        simulator's for the same seed (only the measured ``wall_s``
-        differs) — so tracing changes nothing on the wire.  Off by default.
+        Per-superstep tracing, as on the simulator: ``trace=True`` for a
+        default :class:`~repro.trace.tracer.RecordingTracer`, or an
+        explicit tracer.  Events equal the simulator's but for ``wall_s``.
     fuse:
-        Automatic adjacent superstep fusion (see
-        :mod:`repro.bsp.fusion`): ``True`` for the default
-        :class:`~repro.bsp.fusion.FusionConfig`, or a ready config.  Off
-        by default; explicit ``comm.batch`` requests always work.
+        Automatic adjacent superstep fusion (:mod:`repro.bsp.fusion`):
+        ``True`` or a :class:`~repro.bsp.fusion.FusionConfig`.
     graph_plane:
-        Zero-copy shared graph plane (:mod:`repro.graph.shm`): dispatch
-        sites that pass :func:`~repro.graph.shm.plane_slices` markers
-        get their graph published once into a read-only shm segment and
-        shipped to every worker as an O(1) handle instead of p pickled
-        copies.  Default on; off resolves markers locally — bit-identical
-        results either way (the graph-plane gate's reference).  It
-        governs warm pools and ``spawn``/``forkserver`` one-shot runs
-        only: a ``fork`` one-shot run always resolves locally and hands
-        the slices to its workers through the fork.
+        Ship :func:`~repro.graph.shm.plane_slices`-marked graphs as O(1)
+        handles to a published segment (default) instead of pickled
+        copies.  Warm pools and ``spawn``/``forkserver`` runs only: a
+        ``fork`` one-shot run hands its workers the slices by the fork.
     """
 
     name = "mp"
@@ -313,78 +263,57 @@ class MpBackend(Backend):
         self.timeout = timeout
         self.shm_threshold = int(shm_threshold)
         self.use_arena = bool(use_arena)
-        #: Automatic adjacent-fusion policy, handed to the coordinator's
-        #: ``Engine(fuse=...)`` unchanged.
         self.fuse = as_fusion_config(fuse)
         self.graph_plane = graph_plane is None or bool(graph_plane)
-        #: Per-kind transport stats of the most recent run (coordinator +
-        #: all workers merged), as :meth:`TransportStats.as_dict`.
+        #: The last run's per-kind transport stats (input + every worker).
         self.last_transport_stats: dict | None = None
 
     # -- main entry ----------------------------------------------------------
 
     def _begin(self, p, args, kwargs, pins: list[str], stage: bool = True):
-        """What every ``run`` starts with: this run's engine (shared
-        collective semantics; validates ``p``), the world group, and the
-        arguments with graph-plane markers staged — each marked graph
-        published once and shipped as an O(1) handle, its pin appended to
-        ``pins`` for the caller to drop — or, plane off or ``stage``
-        false, resolved locally.
-        """
-        engine = Engine(cache=self.cache, tracer=self.tracer, fuse=self.fuse)
-        world = engine._begin_run(p)
+        """The world group (validating ``p``) and the arguments with
+        graph-plane markers staged (published, pins appended to ``pins``)
+        or, plane off or ``stage`` false, resolved locally."""
+        world = Engine()._begin_run(p)
         args, kwargs = tuple(args), dict(kwargs or {})
         if stage and self.graph_plane:
-            return (engine, world,
-                    stage_plane(args, pins), stage_plane(kwargs, pins))
-        return engine, world, localize_plane(args), localize_plane(kwargs)
+            return world, stage_plane(args, pins), stage_plane(kwargs, pins)
+        return world, localize_plane(args), localize_plane(kwargs)
 
     def _spawn(self, p: int, first=None) -> _Pool:
-        """Start ``p`` command-loop workers and the coordinator's endpoint;
-        ``first`` is a ``CMD_RUN`` the workers start on (fork only: it is
-        inherited, never pickled)."""
-        slab_token = _run_slab_token() if self.use_arena else None
-        specs = [
-            WorkerSpec(
-                rank=rank, p=p, cache=self.cache,
-                shm_threshold=self.shm_threshold, use_arena=self.use_arena,
-                slab_prefix=(f"{slab_token}r{rank}n" if slab_token else None),
-            )
-            for rank in range(p)
-        ]
+        """Start ``p`` command-loop workers; ``first`` is a ``CMD_RUN`` the
+        workers start on (fork only: it is inherited, never pickled)."""
+        token = _run_slab_token()
+        specs = [WorkerSpec(rank, p, self.cache, self.shm_threshold,
+                            self.use_arena, f"{token}r{rank}n", f"{token}c",
+                            self.tracer.enabled, self.fuse)
+                 for rank in range(p)]
         if self.start_method == "fork":
             # Workers inherit sys.modules: do the kernels' lazy import here,
             # or every pool's root pays it (~0.3 s) after the fork.
             import scipy.sparse.csgraph  # noqa: F401
-        return _Pool(
-            multiprocessing.get_context(self.start_method), specs, slab_token,
-            Transport(threshold=self.shm_threshold, use_arena=self.use_arena),
-            first,
-        )
+        return _Pool(multiprocessing.get_context(self.start_method), specs,
+                     token, first)
 
-    def _dispatch(self, engine: Engine, pool: _Pool, world_gid: int,
-                  seed: int, program, args, kwargs, faults) -> RunResult:
-        """One run on ``pool``: ship the ``CMD_RUN``, then coordinate."""
-        # Program token: ship the callable once per pool, a small token
-        # thereafter (the workers cache it by token).
+    def _dispatch(self, pool: _Pool, world_gid: int, seed: int, program,
+                  args, kwargs, faults) -> RunResult:
+        """One run on ``pool``: ship the ``CMD_RUN``, then supervise."""
         token = pool.program_tokens.get(program)
         first = token is None
         if first:
             token = len(pool.program_tokens)
-        cmd = (CMD_RUN, world_gid, seed, token, program if first else None,
-               args, kwargs, tuple(faults or ()))
-        # One pickle for all ranks: send_bytes reuses the buffer, so the
-        # per-run input cost is p pipe writes of one encoding — and with
-        # the plane on, that encoding is O(1) in the graph size.
-        buf = bytes(ForkingPickler.dumps(cmd))
+        # One pickle for all ranks — O(1) in the graph size, plane on.
+        buf = bytes(ForkingPickler.dumps(
+            (CMD_RUN, world_gid, seed, token, program if first else None,
+             args, kwargs, tuple(faults or ()))))
         pool.program_tokens[program] = token
+        pool.runs += 1  # the workers count their runs too
         for rank, conn in enumerate(pool.conns):
             try:
                 conn.send_bytes(buf)
             except (BrokenPipeError, OSError):
                 raise self._crash(pool, rank) from None
-        return self._coordinate(engine, pool, pool.transport,
-                                input_bytes=len(buf) * pool.p)
+        return self._supervise(pool, input_bytes=len(buf) * pool.p)
 
     def run(
         self,
@@ -396,22 +325,17 @@ class MpBackend(Backend):
         kwargs: dict | None = None,
         faults: Sequence[FaultSpec] | None = None,
     ) -> RunResult:
-        """Run ``program`` on ``p`` fresh worker processes; measured time
-        split.
-
-        ``faults`` injects the given deterministic :class:`FaultSpec`
-        records at the worker driver loop (see :mod:`repro.faults`); the
-        default ``None`` is the fault-free fast path.  Under ``fork`` the
-        workers inherit the run (markers resolved here; nothing published,
-        pickled or sent); otherwise it is staged and dispatched.
-        """
+        """Run ``program`` on ``p`` fresh worker processes (``faults``: see
+        :mod:`repro.faults`).  Under ``fork`` the workers inherit the run
+        — nothing published, pickled or sent; otherwise it is staged and
+        dispatched."""
         inherit = self.start_method == "fork"
         # Pins are dropped (and segments unlinked unless a longer-lived
         # layer also pins them) in the finally below — a crashed run
         # cannot leak a published segment.
         plane_pins: list[str] = []
-        engine, world, args, kwargs = self._begin(p, args, kwargs, plane_pins,
-                                                  stage=not inherit)
+        world, args, kwargs = self._begin(p, args, kwargs, plane_pins,
+                                          stage=not inherit)
         try:
             first = None
             if inherit:
@@ -423,11 +347,10 @@ class MpBackend(Backend):
             pool = self._spawn(world.size, first)
             try:
                 if inherit:
-                    result = self._coordinate(engine, pool, pool.transport,
-                                              input_bytes=0)
+                    result = self._supervise(pool, input_bytes=0)
                 else:
-                    result = self._dispatch(engine, pool, world.gid, seed,
-                                            program, args, kwargs, faults)
+                    result = self._dispatch(pool, world.gid, seed, program,
+                                            args, kwargs, faults)
             except BaseException:
                 pool.shutdown()  # workers may be wedged mid-collective
                 raise
@@ -436,189 +359,94 @@ class MpBackend(Backend):
         finally:
             release_pins(plane_pins)
 
-    # -- coordinator ---------------------------------------------------------
+    # -- supervision ---------------------------------------------------------
 
     @staticmethod
     def _crash(pool: _Pool, rank: int,
                superstep: int | None = None) -> WorkerCrashError:
-        """Build the crash error, reaping the child first: its sentinel can
-        fire a moment before the process is waitable, leaving ``exitcode``
-        None until a join."""
+        """The crash error, once the child is reaped (a sentinel can fire
+        before ``exitcode`` is set)."""
         proc = pool.procs[rank]
         proc.join(timeout=5.0)
         return WorkerCrashError(rank, proc.exitcode, superstep=superstep)
 
-    def _coordinate(self, engine: Engine, pool: _Pool, transport: Transport,
-                    input_bytes: int) -> RunResult:
-        p = pool.p
-        tracer = self.tracer
+    def _supervise(self, pool: _Pool, input_bytes: int) -> RunResult:
+        """Wait for every ``MSG_DONE`` of run ``pool.runs``, watching the
+        sentinels and the control block; then assemble the result."""
+        p, run, tracer = pool.p, pool.runs, self.tracer
         events_before = len(tracer)
-        last_event_t = perf_counter()  # wall clock between collectives
-        # The transport (and its arena slabs) outlives the run; stats
-        # restart so last_transport_stats stays per-run.
-        transport.stats = TransportStats()
-        # Input shipping gets its own stats kind so benches can report
-        # bytes-per-query with the graph plane on vs off.
-        transport.stats.note("input", messages=p, pickle_bytes=input_bytes)
-        # The engine's own run state, fed by messages instead of generators:
-        pending: dict[int, CollectiveOp] = {}  # rank -> blocked request
-        live = set(range(p))                   # ranks yet to report DONE
-        counters: list[ProcCounters | None] = [None] * p  # latest shipped
-        inbox: list[Any] = [None] * p          # results awaiting their reply
-        values: list[Any] = [None] * p
-        app_s = [0.0] * p
-        mpi_s = [0.0] * p
-        # Completed supersteps per rank (replies shipped): a failure stamps
-        # the failing rank's count so errors name the superstep in flight.
-        steps = [0] * p
-        # Coordinator slabs backing each rank's outstanding reply: the
-        # rank's next message proves the reply was decoded, releasing them
-        # to the pool (legacy: the worker already unlinked its one-shots).
-        reply_refs: dict[int, list[str]] = {r: [] for r in range(p)}
-        # Worker slabs, ref-counted: name -> [owner, readers].  The
-        # coordinator reads until it has decoded the request or forwarded
-        # its descriptors; a member whose reply points into the slab, until
-        # its next message.  At zero the name joins ``freed[owner]`` and
-        # rides the owner's next reply.
-        lent: dict[str, list[int]] = {}
-        posted: dict[int, list[str]] = {}  # rank -> its latest request's slabs
-        borrowed: dict[int, list[str]] = {r: [] for r in range(p)}
-        freed: dict[int, list[str]] = {r: [] for r in range(p)}
+        stats = TransportStats()
+        stats.note("input", messages=p, pickle_bytes=input_bytes)
+        live = set(range(p))  # ranks yet to report DONE
+        values, counters = [None] * p, [None] * p
+        app_s, mpi_s = [0.0] * p, [0.0] * p
+        events: list = []
 
-        def slabs_of(wire) -> list[str]:
-            return list(dict.fromkeys(
-                ref.name for ref in iter_refs(wire, SlabArrayRef)))
+        def drain(rank) -> None:
+            conn = pool.conns[rank]
+            try:
+                while rank in live and conn.poll():
+                    msg = conn.recv()
+                    if msg[0] == MSG_DONE:
+                        (values[rank], counters[rank], app_s[rank],
+                         mpi_s[rank], worker_stats, recorded) = msg[2:]
+                        values[rank] = decode_payload(values[rank])
+                        stats.merge(worker_stats)
+                        events.extend(recorded or ())
+                        live.discard(rank)
+                    elif msg[0] == MSG_FAULT:
+                        raise msg[2]
+                    elif msg[0] == MSG_ERROR:
+                        raise WorkerProgramError(rank, msg[2], msg[3])
+                    else:  # pragma: no cover - protocol guard
+                        raise RuntimeError(f"unknown worker message {msg[0]!r}")
+            except (EOFError, ConnectionError):
+                pass  # gone (a reset: it died with a command unread)
 
-        def unread(names) -> None:
-            for name in names:
-                loan = lent[name]
-                loan[1] -= 1
-                if not loan[1]:
-                    freed[lent.pop(name)[0]].append(name)
-
-        def handle(msg) -> None:
-            tag, rank = msg[0], msg[1]
-            transport.release(reply_refs[rank])  # previous reply consumed
-            unread(borrowed[rank])
-            reply_refs[rank], borrowed[rank] = [], []
-            if tag == MSG_OP:
-                op, counters[rank] = msg[2], msg[3]
-                slabs = posted[rank] = slabs_of(op.payload)
-                pool.worker_segments.update(slabs)
-                lent.update((name, [rank, 1]) for name in slabs)
-                if not (self.use_arena and op.kind in _FORWARDED):
-                    op = replace(
-                        op, payload=transport.decode(op.payload, op.kind))
-                    unread(slabs)
-                pending[rank] = op
-            elif tag == MSG_DONE:
-                value, counters[rank], app_s[rank], mpi_s[rank], stats = \
-                    msg[2:]
-                values[rank] = decode_payload(value)
-                transport.stats.merge(stats)  # the worker's transport stats
-                live.discard(rank)
-            elif tag == MSG_ERROR:
-                _, _, exc_type, tb = msg
-                raise WorkerProgramError(rank, exc_type, tb)
-            else:  # pragma: no cover - protocol guard
-                raise RuntimeError(f"unknown worker message tag {tag!r}")
-
-        def execute_ready() -> None:
-            nonlocal last_event_t
-            for group, ops in engine._ready(pending, live, p):
-                now = perf_counter()
-                engine._execute(group, ops, counters, inbox,
-                                wall_s=now - last_event_t)
-                last_event_t = now
-                kind = ops[0].kind
-                forwarded = self.use_arena and kind in _FORWARDED
-                if forwarded and any(posted[op.sender] for op in ops):
-                    # The results are the senders' descriptors, regrouped:
-                    # each member becomes a reader of what its result
-                    # points into, then the coordinator stops being one.
-                    for op in ops:
-                        borrowed[op.sender] = slabs_of(inbox[op.sender])
-                        for name in borrowed[op.sender]:
-                            lent[name][1] += 1
-                    for op in ops:
-                        unread(posted[op.sender])
-                for op in ops:
-                    # Ship the member its result, its charged counters and
-                    # the slabs it may pool again; retire its request.
-                    m = op.sender
-                    if forwarded:
-                        wire = inbox[m]
-                        transport.stats.note(kind, messages=1)
-                    else:
-                        wire, reply_refs[m] = transport.encode(inbox[m], kind)
-                    inbox[m] = None
-                    buf = ForkingPickler.dumps(
-                        (REPLY_RESULT, wire, counters[m], freed[m]))
-                    freed[m] = []
-                    transport.stats.note(kind, pickle_bytes=len(buf))
-                    try:
-                        pool.conns[m].send_bytes(buf)
-                    except (BrokenPipeError, OSError):
-                        raise self._crash(pool, m, steps[m]) from None
-                    del pending[m]
-                    steps[m] += 1
-
+        t0 = quiet = perf_counter()
+        seen = None
         try:
-            self._event_loop(pool, pending, live, handle, execute_ready,
-                             steps)
-        finally:
-            # Replies a worker never consumed (error teardown) would leak
-            # their segments; reclaim them here (no-op on clean runs: the
-            # arena owns its slabs and close() unlinks them all).
-            if not self.use_arena:
-                unlink_segments(
-                    name for names in reply_refs.values() for name in names
+            while live:
+                ranks = sorted(live)
+                wait_s = None
+                if self.timeout is not None:
+                    wait_s = max(0.0, min(self.timeout / 4,
+                                          quiet + self.timeout - perf_counter()))
+                ready = _conn_wait(
+                    [pool.conns[r] for r in ranks]
+                    + [pool.procs[r].sentinel for r in ranks],
+                    timeout=wait_s,
                 )
-            self.last_transport_stats = transport.stats.as_dict()
+                for rank in ranks:  # messages first: a worker that
+                    drain(rank)     # reported, then exited, did not crash
+                for obj in ready:
+                    rank = pool.sentinel_rank.get(obj)
+                    if rank in live:  # died before reporting
+                        raise self._crash(pool, rank,
+                                          pool.where(rank, run)[0])
+                # Inactivity: no message, and no rank changed state.
+                now, versions = perf_counter(), [h[3] for h in
+                                                 pool.block.heads()]
+                if ready or versions != seen:
+                    seen, quiet = versions, now
+                elif self.timeout is not None and now - quiet >= self.timeout:
+                    where = {r: pool.where(r, run) for r in ranks}
+                    silent = [r for r in ranks if not where[r][1]] or ranks
+                    raise WorkerTimeoutError(
+                        self.timeout, silent,
+                        supersteps={r: where[r][0] for r in silent},
+                    )
+        finally:
+            self.last_transport_stats = stats.as_dict()
 
-        report = CountersReport.from_procs(list(counters))
+        report = CountersReport.from_procs(counters)
         trace = None
         if tracer.enabled:
+            for *_, hook, kw in sorted(events, key=lambda ev: ev[:3]):
+                getattr(tracer, hook)(**kw)
             tracer.on_finish([c.snapshot() for c in counters],
-                             wall_s=perf_counter() - last_event_t)
+                             wall_s=perf_counter() - t0)
             trace = tracer.events()[events_before:]
         measured = TimeEstimate(app_s=max(app_s), mpi_s=max(mpi_s))
         return RunResult(values=values, report=report, time=measured,
                          trace=trace)
-
-    def _event_loop(self, pool, pending, live, handle, execute_ready,
-                    steps) -> None:
-        def drain(rank) -> None:
-            try:
-                while pool.conns[rank].poll():
-                    handle(pool.conns[rank].recv())
-            except (EOFError, ConnectionError):
-                pass  # gone (a reset: it died with a command unread)
-
-        while live:
-            ranks = sorted(live)
-            ready = _conn_wait(
-                [pool.conns[r] for r in ranks]
-                + [pool.procs[r].sentinel for r in ranks],
-                timeout=self.timeout,
-            )
-            if not ready:
-                silent = sorted(live - pending.keys()) or ranks
-                raise WorkerTimeoutError(
-                    self.timeout, silent,
-                    supersteps={r: steps[r] for r in silent},
-                )
-            ready_ids = {id(obj) for obj in ready}
-            # Messages first: a worker that reported and exited is not a crash.
-            for rank in ranks:
-                if id(pool.conns[rank]) in ready_ids:
-                    drain(rank)
-            for obj in ready:
-                rank = pool.sentinel_rank.get(obj)
-                if rank in live:
-                    drain(rank)
-                    if rank in live:
-                        # Died before reporting — either mid-compute or
-                        # while blocked inside a collective request.
-                        raise self._crash(pool, rank, steps[rank])
-            execute_ready()

@@ -27,16 +27,10 @@ __all__ = ["SimBackend"]
 
 def _with_faults(program: Callable[..., Generator],
                  specs: Sequence[FaultSpec]) -> Callable[..., Generator]:
-    """Wrap ``program`` so each rank fires its faults at the step seam.
-
-    The wrapper relays collectives untouched; right before a rank's
-    ``step``-th collective is issued it applies that rank's faults exactly
-    where the mp worker driver does — so a ``work`` charge lands before
-    the engine reads the since-sync ops and the synthetic imbalance
-    propagates into wait counters bit-identically to the mp backend.
-    ``crash`` and ``drop`` raise the mp backend's typed errors directly
-    (the simulator has no processes to kill or timeouts to wait out).
-    """
+    """Wrap ``program`` so each rank fires its faults right before its
+    ``step``-th collective, where the mp worker does: a ``work`` charge
+    reaches the wait counters bit-identically to mp, and ``crash``/``drop``
+    raise mp's typed errors directly (no process to kill, no timeout)."""
 
     @functools.wraps(program)
     def wrapped(ctx, *args, **kwargs):

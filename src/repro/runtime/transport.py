@@ -1,28 +1,25 @@
 """Shared-memory payload transport for the multiprocess backend.
 
-Control messages travel over ``multiprocessing`` pipes (pickle); bulk numpy
-payloads are hoisted out of the pickle stream into POSIX shared memory.
-Layout, descriptors, the bounded attachment cache and untracked ownership
-are :mod:`repro.shmem`'s (shared with the graph plane); this module is what
-is particular to *messages*.  Two codecs run through the same walk:
+Bulk numpy payloads are hoisted out of a post's pickle into POSIX shared
+memory; layout, descriptors, the bounded attachment cache and untracked
+ownership are :mod:`repro.shmem`'s.  Two codecs run through one walk:
 
-**Pooled arena** (the default): each endpoint owns a :class:`ShmArena` of
-size-classed slabs.  All ndarray leaves of one message — the columns of an
-:class:`~repro.bsp.arrays.ArrayBundle` included — are packed into *one*
-slab and shipped as :class:`SlabArrayRef` descriptors once their combined
-size reaches the threshold (below it they stay inline in the pickle: a pipe
-round trip is cheaper than page-aligned copies).  Descriptors can be
-*forwarded*: the coordinator sequences the collectives that only move
-values on shapes alone, and the receiving worker reads its peers' slabs
+**Pooled arena** (the default): each worker owns a :class:`ShmArena` of
+size-classed slabs.  All ndarray leaves of one message — bundle columns
+included — are packed into *one* slab and posted as :class:`SlabArrayRef`
+descriptors once their combined size reaches the threshold (below it
+they stay inline).  The collectives that only move values run on the
+descriptors, and each member reads its result from its peers' slabs
 itself.  A slab returns to its owner's free list once every reader has
-provably decoded it — who proves what to whom is ``docs/runtime.md``
-("Transport arena").  Each arena unlinks what it owns at close; the
-coordinator sweeps, and **logs**, whatever a dead worker left behind.
+acked it (``docs/runtime.md``, "Transport arena"); each arena unlinks what
+it owns at close, and the parent sweeps — and logs — what a dead worker
+left.
 
 **Legacy one-shot** (``use_arena=False``, the transport gate's reference,
-and the ``MSG_DONE`` carrier): the sender copies each large array into a
-fresh segment (:class:`ShmArrayRef`); its single reader attaches, copies
-out and unlinks — so nothing is forwarded, the coordinator decodes.
+and the ``MSG_DONE`` carrier): one fresh segment per large array
+(:class:`ShmArrayRef`).  Every member decodes every payload and the owner
+unlinks once its readers acked; a ``MSG_DONE`` value's single reader, the
+parent, unlinks it itself.
 """
 
 from __future__ import annotations
@@ -42,6 +39,7 @@ from repro.shmem import (
     create_segment,
     fetch,
     pack,
+    unlink_segments,
     view,
     walk,
 )
@@ -69,16 +67,14 @@ DEFAULT_SHM_THRESHOLD = 1 << 16
 #: bytes are unlinked instead of pooled (bounds the high-water mark).
 DEFAULT_MAX_RETAINED = 32 << 20
 
-#: Peer slabs an endpoint keeps mapped.  Every endpoint reads all p
-#: workers' arenas, each with a few slabs in rotation, so the graph plane's
-#: :data:`~repro.shmem.ATTACH_CAP` would thrash above p = 8 (a cyclic
-#: reader past the cap re-attaches on every message: correct, slower).
+#: Peer slabs a worker keeps mapped: it reads all p arenas, each with a
+#: few slabs in rotation (past the cap: correct, slower).
 _SLAB_ATTACH_CAP = 64
 
 
 class _Described:
-    """Sizes from a descriptor's ``shape``/``dtype``: what the coordinator
-    charges and traces a payload by without mapping it."""
+    """Sizes from a descriptor's ``shape``/``dtype``: what the members
+    charge and trace a forwarded payload by without mapping it."""
 
     @property
     def nbytes(self) -> int:
@@ -90,10 +86,7 @@ class _Described:
 
 @dataclass(frozen=True)
 class ShmArrayRef(_Described):
-    """Wire descriptor of an ndarray parked in a one-shot segment.
-
-    Legacy path: the receiver attaches, copies out, and unlinks.
-    """
+    """Wire descriptor of an ndarray in a one-shot segment (legacy)."""
 
     name: str
     shape: tuple
@@ -102,11 +95,8 @@ class ShmArrayRef(_Described):
 
 @dataclass(frozen=True)
 class SlabArrayRef(_Described):
-    """Wire descriptor of an ndarray packed into a pooled arena slab.
-
-    The slab stays owned by the sender's arena: the receiver attaches
-    (cached), copies out, and must **not** unlink.
-    """
+    """Wire descriptor of an ndarray packed into a pooled arena slab; the
+    slab stays the sender's (readers attach, copy, never unlink)."""
 
     name: str
     offset: int
@@ -127,12 +117,8 @@ class ConcatRef(_Described):
 
 @dataclass(frozen=True)
 class BundleRef:
-    """Wire form of an :class:`~repro.bsp.arrays.ArrayBundle`.
-
-    ``columns`` holds per-column wire objects (slab refs, one-shot refs,
-    or small inline arrays); ``counts`` rides inline — it is metadata and
-    tiny (one int64 per group member).
-    """
+    """Wire form of an :class:`~repro.bsp.arrays.ArrayBundle`: per-column
+    wire objects (refs or small inline arrays); ``counts`` rides inline."""
 
     columns: tuple
     counts: object
@@ -187,19 +173,19 @@ def _on_arrays(fn):
 # Legacy one-shot codec
 # ---------------------------------------------------------------------------
 
-def encode_payload(obj, threshold: int = DEFAULT_SHM_THRESHOLD):
+def encode_payload(obj, threshold: int = DEFAULT_SHM_THRESHOLD,
+                   create=create_segment):
     """Replace large ndarrays in ``obj`` with one-shot segment descriptors.
 
     Walks tuples, lists, dict values and :class:`ArrayBundle` columns (the
-    shapes collectives move); everything else passes through to the pipe's
-    pickle stream untouched.
+    shapes collectives move); everything else passes through to the pickle
+    stream untouched.  ``create(size)`` makes each segment.
     """
     def stash(arr):
         if not (isinstance(arr, np.ndarray) and arr.nbytes >= threshold
                 and not arr.dtype.hasobject):
             return arr
-        # A fresh segment owned by the reader, who unlinks after decoding.
-        seg, [(_, shape, dtype)] = pack([arr], create_segment)
+        seg, [(_, shape, dtype)] = pack([arr], create)
         seg.close()
         return ShmArrayRef(name=seg.name, shape=shape, dtype=dtype)
 
@@ -209,13 +195,14 @@ def encode_payload(obj, threshold: int = DEFAULT_SHM_THRESHOLD):
 def decode_payload(obj, attach=None, read=None):
     """Inverse of :func:`encode_payload` / :meth:`Transport.encode`.
 
-    One-shot refs are reclaimed (attach + copy + unlink).  Slab refs are
-    read through ``attach`` — a callable ``name -> SharedMemory`` (the
-    transport's cached attacher; only a wire without slab refs decodes
-    without one) — and the slab left alone: it belongs to the sender's
-    arena.  Every array returned is a copy, and no view outlives the
-    statement that made it: a cache eviction closes the mapping under it.
-    ``read``, a list, collects the bytes copied out of each segment.
+    Slab refs are read through ``attach``, a callable ``name ->
+    SharedMemory`` (the transport's cached attacher; only a wire without
+    slab refs decodes without one), and left to their owner.  One-shot
+    refs are copied out — and unlinked only without ``attach``, by the
+    single reader a ``MSG_DONE`` value has.  Every array returned is a
+    copy, and no view outlives the statement that made it: a cache
+    eviction closes the mapping under it.  ``read``, a list, collects the
+    bytes copied out of each segment.
     """
     def slab(ref):
         if read is not None:
@@ -226,7 +213,8 @@ def decode_payload(obj, attach=None, read=None):
         if isinstance(ref, ShmArrayRef):
             if read is not None:
                 read.append(ref.nbytes)
-            return fetch(ref.name, ref.shape, ref.dtype)
+            return fetch(ref.name, ref.shape, ref.dtype,
+                         unlink=attach is None)
         if isinstance(ref, SlabArrayRef):
             return slab(ref).copy()
         if isinstance(ref, ConcatRef):
@@ -271,13 +259,9 @@ class ShmArena:
 
     Slabs are power-of-two sized (>= 64 KiB), recycled through a best-fit
     free list, and unlinked eagerly once the pooled free bytes exceed
-    ``max_retained`` — which bounds the arena's high-water mark.  Not
-    thread-safe; each process endpoint owns exactly one.
-
-    ``name_prefix`` makes slab names deterministic (``{prefix}{seq}``)
-    instead of kernel-random, so that a killed worker's slabs — retained
-    ones whose names never crossed the wire included — can be found and
-    reclaimed by a prefix sweep at pool shutdown.
+    ``max_retained`` (which bounds the high-water mark).  Not thread-safe;
+    each worker owns one.  ``name_prefix`` makes names deterministic
+    (``{prefix}{seq}``) so a killed worker's slabs can be swept by prefix.
     """
 
     def __init__(self, max_retained: int = DEFAULT_MAX_RETAINED,
@@ -307,16 +291,20 @@ class ShmArena:
             self._free.remove(seg)
             self.reused += 1
         else:
-            name = None
-            if self.name_prefix is not None:
-                name = f"{self.name_prefix}{self._seq}"
-                self._seq += 1
-            seg = create_segment(cls, name)
+            seg = self.fresh(cls)
             self._segs[seg.name] = seg
             self.created += 1
             self.live_bytes += seg.size
             self.high_water = max(self.high_water, self.live_bytes)
         return seg
+
+    def fresh(self, nbytes: int) -> shared_memory.SharedMemory:
+        """A new segment under this arena's prefix, not (yet) pooled."""
+        name = None
+        if self.name_prefix is not None:
+            name = f"{self.name_prefix}{self._seq}"
+            self._seq += 1
+        return create_segment(nbytes, name)
 
     def release(self, name: str) -> None:
         """Return a slab to the pool once its readers have all decoded it."""
@@ -346,11 +334,10 @@ class ShmArena:
 class TransportStats:
     """Per-collective-kind transport counters, mergeable across endpoints.
 
-    For each message kind (collective kind, or ``"done"``/``"value"`` for
-    result shipping) tracks: messages encoded, pickle bytes put on the
-    pipe, shared-memory segments created vs reused, array bytes copied
-    into segments (``bytes_copied``, encode side) and out of them
-    (``bytes_read``, decode side).  ``high_water`` is the max over the
+    Per message kind (collective kind, or ``"input"`` for the run's
+    command): messages encoded, pickle bytes posted or sent, segments
+    created vs reused, array bytes copied into segments (``bytes_copied``)
+    and out of them (``bytes_read``).  ``high_water`` is the max over the
     contributing arenas' high-water marks.
     """
 
@@ -373,15 +360,12 @@ class TransportStats:
             self.note(kind, **b)
         self.high_water = max(self.high_water, other.high_water)
 
-    def totals(self) -> dict[str, int]:
-        return {f: sum(b[f] for b in self.kinds.values())
-                for f in self._FIELDS}
-
     def as_dict(self) -> dict:
         """JSON-ready snapshot: per-kind buckets plus totals."""
         return {
             "per_kind": {k: dict(v) for k, v in sorted(self.kinds.items())},
-            "total": self.totals(),
+            "total": {f: sum(b[f] for b in self.kinds.values())
+                      for f in self._FIELDS},
             "high_water_bytes": self.high_water,
         }
 
@@ -390,9 +374,9 @@ class Transport:
     """One endpoint's payload codec: arena + peer-attachment cache + stats.
 
     ``encode`` returns ``(wire, names)`` where ``names`` are the shm
-    segments backing the message — arena slabs to ``release()`` once the
-    peer provably decoded them (arena mode), or one-shot segment names the
-    peer unlinks itself (legacy mode; ``release`` is a no-op for those).
+    segments backing the message, to ``release()`` once every reader has
+    acked them: arena slabs go back to the pool, legacy one-shots are
+    unlinked.
     """
 
     def __init__(
@@ -405,17 +389,15 @@ class Transport:
     ):
         self.threshold = int(threshold)
         self.use_arena = bool(use_arena)
-        # Legacy mode never acquires from it: an arena that owns nothing.
+        # Legacy mode only names one-shots (and oversized posts) by it.
         self.arena = ShmArena(max_retained, name_prefix=slab_prefix)
         self._attached = AttachCache(cap=_SLAB_ATTACH_CAP)
         self.stats = TransportStats()
 
-    # -- encode --------------------------------------------------------------
-
     def encode(self, obj, kind: str = "?"):
         """Encode one message's payload; returns ``(wire, segment_names)``."""
         if not self.use_arena:
-            wire = encode_payload(obj, self.threshold)
+            wire = encode_payload(obj, self.threshold, self.arena.fresh)
             refs = iter_refs(wire)
             self.stats.note(
                 kind, messages=1, segments_created=len(refs),
@@ -454,8 +436,6 @@ class Transport:
                                     self.arena.high_water)
         return wire, [seg.name]
 
-    # -- decode --------------------------------------------------------------
-
     def attach(self, name: str) -> shared_memory.SharedMemory:
         """The mapping of a slab: this arena's own, or a cached attachment
         to a peer's (one mmap per name)."""
@@ -469,16 +449,13 @@ class Transport:
             self.stats.note(kind, bytes_read=sum(read))
         return out
 
-    # -- lifetime ------------------------------------------------------------
-
     def release(self, names) -> None:
-        """Return arena slabs to the pool (no-op on one-shot names)."""
+        """Return arena slabs to the pool; unlink one-shot segments."""
         for name in names:
-            self.arena.release(name)
-
-    def release_all(self) -> None:
-        """Pool every owned slab (between runs: no reader is left)."""
-        self.release(list(self.arena._segs))
+            if name in self.arena._segs:
+                self.arena.release(name)
+            else:
+                unlink_segments([name])
 
     def close(self) -> list[str]:
         """Drop peer attachments and unlink the own arena; returns the

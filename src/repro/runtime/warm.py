@@ -1,42 +1,26 @@
 """Keep-alive multiprocess backend: one worker pool, many runs.
 
-:class:`WarmMpBackend` is :class:`~repro.runtime.mp.MpBackend` with the
-per-run setup amortized away.  ``MpBackend`` pays, on **every** ``run()``:
-start ``p`` OS processes (under ``spawn``, re-import the scientific stack
-and receive the input: a published graph plus one pickled ``CMD_RUN``;
-under ``fork``, fault in the inherited pages as they are touched),
-create per-worker shm arenas, and tear it all down.
-The warm backend spawns the pool once, keeps the worker *and* coordinator
-:class:`~repro.runtime.transport.Transport` arenas mapped, and dispatches
-each subsequent run as a small ``CMD_RUN`` command down the existing
-pipes.  This is the serving-layer contract the daemon (:mod:`repro.serve`)
-is built on: request latency excludes process creation entirely.
+:class:`WarmMpBackend` is :class:`~repro.runtime.mp.MpBackend` minus the
+per-run setup: it spawns the pool once — workers, arenas, control block,
+doorbells — and dispatches each run as a small ``CMD_RUN`` down the
+existing pipes, so request latency excludes process creation: the
+contract the daemon (:mod:`repro.serve`) is built on.  Workers, spawn,
+dispatch, supervision and teardown are ``MpBackend``'s, so results,
+counters and traces stay bit-identical to ``mp`` and the simulator.  What
+this class adds is what it keeps:
 
-Nothing here is a second protocol: workers, spawn, dispatch, coordinator
-and teardown are ``MpBackend``'s (:meth:`~repro.runtime.mp.MpBackend.
-_spawn`, ``_dispatch``, :meth:`~repro.runtime.mp._Pool.shutdown`), so
-results, counters and traces stay bit-identical to ``mp`` and the
-simulator for a fixed seed.  What this class adds is what it keeps:
+* the pool, with each program shipped by reference once and by a small
+  token thereafter; a ``run()`` at another ``p`` respawns it;
+* graph-plane inputs (:mod:`repro.graph.shm`): an LRU window of
+  ``plane_retain`` recently queried graphs keeps their published segments
+  pinned, so a repeat query ships an O(1) handle the workers have
+  attached already;
+* on any failure the whole pool is discarded — survivors may be blocked
+  mid-collective — and the next ``run()`` respawns it: the same typed
+  errors as ``mp``, no leaked processes or segments.
 
-* The pool.  A program is shipped pickled by reference the first time it
-  runs on a pool — a small integer token thereafter (workers cache the
-  callable per token).
-* Graph-plane inputs (:mod:`repro.graph.shm`) stay *pinned* across runs:
-  an LRU window of ``plane_retain`` recently queried graphs keeps their
-  published segments alive, so a repeat query ships only an O(1) handle
-  and the workers' cached attachments make it attach-free too.  The
-  window is the only owner of a segment between runs.
-* On any failure the whole pool is discarded — surviving workers may be
-  blocked mid-collective — and the next ``run()`` transparently respawns
-  it.  Failure behavior therefore matches ``mp`` observationally (same
-  typed errors, no leaked processes or segments), it just also costs the
-  warmth.
-* A ``run()`` at a different ``p`` respawns the pool at the new width.
-* Call :meth:`close` (or use the backend as a context manager) when done;
-  a forgotten pool of daemonic workers dies with the parent process, and
-  the arena sweep in :meth:`~repro.runtime.mp._Pool.shutdown` still
-  reclaims slabs, but an explicit close is what keeps /dev/shm clean at
-  a deterministic point — the CI leak checks pin exactly that.
+Call :meth:`close` (or use the backend as a context manager) when done:
+an explicit close is what keeps /dev/shm clean at a deterministic point.
 """
 
 from __future__ import annotations
@@ -154,11 +138,10 @@ class WarmMpBackend(MpBackend):
         # the pins migrate into the LRU retention window so the next
         # query on the same graph ships only its O(1) handle.
         run_pins: list[str] = []
-        engine, world, args, kwargs = self._begin(p, args, kwargs, run_pins)
+        world, args, kwargs = self._begin(p, args, kwargs, run_pins)
         try:
-            return self._dispatch(engine, self._ensure_pool(world.size),
-                                  world.gid, seed, program, args, kwargs,
-                                  faults)
+            return self._dispatch(self._ensure_pool(world.size), world.gid,
+                                  seed, program, args, kwargs, faults)
         except BaseException:
             self._stop(graceful=False)  # workers may be wedged mid-collective
             raise

@@ -472,10 +472,12 @@ class Daemon:
         while not self._stopping.is_set():
             popped = self.queue.pop()
             if popped is None:
+                # On the predicate: a submit between the empty pop and
+                # this wait has already notified.
                 with self._work:
-                    if self._stopping.is_set():
-                        break
-                    self._work.wait(timeout=0.2)
+                    self._work.wait_for(
+                        lambda: len(self.queue) or self._stopping.is_set(),
+                        timeout=0.2)
                 continue
             _, job_id = popped
             with self._lock:

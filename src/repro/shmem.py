@@ -4,18 +4,15 @@ transport arena (:mod:`repro.runtime.transport`, collective *payloads*).
 
 * **Layout** — :func:`pack` copies arrays into one segment at 64-byte
   offsets; :func:`view` rebuilds one from ``(buffer, offset, shape,
-  dtype)``.  Those plus the segment name are the one descriptor
-  vocabulary; the users' wire dataclasses only bundle them.
-* **Attachment** — :class:`AttachCache`, LRU-bounded: a mapping outlives
-  its segment's unlink, so an unbounded cache pins memory the owner
-  already gave back.  :func:`fetch` is the uncached attach-copy-unlink.
+  dtype)``: with the segment name, the one descriptor vocabulary.
+* **Attachment** — :class:`AttachCache`, LRU-bounded (a mapping outlives
+  its segment's unlink); :func:`fetch` is the uncached attach-and-copy.
 * **Ownership** — segments are created *untracked* and unlinked by name
-  at the OS level, by their owner: the plane's registry (``rgpl…``, at
-  the last unpin), an arena (its ``rsh…``-prefixed or kernel-random
-  ``psm_…`` slabs), or a one-shot ``psm_…`` segment's single reader.
-* **Traversal** — :func:`walk`, the one recursion over the
-  tuple/list/dict shapes programs ship; what a leaf is (array, bundle,
-  ref, plane marker) is the caller's business.
+  by their owner: the plane's registry (``rgpl…``), a worker (its
+  ``rsh…`` slabs and one-shots, once acked), or a ``MSG_DONE`` value's
+  reader.
+* **Traversal** — :func:`walk`, the one recursion over the shapes
+  programs ship; what a leaf is is the caller's business.
 
 ``docs/runtime.md`` ("Shared memory") has the long form.
 """
@@ -119,15 +116,16 @@ def attach_segment(name: str):
     return _untracked(name=name)
 
 
-def fetch(name: str, shape, dtype) -> np.ndarray:
-    """A one-shot segment's single reader: attach, copy its array out,
-    close, reclaim the segment."""
+def fetch(name: str, shape, dtype, unlink: bool = True) -> np.ndarray:
+    """A one-shot segment's reader: attach, copy its array out, close and —
+    the last reader — reclaim the segment."""
     seg = attach_segment(name)
     try:
         return view(seg.buf, 0, shape, dtype).copy()
     finally:
         seg.close()
-        unlink_segments([name])
+        if unlink:
+            unlink_segments([name])
 
 
 try:  # POSIX: raw shm_unlink, bypassing the resource tracker

@@ -66,8 +66,8 @@ class TraceEvent:
     d_recv: tuple[float, ...] = ()
     d_misses: tuple[float, ...] = ()
     d_wait: tuple[float, ...] = ()
-    #: Wall-clock seconds since the previous executed collective, as
-    #: measured by the MpBackend coordinator; 0.0 under the simulator.
+    #: Wall-clock seconds since the recording mp worker's previous
+    #: collective (the run's wall, on FINAL); 0.0 under the simulator.
     #: Excluded from cross-backend trace comparisons, like TimeEstimate.
     wall_s: float = 0.0
     #: For a fused superstep (an explicit ``comm.batch`` or the engine's

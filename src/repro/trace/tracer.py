@@ -1,7 +1,7 @@
 """Tracer protocol: zero-overhead-when-off collective recording.
 
-The BSP engine — driving generators or, under the multiprocess
-coordinator, worker messages — calls :meth:`Tracer.on_collective` (or
+The BSP engine — driving generators, or on each multiprocess worker
+settling its group's posted requests — calls :meth:`Tracer.on_collective` (or
 :meth:`Tracer.on_merge`) after every executed collective, and the run's
 driver calls :meth:`Tracer.on_finish` once all ranks have terminated —
 guarded by the ``enabled`` flag, so an untraced run pays one attribute

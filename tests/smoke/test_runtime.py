@@ -3,12 +3,15 @@ import pytest
 
 from repro import shmem
 from repro.core.components import connected_components
-from repro.faults import parse_fault_plan
+from repro.faults import FaultSpec, parse_fault_plan
 from repro.graph import erdos_renyi, two_cliques_bridge
 from repro.rng import philox_stream
 from repro.runtime import MpBackend, SimBackend, WarmMpBackend
+from repro.runtime.errors import WorkerCrashError
 from repro.sched import TrialScheduler
 from tests.smoke.conftest import no_shm_leaks
+from tests.test_peer_supersteps import split_program
+from tests.test_trace_backends import strip_wall
 from tests.test_transport_arena import _forwarding_program
 
 
@@ -57,6 +60,21 @@ def test_crash():
     assert res.value == clean.value == 2.0
     # the retry reproduced the fault-free ledger
     assert res.ledger.fingerprint() == clean.ledger.fingerprint()
+
+
+def test_peer_groups():
+    """Peer-superstep smoke (spawn, p = 3): split subgroups settle their
+    collectives among themselves, bit-identical to sim; then a crash in a
+    subgroup collective; the control block and doorbells are released."""
+    sim = SimBackend(trace=True).run(split_program, 3, seed=2)
+    mp_ = MpBackend(start_method="spawn", timeout=300.0, trace=True)
+    res = mp_.run(split_program, 3, seed=2)
+    assert res.values == sim.values and res.report == sim.report
+    assert strip_wall(res.trace) == strip_wall(sim.trace)
+    with pytest.raises(WorkerCrashError) as err:
+        mp_.run(split_program, 3, seed=2,
+                faults=[FaultSpec("crash", rank=2, step=2)])
+    assert (err.value.rank, err.value.superstep) == (2, 2)
 
 
 def test_leak_check_can_fail():

@@ -646,3 +646,31 @@ def test_failed_job_reports_error(graph, tmp_path):
     assert d.jobs[jid].state == "failed"
     reply = d.handle_request({"op": "result", "job": jid})
     assert reply["error"] == "JobFailed"
+
+
+def test_executor_wakes_for_a_submit_racing_its_idle_check(graph_file,
+                                                          tmp_path):
+    """A submit that lands between the executor's empty ``pop`` and its
+    wait is run at once, not after the wait's 0.2 s timeout."""
+    cfg = ServeConfig(bind=str(tmp_path / "s.sock"),
+                      state_dir=str(tmp_path / "state"), backend="sim")
+    with Daemon(cfg) as daemon:
+        wait_server(daemon.address)
+        pop, armed, raced = daemon.queue.pop, threading.Event(), {}
+
+        def racing_pop():
+            popped = pop()
+            if popped is None and armed.is_set():
+                armed.clear()
+                raced["t0"] = time.perf_counter()
+                raced["job"] = submit(daemon, "parallel_cc", graph_file,
+                                      seed=5)
+            return popped
+
+        daemon.queue.pop = racing_pop
+        armed.set()
+        deadline = time.perf_counter() + 10.0
+        while "job" not in raced or not daemon.jobs[raced["job"]].terminal:
+            assert time.perf_counter() < deadline
+            time.sleep(0.001)
+        assert time.perf_counter() - raced["t0"] < 0.05
