@@ -16,7 +16,6 @@
 import math
 
 import numpy as np
-from repro.bsp import run_spmd
 from repro.cache import AnalyticTracker
 from repro.core import approx_minimum_cut, connected_components
 from repro.core.contraction import dense_bulk_contract, row_block, sparse_bulk_contract
@@ -27,6 +26,7 @@ from repro.graph import AdjacencyMatrix, erdos_renyi, two_cliques_bridge
 from repro.graph.contract import components_from_edges
 from repro.rng import philox_stream
 from repro.rng.streams import RngStreams
+from repro.runtime import SimBackend
 
 from common import MODEL, once, report_experiment
 
@@ -72,8 +72,8 @@ def test_ablation_unweighted_sampling(benchmark):
     rows = []
     for p in (4, 8):
         fast = connected_components(g, p=p, seed=SEED)
-        slow = run_spmd(cc_weighted_sampling_program, p, seed=SEED,
-                        args=(g.slices(p), g.n, 0.25))
+        slow = SimBackend().run(cc_weighted_sampling_program, p, seed=SEED,
+                                args=(g.slices(p), g.n, 0.25))
         assert fast.n_components == slow.root_value[1]
         rows.append([
             p,
@@ -138,7 +138,7 @@ def _run_sparse_contract(g, labels, n_new, p):
         )
         return out
 
-    return run_spmd(prog, p, seed=SEED)
+    return SimBackend().run(prog, p, seed=SEED)
 
 
 def _run_dense_contract(g, labels, n_new, p):
@@ -151,7 +151,7 @@ def _run_dense_contract(g, labels, n_new, p):
         )
         return out
 
-    return run_spmd(prog, p, seed=SEED)
+    return SimBackend().run(prog, p, seed=SEED)
 
 
 def test_ablation_contraction_representations(benchmark):

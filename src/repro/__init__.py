@@ -35,7 +35,7 @@ from repro.core import (
     ApproxMinCutResult,
     MinCutResult,
 )
-from repro.bsp import Engine, MachineModel, run_spmd
+from repro.bsp import Engine, MachineModel
 from repro.trace import (
     TraceEvent,
     RecordingTracer,
@@ -63,7 +63,6 @@ __all__ = [
     "MinCutResult",
     "Engine",
     "MachineModel",
-    "run_spmd",
     "TraceEvent",
     "RecordingTracer",
     "aggregate_trace",

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bsp.engine import Engine
 from repro.cache.traced import MemoryTracker, NullTracker
 from repro.graph.contract import compress_labels
 from repro.graph.edgelist import EdgeList
+from repro.graph.shm import plane_slices
 from repro.kernels import cc_labels, cc_roots, earliest_forest, flatten_parents
+from repro.runtime.base import Backend, resolve_backend
 
 __all__ = ["galois_cc", "galois_cc_parallel"]
 
@@ -113,10 +114,11 @@ def galois_cc_parallel(
     p: int = 4,
     *,
     seed: int = 0,
-    engine: Engine | None = None,
+    backend: str | Backend | None = None,
 ):
-    """Parallel Galois-style CC; returns ``(labels, count, report, time)``."""
-    engine = engine or Engine()
-    result = engine.run(_galois_program, p, seed=seed, args=(g.slices(p), g.n))
+    """Parallel Galois-style CC on ``backend`` (a name or an instance,
+    default the simulator); returns ``(labels, count, report, time)``."""
+    result = resolve_backend(backend).run(
+        _galois_program, p, seed=seed, args=(plane_slices(g, p), g.n))
     labels, count = result.root_value
     return labels, count, result.report, result.time

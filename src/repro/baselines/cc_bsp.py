@@ -15,9 +15,10 @@ import operator
 
 import numpy as np
 
-from repro.bsp.engine import Engine
 from repro.graph.contract import compress_labels
 from repro.graph.edgelist import EdgeList
+from repro.graph.shm import plane_slices
+from repro.runtime.base import Backend, resolve_backend
 
 __all__ = ["pbgl_cc", "pbgl_cc_program"]
 
@@ -124,10 +125,11 @@ def pbgl_cc(
     p: int = 4,
     *,
     seed: int = 0,
-    engine: Engine | None = None,
+    backend: str | Backend | None = None,
 ):
-    """PBGL-style BSP CC; returns ``(labels, count, report, time)``."""
-    engine = engine or Engine()
-    result = engine.run(pbgl_cc_program, p, seed=seed, args=(g.slices(p), g.n))
+    """PBGL-style BSP CC on ``backend`` (a name or an instance, default
+    the simulator); returns ``(labels, count, report, time)``."""
+    result = resolve_backend(backend).run(
+        pbgl_cc_program, p, seed=seed, args=(plane_slices(g, p), g.n))
     labels, count = result.root_value
     return labels, count, result.report, result.time

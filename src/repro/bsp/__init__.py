@@ -18,7 +18,7 @@ misses, as assumed by the paper.
 
 from repro.bsp.counters import ProcCounters, CountersReport
 from repro.bsp.machine import MachineModel, TimeEstimate, fit_model
-from repro.bsp.engine import Engine, Context, run_spmd
+from repro.bsp.engine import Engine, Context
 from repro.bsp.comm import Communicator
 from repro.bsp.errors import BSPError, DeadlockError, CollectiveMismatchError
 from repro.bsp.sort import distributed_sort
@@ -32,7 +32,6 @@ __all__ = [
     "fit_model",
     "Engine",
     "Context",
-    "run_spmd",
     "Communicator",
     "BSPError",
     "DeadlockError",

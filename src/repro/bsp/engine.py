@@ -32,9 +32,9 @@ from repro.bsp.machine import MachineModel, TimeEstimate
 from repro.cache.model import CacheParams
 from repro.rng.streams import RngStreams
 from repro.trace.events import FINAL, TraceEvent
-from repro.trace.tracer import NULL_TRACER, RecordingTracer, Tracer
+from repro.trace.tracer import NULL_TRACER, Tracer
 
-__all__ = ["Context", "Engine", "RunResult", "CollectiveEvent", "run_spmd"]
+__all__ = ["Context", "Engine", "RunResult", "CollectiveEvent"]
 
 #: The per-collective record is the trace layer's event type.
 CollectiveEvent = TraceEvent
@@ -108,7 +108,7 @@ class RunResult:
         it was before the per-superstep trace layer existed.
         """
         if self.trace is None:
-            raise ValueError("run without trace=True has no event log")
+            raise ValueError("an untraced run has no event log")
         return [ev.kind for ev in self.trace if ev.kind != FINAL]
 
 
@@ -148,20 +148,11 @@ class Engine:
 
     def __init__(self, cache: CacheParams | None = None,
                  machine: MachineModel | None = None,
-                 trace: bool = False,
                  tracer: Tracer | None = None,
                  fuse: bool | FusionConfig | None = None):
-        if trace and tracer is not None:
-            raise ValueError(
-                "pass either trace=True (a default RecordingTracer) or an "
-                "explicit tracer, not both"
-            )
         self.cache = cache or CacheParams()
         self.machine = machine or MachineModel()
-        self._tracer = tracer if tracer is not None else (
-            RecordingTracer() if trace else NULL_TRACER
-        )
-        self.trace = self._tracer.enabled
+        self._tracer = tracer if tracer is not None else NULL_TRACER
         #: Automatic adjacent-fusion policy; None (default) disables the
         #: merge so superstep counts match the pre-fusion engine exactly.
         #: Explicit ``comm.batch`` requests work regardless of this.
@@ -661,24 +652,3 @@ class Engine:
                 acc.append(res)
         return [tuple(acc) for acc in results]
 
-
-def run_spmd(
-    program: Callable[..., Generator],
-    p: int,
-    *,
-    seed: int = 0,
-    args: Iterable[Any] = (),
-    kwargs: dict | None = None,
-    cache: CacheParams | None = None,
-    machine: MachineModel | None = None,
-    trace: bool = False,
-    tracer: Tracer | None = None,
-    fuse: bool | FusionConfig | None = None,
-) -> RunResult:
-    """One-shot convenience wrapper: build an :class:`Engine` and run
-    (:meth:`Engine.run`'s contract; ``trace``/``tracer`` record the event
-    stream in ``RunResult.trace``, ``fuse`` enables adjacent fusion)."""
-    return Engine(cache=cache, machine=machine, trace=trace, tracer=tracer,
-                  fuse=fuse).run(
-        program, p, seed=seed, args=args, kwargs=kwargs
-    )

@@ -237,8 +237,7 @@ def _cmd_serve(args) -> int:
 
     cfg = ServeConfig(
         bind=args.bind, state_dir=args.state_dir, backend=args.backend,
-        p=args.procs, wave_size=args.wave_size, quantum=args.quantum,
-        cache_edges=args.cache_edges,
+        p=args.procs, wave_size=args.wave_size, cache_edges=args.cache_edges,
     )
     daemon = Daemon(cfg)
     address = daemon.start()
@@ -272,18 +271,11 @@ def _cmd_query(args) -> int:
             client.shutdown()
             print("daemon shutting down")
             return 0
-        kwargs = {}
-        if args.variant != "default":
-            kwargs["variant"] = args.variant
-        if args.trials is not None:
-            kwargs["trials"] = args.trials
-        if args.trial_scale != 1.0:
-            kwargs["trial_scale"] = args.trial_scale
-        if args.success_prob != 0.9:
-            kwargs["success_prob"] = args.success_prob
         try:
-            job = client.submit(args.algorithm, os.path.abspath(args.input),
-                                seed=args.seed, p=args.procs, **kwargs)
+            job = client.submit(
+                args.algorithm, os.path.abspath(args.input), seed=args.seed,
+                p=args.procs, variant=args.variant, trials=args.trials,
+                trial_scale=args.trial_scale, success_prob=args.success_prob)
             if not args.wait:
                 print(json.dumps({"job": job}, sort_keys=True))
                 return 0
@@ -502,9 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="default processors per query (default 4)")
     sp.add_argument("--wave-size", type=int, default=8,
                     help="trials per scheduler wave: the interleaving "
-                         "granularity between concurrent min-cut jobs")
-    sp.add_argument("--quantum", type=float, default=8.0,
-                    help="fair-queue round budget in trial units")
+                         "granularity between concurrent min-cut jobs and "
+                         "the fair queue's round budget")
     sp.add_argument("--cache-edges", type=float, default=50_000_000,
                     help="graph cache capacity in total edges")
     sp.set_defaults(func=_cmd_serve)
@@ -522,10 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--priority", type=float, default=1.0,
                     help="fair-queue weight (higher drains faster; "
                          "never starves others)")
-    sp.add_argument("--variant", choices=VARIANTS, default="default")
+    sp.add_argument("--variant", choices=VARIANTS, default=None)
     sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--trial-scale", type=float, default=1.0)
-    sp.add_argument("--success-prob", type=float, default=0.9)
+    sp.add_argument("--trial-scale", type=float, default=None)
+    sp.add_argument("--success-prob", type=float, default=None)
     sp.add_argument("--no-wait", dest="wait", action="store_false",
                     help="print the job id instead of blocking on the "
                          "result")

@@ -22,10 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bsp.counters import CountersReport
-from repro.bsp.engine import Engine
 from repro.bsp.machine import TimeEstimate
 from repro.graph.contract import components_from_edges
 from repro.graph.edgelist import EdgeList
+from repro.graph.shm import plane_slices
+from repro.runtime.base import Backend, resolve_backend
 
 __all__ = ["minimum_spanning_forest", "msf_program", "MSFResult"]
 
@@ -137,16 +138,16 @@ def minimum_spanning_forest(
     p: int = 4,
     *,
     seed: int = 0,
-    engine: Engine | None = None,
+    backend: str | Backend | None = None,
 ) -> MSFResult:
-    """Minimum spanning forest of ``g`` on ``p`` virtual processors.
+    """Minimum spanning forest of ``g`` on ``p`` processors of ``backend``
+    (a name or an instance, default the simulator).
 
     Deterministic (Borůvka with an edge-id tie break): the forest is unique
     for a given edge order even with repeated weights.
     """
-    engine = engine or Engine()
-    slices = g.slices(p)
-    result = engine.run(msf_program, p, seed=seed, args=(slices, g.n))
+    result = resolve_backend(backend).run(
+        msf_program, p, seed=seed, args=(plane_slices(g, p), g.n))
     ids, labels, count = result.root_value
     forest = g.select(ids)
     expected_edges = g.n - count

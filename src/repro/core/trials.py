@@ -62,7 +62,8 @@ FIELD_DOMAINS = {
     **dict.fromkeys(("reconnect_budget", "max_retries"), _NONNEGATIVE),
     **dict.fromkeys(("retry_backoff", "timeout"),
                     (_REAL, lambda v: 0 <= v < math.inf, ">= 0")),
-    **dict.fromkeys(("priority", "trial_scale", "eps", "quantum"), _POSITIVE),
+    **dict.fromkeys(("priority", "trial_scale", "eps", "cache_edges"),
+                    _POSITIVE),
     **dict.fromkeys(("success_prob", "delta"), _PROBABILITY),
     "variant": _one_of(VARIANTS),
     "algorithm": _one_of(ALGORITHMS),

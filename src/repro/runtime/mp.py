@@ -49,7 +49,7 @@ from repro.runtime.errors import (
     WorkerProgramError,
     WorkerTimeoutError,
 )
-from repro.trace.tracer import NULL_TRACER, RecordingTracer, Tracer
+from repro.trace.tracer import NULL_TRACER, Tracer
 from repro.runtime.transport import (
     DEFAULT_SHM_THRESHOLD,
     ShmArrayRef,
@@ -214,10 +214,10 @@ class MpBackend(Backend):
     use_arena:
         Pooled slab arena transport (default); ``False`` selects the
         legacy one-segment-per-array codec, the transport gate's reference.
-    trace / tracer:
-        Per-superstep tracing, as on the simulator: ``trace=True`` for a
-        default :class:`~repro.trace.tracer.RecordingTracer`, or an
-        explicit tracer.  Events equal the simulator's but for ``wall_s``.
+    tracer:
+        Per-superstep tracing, as on the simulator (e.g. a
+        :class:`~repro.trace.tracer.RecordingTracer`).  Events equal the
+        simulator's but for ``wall_s``.
     fuse:
         Automatic adjacent superstep fusion (:mod:`repro.bsp.fusion`):
         ``True`` or a :class:`~repro.bsp.fusion.FusionConfig`.
@@ -238,21 +238,13 @@ class MpBackend(Backend):
         timeout: float | None = DEFAULT_TIMEOUT_S,
         shm_threshold: int = DEFAULT_SHM_THRESHOLD,
         use_arena: bool = True,
-        trace: bool = False,
         tracer: Tracer | None = None,
         fuse: bool | FusionConfig | None = None,
         graph_plane: bool | None = None,
     ):
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive or None, got {timeout}")
-        if trace and tracer is not None:
-            raise ValueError(
-                "pass either trace=True (a default RecordingTracer) or an "
-                "explicit tracer, not both"
-            )
-        self.tracer = tracer if tracer is not None else (
-            RecordingTracer() if trace else NULL_TRACER
-        )
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         self.cache = cache or CacheParams()
         self.start_method = start_method or default_start_method()
         if self.start_method not in multiprocessing.get_all_start_methods():

@@ -70,22 +70,13 @@ class SimBackend(Backend):
     def __init__(
         self,
         *,
-        engine: Engine | None = None,
         cache: CacheParams | None = None,
         machine: MachineModel | None = None,
-        trace: bool = False,
         tracer: Tracer | None = None,
         fuse: "bool | FusionConfig | None" = None,
     ):
-        if engine is not None and (cache is not None or machine is not None
-                                   or trace or tracer is not None
-                                   or fuse is not None):
-            raise ValueError(
-                "pass either a ready engine or cache/machine/trace/tracer/"
-                "fuse, not both"
-            )
-        self.engine = engine or Engine(cache=cache, machine=machine,
-                                       trace=trace, tracer=tracer, fuse=fuse)
+        self.engine = Engine(cache=cache, machine=machine, tracer=tracer,
+                             fuse=fuse)
 
     def run(
         self,

@@ -98,27 +98,30 @@ class Client:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    def call(self, verb: str, **fields) -> dict:
+        """Send one ``verb`` request, leaving out the fields set to ``None``
+        (the daemon applies the verb's defaults), and return the reply."""
+        return self.request({"op": verb, **{
+            name: value for name, value in fields.items()
+            if value is not None}})
+
     # -- ops -----------------------------------------------------------------
 
     def ping(self) -> dict:
-        return self.request({"op": "ping"})
+        return self.call("ping")
 
     def submit(self, algorithm: str, path: str, *, seed: int = 0,
                p: int | None = None, priority: float | None = None,
                fingerprint: str | None = None, **kwargs) -> str:
         """Submit a query; returns the job id immediately."""
-        doc = {"op": "submit", "algorithm": algorithm, "path": path,
-               "seed": int(seed), "client": self.name,
-               "priority": self.priority if priority is None else priority}
-        if p is not None:
-            doc["p"] = int(p)
-        if fingerprint is not None:
-            doc["fingerprint"] = fingerprint
-        doc.update(kwargs)
-        return self.request(doc)["job"]
+        return self.call(
+            "submit", algorithm=algorithm, path=path, seed=seed, p=p,
+            client=self.name,
+            priority=self.priority if priority is None else priority,
+            fingerprint=fingerprint, **kwargs)["job"]
 
     def status(self, job: str) -> dict:
-        return self.request({"op": "status", "job": job})
+        return self.call("status", job=job)
 
     def result(self, job: str, *, wait: bool = True,
                timeout: float | None = None) -> dict:
@@ -128,48 +131,39 @@ class Client:
         unsuccessful terminal states; returns ``None`` result for a job
         still in flight when ``wait=False`` or the timeout lapsed.
         """
-        doc = {"op": "result", "job": job, "wait": bool(wait)}
-        if timeout is not None:
-            doc["timeout"] = float(timeout)
-        return self.request(doc)["result"]
+        return self.call("result", job=job, wait=wait,
+                         timeout=timeout)["result"]
 
     def run(self, algorithm: str, path: str, **kwargs) -> dict:
         """submit + blocking result in one call."""
         return self.result(self.submit(algorithm, path, **kwargs))
 
     def cancel(self, job: str) -> dict:
-        return self.request({"op": "cancel", "job": job})
+        return self.call("cancel", job=job)
 
     # -- dynamic sessions ----------------------------------------------------
 
     def dyn_open(self, path: str, *, seed: int = 0, p: int | None = None,
                  fingerprint: str | None = None, **kwargs) -> str:
         """Open a streaming session on a graph file; returns the session id."""
-        doc = {"op": "dyn_open", "path": path, "seed": int(seed)}
-        if p is not None:
-            doc["p"] = int(p)
-        if fingerprint is not None:
-            doc["fingerprint"] = fingerprint
-        doc.update(kwargs)
-        return self.request(doc)["session"]
+        return self.call("dyn_open", path=path, seed=seed, p=p,
+                         fingerprint=fingerprint, **kwargs)["session"]
 
     def dyn_update(self, session: str, ops: list) -> dict:
         """Apply one update batch (closing an epoch); returns staleness."""
-        return self.request({"op": "dyn_update", "session": session,
-                             "ops": ops})
+        return self.call("dyn_update", session=session, ops=ops)
 
     def dyn_staleness(self, session: str) -> dict:
-        return self.request({"op": "dyn_staleness", "session": session})
+        return self.call("dyn_staleness", session=session)
 
     def dyn_query(self, session: str, query: str, *, mode: str = "exact",
                   if_stale: str = "reject",
                   priority: float | None = None) -> str:
         """Submit a components/cut query on the session's current epoch."""
-        return self.request({
-            "op": "dyn_query", "session": session, "query": query,
-            "mode": mode, "if_stale": if_stale, "client": self.name,
-            "priority": self.priority if priority is None else priority,
-        })["job"]
+        return self.call(
+            "dyn_query", session=session, query=query, mode=mode,
+            if_stale=if_stale, client=self.name,
+            priority=self.priority if priority is None else priority)["job"]
 
     def dyn_components(self, session: str, *, if_stale: str = "reject",
                        timeout: float | None = None) -> dict:
@@ -187,11 +181,10 @@ class Client:
                            timeout=timeout)
 
     def dyn_close(self, session: str, *, discard: bool = True) -> dict:
-        return self.request({"op": "dyn_close", "session": session,
-                             "discard": discard})
+        return self.call("dyn_close", session=session, discard=discard)
 
     def stats(self) -> dict:
-        return self.request({"op": "stats"})
+        return self.call("stats")
 
     def shutdown(self) -> dict:
-        return self.request({"op": "shutdown"})
+        return self.call("shutdown")

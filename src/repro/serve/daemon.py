@@ -83,8 +83,8 @@ class ServeConfig:
     ``"warm"`` (persistent mp worker pool), ``"sim"``, ``"mp"``, or a
     ready :class:`~repro.runtime.base.Backend`.  ``wave_size`` slices
     ``square_root`` trial budgets so concurrent jobs interleave at wave
-    granularity; ``quantum`` is the fair-queue round budget in trial
-    units (keep it >= ``wave_size`` so every round can dispatch).
+    granularity; it is also the fair-queue round budget in trial units,
+    so every round can dispatch a wave.
     """
 
     bind: str = ""
@@ -92,7 +92,6 @@ class ServeConfig:
     backend: "str | Backend" = "sim"
     p: int = 4
     wave_size: int = 8
-    quantum: float = 8.0
     cache_edges: float = 50_000_000
     max_retries: int = 2
     backoff_s: float = 0.05
@@ -108,7 +107,7 @@ class Daemon:
         self.backend = (config.backend if isinstance(config.backend, Backend)
                         else resolve_backend(config.backend))
         self.cache = GraphCache(capacity_edges=config.cache_edges)
-        self.queue = DeficitFairQueue(quantum=config.quantum)
+        self.queue = DeficitFairQueue(quantum=float(config.wave_size))
         self.scheduler = TrialScheduler(
             max_retries=config.max_retries, backoff_s=config.backoff_s,
             wave_size=config.wave_size,

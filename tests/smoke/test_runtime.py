@@ -9,6 +9,7 @@ from repro.rng import philox_stream
 from repro.runtime import MpBackend, SimBackend, WarmMpBackend
 from repro.runtime.errors import WorkerCrashError
 from repro.sched import TrialScheduler
+from repro.trace import RecordingTracer
 from tests.smoke.conftest import no_shm_leaks
 from tests.test_peer_supersteps import split_program
 from tests.test_trace_backends import strip_wall
@@ -66,8 +67,9 @@ def test_peer_groups():
     """Peer-superstep smoke (spawn, p = 3): split subgroups settle their
     collectives among themselves, bit-identical to sim; then a crash in a
     subgroup collective; the control block and doorbells are released."""
-    sim = SimBackend(trace=True).run(split_program, 3, seed=2)
-    mp_ = MpBackend(start_method="spawn", timeout=300.0, trace=True)
+    sim = SimBackend(tracer=RecordingTracer()).run(split_program, 3, seed=2)
+    mp_ = MpBackend(start_method="spawn", timeout=300.0,
+                    tracer=RecordingTracer())
     res = mp_.run(split_program, 3, seed=2)
     assert res.values == sim.values and res.report == sim.report
     assert strip_wall(res.trace) == strip_wall(sim.trace)

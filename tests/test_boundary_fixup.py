@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bsp import run_spmd
 from repro.bsp.combine import boundary_fixup
+from repro.runtime import SimBackend
 
 
 def run_fixup(distribution, op=operator.add):
@@ -26,7 +26,7 @@ def run_fixup(distribution, op=operator.add):
         out = yield from boundary_fixup(ctx, ctx.comm, keys, values, op)
         return out
 
-    res = run_spmd(prog, len(distribution), seed=0)
+    res = SimBackend().run(prog, len(distribution), seed=0)
     keys = np.concatenate([v[0] for v in res.values])
     values = np.concatenate([v[1] for v in res.values])
     return keys, values

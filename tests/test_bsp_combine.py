@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bsp import run_spmd
 from repro.bsp.combine import combine_by_key, combine_local_run
+from repro.runtime import SimBackend
 
 
 def run_combine(chunks, value_chunks, op=operator.add, p=None):
@@ -20,7 +20,7 @@ def run_combine(chunks, value_chunks, op=operator.add, p=None):
         out = yield from combine_by_key(ctx, ctx.comm, keys, values, op)
         return out
 
-    res = run_spmd(prog, p, seed=0)
+    res = SimBackend().run(prog, p, seed=0)
     keys = np.concatenate([v[0] for v in res.values])
     values = np.concatenate([v[1] for v in res.values])
     return keys, values, res
@@ -108,7 +108,7 @@ class TestCombineByKey:
             return out
 
         with pytest.raises(ValueError):
-            run_spmd(prog, 1)
+            SimBackend().run(prog, 1)
 
     @given(st.lists(
         st.lists(st.tuples(st.integers(min_value=0, max_value=20),

@@ -9,7 +9,6 @@ from repro.bsp import (
     CollectiveMismatchError,
     DeadlockError,
     Engine,
-    run_spmd,
 )
 
 
@@ -19,7 +18,7 @@ class TestCollectives:
             yield from ctx.comm.barrier()
             return ctx.rank
 
-        res = run_spmd(prog, 4)
+        res = Engine().run(prog, 4)
         assert res.values == [0, 1, 2, 3]
 
     def test_bcast(self):
@@ -27,7 +26,7 @@ class TestCollectives:
             x = yield from ctx.comm.bcast("hello" if ctx.rank == 0 else None)
             return x
 
-        assert run_spmd(prog, 3).values == ["hello"] * 3
+        assert Engine().run(prog, 3).values == ["hello"] * 3
 
     def test_bcast_nonzero_root(self):
         def prog(ctx):
@@ -35,14 +34,14 @@ class TestCollectives:
                                           root=2)
             return x
 
-        assert run_spmd(prog, 4).values == [20] * 4
+        assert Engine().run(prog, 4).values == [20] * 4
 
     def test_gather(self):
         def prog(ctx):
             xs = yield from ctx.comm.gather(ctx.rank ** 2)
             return xs
 
-        values = run_spmd(prog, 4).values
+        values = Engine().run(prog, 4).values
         assert values[0] == [0, 1, 4, 9]
         assert values[1] is None
 
@@ -51,7 +50,7 @@ class TestCollectives:
             xs = yield from ctx.comm.allgather(ctx.rank)
             return xs
 
-        assert run_spmd(prog, 3).values == [[0, 1, 2]] * 3
+        assert Engine().run(prog, 3).values == [[0, 1, 2]] * 3
 
     def test_scatter(self):
         def prog(ctx):
@@ -60,7 +59,7 @@ class TestCollectives:
             )
             return x
 
-        assert run_spmd(prog, 4).values == [0, 2, 4, 6]
+        assert Engine().run(prog, 4).values == [0, 2, 4, 6]
 
     def test_scatter_requires_full_list(self):
         def prog(ctx):
@@ -68,14 +67,14 @@ class TestCollectives:
             return x
 
         with pytest.raises(ValueError):
-            run_spmd(prog, 2)
+            Engine().run(prog, 2)
 
     def test_reduce(self):
         def prog(ctx):
             s = yield from ctx.comm.reduce(ctx.rank + 1, op=operator.add)
             return s
 
-        values = run_spmd(prog, 4).values
+        values = Engine().run(prog, 4).values
         assert values[0] == 10
         assert values[1] is None
 
@@ -84,14 +83,14 @@ class TestCollectives:
             s = yield from ctx.comm.reduce(str(ctx.rank), op=operator.add)
             return s
 
-        assert run_spmd(prog, 4).values[0] == "0123"
+        assert Engine().run(prog, 4).values[0] == "0123"
 
     def test_allreduce(self):
         def prog(ctx):
             s = yield from ctx.comm.allreduce(ctx.rank, op=max)
             return s
 
-        assert run_spmd(prog, 5).values == [4] * 5
+        assert Engine().run(prog, 5).values == [4] * 5
 
     def test_alltoall(self):
         def prog(ctx):
@@ -100,7 +99,7 @@ class TestCollectives:
             )
             return out
 
-        values = run_spmd(prog, 3).values
+        values = Engine().run(prog, 3).values
         # member i receives [j*10 + i for j]
         assert values[1] == [1, 11, 21]
 
@@ -110,7 +109,7 @@ class TestCollectives:
             return out
 
         with pytest.raises(ValueError):
-            run_spmd(prog, 2)
+            Engine().run(prog, 2)
 
     def test_numpy_payloads(self):
         def prog(ctx):
@@ -119,7 +118,7 @@ class TestCollectives:
             )
             return xs
 
-        values = run_spmd(prog, 3).values
+        values = Engine().run(prog, 3).values
         assert np.array_equal(values[0], np.full(3, 3))
 
     def test_single_processor(self):
@@ -128,7 +127,7 @@ class TestCollectives:
             b = yield from ctx.comm.gather(7)
             return a, b
 
-        assert run_spmd(prog, 1).values == [(5, [7])]
+        assert Engine().run(prog, 1).values == [(5, [7])]
 
 
 class TestSplit:
@@ -138,7 +137,7 @@ class TestSplit:
             s = yield from sub.allreduce(ctx.rank, op=operator.add)
             return sub.size, sub.rank, s
 
-        values = run_spmd(prog, 6).values
+        values = Engine().run(prog, 6).values
         # evens: 0,2,4 -> sum 6; odds: 1,3,5 -> sum 9
         assert values[0] == (3, 0, 6)
         assert values[1] == (3, 0, 9)
@@ -149,14 +148,14 @@ class TestSplit:
             sub = yield from ctx.comm.split(0)
             return sub.rank
 
-        assert run_spmd(prog, 4).values == [0, 1, 2, 3]
+        assert Engine().run(prog, 4).values == [0, 1, 2, 3]
 
     def test_split_with_key_reorders(self):
         def prog(ctx):
             sub = yield from ctx.comm.split(0, key=ctx.p - ctx.rank)
             return sub.rank
 
-        assert run_spmd(prog, 4).values == [3, 2, 1, 0]
+        assert Engine().run(prog, 4).values == [3, 2, 1, 0]
 
     def test_nested_split(self):
         def prog(ctx):
@@ -165,7 +164,7 @@ class TestSplit:
             s = yield from sub2.allreduce(ctx.rank, op=operator.add)
             return sub2.size, s
 
-        values = run_spmd(prog, 4).values
+        values = Engine().run(prog, 4).values
         assert all(v == (1, r) for v, r in zip(values, range(4)))
 
     def test_groups_progress_independently(self):
@@ -178,7 +177,7 @@ class TestSplit:
                 total = yield from sub.allreduce(1, op=operator.add)
             return total
 
-        values = run_spmd(prog, 4).values
+        values = Engine().run(prog, 4).values
         assert values == [2, 2, 2, 2]
 
 
@@ -192,7 +191,7 @@ class TestErrors:
             return None
 
         with pytest.raises(CollectiveMismatchError):
-            run_spmd(prog, 2)
+            Engine().run(prog, 2)
 
     def test_mismatched_roots(self):
         def prog(ctx):
@@ -200,7 +199,7 @@ class TestErrors:
             return x
 
         with pytest.raises(CollectiveMismatchError):
-            run_spmd(prog, 2)
+            Engine().run(prog, 2)
 
     def test_deadlock_partial_termination(self):
         def prog(ctx):
@@ -210,18 +209,18 @@ class TestErrors:
             return 1
 
         with pytest.raises(DeadlockError):
-            run_spmd(prog, 2)
+            Engine().run(prog, 2)
 
     def test_yield_garbage(self):
         def prog(ctx):
             yield 42
 
         with pytest.raises(TypeError):
-            run_spmd(prog, 2)
+            Engine().run(prog, 2)
 
     def test_invalid_p(self):
         with pytest.raises(ValueError):
-            run_spmd(lambda ctx: iter(()), 0)
+            Engine().run(lambda ctx: iter(()), 0)
 
     def test_invalid_root(self):
         def prog(ctx):
@@ -229,7 +228,7 @@ class TestErrors:
             return x
 
         with pytest.raises(ValueError):
-            run_spmd(prog, 2)
+            Engine().run(prog, 2)
 
 
 class TestAccounting:
@@ -240,7 +239,7 @@ class TestAccounting:
             yield from ctx.comm.barrier()
             return None
 
-        assert run_spmd(prog, 3).report.supersteps == 3
+        assert Engine().run(prog, 3).report.supersteps == 3
 
     def test_group_supersteps_max_not_sum(self):
         def prog(ctx):
@@ -251,7 +250,7 @@ class TestAccounting:
             return None
 
         # split (1) + max(5, 2) group barriers
-        assert run_spmd(prog, 4).report.supersteps == 6
+        assert Engine().run(prog, 4).report.supersteps == 6
 
     def test_volume_charged_for_bcast(self):
         def prog(ctx):
@@ -260,7 +259,7 @@ class TestAccounting:
             )
             return x.size
 
-        rep = run_spmd(prog, 4).report
+        rep = Engine().run(prog, 4).report
         assert rep.volume >= 100
 
     def test_computation_is_max(self):
@@ -269,7 +268,7 @@ class TestAccounting:
             yield from ctx.comm.barrier()
             return None
 
-        rep = run_spmd(prog, 3).report
+        rep = Engine().run(prog, 3).report
         assert rep.computation >= 300
         assert rep.total_ops >= 600
 
@@ -279,7 +278,7 @@ class TestAccounting:
             yield from ctx.comm.barrier()
             return None
 
-        rep = run_spmd(prog, 2).report
+        rep = Engine().run(prog, 2).report
         assert rep.wait == 1000  # rank 1 waited for rank 0
 
     def test_charge_helpers(self):
@@ -290,7 +289,7 @@ class TestAccounting:
             yield from ctx.comm.barrier()
             return None
 
-        rep = run_spmd(prog, 1).report
+        rep = Engine().run(prog, 1).report
         assert rep.computation > 100
         assert rep.misses > 10
 
@@ -301,7 +300,7 @@ class TestAccounting:
             return None
 
         with pytest.raises(ValueError):
-            run_spmd(prog, 1)
+            Engine().run(prog, 1)
 
 
 class TestDeterminism:
@@ -311,8 +310,8 @@ class TestDeterminism:
             xs = yield from ctx.comm.allgather(x)
             return xs
 
-        a = run_spmd(prog, 4, seed=9).values
-        b = run_spmd(prog, 4, seed=9).values
+        a = Engine().run(prog, 4, seed=9).values
+        b = Engine().run(prog, 4, seed=9).values
         assert a == b
 
     def test_different_seed_different_randomness(self):
@@ -321,8 +320,8 @@ class TestDeterminism:
             xs = yield from ctx.comm.allgather(x)
             return xs
 
-        a = run_spmd(prog, 4, seed=1).values
-        b = run_spmd(prog, 4, seed=2).values
+        a = Engine().run(prog, 4, seed=1).values
+        b = Engine().run(prog, 4, seed=2).values
         assert a != b
 
     def test_rank_streams_differ(self):
@@ -331,7 +330,7 @@ class TestDeterminism:
             xs = yield from ctx.comm.allgather(x)
             return xs
 
-        xs = run_spmd(prog, 4, seed=5).values[0]
+        xs = Engine().run(prog, 4, seed=5).values[0]
         assert len(set(xs)) == 4
 
     def test_engine_reusable(self):
@@ -351,7 +350,7 @@ class TestRunResult:
             yield from ctx.comm.barrier()
             return "root" if ctx.rank == 0 else "other"
 
-        assert run_spmd(prog, 2).root_value == "root"
+        assert Engine().run(prog, 2).root_value == "root"
 
     def test_time_estimate_positive(self):
         def prog(ctx):
@@ -359,6 +358,6 @@ class TestRunResult:
             yield from ctx.comm.barrier()
             return None
 
-        t = run_spmd(prog, 2).time
+        t = Engine().run(prog, 2).time
         assert t.total_s > 0
         assert 0 <= t.mpi_fraction <= 1

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bsp import run_spmd, distributed_sort
+from repro.bsp import distributed_sort
+from repro.runtime import SimBackend
 
 
 def run_sort(chunks, with_payload=False, p=None):
@@ -20,7 +21,7 @@ def run_sort(chunks, with_payload=False, p=None):
         )
         return out_keys, out_payloads
 
-    res = run_spmd(prog, p, seed=0)
+    res = SimBackend().run(prog, p, seed=0)
     all_keys = np.concatenate([v[0] for v in res.values])
     all_payloads = (
         np.concatenate([v[1][0] for v in res.values]) if with_payload else None
@@ -75,7 +76,7 @@ class TestDistributedSort:
             out, _ = yield from distributed_sort(ctx, ctx.comm, keys, ())
             return out.size
 
-        sizes = run_spmd(prog, 4, seed=0).values
+        sizes = SimBackend().run(prog, 4, seed=0).values
         assert max(sizes) < 3 * min(sizes) + 64  # oversampling keeps balance
 
     def test_rejects_2d_keys(self):
@@ -84,7 +85,7 @@ class TestDistributedSort:
             return out
 
         with pytest.raises(ValueError):
-            run_spmd(prog, 1)
+            SimBackend().run(prog, 1)
 
     def test_rejects_misaligned_payload(self):
         def prog(ctx):
@@ -94,7 +95,7 @@ class TestDistributedSort:
             return out
 
         with pytest.raises(ValueError):
-            run_spmd(prog, 1)
+            SimBackend().run(prog, 1)
 
     @given(st.lists(st.lists(st.integers(min_value=-1000, max_value=1000),
                              max_size=30), min_size=1, max_size=5))

@@ -170,6 +170,17 @@ class TestValidation:
         assert exc.value.code == 2
         assert "--trials must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edges", ["0", "-1", "nan"])
+    def test_cache_edges_positive(self, tmp_path, capsys, edges):
+        state = tmp_path / "state"
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--bind", str(tmp_path / "s.sock"),
+                  "--state-dir", str(state), "--backend", "sim",
+                  "--cache-edges", edges])
+        assert exc.value.code == 2
+        assert "--cache-edges must be > 0" in capsys.readouterr().err
+        assert not state.exists()
+
     def test_boundary_values_accepted(self, graph_file):
         assert main(["parallel_cc", str(graph_file), "--procs", "1"]) == 0
         assert main(["square_root", str(graph_file), "--trials", "1",

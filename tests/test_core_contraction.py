@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.bsp import run_spmd
 from repro.core.contraction import (
     combine_sorted_run,
     dense_bulk_contract,
@@ -14,6 +13,7 @@ from repro.core.contraction import (
 from repro.graph import AdjacencyMatrix, EdgeList, complete_graph, erdos_renyi
 from repro.graph.contract import combine_parallel_edges, relabel_edges
 from repro.rng import philox_stream
+from repro.runtime import SimBackend
 
 
 class TestPrefixSelect:
@@ -86,7 +86,7 @@ def run_sparse_contract(g, labels, n_new, p, seed=0):
         )
         return out
 
-    res = run_spmd(prog, p, seed=seed)
+    res = SimBackend().run(prog, p, seed=seed)
     u = np.concatenate([v[0] for v in res.values])
     v_ = np.concatenate([v[1] for v in res.values])
     w = np.concatenate([v[2] for v in res.values])
@@ -172,7 +172,7 @@ def run_dense_contract(a, labels, n_new, p, seed=0):
         )
         return out
 
-    res = run_spmd(prog, p, seed=seed)
+    res = SimBackend().run(prog, p, seed=seed)
     return np.vstack(res.values), res
 
 

@@ -33,6 +33,7 @@ from repro.graph import (
 )
 from repro.graph.validate import brute_force_mincut, networkx_components
 from repro.rng import philox_stream
+from repro.trace import RecordingTracer
 
 
 class TestCanonicalCutKey:
@@ -311,7 +312,7 @@ class TestEngineTrace:
             x = yield from ctx.comm.allreduce(1, op=operator.add)
             return x
 
-        eng = Engine(trace=True)
+        eng = Engine(tracer=RecordingTracer())
         res = eng.run(prog, 3)
         assert res.trace_kinds() == ["barrier", "allreduce"]
         assert res.trace[1].participants == (0, 1, 2)
@@ -338,6 +339,6 @@ class TestEngineTrace:
             out = yield from sparsify_weighted(ctx, ctx.comm, sl.u, sl.v, sl.w, 16)
             return out
 
-        eng = Engine(trace=True)
+        eng = Engine(tracer=RecordingTracer())
         res = eng.run(prog, 2, seed=1)
         assert res.trace_kinds() == ["gather", "scatterv", "gatherv"]

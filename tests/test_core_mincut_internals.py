@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.bsp import run_spmd
 from repro.core.mincut import (
     _eager_target,
     _edges_to_dense,
@@ -26,6 +25,7 @@ from repro.graph import (
 from repro.graph.validate import networkx_mincut
 from repro.kernels import bulk_contract_edges
 from repro.rng import philox_stream
+from repro.runtime import SimBackend
 
 
 class TestHelpers:
@@ -70,7 +70,7 @@ class TestHelpers:
 
 
 def spmd(prog, p, seed=0, args=()):
-    return run_spmd(prog, p, seed=seed, args=args)
+    return SimBackend().run(prog, p, seed=seed, args=args)
 
 
 class TestParallelEagerStep:

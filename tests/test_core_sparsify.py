@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.bsp import run_spmd
 from repro.core.sparsify import sparsify_unweighted, sparsify_weighted
 from repro.graph import EdgeList, erdos_renyi
 from repro.rng import philox_stream
+from repro.runtime import SimBackend
 
 
 def run_weighted(g, p, s, seed=0):
@@ -17,7 +17,7 @@ def run_weighted(g, p, s, seed=0):
         out = yield from sparsify_weighted(ctx, ctx.comm, sl.u, sl.v, sl.w, s)
         return out
 
-    return run_spmd(prog, p, seed=seed)
+    return SimBackend().run(prog, p, seed=seed)
 
 
 def run_unweighted(g, p, s, seed=0, delta=0.5):
@@ -30,7 +30,7 @@ def run_unweighted(g, p, s, seed=0, delta=0.5):
         )
         return out
 
-    return run_spmd(prog, p, seed=seed)
+    return SimBackend().run(prog, p, seed=seed)
 
 
 class TestWeightedSparsification:

@@ -9,7 +9,6 @@ from repro.bsp import (
     CollectiveMismatchError,
     DeadlockError,
     Engine,
-    run_spmd,
 )
 
 
@@ -21,7 +20,7 @@ class TestExceptionPropagation:
             yield from ctx.comm.barrier()
 
         with pytest.raises(RuntimeError, match="boom at rank 1"):
-            run_spmd(prog, 3)
+            Engine().run(prog, 3)
 
     def test_exception_after_collective(self):
         def prog(ctx):
@@ -31,7 +30,7 @@ class TestExceptionPropagation:
             yield from ctx.comm.barrier()
 
         with pytest.raises(ValueError, match="late failure"):
-            run_spmd(prog, 2)
+            Engine().run(prog, 2)
 
     def test_exception_inside_reduce_op(self):
         def bad_op(a, b):
@@ -42,7 +41,7 @@ class TestExceptionPropagation:
             return x
 
         with pytest.raises(ArithmeticError):
-            run_spmd(prog, 2)
+            Engine().run(prog, 2)
 
 
 class TestGeneratorDiscipline:
@@ -51,7 +50,7 @@ class TestGeneratorDiscipline:
             return 42  # plain function: never yields
 
         with pytest.raises((TypeError, AttributeError)):
-            run_spmd(prog, 2)
+            Engine().run(prog, 2)
 
     def test_forgotten_yield_from_deadlocks(self):
         """Calling a collective without `yield from` silently skips it —
@@ -65,7 +64,7 @@ class TestGeneratorDiscipline:
             return 1
 
         with pytest.raises(DeadlockError):
-            run_spmd(prog, 2)
+            Engine().run(prog, 2)
 
     def test_foreign_communicator_rejected(self):
         stash = {}
@@ -81,7 +80,7 @@ class TestGeneratorDiscipline:
             return None
 
         with pytest.raises(CollectiveMismatchError):
-            run_spmd(prog, 2)
+            Engine().run(prog, 2)
 
 
 class TestGroupCornerCases:
@@ -92,7 +91,7 @@ class TestGroupCornerCases:
             xs = yield from sub.allgather(x)
             return xs
 
-        res = run_spmd(prog, 4)
+        res = Engine().run(prog, 4)
         assert res.values == [[0], [1], [2], [3]]
 
     def test_group_then_world_collective(self):
@@ -102,7 +101,7 @@ class TestGroupCornerCases:
             total = yield from ctx.comm.allreduce(s, op=operator.add)
             return total
 
-        res = run_spmd(prog, 4)
+        res = Engine().run(prog, 4)
         assert res.values == [8, 8, 8, 8]
 
     def test_interleaved_group_and_world(self):
@@ -118,7 +117,7 @@ class TestGroupCornerCases:
             total = yield from ctx.comm.allreduce(acc, op=operator.add)
             return total
 
-        res = run_spmd(prog, 4)
+        res = Engine().run(prog, 4)
         assert all(v == 8 for v in res.values)
 
     def test_split_of_split(self):
@@ -127,7 +126,7 @@ class TestGroupCornerCases:
             quarter = yield from half.split(half.rank // 2)
             return quarter.size
 
-        res = run_spmd(prog, 8)
+        res = Engine().run(prog, 8)
         assert res.values == [2] * 8
 
     def test_empty_payload_collectives(self):
@@ -136,7 +135,7 @@ class TestGroupCornerCases:
             g = yield from ctx.comm.gather(None)
             return sum(x.size for x in xs), g
 
-        res = run_spmd(prog, 3)
+        res = Engine().run(prog, 3)
         assert res.values[0] == (0, [None, None, None])
 
 
@@ -146,7 +145,7 @@ class TestCountersEdgeCases:
             return ctx.rank
             yield  # pragma: no cover - makes it a generator
 
-        res = run_spmd(prog, 3)
+        res = Engine().run(prog, 3)
         assert res.report.supersteps == 0
         assert res.report.computation == 0
 
@@ -156,7 +155,7 @@ class TestCountersEdgeCases:
             yield from ctx.comm.barrier()
             return None
 
-        assert run_spmd(prog, 4).report.wait == 0
+        assert Engine().run(prog, 4).report.wait == 0
 
     def test_wait_accumulates_across_steps(self):
         def prog(ctx):
@@ -165,4 +164,4 @@ class TestCountersEdgeCases:
                 yield from ctx.comm.barrier()
             return None
 
-        assert run_spmd(prog, 2).report.wait == 300
+        assert Engine().run(prog, 2).report.wait == 300

@@ -23,6 +23,7 @@ from repro.runtime.errors import (
 from repro.runtime.mp import MpBackend
 from repro.runtime.sim import SimBackend
 from repro.runtime.warm import WarmMpBackend
+from repro.trace import RecordingTracer
 
 needs_dev_shm = pytest.mark.skipif(
     not sys.platform.startswith("linux"), reason="needs /dev/shm"
@@ -260,7 +261,7 @@ class TestWorkFault:
         faults = [FaultSpec("work", rank=1, step=1, ops=777.0)]
 
         def run(cls):
-            backend = cls(trace=True, fuse=True)
+            backend = cls(tracer=RecordingTracer(), fuse=True)
             try:
                 res = backend.run(batched_program, 3, seed=0, faults=faults)
             finally:

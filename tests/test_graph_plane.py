@@ -31,6 +31,7 @@ from repro.graph import EdgeList, erdos_renyi
 from repro.graph import shm as plane
 from repro.graph.fingerprint import cached_fingerprint, content_fingerprint
 from repro.rng import philox_stream
+from repro.trace import RecordingTracer
 
 from .conftest import require_mp
 
@@ -209,11 +210,13 @@ def test_sim_mp_warm_bit_identity(big_graph):
                 strip_wall(cc.trace), cut.estimate, cut.witness_value,
                 cut.witness_side.tolist(), cut.report, strip_wall(cut.trace))
 
-    ref = answers(SimBackend(trace=True))
+    ref = answers(SimBackend(tracer=RecordingTracer()))
     starts = [m for m in ("fork", "spawn")
               if m in multiprocessing.get_all_start_methods()]
-    for make in [lambda m=m: MpBackend(start_method=m, trace=True)
-                 for m in starts] + [lambda: WarmMpBackend(trace=True)]:
+    for make in [lambda m=m: MpBackend(start_method=m,
+                                       tracer=RecordingTracer())
+                 for m in starts] + [
+                     lambda: WarmMpBackend(tracer=RecordingTracer())]:
         be = make()
         try:
             assert answers(be) == ref, (be.name, be.start_method)

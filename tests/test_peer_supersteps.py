@@ -12,6 +12,7 @@ import pytest
 
 from repro.faults import FaultSpec
 from repro.runtime import MpBackend, SimBackend, WarmMpBackend
+from repro.trace import RecordingTracer
 from tests.conftest import require_mp
 from tests.test_trace_backends import strip_wall
 
@@ -52,7 +53,7 @@ def _backend(name):
     if name == "spawn" and "spawn" not in multiprocessing.get_all_start_methods():
         pytest.skip("no spawn on this platform")
     cls = WarmMpBackend if name == "warm" else MpBackend
-    return cls(trace=True, timeout=180.0,
+    return cls(tracer=RecordingTracer(), timeout=180.0,
                **({"start_method": "spawn"} if name == "spawn" else {}))
 
 
@@ -91,7 +92,7 @@ def test_parent_carries_no_per_superstep_traffic(p, monkeypatch):
 @pytest.mark.parametrize("name", ["fork", "spawn", "warm"])
 def test_subgroups_bit_identical_to_sim(p, name):
     require_mp()
-    backend, sim = _backend(name), SimBackend(trace=True)
+    backend, sim = _backend(name), SimBackend(tracer=RecordingTracer())
     try:
         for _ in range(2 if name == "warm" else 1):  # one tracer, two runs
             want, got = (b.run(split_program, p, seed=5)

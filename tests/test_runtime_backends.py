@@ -147,11 +147,6 @@ class TestResolution:
         with pytest.raises(ValueError, match="sim"):
             resolve_backend("quantum")
 
-    def test_engine_flows_into_sim(self):
-        eng = Engine()
-        b = resolve_backend(SimBackend(engine=eng))
-        assert b.engine is eng
-
     def test_backend_protocol(self):
         assert issubclass(SimBackend, Backend)
         assert issubclass(MpBackend, Backend)
@@ -190,10 +185,6 @@ class TestSimBackend:
         via = SimBackend().run(prog_collectives, 4, seed=3, args=(2,))
         assert direct.values == via.values
         assert_reports_equal(direct.report, via.report)
-
-    def test_engine_conflicts_rejected(self):
-        with pytest.raises(ValueError):
-            SimBackend(engine=Engine(), trace=True)
 
 
 # --- mp backend ------------------------------------------------------------
@@ -323,13 +314,11 @@ class TestEngineContract:
         with pytest.raises(TypeError, match="integer"):
             Engine().run(prog_trivial, bad)
 
-    def test_run_spmd_shares_contract(self):
-        from repro.bsp.engine import run_spmd
-
+    def test_sim_backend_shares_contract(self):
         with pytest.raises(ValueError, match=">= 1"):
-            run_spmd(prog_trivial, 0)
+            SimBackend().run(prog_trivial, 0)
         with pytest.raises(TypeError, match="integer"):
-            run_spmd(prog_trivial, 1.5)
+            SimBackend().run(prog_trivial, 1.5)
 
     def test_numpy_integer_p_accepted(self):
         res = Engine().run(prog_trivial, np.int64(2))

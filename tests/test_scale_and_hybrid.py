@@ -5,11 +5,11 @@ import operator
 import numpy as np
 import pytest
 
-from repro.bsp import run_spmd
 from repro.core import approx_minimum_cut, connected_components
 from repro.graph import erdos_renyi, verification_suite
 from repro.graph.validate import networkx_components
 from repro.rng import philox_stream
+from repro.runtime import SimBackend
 
 
 class TestSimulatorScale:
@@ -21,7 +21,7 @@ class TestSimulatorScale:
             total = yield from ctx.comm.allreduce(1, op=operator.add)
             return total
 
-        res = run_spmd(prog, 1008)
+        res = SimBackend().run(prog, 1008)
         assert res.values[0] == 1008
         assert res.report.p == 1008
 
@@ -31,7 +31,7 @@ class TestSimulatorScale:
             s = yield from sub.allreduce(1, op=operator.add)
             return sub.size, s
 
-        res = run_spmd(prog, 288)
+        res = SimBackend().run(prog, 288)
         assert all(v == (8, 8) for v in res.values)
 
     def test_cc_at_144_procs(self):

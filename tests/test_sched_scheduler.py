@@ -15,6 +15,7 @@ from repro.sched import (
     split_trace,
     wait_by_rank,
 )
+from repro.trace import RecordingTracer
 from repro.trace.events import TraceEvent
 from repro.trace.report import aggregate_trace
 
@@ -185,7 +186,7 @@ class TestCheckpointResume:
 class TestTraceIntegration:
     def test_single_wave_trace_reconciles_with_report(self, bridge_graph):
         res = TrialScheduler().run(
-            bridge_graph, 2, backend=SimBackend(trace=True),
+            bridge_graph, 2, backend=SimBackend(tracer=RecordingTracer()),
             seed=SEED, trials=TRIALS)
         kinds = [ev.kind for ev in res.trace]
         assert kinds[0] == SCHED_DISPATCH
@@ -194,7 +195,7 @@ class TestTraceIntegration:
 
     def test_multi_wave_pieces_reconcile(self, bridge_graph):
         res = TrialScheduler(wave_size=3).run(
-            bridge_graph, 2, backend=SimBackend(trace=True),
+            bridge_graph, 2, backend=SimBackend(tracer=RecordingTracer()),
             seed=SEED, trials=TRIALS)
         pieces = split_trace(res.trace)
         assert len(pieces) == 2
@@ -206,7 +207,7 @@ class TestTraceIntegration:
     def test_work_fault_flags_straggler(self, bridge_graph):
         plan = parse_fault_plan("work:rank=1,step=1,ops=1e6")
         res = TrialScheduler(fault_plan=plan).run(
-            bridge_graph, 2, backend=SimBackend(trace=True),
+            bridge_graph, 2, backend=SimBackend(tracer=RecordingTracer()),
             seed=SEED, trials=TRIALS)
         assert res.stragglers == {0: [1]}
 

@@ -449,7 +449,7 @@ def test_fair_queue_bounds_small_job_latency(graph, graph_file, tmp_path):
 
 
 def test_priority_weights_shift_service(graph_file, tmp_path):
-    d = threadless(tmp_path, wave_size=2, quantum=2.0)
+    d = threadless(tmp_path, wave_size=2)
     a = submit(d, "square_root", graph_file, seed=7, client="a",
                priority=1.0)
     b = submit(d, "square_root", graph_file, seed=7, client="b",

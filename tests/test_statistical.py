@@ -175,8 +175,8 @@ class TestSamplingConcentration:
     """The unweighted sampler's Chernoff oversampling covers the demand."""
 
     def test_oversample_covers_expectation(self):
-        from repro.bsp import run_spmd
         from repro.core.sparsify import sparsify_unweighted
+        from repro.runtime import SimBackend
 
         g = erdos_renyi(400, 8000, philox_stream(62))
         slices = g.slices(4)
@@ -190,7 +190,7 @@ class TestSamplingConcentration:
                 )
                 return None if out is None else out[0].size
 
-            res = run_spmd(prog, 4, seed=seed)
+            res = SimBackend().run(prog, 4, seed=seed)
             sizes.append(res.root_value)
         # every execution must gather at least s edges (w.h.p. by Chernoff:
         # each slice oversamples (1+delta)*mu_i, so the union covers s)

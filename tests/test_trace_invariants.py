@@ -94,7 +94,7 @@ class TestAggregationInvariant:
                 ctx.counters.charge(ops=mine[0])  # tail charge -> FINAL
                 return ctx.rank
 
-            eng = Engine(trace=True)
+            eng = Engine(tracer=RecordingTracer())
             res = eng.run(prog, 4, seed=trial, args=(charges,))
             assert aggregate_trace(res.trace) == res.report
             assert_dense_supersteps(res.trace)
@@ -210,7 +210,7 @@ class TestTraceKindsRegression:
             total = yield from ctx.comm.allreduce(1, operator.add)
             return total
 
-        res = Engine(trace=True).run(prog, 3, seed=0)
+        res = Engine(tracer=RecordingTracer()).run(prog, 3, seed=0)
         assert res.trace_kinds() == ["barrier", "allreduce"]
         assert res.trace[-1].kind == FINAL
 

@@ -26,6 +26,7 @@ from repro.runtime.transport import (
     iter_refs,
 )
 from repro.shmem import unlink_segments
+from repro.trace import RecordingTracer
 from tests.conftest import require_mp
 
 
@@ -416,7 +417,8 @@ def test_traced_cc_copies_each_gathered_byte_once_per_side():
     from repro.runtime.mp import MpBackend
 
     g = erdos_renyi(4000, 80_000, philox_stream(5))
-    backend = MpBackend(timeout=180.0, shm_threshold=1 << 12, trace=True)
+    backend = MpBackend(timeout=180.0, shm_threshold=1 << 12,
+                        tracer=RecordingTracer())
     connected_components(g, p=2, seed=5, backend=backend)
     events = backend.tracer.events()
     payload = 8 * sum(ev.words for ev in events if ev.kind == "gatherv")

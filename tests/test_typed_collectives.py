@@ -17,6 +17,7 @@ from repro.bsp.engine import Engine
 from repro.bsp.errors import CollectiveMismatchError
 from repro.runtime.mp import MpBackend
 from repro.runtime.sim import SimBackend
+from repro.trace import RecordingTracer
 from tests.conftest import require_mp
 
 
@@ -271,9 +272,9 @@ class TestBackendParity:
 
     def test_traces_identical(self):
         require_mp()
-        sim = SimBackend(trace=True).run(typed_mix_program, 2, seed=9,
-                                         args=(4000,))
-        mp_ = MpBackend(timeout=120.0, trace=True,
+        sim = SimBackend(tracer=RecordingTracer()).run(
+            typed_mix_program, 2, seed=9, args=(4000,))
+        mp_ = MpBackend(timeout=120.0, tracer=RecordingTracer(),
                         shm_threshold=1 << 12).run(
             typed_mix_program, 2, seed=9, args=(4000,))
         strip = lambda evs: [dataclasses.replace(e, wall_s=0.0) for e in evs]
