@@ -32,10 +32,13 @@ Two execution schedules, as in the paper:
   predicts an isolated vertex among the ``n * trials`` sampled ones, then
   by doubling steps away from that level, then by bisection: at most
   ``2 ceil(log2 n_levels) + 1`` stages whatever the answer, a log-factor
-  less space than the pipeline.  The trade (DESIGN.md §1, item 3): a scan
-  from level 1 stops after *answer-level* stages, so a minimum cut far
-  below the average degree — two cliques and a unit bridge, a skewed R-MAT
-  — costs a few stages over sparse unions where the scan paid one or two.
+  less space than the pipeline.  Below a disconnected ``hi`` a probe
+  *descends* (§3.2): ``hi``'s subgraphs sample each denser level's, so CC
+  runs on ``hi``'s union components over only the edges ``hi`` lacks.
+  The trade (DESIGN.md §1, item 3): a scan from level 1 stops after
+  *answer-level* stages, so a minimum cut far below the average degree —
+  two cliques and a unit bridge, a skewed R-MAT — costs a few stages over
+  sparse unions where the scan paid one or two.
 """
 
 from __future__ import annotations
@@ -63,20 +66,28 @@ def _keep_probability(w: np.ndarray, level: int) -> np.ndarray:
     return -np.expm1(w * math.log1p(-(2.0 ** (-level))))
 
 
-def _sample_union(ctx, u, v, w, n, draws, levels):
+def _sample_union(ctx, u, v, w, n, draws, levels, above=None):
     """Local edges of the union graph of trial ``t``'s level-``levels[b]``
     subgraph ``draws[t] < keep probability``, in vertex block
-    ``b * trials + t`` of ``n * trials * len(levels)``."""
+    ``b * trials + t`` of ``n * trials * len(levels)``.  ``above=(hi,
+    labels)`` (one level): edges absent at ``hi``, between its components."""
     trials = draws.shape[0]
     us, vs = [], []
     for b, level in enumerate(levels):
+        kept = draws < _keep_probability(w, level)
+        if above is not None:
+            kept &= draws >= _keep_probability(w, above[0])
         # flat indices: far cheaper than a 2-d nonzero
-        t, e = np.divmod(
-            np.flatnonzero(draws < _keep_probability(w, level)), u.size)
+        t, e = np.divmod(np.flatnonzero(kept), u.size)
         off = (t + b * trials) * np.int64(n)
-        us.append(u[e] + off)
-        vs.append(v[e] + off)
+        su, sv = u[e] + off, v[e] + off
         ctx.charge_scan(draws.size, words_per_elem=3)  # compare, compress
+        if above is not None:
+            su, sv = above[1][su], above[1][sv]
+            ctx.charge_random(2 * e.size, working_set=above[1].size)
+            su, sv = su[su != sv], sv[su != sv]
+        us.append(su)
+        vs.append(sv)
     return np.concatenate(us), np.concatenate(vs)
 
 
@@ -84,6 +95,13 @@ def _blocks_disconnected(labels, n, n_blocks):
     """Per-block connectivity of the union graph's component labels."""
     blocks = labels.reshape(n_blocks, n)
     return (blocks != blocks[:, :1]).any(axis=1)
+
+
+def _bracket(lo, hi, stage, first):
+    """The bracket once ``stage[first]`` is the first disconnected level."""
+    if first is None:
+        return stage[-1], hi
+    return (stage[first - 1] if first else lo), stage[first]
 
 
 def appmc_program(
@@ -99,9 +117,9 @@ def appmc_program(
     Returns ``(estimate, witness_value, witness_side)`` at rank 0 (witness
     entries are ``None`` when no disconnection was found within the level
     range); ``(estimate, None, None)`` elsewhere.  ``shrink=True`` is
-    forwarded to every :func:`~repro.core.components.cc_kernel` call (each
-    shrunk group rejoins the full communicator before the kernel returns,
-    so the surrounding protocol is unchanged).
+    forwarded to the precheck and every full-union probe (each shrunk
+    group rejoins the full communicator before the kernel returns, so the
+    surrounding protocol is unchanged).
     """
     comm = ctx.comm
     root = 0
@@ -110,8 +128,9 @@ def appmc_program(
 
     # (1) Total weight -> number of levels; trial count Theta(log n).
     total_w = yield from comm.allreduce(float(w.sum()), op=operator.add)
-    if total_w <= 0:
-        raise ValueError("approximate minimum cut needs positive edge weight")
+    if not 0 < total_w < math.inf:
+        raise ValueError("approximate minimum cut needs a positive, finite "
+                         "total edge weight")
     n_levels = max(1, math.ceil(math.log(total_w)))
     trials = trials_per_level or max(2, math.ceil(math.log2(n)))
 
@@ -147,29 +166,32 @@ def appmc_program(
     first_isolated = (2 * total_w / n) / math.log(n * trials)
     stage = (list(range(1, n_levels + 1)) if pipelined else
              [min(max(math.floor(math.log2(first_isolated)), 1), n_levels)])
-    candidates = []
+    # Below a disconnected hi, CC runs on its k supervertices: no shrink.
+    candidates, above, k = [], None, n * trials * len(stage)
     while hi - lo > 1:
-        uu, vv = _sample_union(ctx, u, v, w, n, draws, stage)
-        labels_union, _ = yield from cc_kernel(
-            ctx, comm, uu, vv, n * trials * len(stage), eps=eps, delta=delta,
-            root=root, shrink=shrink,
-        )
+        uu, vv = _sample_union(ctx, u, v, w, n, draws, stage, above)
+        labels_union, count = yield from cc_kernel(
+            ctx, comm, uu, vv, k, eps=eps, delta=delta, root=root,
+            shrink=shrink and above is None)
         payload = None
         if ctx.rank == root:
+            if above is not None:  # both maps ordered by minimum member
+                labels_union = labels_union[above[1]]
             hits = np.flatnonzero(
                 _blocks_disconnected(labels_union, n, trials * len(stage)))
-            if hits.size:
-                # Blocks run in level order: the first hit names the level,
-                # and its disconnected trials replace the witness candidates.
-                payload = int(hits[0]) // trials
+            # Blocks run in level order: the first hit names the level, and
+            # its disconnected trials replace the witness candidates.
+            first = int(hits[0]) // trials if hits.size else None
+            if first is not None:
                 candidates = witnesses_from(
-                    labels_union, hits[hits // trials == payload].tolist())
-        first = yield from comm.bcast(payload, root=root)
-        if first is None:
-            lo = stage[-1]
-        else:
-            hi = stage[first]
-            lo = stage[first - 1] if first else lo
+                    labels_union, hits[hits // trials == first].tolist())
+            nlo, nhi = _bracket(lo, hi, stage, first)
+            descend = first is not None and nhi - nlo > 1  # next probe below
+            payload = first, labels_union if descend else None
+        first, labels = yield from comm.bcast(payload, root=root)
+        lo, hi = _bracket(lo, hi, stage, first)
+        if labels is not None:
+            above, k = (hi, labels), count
         # Next probe: gallop while only one outcome was seen and the step
         # fits the bracket, else bisect, rounding to the cheaper sparse side.
         level = hi - step if lo == 0 else lo + step

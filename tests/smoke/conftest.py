@@ -57,11 +57,14 @@ def graphs(cli, tmp_path_factory):
     from repro.rng import philox_stream
 
     paths = {k: str(tmp_path_factory.mktemp(k) / "graph.txt")
-             for k in ("cc", "serve_dense", "dense")}
+             for k in ("cc", "serve_dense", "dense", "descend")}
     cli("generate", "--family", "er", "--n", 2000, "--degree", 8,
         "--weighted", "--seed", 1, "--out", paths["cc"])
     cli("generate", "--family", "er", "--n", 256, "--m", 3072,
         "--weighted", "--seed", 2, "--out", paths["serve_dense"])
+    # AppMC's staged search descends below a disconnected level on this one
+    cli("generate", "--family", "er", "--n", 4000, "--m", 32000,
+        "--weighted", "--seed", 3, "--out", paths["descend"])
     write_edgelist(clustered_er(512, 32, philox_stream(9)), paths["dense"])
     return paths
 

@@ -2,6 +2,8 @@
 import dataclasses
 import json
 
+import pytest
+
 from repro.trace import FINAL, aggregate_trace, read_jsonl
 
 
@@ -57,10 +59,12 @@ def test_analyzer(cli, graphs, tmp_path):
         len(fused), plan["predicted"])
 
 
-def test_trace_parity(cli, graphs, tmp_path):
+@pytest.mark.parametrize("algorithm, graph", [("parallel_cc", "cc"),
+                                              ("approx_cut", "descend")])
+def test_trace_parity(cli, graphs, tmp_path, monkeypatch, algorithm, graph):
     """Trace parity (sim vs mp, bit-identical events)."""
     def events(backend):
-        cli("parallel_cc", graphs["cc"], "--procs", 2, "--backend", backend,
+        cli(algorithm, graphs[graph], "--procs", 2, "--backend", backend,
             "--trace", tmp_path / backend)
         return read_jsonl(tmp_path / backend)
     sim, mp = events("sim"), events("mp")
@@ -68,3 +72,18 @@ def test_trace_parity(cli, graphs, tmp_path):
                 for evs in (sim, mp)]
     assert stripped[0] == stripped[1], "sim/mp trace events diverged"
     assert aggregate_trace(sim) == aggregate_trace(mp)
+    if algorithm == "approx_cut":
+        # The same call in-process, spied: the runs above probed below a
+        # disconnected level on its supervertices.
+        from repro.core import approx_mincut, approx_minimum_cut
+        from repro.graph import read_edgelist
+
+        sample, below = approx_mincut._sample_union, []
+
+        def spy(ctx, *args):
+            below.append(args[6:] and args[6])
+            return sample(ctx, *args)
+
+        monkeypatch.setattr(approx_mincut, "_sample_union", spy)
+        approx_minimum_cut(read_edgelist(graphs[graph]), p=2, seed=0)
+        assert any(below), "AppMC never descended on this input"

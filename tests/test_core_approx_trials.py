@@ -1,10 +1,12 @@
 """Tests for the approximate minimum cut (§3.3) and trial-count math."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import approx_minimum_cut, num_trials, eager_survival_probability
 from repro.core import approx_mincut
 from repro.core.approx_mincut import (
@@ -16,15 +18,20 @@ from repro.core.trials import (
     achieved_success_probability,
     recursive_success_probability,
 )
+from repro.dynamic import DynamicGraph
 from repro.graph import (
     EdgeList,
     complete_graph,
     erdos_renyi,
     two_cliques_bridge,
     verification_suite,
+    write_edgelist,
 )
 from repro.graph.validate import networkx_components, networkx_mincut
+from repro.kernels import cc_labels
 from repro.rng import philox_stream
+from repro.runtime.errors import WorkerProgramError
+from tests.conftest import require_mp
 
 
 class TestKeepProbability:
@@ -67,6 +74,8 @@ class _NoCharge:
     def charge_scan(self, *_args, **_kwargs):
         pass
 
+    charge_random = charge_scan
+
 
 class TestCoupledSampling:
     """One uniform per (trial, edge) defines every level (§3.3 marginals,
@@ -93,6 +102,27 @@ class TestCoupledSampling:
             for a, b in zip(sparse, dense):
                 assert a.size < b.size and np.isin(a, b).all()
 
+    def test_descent_draws_only_the_edges_above_lacks(self):
+        """Below level ``hi``, the sample is the full one relabeled through
+        ``hi``'s union labels, minus the edges already inside them."""
+        rng = np.random.default_rng(12)
+        n, trials = 300, 5
+        u = rng.integers(0, n, 2000)
+        v = (u + rng.integers(1, n, 2000)) % n
+        w = rng.integers(1, 9, u.size).astype(float)
+        draws = rng.random((trials, u.size))
+        hi, lo = 4, 2
+        uu, vv = _sample_union(_NoCharge(), u, v, w, n, draws, [hi])
+        labels, _k = cc_labels(n * trials, uu, vv)
+        full = _sample_union(_NoCharge(), u, v, w, n, draws, [lo])
+        du, dv = _sample_union(_NoCharge(), u, v, w, n, draws, [lo],
+                               (hi, labels))
+        fu, fv = labels[full[0]], labels[full[1]]
+        inside = fu == fv
+        assert 0 < du.size < full[0].size and (du != dv).all()
+        assert np.array_equal(du, fu[~inside])
+        assert np.array_equal(dv, fv[~inside])
+
     def test_kept_fraction_matches_the_marginal(self):
         levels = [1, 2, 4, 7]
         w, sets = self._edge_sets(levels)
@@ -108,22 +138,33 @@ class TestStagedSearch:
     evaluates all of them on the same draws."""
 
     @pytest.fixture
-    def probed(self, monkeypatch):
-        """Levels of every stage, as rank 0 sampled them."""
-        stages = []
+    def spied(self, monkeypatch):
+        """Levels of every stage, as rank 0 sampled them, and the ``hi``
+        each probe descended below (``None``: a full-union probe)."""
+        stages, below = [], []
 
-        def spy(ctx, u, v, w, n, draws, levels):
+        def spy(ctx, u, v, w, n, draws, levels, *args):
             if ctx.rank == 0:
                 stages.append(list(levels))
-            return _sample_union(ctx, u, v, w, n, draws, levels)
+                below.append(args[0][0] if args and args[0] else None)
+            return _sample_union(ctx, u, v, w, n, draws, levels, *args)
 
         monkeypatch.setattr(approx_mincut, "_sample_union", spy)
-        return stages
+        return stages, below
+
+    @pytest.fixture
+    def probed(self, spied):
+        return spied[0]
 
     @staticmethod
     def _stage_bound(g):
         n_levels = max(1, math.ceil(math.log(g.w.sum())))
         return n_levels, 2 * math.ceil(math.log2(n_levels)) + 1
+
+    @staticmethod
+    def _answer(r):
+        side = None if r.witness_side is None else r.witness_side.tolist()
+        return r.estimate, r.witness_value, side
 
     def test_staged_equals_pipelined_on_the_zoo(self):
         for case in verification_suite():
@@ -134,7 +175,27 @@ class TestStagedSearch:
                     a = approx_minimum_cut(case.graph, p=p, seed=seed)
                     b = approx_minimum_cut(case.graph, p=p, seed=seed,
                                            pipelined=True)
-                    assert a.estimate == b.estimate, (case.name, p, seed)
+                    assert self._answer(a) == self._answer(b), (
+                        case.name, p, seed)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_descent_equals_pipelined(self, spied, p):
+        """Graph A's density (m = 8n, weighted): a probe below a
+        disconnected level descends — and returns the estimate and
+        witness the full-union pipeline finds."""
+        g = erdos_renyi(300, 2400, philox_stream(42), weighted=True)
+        stages, below = spied
+        descended = 0
+        for seed in range(4):
+            del stages[:], below[:]
+            a = approx_minimum_cut(g, p=p, seed=seed)
+            descended += below[-1] is not None
+            assert below[0] is None  # nothing is known to be disconnected
+            for probe, hi in zip(stages[1:], below[1:]):
+                assert hi is None or probe[0] < hi, (stages, below)
+            b = approx_minimum_cut(g, p=p, seed=seed, pipelined=True)
+            assert self._answer(a) == self._answer(b), (p, seed)
+        assert descended >= 2, p
 
     def test_small_cut_under_high_degree(self, probed):
         """Two cliques and a unit bridge: the degree rule starts above the
@@ -266,6 +327,36 @@ class TestApproxMinCut:
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError):
             approx_minimum_cut(EdgeList.empty(3), p=1, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+class TestOverflowingWeight:
+    """A total weight past float64's range is refused like a zero one,
+    not crashed on with an ``OverflowError`` in the level count."""
+
+    @pytest.fixture
+    def huge(self):
+        return EdgeList.from_pairs(3, [(0, 1, 1e308), (1, 2, 1e308),
+                                       (0, 2, 1e308)])
+
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    def test_cli_refuses(self, huge, tmp_path, backend):
+        if backend == "mp":
+            require_mp()
+        path = tmp_path / "huge.txt"
+        write_edgelist(huge, path)
+        before = set(os.listdir("/dev/shm"))
+        with pytest.raises((ValueError, WorkerProgramError)) as info:
+            main(["approx_cut", str(path), "--procs", "2",
+                  "--backend", backend])
+        kind = getattr(info.value, "exc_type", type(info.value).__name__)
+        assert kind == "ValueError"
+        assert set(os.listdir("/dev/shm")) == before
+
+    def test_dynamic_approx_query_refuses(self, huge):
+        dyn = DynamicGraph(huge, p=2, seed=0)
+        with pytest.raises(ValueError, match="finite total edge weight"):
+            dyn.query_cut("approx")
 
 
 class TestBackends:

@@ -7,11 +7,16 @@ differ.  This is the acceptance gate that lets the multiprocess runtime
 claim the simulator's correctness arguments.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core import approx_mincut, approx_minimum_cut
 from repro.graph import erdos_renyi, two_cliques_bridge
 from repro.rng import philox_stream
+from repro.runtime import MpBackend, SimBackend, WarmMpBackend
+from repro.trace import RecordingTracer
 from tests.conftest import require_mp
 from tests.parity import (
     ALGORITHMS,
@@ -54,6 +59,49 @@ class TestParity:
     def test_all_algorithms_covered(self):
         assert set(ALGORITHMS) == {"parallel_cc", "approx_cut",
                                    "square_root"}
+
+
+class TestDescendingApproxCut:
+    """``parity_graph`` is disconnected, so its AppMC stops at the
+    precheck.  This one is connected at graph A's density: the staged
+    search finds a disconnected level and probes below it on its
+    supervertices, with the label map riding the stage's broadcast."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return erdos_renyi(300, 2400, philox_stream(42), weighted=True)
+
+    @staticmethod
+    def _run(g, p, backend):
+        r = approx_minimum_cut(g, p=p, seed=5, backend=backend)
+        events = [dataclasses.replace(e, wall_s=0.0) for e in r.trace]
+        return (r.estimate, r.witness_value, r.witness_side.tolist(),
+                r.report, events)
+
+    @pytest.mark.parametrize("fuse", [None, True])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_sim_mp_warm_identical(self, graph, monkeypatch, p, fuse):
+        require_mp()
+        below = []
+        sample = approx_mincut._sample_union
+
+        def spy(ctx, *args):
+            if ctx.rank == 0:
+                below.append(args[6:] and args[6])
+            return sample(ctx, *args)
+
+        # Twice on one backend: a tracer numbers steps across its runs,
+        # and the warm repeat reads its label map from a recycled slab.
+        sim_be = SimBackend(tracer=RecordingTracer(), fuse=fuse)
+        with monkeypatch.context() as m:
+            m.setattr(approx_mincut, "_sample_union", spy)
+            sim = [self._run(graph, p, sim_be) for _ in range(2)]
+        assert any(below), "expected a probe below a disconnected level"
+        mp = self._run(graph, p, MpBackend(tracer=RecordingTracer(),
+                                           fuse=fuse))
+        with WarmMpBackend(tracer=RecordingTracer(), fuse=fuse) as warm:
+            assert [self._run(graph, p, warm) for _ in range(2)] == sim
+        assert mp == sim[0]
 
 
 class TestHarnessItself:
