@@ -82,12 +82,7 @@ class Group:
 
 @dataclass(frozen=True)
 class CollectiveOp:
-    """One processor's pending collective request (engine-internal).
-
-    A ``kind == "fused"`` request is an explicit batch: its payload is a
-    tuple of sub-``CollectiveOp`` requests executed back-to-back within a
-    single superstep (see :meth:`Communicator.batch`).
-    """
+    """One processor's pending collective request (engine-internal)."""
 
     group: Group
     kind: str
@@ -96,11 +91,6 @@ class CollectiveOp:
     payload: Any = None
     root: int = 0        # local rank of the root, where applicable
     op: Callable[[Any, Any], Any] | None = None
-
-    def __bsp_words__(self) -> int:
-        """Wire words of this request = words of its payload, so a fused
-        batch (a tuple of sub-requests) counts the sub-payloads' words."""
-        return payload_words(self.payload)
 
 
 class Communicator:
@@ -286,89 +276,6 @@ class Communicator:
         result = yield self._op(
             "split", (int(color), self.rank if key is None else int(key))
         )
-        return result
-
-    # -- explicit superstep fusion -----------------------------------------
-    #
-    # ``op_<kind>`` builders return the request *descriptor* a normal
-    # ``yield from comm.<kind>`` would yield, without yielding it; ``batch``
-    # wraps several descriptors into one ``fused`` collective so they all
-    # execute within a single superstep (one latency charge, the combined
-    # h-relation).  Only latency-bound kinds may batch — see
-    # :data:`repro.bsp.fusion.FUSABLE_KINDS`.
-
-    def op_barrier(self) -> CollectiveOp:
-        """Descriptor for :meth:`barrier` (for use with :meth:`batch`)."""
-        return self._op("barrier")
-
-    def op_bcast(self, value: Any = None, root: int = 0) -> CollectiveOp:
-        """Descriptor for :meth:`bcast` (for use with :meth:`batch`)."""
-        return self._op("bcast", value if self.rank == root else None, root)
-
-    def op_gather(self, value: Any, root: int = 0) -> CollectiveOp:
-        """Descriptor for :meth:`gather` (for use with :meth:`batch`)."""
-        return self._op("gather", value, root)
-
-    def op_allgather(self, value: Any) -> CollectiveOp:
-        """Descriptor for :meth:`allgather` (for use with :meth:`batch`)."""
-        return self._op("allgather", value)
-
-    def op_reduce(self, value: Any, op: Callable[[Any, Any], Any],
-                  root: int = 0) -> CollectiveOp:
-        """Descriptor for :meth:`reduce` (for use with :meth:`batch`)."""
-        return self._op("reduce", value, root, op)
-
-    def op_allreduce(self, value: Any, op: Callable[[Any, Any], Any]) -> CollectiveOp:
-        """Descriptor for :meth:`allreduce` (for use with :meth:`batch`)."""
-        return self._op("allreduce", value, 0, op)
-
-    def op_gatherv(self, *columns, root: int = 0) -> CollectiveOp:
-        """Descriptor for :meth:`gatherv` (for use with :meth:`batch`)."""
-        payload = columns[0] if len(columns) == 1 else ArrayBundle(*columns)
-        return self._op("gatherv", as_bundle(payload), root)
-
-    def op_allgatherv(self, *columns) -> CollectiveOp:
-        """Descriptor for :meth:`allgatherv` (for use with :meth:`batch`)."""
-        payload = columns[0] if len(columns) == 1 else ArrayBundle(*columns)
-        return self._op("allgatherv", as_bundle(payload))
-
-    def batch(self, *sub_ops: CollectiveOp):
-        """Execute several collectives inside **one** superstep.
-
-        All members of the group must issue a matching batch: same length,
-        same sub-operation kinds in the same order.  Returns a tuple with
-        one result per sub-operation, exactly what the unbatched sequence
-        would have returned — and charges exactly the same computation,
-        transfer, and miss costs; only one superstep (one latency ``L``)
-        is billed instead of ``len(sub_ops)``::
-
-            total, names = yield from comm.batch(
-                comm.op_allreduce(n, op=operator.add),
-                comm.op_allgather(name),
-            )
-        """
-        from repro.bsp.fusion import FUSABLE_KINDS
-
-        if not sub_ops:
-            raise ValueError("batch needs at least one collective descriptor")
-        for sub in sub_ops:
-            if not isinstance(sub, CollectiveOp):
-                raise TypeError(
-                    f"batch arguments must be op_<kind> descriptors, got "
-                    f"{type(sub).__name__} (did you yield the collective "
-                    "instead of building a descriptor?)"
-                )
-            if sub.kind not in FUSABLE_KINDS:
-                raise ValueError(
-                    f"collective kind {sub.kind!r} cannot be batched; "
-                    f"fusable kinds: {sorted(FUSABLE_KINDS)}"
-                )
-            if sub.group.gid != self.group.gid:
-                raise ValueError(
-                    f"batched {sub.kind!r} targets group {sub.group.gid}, "
-                    f"but the batch runs on group {self.group.gid}"
-                )
-        result = yield self._op("fused", tuple(sub_ops))
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

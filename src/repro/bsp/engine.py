@@ -22,22 +22,14 @@ import numpy as np
 from repro.bsp.comm import CollectiveOp, Communicator, Group, payload_words
 from repro.bsp.counters import CountersReport, ProcCounters
 from repro.bsp.errors import CollectiveMismatchError, DeadlockError
-from repro.bsp.fusion import (
-    FUSABLE_KINDS,
-    FusionConfig,
-    FusionState,
-    as_fusion_config,
-)
+from repro.bsp.fusion import FusionConfig, FusionState, as_fusion_config
 from repro.bsp.machine import MachineModel, TimeEstimate
 from repro.cache.model import CacheParams
 from repro.rng.streams import RngStreams
 from repro.trace.events import FINAL, TraceEvent
 from repro.trace.tracer import NULL_TRACER, Tracer
 
-__all__ = ["Context", "Engine", "RunResult", "CollectiveEvent"]
-
-#: The per-collective record is the trace layer's event type.
-CollectiveEvent = TraceEvent
+__all__ = ["Context", "Engine", "RunResult"]
 
 
 class Context:
@@ -103,13 +95,15 @@ class RunResult:
     def trace_kinds(self) -> list[str]:
         """Sequence of executed collective kinds (traced runs only).
 
-        The terminal :data:`~repro.trace.events.FINAL` flush record is not
-        a collective and is excluded, which keeps this list exactly what
-        it was before the per-superstep trace layer existed.
+        A fused superstep contributes every collective merged into it, so
+        the list is the same with and without fusion.  The terminal
+        :data:`~repro.trace.events.FINAL` flush record is not a collective
+        and is excluded.
         """
         if self.trace is None:
             raise ValueError("an untraced run has no event log")
-        return [ev.kind for ev in self.trace if ev.kind != FINAL]
+        return [k for ev in self.trace if ev.kind != FINAL
+                for k in ev.fused or (ev.kind,)]
 
 
 #: Collectives whose members must agree on the root rank.
@@ -155,7 +149,6 @@ class Engine:
         self._tracer = tracer if tracer is not None else NULL_TRACER
         #: Automatic adjacent-fusion policy; None (default) disables the
         #: merge so superstep counts match the pre-fusion engine exactly.
-        #: Explicit ``comm.batch`` requests work regardless of this.
         self.fuse = as_fusion_config(fuse)
         self._next_gid = 0
         self._split_seq: dict[int, int] = {}
@@ -395,8 +388,6 @@ class Engine:
                 self._tracer.on_collective(
                     kind=kind, gid=gid, participants=members,
                     words=words, snapshots=snapshots, wall_s=wall_s,
-                    fused=tuple(s.kind for s in ops[0].payload)
-                    if kind == "fused" else (),
                     clean=clean,
                 )
         if track:
@@ -595,60 +586,3 @@ class Engine:
         for op in ops:
             self._charge(counters, op.sender, 1, 1)
         return [new_comm[op.sender] for op in ops]
-
-    # -- explicit superstep fusion ------------------------------------------
-
-    def _iter_fused(self, group: Group, ops: list[CollectiveOp]):
-        """Validate an aligned ``fused`` batch (``ops`` in local-rank order;
-        slot ``i`` of every member has one kind and, if rooted, one root);
-        yield (kind, sub_ops) per slot."""
-        n = len(ops[0].payload)
-        for op in ops:
-            if not isinstance(op.payload, tuple) or len(op.payload) != n:
-                sizes = {o.sender: len(o.payload) if isinstance(o.payload, tuple)
-                         else None for o in ops}
-                raise CollectiveMismatchError(
-                    f"group {group.gid} members issued batches of different "
-                    f"lengths: {sizes}"
-                )
-        for i in range(n):
-            subs = []
-            for op in ops:
-                sub = op.payload[i]
-                if not isinstance(sub, CollectiveOp) or sub.sender != op.sender:
-                    raise CollectiveMismatchError(
-                        f"batch slot {i} of rank {op.sender} is not that "
-                        "rank's own collective descriptor"
-                    )
-                subs.append(sub)
-            kinds = {s.kind for s in subs}
-            if len(kinds) != 1:
-                detail = {s.sender: s.kind for s in subs}
-                raise CollectiveMismatchError(
-                    f"group {group.gid} batch slot {i} mixes collective "
-                    f"kinds: {detail}"
-                )
-            kind = subs[0].kind
-            if kind not in FUSABLE_KINDS:
-                raise CollectiveMismatchError(
-                    f"collective kind {kind!r} cannot run inside a batch"
-                )
-            if kind in ROOTED_KINDS:
-                roots = {s.root for s in subs}
-                if len(roots) != 1:
-                    raise CollectiveMismatchError(
-                        f"group {group.gid} batch slot {i} members disagree "
-                        f"on the {kind} root: {roots}"
-                    )
-            yield kind, subs
-
-    def _exec_fused(self, group, ops, counters):
-        # One superstep (synced once for the batch): the sub-collectives
-        # charge back-to-back in batch order; each member gets a tuple.
-        results: list[list[Any]] = [[] for _ in ops]
-        for kind, subs in self._iter_fused(group, ops):
-            handler = getattr(self, f"_exec_{kind}")
-            for acc, res in zip(results, handler(group, subs, counters)):
-                acc.append(res)
-        return [tuple(acc) for acc in results]
-

@@ -10,22 +10,15 @@ combined h-relation, and — critically — bit-identical results, computation,
 transfer and miss counters, because fusion only elides synchronizations, it
 never reorders or re-associates any charge.
 
-Two mechanisms share this policy module:
-
-* **Explicit batches** (:meth:`repro.bsp.comm.Communicator.batch`): the
-  program yields one ``fused`` collective carrying several sub-operations,
-  which the engine executes back-to-back inside a single superstep.
-  Always available; needs no engine configuration.
-* **Automatic adjacent fusion** (``Engine(fuse=...)``): the engine notices
-  that every member of a group arrived at a new collective with *no local
-  charges* since that group's previous collective, and retroactively merges
-  the new collective into the previous superstep.  Opt-in, governed by a
-  :class:`FusionConfig`.
-
-Both are restricted to :data:`FUSABLE_KINDS` — collectives whose results do
-not change group membership (``split`` creates communicators and must remain
-its own synchronization point) — and to small payloads, mirroring the
-"latency-bound message" regime where fusion pays off on a real machine.
+The engine fuses automatically when asked (``fuse=`` on every backend):
+it notices that every member of a group arrived at a new collective with
+*no local charges* since that group's previous collective, and
+retroactively merges the new collective into the previous superstep,
+within the bounds of a :class:`FusionConfig`.  Only :data:`FUSABLE_KINDS`
+merge — collectives whose results do not change group membership
+(``split`` creates communicators and must remain its own synchronization
+point) — and only small payloads, mirroring the "latency-bound message"
+regime where fusion pays off on a real machine.
 """
 
 from __future__ import annotations
@@ -36,12 +29,11 @@ from repro.bsp.comm import payload_words
 
 __all__ = ["FusionConfig", "FusionState", "FUSABLE_KINDS", "as_fusion_config"]
 
-#: Collective kinds eligible for fusion (explicit batches and auto-merge).
-#: ``split`` is excluded because its result is a new communicator (group
-#: structure must be settled between supersteps); ``scatter``/``scatterv``
-#: and the all-to-alls are excluded because their payloads are root- or
-#: matrix-shaped and essentially never latency-bound; nested ``fused``
-#: batches are flattened by chaining, not nesting.
+#: Collective kinds eligible for fusion.  ``split`` is excluded because its
+#: result is a new communicator (group structure must be settled between
+#: supersteps); ``scatter``/``scatterv`` and the all-to-alls are excluded
+#: because their payloads are root- or matrix-shaped and essentially never
+#: latency-bound.
 FUSABLE_KINDS = frozenset({
     "barrier", "bcast", "gather", "allgather", "reduce", "allreduce",
     "gatherv", "allgatherv",
@@ -54,9 +46,6 @@ class FusionConfig:
 
     Parameters
     ----------
-    auto:
-        Enable the engine's retroactive adjacent-merge.  When ``False``
-        only explicit ``comm.batch`` requests fuse.
     max_words:
         Upper bound on the *combined* payload words of one fused
         superstep; collectives that would push the running superstep past
@@ -67,7 +56,6 @@ class FusionConfig:
         the latency win per superstep and keeps traces legible.
     """
 
-    auto: bool = True
     max_words: int = 4096
     max_chain: int = 16
 
@@ -89,7 +77,7 @@ class FusionState:
 
     def __init__(self, config: FusionConfig):
         self.config = config
-        self._last_sync: dict[int, tuple[int, bool]] = {}  # rank -> (gid, mergeable)
+        self._last_sync: dict[int, tuple[int, bool]] = {}  # rank -> (gid, fusable)
         self._chain: dict[int, int] = {}        # gid -> collectives this superstep
         self._chain_words: dict[int, int] = {}  # gid -> words this superstep
 
@@ -98,31 +86,30 @@ class FusionState:
 
         ``merged`` says the collective joins the group's current superstep:
         its kind is fusable, the superstep stays within ``max_chain`` and
-        ``max_words``, every member's previous sync was a mergeable
+        ``max_words``, every member's previous sync was a fusable
         collective on this same group, and every member arrived ``clean``
         (no local charges since) — then all since-sync values are zero and
         the merge elides only the latency.
         """
-        cfg, gid, kind = self.config, group.gid, ops[0].kind
+        cfg, gid = self.config, group.gid
+        fusable = ops[0].kind in FUSABLE_KINDS
         words = sum(payload_words(op.payload) for op in ops)
         merged = (
-            cfg.auto and kind in FUSABLE_KINDS
+            fusable
             and self._chain.get(gid, 0) + 1 <= cfg.max_chain
             and self._chain_words.get(gid, 0) + words <= cfg.max_words
             and all(self._last_sync.get(m) == (gid, True)
                     for m in group.members)
             and all(clean)
         )
-        weight = len(ops[0].payload) if kind == "fused" else 1
         if merged:
-            self._chain[gid] += weight
+            self._chain[gid] += 1
             self._chain_words[gid] += words
         else:
-            self._chain[gid] = weight
+            self._chain[gid] = 1
             self._chain_words[gid] = words
-        mergeable = kind in FUSABLE_KINDS or kind == "fused"
         for m in group.members:
-            self._last_sync[m] = (gid, mergeable)
+            self._last_sync[m] = (gid, fusable)
         return merged, words
 
 

@@ -16,14 +16,13 @@ from repro.dynamic.graph import (
     DynamicGraph,
     canonical_roots,
 )
-from repro.dynamic.stream import apply_stream, update_stream
+from repro.dynamic.stream import update_stream
 
 __all__ = [
     "UPDATE_OPS",
     "DynamicCCResult",
     "DynamicCutResult",
     "DynamicGraph",
-    "apply_stream",
     "canonical_roots",
     "update_stream",
 ]

@@ -23,7 +23,7 @@ import bisect
 from repro.graph.edgelist import EdgeList
 from repro.rng.streams import RngStreams
 
-__all__ = ["update_stream", "apply_stream"]
+__all__ = ["update_stream"]
 
 #: Salt separating update-stream children from trial/CC/sparsify streams.
 _UPDATE_SALT = 6 << 16
@@ -91,8 +91,3 @@ def update_stream(g: EdgeList, *, seed: int, batches: int,
                 w = float(rng.uniform(w_lo, w_hi))
                 ops.append(["reweight", key[0], key[1], w])
         yield ops
-
-
-def apply_stream(dyn, stream) -> list[dict]:
-    """Apply every batch of ``stream`` to ``dyn``; returns staleness docs."""
-    return [dyn.update_edges(ops) for ops in stream]

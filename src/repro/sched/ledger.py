@@ -45,6 +45,7 @@ __all__ = [
     "TrialLedger",
     "encode_side",
     "decode_side",
+    "write_atomic",
 ]
 
 #: Header ``kind`` tag of a ledger checkpoint file.
@@ -55,6 +56,15 @@ LEDGER_VERSION = 1
 
 #: Legal record statuses, in lifecycle order.
 STATUSES = ("pending", "running", "done", "failed")
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step: a per-process tmp file,
+    then ``os.replace``, so a reader never sees a half-written file."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def encode_side(side: np.ndarray) -> str:
@@ -250,14 +260,11 @@ class TrialLedger:
         return doc
 
     def save(self, path: str) -> None:
-        """Atomically write the full ledger as JSONL (tmp + rename)."""
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.header(), sort_keys=True) + "\n")
-            for ti in sorted(self.records):
-                fh.write(json.dumps(self.records[ti].to_doc(),
-                                    sort_keys=True) + "\n")
-        os.replace(tmp, path)
+        """Atomically write the full ledger as JSONL."""
+        docs = [self.header()] + [self.records[ti].to_doc()
+                                  for ti in sorted(self.records)]
+        write_atomic(path, "".join(json.dumps(doc, sort_keys=True) + "\n"
+                                   for doc in docs))
 
     @classmethod
     def load(cls, path: str) -> "TrialLedger":

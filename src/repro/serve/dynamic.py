@@ -22,6 +22,7 @@ import os
 import threading
 
 from repro.dynamic.graph import DynamicGraph
+from repro.sched.ledger import write_atomic
 
 __all__ = ["DynamicSession", "DynamicSessionManager"]
 
@@ -113,10 +114,7 @@ class DynamicSessionManager:
                "fingerprint": fingerprint, "seed": int(seed), "p": int(p),
                "dyn_kwargs": dyn_kwargs}
         doc_path, log_path = self._paths(sid)
-        tmp = f"{doc_path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-        os.replace(tmp, doc_path)
+        write_atomic(doc_path, json.dumps(doc, sort_keys=True))
         open(log_path, "a").close()
         dyn = DynamicGraph(g, p=int(p), seed=int(seed), backend=backend,
                            plan_cache=plan_cache, **dyn_kwargs)

@@ -27,6 +27,7 @@ import threading
 import time
 from dataclasses import dataclass, field, fields
 
+from repro.sched.ledger import write_atomic
 from repro.serve.protocol import (
     ALGORITHMS,
     DYNAMIC_ALGORITHMS,
@@ -133,12 +134,9 @@ class JobStore:
         return os.path.join(self.dir, f"{job_id}.ledger.jsonl")
 
     def save(self, job: Job) -> None:
-        path = self.job_path(job.id)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            # dumps, not dump: only dumps runs CPython's C encoder.
-            fh.write(json.dumps(job.to_doc(), sort_keys=True))
-        os.replace(tmp, path)
+        # dumps, not dump: only dumps runs CPython's C encoder.
+        write_atomic(self.job_path(job.id),
+                     json.dumps(job.to_doc(), sort_keys=True))
 
     def load(self, job_id: str) -> Job:
         with open(self.job_path(job_id), "r", encoding="utf-8") as fh:
@@ -150,7 +148,7 @@ class JobStore:
         and logged: one bad file must not keep the daemon from restarting."""
         jobs = []
         for name in sorted(os.listdir(self.dir)):
-            if name.endswith(".json") and not name.endswith(".tmp"):
+            if name.endswith(".json"):
                 try:
                     jobs.append(self.load(name[:-len(".json")]))
                 except (ValueError, TypeError) as exc:

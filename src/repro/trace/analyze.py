@@ -177,10 +177,7 @@ def find_fusible_runs(
         cur = None
 
     for i, ev in enumerate(ordered):
-        fusable = (
-            (ev.kind in FUSABLE_KINDS or ev.kind == "fused")
-            and ev.words <= fuse.max_words
-        )
+        fusable = ev.kind in FUSABLE_KINDS and ev.words <= fuse.max_words
         if cur is not None:
             clean = bool(ev.clean) and all(ev.clean)
             adjacent = (

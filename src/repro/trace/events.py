@@ -43,12 +43,7 @@ FINAL = "final"
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """One executed collective (or the terminal flush) of a traced run.
-
-    The first four fields keep the layout of the engine's original
-    ``CollectiveEvent`` record, of which this class is the superset (the
-    old ``RunResult.trace_kinds()`` API reads only those).
-    """
+    """One executed collective (or the terminal flush) of a traced run."""
 
     kind: str                       # collective kind, or FINAL
     gid: int                        # group id (0 for the FINAL event)
@@ -70,10 +65,10 @@ class TraceEvent:
     #: collective (the run's wall, on FINAL); 0.0 under the simulator.
     #: Excluded from cross-backend trace comparisons, like TimeEstimate.
     wall_s: float = 0.0
-    #: For a fused superstep (an explicit ``comm.batch`` or the engine's
-    #: automatic adjacent merge): the kinds of every collective that ran
-    #: inside it, in execution order.  ``kind`` holds the first; empty for
-    #: an ordinary single-collective superstep.
+    #: For a superstep the engine's automatic adjacent merge fused: the
+    #: kinds of every collective that ran inside it, in execution order.
+    #: ``kind`` holds the first; empty for an ordinary single-collective
+    #: superstep.
     fused: tuple[str, ...] = ()
     #: Per-participant *arrival cleanliness*, aligned with ``participants``:
     #: True when the rank reached this collective with zero local charges

@@ -67,8 +67,10 @@ def aggregate_trace(events: Sequence[TraceEvent]) -> CountersReport:
 
 
 def kind_counts(events: Iterable[TraceEvent]) -> dict[str, int]:
-    """Executed-collective counts per kind (FINAL records excluded)."""
-    return dict(Counter(ev.kind for ev in events if ev.kind != FINAL))
+    """Executed-collective counts per kind (FINAL records excluded); a
+    fused superstep counts every collective merged into it."""
+    return dict(Counter(k for ev in events if ev.kind != FINAL
+                        for k in ev.fused or (ev.kind,)))
 
 
 def volume_histogram(events: Iterable[TraceEvent]) -> list[tuple[int, int, int]]:

@@ -1,9 +1,11 @@
 """Tracer protocol: zero-overhead-when-off collective recording.
 
 The BSP engine — driving generators, or on each multiprocess worker
-settling its group's posted requests — calls :meth:`Tracer.on_collective` (or
-:meth:`Tracer.on_merge`) after every executed collective, and the run's
-driver calls :meth:`Tracer.on_finish` once all ranks have terminated —
+settling its group's posted requests — calls :meth:`Tracer.on_collective`
+after every executed collective, or :meth:`Tracer.on_merge` when fusion
+merged it into its group's previous superstep (the only source of an
+event's ``fused`` kinds), and the run's driver calls
+:meth:`Tracer.on_finish` once all ranks have terminated —
 guarded by the ``enabled`` flag, so an untraced run pays one attribute
 check per collective and nothing else (:class:`NullTracer`, the default, makes
 untraced runs byte-identical to the pre-trace engine).
@@ -49,14 +51,12 @@ class Tracer:
         words: int,
         snapshots: Sequence[Snapshot],
         wall_s: float = 0.0,
-        fused: tuple[str, ...] = (),
         clean: tuple[bool, ...] = (),
     ) -> None:
         """One collective executed; ``snapshots`` are the participants'
         cumulative post-collective counters, aligned with ``participants``.
-        ``fused`` carries the sub-operation kinds of an explicit batch;
-        ``clean`` each participant's arrival cleanliness (no local charges
-        since its previous sync — the fusion precondition)."""
+        ``clean`` is each participant's arrival cleanliness (no local
+        charges since its previous sync — the fusion precondition)."""
 
     def on_merge(
         self,
@@ -123,7 +123,7 @@ class RecordingTracer(Tracer):
     # -- hooks ---------------------------------------------------------------
 
     def on_collective(self, kind, gid, participants, words, snapshots,
-                      wall_s=0.0, fused=(), clean=()) -> None:
+                      wall_s=0.0, clean=()) -> None:
         step = 1 + max((self._clock.get(r, 0) for r in participants),
                        default=0)
         gseq = self._gseq.get(gid, 0)
@@ -132,7 +132,7 @@ class RecordingTracer(Tracer):
                for r in participants}
         self._events.append(self._event(
             kind, gid, participants, words, step, gseq, snapshots, wall_s,
-            fused=fused, clean=clean,
+            clean=clean,
         ))
         self._last_by_gid[gid] = (len(self._events) - 1, pre)
         for r in participants:

@@ -39,17 +39,16 @@ def two_step_program(ctx, nwords=1):
     return float(total[0])
 
 
-def batched_program(ctx):
-    """A plain collective, then an explicit batch of two allreduces (two
-    ``ops`` charges inside one superstep), then an adjacent mergeable one;
-    returns this rank's own counters as the program sees them."""
+def merging_program(ctx):
+    """A plain collective, then three back-to-back allreduces (under
+    fusion, three ``ops`` charges inside one superstep); returns this
+    rank's own counters as the program sees them."""
     comm = ctx.comm
     ctx.charge(ops=10.0 * (ctx.rank + 1))
     a = yield from comm.allreduce(ctx.rank + 1, op=operator.add)
-    b, c = yield from comm.batch(
-        comm.op_allreduce(np.full(3, 0.1 * (ctx.rank + 1)), op=operator.add),
-        comm.op_allreduce(a + ctx.rank, op=operator.add),
-    )
+    b = yield from comm.allreduce(np.full(3, 0.1 * (ctx.rank + 1)),
+                                  op=operator.add)
+    c = yield from comm.allreduce(a + ctx.rank, op=operator.add)
     d = yield from comm.allreduce(c, op=operator.add)
     return a, b.tolist(), c, d, dict(vars(ctx.counters))
 
@@ -263,7 +262,7 @@ class TestWorkFault:
         def run(cls):
             backend = cls(tracer=RecordingTracer(), fuse=True)
             try:
-                res = backend.run(batched_program, 3, seed=0, faults=faults)
+                res = backend.run(merging_program, 3, seed=0, faults=faults)
             finally:
                 getattr(backend, "close", lambda: None)()
             return res.values, res.report, strip_wall(res.trace)

@@ -2,7 +2,7 @@
 
 Generates randomized SPMD programs (seeded Philox, so every run of the
 suite sees the same corpus) mixing the latency-bound collectives with
-local work, explicit ``comm.batch`` requests and communicator splits,
+local work, back-to-back collective pairs and communicator splits,
 then proves for every program that enabling automatic fusion
 (``fuse=True``) changes *nothing* except the superstep count:
 
@@ -17,15 +17,10 @@ then proves for every program that enabling automatic fusion
 A reduced corpus re-runs on the multiprocess backend (skipping
 gracefully where worker processes are unavailable) asserting the sim
 and mp traces are event-for-event identical under both fusion settings.
-
-Environment knobs (CI uses them to bound the spawn-heavy mp leg):
-``REPRO_FUZZ_PROGRAMS`` (default 200) and ``REPRO_FUZZ_MP_PROGRAMS``
-(default 4).
 """
 
 import dataclasses
 import operator
-import os
 
 import numpy as np
 import pytest
@@ -35,16 +30,16 @@ from repro.runtime import MpBackend, SimBackend
 from repro.trace import FINAL, RecordingTracer, aggregate_trace
 from tests.conftest import require_mp
 
-N_PROGRAMS = int(os.environ.get("REPRO_FUZZ_PROGRAMS", "200"))
-N_MP_PROGRAMS = int(os.environ.get("REPRO_FUZZ_MP_PROGRAMS", "4"))
+N_PROGRAMS = 200
+N_MP_PROGRAMS = 4
 
 _COUNTER_FIELDS = ("p", "computation", "volume", "misses",
                    "total_ops", "total_volume")
 
 # Opcode vocabulary with sampling weights: mostly latency-bound fusable
 # collectives, seasoned with local work (which dirties arrivals and must
-# block auto-fusion), explicit batches, and the occasional split.
-_OPS = ("allreduce", "bcast", "allgather", "gatherv", "work", "batch",
+# block auto-fusion), adjacent pairs, and the occasional split.
+_OPS = ("allreduce", "bcast", "allgather", "gatherv", "work", "pair",
         "split", "barrier")
 _WEIGHTS = np.array([5.0, 4.0, 4.0, 3.0, 3.0, 2.0, 1.0, 2.0])
 _WEIGHTS /= _WEIGHTS.sum()
@@ -95,11 +90,9 @@ def fuzz_program(ctx, opcodes):
             if comm.rank == root:
                 acc.append((int(got.columns[0].sum()),
                             tuple(int(c) for c in got.counts)))
-        elif kind == "batch":
-            r1, r2 = yield from comm.batch(
-                comm.op_allreduce(a + comm.rank, operator.add),
-                comm.op_allgather(comm.rank * a),
-            )
+        elif kind == "pair":
+            r1 = yield from comm.allreduce(a + comm.rank, operator.add)
+            r2 = yield from comm.allgather(comm.rank * a)
             acc.append((r1, tuple(r2)))
         elif kind == "split":
             comm = yield from comm.split((comm.rank + a) % 2, key=comm.rank)

@@ -26,7 +26,8 @@ def allreduce_loop(ctx, k):
 
 def split_program(ctx, stamp=False):
     """Subgroups of unequal collective counts, a rooted collective whose
-    root is not local rank 0, an explicit batch, then the world again.
+    root is not local rank 0, two back-to-back collectives, then the world
+    again.
     ``stamp`` returns when this rank finished its subgroup collectives."""
     comm = ctx.comm
     color = ctx.rank % 2
@@ -39,21 +40,19 @@ def split_program(ctx, stamp=False):
     arr = yield from sub.bcast(np.arange(6) * x if sub.rank == root else None,
                                root=root)
     got = yield from sub.gather(ctx.rank, root=root)
-    a, b = yield from sub.batch(
-        sub.op_allreduce(np.full(3, x), op=operator.add),
-        sub.op_allgather(ctx.rank * 2),
-    )
+    a = yield from sub.allreduce(np.full(3, x), op=operator.add)
+    b = yield from sub.allgather(ctx.rank * 2)
     done = time.monotonic()
     total = yield from comm.allreduce(float(a.sum()), op=operator.add)
     out = [sub.group.members, x, arr.tolist(), got, a.tolist(), b, total]
     return out + [done] if stamp else out
 
 
-def _backend(name):
+def _backend(name, fuse=None):
     if name == "spawn" and "spawn" not in multiprocessing.get_all_start_methods():
         pytest.skip("no spawn on this platform")
     cls = WarmMpBackend if name == "warm" else MpBackend
-    return cls(tracer=RecordingTracer(), timeout=180.0,
+    return cls(tracer=RecordingTracer(), timeout=180.0, fuse=fuse,
                **({"start_method": "spawn"} if name == "spawn" else {}))
 
 
@@ -103,6 +102,27 @@ def test_subgroups_bit_identical_to_sim(p, name):
     finally:
         getattr(backend, "close", lambda: None)()
     assert any(len(ev.participants) < p for ev in want.trace)
+
+
+@pytest.mark.parametrize("name", ["fork", "warm"])
+def test_fused_subgroups_bit_identical_to_sim(name):
+    """The same under ``fuse=True``: a subgroup's back-to-back collectives
+    share one superstep, identically among peers and on the simulator."""
+    require_mp()
+    backend = _backend(name, fuse=True)
+    try:
+        got = backend.run(split_program, 4, seed=5)
+    finally:
+        getattr(backend, "close", lambda: None)()
+    want = SimBackend(tracer=RecordingTracer(), fuse=True).run(
+        split_program, 4, seed=5)
+    assert got.values == want.values
+    assert got.report == want.report
+    assert strip_wall(got.trace) == strip_wall(want.trace)
+    assert any(ev.fused[-2:] == ("allreduce", "allgather")
+               for ev in want.trace)
+    assert want.report.supersteps < SimBackend().run(
+        split_program, 4, seed=5).report.supersteps
 
 
 @pytest.mark.parametrize("name", ["fork", "warm"])

@@ -13,6 +13,7 @@ list-of-kinds shape.
 """
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -21,15 +22,19 @@ from repro.bsp.engine import Engine
 from repro.graph import erdos_renyi
 from repro.harness import run_algorithm
 from repro.rng import philox_stream
+from repro.runtime import MpBackend, SimBackend
 from repro.trace import (
     FINAL,
     RecordingTracer,
     TraceEvent,
     aggregate_trace,
     exact_delta,
+    format_summary,
+    kind_counts,
     read_jsonl,
     write_jsonl,
 )
+from tests.conftest import require_mp
 
 ALGORITHMS = ["parallel_cc", "approx_cut", "square_root"]
 
@@ -200,6 +205,12 @@ class TestJsonlRoundTrip:
         assert back == ev
 
 
+def allreduce_then_allgather(ctx):
+    total = yield from ctx.comm.allreduce(ctx.rank, operator.add)
+    names = yield from ctx.comm.allgather(ctx.rank)
+    return total, names
+
+
 class TestTraceKindsRegression:
     """The pre-existing RunResult.trace_kinds API keeps working."""
 
@@ -213,6 +224,20 @@ class TestTraceKindsRegression:
         res = Engine(tracer=RecordingTracer()).run(prog, 3, seed=0)
         assert res.trace_kinds() == ["barrier", "allreduce"]
         assert res.trace[-1].kind == FINAL
+
+    @pytest.mark.parametrize("backend", [SimBackend, MpBackend],
+                             ids=["sim", "mp"])
+    def test_fused_superstep_lists_every_collective(self, backend):
+        """Under ``fuse=True`` the two collectives share one superstep, and
+        the kind list and counts still name both."""
+        if backend is MpBackend:
+            require_mp()
+        res = backend(tracer=RecordingTracer(), fuse=True).run(
+            allreduce_then_allgather, 2)
+        assert res.report.supersteps == 1
+        assert res.trace_kinds() == ["allreduce", "allgather"]
+        assert kind_counts(res.trace) == {"allreduce": 1, "allgather": 1}
+        assert "collectives: 2" in format_summary(res.trace)
 
     def test_untraced_run_raises(self):
         def prog(ctx):
