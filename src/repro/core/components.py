@@ -5,9 +5,10 @@ maintains a vertex-indexed component array ``C``; each round a sparse edge
 sample is gathered at the root (unweighted local-oversampling variant), the
 root computes the components ``g`` of the sampled subgraph in the current
 label space, broadcasts ``g``, and every processor relabels its edge slice
-and drops the loops.  The loop ends when no edge is left; w.h.p. O(1) rounds
-suffice, hence O(1) supersteps, O(n^(1+eps)) communication volume and
-O(m/p + n^(1+eps)) computation (Theorem 3.3).
+and drops the loops (a slice that was all sample is all loops: emptied
+unread, still charged).  The loop ends when no edge is left; w.h.p. O(1)
+rounds suffice, hence O(1) supersteps, O(n^(1+eps)) communication volume
+and O(m/p + n^(1+eps)) computation (Theorem 3.3).
 
 Public entry points:
 
@@ -27,7 +28,7 @@ import numpy as np
 from repro.bsp.counters import CountersReport
 from repro.bsp.machine import TimeEstimate
 from repro.cache.traced import MemoryTracker, NullTracker
-from repro.core.sparsify import sparsify_unweighted
+from repro.core.sparsify import draw_count, sparsify_unweighted
 from repro.graph.contract import components_from_edges
 from repro.graph.edgelist import EdgeList
 from repro.graph.shm import plane_slices
@@ -50,6 +51,16 @@ _MAX_ROUNDS = 60
 def _sample_size(k: int, eps: float) -> int:
     """Per-round sample size: ceil(k^(1+eps)), at least a small constant."""
     return max(16, math.ceil(k ** (1.0 + eps)))
+
+
+def _relabel(g_map, u, v, whole):
+    """The slice in the new label space, loops dropped; one that shipped
+    whole is all loops (the root contracted it), so it is not read."""
+    if whole:
+        return g_map[u[:0]], g_map[v[:0]]
+    u, v = g_map[u], g_map[v]
+    keep = u != v
+    return u[keep], v[keep]
 
 
 def cc_kernel(ctx, comm, u, v, n, *, eps=0.25, delta=0.5, root=0,
@@ -96,6 +107,7 @@ def cc_kernel(ctx, comm, u, v, n, *, eps=0.25, delta=0.5, root=0,
                 root = sum(flags[:root])
                 comm = sub
         s = min(m_total, _sample_size(k, eps))
+        whole = draw_count(u.size, m_total, s, n=k, delta=delta) is None
         sample = yield from sparsify_unweighted(
             ctx, comm, u, v, s, n=k, delta=delta, root=root
         )
@@ -113,12 +125,9 @@ def cc_kernel(ctx, comm, u, v, n, *, eps=0.25, delta=0.5, root=0,
             payload = None
         g_map, k_new = yield from comm.bcast(payload, root=root)
         # Local relabeling: one streaming pass over the slice with random
-        # lookups into g (O(m/(pB)) misses when g fits in cache, §3.2).
-        u = g_map[u]
-        v = g_map[v]
-        keep = u != v
-        u = u[keep]
-        v = v[keep]
+        # lookups into g (O(m/(pB)) misses when g fits in cache, §3.2),
+        # charged even when the slice shipped whole and is skipped.
+        u, v = _relabel(g_map, u, v, whole)
         ctx.charge_scan(m_input, words_per_elem=2)
         ctx.charge_random(m_input, working_set=k)
         k = k_new
@@ -176,6 +185,7 @@ def cc_hybrid_program(ctx, slices, n, *, eps=0.25, delta=0.5, rounds=2):
         if m_total == 0:
             break
         s = min(m_total, _sample_size(k, eps))
+        whole = draw_count(u.size, m_total, s, n=k, delta=delta) is None
         sample = yield from sparsify_unweighted(
             ctx, comm, u, v, s, n=k, delta=delta, root=root
         )
@@ -189,10 +199,7 @@ def cc_hybrid_program(ctx, slices, n, *, eps=0.25, delta=0.5, rounds=2):
         else:
             payload = None
         g_map, k_new = yield from comm.bcast(payload, root=root)
-        u = g_map[u]
-        v = g_map[v]
-        keep = u != v
-        u, v = u[keep], v[keep]
+        u, v = _relabel(g_map, u, v, whole)
         ctx.charge_scan(g.m, words_per_elem=2)
         k = k_new
 

@@ -23,7 +23,9 @@ holds at the top: a processor whose ``ceil((1+delta) mu_i)`` reaches its
 slice size ``m_i`` ships the slice as it is — the same volume as ``m_i``
 draws with replacement, but every edge instead of ~63 % of them, and no
 draw.  Since component finding does not need a random order, no
-permutation is applied, and uniform sampling costs O(1) per edge.
+permutation is applied, and uniform sampling costs O(1) per edge.  The
+rule is :func:`draw_count`, which the CC loops also call to skip
+relabelling a whole slice: the root's contraction left only loops in it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ import numpy as np
 
 from repro.rng.sampling import CumulativeWeightSampler, multinomial_split
 
-__all__ = ["cached_sampler", "sparsify_weighted", "sparsify_unweighted"]
+__all__ = ["cached_sampler", "draw_count", "sparsify_weighted",
+           "sparsify_unweighted"]
 
 #: Per-slice sampler cache: ``id(w) -> (weakref(w), sampler)``.  Iterated
 #: sampling calls :func:`sparsify_weighted` repeatedly on the *same* weight
@@ -125,6 +128,16 @@ def sparsify_weighted(ctx, comm, u, v, w, s, *, root=0):
     return None
 
 
+def draw_count(m_local, m_total, s, *, n, delta):
+    """``ceil((1+delta) mu_i)`` draws from a slice of ``m_local`` of the
+    ``m_total`` edges, or None when the slice ships whole: ``mu_i`` under
+    the Chernoff floor, or the draws would reach ``m_local``."""
+    mu = s * m_local / m_total
+    threshold = 9.0 * math.log(max(n, 2)) / (delta * delta)
+    k = math.ceil((1.0 + delta) * mu)
+    return k if mu >= threshold and k < m_local else None
+
+
 def sparsify_unweighted(ctx, comm, u, v, s, *, n, delta=0.5, root=0):
     """Generator: unweighted edge sample of ~``s`` edges, gathered at ``root``.
 
@@ -145,10 +158,8 @@ def sparsify_unweighted(ctx, comm, u, v, s, *, n, delta=0.5, root=0):
     if m_total == 0:
         part = (u[:0], v[:0])
     else:
-        mu = s * m_local / m_total
-        threshold = 9.0 * math.log(max(n, 2)) / (delta * delta)
-        k = math.ceil((1.0 + delta) * mu)
-        if mu >= threshold and k < m_local:
+        k = draw_count(m_local, m_total, s, n=n, delta=delta)
+        if k is not None:
             idx = ctx.rng.integers(0, m_local, size=k)
             part = (u[idx], v[idx])
             ctx.charge_random(k, working_set=m_local)

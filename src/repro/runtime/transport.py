@@ -8,7 +8,8 @@ ownership are :mod:`repro.shmem`'s.  Two codecs run through one walk:
 size-classed slabs.  All ndarray leaves of one message — bundle columns
 included — are packed into *one* slab and posted as :class:`SlabArrayRef`
 descriptors once their combined size reaches the threshold (below it
-they stay inline).  The collectives that only move values run on the
+they stay inline); a registered run input travels as an :class:`InputRef`
+instead, never packed.  The collectives that only move values run on the
 descriptors, and each member reads its result from its peers' slabs
 itself.  A slab returns to its owner's free list once every reader has
 acked it (``docs/runtime.md``, "Transport arena"); each arena unlinks what
@@ -33,6 +34,7 @@ import numpy as np
 
 from repro.bsp.arrays import ArrayBundle, concat_columns
 from repro.bsp.comm import payload_words
+from repro.graph.edgelist import EdgeList
 from repro.shmem import (
     AttachCache,
     close_and_unlink,
@@ -49,6 +51,7 @@ __all__ = [
     "DEFAULT_MAX_RETAINED",
     "ShmArrayRef",
     "SlabArrayRef",
+    "InputRef",
     "BundleRef",
     "ConcatRef",
     "ShmArena",
@@ -105,10 +108,20 @@ class SlabArrayRef(_Described):
 
 
 @dataclass(frozen=True)
+class InputRef(_Described):
+    """Wire descriptor of the run's ``key``-th input array: every member
+    holds the same inputs under the same keys, and reads its own."""
+
+    key: int
+    shape: tuple
+    dtype: str
+
+
+@dataclass(frozen=True)
 class ConcatRef(_Described):
-    """Wire form of a gathered column: the members' ``parts`` (slab refs,
-    or small inline arrays) in local-rank order, with the ``shape`` and
-    ``dtype`` ``np.concatenate`` gives them."""
+    """Wire form of a gathered column: the members' ``parts`` (slab or
+    input refs, or small inline arrays) in local-rank order, with the
+    ``shape`` and ``dtype`` ``np.concatenate`` gives them."""
 
     parts: tuple
     shape: tuple
@@ -192,17 +205,19 @@ def encode_payload(obj, threshold: int = DEFAULT_SHM_THRESHOLD,
     return walk(obj, _on_arrays(stash))
 
 
-def decode_payload(obj, attach=None, read=None):
+def decode_payload(obj, attach=None, read=None, inputs=()):
     """Inverse of :func:`encode_payload` / :meth:`Transport.encode`.
 
     Slab refs are read through ``attach``, a callable ``name ->
     SharedMemory`` (the transport's cached attacher; only a wire without
     slab refs decodes without one), and left to their owner.  One-shot
     refs are copied out — and unlinked only without ``attach``, by the
-    single reader a ``MSG_DONE`` value has.  Every array returned is a
-    copy, and no view outlives the statement that made it: a cache
-    eviction closes the mapping under it.  ``read``, a list, collects the
-    bytes copied out of each segment.
+    single reader a ``MSG_DONE`` value has.  An :class:`InputRef` is
+    ``inputs[key]`` itself, and a gathered column of adjacent inputs a
+    read-only view of them (:func:`_stretch`).  Every other array
+    returned is a copy, and no view of a segment outlives the statement
+    that made it: a cache eviction closes the mapping under it.
+    ``read``, a list, collects the bytes copied out of each segment.
     """
     def slab(ref):
         if read is not None:
@@ -217,20 +232,40 @@ def decode_payload(obj, attach=None, read=None):
                          unlink=attach is None)
         if isinstance(ref, SlabArrayRef):
             return slab(ref).copy()
+        if isinstance(ref, InputRef):
+            return inputs[ref.key]
         if isinstance(ref, ConcatRef):
+            if (whole := _stretch(ref, inputs)) is not None:
+                return whole
             # One pass, peer slabs -> result; part by part, so no view is
             # held across the next attach.
             out = np.empty(ref.shape, ref.dtype)
             row = 0
             for part in ref.parts:
                 stop = row + part.shape[0]
-                out[row:stop] = \
-                    slab(part) if isinstance(part, SlabArrayRef) else part
+                out[row:stop] = (slab(part) if isinstance(part, SlabArrayRef)
+                                 else load(part))
                 row = stop
             return out
         return ref
 
     return walk(obj, _on_arrays(load))
+
+
+def _stretch(ref: ConcatRef, inputs):
+    """The column ``ref`` gathers as a read-only view when its parts are
+    input refs to adjacent stretches of one array, else None."""
+    if not all(isinstance(p, InputRef) for p in ref.parts):
+        return None
+    parts = [inputs[p.key] for p in ref.parts]
+    first, end = parts[0], parts[0].__array_interface__["data"][0]
+    for a in parts:
+        if (a.base is None or a.base is not first.base
+                or a.dtype != first.dtype or not a.flags.c_contiguous
+                or a.__array_interface__["data"][0] != end):
+            return None
+        end += a.nbytes
+    return np.lib.stride_tricks.as_strided(first, ref.shape, writeable=False)
 
 
 def iter_refs(wire, cls=(ShmArrayRef, SlabArrayRef)) -> list:
@@ -393,6 +428,24 @@ class Transport:
         self.arena = ShmArena(max_retained, name_prefix=slab_prefix)
         self._attached = AttachCache(cap=_SLAB_ATTACH_CAP)
         self.stats = TransportStats()
+        self.register(())
+
+    def register(self, args) -> None:
+        """The run's inputs — the ndarrays and ``EdgeList`` columns of its
+        arguments, alike on every member: a payload leaf that *is* one
+        encodes (arena mode) as an :class:`InputRef`.  They turn
+        read-only, so a reference never names data its sender changed."""
+        self.inputs = []
+        walk(args, lambda x: self.inputs.extend(
+            (x.u, x.v, x.w) if isinstance(x, EdgeList)
+            else [x] if isinstance(x, np.ndarray) else ()))
+        self._keys = {id(a): key for key, a in enumerate(self.inputs)}
+        for a in self.inputs:
+            a.flags.writeable = False
+
+    def _input_ref(self, obj):
+        key = self._keys.get(id(obj))
+        return obj if key is None else InputRef(key, obj.shape, obj.dtype.str)
 
     def encode(self, obj, kind: str = "?"):
         """Encode one message's payload; returns ``(wire, segment_names)``."""
@@ -410,6 +463,7 @@ class Transport:
         leaves: list[np.ndarray] = []
 
         def note(arr):
+            arr = self._input_ref(arr)
             if _packable(arr):
                 leaves.append(arr)
             return arr
@@ -425,8 +479,12 @@ class Transport:
         created0, reused0 = self.arena.created, self.arena.reused
         seg, layout = pack(leaves, self.arena.acquire)
         refs = (SlabArrayRef(seg.name, *entry) for entry in layout)
-        wire = walk(obj, _on_arrays(
-            lambda arr: next(refs) if _packable(arr) else arr))
+
+        def swap(arr):
+            arr = self._input_ref(arr)
+            return next(refs) if _packable(arr) else arr
+
+        wire = walk(obj, _on_arrays(swap))
         self.stats.note(
             kind, messages=1, bytes_copied=total,
             segments_created=self.arena.created - created0,
@@ -444,7 +502,7 @@ class Transport:
     def decode(self, obj, kind: str = "?"):
         """Decode a wire payload through the attachment cache."""
         read: list[int] = []
-        out = decode_payload(obj, self.attach, read)
+        out = decode_payload(obj, self.attach, read, self.inputs)
         if read:
             self.stats.note(kind, bytes_read=sum(read))
         return out

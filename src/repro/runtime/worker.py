@@ -421,8 +421,11 @@ def _drive(conn, spec: WorkerSpec, transport: Transport, peers: Peers, *,
     gsteps: dict[int, int] = {}  # gid -> collectives posted on it
     last = perf_counter()
 
-    # Graph-plane handles resolve to zero-copy views (repro.graph.shm).
-    gen = program(ctx, *resolve_plane(args), **resolve_plane(kwargs))
+    # Graph-plane handles resolve to zero-copy views (repro.graph.shm);
+    # the inputs then travel by reference (Transport.register).
+    args, kwargs = resolve_plane(args), resolve_plane(kwargs)
+    transport.register((args, kwargs))
+    gen = program(ctx, *args, **kwargs)
     while True:
         t0 = perf_counter()
         try:
@@ -485,6 +488,7 @@ def _drive(conn, spec: WorkerSpec, transport: Transport, peers: Peers, *,
         peers.executed(local_step)
 
     peers.finish()
+    transport.register(())
     # The value rides one-shot segments its single reader, the parent,
     # unlinks.
     conn.send((

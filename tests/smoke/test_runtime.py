@@ -5,6 +5,7 @@ from repro import shmem
 from repro.core.components import connected_components
 from repro.faults import FaultSpec, parse_fault_plan
 from repro.graph import erdos_renyi, two_cliques_bridge
+from repro.harness import run_algorithm
 from repro.rng import philox_stream
 from repro.runtime import MpBackend, SimBackend, WarmMpBackend
 from repro.runtime.errors import WorkerCrashError
@@ -77,6 +78,28 @@ def test_peer_groups():
         mp_.run(split_program, 3, seed=2,
                 faults=[FaultSpec("crash", rank=2, step=2)])
     assert (err.value.rank, err.value.superstep) == (2, 2)
+
+
+def test_whole_slices():
+    """Whole-slice CC smoke (spawn, p = 3): every rank ships its whole
+    slice in round one, as a reference to its input.  With the plane off
+    each worker unpickled its own copy of the slices, so the root joins
+    its copies; with it on they are adjacent views of one segment, so the
+    root takes a view.  Either way no gathered byte is copied and the
+    answer is the simulator's, bit for bit."""
+    g = erdos_renyi(4000, 40_000, philox_stream(11))
+    sim = run_algorithm("parallel_cc", g, p=3, seed=4, backend="sim",
+                        tracer=RecordingTracer())
+    for plane in (False, True):
+        mp_ = MpBackend(start_method="spawn", timeout=300.0,
+                        graph_plane=plane, tracer=RecordingTracer())
+        res = run_algorithm("parallel_cc", g, p=3, seed=4, backend=mp_)
+        assert (res.labels == sim.labels).all()
+        assert res.n_components == sim.n_components
+        assert res.report == sim.report
+        assert strip_wall(res.trace) == strip_wall(sim.trace)
+        gatherv = mp_.last_transport_stats["per_kind"]["gatherv"]
+        assert gatherv["bytes_copied"] == 0, gatherv
 
 
 def test_leak_check_can_fail():

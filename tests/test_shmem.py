@@ -7,8 +7,9 @@ Three guarantees of :mod:`repro.shmem` and its two users:
   mapping outlives its segment's unlink, so an unbounded cache is a leak),
   and a steady state that recycles one slab attaches exactly once.
 * **Pinned wire format** — the pickled bytes of ``Transport.encode``
-  output under both codecs and of the plane's handles equal literals
-  recorded from the commit before the two codecs shared one walk.
+  output under both codecs, of a registered input's ``InputRef`` and of
+  the plane's handles equal literals recorded from the commit that
+  introduced each (the codecs' from before they shared one walk).
 * **Round trip** — encode -> decode is the identity on nested payloads
   under both codecs, and ``iter_refs`` sees exactly the segments
   ``encode`` reported.
@@ -167,6 +168,15 @@ def _wire_cases(monkeypatch) -> dict[str, bytes]:
         finally:
             rx.close()
             tx.close()
+    # A registered run input travels as an InputRef: nothing packed, and
+    # the receiver resolves it to its own copy under the same key.
+    tx, rx = Transport(threshold=1 << 8), Transport(threshold=1 << 8)
+    col = np.arange(200, dtype=np.int64)
+    tx.register([np.ones(3), col])
+    rx.register([np.ones(3), col.copy()])
+    wire, names = tx.encode(col, "pin")
+    cases["input"] = pickle.dumps(wire, protocol=4)
+    assert names == [] and rx.decode(wire) is rx.inputs[1]
     monkeypatch.setattr(plane, "_segment_name", lambda: "rgplpinned00s000000")
     g = EdgeList(5, np.array([0, 1, 2, 3]), np.array([1, 2, 3, 4]),
                  np.array([1.0, 2.0, 3.0, 4.5]))
@@ -181,7 +191,7 @@ def _wire_cases(monkeypatch) -> dict[str, bytes]:
     return cases
 
 
-#: Recorded at the parent commit (numpy 2.x pickles its arrays through
+#: Recorded when each case was added (numpy 2.x pickles its arrays through
 #: ``numpy._core``; the inline-only case is long, so it is pinned by hash).
 _WIRE = {
     "arena": (
@@ -259,6 +269,11 @@ _WIRE = {
         b'\x00\x00\x00\x00\x1c@\x00\x00\x00\x00\x00\x00 @\x00\x00\x00\x00\x00'
         b'\x00"@\x00\x00\x00\x00\x00\x00$@\x00\x00\x00\x00\x00\x00&@\x94t\x94b'
         b't\x94.'
+    ),
+    "input": (
+        b'\x80\x04\x95R\x00\x00\x00\x00\x00\x00\x00\x8c\x17repro.runtime.transport'
+        b'\x94\x8c\x08InputRef\x94\x93\x94)\x81\x94}\x94(\x8c\x03key\x94K\x01\x8c'
+        b'\x05shape\x94K\xc8\x85\x94\x8c\x05dtype\x94\x8c\x03<i8\x94ub.'
     ),
     "handle": (
         b'\x80\x04\x95\xd7\x00\x00\x00\x00\x00\x00\x00\x8c\x0frepro.graph.shm'
