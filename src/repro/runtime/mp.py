@@ -1,35 +1,42 @@
 """Real shared-memory multiprocess backend for SPMD programs.
 
-A pool is ``p`` worker processes (:mod:`repro.runtime.worker`; ``fork``
-where available, spawn-safe), one shared-memory control block and one
-doorbell semaphore per rank.  A run is one ``CMD_RUN`` per worker: each
-runs the unmodified generator program and settles every collective with
-its group's members alone, bulk payloads in shared memory
-(:mod:`repro.runtime.transport`).  Under ``fork`` a one-shot ``run`` forks
-workers holding the ``CMD_RUN`` in their arguments; otherwise — and on the
-pool :class:`~repro.runtime.warm.WarmMpBackend` keeps — one pickled
-``CMD_RUN`` goes down every pipe (:meth:`MpBackend._dispatch`).  Programs
-pickle by reference, so they must be importable module-level functions.
+A pool is worker processes (:mod:`repro.runtime.worker`; ``fork`` where
+available, spawn-safe), one shared-memory control block and one doorbell
+semaphore per rank.  Every rank runs the unmodified generator program and
+settles each collective with its group's members alone, bulk payloads in
+shared memory (:mod:`repro.runtime.transport`).  Programs pickle by
+reference, so they must be importable module-level functions.
 
-The parent keeps four jobs: spawn, dispatch, ``MSG_DONE`` collection —
-values, counters, transport stats, and the trace hook calls each group's
-lowest member recorded, replayed into the backend's tracer — and fault
-supervision (:meth:`MpBackend._supervise`).  A program that raises
-surfaces as :class:`~repro.runtime.errors.WorkerProgramError`, an error of
-the superstep itself (``DeadlockError``, ``CollectiveMismatchError``) as
-itself, a worker that dies as :class:`WorkerCrashError` (sentinels are in
-the parent's wait set), and a control block without progress for the
-inactivity timeout as :class:`WorkerTimeoutError`.  The pool is always
+**The caller is rank 0** of a one-shot :meth:`MpBackend.run`: it starts
+``p`` − 1 workers — under ``fork`` holding the ``CMD_RUN`` in their
+arguments, otherwise sent it down their pipes — and runs its own part on
+an endpoint of the same control block, in a heap already warm.  The pool
+:class:`~repro.runtime.warm.WarmMpBackend` keeps is ``p`` workers.
+
+The caller checks its workers whenever rank 0 sleeps, and after it until
+the last ``MSG_DONE`` (:meth:`MpBackend._supervise`): it collects values,
+counters, transport stats and the trace hook calls each group's lowest
+member recorded, and raises a program's exception as
+:class:`~repro.runtime.errors.WorkerProgramError`, a superstep's own
+error (``DeadlockError``, ``CollectiveMismatchError``) as itself, a worker
+that dies as :class:`WorkerCrashError` (sentinels are in the wait set),
+and a control block without progress for the inactivity timeout as
+:class:`WorkerTimeoutError` — rank 0 fails the same way, its own code
+bounded by a watchdog thread (:class:`_Watchdog`).  The pool is always
 torn down before re-raising: a failed run never hangs or leaks.
 """
 
 from __future__ import annotations
 
+import atexit
+import ctypes
 import glob
 import itertools
 import logging
 import multiprocessing
 import os
+import signal
+import threading
 import time
 from multiprocessing.connection import wait as _conn_wait
 from multiprocessing.reduction import ForkingPickler
@@ -65,8 +72,10 @@ from repro.runtime.worker import (
     MSG_ERROR,
     MSG_FAULT,
     ControlBlock,
+    Peers,
     WorkerSpec,
     persistent_worker_main,
+    run_here,
 )
 from repro.shmem import create_segment, unlink_segments
 
@@ -80,6 +89,11 @@ DEFAULT_TIMEOUT_S = 300.0
 
 #: Per-process sequence distinguishing concurrent runs' slab prefixes.
 _RUN_SEQ = itertools.count()
+
+#: Raises an exception in another thread at its next bytecode.
+_SET_ASYNC_EXC = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_ulong,
+                                   ctypes.py_object)(
+    ("PyThreadState_SetAsyncExc", ctypes.pythonapi))
 
 
 def _run_slab_token() -> str:
@@ -98,14 +112,16 @@ def default_start_method() -> str:
 
 
 class _Pool:
-    """The worker processes plus what the parent keeps of them: pipes,
-    sentinels, the control block and the doorbells."""
+    """The worker processes plus what the parent keeps of them: pipes and
+    processes by rank, sentinels, the control block and the doorbells —
+    and, ``here`` set, rank 0's endpoint, run by the caller itself."""
 
     def __init__(self, ctx, specs: Sequence[WorkerSpec], token: str,
-                 first=None):
+                 first=None, here: bool = False):
         self.p = len(specs)
-        self.conns = []
-        self.procs = []
+        self.conns: dict[int, Any] = {}
+        self.procs: dict[int, Any] = {}
+        self.here: Peers | None = None
         #: program -> small int token the workers cache the callable by.
         self.program_tokens: dict[Any, int] = {}
         #: Name token of every segment of this pool (the shutdown sweep).
@@ -119,9 +135,11 @@ class _Pool:
         try:
             self.block = ControlBlock(create_segment(
                 ControlBlock.nbytes(self.p), specs[0].block), self.p)
-            for spec in specs:
+            if here:
+                self.here = Peers(specs[0], self.bells)
+            for spec in specs[1 if here else 0:]:
                 parent_conn, child_conn = ctx.Pipe()
-                self.conns.append(parent_conn)
+                self.conns[spec.rank] = parent_conn
                 proc = ctx.Process(
                     target=persistent_worker_main,
                     args=(child_conn, spec, self.bells, first),
@@ -132,13 +150,17 @@ class _Pool:
                     proc.start()
                 finally:
                     child_conn.close()
-                self.procs.append(proc)
+                self.procs[spec.rank] = proc
         except BaseException:
             # A failed start (EAGAIN, ENOMEM) must not strand the workers
             # already running, blocked on their pipes.
             self.shutdown()
             raise
-        self.sentinel_rank = {pr.sentinel: r for r, pr in enumerate(self.procs)}
+        self.sentinel_rank = {pr.sentinel: r for r, pr in self.procs.items()}
+        # An exit without shutdown (a warm pool never closed) must leave
+        # /dev/shm clean; this hook runs before multiprocessing's own, which
+        # would kill the workers before they unlink their slabs.
+        atexit.register(self.shutdown, True)
 
     def where(self, rank: int, run: int) -> tuple[int, bool]:
         """``rank``'s completed steps in ``run`` and whether it is blocked
@@ -151,15 +173,16 @@ class _Pool:
         ``graceful`` (every run completed) asks each worker to exit — it
         unlinks its own arena — and terminates only stragglers; otherwise
         terminate at once, as survivors may be wedged mid-collective."""
+        atexit.unregister(self.shutdown)
         if graceful:
-            for conn in self.conns:
+            for conn in self.conns.values():
                 try:
                     conn.send((CMD_EXIT,))
                 except (BrokenPipeError, OSError):
                     pass
-            for proc in self.procs:
+            for proc in self.procs.values():
                 proc.join(timeout=5.0)
-        for conn in self.conns:
+        for conn in self.conns.values():
             try:
                 while conn.poll():
                     msg = conn.recv()
@@ -169,16 +192,19 @@ class _Pool:
                             r.name for r in iter_refs(msg[2], ShmArrayRef))
             except (EOFError, OSError):
                 pass
-        for proc in self.procs:
+        for proc in self.procs.values():
             if proc.is_alive():
                 proc.terminate()
-        for proc in self.procs:
+        for proc in self.procs.values():
             proc.join(timeout=5.0)
             if proc.is_alive():  # pragma: no cover - terminate() sufficed so far
                 proc.kill()
                 proc.join(timeout=5.0)
-        for conn in self.conns:
+        for conn in self.conns.values():
             conn.close()
+        if self.here is not None:  # every reader of its slabs is done
+            self.here.close()
+            self.here = None
         self.bells = []
         if self.block is not None:
             self.block.close()
@@ -193,6 +219,47 @@ class _Pool:
                 "reclaimed %d leaked worker shm segment(s) at shutdown: %s",
                 len(leaked), ", ".join(leaked),
             )
+
+
+class _Watchdog(threading.Thread):
+    """Rank 0's inactivity timeout, while the caller runs its program: the
+    first error ``stale`` returns (asked every ``timeout`` / 4) interrupts
+    the caller with a KeyboardInterrupt — a SIGINT on the main thread, so
+    a sleep wakes too, else an asynchronous one — and ``with`` raises it."""
+
+    def __init__(self, stale: Callable, timeout: float | None):
+        super().__init__(name="repro-mp-watchdog", daemon=True)
+        self.stale, self.timeout, self.fired = stale, timeout, None
+        self.tid, self.done = threading.get_ident(), threading.Event()
+
+    def __enter__(self) -> None:
+        if self.timeout is not None:
+            self.start()
+
+    def run(self) -> None:
+        while not self.done.wait(self.timeout / 4):
+            if (error := self.stale()) is not None:
+                self.fired = error  # first: a KeyboardInterrupt is ours
+                if (self.tid == threading.main_thread().ident and
+                        signal.getsignal(signal.SIGINT) is
+                        signal.default_int_handler):
+                    signal.pthread_kill(self.tid, signal.SIGINT)
+                else:
+                    _SET_ASYNC_EXC(self.tid, KeyboardInterrupt)
+                return
+
+    def __exit__(self, kind, *_) -> None:
+        self.done.set()
+        try:
+            if self.ident is not None:
+                self.join()  # ``fired`` is final now
+            if self.fired is not None and kind is not KeyboardInterrupt:
+                time.sleep(1.0)  # its interrupt is on the way: let it land
+        except KeyboardInterrupt:
+            if self.fired is None:
+                raise  # a real Ctrl-C
+        if self.fired is not None:
+            raise self.fired from None
 
 
 class MpBackend(Backend):
@@ -272,9 +339,10 @@ class MpBackend(Backend):
             return world, stage_plane(args, pins), stage_plane(kwargs, pins)
         return world, localize_plane(args), localize_plane(kwargs)
 
-    def _spawn(self, p: int, first=None) -> _Pool:
-        """Start ``p`` command-loop workers; ``first`` is a ``CMD_RUN`` the
-        workers start on (fork only: it is inherited, never pickled)."""
+    def _spawn(self, p: int, first=None, here: bool = False) -> _Pool:
+        """Start ``p`` command-loop workers, or ``p`` − 1 with rank 0
+        ``here``; ``first`` is a ``CMD_RUN`` the workers start on (fork
+        only: it is inherited, never pickled)."""
         token = _run_slab_token()
         specs = [WorkerSpec(rank, p, self.cache, self.shm_threshold,
                             self.use_arena, f"{token}r{rank}n", f"{token}c",
@@ -282,13 +350,13 @@ class MpBackend(Backend):
                  for rank in range(p)]
         if self.start_method == "fork":
             # Workers inherit sys.modules: do the kernels' lazy import here,
-            # or every pool's root pays it (~0.3 s) after the fork.
+            # or every pool's workers pay it (~0.3 s) after the fork.
             import scipy.sparse.csgraph  # noqa: F401
         return _Pool(multiprocessing.get_context(self.start_method), specs,
-                     token, first)
+                     token, first, here)
 
     def _dispatch(self, pool: _Pool, world_gid: int, seed: int, program,
-                  args, kwargs, faults) -> RunResult:
+                  args, kwargs, faults, here=None) -> RunResult:
         """One run on ``pool``: ship the ``CMD_RUN``, then supervise."""
         token = pool.program_tokens.get(program)
         first = token is None
@@ -300,12 +368,12 @@ class MpBackend(Backend):
              args, kwargs, tuple(faults or ()))))
         pool.program_tokens[program] = token
         pool.runs += 1  # the workers count their runs too
-        for rank, conn in enumerate(pool.conns):
+        for rank, conn in pool.conns.items():
             try:
                 conn.send_bytes(buf)
             except (BrokenPipeError, OSError):
                 raise self._crash(pool, rank) from None
-        return self._supervise(pool, input_bytes=len(buf) * pool.p)
+        return self._supervise(pool, len(buf) * len(pool.conns), here)
 
     def run(
         self,
@@ -317,9 +385,10 @@ class MpBackend(Backend):
         kwargs: dict | None = None,
         faults: Sequence[FaultSpec] | None = None,
     ) -> RunResult:
-        """Run ``program`` on ``p`` fresh worker processes (``faults``: see
-        :mod:`repro.faults`).  Under ``fork`` the workers inherit the run
-        — nothing published, pickled or sent; otherwise it is staged and
+        """Run ``program`` on ``p`` ranks (``faults``: see
+        :mod:`repro.faults`): rank 0 is this process, ranks 1..p−1 fresh
+        workers.  Under ``fork`` the workers inherit the run — nothing
+        published, pickled or sent; otherwise it is staged and
         dispatched."""
         inherit = self.start_method == "fork"
         # Pins are dropped (and segments unlinked unless a longer-lived
@@ -329,20 +398,19 @@ class MpBackend(Backend):
         world, args, kwargs = self._begin(p, args, kwargs, plane_pins,
                                           stage=not inherit)
         try:
-            first = None
-            if inherit:
-                # Fail where a CMD_RUN would, before any worker exists: an
-                # unimportable program does not pickle by reference.
-                ForkingPickler.dumps(program)
-                first = (CMD_RUN, world.gid, seed, 0, program, args, kwargs,
-                         tuple(faults or ()))
-            pool = self._spawn(world.size, first)
+            # Fail where a CMD_RUN would, before any worker exists: an
+            # unimportable program does not pickle by reference.
+            ForkingPickler.dumps(program)
+            msg = (CMD_RUN, world.gid, seed, 0, program, args, kwargs,
+                   tuple(faults or ()))
+            pool = self._spawn(world.size, msg if inherit else None,
+                               here=True)
             try:
                 if inherit:
-                    result = self._supervise(pool, input_bytes=0)
+                    result = self._supervise(pool, 0, msg)
                 else:
                     result = self._dispatch(pool, world.gid, seed, program,
-                                            args, kwargs, faults)
+                                            args, kwargs, faults, msg)
             except BaseException:
                 pool.shutdown()  # workers may be wedged mid-collective
                 raise
@@ -362,17 +430,15 @@ class MpBackend(Backend):
         proc.join(timeout=5.0)
         return WorkerCrashError(rank, proc.exitcode, superstep=superstep)
 
-    def _supervise(self, pool: _Pool, input_bytes: int) -> RunResult:
-        """Wait for every ``MSG_DONE`` of run ``pool.runs``, watching the
-        sentinels and the control block; then assemble the result."""
+    def _supervise(self, pool: _Pool, input_bytes: int,
+                   here: tuple | None = None) -> RunResult:
+        """Run the ``CMD_RUN`` ``here`` as rank 0, if given, then wait for
+        every ``MSG_DONE`` of run ``pool.runs``, watching the sentinels and
+        the control block; then assemble the result."""
         p, run, tracer = pool.p, pool.runs, self.tracer
         events_before = len(tracer)
-        stats = TransportStats()
-        stats.note("input", messages=p, pickle_bytes=input_bytes)
         live = set(range(p))  # ranks yet to report DONE
-        values, counters = [None] * p, [None] * p
-        app_s, mpi_s = [0.0] * p, [0.0] * p
-        events: list = []
+        done: list = [None] * p  # per rank: what MSG_DONE carries after it
 
         def drain(rank) -> None:
             conn = pool.conns[rank]
@@ -380,11 +446,7 @@ class MpBackend(Backend):
                 while rank in live and conn.poll():
                     msg = conn.recv()
                     if msg[0] == MSG_DONE:
-                        (values[rank], counters[rank], app_s[rank],
-                         mpi_s[rank], worker_stats, recorded) = msg[2:]
-                        values[rank] = decode_payload(values[rank])
-                        stats.merge(worker_stats)
-                        events.extend(recorded or ())
+                        done[rank] = (decode_payload(msg[2]), *msg[3:])
                         live.discard(rank)
                     elif msg[0] == MSG_FAULT:
                         raise msg[2]
@@ -397,44 +459,69 @@ class MpBackend(Backend):
 
         t0 = quiet = perf_counter()
         seen = None
-        try:
-            while live:
-                ranks = sorted(live)
-                wait_s = None
-                if self.timeout is not None:
-                    wait_s = max(0.0, min(self.timeout / 4,
-                                          quiet + self.timeout - perf_counter()))
-                ready = _conn_wait(
-                    [pool.conns[r] for r in ranks]
-                    + [pool.procs[r].sentinel for r in ranks],
-                    timeout=wait_s,
-                )
-                for rank in ranks:  # messages first: a worker that
-                    drain(rank)     # reported, then exited, did not crash
-                for obj in ready:
-                    rank = pool.sentinel_rank.get(obj)
-                    if rank in live:  # died before reporting
-                        raise self._crash(pool, rank,
-                                          pool.where(rank, run)[0])
-                # Inactivity: no message, and no rank changed state.
-                now, versions = perf_counter(), [h[3] for h in
-                                                 pool.block.heads()]
-                if ready or versions != seen:
-                    seen, quiet = versions, now
-                elif self.timeout is not None and now - quiet >= self.timeout:
-                    where = {r: pool.where(r, run) for r in ranks}
-                    silent = [r for r in ranks if not where[r][1]] or ranks
-                    raise WorkerTimeoutError(
-                        self.timeout, silent,
-                        supersteps={r: where[r][0] for r in silent},
-                    )
-        finally:
-            self.last_transport_stats = stats.as_dict()
 
+        def stale() -> WorkerTimeoutError | None:
+            """The inactivity timeout's error, once no rank changed state
+            for ``timeout``."""
+            nonlocal quiet, seen
+            now, versions = perf_counter(), [h[3] for h in pool.block.heads()]
+            if versions != seen:
+                seen, quiet = versions, now
+            elif self.timeout is not None and now - quiet >= self.timeout:
+                ranks = sorted(live)
+                where = {r: pool.where(r, run) for r in ranks}
+                silent = [r for r in ranks if not where[r][1]] or ranks
+                return WorkerTimeoutError(
+                    self.timeout, silent,
+                    supersteps={r: where[r][0] for r in silent})
+            return None
+
+        def check(block: bool = False) -> None:
+            """The one check of the workers — also between rank 0's sleeps:
+            ``block``, wait a while for a message or a death, then for the
+            inactivity timeout (rank 0's is the watchdog's)."""
+            wait_s = 0.0
+            if block:
+                wait_s = None if self.timeout is None else max(0.0, min(
+                    self.timeout / 4, quiet + self.timeout - perf_counter()))
+            workers = [r for r in sorted(live) if r in pool.procs]
+            ready = _conn_wait(
+                [pool.conns[r] for r in workers]
+                + [pool.procs[r].sentinel for r in workers],
+                timeout=wait_s,
+            )
+            for rank in workers:  # messages first: a worker that
+                drain(rank)       # reported, then exited, did not crash
+            for obj in ready:
+                rank = pool.sentinel_rank.get(obj)
+                if rank in live:  # died before reporting
+                    raise self._crash(pool, rank, pool.where(rank, run)[0])
+            if block and (error := stale()) is not None:
+                raise error
+
+        try:
+            if here is not None:
+                with _Watchdog(stale, self.timeout):
+                    done[0] = run_here(pool.here, here, check)
+                live.discard(0)
+            while live:
+                check(block=True)
+        finally:
+            stats = TransportStats()
+            stats.note("input", messages=len(pool.procs),
+                       pickle_bytes=input_bytes)
+            for fields in filter(None, done):
+                stats.merge(fields[4])
+            # Per rank: minor faults and CPU seconds over its run.
+            self.last_transport_stats = {**stats.as_dict(),
+                                         "ranks": [d and d[6] for d in done]}
+
+        values, counters, app_s, mpi_s, _, events, _ = map(list, zip(*done))
         report = CountersReport.from_procs(counters)
         trace = None
         if tracer.enabled:
-            for *_, hook, kw in sorted(events, key=lambda ev: ev[:3]):
+            recorded = (ev for evs in events for ev in evs or ())
+            for *_, hook, kw in sorted(recorded, key=lambda ev: ev[:3]):
                 getattr(tracer, hook)(**kw)
             tracer.on_finish([c.snapshot() for c in counters],
                              wall_s=perf_counter() - t0)

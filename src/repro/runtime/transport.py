@@ -428,19 +428,27 @@ class Transport:
         self.arena = ShmArena(max_retained, name_prefix=slab_prefix)
         self._attached = AttachCache(cap=_SLAB_ATTACH_CAP)
         self.stats = TransportStats()
+        self._frozen = []
         self.register(())
 
     def register(self, args) -> None:
         """The run's inputs — the ndarrays and ``EdgeList`` columns of its
         arguments, alike on every member: a payload leaf that *is* one
         encodes (arena mode) as an :class:`InputRef`.  They turn
-        read-only, so a reference never names data its sender changed."""
+        read-only, so a reference never names data its sender changed —
+        until the next ``register`` or :meth:`close` (the caller's own)."""
+        for a in self._frozen:
+            try:
+                a.flags.writeable = True
+            except ValueError:  # numpy's rule for an array unpickled
+                pass            # from bytes: frozen once, frozen for good
         self.inputs = []
         walk(args, lambda x: self.inputs.extend(
             (x.u, x.v, x.w) if isinstance(x, EdgeList)
             else [x] if isinstance(x, np.ndarray) else ()))
         self._keys = {id(a): key for key, a in enumerate(self.inputs)}
-        for a in self.inputs:
+        self._frozen = [a for a in self.inputs if a.flags.writeable]
+        for a in self._frozen:
             a.flags.writeable = False
 
     def _input_ref(self, obj):
@@ -518,5 +526,6 @@ class Transport:
     def close(self) -> list[str]:
         """Drop peer attachments and unlink the own arena; returns the
         unlinked slab names."""
+        self.register(())
         self._attached.clear()
         return self.arena.close()

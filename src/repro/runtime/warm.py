@@ -20,7 +20,7 @@ this class adds is what it keeps:
   errors as ``mp``, no leaked processes or segments.
 
 Call :meth:`close` (or use the backend as a context manager) when done:
-an explicit close is what keeps /dev/shm clean at a deterministic point.
+it frees /dev/shm at a deterministic point, not at interpreter exit.
 """
 
 from __future__ import annotations

@@ -11,13 +11,16 @@ matching collective (same run, group and per-group step) it runs
 its own result and counters — the simulator's arithmetic on the same
 inputs.  Wall-clock splits into *application* time (generator running)
 and *MPI* time (encode to result).  One command loop
-(:func:`persistent_worker_main`) under ``mp`` and ``warm``, spawn-safe.
+(:func:`persistent_worker_main`) under ``mp`` and ``warm``, spawn-safe;
+a one-shot ``mp`` run's rank 0 is the caller itself (:func:`run_here`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
+import resource
 import signal
 import time
 import traceback
@@ -34,6 +37,7 @@ from repro.cache.model import CacheParams
 from repro.faults import FaultInjector
 from repro.graph.shm import resolve_plane
 from repro.rng.streams import RngStreams
+from repro.runtime.errors import WorkerCrashError, WorkerProgramError
 from repro.runtime.transport import Transport, TransportStats, encode_payload
 from repro.shmem import attach_segment
 from repro.trace.tracer import NULL_TRACER, Tracer
@@ -64,8 +68,11 @@ _SLOT_BYTES = 1 << 17
 #: How long a waiting rank polls before it sleeps on its doorbell, when
 #: every rank has a CPU of its own (a peer about to post is cheaper to
 #: poll for than to be woken by); and its longest sleep, between checks
-#: for a deadlock and for a departed parent.
-_SPIN_S, _WAKE_S = 2e-3, 1.0
+#: for a deadlock and for a departed parent (the caller's rank: for its
+#: workers' reports and deaths, ``_WATCH_S``).
+_SPIN_S, _WAKE_S, _WATCH_S = 2e-3, 1.0, 0.05
+#: glibc's ``malloc_trim`` (None elsewhere): see persistent_worker_main.
+_MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None)
 
 
 @dataclass(frozen=True)
@@ -122,6 +129,11 @@ class _Fault(Exception):
     """Wraps an exception the superstep raised, for ``MSG_FAULT``."""
 
 
+class _AsIs(BaseException):
+    """Wraps what the caller's rank raises unchanged: a worker failure its
+    watch found, or its own crash fault."""
+
+
 class _Capture(Tracer):
     """A worker's tracer: keeps the hook calls of the groups this rank is
     the lowest member of, stamped with the Lamport step the posted clocks
@@ -147,15 +159,19 @@ class _Capture(Tracer):
 
 
 class Peers:
-    """This rank's end of the control block: post, match, ack.  A reader
-    acks a post's slot as it copies it and the post's payload segments at
-    its own next post; the owner reuses either once every reader has."""
+    """This rank's end of the control block (post, match, ack) and its
+    transport.  A reader acks a post's slot as it copies it and the post's
+    payload segments at its own next post; the owner reuses either once
+    every reader has."""
 
-    def __init__(self, spec: WorkerSpec, bells, transport: Transport):
-        self.rank, self.p = spec.rank, spec.p
+    def __init__(self, spec: WorkerSpec, bells):
+        self.spec, self.rank, self.p = spec, spec.rank, spec.p
         self.block = ControlBlock(attach_segment(spec.block), spec.p)
         self.bells, self.bell = bells, bells[spec.rank]
-        self.transport = transport
+        self.transport = Transport(threshold=spec.shm_threshold,
+                                   use_arena=spec.use_arena,
+                                   slab_prefix=spec.slab_prefix)
+        self.watch = None  # the caller's rank: see run_here
         self.seq = 0
         self.readers = [(), ()]  # per slot: the ranks that must copy it
         self.lent = []           # (seq, segment names, readers) unacked
@@ -275,9 +291,16 @@ class Peers:
                 return
             if group is not None:
                 self._check_deadlock(group)
-            if (not self.bell.acquire(timeout=_WAKE_S)
-                    and os.getppid() != self.ppid):
-                os._exit(1)  # the parent is gone
+            if self.bell.acquire(timeout=_WAKE_S if self.watch is None
+                                 else _WATCH_S):
+                continue
+            try:  # the caller's rank watches its workers
+                if self.watch is not None:
+                    self.watch()
+                elif os.getppid() != self.ppid:
+                    os._exit(1)  # the parent is gone
+            except Exception as exc:
+                raise _AsIs(exc) from None
 
     def _check_deadlock(self, group: Group) -> None:
         """``Engine._ready`` on a consistent snapshot of every rank's
@@ -341,6 +364,8 @@ class Peers:
     def close(self) -> None:
         self.begin(None)  # pools, or unlinks, every lent segment
         self.block.close()
+        self.transport.close()
+        self.bells = self.bell = None  # a traceback may outlive the pool
 
 
 def _post(op: CollectiveOp, payload, counters: ProcCounters, engine: Engine,
@@ -400,9 +425,12 @@ def _readers(op: CollectiveOp, forwarded: bool) -> tuple:
     return tuple(m for m in members if m != op.sender)
 
 
-def _drive(conn, spec: WorkerSpec, transport: Transport, peers: Peers, *,
-           world_gid, seed, program, args, kwargs, faults) -> None:
-    """Run one ``CMD_RUN`` to completion, collective by collective."""
+def _drive(peers: Peers, world_gid, seed, program, args, kwargs,
+           faults) -> tuple:
+    """Run one ``CMD_RUN`` to completion, collective by collective; returns
+    what ``MSG_DONE`` carries after the rank (the value first)."""
+    spec, transport = peers.spec, peers.transport
+    start = resource.getrusage(resource.RUSAGE_SELF)
     capture = _Capture(spec.rank) if spec.trace else None
     engine = Engine(cache=spec.cache, fuse=spec.fuse,
                     tracer=NULL_TRACER if capture is None else capture)
@@ -453,8 +481,10 @@ def _drive(conn, spec: WorkerSpec, transport: Transport, peers: Peers, *,
         dropped = False
         for fault in injector.at(local_step):
             if fault.kind == "crash":
-                conn.close()  # abrupt: no error report, just a dead process
-                os._exit(fault.exitcode)
+                if peers.watch is None:  # abrupt: no report, a dead process
+                    os._exit(fault.exitcode)
+                raise _AsIs(WorkerCrashError(spec.rank, fault.exitcode,
+                                             superstep=local_step))
             elif fault.kind == "work":
                 counters.charge(ops=fault.ops)
             elif fault.kind == "stall":
@@ -468,8 +498,8 @@ def _drive(conn, spec: WorkerSpec, transport: Transport, peers: Peers, *,
         wire, names = transport.encode(op.payload, op.kind)
         buf = _post(op, wire, counters, engine, capture)
         transport.stats.note(op.kind, pickle_bytes=len(buf))
-        while dropped:  # never posted: silent until the parent's timeout
-            time.sleep(3600.0)
+        while dropped:  # never posted: silent until the inactivity timeout
+            time.sleep(_WATCH_S)
         if delay_s:
             time.sleep(delay_s)
         gid = op.group.gid
@@ -489,13 +519,28 @@ def _drive(conn, spec: WorkerSpec, transport: Transport, peers: Peers, *,
 
     peers.finish()
     transport.register(())
-    # The value rides one-shot segments its single reader, the parent,
-    # unlinks.
-    conn.send((
-        MSG_DONE, spec.rank, encode_payload(gen_value, spec.shm_threshold),
-        counters, app_s, mpi_s, transport.stats,
-        None if capture is None else capture.events,
-    ))
+    end = resource.getrusage(resource.RUSAGE_SELF)
+    usage = {"minor_faults": end.ru_minflt - start.ru_minflt, "cpu_s": (
+        end.ru_utime + end.ru_stime - start.ru_utime - start.ru_stime)}
+    return (gen_value, counters, app_s, mpi_s, transport.stats,
+            None if capture is None else capture.events, usage)
+
+
+def run_here(peers: Peers, msg: tuple, watch: Callable[[], None]) -> tuple:
+    """The ``CMD_RUN`` ``msg`` as the caller's own rank (``watch`` checks
+    its workers between sleeps): what ``MSG_DONE`` would carry after the
+    rank, or what the parent raises for such a report."""
+    peers.watch = watch
+    try:
+        return _drive(peers, *msg[1:3], *msg[4:])
+    except _AsIs as exc:
+        raise exc.args[0] from None
+    except _Fault as fault:
+        watch()  # a worker's report first: its failure may be the cause
+        raise fault.args[0] from None
+    except Exception as exc:
+        raise WorkerProgramError(peers.rank, type(exc).__name__,
+                                 traceback.format_exc()) from None
 
 
 def persistent_worker_main(conn, spec: WorkerSpec, bells,
@@ -512,13 +557,16 @@ def persistent_worker_main(conn, spec: WorkerSpec, bells,
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover - exotic hosts
         pass
-    transport = Transport(threshold=spec.shm_threshold,
-                          use_arena=spec.use_arena,
-                          slab_prefix=spec.slab_prefix)
+    if _MALLOC_TRIM is not None:
+        # A forked worker maps the caller's heap copy-on-write; giving its
+        # free pages back spares the caller (rank 0) a page copy at each
+        # write there: 3.4 -> 1.1 us a fault on a 2-vCPU VM.  The walk
+        # costs ~37 ms per GB of fragmented heap (docs/runtime.md).
+        _MALLOC_TRIM(0)
     peers = None
     programs: dict[int, Callable] = {}  # parent token -> callable
     try:
-        peers = Peers(spec, bells, transport)
+        peers = Peers(spec, bells)
         while True:
             try:
                 msg, first = first or conn.recv(), None
@@ -533,9 +581,12 @@ def persistent_worker_main(conn, spec: WorkerSpec, bells,
                 program = programs[token]
             else:
                 programs[token] = program
-            _drive(conn, spec, transport, peers, world_gid=world_gid,
-                   seed=seed, program=program, args=args, kwargs=kwargs,
-                   faults=faults)
+            value, *done = _drive(peers, world_gid, seed, program, args,
+                                  kwargs, faults)
+            # The value rides one-shot segments its single reader, the
+            # parent, unlinks.
+            conn.send((MSG_DONE, spec.rank,
+                       encode_payload(value, spec.shm_threshold), *done))
     except BaseException as exc:  # noqa: BLE001 - forwarded to the parent
         error = (MSG_ERROR, spec.rank, type(exc).__name__,
                  traceback.format_exc())
@@ -550,5 +601,4 @@ def persistent_worker_main(conn, spec: WorkerSpec, bells,
     finally:
         if peers is not None:
             peers.close()
-        transport.close()
         conn.close()

@@ -1,4 +1,8 @@
 """Smokes of the mp runtime under spawn, and the leak check's own test."""
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import shmem
@@ -62,6 +66,30 @@ def test_crash():
     assert res.value == clean.value == 2.0
     # the retry reproduced the fault-free ledger
     assert res.ledger.fingerprint() == clean.ledger.fingerprint()
+
+
+_LEFT_OPEN = """
+import sys
+from repro.runtime import WarmMpBackend
+from tests.test_fault_injection_mp import two_step_program
+warm = WarmMpBackend(timeout=300.0)
+assert warm.run(two_step_program, 2, kwargs={"nwords": 1 << 16}).values \\
+    == [6.0, 6.0]
+"""
+
+
+@pytest.mark.parametrize("end, code", [("raise KeyError('left open')", 1),
+                                       ("sys.exit(3)", 3), ("", 0)])
+def test_warm_pool_left_open(end, code):
+    """A process that ends without closing its warm pool — by an exception,
+    ``sys.exit`` or the end of the script — leaves /dev/shm as it found it:
+    the pool's exit hook stops the workers and unlinks the control block
+    and every slab."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _LEFT_OPEN + end], env=env,
+                          timeout=300, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert "reclaimed" not in proc.stderr  # the workers unlinked their own
 
 
 def test_peer_groups():

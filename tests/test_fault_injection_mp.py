@@ -1,13 +1,17 @@
 """Fault injection against real OS processes: crash/drop/work faults at
 the transport seam, error context (superstep, trials in flight), and the
-zero-shm-leak guarantee after a worker is killed mid-collective."""
+zero-shm-leak guarantee after a worker is killed mid-collective — or after
+a fault in rank 0, which a one-shot run runs in the caller itself."""
 
 import errno
 import logging
 import multiprocessing
 import operator
 import os
+import signal
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -53,13 +57,41 @@ def merging_program(ctx):
     return a, b.tolist(), c, d, dict(vars(ctx.counters))
 
 
-def raising_program(ctx, nwords=1):
-    """One collective with live slabs, then rank 1 raises."""
+def raising_program(ctx, nwords=1, who=1):
+    """One collective with live slabs, then rank ``who`` raises."""
     data = np.full(nwords, float(ctx.rank + 1))
     yield from ctx.comm.allreduce(data, op=operator.add)
-    if ctx.rank == 1:
-        raise ValueError("boom from rank 1")
+    if ctx.rank == who:
+        raise ValueError(f"boom from rank {who}")
     yield from ctx.comm.allreduce(data, op=operator.add)
+
+
+def _failing_fold(a, b):
+    raise ArithmeticError("fold failed")
+
+
+def subgroup_fault_program(ctx):
+    """Ranks 1 and 2 fold with an op that raises, while rank 0 waits for
+    them in a world collective."""
+    sub = yield from ctx.comm.split(min(ctx.rank, 1), ctx.rank)
+    if ctx.rank:
+        yield from sub.allreduce(float(ctx.rank), op=_failing_fold)
+    yield from ctx.comm.barrier()
+
+
+def spinning_program(ctx):
+    """Rank 0's own code spins for two minutes before its first post."""
+    end = time.monotonic() + 120.0
+    while ctx.rank == 0 and time.monotonic() < end:
+        pass
+    yield from ctx.comm.barrier()
+
+
+def interrupted_program(ctx):
+    """Rank 0 is sent SIGINT (Ctrl-C) while it waits in a collective."""
+    if ctx.rank == 0:
+        threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT)).start()
+    yield from ctx.comm.barrier()
 
 
 def _shm_entries() -> set:
@@ -200,7 +232,8 @@ class TestOneLifecycle:
     def test_failed_worker_start_leaks_no_worker(self, real_backend,
                                                  monkeypatch):
         """A pool whose second worker fails to start stops the first before
-        the error surfaces, and the next run spawns a whole pool."""
+        the error surfaces, and the next run spawns a whole pool.  (p = 3:
+        a one-shot run's rank 0 is the caller, so its workers are two.)"""
         ctx = multiprocessing.get_context(real_backend.start_method)
         real_start = ctx.Process.start
         starts = []
@@ -215,7 +248,7 @@ class TestOneLifecycle:
         with monkeypatch.context() as patch:
             patch.setattr(ctx.Process, "start", start)
             with pytest.raises(OSError):
-                real_backend.run(two_step_program, 2, seed=0)
+                real_backend.run(two_step_program, 3, seed=0)
         assert _children() <= children_before
         res = real_backend.run(two_step_program, 2, seed=0)
         assert res.values == [6.0, 6.0]
@@ -238,6 +271,122 @@ class TestOneLifecycle:
         assert _children() <= children_before
         assert _shm_entries() - before == set()
         assert "reclaimed" not in caplog.text  # nothing left for the sweep
+
+
+_SPAWN_SMOKE = pytest.param("spawn", marks=pytest.mark.smoke)
+
+
+class TestRankZeroIsTheCaller:
+    """A one-shot run's rank 0 is the calling process: a fault aimed at it,
+    or at a worker while it is blocked in a collective, raises its typed
+    error in a caller that lives on, and leaves no process and no name in
+    /dev/shm (``sem.*`` included).  Under ``spawn`` the matrix is a smoke
+    (``-m smoke``): each run pays a fresh interpreter."""
+
+    CASES = {  # faults and program kwargs -> error and what it carries
+        "crash": ([FaultSpec("crash", rank=0, step=1)], {}, WorkerCrashError,
+                  {"rank": 0, "superstep": 1, "exitcode": CRASH_EXIT_CODE}),
+        "raise": (None, {"who": 0}, WorkerProgramError,
+                  {"rank": 0, "exc_type": "ValueError"}),
+        "drop": ([FaultSpec("drop", rank=0, step=1)], {}, WorkerTimeoutError,
+                 {"missing": [0], "supersteps": {0: 1}}),
+        "stall": ([FaultSpec("stall", rank=0, step=1, seconds=600.0)], {},
+                  WorkerTimeoutError, {"missing": [0], "supersteps": {0: 1}}),
+        "delay": ([FaultSpec("delay", rank=0, step=1, seconds=600.0)], {},
+                  WorkerTimeoutError, {"missing": [0], "supersteps": {0: 1}}),
+        "crash-peer": ([FaultSpec("crash", rank=1, step=1)], {},
+                       WorkerCrashError, {"rank": 1, "superstep": 1}),
+        "raise-peer": (None, {"who": 1}, WorkerProgramError,
+                       {"rank": 1, "exc_type": "ValueError"}),
+        # Rank 0 finds rank 1's report at its next wait: rank 1's error.
+        "raise-peer-in-stall": (
+            [FaultSpec("stall", rank=0, step=1, seconds=0.2)], {"who": 1},
+            WorkerProgramError, {"rank": 1, "exc_type": "ValueError"}),
+    }
+
+    @staticmethod
+    def _backend(start_method):
+        require_mp()
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {start_method} on this platform")
+        # Inactivity is measured from the workers' start: spawn's is slow.
+        return MpBackend(start_method=start_method,
+                         timeout=0.5 if start_method == "fork" else 8.0)
+
+    @needs_dev_shm
+    @pytest.mark.parametrize("start_method", ["fork", _SPAWN_SMOKE])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_typed_error_in_a_live_caller(self, start_method, case):
+        faults, kwargs, error, stamps = self.CASES[case]
+        backend = self._backend(start_method)
+        before, children = _shm_entries(), _children()
+        t0 = time.monotonic()
+        with pytest.raises(error) as exc_info:
+            program = raising_program if kwargs else two_step_program
+            backend.run(program, 2, seed=0, faults=faults,
+                        kwargs={"nwords": 1 << 16, **kwargs})
+        # A fault's sleep in the caller is supervised: the timeout, not
+        # the 600 s, ends it.
+        assert time.monotonic() - t0 < 60.0
+        for attr, want in stamps.items():
+            assert getattr(exc_info.value, attr) == want
+        assert _children() <= children
+        assert _shm_entries() == before
+        assert backend.run(two_step_program, 2, seed=0).values == [6.0, 6.0]
+
+    @needs_dev_shm
+    @pytest.mark.parametrize("start_method", ["fork", _SPAWN_SMOKE])
+    @pytest.mark.parametrize("stall", [0.0, 0.3])
+    def test_a_subgroups_fault_reaches_the_caller_as_itself(
+            self, start_method, stall):
+        """A superstep error in a group without rank 0 is raised unchanged
+        while rank 0 waits elsewhere, or first stalls — not as a crash, nor
+        as rank 0's."""
+        backend = self._backend(start_method)
+        backend.timeout = 60.0
+        faults = stall and [FaultSpec("stall", rank=0, step=1, seconds=stall)]
+        before, children = _shm_entries(), _children()
+        with pytest.raises(ArithmeticError, match="fold failed"):
+            backend.run(subgroup_fault_program, 3, seed=0, faults=faults)
+        assert _children() <= children
+        assert _shm_entries() == before
+
+    @needs_dev_shm
+    def test_a_hang_off_the_main_thread_times_out(self):
+        """Rank 0's own code spinning in a caller that is not the main
+        thread is interrupted all the same: the timeout names rank 0."""
+        backend = self._backend("fork")
+        before, children, got = _shm_entries(), _children(), []
+
+        def call():
+            try:
+                backend.run(spinning_program, 2, seed=0)
+            except Exception as exc:  # noqa: BLE001 - checked below
+                got.append(exc)
+
+        t0 = time.monotonic()
+        caller = threading.Thread(target=call)
+        caller.start()
+        caller.join(timeout=60.0)
+        assert not caller.is_alive()
+        assert time.monotonic() - t0 < 60.0
+        assert [type(e) for e in got] == [WorkerTimeoutError]
+        assert got[0].missing == [0]
+        assert _children() <= children
+        assert _shm_entries() == before
+
+    @needs_dev_shm
+    @pytest.mark.parametrize("start_method", ["fork", _SPAWN_SMOKE])
+    def test_ctrl_c_tears_the_pool_down(self, start_method):
+        backend = self._backend(start_method)
+        backend.timeout = 60.0
+        before, children = _shm_entries(), _children()
+        with pytest.raises(KeyboardInterrupt):
+            backend.run(interrupted_program, 2, seed=0,
+                        faults=[FaultSpec("stall", rank=1, step=0,
+                                          seconds=600.0)])
+        assert _children() <= children
+        assert _shm_entries() == before
 
 
 class TestWorkFault:

@@ -10,6 +10,8 @@ simulator's, bit for bit.
 """
 
 import dataclasses
+import multiprocessing
+import operator
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from repro.graph.shm import plane_slices
 from repro.rng import philox_stream
 from repro.runtime import WarmMpBackend
 from repro.runtime.errors import WorkerProgramError
-from repro.runtime.mp import MpBackend
+from repro.runtime.mp import MpBackend, default_start_method
 from repro.runtime.sim import SimBackend
 from repro.trace import RecordingTracer
 from tests.conftest import require_mp
@@ -132,3 +134,33 @@ def test_skewed_slices_mix_a_reference_and_a_slab(which, monkeypatch):
     assert count == sim.root_value[1]
     assert got.report == sim.report
     assert _strip_wall(got.trace) == _strip_wall(sim.trace)
+
+
+def _own_inputs_program(ctx, arr, g):
+    """Every rank ships the same two inputs — a bare array and a whole
+    EdgeList's columns — to the root by reference."""
+    got = yield from ctx.comm.gatherv(arr, g.u, g.w, root=0)
+    total = yield from ctx.comm.allreduce(
+        float(sum(c.sum() for c in got)) if ctx.rank == 0 else 0.0,
+        op=operator.add)
+    return total
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_the_callers_inputs_stay_writeable(p, monkeypatch):
+    """Rank 0 is the caller, so its registered inputs are the caller's own
+    arrays: read-only during the run, writeable again after it.  At p = 1
+    the run starts no process at all, and still equals the simulator."""
+    require_mp()
+    arr = np.arange(10_000, dtype=np.float64)
+    g = erdos_renyi(2000, 10_000, philox_stream(14), weighted=True)
+    ctx = multiprocessing.get_context(default_start_method())
+    real_start, starts = ctx.Process.start, []
+    monkeypatch.setattr(ctx.Process, "start",
+                        lambda proc: (starts.append(proc), real_start(proc)))
+    got = MpBackend(timeout=180.0).run(_own_inputs_program, p, args=(arr, g))
+    want = SimBackend().run(_own_inputs_program, p, args=(arr, g))
+    assert got.values == want.values and got.report == want.report
+    assert len(starts) == p - 1
+    assert all(a.flags.writeable for a in (arr, g.u, g.v, g.w))
+    arr[0] = g.w[0] = -1.0  # the caller's own arrays again
