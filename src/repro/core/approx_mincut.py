@@ -16,8 +16,8 @@ level the marginal is exactly §3.3's and edges and trials stay independent
 — all Theorem 3.4 uses besides a union bound over levels, which needs no
 independence *between* them — while a trial's subgraphs become nested, so
 "some trial is disconnected at level ``i``" is monotone in ``i``.  ``U`` is
-one word per (edge, trial): no more than the level-1 union (two words per
-kept pair, keep probability >= 1/2) a level-by-level scan builds first.
+one word per (edge, trial), read one trial row at a time: a probe's union
+is int32 ids (two half-words per kept pair) while its vertex space fits.
 
 Two execution schedules, as in the paper:
 
@@ -34,7 +34,8 @@ Two execution schedules, as in the paper:
   ``2 ceil(log2 n_levels) + 1`` stages whatever the answer, a log-factor
   less space than the pipeline.  Below a disconnected ``hi`` a probe
   *descends* (§3.2): ``hi``'s subgraphs sample each denser level's, so CC
-  runs on ``hi``'s union components over only the edges ``hi`` lacks.
+  runs on ``hi``'s union components over only the edges ``hi`` lacks, in
+  only the trials ``hi`` split (the others' are all loops).
   The trade (DESIGN.md §1, item 3): a scan from level 1 stops after
   *answer-level* stages, so a minimum cut far below the average degree —
   two cliques and a unit bridge, a skewed R-MAT — costs a few stages over
@@ -69,25 +70,39 @@ def _keep_probability(w: np.ndarray, level: int) -> np.ndarray:
 def _sample_union(ctx, u, v, w, n, draws, levels, above=None):
     """Local edges of the union graph of trial ``t``'s level-``levels[b]``
     subgraph ``draws[t] < keep probability``, in vertex block
-    ``b * trials + t`` of ``n * trials * len(levels)``.  ``above=(hi,
-    labels)`` (one level): edges absent at ``hi``, between its components."""
+    ``b * trials + t`` of ``n * trials * len(levels)``: int32 ids while
+    that global size fits.  ``above=(hi, labels)`` (one level): edges
+    absent at ``hi``, between its components (none if connected at hi)."""
     trials = draws.shape[0]
-    us, vs = [], []
+    ids = np.int32 if n * trials * len(levels) < 2 ** 31 else np.int64
+    us, vs = [np.zeros(0, ids)], [np.zeros(0, ids)]
+    u, v = u.astype(ids, copy=False), v.astype(ids, copy=False)
+    if above is not None:
+        split = _blocks_disconnected(above[1], n, trials)
+        labels = above[1].astype(ids).reshape(trials, n)
+        lacks = _keep_probability(w, above[0])
     for b, level in enumerate(levels):
-        kept = draws < _keep_probability(w, level)
-        if above is not None:
-            kept &= draws >= _keep_probability(w, above[0])
-        # flat indices: far cheaper than a 2-d nonzero
-        t, e = np.divmod(np.flatnonzero(kept), u.size)
-        off = (t + b * trials) * np.int64(n)
-        su, sv = u[e] + off, v[e] + off
+        keep, kept = _keep_probability(w, level), 0
+        for t, row in enumerate(draws):  # row by row: no (trials, m) mask
+            mask = row < keep
+            if above is not None:
+                mask &= row >= lacks
+                if not split[t]:  # all loops: counted for the charge only
+                    kept += int(np.count_nonzero(mask))
+                    continue
+            e = np.flatnonzero(mask)
+            kept += e.size
+            if above is None:
+                off = ids((b * trials + t) * n)
+                us.append(u[e] + off)
+                vs.append(v[e] + off)
+            else:
+                su, sv = labels[t][u[e]], labels[t][v[e]]
+                us.append(su[su != sv])
+                vs.append(sv[su != sv])
         ctx.charge_scan(draws.size, words_per_elem=3)  # compare, compress
         if above is not None:
-            su, sv = above[1][su], above[1][sv]
-            ctx.charge_random(2 * e.size, working_set=above[1].size)
-            su, sv = su[su != sv], sv[su != sv]
-        us.append(su)
-        vs.append(sv)
+            ctx.charge_random(2 * kept, working_set=above[1].size)
     return np.concatenate(us), np.concatenate(vs)
 
 

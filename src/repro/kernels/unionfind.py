@@ -12,6 +12,7 @@ table in ``docs/kernels.md``).  Roots are always the minimum vertex of
 each component, hence dense labels are in first-appearance order — exactly
 what scipy's traversal produces and what
 :func:`~repro.kernels.reference.scalar_cc_roots` returns byte for byte.
+Ids go in as int32 or int64 and stay so; labels come out int64.
 
 :func:`earliest_forest` finds the edges a union-find reading a stream front
 to back merges on — the minimum spanning forest under *arrival-index
@@ -82,8 +83,7 @@ def cc_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Self-loops are ignored.
     """
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
+    u, v = _ids(u), _ids(v)
     if u.size == 0:
         return np.arange(n, dtype=np.int64)
     labels, _k = _cc_labels_scipy(n, u, v)
@@ -93,10 +93,20 @@ def cc_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return first[labels].astype(np.int64)
 
 
+def _ids(x: np.ndarray) -> np.ndarray:
+    """Vertex ids: int32 or int64 as given (no upcast), else int64."""
+    x = np.asarray(x)
+    return x if x.dtype in (np.int32, np.int64) else x.astype(np.int64)
+
+
 def _scipy_pass(n: int, u: np.ndarray, v: np.ndarray):
-    """One ``csgraph.connected_components`` call; scipy's own int32 labels."""
+    """One ``csgraph.connected_components`` call; scipy's own int32 labels.
+
+    The traversal reads adjacency only and labels in vertex order, so a
+    matrix declared canonical (no sort, no duplicate sum) moves no label."""
     coo_matrix, connected_components, _mst = _scipy_csgraph()
-    adj = coo_matrix((np.ones(u.size, dtype=np.int8), (u, v)), shape=(n, n))
+    adj = coo_matrix((np.ones(u.size), (u, v)), shape=(n, n))
+    adj.has_canonical_format = True
     count, labels = connected_components(adj, directed=False)
     return labels, int(count)
 
@@ -127,8 +137,7 @@ def _cc_labels_scipy(n: int, u: np.ndarray, v: np.ndarray):
 
 def cc_labels(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense component labels ``0..k-1`` (first-appearance order) + count."""
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
+    u, v = _ids(u), _ids(v)
     if u.size == 0:
         return np.arange(n, dtype=np.int64), n
     return _cc_labels_scipy(n, u, v)

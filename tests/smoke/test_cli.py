@@ -73,17 +73,38 @@ def test_trace_parity(cli, graphs, tmp_path, monkeypatch, algorithm, graph):
     assert stripped[0] == stripped[1], "sim/mp trace events diverged"
     assert aggregate_trace(sim) == aggregate_trace(mp)
     if algorithm == "approx_cut":
-        # The same call in-process, spied: the runs above probed below a
-        # disconnected level on its supervertices.
-        from repro.core import approx_mincut, approx_minimum_cut
+        # The same call in-process on mp (rank 0 is this process), spied:
+        # the runs above probed below a disconnected level on its
+        # supervertices, gathered only the trials split there (rows are
+        # counted as the sampler's flatnonzero calls), and the root
+        # received the sampled union as int32 ids.
+        from repro.core import approx_mincut, approx_minimum_cut, components
         from repro.graph import read_edgelist
+        from tests.test_core_approx_trials import _GatherCount
 
-        sample, below = approx_mincut._sample_union, []
+        sample, below, skipped = approx_mincut._sample_union, [], []
+        root_cc, root_ids = components.components_from_edges, set()
+        gathers = _GatherCount()
 
         def spy(ctx, *args):
-            below.append(args[6:] and args[6])
-            return sample(ctx, *args)
+            above, rows = args[6:] and args[6], gathers.rows
+            below.append(above)
+            out = sample(ctx, *args)
+            if above:
+                split = approx_mincut._blocks_disconnected(
+                    above[1], args[3], args[4].shape[0])
+                skipped.append(gathers.rows - rows == split.sum() < split.size)
+            return out
+
+        def root_spy(k, su, sv):
+            root_ids.add(su.dtype.name)
+            return root_cc(k, su, sv)
 
         monkeypatch.setattr(approx_mincut, "_sample_union", spy)
-        approx_minimum_cut(read_edgelist(graphs[graph]), p=2, seed=0)
+        monkeypatch.setattr(approx_mincut, "np", gathers)
+        monkeypatch.setattr(components, "components_from_edges", root_spy)
+        approx_minimum_cut(read_edgelist(graphs[graph]), p=2, seed=0,
+                           backend="mp")
         assert any(below), "AppMC never descended on this input"
+        assert any(skipped), "no descent skipped a trial connected at hi"
+        assert "int32" in root_ids, f"union reached the root as {root_ids}"

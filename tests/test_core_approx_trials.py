@@ -21,6 +21,7 @@ from repro.core.trials import (
 from repro.dynamic import DynamicGraph
 from repro.graph import (
     EdgeList,
+    clustered_er,
     complete_graph,
     erdos_renyi,
     two_cliques_bridge,
@@ -131,6 +132,163 @@ class TestCoupledSampling:
             sigma = math.sqrt((prob * (1 - prob)).sum())
             for kept in per_trial:
                 assert abs(kept.size - prob.sum()) <= 5 * sigma, level
+
+
+def _sample_union_flat(ctx, u, v, w, n, draws, levels, above=None):
+    """The sampler before it went row by row, kept as the oracle: one
+    ``(trials, m)`` mask per level, flat indices split by ``divmod``,
+    int64 ids, and every trial relabeled below ``hi``."""
+    trials = draws.shape[0]
+    us, vs = [], []
+    for b, level in enumerate(levels):
+        kept = draws < _keep_probability(w, level)
+        if above is not None:
+            kept &= draws >= _keep_probability(w, above[0])
+        t, e = np.divmod(np.flatnonzero(kept), u.size)
+        off = (t + b * trials) * np.int64(n)
+        su, sv = u[e] + off, v[e] + off
+        ctx.charge_scan(draws.size, words_per_elem=3)
+        if above is not None:
+            su, sv = above[1][su], above[1][sv]
+            ctx.charge_random(2 * e.size, working_set=above[1].size)
+            su, sv = su[su != sv], sv[su != sv]
+        us.append(su)
+        vs.append(sv)
+    return np.concatenate(us), np.concatenate(vs)
+
+
+class _Charges:
+    """Records every charge, with the type of each argument, and forwards
+    it to ``ctx`` when one is given."""
+
+    def __init__(self, ctx=None):
+        self.ctx, self.calls = ctx, []
+
+    def _charge(name):  # noqa: N805 - builds the two methods below
+        def charge(self, *args, **kwargs):
+            values = (*args, *kwargs.values())
+            self.calls.append((name, sorted(kwargs),
+                               [(type(x), x) for x in values]))
+            if self.ctx is not None:
+                getattr(self.ctx, name)(*args, **kwargs)
+        return charge
+
+    charge_scan = _charge("charge_scan")
+    charge_random = _charge("charge_random")
+
+
+class _GatherCount:
+    """numpy, counting ``flatnonzero`` calls: the trial rows a sampler
+    gathers (patched in as ``approx_mincut.np``)."""
+
+    def __init__(self):
+        self.rows = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def flatnonzero(self, mask):
+        self.rows += 1
+        return np.flatnonzero(mask)
+
+
+def _edges(n, m, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, n, m)
+    v = (u + rng.integers(1, n, m)) % n
+    return u, v, rng.integers(1, 9, m).astype(float), rng
+
+
+class TestRowwiseSampler:
+    """``_sample_union`` against the flat sampler it replaced: the same
+    union, edge for edge, and the same charges, on every stage of real
+    runs; int32 ids while the union's vertex space fits."""
+
+    @staticmethod
+    def _same(got, want):
+        assert [x.astype(np.int64).tolist() for x in got] == \
+            [x.tolist() for x in want]
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Every stage's union checked against the oracle; records
+        ``(descended, trials skipped, union size)`` per stage."""
+        stages = []
+
+        def spy(ctx, u, v, w, n, draws, levels, *args):
+            want, charged = _Charges(), _Charges(ctx)
+            expected = _sample_union_flat(want, u, v, w, n, draws, levels,
+                                          *args)
+            before = gathers.rows
+            got = _sample_union(charged, u, v, w, n, draws, levels, *args)
+            assert got[0].dtype == got[1].dtype == np.int32
+            self._same(got, expected)
+            assert charged.calls == want.calls
+            above = args[0] if args else None
+            trials = draws.shape[0]
+            split = trials * len(levels) if above is None else int(
+                _blocks_disconnected(above[1], n, trials).sum())
+            assert gathers.rows - before == split  # only split trials
+            stages.append((above is not None, trials * len(levels) - split,
+                           got[0].size))
+            return got
+
+        gathers = _GatherCount()
+        monkeypatch.setattr(approx_mincut, "_sample_union", spy)
+        monkeypatch.setattr(approx_mincut, "np", gathers)
+        return stages
+
+    @staticmethod
+    def _graphs():
+        for case in verification_suite():
+            if case.mincut is not None:
+                yield case.name, case.graph
+        yield "mc_dense_seed3", erdos_renyi(400, 6_400, philox_stream(3),
+                                            weighted=True)
+        yield "clustered_128_16_b2", clustered_er(128, 16, philox_stream(31),
+                                                  bridges=2)
+        yield "er_1000_8000_w", erdos_renyi(1000, 8_000, philox_stream(3),
+                                            weighted=True)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_every_stage_matches_the_flat_sampler(self, checked, p):
+        """The zoo and the audit graphs, staged and pipelined."""
+        for _name, g in self._graphs():
+            for seed in range(2):
+                for pipelined in (False, True):
+                    approx_minimum_cut(g, p=p, seed=seed, pipelined=pipelined)
+        descents = [s for s in checked if s[0]]
+        assert descents and any(s[1] for s in descents), checked
+
+    def test_every_trial_connected_at_hi_draws_nothing(self, monkeypatch):
+        """Every edge below ``hi`` is then a loop: no row is gathered,
+        and the kept pairs are still charged."""
+        n, trials = 60, 4
+        u, v, w, rng = _edges(n, 500, 14)
+        draws = rng.random((trials, u.size))
+        above = (4, np.repeat(np.arange(trials), n))  # one label per block
+        want, got = _Charges(), _Charges()
+        expected = _sample_union_flat(want, u, v, w, n, draws, [2], above)
+        monkeypatch.setattr(approx_mincut, "np", gathers := _GatherCount())
+        du, dv = _sample_union(got, u, v, w, n, draws, [2], above)
+        assert gathers.rows == 0
+        assert du.size == dv.size == 0 and du.dtype == np.int32
+        self._same((du, dv), expected)
+        assert got.calls == want.calls and want.calls[-1][2][0][1] > 0
+
+    def test_int64_ids_past_two_to_the_31(self):
+        """A vertex space of 2^31 or more keeps int64 ids (the rule reads
+        only global sizes, so every rank picks the same dtype)."""
+        n, trials = 2 ** 29, 3
+        u, v, w, rng = _edges(1000, 800, 15)
+        draws = rng.random((trials, u.size))
+        for levels, ids in (([1], np.int32), ([1, 2], np.int64)):
+            want, got = _Charges(), _Charges()
+            union = _sample_union(got, u, v, w, n, draws, levels)
+            assert union[0].dtype == union[1].dtype == ids
+            self._same(union, _sample_union_flat(want, u, v, w, n, draws,
+                                                 levels))
+            assert got.calls == want.calls
 
 
 class TestStagedSearch:

@@ -315,6 +315,36 @@ def test_two_level_changes_nothing_above_the_kernel(backend, monkeypatch,
         assert passes > len(calls) > 0, "the two-level path never engaged"
 
 
+ID_FAMILIES = ([("small", f) for f in sorted(FAMILIES)]
+               + [("dense", f) for f in sorted(DENSE_FAMILIES)])
+
+
+@pytest.mark.parametrize("table, family", ID_FAMILIES)
+@pytest.mark.parametrize("ids", [np.int32, np.int64])
+def test_ids_in_int32_or_int64_labels_out_int64(table, family, ids,
+                                                monkeypatch, no_edge_floor):
+    """int32 ids reach scipy as they are (no upcast) and give the int64
+    labels and roots of the scalar oracle, byte for byte."""
+    n, u, v = (FAMILIES if table == "small" else DENSE_FAMILIES)[family]
+    u, v = u.astype(ids), v.astype(ids)
+    seen = []
+    inner = unionfind._scipy_pass
+
+    def spy(k, su, sv):
+        seen.append(su.dtype)
+        return inner(k, su, sv)
+
+    monkeypatch.setattr(unionfind, "_scipy_pass", spy)
+    ref_labels, ref_count = scalar_cc_labels(n, u, v)
+    labels, count = cc_labels(n, u, v)
+    assert labels.dtype == np.int64 and count == ref_count
+    assert labels.tobytes() == ref_labels.astype(np.int64).tobytes()
+    roots = cc_roots(n, u, v)
+    assert roots.dtype == np.int64
+    assert roots.tobytes() == scalar_cc_roots(n, u, v).tobytes()
+    assert seen[:1] in ([], [np.dtype(ids)])  # the first pass reads u as is
+
+
 def test_flatten_parents_matches_naive():
     rng = np.random.default_rng(3)
     for n in (1, 2, 17, 200):
