@@ -5,7 +5,9 @@ original per-element Python loop it replaced (kept verbatim in
 ``repro.kernels.reference``) on the same inputs, and reports wall-clock
 seconds plus the speedup ratio.  Prefix Selection is also timed per call
 at the sizes the Karger–Stein recursion actually asks for, beside one whole
-recursion on the root those calls come from, and ``cc_labels`` at the large
+recursion on the root those calls come from and, as one stack, that
+recursion's widest level against its rows one call each, and
+``cc_labels`` at the large
 m where it filters the edges through a sample's components.
 The regression gate (``python -m benchmarks.perf_gate --check``) runs these
 and fails if the kernel timings regress past the blessed baseline or a
@@ -63,6 +65,9 @@ _PREFIX_SMALL = ((9, 32), (50, 162), (400, 2412))
 #: Root size of the ``ks_tail`` row: what the Eager Step hands the recursion
 #: in that same n=400, m=6400 trial (the e2e ``mc_dense`` graph).
 _KS_TAIL_N = 81
+#: (k, rows, s) of the ``stack`` row: that recursion's widest level, 128
+#: matrices of 14 vertices sampled 32 entries each, in one call.
+_PREFIX_STACK = (14, 128, 32)
 _PAYLOAD_PARCELS = 20_000
 
 
@@ -188,7 +193,32 @@ def bench_prefix_select(scale: float, rng) -> dict:
                          repeats=5)
     tail = {f"n{_KS_TAIL_N}": {"n": _KS_TAIL_N, "us_per_call": 1e6 * tail_t}}
     return {"m": m, "fast_s": fast_t, "slow_s": slow_t,
-            "speedup": slow_t / fast_t, "small": small, "ks_tail": tail}
+            "speedup": slow_t / fast_t, "small": small, "ks_tail": tail,
+            "stack": _bench_prefix_stack(rng)}
+
+
+def _bench_prefix_stack(rng) -> dict:
+    """One ``(B, s)`` Prefix Selection call against its rows one call each
+    through the 1-D path, alternated in this process: a ratio, whatever
+    the machine's speed."""
+    k, b, s = _PREFIX_STACK
+    su = rng.integers(0, k, size=(b, s), dtype=np.int64)
+    sv = np.where(rng.random((b, s)) < 0.2, su,
+                  rng.integers(0, k, size=(b, s), dtype=np.int64))
+    tk = math.ceil(1 + k / math.sqrt(2))
+    labels, counts = prefix_select_labels(k, su, sv, tk)
+    rows = [prefix_select_labels(k, u, v, tk) for u, v in zip(su, sv)]
+    assert np.array_equal(labels, [r[0] for r in rows]) \
+        and counts.tolist() == [r[1] for r in rows], "stack disagrees"
+    stack_t, rows_t = float("inf"), float("inf")
+    for _ in range(7):
+        stack_t = min(stack_t, _best_of(
+            lambda: prefix_select_labels(k, su, sv, tk), repeats=1)[0])
+        rows_t = min(rows_t, _best_of(
+            lambda: [prefix_select_labels(k, u, v, tk)
+                     for u, v in zip(su, sv)], repeats=1)[0])
+    return {"k": k, "rows": b, "s": s, "us_per_call": 1e6 * stack_t,
+            "rows_us": 1e6 * rows_t, "speedup": rows_t / stack_t}
 
 
 def _generic_payload_words(x):
@@ -266,6 +296,10 @@ def main(argv=None) -> int:
               f"{r['us_per_call']:.1f} us/call")
     for name, r in results.get("prefix_select", {}).get("ks_tail", {}).items():
         print(f"karger_stein_matrix {name}: {r['us_per_call']:.0f} us/call")
+    if r := results.get("prefix_select", {}).get("stack"):
+        print(f"prefix_select stack {r['rows']}x(k={r['k']}, s={r['s']}): "
+              f"{r['us_per_call']:.0f} us/call, its rows one call each "
+              f"{r['rows_us']:.0f} us ({r['speedup']:.1f}x)")
     for name, r in results.get("cc", {}).get("large", {}).items():
         print(f"cc_labels {name} (n={r['n']}, m={r['m']}): {r['ms']:.1f} ms "
               f"(one scipy pass: {r['single_pass_ms']:.1f} ms)")

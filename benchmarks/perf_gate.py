@@ -9,7 +9,9 @@
   :mod:`benchmarks.bench_kernels` microbenchmarks.  Machine noise is real:
   a timing may not exceed ``slack x baseline`` (default 2.0, override with
   ``PERF_GATE_SLACK``), a kernel-over-oracle speedup may not fall under
-  its floor (:data:`SPEEDUP_FLOORS`).
+  its floor (:data:`SPEEDUP_FLOORS`); so may not one Karger–Stein level's
+  Prefix Selection as a stack against its rows one call each, a ratio
+  measured side by side.
 * **Ceilings** (:data:`CEILINGS`) — per-call cost where fixed overhead is
   everything: Prefix Selection at the Karger–Stein recursion's own sizes,
   one whole recursion on an 81-vertex matrix, ``cc_labels`` at m >= 10^6.
@@ -60,9 +62,18 @@ CEILINGS = {
     "cc_large": ("ms", "cc", "large", "ms"),
 }
 
-#: Minimum vectorized-over-scalar speedup per microbenchmark.
+#: Minimum vectorized-over-scalar speedup per microbenchmark, or per row of
+#: one (dotted): ``prefix_select.stack`` is a Karger–Stein level as one
+#: stack against its rows one call each, timed side by side.
 SPEEDUP_FLOORS = {"contract": 10.0, "cc": 1.2, "prefix_select": 1.2,
-                  "payload_words": 1.2}
+                  "prefix_select.stack": 1.4, "payload_words": 1.2}
+
+
+def _speedup_row(timings: dict, key: str) -> dict | None:
+    """The result (or result row, for a dotted key) a floor holds."""
+    bench, _, row = key.partition(".")
+    found = timings.get(bench)
+    return found.get(row) if found and row else found
 
 
 class Flag(NamedTuple):
@@ -341,11 +352,17 @@ def _check_timings(base: dict, now: dict, slack: float,
             lines.append(
                 f"  timings[{name}].fast_s: {n['fast_s']:.4f}s exceeds "
                 f"{limit:.4f}s (= {slack:g} x blessed {b['fast_s']:.4f}s)")
-        floor = SPEEDUP_FLOORS.get(name, 1.0)
-        if n["speedup"] < floor:
+    for key in sorted(set(base) | set(SPEEDUP_FLOORS)):
+        n, b = _speedup_row(now, key), _speedup_row(base, key)
+        floor = SPEEDUP_FLOORS.get(key, 1.0)
+        if n is None:
+            if "." in key:  # a missing benchmark is reported above
+                lines.append(f"  timings[{key}]: missing from current run")
+        elif n["speedup"] < floor:
             lines.append(
-                f"  timings[{name}].speedup: {n['speedup']:.1f}x is under "
-                f"the {floor:g}x floor (blessed: {b['speedup']:.1f}x)")
+                f"  timings[{key}].speedup: {n['speedup']:.1f}x is under "
+                f"the {floor:g}x floor"
+                + (f" (blessed: {b['speedup']:.1f}x)" if b else ""))
     return len(lines) == before
 
 
@@ -415,8 +432,9 @@ def check(scale: float, seed: int, slack: float) -> int:
           for name in SECTIONS],
     ]
     if all(oks):
-        speeds = ", ".join(f"{k}={v['speedup']:.1f}x"
-                           for k, v in sorted(now["timings"].items()))
+        speeds = ", ".join(
+            f"{k}={_speedup_row(now['timings'], k)['speedup']:.1f}x"
+            for k in sorted(set(now["timings"]) | set(SPEEDUP_FLOORS)))
         ceilings = "; ".join(
             f"{section} "
             + ", ".join(f"{k}={v:.1f}" for k, v in sorted(now[section].items()))

@@ -44,6 +44,19 @@ class MemoryTracker:
         """Charge ``k`` completed instructions."""
         raise NotImplementedError
 
+    def matrices(self, name, sizes, ops, picks=None, reads=None, moved=None):
+        """Charge a stack of square matrices of ``name``, row by row: matrix
+        ``i`` (``sizes[i]`` vertices) is scanned, touched at ``picks[i,
+        :reads[i]]``, scanned again if ``moved[i]`` and charged ``ops[i]``
+        instructions — in that order, the sequence a tracer replays."""
+        for i, n in enumerate(np.asarray(sizes).tolist()):
+            self.scan(name, 0, n * n)
+            if picks is not None:
+                self.touch(name, picks[i, :reads[i]])
+            if moved is not None and moved[i]:
+                self.scan(name, 0, n * n)
+            self.ops(int(ops[i]))
+
     @property
     def miss_count(self) -> int:
         raise NotImplementedError
@@ -71,6 +84,9 @@ class NullTracker(MemoryTracker):
         pass
 
     def ops(self, k):
+        pass
+
+    def matrices(self, name, sizes, ops, picks=None, reads=None, moved=None):
         pass
 
     @property
@@ -115,6 +131,21 @@ class AnalyticTracker(MemoryTracker):
 
     def ops(self, k):
         self._ops += int(k)
+
+    def matrices(self, name, sizes, ops, picks=None, reads=None, moved=None):
+        """The whole stack at once: every miss term is an integer (scans
+        ceil(n/B) + 1, a random access in cache is a scan), so their float
+        sum is exact in any order, and equals the row-by-row charges."""
+        def scans(n):  # CacheParams.scan, elementwise: 0 when n = 0
+            return np.ceil(n / self.params.B) + (n > 0)
+        words = np.asarray(sizes, dtype=np.int64) ** 2
+        misses = scans(words) * (1 + (0 if moved is None else moved))
+        if picks is not None:  # CacheParams.random_access, elementwise
+            ws = self._sizes.get(name, reads)
+            misses = misses + np.where(ws <= self.params.M,
+                                       scans(np.minimum(ws, reads)), reads)
+        self._misses += float(misses.sum())
+        self._ops += int(np.sum(ops))
 
     @property
     def miss_count(self) -> int:

@@ -163,28 +163,24 @@ def random_contract_matrix(a: np.ndarray, t: int, rng,
             rows, lab, cdf = rows[keep], lab[keep], cdf[keep]
             if not rows.size:
                 break
-        kk = sizes[rows].tolist()
-        s = [_sample_size(x) for x in kk]
+        kk = sizes[rows]
+        s = np.array([_sample_size(x) for x in kk.tolist()])
         su, sv = divmod(_weighted_picks(
-            cdf, draw(r, _sample_size(k))[rows, :max(s)]), k)
+            cdf, draw(r, _sample_size(k))[rows, :s.max()]), k)
         if r:  # as vertices of the contraction so far
             su, sv = (np.take_along_axis(lab, x, 1) for x in (su, sv))
-        past = np.arange(max(s)) >= np.array(s)[:, None]  # loops: unread
+        past = np.arange(s.max()) >= s[:, None]  # loops: unread
         sv[past] = su[past]
         # smaller matrices pad to k with isolated vertices (components too)
-        pad = k - sizes[rows]
-        new, count = prefix_select(k, su, sv, t + pad)
+        new, count = prefix_select(k, su, sv, t + k - kk)
         # per matrix: cdf pass + one search per pick + Prefix Selection,
         # + the row and the column combine when it contracted (kk > t >= 2)
-        for n, m, moved, p in zip(kk, s, (count < k).tolist(),
-                                  su * (k - pad)[:, None] + sv):
-            mem.scan("ks_matrix", 0, n * n)
-            mem.touch("ks_matrix", p[:m])
-            if moved:
-                mem.scan("ks_matrix", 0, n * n)
-            mem.ops(n * n * (1 + 2 * moved) + m * int(math.log2(n)) + 3 * m)
+        moved = count < k
+        mem.matrices("ks_matrix", kk, kk * kk * (1 + 2 * moved)
+                     + s * (np.log2(kk).astype(np.int64) + 3),
+                     picks=su * kk[:, None] + sv, reads=s, moved=moved)
         labels[rows] = np.take_along_axis(new, lab, axis=1) if r else new
-        sizes[rows] = count - pad
+        sizes[rows] = count - k + kk
         r += 1
     out = _contract_stack(stack, labels, int(sizes.max()))
     return (out[0], labels[0], int(sizes[0])) if a.ndim == 2 \
@@ -222,9 +218,8 @@ def _walk(stack, d, first, key, mem, labels):
     k = stack.shape[-1]
     if k <= KS_BASE_SIZE:
         mem.alloc("ks_matrix", k * k)
-        for _ in stack:
-            mem.scan("ks_matrix", 0, k * k)
-            mem.ops((1 << k) * k)
+        mem.matrices("ks_matrix", np.full(len(stack), k),
+                     np.full(len(stack), (1 << k) * k))
         yield stack
         return
     if len(labels) == d:

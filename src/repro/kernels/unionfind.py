@@ -39,8 +39,8 @@ __all__ = [
 ]
 
 
-# Sample edges prefix_select_labels converts to Python ints at a time: small,
-# because the recursion's calls stop ~0.3 k merges into a ~6 k-edge sample.
+# Edges of a row's tail (past the head all rows convert at once) turned into
+# Python ints at a time: an early stop leaves the rest of the sample as is.
 _SAMPLE_BLOCK = 256
 
 # Two-level cc_labels (measured table in docs/kernels.md).  The sample is this
@@ -185,59 +185,78 @@ def prefix_select_labels(n: int, su: np.ndarray, sv: np.ndarray, t):
 
     Returns dense labels and their count ``n_new``; ``n_new >= t``, with
     equality whenever the sample suffices to reach ``t``.  One union-find
-    over Python lists (union by size + path halving) that stops at the
-    merge bringing the count to ``t``; merges, root choice and labels (each
-    root's rank among the sorted roots) are byte-identical to
-    :func:`repro.kernels.reference.scalar_prefix_select`.  The sample is
-    read ``_SAMPLE_BLOCK`` edges at a time, so an early stop never converts
-    the tail and extra memory is O(block), not O(s).
+    over Python lists (union by size, ties to the ``su`` end, path halving)
+    that stops at the merge bringing the count to ``t``; merges, root choice
+    and labels (each root's rank among the sorted roots) are byte-identical
+    to :func:`repro.kernels.reference.scalar_prefix_select`.
 
-    A ``(B, s)`` sample (a Karger–Stein level) is ``B`` selections, row by
-    row, ``t`` one target or one per row: ``(B, n)`` labels and ``B`` counts.
+    A ``(B, s)`` sample (a Karger–Stein level) is ``B`` selections, ``t``
+    one target or one per row: ``(B, n)`` labels and ``B`` counts.  Row
+    ``r`` owns ids ``r·n ..`` of one union-find, and one numpy pass ranks
+    every row's roots.  A 1-D sample is one row, ranked by a list walk (a
+    numpy pass costs ~4x that at k = 9; docs/kernels.md).
     """
     su, sv = np.asarray(su), np.asarray(sv)
     if su.ndim == 1:
-        labels, count = _select_row(n, su, sv, t)
+        par, (count,) = _union_rows(n, su[None], sv[None], [t])
+        # a root's label: its rank among the roots in ascending vertex order
+        rank = [0] * n
+        for r, x in enumerate([x for x, p in enumerate(par) if p == x]):
+            rank[x] = r
+        labels = []
+        for x in par:
+            while par[x] != x:
+                x = par[x]
+            labels.append(rank[x])
         return np.array(labels, dtype=np.int64), count
-    labels, counts = zip(*map(_select_row, [n] * len(su), su, sv,
-                              np.broadcast_to(t, len(su)).tolist()))
-    return np.array(labels, dtype=np.int64), np.array(counts, dtype=np.int64)
+    first = np.arange(len(su))[:, None] * n  # row r's first id: r·n
+    par, counts = _union_rows(n, su + first, sv + first,
+                              np.broadcast_to(t, len(su)).tolist())
+    root = flatten_parents(np.fromiter(par, np.int64, len(par)))
+    roots_upto = np.cumsum(root == np.arange(root.size))  # flat, all rows
+    counts = np.array(counts, dtype=np.int64)
+    # a root's rank in its row: the roots up to it, less the earlier rows'
+    return (roots_upto[root].reshape(len(su), n)
+            - (np.cumsum(counts) - counts + 1)[:, None]), counts
 
 
-def _select_row(n: int, su: np.ndarray, sv: np.ndarray, t: int):
-    """One sample's Prefix Selection: labels as a list, and their count."""
-    if t < 1:
-        raise ValueError(f"target component count must be >= 1, got {t}")
-    par = list(range(n))
-    size = [1] * n
-    count = n
-    for lo in range(0, su.size, _SAMPLE_BLOCK):
-        if count <= t:
-            break
-        hi = lo + _SAMPLE_BLOCK
-        for a, b in zip(su[lo:hi].tolist(), sv[lo:hi].tolist()):
-            while par[a] != a:
-                par[a] = par[par[a]]
-                a = par[a]
-            while par[b] != b:
-                par[b] = par[par[b]]
-                b = par[b]
-            if a == b:
-                continue
-            if size[a] < size[b]:
-                a, b = b, a
-            par[b] = a
-            size[a] += size[b]
-            count -= 1
-            if count == t:
+def _union_rows(n: int, su: np.ndarray, sv: np.ndarray, targets: list):
+    """Every row's early-exit union-find over flat ids: the parent list
+    and each row's count.  The first ``2 (n - min t) + 8`` columns of all
+    rows go to Python ints at once (about every other sampled edge merges);
+    a row that needs more converts its own tail, ``_SAMPLE_BLOCK`` at a
+    time."""
+    low = min(targets) if targets else n
+    if low < 1:
+        raise ValueError(f"target component count must be >= 1, got {low}")
+    s = su.shape[1]
+    head = min(s, 2 * max(n - low, 0) + 8)
+    par = list(range(len(su) * n))
+    size = [1] * len(par)
+    counts = []
+    heads = zip(targets, su[:, :head].tolist(), sv[:, :head].tolist())
+    for r, (t, us, vs) in enumerate(heads):
+        count, lo = n, head
+        while count > t:
+            for a, b in zip(us, vs):
+                while par[a] != a:
+                    par[a] = par[par[a]]
+                    a = par[a]
+                while par[b] != b:
+                    par[b] = par[par[b]]
+                    b = par[b]
+                if a == b:
+                    continue
+                if size[a] < size[b]:
+                    a, b = b, a
+                par[b] = a
+                size[a] += size[b]
+                count -= 1
+                if count == t:
+                    break
+            if count == t or lo >= s:
                 break
-    # Sizes are dead now: a root's slot takes its rank among the roots in
-    # ascending vertex order (= np.unique's label order).
-    for rank, x in enumerate(x for x in range(n) if par[x] == x):
-        size[x] = rank
-    labels = []
-    for x in par:
-        while par[x] != x:
-            x = par[x]
-        labels.append(size[x])
-    return labels, count
+            us, vs = (x[r, lo:lo + _SAMPLE_BLOCK].tolist() for x in (su, sv))
+            lo += _SAMPLE_BLOCK
+        counts.append(count)
+    return par, counts

@@ -34,6 +34,25 @@ def test_perf_gate_importable():
     assert perf_gate.SPEEDUP_FLOORS["contract"] == 10.0
 
 
+def test_perf_gate_holds_a_row_floor():
+    """``prefix_select.stack`` is held on the current run, with or without
+    a blessed row, and a missing row is a failure."""
+    from benchmarks import perf_gate
+
+    base = {"prefix_select": {"fast_s": 1.0, "speedup": 2.0}}
+    row = {"k": 14, "speedup": 1.3}
+    now = {"prefix_select": {"fast_s": 1.0, "speedup": 2.0, "stack": row}}
+    lines = []
+    assert not perf_gate._check_timings(base, now, 2.0, lines)
+    assert lines == ["  timings[prefix_select.stack].speedup: 1.3x is under "
+                     "the 1.4x floor"]
+    row["speedup"] = 1.5
+    assert perf_gate._check_timings(base, now, 2.0, [])
+    del now["prefix_select"]["stack"]
+    assert not perf_gate._check_timings(base, now, 2.0, lines)
+    assert lines[-1] == "  timings[prefix_select.stack]: missing from current run"
+
+
 def gate_reads(section: str, result: dict) -> dict:
     """The fields ``perf_gate.SECTIONS[section]`` picks out of a benchmark
     result (KeyError if the benchmark stopped producing one)."""

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.cache import AnalyticTracker, LRUTracker
+from repro.cache import (AnalyticTracker, CacheParams, LRUTracker,
+                         MemoryTracker)
 from repro.core import karger_stein as ks
 from repro.core.karger_stein import (
     KS_BASE_SIZE,
@@ -191,19 +192,18 @@ class TestRandomContract:
 
 
 class RoundLog(AnalyticTracker):
-    """Records each round's (matrix size, sample size) per contraction."""
+    """Records each round's (matrix size, sample size) per contraction, from
+    the round's one charge for its whole stack."""
 
     def __init__(self):
         super().__init__()
-        self.rounds, self._k = [], None
+        self.rounds = []
 
-    def scan(self, name, start=0, length=None):
-        self._k = math.isqrt(length)
-        super().scan(name, start, length)
-
-    def touch(self, name, idx):
-        self.rounds.append((self._k, len(idx)))
-        super().touch(name, idx)
+    def matrices(self, name, sizes, ops, picks=None, reads=None, moved=None):
+        if picks is not None:
+            self.rounds += zip(np.asarray(sizes).tolist(),
+                               np.asarray(reads).tolist())
+        super().matrices(name, sizes, ops, picks, reads, moved)
 
 
 class TestRounds:
@@ -228,6 +228,72 @@ class TestRounds:
             _, alone, _ = random_contract_matrix(m[None], t,
                                                  ks._keyed(5, 0, i, 1))
             np.testing.assert_array_equal(alone[0], labels[i])
+
+
+class PerMatrix(AnalyticTracker):
+    """Closed-form charges made one matrix at a time, as before stacks were
+    charged at once: the interface's row-by-row ``matrices``."""
+
+    matrices = MemoryTracker.matrices
+
+
+class TestStackCharges:
+    """A stack charged at once costs what its matrices cost one by one."""
+
+    @pytest.mark.parametrize("params", [CacheParams(), CacheParams(M=64, B=8)])
+    def test_one_call_equals_the_per_matrix_calls(self, params):
+        """Rows of different sizes, rows that do not move, reads of every
+        length up to the row's picks; the matrix fits in cache or not."""
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            b = int(rng.integers(1, 40))
+            sizes = rng.integers(2, 30, size=b)
+            reads = rng.integers(0, 200, size=b)
+            picks = rng.integers(0, 29 * 29, size=(b, 200))
+            moved = rng.random(b) < 0.5
+            ops = rng.integers(0, 10**6, size=b)
+            totals = []
+            for mem in (AnalyticTracker(params), PerMatrix(params)):
+                mem.alloc("ks_matrix", 30 * 30)
+                mem.matrices("ks_matrix", sizes, ops, picks=picks,
+                             reads=reads, moved=moved)
+                mem.matrices("ks_matrix", sizes, ops)  # leaves: scan, ops
+                totals.append((mem._misses, mem.op_count))
+            assert totals[0] == totals[1]
+
+    @pytest.mark.parametrize("n", [30, 81])
+    def test_recursion_charges_equal_the_per_matrix_calls(self, n):
+        heavy = random_matrix(60, seed=11, integer=True)
+        for i in range(0, 12, 2):  # several rounds, rows at several sizes
+            heavy[i, i + 1] = heavy[i + 1, i] = 1e6
+        for a in (random_matrix(n, seed=n, integer=False), heavy):
+            for seed in range(3):
+                totals = []
+                for mem in (AnalyticTracker(), PerMatrix()):
+                    found = karger_stein_matrix(a, philox_stream(seed), mem)
+                    totals.append((found[0], mem._misses, mem.op_count))
+                assert totals[0] == totals[1]
+
+    def test_a_tracing_tracker_is_charged_one_matrix_at_a_time(self,
+                                                               monkeypatch):
+        """The LRU replay sees one matrix per contraction call and per leaf
+        group: the call sequence of a per-matrix walk."""
+        calls, contract = [], ks.random_contract_matrix
+
+        class Spy(LRUTracker):
+            def matrices(self, name, sizes, *args, **kwargs):
+                calls.append(("charge", len(sizes)))
+                super().matrices(name, sizes, *args, **kwargs)
+
+        def recording(stack, *args):
+            calls.append(("contract", len(stack)))
+            return contract(stack, *args)
+
+        monkeypatch.setattr(ks, "random_contract_matrix", recording)
+        karger_stein_matrix(random_matrix(81, seed=2, integer=True),
+                            philox_stream(2), Spy(M=1024, B=8))
+        assert {b for _, b in calls} == {1}
+        assert {what for what, _ in calls} == {"charge", "contract"}
 
 
 class TestKargerStein:

@@ -11,6 +11,8 @@ hypothesis-generated random edge streams.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -492,6 +494,103 @@ def test_prefix_select_stack_is_its_rows(monkeypatch, n, s):
             want, want_count = scalar_prefix_select(n, su[b], sv[b], tb)
             assert count == want_count
             np.testing.assert_array_equal(one, want)
+
+
+def _assert_stack_rows(n, su, sv, t):
+    """A ``(B, s)`` stack against the scalar oracle, row by row."""
+    labels, counts = prefix_select_labels(n, su, sv, t)
+    assert labels.shape == (len(su), n) and counts.shape == (len(su),)
+    assert labels.dtype == counts.dtype == np.int64
+    for b, tb in enumerate(np.broadcast_to(t, len(su)).tolist()):
+        want, want_count = scalar_prefix_select(n, su[b], sv[b], tb)
+        assert counts[b] == want_count
+        np.testing.assert_array_equal(labels[b], want)
+    return counts
+
+
+def _head(n, t):
+    """Columns the stack path converts for every row before any tail."""
+    return 2 * (n - int(np.min(t))) + 8
+
+
+@pytest.mark.parametrize("block", [3, 256])
+def test_prefix_select_stack_rows_past_the_head(monkeypatch, block):
+    """Rows that reach ``t`` on their last edge, never reach it, or need
+    edges past the converted head (and, at a small block, several tail
+    blocks), beside rows that stop early; self-loops and repeated pairs."""
+    monkeypatch.setattr(unionfind, "_SAMPLE_BLOCK", block)
+    n, t = 12, np.array([2, 11, 6, 2, 9])
+    head = _head(n, t)
+    s = head + 3 * n
+    path_u = np.arange(n - 1)
+    su = np.zeros((len(t), s), dtype=np.int64)
+    sv = np.zeros((len(t), s), dtype=np.int64)  # self-loops everywhere
+    # row 0: a path after a head of loops; merges into the tail blocks
+    su[0, head:head + n - 1], sv[0, head:head + n - 1] = path_u, path_u + 1
+    # row 1: one merge, the sample's last edge; row 3: the same pair repeated
+    su[1, -1], sv[1, -1] = 4, 7
+    su[3, :], sv[3, :] = 4, 7
+    # row 2: a path whose (n - t)-th merge is the sample's last edge
+    su[2, s - (n - 6):], sv[2, s - (n - 6):] = path_u[:6], path_u[:6] + 1
+    # row 4: random pairs, a fifth of them loops, every pair twice
+    rng = np.random.default_rng(4)
+    u = rng.integers(0, n, size=s // 2)
+    v = np.where(rng.random(s // 2) < 0.2, u, rng.integers(0, n, size=s // 2))
+    su[4], sv[4] = np.repeat(u, 2)[:s], np.repeat(v, 2)[:s]
+    counts = _assert_stack_rows(n, su, sv, t)
+    assert counts.tolist()[:4] == [2, 11, 6, 11]
+    for tb in (2, n, n + 3):  # one target for all, also at and above n
+        _assert_stack_rows(n, su, sv, tb)
+
+
+@pytest.mark.parametrize("n,s", [(2, 0), (2, 5), (1, 3), (14, 0)])
+def test_prefix_select_stack_tiny(n, s):
+    rng = np.random.default_rng(n + s)
+    su = rng.integers(0, n, size=(6, s))
+    sv = rng.integers(0, n, size=(6, s))
+    _assert_stack_rows(n, su, sv, rng.integers(1, n + 1, size=6))
+    _assert_stack_rows(n, su, sv, 1)
+    _assert_stack_rows(n, su[:1], sv[:1], n)  # a one-row stack
+
+
+@pytest.mark.parametrize("s", [0, 7])
+def test_prefix_select_empty_stack(s):
+    """No rows: ``(0, n)`` labels and no counts, whatever ``t``."""
+    empty = np.zeros((0, s), dtype=np.int64)
+    for t in (3, np.zeros(0, dtype=np.int64)):
+        labels, counts = prefix_select_labels(5, empty, empty, t)
+        assert labels.shape == (0, 5) and counts.shape == (0,)
+        assert labels.dtype == counts.dtype == np.int64
+
+
+def _mc_dense_levels():
+    """``(k, B, s)`` of every contraction level of an 81-vertex matrix:
+    2 rows of 81 vertices down to 128 rows of 14."""
+    from repro.core import karger_stein as ks
+
+    k, b = 81, 2
+    while k > ks.KS_BASE_SIZE:
+        yield k, b, ks._sample_size(k)
+        k, b = math.ceil(1 + k / math.sqrt(2)), 2 * b
+
+
+@pytest.mark.parametrize("k,b,s", list(_mc_dense_levels()))
+def test_prefix_select_stack_at_mc_dense_levels(k, b, s):
+    """Samples as the recursion draws them: keyed uniforms, weighted picks
+    from a random integer matrix per row, split into vertex pairs."""
+    from repro.core import karger_stein as ks
+
+    rng = np.random.default_rng(k)
+    w = np.triu(rng.integers(0, 5, size=(b, k, k)), 1).astype(float)
+    w += w.transpose(0, 2, 1)
+    cdf = w.reshape(b, -1).cumsum(axis=1)
+    depth = b.bit_length() - 2
+    picks = ks._weighted_picks(cdf, ks._keyed(11, depth, 0, b)(0, s))
+    su, sv = divmod(picks, k)
+    t = math.ceil(1 + k / math.sqrt(2))
+    counts = _assert_stack_rows(k, su, sv, t)
+    assert (counts == t).all()  # such samples reach the target
+    _assert_stack_rows(k, su, sv, rng.integers(t, k + 1, size=b))
 
 
 def test_prefix_select_rejects_bad_target():
