@@ -28,6 +28,7 @@ reproduces every epoch's answers bit for bit, on either backend.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from operator import index
 
@@ -87,6 +88,14 @@ def canonical_roots(labels: np.ndarray) -> np.ndarray:
     mins = np.empty(starts.size, dtype=np.int64)
     mins[lab_sorted[starts]] = order[starts]
     return mins[labels]
+
+
+def _rank_roots(roots: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense labels and count of flat min-member roots: those roots in
+    vertex order are sorted-unique order, so a prefix count ranks them."""
+    is_root = roots == np.arange(roots.size)
+    ranks = np.cumsum(is_root, dtype=np.int64) - 1
+    return ranks[roots], int(np.count_nonzero(is_root))
 
 
 @dataclass(frozen=True)
@@ -195,7 +204,7 @@ class DynamicGraph:
             "splits": 0, "cc_fallbacks": 0, "uf_rebuilds": 0,
             "resparsifications": 0,
         }
-        self._parent = cc_roots(self.n, *self._reforest(self.snapshot()))
+        self._adopt(cc_roots(self.n, *self._reforest(self.snapshot())))
 
     def _reforest(self, snap: EdgeList) -> tuple[np.ndarray, np.ndarray]:
         """Reset the forest to the snapshot's earliest spanning forest."""
@@ -210,13 +219,18 @@ class DynamicGraph:
 
     # -- union-find (union by minimum root) ----------------------------------
 
+    def _adopt(self, roots: np.ndarray) -> None:
+        """Copy ``roots`` in as the parent array: machine words that
+        ``_find`` indexes as plain ints (numpy would box each read)."""
+        self._parent = array("q", np.asarray(roots, dtype=np.int64).tobytes())
+
     def _find(self, x: int) -> int:
         parent = self._parent
         root = x
         while parent[root] != root:
-            root = int(parent[root])
+            root = parent[root]
         while parent[x] != root:  # full path compression
-            parent[x], x = root, int(parent[x])
+            parent[x], x = root, parent[x]
         return root
 
     # -- snapshots and epochs ------------------------------------------------
@@ -456,7 +470,7 @@ class DynamicGraph:
 
     def _rebuild_parent_from_forest(self) -> None:
         keys = np.fromiter(self._tree, np.int64, len(self._tree))
-        self._parent = cc_roots(self.n, *np.divmod(keys, self.n))
+        self._adopt(cc_roots(self.n, *np.divmod(keys, self.n)))
         self._uf_stale = False
         self.counters["uf_rebuilds"] += 1
 
@@ -473,45 +487,49 @@ class DynamicGraph:
                 and self._labels_cache.epoch == self.epoch):
             return self._labels_cache
         if self._cc_dirty:
-            roots, via = self._cc_fallback(), "cc_kernel"
+            self._cc_fallback()
+            via = "cc_kernel"
         elif self._uf_stale:
             self._rebuild_parent_from_forest()
-            roots, via = self._parent.copy(), "forest"
+            via = "forest"
         else:
-            self._parent = flatten_parents(self._parent)
-            roots, via = self._parent.copy(), "incremental"
-        uniq, labels = np.unique(roots, return_inverse=True)
+            parent = np.frombuffer(self._parent, np.int64)
+            parent[:] = flatten_parents(parent)
+            via = "incremental"
+        # indexing copies: the labels never alias the live buffer
+        labels, count = _rank_roots(np.frombuffer(self._parent, np.int64))
         fresh = self._snapshot_epoch == self.epoch
         result = DynamicCCResult(
-            labels=labels.astype(np.int64), n_components=int(uniq.size),
-            epoch=self.epoch,
+            labels=labels, n_components=count, epoch=self.epoch,
             fingerprint=self.fingerprint() if fresh else None, via=via)
         self._labels_cache = result
         return result
 
-    def _cc_fallback(self) -> np.ndarray:
+    def _cc_fallback(self) -> None:
         """From-scratch rebuild: the epoch snapshot's earliest spanning
         forest, whose component roots (minimum member vertex) are the
         answer.  Forest and union-find are exact again afterwards, so
         later updates are incremental.  Dispatches nothing on any backend.
         """
-        roots = cc_roots(self.n, *self._reforest(self.snapshot()))
-        self._parent = roots.copy()
+        self._adopt(cc_roots(self.n, *self._reforest(self.snapshot())))
         self._cc_dirty = self._uf_stale = False
         self.counters["cc_fallbacks"] += 1
-        return roots
 
     def connected(self, a: int, b: int) -> bool:
         """O(α) connectivity query (resolves any pending maintenance)."""
         return self.component_of(a) == self.component_of(b)
 
     def component_of(self, x: int) -> int:
-        """O(α) canonical component root of vertex ``x``."""
+        """O(α) canonical component root of vertex ``x`` (an id checked
+        as an update's is: the buffer would wrap a negative one)."""
+        x = _vertex(x)
+        if not 0 <= x < self.n:
+            raise ValueError(f"vertex {x} outside 0..{self.n - 1}")
         if self._cc_dirty:
             self.query_components()
         elif self._uf_stale:
             self._rebuild_parent_from_forest()
-        return self._find(int(x))
+        return self._find(x)
 
     def query_cut(self, mode: str = "exact") -> DynamicCutResult:
         """Minimum cut of the current epoch's graph (module docstring).

@@ -87,10 +87,10 @@ def cc_roots(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if u.size == 0:
         return np.arange(n, dtype=np.int64)
     labels, _k = _cc_labels_scipy(n, u, v)
-    # scipy labels are in first-appearance order, so the first vertex holding
-    # a label is the component minimum: map labels back to those vertices.
-    _uniq, first = np.unique(labels, return_index=True)
-    return first[labels].astype(np.int64)
+    # scipy labels are in first-appearance order: a component's minimum is
+    # where its label first lifts the running maximum, no sort needed.
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(labels), prepend=-1))
+    return first[labels]
 
 
 def _ids(x: np.ndarray) -> np.ndarray:

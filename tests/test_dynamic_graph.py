@@ -13,19 +13,22 @@ epoch snapshot, across both execution backends.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dynamic import (
     DynamicGraph,
     canonical_roots,
     update_stream,
 )
+from repro.dynamic.graph import _rank_roots
 from repro.graph import (
     EdgeList,
     content_fingerprint,
     erdos_renyi,
     two_cliques_bridge,
 )
-from repro.kernels import cc_labels
+from repro.kernels import cc_labels, flatten_parents
 from repro.rng import philox_stream
 
 
@@ -383,6 +386,58 @@ def test_connected_and_component_of_agree_with_labels():
         assert dyn.component_of(x) == roots[x]
         assert dyn.connected(x, (x * 3 + 1) % g.n) == \
             (cc.labels[x] == cc.labels[(x * 3 + 1) % g.n])
+
+
+def test_every_answer_path_is_canonical():
+    """One stream reaches all three paths; each answers the reference's
+    int64 bytes, and ``component_of`` reads the same roots as plain ints."""
+    g, stream = churn(n=60, m=80, seed=0, batches=30, batch_size=2,
+                      insert_frac=0.2, delete_frac=0.6)
+    dyn = DynamicGraph(g, p=2, seed=0, reconnect_budget=6)
+    vias = set()
+    for ops in stream:
+        dyn.update_edges(ops)
+        cc = dyn.query_components()
+        vias.add(cc.via)
+        ref, count = reference_labels(dyn.snapshot())
+        assert cc.labels.dtype == np.int64
+        assert cc.labels.tobytes() == ref.astype(np.int64).tobytes()
+        assert cc.n_components == count
+        roots = canonical_roots(cc.labels).tolist()
+        got = [dyn.component_of(x) for x in range(g.n)]
+        assert got == roots and {type(r) for r in got} == {int}
+        assert dyn.query_components() is cc    # finds leave the answer be
+        assert cc.labels.tobytes() == ref.astype(np.int64).tobytes()
+    assert vias == {"incremental", "forest", "cc_kernel"}
+
+
+@given(st.lists(st.integers(min_value=0, max_value=1 << 16), max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_root_ranking_is_the_sorted_unique_inverse(draws):
+    """A forest whose every parent is at most its child (union by minimum
+    builds one) flattens to min-member roots, which the prefix count ranks
+    exactly as ``np.unique`` does."""
+    parent = np.array([d % (i + 1) for i, d in enumerate(draws)], np.int64)
+    roots = flatten_parents(parent)
+    labels, count = _rank_roots(roots)
+    uniq, inverse = np.unique(roots, return_inverse=True)
+    assert labels.dtype == np.int64 and count == uniq.size
+    assert np.array_equal(labels, inverse)
+
+
+@pytest.mark.parametrize("x, exc", [(-1, ValueError), (4, ValueError),
+                                    (1.9, TypeError), (True, TypeError),
+                                    ("3", TypeError)])
+def test_queries_refuse_ids_updates_refuse(x, exc):
+    """``component_of`` / ``connected`` check a vertex id as an update does
+    (a negative id would otherwise wrap to the last vertex)."""
+    dyn = DynamicGraph(EdgeList.from_pairs(4, [(0, 1), (2, 3)]), p=2, seed=0)
+    with pytest.raises(exc):
+        dyn.component_of(x)
+    with pytest.raises(exc):
+        dyn.connected(x, 2)
+    assert dyn.component_of(3) == dyn.component_of(np.int64(2)) == 2
+    assert dyn.connected(np.int32(0), 1) and not dyn.connected(1, 2)
 
 
 def test_components_backend_parity(backend):
