@@ -9,7 +9,7 @@ execution and MPI time exactly in the spirit of the paper's constant-factor
 performance model (§5.3).
 
 The collectives mirror §2.1: ``broadcast``, ``reduce``, ``gather``,
-``all-reduce``/``all-gather``, plus ``scatter``/``alltoallv`` and
+``all-reduce``/``all-gather``, plus ``scatterv``/``alltoallv`` and
 communicator ``split`` (used to run minimum-cut trials on processor groups
 and to halve groups inside Recursive Contraction).  Every collective costs
 O(1) supersteps, O(k) communication volume and time, and O(k/B + 1) cache

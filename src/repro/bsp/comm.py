@@ -143,17 +143,6 @@ class Communicator:
         result = yield self._op("allgather", value)
         return result
 
-    def scatter(self, values: Sequence[Any] | None = None, root: int = 0):
-        """Root provides one value per member; each member gets its own."""
-        if self.rank == root:
-            if values is None or len(values) != self.size:
-                raise ValueError("scatter root must provide one value per member")
-            payload = list(values)
-        else:
-            payload = None
-        result = yield self._op("scatter", payload, root)
-        return result
-
     def reduce(self, value: Any, op: Callable[[Any, Any], Any], root: int = 0):
         """Left-fold of member values with ``op`` at the root (local-rank order)."""
         result = yield self._op("reduce", value, root, op)
@@ -175,7 +164,7 @@ class Communicator:
     #
     # The *v operations move numpy columns as ArrayBundles: aligned typed
     # buffers with per-member row counts as uncharged metadata.  They are
-    # drop-in replacements for the gather/allgather/scatter/alltoall of
+    # drop-in replacements for the gather/allgather/alltoall of
     # tuples-of-arrays — identical communication charges and bit-identical
     # values — but the engine concatenates/splits column-wise, and the mp
     # transport moves each payload as one contiguous (counts, dtype,
@@ -213,9 +202,8 @@ class Communicator:
         arrays) plus ``counts`` — one non-negative row count per member,
         summing to the bundle's row count.  Member ``i`` receives the
         :class:`ArrayBundle` holding rows ``sum(counts[:i]) ..
-        sum(counts[:i+1])``.  Charges are identical to ``scatter`` of the
-        same rows: the root sends every row once, each member receives its
-        own block.
+        sum(counts[:i+1])``.  The root is charged for sending every row
+        once, each member for receiving its own block.
         """
         if self.rank == root:
             if columns is None or counts is None:

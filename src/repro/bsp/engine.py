@@ -108,7 +108,7 @@ class RunResult:
 
 #: Collectives whose members must agree on the root rank.
 ROOTED_KINDS = frozenset(
-    {"bcast", "gather", "scatter", "reduce", "gatherv", "scatterv"}
+    {"bcast", "gather", "reduce", "gatherv", "scatterv"}
 )
 
 _DONE = object()
@@ -438,18 +438,6 @@ class Engine:
         for op in ops:
             self._charge(counters, op.sender, payload_words(op.payload), total)
         return [gathered] * len(ops)
-
-    def _exec_scatter(self, group, ops, counters):
-        values = ops[ops[0].root].payload  # ops are sorted by local rank
-        results = []
-        for op in ops:
-            part = values[op.local_rank]
-            if op.local_rank == op.root:
-                self._charge(counters, op.sender, sum(payload_words(v) for v in values), 0)
-            else:
-                self._charge(counters, op.sender, 0, payload_words(part))
-            results.append(part)
-        return results
 
     def _reduce_values(self, ops, counters):
         fold = ops[0].op

@@ -25,9 +25,12 @@ import math
 
 __all__ = [
     "ALGORITHMS",
+    "ALGORITHM_FIELDS",
+    "FIELDS",
     "FIELD_DOMAINS",
     "VARIANTS",
     "field_error",
+    "fields_conflict",
     "eager_survival_probability",
     "recursive_success_probability",
     "num_trials",
@@ -58,8 +61,10 @@ def _one_of(values: tuple) -> tuple:
 FIELD_DOMAINS = {
     "seed": (_INT, lambda v: True, "an integer"),
     **dict.fromkeys(("p", "trials", "trials_per_level", "wave_size", "batches",
-                     "batch_size", "query_every", "top", "max_words"), _COUNT),
-    **dict.fromkeys(("reconnect_budget", "max_retries"), _NONNEGATIVE),
+                     "batch_size", "query_every", "top", "max_words", "n",
+                     "degree"), _COUNT),
+    **dict.fromkeys(("reconnect_budget", "max_retries", "m"), _NONNEGATIVE),
+    "max_chain": (_INT, lambda v: v >= 2, ">= 2"),
     **dict.fromkeys(("retry_backoff", "timeout"),
                     (_REAL, lambda v: 0 <= v < math.inf, ">= 0")),
     **dict.fromkeys(("priority", "trial_scale", "eps", "cache_edges"),
@@ -73,9 +78,67 @@ FIELD_DOMAINS = {
     **dict.fromkeys(("job", "session", "fingerprint", "path", "client"),
                     ((str,), lambda v: True, "a string")),
     "ops": ((list,), lambda v: True, "a list"),
-    **dict.fromkeys(("hybrid", "pipelined", "preprocess", "wait", "discard"),
-                    _FLAG),
+    **dict.fromkeys(("hybrid", "pipelined", "preprocess", "shrink", "wait",
+                     "discard"), _FLAG),
 }
+
+_CC, _APPMC, _EXACT = ("parallel_cc",), ("approx_cut",), ("square_root",)
+
+#: Every algorithm field, once: the algorithms that take it and its help
+#: line.  The serve wire's ``submit`` and every CLI algorithm flag are
+#: generated from it; the field's domain is its ``FIELD_DOMAINS`` entry and
+#: its default the entry point's own, since neither surface passes on a
+#: field that was not given.
+FIELDS = {
+    "eps": (_CC + _APPMC, "sparsification sample size exponent: n^(1+eps) "
+                          "edges per round (§3.2)"),
+    "delta": (_CC + _APPMC, "oversampling slack of the unweighted sampler"),
+    "hybrid": (_CC, "sparsify only as a preconditioner for parallel hooking "
+                    "instead of iterating to convergence (§3.2 remark)"),
+    "trials_per_level": (_APPMC, "sampling trials per sparsity level"),
+    "pipelined": (_APPMC, "single-CC pipelined schedule (O(1) supersteps)"),
+    "shrink": (_CC + _APPMC, "release processors whose edge slice has "
+                             "contracted away (group-shrink); results are "
+                             "bit-identical"),
+    "variant": (_EXACT, "trial pipeline: 'default' dispatches the full budget "
+                        "on the input graph; '2out' preprocesses with random "
+                        "2-out contraction replicas and recomputes the (much "
+                        "smaller) budget on the contracted graphs"),
+    "trials": (_EXACT, "override the trial count"),
+    "trial_scale": (_EXACT, "scale the Theta((n^2/m) log^2 n) trial count"),
+    "success_prob": (_EXACT, "overall success probability (the artifact "
+                             "runs at 0.9)"),
+    "preprocess": (_EXACT, "contract heavy edges first (§2.3; "
+                           "exactness-preserving)"),
+}
+
+#: Each algorithm's fields, in :data:`FIELDS` order.
+ALGORITHM_FIELDS = {a: tuple(f for f, (takers, _) in FIELDS.items()
+                             if a in takers) for a in ALGORITHMS}
+
+#: The cross-field rules: (field, refused when this field holds this value,
+#: why).
+_CONFLICTS = (
+    ("trials", "variant", "2out", "it recomputes the trial budget from the "
+                                  "contracted replicas"),
+    ("shrink", "hybrid", True, "the hybrid finish redistributes edges across "
+                               "the full group"),
+)
+
+
+def fields_conflict(algorithm: str, fields: dict, label) -> str | None:
+    """Why ``algorithm`` cannot take the algorithm ``fields`` given
+    together — a field it does not take, or a cross-field rule — with
+    each field named by ``label(name)``; ``None`` when it can."""
+    for name in fields:
+        if name not in ALGORITHM_FIELDS[algorithm]:
+            return f"{label(name)} does not apply to {algorithm}"
+    for name, other, value, why in _CONFLICTS:   # a False flag asks nothing
+        if fields.get(name, False) is not False and fields.get(other) == value:
+            held = "" if value is True else f" {value}"
+            return (f"{label(name)} does not apply to {label(other)}{held}: "
+                    f"{why}")
+    return None
 
 
 def field_error(name: str, value) -> str | None:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import binom
 
 __all__ = ["median_ci", "measure", "Datapoint", "run_algorithm"]
 
@@ -85,6 +84,8 @@ def median_ci(values: list[float], confidence: float = 0.95) -> tuple[float, flo
     median (Le Boudec, *Performance Evaluation*, §2 — the reference the
     artifact cites for this guarantee).
     """
+    from scipy.stats import binom  # ~1 s to import; only this needs it
+
     xs = sorted(values)
     n = len(xs)
     if n == 0:

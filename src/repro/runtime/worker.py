@@ -55,8 +55,8 @@ CMD_RUN, CMD_EXIT = "run", "exit"
 #: Collectives that move values without folding (or slicing) them: in
 #: arena mode they run on the senders' descriptors, and each member maps
 #: the slabs its own result points into.
-FORWARDED = frozenset({"bcast", "gather", "allgather", "scatter",
-                       "alltoall", "gatherv", "allgatherv", "alltoallv"})
+FORWARDED = frozenset({"bcast", "gather", "allgather", "alltoall",
+                       "gatherv", "allgatherv", "alltoallv"})
 
 #: A rank's state in its control-block head.
 RUNNING, BLOCKED, DONE = 0, 1, 2

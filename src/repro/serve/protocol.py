@@ -40,7 +40,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.trials import ALGORITHMS, field_error
+from repro.core.trials import (
+    ALGORITHM_FIELDS,
+    ALGORITHMS,
+    FIELDS,
+    field_error,
+    fields_conflict,
+)
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -98,14 +104,6 @@ class ProtocolError(Exception):
 #: sent, the callee (the algorithm, the dynamic graph) owning its default.
 REQUIRED, FORWARDED = "<required>", "<forwarded>"
 
-#: ``submit``'s forwarded fields, per algorithm: the rest are refused.
-ALGORITHM_FIELDS = {
-    "parallel_cc": ("eps", "delta", "hybrid"),
-    "approx_cut": ("eps", "delta", "trials_per_level", "pipelined"),
-    "square_root": ("variant", "trials", "trial_scale", "success_prob",
-                    "preprocess"),
-}
-
 #: The wire: verb -> {field: default, REQUIRED or FORWARDED}.  Every field
 #: is checked against its ``FIELD_DOMAINS`` entry; a ``None`` default
 #: stands for "not sent" (no domain admits ``None``).  ``p``'s is the
@@ -115,7 +113,8 @@ VERBS = {
     "submit": {
         "algorithm": REQUIRED, "path": REQUIRED, "seed": 0, "p": None,
         "client": "anon", "priority": 1.0, "fingerprint": None,
-        **dict.fromkeys(sum(ALGORITHM_FIELDS.values(), ()), FORWARDED)},
+        # every algorithm's fields; parse keeps each to its algorithm's own
+        **dict.fromkeys(FIELDS, FORWARDED)},
     "status": {"job": REQUIRED},
     "result": {"job": REQUIRED, "wait": False, "timeout": None},
     "cancel": {"job": REQUIRED},
@@ -138,8 +137,8 @@ def parse(verb, req: dict, defaults: dict | None = None) -> dict:
     Every field the verb declares comes back under its name (the value
     sent, else ``defaults``' entry, else the table's default), except the
     FORWARDED ones, which come back under ``"kwargs"`` and only when sent.
-    ``submit``'s algorithm fields must be its algorithm's, and a 2-out
-    ``submit`` refuses ``trials``.
+    ``submit``'s algorithm fields must be its algorithm's and pass the
+    cross-field rules (:func:`~repro.core.trials.fields_conflict`).
     Raises :class:`ProtocolError` naming the field at fault.
     """
     fields = VERBS.get(verb) if isinstance(verb, str) else None
@@ -161,15 +160,10 @@ def parse(verb, req: dict, defaults: dict | None = None) -> dict:
             raise ProtocolError(f"'{name}' {bad}")
         (kwargs if default is FORWARDED else args)[name] = req[name]
     args["kwargs"] = kwargs
-    if verb == "submit":                      # the cross-field rules
-        for name in kwargs:
-            if name not in ALGORITHM_FIELDS[args["algorithm"]]:
-                raise ProtocolError(
-                    f"'{name}' does not apply to {args['algorithm']}")
-        if kwargs.get("variant") == "2out" and "trials" in kwargs:
-            raise ProtocolError(
-                "'trials' does not apply to variant '2out': it recomputes "
-                "the trial budget from the contracted replicas")
+    if verb == "submit":
+        bad = fields_conflict(args["algorithm"], kwargs, "'{}'".format)
+        if bad:
+            raise ProtocolError(bad)
     return args
 
 

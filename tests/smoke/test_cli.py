@@ -108,3 +108,24 @@ def test_trace_parity(cli, graphs, tmp_path, monkeypatch, algorithm, graph):
         assert any(below), "AppMC never descended on this input"
         assert any(skipped), "no descent skipped a trial connected at hi"
         assert "int32" in root_ids, f"union reached the root as {root_ids}"
+
+
+def test_query_equals_direct(cli, graphs, tmp_path):
+    """``query`` with an algorithm flag answers what the direct subcommand
+    prints, at the daemon's ``--procs`` when it sends none."""
+    sock, state = tmp_path / "s.sock", tmp_path / "state"
+    proc = cli("serve", "--bind", sock, "--state-dir", state, "--procs", 2,
+               wait=False)
+    cases = {"parallel_cc": ("cc", ("--eps", 0.5), "n_components"),
+             "approx_cut": ("cc", ("--trials-per-level", 3), "estimate"),
+             "square_root": ("serve_dense", ("--trial-scale", 0.2), "value")}
+    for algorithm, (graph, flags, key) in cases.items():
+        direct = cli(algorithm, graphs[graph], "--procs", 2, *flags)
+        served = json.loads(cli("query", sock, algorithm, graphs[graph],
+                                *flags, "--wait-server", 30)[-1])
+        assert format(served[key], "g") == direct[0].split(",")[8], (
+            algorithm, served, direct)
+    cli("query", sock, "--shutdown")
+    assert proc.wait(timeout=60) == 0
+    jobs = [json.loads(p.read_text()) for p in (state / "jobs").glob("*.json")]
+    assert len(jobs) == 3 and {job["p"] for job in jobs} == {2}, jobs

@@ -52,23 +52,6 @@ class TestCollectives:
 
         assert Engine().run(prog, 3).values == [[0, 1, 2]] * 3
 
-    def test_scatter(self):
-        def prog(ctx):
-            x = yield from ctx.comm.scatter(
-                [i * 2 for i in range(ctx.p)] if ctx.rank == 0 else None
-            )
-            return x
-
-        assert Engine().run(prog, 4).values == [0, 2, 4, 6]
-
-    def test_scatter_requires_full_list(self):
-        def prog(ctx):
-            x = yield from ctx.comm.scatter([1] if ctx.rank == 0 else None)
-            return x
-
-        with pytest.raises(ValueError):
-            Engine().run(prog, 2)
-
     def test_reduce(self):
         def prog(ctx):
             s = yield from ctx.comm.reduce(ctx.rank + 1, op=operator.add)

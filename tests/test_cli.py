@@ -1,9 +1,13 @@
 """Tests for the artifact-style CLI."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.core.trials import ALGORITHM_FIELDS, ALGORITHMS, FIELDS
 from repro.graph import read_edgelist
+from repro.serve.protocol import FORWARDED, VERBS
 from tests.conftest import require_mp
 
 
@@ -41,6 +45,25 @@ class TestGenerate:
         with pytest.raises(SystemExit):
             main(["generate", "--family", "nope", "--n", "10",
                   "--out", str(tmp_path / "x.txt")])
+
+    @pytest.mark.parametrize("family, extra, message", [
+        ("er", ["--n", "-5"], "--n must be >= 1, got -5"),
+        ("er", ["--n", "10", "--m", "-3"], "--m must be >= 0, got -3"),
+        ("rmat", ["--n", "10", "--m", "-3"], "--m must be >= 0, got -3"),
+        ("er", ["--n", "10", "--degree", "-4"], "--degree must be >= 1"),
+        ("ws", ["--n", "10", "--degree", "20"],
+         "cannot generate a ws graph: need k < n"),
+        ("ba", ["--n", "3"], "cannot generate a ba graph: need 1 <= k < n"),
+    ])
+    def test_out_of_domain_sizes_are_usage_errors(self, tmp_path, capsys,
+                                                  family, extra, message):
+        out = tmp_path / "g.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--family", family, *extra, "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err.splitlines()[-1] and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestAlgorithms:
@@ -351,3 +374,136 @@ class TestSchedulerOptions:
                    "--inject-faults", "crash:rank=1,step=1"])
         assert rc == 0
         assert "4/4 trials completed" in capsys.readouterr().out
+
+
+class TestAnalyzeTraceOptions:
+    def test_max_chain_floor(self, graph_file, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        main(["parallel_cc", str(graph_file), "--trace", str(trace)])
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze-trace", str(trace), "--max-chain", "1"])
+        assert exc.value.code == 2
+        assert "--max-chain must be >= 2, got 1" in capsys.readouterr().err
+
+
+# -- one schema: the algorithm flags are the wire's submit fields -------------
+
+#: Per surface, the options that are not algorithm fields.
+DIRECT_OPTIONS = {"help", "input", "p", "seed", "backend", "trace", "fuse",
+                  "max_retries", "retry_backoff", "checkpoint", "resume",
+                  "inject_faults"}
+QUERY_OPTIONS = {"help", "address", "algorithm", "input", "p", "seed",
+                 "client", "priority", "wait", "wait_server", "ping", "stats",
+                 "shutdown"}
+
+#: A non-default, in-domain value for every algorithm field.
+NON_DEFAULT = {"eps": 0.5, "delta": 0.25, "hybrid": True,
+               "trials_per_level": 2, "pipelined": True, "shrink": True,
+               "variant": "2out", "trials": 3, "trial_scale": 0.5,
+               "success_prob": 0.8, "preprocess": True}
+
+
+def _dests(command) -> set:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions}
+
+
+def _argv(field, value) -> list:
+    flag = "--" + field.replace("_", "-")
+    return [flag] if value is True else [flag, str(value)]
+
+
+def _taker(field) -> str:
+    return next(a for a in ALGORITHMS if field in ALGORITHM_FIELDS[a])
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_flags_are_the_wire_fields(algorithm):
+    submit = {f for f, d in VERBS["submit"].items() if d is FORWARDED}
+    wire = set(ALGORITHM_FIELDS[algorithm])
+    assert wire <= submit
+    assert _dests(algorithm) - DIRECT_OPTIONS == wire
+    assert _dests("query") - QUERY_OPTIONS == submit
+
+
+@pytest.fixture(scope="module")
+def served(tmp_path_factory):
+    """A live sim daemon configured with p = 2, and a graph file."""
+    from repro.graph import erdos_renyi, write_edgelist
+    from repro.rng import philox_stream
+    from repro.serve import Daemon, ServeConfig, wait_server
+
+    tmp = tmp_path_factory.mktemp("served")
+    path = str(tmp / "g.txt")
+    write_edgelist(erdos_renyi(40, 160, philox_stream(5), weighted=True),
+                   path)
+    with Daemon(ServeConfig(bind=str(tmp / "s.sock"), p=2, backend="sim",
+                            state_dir=str(tmp / "state"))) as daemon:
+        wait_server(daemon.address)
+        yield daemon, path
+
+
+def _query(served, capsys, *argv):
+    """Run ``repro.cli query`` against ``served``; the job it submitted."""
+    daemon, path = served
+    assert main(["query", daemon.address, *argv[:1], path, *argv[1:]]) == 0
+    capsys.readouterr()
+    return daemon.jobs[max(daemon.jobs)]
+
+
+def test_query_runs_at_the_daemons_p(served, capsys):
+    """``--procs`` not given, the stored job runs at the daemon's p."""
+    store = served[0].store
+    assert store.load(_query(served, capsys, "parallel_cc").id).p == 2
+    job = _query(served, capsys, "parallel_cc", "--procs", "3")
+    assert store.load(job.id).p == 3
+
+
+def test_non_default_values_cover_every_field():
+    assert set(NON_DEFAULT) == set(FIELDS)
+
+
+@pytest.mark.parametrize("field", sorted(NON_DEFAULT))
+def test_field_reaches_the_entry_point(field, graph_file, served, capsys,
+                                       monkeypatch):
+    import repro.harness.experiment as experiment
+
+    value, algorithm, seen = NON_DEFAULT[field], _taker(field), []
+    real = experiment.run_algorithm
+
+    def spy(*args, **kwargs):
+        seen.append({k: v for k, v in kwargs.items() if k in FIELDS})
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_algorithm", spy)
+    assert main([algorithm, str(graph_file), "-p", "2",
+                 *_argv(field, value)]) == 0
+    assert seen == [{field: value}]
+    job = _query(served, capsys, algorithm, *_argv(field, value))
+    assert job.kwargs == {field: value} and job.state == "done"
+
+
+def test_hybrid_refuses_shrink_on_both_surfaces(graph_file, served, capsys):
+    from repro.serve.protocol import ProtocolError, parse
+
+    both = ["--hybrid", "--shrink"]
+    for argv in (["parallel_cc", str(graph_file), *both],
+                 ["query", served[0].address, "parallel_cc",
+                  str(graph_file), *both]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--shrink does not apply to --hybrid" in (
+            capsys.readouterr().err)
+    with pytest.raises(ProtocolError, match="'shrink' does not apply"):
+        parse("submit", {"op": "submit", "algorithm": "parallel_cc",
+                         "path": "g", "hybrid": True, "shrink": True})
+
+
+def test_query_refuses_another_algorithms_field(graph_file, served, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["query", served[0].address, "square_root", str(graph_file),
+              "--eps", "0.5"])
+    assert exc.value.code == 2
+    assert "--eps does not apply to square_root" in capsys.readouterr().err
