@@ -16,10 +16,9 @@ one-shot CLI pays per query:
   per-trial RNG is keyed by global trial id, so interleaving and
   priorities are pure latency policy and every job's bits match a solo
   :func:`~repro.harness.run_algorithm` call;
-* a **durable job store** (:class:`~repro.serve.jobs.JobStore`) with a
-  per-job ledger checkpoint written after every wave, so a daemon killed
-  mid-job and restarted resumes exactly where it stopped and produces a
-  bit-identical result.
+* a **durable job store** (:class:`~repro.serve.jobs.JobStore`, one
+  append-only journal) and per-wave ledger checkpoints, so a daemon killed
+  mid-job and restarted resumes where it stopped, bit-identically.
 
 Threads: one listener (accept loop), one reader per connection (parses
 line-JSON requests, answers immediately or blocks on ``result wait``),
@@ -231,6 +230,7 @@ class Daemon:
                 if not job.terminal and job.state != "queued":
                     job.state = "queued"   # resumable on restart
                     self.store.save(job)   # every other record is current
+        self.store.close()
         self.cache.close()
         # The backend holds every graph-plane pin (its retention window),
         # so closing it leaves /dev/shm empty.
@@ -405,6 +405,7 @@ class Daemon:
             queue=self.queue.stats(),
             graph_plane=plane_stats(),
             dynamic=self.dynamic.stats(),
+            store=self.store.stats(),
         )
 
     # -- dynamic sessions ----------------------------------------------------

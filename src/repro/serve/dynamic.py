@@ -1,9 +1,9 @@
 """Dynamic-graph sessions: the serve daemon's streaming-update state.
 
 A *session* wraps one :class:`~repro.dynamic.graph.DynamicGraph` behind
-the daemon's ``dyn_*`` verbs.  Durability follows the job store's
-pattern: a session document (``<state_dir>/dynamic/<id>.json``) pins the
-initial graph by path + content fingerprint, and an append-only update
+the daemon's ``dyn_*`` verbs.  Durability: a session document
+(``<state_dir>/dynamic/<id>.json``) pins the initial graph by path +
+content fingerprint, and an append-only update
 log (``<id>.updates.jsonl``) records every accepted batch **before** it
 is applied (write-ahead).  Every dynamic answer is a pure function of
 the epoch graph, the seed and ``p``, so a daemon killed mid-stream

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.serve.jobs import JobStore
 from repro.trace import FINAL, aggregate_trace, read_jsonl
 
 
@@ -127,5 +128,5 @@ def test_query_equals_direct(cli, graphs, tmp_path):
             algorithm, served, direct)
     cli("query", sock, "--shutdown")
     assert proc.wait(timeout=60) == 0
-    jobs = [json.loads(p.read_text()) for p in (state / "jobs").glob("*.json")]
-    assert len(jobs) == 3 and {job["p"] for job in jobs} == {2}, jobs
+    jobs = JobStore(str(state)).load_all()
+    assert len(jobs) == 3 and {job.p for job in jobs} == {2}, jobs

@@ -1,4 +1,6 @@
 """Smokes of the serve daemon on the warm backend: served == direct."""
+import signal
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from repro.dynamic import DynamicGraph, update_stream
 from repro.graph import read_edgelist
 from repro.harness.experiment import run_algorithm
+from repro.sched.scheduler import TrialScheduler
 from repro.serve import Client, ServeError, result_doc, wait_server
 
 
@@ -43,6 +46,44 @@ def test_serve(cli, queries, tmp_path):
         c.shutdown()
     assert proc.wait(timeout=60) == 0
     assert not sock.exists()   # graceful shutdown unlinked the socket
+
+
+def test_serve_survives_kill(cli, graphs, queries, tmp_path):
+    """A SIGKILLed daemon restarted on its state dir keeps every finished
+    answer and completes the job it was killed with.  On ``sim``, so the
+    kill strands no /dev/shm name."""
+    sock, state = tmp_path / "s.sock", tmp_path / "state"
+
+    def serve():
+        proc = cli("serve", "--bind", sock, "--state-dir", state,
+                   "--backend", "sim", "--procs", 2, wait=False)
+        wait_server(str(sock), timeout=30)
+        return proc
+
+    proc, done = serve(), {}
+    with Client(str(sock), client="kill") as c:
+        for _, algorithm, path, kw, _ in queries.values():
+            job = c.submit(algorithm, path, seed=4, p=2, **kw)
+            done[job] = c.result(job)
+        pending = c.submit("square_root", graphs["serve_dense"], seed=4, p=2)
+        for _ in range(6000):          # kill it once a wave is in its ledger
+            if c.status(pending)["waves_done"]:
+                break
+            time.sleep(0.005)
+    proc.send_signal(signal.SIGKILL)
+    assert proc.wait(timeout=30) == -signal.SIGKILL
+    proc = serve()
+    with Client(str(sock), client="kill") as c:
+        for job, doc in done.items():
+            assert c.result(job) == doc, job
+        served = c.result(pending)
+        c.shutdown()
+    assert proc.wait(timeout=60) == 0
+    # scheduled, as the daemon runs it, so the doc has an achieved probability
+    direct = result_doc("square_root", run_algorithm(
+        "square_root", read_edgelist(graphs["serve_dense"]), p=2, seed=4,
+        scheduler=TrialScheduler()))
+    assert {key: served[key] for key in direct} == direct, served
 
 
 def test_plane(queries, warm_daemon):

@@ -1,6 +1,7 @@
 """Tests for the artifact-style CLI."""
 
 import argparse
+import json
 
 import pytest
 
@@ -452,12 +453,18 @@ def _query(served, capsys, *argv):
     return daemon.jobs[max(daemon.jobs)]
 
 
+def _stored(daemon, job_id):
+    """``job_id``'s last record in the daemon's job journal."""
+    with open(daemon.store.path, encoding="utf-8") as fh:
+        return [doc for doc in map(json.loads, fh) if doc["id"] == job_id][-1]
+
+
 def test_query_runs_at_the_daemons_p(served, capsys):
     """``--procs`` not given, the stored job runs at the daemon's p."""
-    store = served[0].store
-    assert store.load(_query(served, capsys, "parallel_cc").id).p == 2
+    daemon = served[0]
+    assert _stored(daemon, _query(served, capsys, "parallel_cc").id)["p"] == 2
     job = _query(served, capsys, "parallel_cc", "--procs", "3")
-    assert store.load(job.id).p == 3
+    assert _stored(daemon, job.id)["p"] == 3
 
 
 def test_non_default_values_cover_every_field():

@@ -11,6 +11,8 @@ Two harness styles:
   sim backend, talked to through the real :class:`~repro.serve.Client`.
 """
 
+import builtins
+import contextlib
 import dataclasses
 import glob
 import io
@@ -68,6 +70,32 @@ def submit(daemon, algorithm, path, **fields):
     reply = daemon.handle_request(doc)
     assert reply["ok"], reply
     return reply["job"]
+
+
+def journal(daemon):
+    """The records in ``daemon``'s job journal, in file order."""
+    with open(daemon.store.path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+@contextlib.contextmanager
+def io_calls(monkeypatch):
+    """Every ``os.write`` (by fd), ``os.replace`` and file open meanwhile."""
+    calls = []
+
+    def spy(mod, name):
+        real = getattr(mod, name)
+
+        def call(*args, **kwargs):
+            calls.append((name, args[0]))
+            return real(*args, **kwargs)
+        m.setattr(mod, name, call)
+
+    with monkeypatch.context() as m:
+        for mod, name in ((os, "write"), (os, "replace"), (os, "open"),
+                          (builtins, "open"), (io, "open")):
+            spy(mod, name)
+        yield calls
 
 
 # -- live socket daemon -------------------------------------------------------
@@ -263,7 +291,8 @@ def test_submit_validates(graph_file, tmp_path):
         assert reply["error"] == "ProtocolError", (field, reply)
         assert next(iter(field)) in reply["message"]
     assert len(d.jobs) == 0 and len(d.queue) == 0
-    assert os.listdir(d.store.dir) == []         # nothing saved
+    assert os.path.getsize(d.store.path) == 0    # nothing saved
+    assert d.store.stats()["appended"] == 0
     assert d.store.new_id() == "j000001"         # no job id burned
 
 
@@ -280,7 +309,7 @@ def test_two_out_refuses_trials_and_honours_preprocess(tmp_path):
     reply = d.handle_request({"op": "submit", "algorithm": "square_root",
                               "path": path, "variant": "2out", "trials": 5})
     assert reply["error"] == "ProtocolError" and "trials" in reply["message"]
-    assert len(d.jobs) == 0 and os.listdir(d.store.dir) == []
+    assert len(d.jobs) == 0 and os.path.getsize(d.store.path) == 0
     jid = submit(d, "square_root", path, seed=7, variant="2out",
                  preprocess=True)
     drive(d)
@@ -538,7 +567,8 @@ def test_restart_keeps_terminal_results(graph_file, tmp_path):
     assert len(d2.queue) == 0                # nothing requeued
 
 
-def test_stop_writes_only_the_jobs_it_requeues(graph, graph_file, tmp_path):
+def test_stop_writes_only_the_jobs_it_requeues(graph, graph_file, tmp_path,
+                                               monkeypatch):
     d1 = threadless(tmp_path)
     done = submit(d1, "parallel_cc", graph_file, seed=5)
     drive(d1)
@@ -546,13 +576,12 @@ def test_stop_writes_only_the_jobs_it_requeues(graph, graph_file, tmp_path):
     d1._run_slice(d1.jobs[d1.queue.pop()[1]])          # one wave, then stop
     assert d1.jobs[running].state == "running"
     queued = submit(d1, "square_root", graph_file, seed=7, variant="2out")
-    untouched = {j: os.stat(d1.store.job_path(j)) for j in (done, queued)}
-    d1.stop()
-    for j, before in untouched.items():
-        after = os.stat(d1.store.job_path(j))
-        assert (after.st_ino, after.st_mtime_ns) == (
-            before.st_ino, before.st_mtime_ns), j
-    assert d1.store.load(running).state == "queued"
+    before, fd = len(journal(d1)), d1.store._fd
+    with io_calls(monkeypatch) as calls:
+        d1.stop()
+    assert calls == [("write", fd)]                     # one append, no file
+    appended = journal(d1)[before:]
+    assert [(r["id"], r["state"]) for r in appended] == [(running, "queued")]
 
     d2 = threadless(tmp_path)                           # graceful restart
     assert d2.jobs[done].state == "done"
@@ -565,30 +594,99 @@ def test_stop_writes_only_the_jobs_it_requeues(graph, graph_file, tmp_path):
     assert d2.jobs[running].result["value"] == solo.value
 
 
+def test_submit_and_finish_append_one_line_each(graph_file, tmp_path,
+                                                monkeypatch):
+    """A submit's save and a single-slice job's finish are one ``write()``
+    each on the open journal: no file created, nothing renamed."""
+    d = threadless(tmp_path)
+    submit(d, "parallel_cc", graph_file, seed=5)        # warms the graph cache
+    drive(d)
+    fd = d.store._fd
+    with io_calls(monkeypatch) as calls:
+        jid = submit(d, "parallel_cc", graph_file, seed=6)
+    assert calls == [("write", fd)]
+    with io_calls(monkeypatch) as calls:
+        drive(d)
+    assert calls == [("write", fd)]
+    assert [(r["id"], r["state"]) for r in journal(d)[-2:]] == [
+        (jid, "queued"), (jid, "done")]
+    assert d.store.stats()["appended"] == 4
+
+
 def test_restart_skips_unreadable_job_records(graph_file, tmp_path, caplog):
-    """One truncated or hand-edited ``jobs/j*.json`` must not keep the
-    daemon from coming back on its state dir; every other job resumes."""
+    """Bad lines in the journal (a torn tail, an unknown field, a line that
+    is not a record) are skipped and logged; every acknowledged job comes
+    back in its last whole state, and no id is reused."""
     state = str(tmp_path / "state")
     d1 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
     done = submit(d1, "parallel_cc", graph_file, seed=5)
     drive(d1)
     queued = submit(d1, "parallel_cc", graph_file, seed=6)
-    doc = open(d1.store.job_path(done), encoding="utf-8").read()
-    planted = {"j000003": doc[:len(doc) // 2],                  # half-written
-               "j000004": '{"id": "j000004", "surprise": 1}',   # unknown field
-               "j000005": "[]"}                                 # not a record
-    for jid, text in planted.items():
-        with open(d1.store.job_path(jid), "w", encoding="utf-8") as fh:
-            fh.write(text)
+    assert len(journal(d1)) == 3
+    # `queued`'s finish record, cut short by a kill mid-write
+    finish = json.dumps({**d1.jobs[done].to_doc(), "id": queued},
+                        sort_keys=True)
+    planted = ['{"id": "j000004", "surprise": 1}',      # unknown field
+               "[]",                                     # not a record
+               finish[:len(finish) // 2]]                # torn, no newline
+    with open(d1.store.path, "a", encoding="utf-8") as fh:
+        fh.write("\n".join(planted))
     del d1
     with caplog.at_level("WARNING", logger="repro.serve.jobs"):
         d2 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
     assert sorted(d2.jobs) == [done, queued]
-    assert all(jid in caplog.text for jid in planted)
-    assert d2.jobs[done].state == "done" and len(d2.queue) == 1
+    assert all(f"journal.jsonl:{n}" in caplog.text for n in (4, 5, 6))
+    store = d2.handle_request({"op": "stats"})["store"]
+    assert store == {"appended": 0, "replayed": 3, "skipped": 3,
+                     "journal_bytes": os.path.getsize(d2.store.path)}
+    assert [r["id"] for r in journal(d2)] == [done, queued]   # compacted
+    assert d2.jobs[done].state == "done" and d2.jobs[queued].state == "queued"
+    assert len(d2.queue) == 1
     drive(d2)
     assert d2.jobs[queued].state == "done"
-    assert d2.store.new_id() == "j000006"    # never reuses a skipped id
+    assert d2.store.new_id() == "j000005"    # past every id a line names
+    d2.stop()
+
+    # the append after compaction is a whole line of its own
+    d3 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
+    assert d3.store.stats()["skipped"] == 0
+    assert d3.jobs[queued].result == d2.jobs[queued].result
+    d3.stop()
+
+
+def test_restart_after_a_kill_mid_compaction(graph_file, tmp_path, caplog,
+                                             monkeypatch):
+    """A kill between compaction's tmp write and its rename leaves the old
+    journal whole: the next start drops the tmp file and replays it."""
+    state = str(tmp_path / "state")
+    d1 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
+    done = submit(d1, "parallel_cc", graph_file, seed=5)
+    drive(d1)
+    queued = submit(d1, "parallel_cc", graph_file, seed=6)
+    result = d1.jobs[done].result
+    del d1
+
+    class Killed(BaseException):
+        pass
+
+    def kill(src, dst):
+        raise Killed
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", kill)
+        with pytest.raises(Killed):
+            Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
+    jobs_dir = os.path.join(state, "jobs")
+    assert len(glob.glob(os.path.join(jobs_dir, "journal.jsonl.tmp.*"))) == 1
+    with caplog.at_level("WARNING", logger="repro.serve.jobs"):
+        d2 = Daemon(ServeConfig(bind="", state_dir=state, backend="sim"))
+    assert "unfinished compaction" in caplog.text
+    assert os.listdir(jobs_dir) == ["journal.jsonl"]
+    assert d2.store.stats()["replayed"] == 3
+    assert d2.jobs[done].result == result
+    assert d2.jobs[queued].state == "queued" and len(d2.queue) == 1
+    assert d2.store.new_id() == "j000003"
+    drive(d2)
+    assert d2.jobs[queued].state == "done"
 
 
 def test_jobstore_save_bytes_and_atomic_replace(tmp_path, monkeypatch):
@@ -602,32 +700,37 @@ def test_jobstore_save_bytes_and_atomic_replace(tmp_path, monkeypatch):
     # the doc is what asdict would build, minus its deep copy of `result`
     assert job.to_doc() == dataclasses.asdict(job)
     assert job.to_doc()["result"] is job.result
-    streamed = io.StringIO()  # the file json.dump(doc, fh) used to write
+    streamed = io.StringIO()  # the bytes json.dump(doc, fh) used to write
     json.dump(job.to_doc(), streamed, sort_keys=True)
-    path = store.job_path(job.id)
     store.save(job)
-    with open(path, encoding="utf-8") as fh:
-        assert fh.read() == streamed.getvalue()
-    assert store.load(job.id) == job
-
-    # A second save lands by rename: the whole new document is in a
-    # sibling tmp file while the old one is still what a reader sees.
-    old_bytes = open(path, "rb").read()
+    first = streamed.getvalue() + "\n"
+    with open(store.path, encoding="utf-8") as fh:
+        assert fh.read() == first
     job.state = "running"
+    store.save(job)
+    store.close()
+
+    # Reopening compacts by rename: the latest record per job is whole in a
+    # sibling tmp file while the two-line journal is still what a reader sees.
     seen = []
     real_replace = os.replace
 
     def replace(src, dst):
         seen.append((src, dst))
-        assert open(dst, "rb").read() == old_bytes
-        assert json.load(open(src, encoding="utf-8"))["state"] == "running"
+        assert open(dst, encoding="utf-8").read().startswith(first)
+        assert [json.loads(line)["state"] for line in open(src)] == [
+            "running"]
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", replace)
-    store.save(job)
-    assert seen == [(f"{path}.tmp.{os.getpid()}", path)]
-    assert sorted(os.listdir(store.dir)) == [os.path.basename(path)]
-    assert store.load(job.id).state == "running"
+    again = JobStore(str(tmp_path))
+    assert seen == [(f"{store.path}.tmp.{os.getpid()}", store.path)]
+    assert again.load_all() == [job]
+    assert again.stats() == {"appended": 0, "replayed": 2, "skipped": 0,
+                             "journal_bytes": os.path.getsize(store.path)}
+    assert sorted(os.listdir(store.dir)) == ["journal.jsonl"]
+    assert again.new_id() == "j000002"
+    again.close()
 
 
 def test_failed_job_reports_error(graph, tmp_path):
