@@ -413,7 +413,6 @@ def two_out_minimum_cut(
     scheduler=None,
     backend: "str | Backend | None" = None,
     force: bool = False,
-    plans=None,
 ):
     """The ``variant="2out"`` pipeline behind :func:`minimum_cut`.
 
@@ -427,12 +426,12 @@ def two_out_minimum_cut(
     ``force=True`` skips the degrade decision and runs the replica path
     regardless (benchmark/test hook for exercising the genuine pipeline
     on graphs where the default budget would still be cheaper).
-    ``plans`` is a caller-owned :class:`~repro.cache.store.BoundedLRU`
-    of plans, keyed here by ``(cached_fingerprint(g), seed, p,
-    success_prob, trial_scale)`` — every input :func:`plan_two_out` is
-    deterministic in — so a hit replays the exact plan a fresh call
-    would build, minus its dispatch (the serve daemon and dynamic
-    sessions hold one across queries).
+    The plan goes through the resolved backend's store
+    (:attr:`~repro.runtime.base.Backend.plans`), keyed by
+    ``(cached_fingerprint(g), seed, p, success_prob, trial_scale)`` —
+    every input :func:`plan_two_out` is deterministic in — so a repeat
+    call on the same backend instance replays the exact plan a fresh
+    call would build, minus its dispatch.
     Returns a :class:`~repro.core.mincut.MinCutResult` with ``variant``
     and ``two_out`` filled in.
     """
@@ -443,16 +442,13 @@ def two_out_minimum_cut(
             "variant='2out' does not support scheduler checkpoints: one "
             "ledger cannot span the per-replica dispatches")
     runtime = resolve_backend(backend)
-    key = plan = None
-    if plans is not None:
-        key = (cached_fingerprint(g), int(seed), int(p),
-               float(success_prob), float(trial_scale))
-        plan = plans.get(key)
+    key = (cached_fingerprint(g), int(seed), int(p),
+           float(success_prob), float(trial_scale))
+    plan = runtime.plans.get(key)
     if plan is None:
         plan = plan_two_out(g, p, seed=seed, success_prob=success_prob,
                             trial_scale=trial_scale, backend=runtime)
-        if plans is not None:
-            plans.put(key, plan)
+        runtime.plans.put(key, plan)
 
     if plan.degraded and not force:
         base = minimum_cut(

@@ -34,11 +34,11 @@ from operator import index
 
 import numpy as np
 
-from repro.cache.store import BoundedLRU
 from repro.graph.edgelist import EdgeList
 from repro.graph.fingerprint import cached_fingerprint
 from repro.kernels import cc_roots, earliest_forest, flatten_parents
 from repro.rng.streams import RngStreams
+from repro.runtime.base import resolve_backend
 
 __all__ = [
     "DynamicGraph",
@@ -139,27 +139,24 @@ class DynamicGraph:
     p, seed, backend:
         Execution parameters for every backend dispatch (the cut
         queries).  All answers are deterministic in ``(g, updates,
-        seed, p)`` and backend-independent.
+        seed, p)`` and backend-independent.  The backend spec is
+        resolved once, so repeat exact queries at one epoch replay the
+        2-out plan from its store.
     reconnect_budget:
         Max vertices+edges a tree-edge deletion may scan before the
         epoch falls back to a from-scratch forest rebuild.
     success_prob, trial_scale:
         Exact-cut trial budget knobs, forwarded to the 2-out pipeline
-        (and part of the plan-cache key).
-    plan_cache:
-        The :class:`~repro.cache.store.BoundedLRU` of 2-out plans handed
-        to ``two_out_minimum_cut(plans=...)`` (the serve daemon shares
-        its derivative cache); defaults to a private one of 8 plans.
+        (and part of its plan key).
     """
 
     def __init__(self, g: EdgeList, *, p: int = 4, seed: int = 0,
                  backend=None, reconnect_budget: int = 256,
-                 success_prob: float = 0.9, trial_scale: float = 1.0,
-                 plan_cache=None):
+                 success_prob: float = 0.9, trial_scale: float = 1.0):
         self.n = int(g.n)
         self.p = int(p)
         self.seed = int(seed)
-        self.backend = backend
+        self.backend = resolve_backend(backend)
         self.reconnect_budget = int(reconnect_budget)
         self.success_prob = float(success_prob)
         self.trial_scale = float(trial_scale)
@@ -187,7 +184,6 @@ class DynamicGraph:
         self.epoch = 0
         self.updates_total = 0
         self._labels_cache: DynamicCCResult | None = None
-        self.plans = plan_cache if plan_cache is not None else BoundedLRU(8)
         # Owner hook (the serve session's write-ahead log): fires once a
         # batch has validated, before it mutates anything, with the batch
         # as checked (``[verb, lo, hi(, w)]``: int ids, a float weight).
@@ -562,18 +558,19 @@ class DynamicGraph:
         from repro.core.two_out import two_out_minimum_cut
 
         seed = self._streams.spawn(_CUT_SALT).seed
-        # A shared store is only queried from the daemon's one executor
-        # thread, so the hit count moves iff this query's plan was cached.
-        hits = self.plans.hits
+        # A backend runs one query at a time (the daemon's one executor
+        # thread), so the hit count moves iff this query's plan was cached.
+        plans = self.backend.plans
+        hits = plans.hits
         res = two_out_minimum_cut(self.snapshot(), self.p, seed=seed,
                                   success_prob=self.success_prob,
                                   trial_scale=self.trial_scale,
-                                  backend=self.backend, plans=self.plans)
+                                  backend=self.backend)
         return DynamicCutResult(
             value=float(res.value), mode="exact", epoch=self.epoch,
             fingerprint=fp, witness_value=float(res.value), side=res.side,
             certificate={"variant": "2out", "seed": int(seed),
-                         "p": self.p, "plan_cached": self.plans.hits > hits,
+                         "p": self.p, "plan_cached": plans.hits > hits,
                          "trials": int(res.trials)})
 
     def _approx_cut(self, fp: str) -> DynamicCutResult:

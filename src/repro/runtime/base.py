@@ -18,6 +18,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Sequence
 
 from repro.bsp.engine import RunResult
+from repro.cache.store import BoundedLRU
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults import FaultSpec
@@ -31,6 +32,13 @@ class Backend(ABC):
 
     #: Registry name (``"sim"``, ``"mp"``); set by subclasses.
     name: str = "abstract"
+
+    def __init__(self):
+        #: The last 64 2-out plans built on this backend, keyed and
+        #: replayed by :func:`~repro.core.two_out.two_out_minimum_cut`.
+        #: Per instance: a plan carries the time and trace of the
+        #: dispatch that built it.
+        self.plans = BoundedLRU(64)
 
     @abstractmethod
     def run(
@@ -54,8 +62,9 @@ class Backend(ABC):
         """
 
     def close(self) -> None:
-        """Release long-lived resources (a warm pool); idempotent, and a
-        no-op on one-shot backends."""
+        """Release long-lived resources (a warm pool, the plan store);
+        idempotent."""
+        self.plans.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"

@@ -311,6 +311,7 @@ class MpBackend(Backend):
     ):
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive or None, got {timeout}")
+        super().__init__()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.cache = cache or CacheParams()
         self.start_method = start_method or default_start_method()

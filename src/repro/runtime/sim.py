@@ -75,6 +75,7 @@ class SimBackend(Backend):
         tracer: Tracer | None = None,
         fuse: "bool | FusionConfig | None" = None,
     ):
+        super().__init__()
         self.engine = Engine(cache=cache, machine=machine, tracer=tracer,
                              fuse=fuse)
 

@@ -72,7 +72,7 @@ class WarmMpBackend(MpBackend):
         if self._pool is not None and self._pool.p != p:
             logger.info("warm pool width change %d -> %d: respawning",
                         self._pool.p, p)
-            self.close()
+            self._stop(graceful=True)
         if self._pool is None:
             self._pool = self._spawn(p)
             self.pool_spawns += 1
@@ -90,8 +90,10 @@ class WarmMpBackend(MpBackend):
             pool.shutdown(graceful)
 
     def close(self) -> None:
-        """Gracefully stop the pool and unlink every arena slab."""
+        """Gracefully stop the pool, unlink every arena slab and empty
+        the plan store."""
         self._stop(graceful=True)
+        super().close()
 
     def _retain_plane(self, run_pins: list[str]) -> None:
         """Migrate a finished run's graph pins into the retention LRU.

@@ -195,8 +195,10 @@ class Peers:
         self.run, self.engine = self.run + 1, engine
         self.transport.release([n for _, ns, _ in self.lent for n in ns])
         self.lent = []
-        self.block.w[self.rank * _HEAD] = self.run
+        # State before run word: a peer's snapshot pairing the new run
+        # with the last run's DONE would read this rank as terminated.
         self._set(RUNNING, 0)
+        self.block.w[self.rank * _HEAD] = self.run
 
     def _ack_reads(self) -> None:
         w, row = self.block.w, self.block.dack + self.rank * self.p

@@ -1,20 +1,16 @@
-"""The daemon's graph and derivative caches.
+"""The daemon's graph cache.
 
-Two levels, both bounded LRU (:class:`repro.cache.store.BoundedLRU`):
-
-* **Graph cache** — content-fingerprint → loaded
-  :class:`~repro.graph.edgelist.EdgeList`, weighted by edge count.  A
-  fast *stat index* ``(abspath, mtime_ns, size) → fingerprint`` lets the
-  warm path skip re-reading an unchanged file entirely; any stat change
-  falls back to a full read + re-fingerprint, so a file edited in place
-  can never serve stale bits.  Keeping the same ``EdgeList`` **object**
-  hot has a second-order payoff: the samplers' identity-keyed caches
-  (:func:`repro.core.sparsify.cached_sampler`, the 2-out incidence
-  cache) stay warm automatically across queries on the same graph.
-* **Derivative cache** — the store of 2-out plans the daemon hands to
-  ``two_out_minimum_cut(plans=...)``, which keys it by the inputs the
-  preprocessing dispatch is deterministic in, so a replayed plan is
-  bit-identical to a recomputed one.
+Content-fingerprint → loaded :class:`~repro.graph.edgelist.EdgeList`,
+bounded LRU (:class:`repro.cache.store.BoundedLRU`) weighted by edge
+count.  A fast *stat index* ``(abspath, mtime_ns, size) → fingerprint``
+lets the warm path skip re-reading an unchanged file entirely; any stat
+change falls back to a full read + re-fingerprint, so a file edited in
+place can never serve stale bits.  Keeping the same ``EdgeList``
+**object** hot has a second-order payoff: the samplers' identity-keyed
+caches (:func:`repro.core.sparsify.cached_sampler`, the 2-out incidence
+cache) stay warm automatically across queries on the same graph.  The
+2-out plans derived from a graph live in the backend's plan store
+(:attr:`repro.runtime.base.Backend.plans`), not here.
 
 Clients may pin a graph identity by sending the fingerprint they expect
 (``fingerprint`` field on submit); a mismatch against the loaded file is
@@ -49,17 +45,14 @@ class FingerprintMismatch(ValueError):
 class GraphCache:
     """Fingerprint-keyed graph store with a stat fast path (module doc).
 
-    ``capacity_edges`` bounds the total cached edge count;
-    ``derivative_capacity`` bounds the number of cached 2-out plans.
+    ``capacity_edges`` bounds the total cached edge count.
     Residency is memory only: a plane-enabled backend publishes a graph
     when it runs it, and its retention window keeps the segment alive
     between runs (:mod:`repro.runtime.warm`).
     """
 
-    def __init__(self, capacity_edges: float = 50_000_000,
-                 derivative_capacity: int = 64):
+    def __init__(self, capacity_edges: float = 50_000_000):
         self.graphs = BoundedLRU(capacity_edges)
-        self.derivatives = BoundedLRU(derivative_capacity)
         # stat-key -> fingerprint; tiny, pruned opportunistically against
         # the graph store so it cannot grow unboundedly.
         self._stat_index: dict[tuple, str] = {}
@@ -111,13 +104,11 @@ class GraphCache:
         return self.graphs.get(fp)
 
     def close(self) -> None:
-        """Drop every cached graph and plan."""
+        """Drop every cached graph."""
         self.graphs.clear()
-        self.derivatives.clear()
 
     def stats(self) -> dict:
         return {
             "graphs": self.graphs.stats(),
-            "derivatives": self.derivatives.stats(),
             "stat_index_entries": len(self._stat_index),
         }

@@ -8,7 +8,9 @@ one-shot CLI pays per query:
   requests (``backend="sim"`` serves from the in-process simulator, the
   deterministic testbed);
 * a **graph cache** (:class:`~repro.serve.cache.GraphCache`) — loaded
-  edge lists and 2-out preprocessing plans keyed by content fingerprint;
+  edge lists keyed by content fingerprint; the backend keeps the 2-out
+  preprocessing plans built on it (``stats`` reports them as the
+  cache's ``derivatives``);
 * one shared :class:`~repro.sched.scheduler.TrialScheduler` whose
   ``begin``/``run_wave``/``finish`` seam lets the single executor thread
   interleave *waves* from many concurrent ``square_root`` jobs under
@@ -130,7 +132,7 @@ class Daemon:
         self.dynamic = DynamicSessionManager(config.state_dir)
         self.dynamic.resume_all(
             lambda path, fp: self.cache.load(path, expected_fp=fp)[0],
-            backend=self.backend, plan_cache=self.cache.derivatives)
+            backend=self.backend)
         self._resume_persisted_jobs()
 
     # -- restart resume ------------------------------------------------------
@@ -401,7 +403,8 @@ class Daemon:
             backend=self.backend.name,
             pool_spawns=getattr(self.backend, "pool_spawns", None),
             jobs=states,
-            cache=self.cache.stats(),
+            cache=dict(self.cache.stats(),
+                       derivatives=self.backend.plans.stats()),
             queue=self.queue.stats(),
             graph_plane=plane_stats(),
             dynamic=self.dynamic.stats(),
@@ -414,8 +417,7 @@ class Daemon:
         g, fp = self._load_graph(args)
         session = self.dynamic.open(
             g, path=args["path"], fingerprint=fp, seed=args["seed"],
-            p=args["p"], backend=self.backend,
-            plan_cache=self.cache.derivatives, **args["kwargs"])
+            p=args["p"], backend=self.backend, **args["kwargs"])
         return ok_doc(session=session.id, epoch=0, fingerprint=fp)
 
     def _get_session(self, args: dict):
@@ -521,10 +523,11 @@ class Daemon:
             ledger = self.store.ledger_path(job.id)
             run = self.scheduler.begin(
                 g, job.p, backend=self.backend, seed=job.seed,
-                success_prob=float(job.kwargs.get("success_prob", 0.9)),
-                trial_scale=float(job.kwargs.get("trial_scale", 1.0)),
                 checkpoint=ledger,
                 resume=os.path.exists(ledger),
+                **{k: float(job.kwargs[k])
+                   for k in ("success_prob", "trial_scale")
+                   if k in job.kwargs},
             )
             self._runs[job.id] = run
             # On resume the planned waves cover only the pending trials;
@@ -607,23 +610,13 @@ class Daemon:
         self._finish_job(job, result=doc)
 
     def _run_single_shot(self, job: Job) -> None:
-        """cc / approx / 2-out / fixed-trials jobs: one dispatch, one slice."""
-        g = self._graph_for(job)
-        kwargs = dict(job.kwargs)
-        if kwargs.get("variant") == "2out" and not kwargs.get("preprocess"):
-            # Plans come from the derivative store, so a repeat query skips
-            # the preprocessing dispatch.  `preprocess` rewrites the graph
-            # first, so such a job takes run_algorithm's road instead.
-            from repro.core.two_out import two_out_minimum_cut
+        """cc / approx / 2-out / fixed-trials jobs: one dispatch, one slice.
 
-            result = two_out_minimum_cut(
-                g, job.p, seed=job.seed,
-                success_prob=kwargs.get("success_prob", 0.9),
-                trial_scale=kwargs.get("trial_scale", 1.0),
-                backend=self.backend, plans=self.cache.derivatives)
-        else:
-            result = run_algorithm(job.algorithm, g, p=job.p, seed=job.seed,
-                                   backend=self.backend, **kwargs)
+        A 2-out job replays its plan from the backend's store on a repeat.
+        """
+        result = run_algorithm(job.algorithm, self._graph_for(job), p=job.p,
+                               seed=job.seed, backend=self.backend,
+                               **job.kwargs)
         job.waves_total = job.waves_done = 1
         self._finish_job(job, result=result_doc(job.algorithm, result))
 

@@ -105,7 +105,7 @@ class DynamicSessionManager:
     # -- lifecycle -----------------------------------------------------------
 
     def open(self, g, *, path: str, fingerprint: str, seed: int, p: int,
-             backend=None, plan_cache=None, **dyn_kwargs) -> DynamicSession:
+             backend=None, **dyn_kwargs) -> DynamicSession:
         """Create, persist and register a fresh session at epoch 0."""
         with self._lock:
             sid = f"d{self._seq:06d}"
@@ -117,14 +117,13 @@ class DynamicSessionManager:
         write_atomic(doc_path, json.dumps(doc, sort_keys=True))
         open(log_path, "a").close()
         dyn = DynamicGraph(g, p=int(p), seed=int(seed), backend=backend,
-                           plan_cache=plan_cache, **dyn_kwargs)
+                           **dyn_kwargs)
         session = DynamicSession(sid, doc, dyn, log_path)
         with self._lock:
             self.sessions[sid] = session
         return session
 
-    def resume_all(self, load_graph, *, backend=None,
-                   plan_cache=None) -> list[str]:
+    def resume_all(self, load_graph, *, backend=None) -> list[str]:
         """Rebuild every persisted session by replaying its update log.
 
         ``load_graph(path, expected_fp)`` supplies the initial graph
@@ -158,7 +157,7 @@ class DynamicSessionManager:
             try:
                 entries = self._whole_records(log_path)
                 dyn = DynamicGraph(g, p=int(doc["p"]), seed=int(doc["seed"]),
-                                   backend=backend, plan_cache=plan_cache,
+                                   backend=backend,
                                    **doc.get("dyn_kwargs", {}))
                 # The hooks are attached by DynamicSession below, AFTER the
                 # replay — replayed records must not re-append log lines.

@@ -598,19 +598,19 @@ def test_sparsifier_certificate_estimates_cuts():
 
 
 def test_plan_cache_invalidates_exactly_at_epoch_close():
-    from repro.serve.cache import GraphCache
+    from repro.runtime import SimBackend
 
     g, stream = churn(n=40, m=200, seed=21, batches=2, batch_size=6)
-    cache = GraphCache()
-    dyn = DynamicGraph(g, p=2, seed=21, trial_scale=0.2,
-                       plan_cache=cache.derivatives)
+    backend = SimBackend()
+    dyn = DynamicGraph(g, p=2, seed=21, trial_scale=0.2, backend=backend)
+    assert dyn.backend is backend
     assert not dyn.query_cut(mode="exact").certificate["plan_cached"]
     assert dyn.query_cut(mode="exact").certificate["plan_cached"]
-    st = cache.stats()["derivatives"]
+    st = backend.plans.stats()
     assert st["entries"] == 1 and st["hits"] == 1
     dyn.update_edges(stream[0])
     res = dyn.query_cut(mode="exact")           # new epoch: new plan key
     assert not res.certificate["plan_cached"]
-    st = cache.stats()["derivatives"]
+    st = backend.plans.stats()
     assert st["entries"] == 2 and st["hits"] == 1
-    cache.close()
+    backend.close()

@@ -163,3 +163,84 @@ def test_oversized_posts_round_trip(use_arena):
         big_object_program, 3, args=(60_000,))
     assert got.values == want.values and got.report == want.report
     assert set(os.listdir("/dev/shm")) - before == set()
+
+
+class _HookedWords:
+    """A control block's word array that calls ``hook`` after each store."""
+
+    def __init__(self, w, hook):
+        self.w, self.hook = w, hook
+
+    def __getitem__(self, i):
+        return self.w[i]
+
+    def __setitem__(self, i, value):
+        self.w[i] = value
+        self.hook()
+
+
+class _Posted(Exception):
+    """Raised instead of waiting: the post is in its slot."""
+
+
+def test_a_rank_starting_a_run_never_reads_as_terminated():
+    """Between any two of the stores ``Peers.begin`` makes, a peer that
+    already waits on a collective must not see the new run paired with
+    the last run's DONE — its deadlock check would call the starting rank
+    terminated.  Both ranks live in this process on one p = 2 control
+    block; the waiting rank checks after every store of the other."""
+    import threading
+
+    from repro.bsp.comm import Communicator
+    from repro.bsp.counters import ProcCounters
+    from repro.bsp.engine import Engine
+    from repro.bsp.errors import DeadlockError
+    from repro.cache.model import CacheParams
+    from repro.runtime.worker import ControlBlock, Peers, WorkerSpec, _post
+    from repro.shmem import create_segment, unlink_segments
+
+    p = 2
+    seg = create_segment(ControlBlock.nbytes(p))
+    bells = [threading.Semaphore(0) for _ in range(p)]
+    peers = [Peers(WorkerSpec(rank=r, p=p, cache=CacheParams(),
+                              shm_threshold=1 << 20, block=seg.name), bells)
+             for r in range(p)]
+    real = peers[0].block.w
+    try:
+        for peer in peers:  # a first run, finished by both ranks
+            peer.begin(None)
+            peer.finish()
+        engine = Engine()
+        world = engine._begin_run(p)
+        peers[1].begin(engine)
+        op = next(Communicator(world, 1).allreduce(1, operator.add))
+        buf = _post(op, op.payload, ProcCounters(), engine, None)
+
+        def posted(*_args):
+            raise _Posted
+
+        peers[1]._wait = posted
+        with pytest.raises(_Posted):
+            peers[1].exchange(world, 1, buf, [], (0,))
+
+        seen = []
+
+        def check():
+            try:
+                peers[1]._check_deadlock(world)
+                seen.append(None)
+            except DeadlockError as exc:
+                seen.append(str(exc))
+
+        peers[0].block.w = _HookedWords(real, check)
+        peers[0].begin(Engine())
+        assert len(seen) >= 3 and seen == [None] * len(seen), seen
+        peers[0].finish()  # now rank 0 has terminated: the check fires
+        with pytest.raises(DeadlockError, match=r"\[0\] already terminated"):
+            peers[1]._check_deadlock(world)
+    finally:
+        peers[0].block.w = real
+        for peer in peers:
+            peer.close()
+        seg.close()
+        unlink_segments([seg.name])

@@ -180,15 +180,18 @@ def test_graph_cache_serves_oversize_graph_uncached(g, tmp_path):
 
 
 def test_graph_cache_plan_roundtrip():
-    """The derivative store is the 2-out pipeline's plan store: a repeat
-    query hits, a different seed misses."""
+    """The 2-out plans of a cached graph live in the backend's store, not
+    the graph cache: a repeat query hits, a different seed misses."""
     from repro.core.two_out import two_out_minimum_cut
     from repro.graph import two_cliques_bridge
+    from repro.runtime import SimBackend
 
-    bridge = two_cliques_bridge(12, bridges=2)
     cache = GraphCache()
+    fp = cache.put_graph(two_cliques_bridge(12, bridges=2))
+    runtime = SimBackend()
     for seed in (1, 1, 2):
-        two_out_minimum_cut(bridge, 2, seed=seed, backend="sim",
-                            plans=cache.derivatives)
-    st = cache.stats()["derivatives"]
+        two_out_minimum_cut(cache.get_graph(fp), 2, seed=seed,
+                            backend=runtime)
+    st = runtime.plans.stats()
     assert (st["entries"], st["hits"], st["misses"]) == (2, 1, 2)
+    assert set(cache.stats()) == {"graphs", "stat_index_entries"}

@@ -500,8 +500,30 @@ def test_two_out_jobs_share_cached_plan(graph, graph_file, tmp_path):
     solo = run_algorithm("square_root", graph, p=4, seed=7, variant="2out")
     assert d.jobs[j1].result["value"] == solo.value
     assert d.jobs[j1].result == d.jobs[j2].result
-    st = d.cache.stats()["derivatives"]
+    st = d.handle_request({"op": "stats"})["cache"]["derivatives"]
     assert st["entries"] == 1 and st["hits"] == 1   # plan computed once
+    assert st == d.backend.plans.stats()
+
+
+def test_preprocessed_two_out_job_replays_its_plan(graph, graph_file,
+                                                   tmp_path):
+    """A ``--preprocess`` 2-out job goes the one road too: a repeat hits
+    the backend's plan store and answers the same bits as a direct run."""
+    from repro.serve.protocol import result_doc
+
+    d = threadless(tmp_path)
+    hits, docs = [], []
+    for _ in range(2):
+        jid = submit(d, "square_root", graph_file, seed=7, variant="2out",
+                     preprocess=True)
+        drive(d)
+        docs.append(d.jobs[jid].result)
+        hits.append(d.handle_request(
+            {"op": "stats"})["cache"]["derivatives"]["hits"])
+    assert hits[1] == hits[0] + 1
+    direct = run_algorithm("square_root", graph, p=4, seed=7,
+                           variant="2out", preprocess=True)
+    assert docs[0] == docs[1] == result_doc("square_root", direct)
 
 
 def test_graph_eviction_reload_mid_queue(graph, graph_file, tmp_path):

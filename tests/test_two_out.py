@@ -10,7 +10,6 @@ default pipeline) and the CLI surface.
 import numpy as np
 import pytest
 
-from repro.cache.store import BoundedLRU
 from repro.cli import main
 from repro.core import (
     minimum_cut,
@@ -351,10 +350,9 @@ class TestLeafReplicas:
 
     def test_all_leaf_query_runs_only_the_plan(self, dense_clustered):
         runtime = CountingSim()
-        plans = BoundedLRU(8)
         res = two_out_minimum_cut(dense_clustered, 4, seed=SEED,
-                                  backend=runtime, plans=plans)
-        plan = plans.peek(next(plans.keys()))
+                                  backend=runtime)
+        plan = runtime.plans.peek(next(runtime.plans.keys()))
         assert not plan.degraded and None not in plan.leaves
         assert runtime.runs == 1  # the plan's own dispatch, nothing after
         assert res.report.supersteps == plan.report.supersteps == 1
@@ -365,24 +363,30 @@ class TestLeafReplicas:
         assert res.trials == plan.total_trials  # the price list stands
 
 
+class OneDispatch(SimBackend):
+    """The simulator, refusing every dispatch after its first."""
+
+    runs = 0
+
+    def run(self, *args, **kwargs):
+        self.runs += 1
+        if self.runs > 1:
+            raise AssertionError("a cached all-leaf plan dispatched")
+        return super().run(*args, **kwargs)
+
+
 class TestPlanStore:
-    """``plans=``: the caller owns the store, the pipeline owns the key."""
+    """Each backend instance owns a plan store; the pipeline owns the key."""
 
     def test_hit_is_bit_identical_to_a_fresh_plan(self):
         bridge = two_cliques_bridge(12, bridges=2)
         fresh = two_out_minimum_cut(bridge, 2, seed=5, backend="sim",
                                     force=True)
-        plans = BoundedLRU(8)
-        two_out_minimum_cut(bridge, 2, seed=5, backend="sim", force=True,
-                            plans=plans)
-
-        class NoDispatch(SimBackend):
-            def run(self, *args, **kwargs):
-                raise AssertionError("a cached all-leaf plan dispatched")
-
-        reused = two_out_minimum_cut(bridge, 2, seed=5, backend=NoDispatch(),
-                                     force=True, plans=plans)
-        assert (plans.hits, plans.misses) == (1, 1)
+        runtime = OneDispatch()
+        for _ in range(2):
+            reused = two_out_minimum_cut(bridge, 2, seed=5, backend=runtime,
+                                         force=True)
+        assert (runtime.plans.hits, runtime.plans.misses) == (1, 1)
         assert reused.value == fresh.value
         assert reused.side.tobytes() == fresh.side.tobytes()
         assert reused.two_out == fresh.two_out
@@ -391,13 +395,45 @@ class TestPlanStore:
 
     def test_changed_trial_scale_misses(self):
         bridge = two_cliques_bridge(12, bridges=2)
-        plans = BoundedLRU(8)
+        runtime = SimBackend()
         for scale in (1.0, 0.5):
-            res = two_out_minimum_cut(bridge, 2, seed=5, backend="sim",
-                                      trial_scale=scale, plans=plans)
+            res = two_out_minimum_cut(bridge, 2, seed=5, backend=runtime,
+                                      trial_scale=scale)
             assert res.trials == plan_two_out(
                 bridge, 2, seed=5, trial_scale=scale).total_trials
+        plans = runtime.plans
         assert (plans.hits, plans.misses, len(plans)) == (0, 2, 2)
+
+    def test_a_second_backend_misses(self):
+        bridge = two_cliques_bridge(12, bridges=2)
+        first, second = SimBackend(), SimBackend()
+        for runtime in (first, second):
+            two_out_minimum_cut(bridge, 2, seed=5, backend=runtime)
+            assert (runtime.plans.hits, runtime.plans.misses) == (0, 1)
+
+    def test_traced_hit_still_sums_to_its_report(self):
+        from repro.trace import RecordingTracer, aggregate_trace
+
+        bridge = two_cliques_bridge(12, bridges=2)
+        runtime = SimBackend(tracer=RecordingTracer())
+        first = two_out_minimum_cut(bridge, 2, seed=5, backend=runtime)
+        hit = two_out_minimum_cut(bridge, 2, seed=5, backend=runtime)
+        assert runtime.plans.hits == 1
+        assert hit.trace == first.trace and hit.trace
+        assert aggregate_trace(hit.trace) == hit.report
+
+    @pytest.mark.parametrize("backend_name", ["sim", "mp", "warm"])
+    def test_close_empties_the_store(self, backend_name):
+        bridge = two_cliques_bridge(12, bridges=2)
+        runtime = resolve_backend(backend_name)
+        runtime.plans.put("k", object())
+        if backend_name == "sim":
+            two_out_minimum_cut(bridge, 2, seed=5, backend=runtime)
+        runtime.close()
+        assert len(runtime.plans) == 0
+        if backend_name == "sim":
+            two_out_minimum_cut(bridge, 2, seed=5, backend=runtime)
+            assert runtime.plans.misses == 2 and runtime.plans.hits == 0
 
 
 class TestCli:

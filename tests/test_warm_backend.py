@@ -90,8 +90,10 @@ def test_p_change_respawns(g):
         run_algorithm("parallel_cc", g, p=2, seed=5, backend=warm)
         run_algorithm("parallel_cc", g, p=2, seed=5, backend=warm)
         assert warm.pool_spawns == 1
+        warm.plans.put("plan", object())
         run_algorithm("parallel_cc", g, p=3, seed=5, backend=warm)
         assert warm.pool_spawns == 2
+        assert "plan" in warm.plans         # a respawn keeps the plan store
 
 
 @needs_dev_shm
