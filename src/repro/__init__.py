@@ -17,6 +17,7 @@ Quick start::
     print(cc.n_components, mc.value)
 """
 
+from repro import malloc  # noqa: F401 - the allocator policy, set first
 from repro.graph import (
     EdgeList,
     AdjacencyMatrix,

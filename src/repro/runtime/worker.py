@@ -17,7 +17,6 @@ a one-shot ``mp`` run's rank 0 is the caller itself (:func:`run_here`).
 
 from __future__ import annotations
 
-import ctypes
 import os
 import pickle
 import resource
@@ -36,6 +35,7 @@ from repro.bsp.fusion import FusionConfig
 from repro.cache.model import CacheParams
 from repro.faults import FaultInjector
 from repro.graph.shm import resolve_plane
+from repro.malloc import trim
 from repro.rng.streams import RngStreams
 from repro.runtime.errors import WorkerCrashError, WorkerProgramError
 from repro.runtime.transport import Transport, TransportStats, encode_payload
@@ -71,8 +71,6 @@ _SLOT_BYTES = 1 << 17
 #: for a deadlock and for a departed parent (the caller's rank: for its
 #: workers' reports and deaths, ``_WATCH_S``).
 _SPIN_S, _WAKE_S, _WATCH_S = 2e-3, 1.0, 0.05
-#: glibc's ``malloc_trim`` (None elsewhere): see persistent_worker_main.
-_MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None)
 
 
 @dataclass(frozen=True)
@@ -559,12 +557,11 @@ def persistent_worker_main(conn, spec: WorkerSpec, bells,
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
     except (ValueError, OSError):  # pragma: no cover - exotic hosts
         pass
-    if _MALLOC_TRIM is not None:
-        # A forked worker maps the caller's heap copy-on-write; giving its
-        # free pages back spares the caller (rank 0) a page copy at each
-        # write there: 3.4 -> 1.1 us a fault on a 2-vCPU VM.  The walk
-        # costs ~37 ms per GB of fragmented heap (docs/runtime.md).
-        _MALLOC_TRIM(0)
+    # A forked worker maps the caller's heap copy-on-write; giving its free
+    # pages back spares the caller (rank 0) a page copy at each write
+    # there: 3.4 -> 1.1 us a fault on a 2-vCPU VM.  The walk costs ~37 ms
+    # per GB of fragmented heap (docs/runtime.md).
+    trim()
     peers = None
     programs: dict[int, Callable] = {}  # parent token -> callable
     try:
