@@ -23,7 +23,7 @@ from repro.graph.contract import compress_labels
 from repro.graph.edgelist import EdgeList
 from repro.graph.shm import plane_slices
 from repro.kernels import cc_labels, cc_roots, earliest_forest, flatten_parents
-from repro.runtime.base import Backend, resolve_backend
+from repro.runtime.base import Backend, owns_backend
 
 __all__ = ["galois_cc", "galois_cc_parallel"]
 
@@ -109,6 +109,7 @@ def _galois_program(ctx, slices, n):
         return labels, count
     return None, 0
 
+@owns_backend
 def galois_cc_parallel(
     g: EdgeList,
     p: int = 4,
@@ -118,7 +119,7 @@ def galois_cc_parallel(
 ):
     """Parallel Galois-style CC on ``backend`` (a name or an instance,
     default the simulator); returns ``(labels, count, report, time)``."""
-    result = resolve_backend(backend).run(
+    result = backend.run(
         _galois_program, p, seed=seed, args=(plane_slices(g, p), g.n))
     labels, count = result.root_value
     return labels, count, result.report, result.time

@@ -18,7 +18,7 @@ import numpy as np
 from repro.graph.contract import compress_labels
 from repro.graph.edgelist import EdgeList
 from repro.graph.shm import plane_slices
-from repro.runtime.base import Backend, resolve_backend
+from repro.runtime.base import Backend, owns_backend
 
 __all__ = ["pbgl_cc", "pbgl_cc_program"]
 
@@ -120,6 +120,7 @@ def pbgl_cc_program(ctx, slices, n):
     return None, 0
 
 
+@owns_backend
 def pbgl_cc(
     g: EdgeList,
     p: int = 4,
@@ -129,7 +130,7 @@ def pbgl_cc(
 ):
     """PBGL-style BSP CC on ``backend`` (a name or an instance, default
     the simulator); returns ``(labels, count, report, time)``."""
-    result = resolve_backend(backend).run(
+    result = backend.run(
         pbgl_cc_program, p, seed=seed, args=(plane_slices(g, p), g.n))
     labels, count = result.root_value
     return labels, count, result.report, result.time

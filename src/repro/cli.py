@@ -106,16 +106,14 @@ def _given(args, names) -> dict:
             if getattr(args, name, None) is not None}
 
 
-def _backend_spec(args):
-    """The entry point's ``backend=``: the name, or a backend resolved with
-    ``--trace``'s :class:`~repro.trace.RecordingTracer` and ``--fuse``."""
-    if not args.trace and not args.fuse:
-        return args.backend
-    from repro.runtime.base import resolve_backend
+def _backend(args):
+    """The entry point's backend, resolved with ``--trace``'s
+    :class:`~repro.trace.RecordingTracer` and ``--fuse``; closed on exit."""
+    from repro.runtime.base import owned_backend
     from repro.trace import RecordingTracer
 
-    return resolve_backend(args.backend, fuse=args.fuse or None,
-                           tracer=RecordingTracer() if args.trace else None)
+    return owned_backend(args.backend, fuse=args.fuse or None,
+                         tracer=RecordingTracer() if args.trace else None)
 
 
 def _scheduler_spec(args):
@@ -147,9 +145,9 @@ def _cmd_algorithm(args) -> int:
     kwargs = _given(args, (*FIELDS, "resume"))
     scheduler = (_scheduler_spec(args) if args.algorithm == "square_root"
                  else None)
-    res = run_algorithm(args.algorithm, g, p=args.p, seed=args.seed,
-                        backend=_backend_spec(args), scheduler=scheduler,
-                        **kwargs)
+    with _backend(args) as backend:
+        res = run_algorithm(args.algorithm, g, p=args.p, seed=args.seed,
+                            backend=backend, scheduler=scheduler, **kwargs)
     _, tag, column = _PROFILES[args.algorithm]
     print(",".join(str(x) for x in (
         args.input, args.seed, args.p, g.n, g.m, f"{res.time.total_s:.6f}",

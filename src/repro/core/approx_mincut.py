@@ -56,7 +56,7 @@ from repro.core.components import cc_kernel
 from repro.core.trials import field_error
 from repro.graph.edgelist import EdgeList
 from repro.graph.shm import plane_slices
-from repro.runtime.base import Backend, resolve_backend
+from repro.runtime.base import Backend, owns_backend
 
 __all__ = ["approx_minimum_cut", "appmc_program", "ApproxMinCutResult"]
 
@@ -245,6 +245,7 @@ class ApproxMinCutResult:
     trace: list | None = None
 
 
+@owns_backend
 def approx_minimum_cut(
     g: EdgeList,
     p: int = 4,
@@ -274,9 +275,8 @@ def approx_minimum_cut(
         bad = field_error(name, value)
         if bad and not (value is None and name == "trials_per_level"):
             raise ValueError(f"{name} {bad}")
-    runtime = resolve_backend(backend)
     slices = plane_slices(g, p)  # shared-graph-plane marker
-    result = runtime.run(
+    result = backend.run(
         appmc_program, p, seed=seed, args=(slices, g.n),
         kwargs=dict(kwargs, pipelined=pipelined, shrink=shrink),
     )

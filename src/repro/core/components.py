@@ -33,7 +33,7 @@ from repro.graph.contract import components_from_edges
 from repro.graph.edgelist import EdgeList
 from repro.graph.shm import plane_slices
 from repro.kernels import flatten_parents
-from repro.runtime.base import Backend, resolve_backend
+from repro.runtime.base import Backend, owns_backend
 
 __all__ = [
     "connected_components",
@@ -259,6 +259,7 @@ class CCResult:
         assert self.labels.max(initial=-1) < self.n_components
 
 
+@owns_backend
 def connected_components(
     g: EdgeList,
     p: int = 4,
@@ -294,7 +295,6 @@ def connected_components(
             "shrink= applies to the iterated-sampling kernel only; the "
             "hybrid finish redistributes edges across the full group"
         )
-    runtime = resolve_backend(backend)
     # Lazy marker: the simulator resolves it to g.slices(p) locally; a
     # plane-enabled mp backend ships an O(1) handle instead of p copies.
     slices = plane_slices(g, p)
@@ -302,7 +302,7 @@ def connected_components(
     kwargs = {"eps": eps, "delta": delta}
     if not hybrid:
         kwargs["shrink"] = shrink
-    result = runtime.run(
+    result = backend.run(
         program, p, seed=seed, args=(slices, g.n), kwargs=kwargs,
     )
     labels, count = result.root_value

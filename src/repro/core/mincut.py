@@ -54,7 +54,7 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.shm import plane_slices
 from repro.kernels import bulk_contract_edges
 from repro.rng.sampling import CumulativeWeightSampler
-from repro.runtime.base import Backend, resolve_backend
+from repro.runtime.base import Backend, owns_backend
 from repro.rng.streams import RngStreams
 
 __all__ = [
@@ -567,6 +567,7 @@ class MinCutResult:
     two_out: Any = None
 
 
+@owns_backend
 def _exact_cut(g, p, collect, *, seed, success_prob, trials, trial_scale,
                backend, scheduler, resume,
                preprocess=False, variant="default"):
@@ -594,7 +595,6 @@ def _exact_cut(g, p, collect, *, seed, success_prob, trials, trial_scale,
             raise ValueError(
                 "variant='2out' does not support resume: one checkpoint "
                 "cannot span the per-replica dispatches")
-    runtime = resolve_backend(backend)
     lift = None
     if preprocess:
         from repro.core.preprocess import contract_heavy_edges
@@ -611,14 +611,14 @@ def _exact_cut(g, p, collect, *, seed, success_prob, trials, trial_scale,
 
         res = two_out_minimum_cut(
             g, p, seed=seed, success_prob=success_prob,
-            trial_scale=trial_scale, scheduler=scheduler, backend=runtime,
+            trial_scale=trial_scale, scheduler=scheduler, backend=backend,
         )
         if lift is not None and res.side is not None:
             res = replace(res, side=res.side[lift])
         return res
     if scheduler is not None:
         run = scheduler.run(
-            g, p, backend=runtime, seed=seed, success_prob=success_prob,
+            g, p, backend=backend, seed=seed, success_prob=success_prob,
             trials=trials, trial_scale=trial_scale, resume=resume,
             collect_all=collect,
         )
@@ -629,7 +629,7 @@ def _exact_cut(g, p, collect, *, seed, success_prob, trials, trial_scale,
         if trials is None:
             trials = num_trials(g.n, max(g.m, 1), success_prob=success_prob,
                                 scale=trial_scale)
-        run = runtime.run(
+        run = backend.run(
             mincut_program, p, seed=seed,
             args=(plane_slices(g, p), g.n, trials, seed),  # plane marker
             kwargs={"collect_all": True} if collect else None,

@@ -26,7 +26,7 @@ from repro.bsp.machine import TimeEstimate
 from repro.graph.contract import components_from_edges
 from repro.graph.edgelist import EdgeList
 from repro.graph.shm import plane_slices
-from repro.runtime.base import Backend, resolve_backend
+from repro.runtime.base import Backend, owns_backend
 
 __all__ = ["minimum_spanning_forest", "msf_program", "MSFResult"]
 
@@ -133,6 +133,7 @@ class MSFResult:
     time: TimeEstimate
 
 
+@owns_backend
 def minimum_spanning_forest(
     g: EdgeList,
     p: int = 4,
@@ -146,7 +147,7 @@ def minimum_spanning_forest(
     Deterministic (Borůvka with an edge-id tie break): the forest is unique
     for a given edge order even with repeated weights.
     """
-    result = resolve_backend(backend).run(
+    result = backend.run(
         msf_program, p, seed=seed, args=(plane_slices(g, p), g.n))
     ids, labels, count = result.root_value
     forest = g.select(ids)

@@ -79,7 +79,7 @@ from repro.graph.shm import plane_slices
 from repro.kernels import bulk_contract_edges, prefix_select_labels, \
     two_out_sample, vertex_incidence
 from repro.rng.streams import RngStreams, philox_stream
-from repro.runtime.base import Backend, resolve_backend
+from repro.runtime.base import Backend, owns_backend
 
 __all__ = [
     "MIN_DEGREE_GUARD",
@@ -317,6 +317,7 @@ class TwoOutPlan:
     trace: list | None
 
 
+@owns_backend
 def plan_two_out(
     g: EdgeList,
     p: int = 4,
@@ -336,12 +337,11 @@ def plan_two_out(
     """
     if g.n < 2:
         raise ValueError("minimum cut needs at least 2 vertices")
-    runtime = resolve_backend(backend)
     R = replica_count(success_prob) if replicas is None else int(replicas)
     if R < 1:
         raise ValueError(f"need at least one replica, got {R}")
     sing_val, _ = singleton_cut(g)
-    rr = runtime.run(
+    rr = backend.run(
         two_out_program, p, seed=seed,
         args=(plane_slices(g, p), g.n, seed, R, rounds),
     )
@@ -403,6 +403,7 @@ def _combine_times(*times) -> TimeEstimate:
                         mpi_s=sum(t.mpi_s for t in times))
 
 
+@owns_backend
 def two_out_minimum_cut(
     g: EdgeList,
     p: int = 4,
@@ -441,19 +442,18 @@ def two_out_minimum_cut(
         raise ValueError(
             "variant='2out' does not support scheduler checkpoints: one "
             "ledger cannot span the per-replica dispatches")
-    runtime = resolve_backend(backend)
     key = (cached_fingerprint(g), int(seed), int(p),
            float(success_prob), float(trial_scale))
-    plan = runtime.plans.get(key)
+    plan = backend.plans.get(key)
     if plan is None:
         plan = plan_two_out(g, p, seed=seed, success_prob=success_prob,
-                            trial_scale=trial_scale, backend=runtime)
-        runtime.plans.put(key, plan)
+                            trial_scale=trial_scale, backend=backend)
+        backend.plans.put(key, plan)
 
     if plan.degraded and not force:
         base = minimum_cut(
             g, p, seed=seed, success_prob=success_prob,
-            trial_scale=trial_scale, backend=runtime, scheduler=scheduler,
+            trial_scale=trial_scale, backend=backend, scheduler=scheduler,
         )
         trace = None
         if plan.trace is not None or base.trace is not None:
@@ -487,7 +487,7 @@ def two_out_minimum_cut(
             continue
         g_r = EdgeList(int(k), cu, cv, cw, canonical=False, validate=False)
         sres = sched.run(
-            g_r, p, backend=runtime, seed=replica_streams.spawn(r).seed,
+            g_r, p, backend=backend, seed=replica_streams.spawn(r).seed,
             success_prob=REPLICA_TRIAL_PROB, trials=budget,
         )
         side = sres.side[labels] if sres.side is not None else None

@@ -157,6 +157,7 @@ class DynamicGraph:
         self.p = int(p)
         self.seed = int(seed)
         self.backend = resolve_backend(backend)
+        self._owns_backend = self.backend is not backend  # built from a name
         self.reconnect_budget = int(reconnect_budget)
         self.success_prob = float(success_prob)
         self.trial_scale = float(trial_scale)
@@ -278,10 +279,11 @@ class DynamicGraph:
         return cached_fingerprint(self.snapshot())
 
     def close(self) -> None:
-        """Nothing to release: the graph holds no shared resources (an
-        epoch snapshot a plane-enabled backend published belongs to that
-        backend's retention window).  Kept so ``with`` blocks and callers
-        that close a session stay valid."""
+        """Close the backend if this graph built it from a name; one passed
+        in stays the caller's (an epoch snapshot a plane-enabled backend
+        published belongs to that backend's retention window)."""
+        if self._owns_backend:
+            self.backend.close()
 
     def __enter__(self) -> "DynamicGraph":
         return self

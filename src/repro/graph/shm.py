@@ -21,13 +21,14 @@ case (the graph itself), on the segment mechanics of :mod:`repro.shmem`
   :class:`~repro.graph.edgelist.EdgeList` objects (which keeps the
   samplers' identity-keyed caches warm).
 * Lifetime is pin-counted, with two owners: the run in flight (one pin,
-  released in the backend's ``finally``) and, between runs, the warm
-  backend's retention window (one pin for each of the ``plane_retain``
-  most recently run graphs).  :func:`unpublish` unlinks only once every
-  pin is dropped.  An ``atexit`` sweep plus the per-run ``finally``
-  blocks in the backends guarantee a crashed run leaks zero ``/dev/shm``
-  segments; segment names carry the fixed :data:`SEGMENT_PREFIX` so leak
-  checks (tests, CI) can simply glob ``/dev/shm/rgpl*``.
+  released in the backend's ``finally``) and, between runs, the
+  retention window of the backend's pool (one pin for each of the
+  ``plane_retain`` most recently run graphs).  :func:`unpublish` unlinks
+  only once every pin is dropped.  An ``atexit`` sweep plus the per-run
+  ``finally`` blocks in the backends guarantee a crashed run leaks zero
+  ``/dev/shm`` segments; segment names carry the fixed
+  :data:`SEGMENT_PREFIX` so leak checks (tests, CI) can simply glob
+  ``/dev/shm/rgpl*``.
 
 Dispatch sites opt in by passing :func:`plane_slices(g, p) <plane_slices>`
 instead of ``g.slices(p)``.  The marker is **transport, not semantics**:
@@ -92,12 +93,14 @@ SEGMENT_PREFIX = "rgpl"
 #: name so handle pickle sizes are deterministic across runs.
 _SEG_SEQ = itertools.count()
 
-_LOCK = threading.Lock()
+#: Re-entrant: a backend collected inside a critical section here releases
+#: its pool's retained pins from the same thread (so readers iterate a copy).
+_LOCK = threading.RLock()
 
 
 def _fresh_lock_after_fork() -> None:
     global _LOCK
-    _LOCK = threading.Lock()
+    _LOCK = threading.RLock()
 
 
 # A fork copies every lock in whatever state some other thread holds it,
@@ -311,16 +314,17 @@ def unpublish(fp: str) -> bool:
 def published() -> dict[str, int]:
     """fingerprint -> pin count of everything currently published."""
     with _LOCK:
-        return {fp: e.pins for fp, e in _REGISTRY.items()}
+        return {fp: e.pins for fp, e in _REGISTRY.copy().items()}
 
 
 def plane_stats() -> dict:
     """JSON-ready counters (the serve daemon's ``stats`` endpoint)."""
     with _LOCK:
+        entries = list(_REGISTRY.values())
         return {
-            "published": len(_REGISTRY),
-            "pinned": sum(1 for e in _REGISTRY.values() if e.pins > 0),
-            "bytes": sum(e.seg.size for e in _REGISTRY.values()),
+            "published": len(entries),
+            "pinned": sum(1 for e in entries if e.pins > 0),
+            "bytes": sum(e.seg.size for e in entries),
             "attached": len(_ATTACHED),
         }
 

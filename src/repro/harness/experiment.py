@@ -71,11 +71,10 @@ def run_algorithm(algorithm: str, g, *, p: int = 4, seed: int = 0,
                 f"algorithm only, not {algorithm!r}"
             )
         kwargs["scheduler"] = scheduler
-    if tracer is not None:
-        from repro.runtime.base import resolve_backend
+    from repro.runtime.base import owned_backend
 
-        backend = resolve_backend(backend, tracer=tracer)
-    return fn(g, p=p, seed=seed, backend=backend, **kwargs)
+    with owned_backend(backend, tracer=tracer) as runtime:
+        return fn(g, p=p, seed=seed, backend=runtime, **kwargs)
 
 def median_ci(values: list[float], confidence: float = 0.95) -> tuple[float, float]:
     """Nonparametric CI for the median from order statistics.

@@ -9,9 +9,12 @@ package decides *where* such a program runs:
   machine-model time estimate.  The correctness and cost oracle.
 * :class:`MpBackend` — real OS processes settling each collective among
   its group's members in shared memory, with *measured* application/MPI
-  time and bit-identical results and counters for a fixed seed.
-* :class:`WarmMpBackend` — ``MpBackend`` with a keep-alive pool: spawn
-  once, run many.  The serving-layer backend (:mod:`repro.serve`).
+  time and bit-identical results and counters for a fixed seed.  An
+  instance keeps its worker pool: spawn once, run many; the caller is
+  rank 0.
+* :class:`WarmMpBackend` — ``MpBackend`` with rank 0 in a worker too, so
+  a crashing program never takes the caller down.  The serving-layer
+  backend (:mod:`repro.serve`).
 
 :func:`resolve_backend` maps a spec (``"sim"``/``"mp"``/``"warm"``/
 instance/None) to a backend; ``tests/parity.py`` holds the backends to

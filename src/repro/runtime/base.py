@@ -9,13 +9,18 @@ measured wall-clock for real runtimes).
 
 Entry points accept a backend *spec*: an existing :class:`Backend`
 instance, a registered name (``"sim"``, ``"mp"``), or ``None`` for the
-default simulator.  :func:`resolve_backend` performs that resolution.
+default simulator.  :func:`resolve_backend` performs that resolution;
+whoever resolves a name owns the instance and closes it on return
+(:func:`owned_backend`, :func:`owns_backend`).
 """
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Sequence
+from contextlib import contextmanager
+from typing import (TYPE_CHECKING, Any, Callable, Generator, Iterable,
+                    Iterator, Sequence)
 
 from repro.bsp.engine import RunResult
 from repro.cache.store import BoundedLRU
@@ -24,7 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults import FaultSpec
     from repro.trace.tracer import Tracer
 
-__all__ = ["Backend", "resolve_backend", "available_backends"]
+__all__ = ["Backend", "resolve_backend", "owned_backend", "owns_backend",
+           "available_backends"]
 
 
 class Backend(ABC):
@@ -62,7 +68,7 @@ class Backend(ABC):
         """
 
     def close(self) -> None:
-        """Release long-lived resources (a warm pool, the plan store);
+        """Release long-lived resources (a worker pool, the plan store);
         idempotent."""
         self.plans.clear()
 
@@ -120,3 +126,29 @@ def resolve_backend(
     raise ValueError(
         f"unknown backend {backend!r}; available: {sorted(registry)}"
     )
+
+
+@contextmanager
+def owned_backend(backend: "str | Backend | None" = None,
+                  **kw) -> Iterator[Backend]:
+    """:func:`resolve_backend` for one call: an instance built here from a
+    name (or ``None``) is closed on exit, its worker pool with it; an
+    instance passed in stays the caller's."""
+    runtime = resolve_backend(backend, **kw)
+    try:
+        yield runtime
+    finally:
+        if runtime is not backend:
+            runtime.close()
+
+
+def owns_backend(fn: Callable) -> Callable:
+    """Decorate an entry point: its ``backend=`` spec is resolved by
+    :func:`owned_backend` around the call."""
+
+    @functools.wraps(fn)
+    def call(*args, backend=None, **kwargs):
+        with owned_backend(backend) as runtime:
+            return fn(*args, backend=runtime, **kwargs)
+
+    return call

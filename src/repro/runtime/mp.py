@@ -7,11 +7,17 @@ settles each collective with its group's members alone, bulk payloads in
 shared memory (:mod:`repro.runtime.transport`).  Programs pickle by
 reference, so they must be importable module-level functions.
 
-**The caller is rank 0** of a one-shot :meth:`MpBackend.run`: it starts
-``p`` − 1 workers — under ``fork`` holding the ``CMD_RUN`` in their
-arguments, otherwise sent it down their pipes — and runs its own part on
-an endpoint of the same control block, in a heap already warm.  The pool
-:class:`~repro.runtime.warm.WarmMpBackend` keeps is ``p`` workers.
+**A backend is a pool handle.**  Its first run starts the pool; later
+runs at the same ``p`` reuse it, each a ``CMD_RUN`` down the pipes, its
+graph inputs staged through the graph plane (:mod:`repro.graph.shm`),
+the last ``plane_retain`` graphs kept published between runs.  A
+failure or another ``p`` discards the pool; :meth:`MpBackend.close`, a
+``with`` block or the backend's collection ends it.  **The caller is
+rank 0** of an :class:`MpBackend`: the pool is ``p`` − 1 workers — a
+first run under ``fork`` hands them its ``CMD_RUN`` by the fork, nothing
+published or pickled — and the caller runs its own part on an endpoint
+of the same control block, in a heap already warm.  The pool of a
+:class:`~repro.runtime.warm.WarmMpBackend` is ``p`` workers.
 
 The caller checks its workers whenever rank 0 sleeps, and after it until
 the last ``MSG_DONE`` (:meth:`MpBackend._supervise`): it collects values,
@@ -38,8 +44,10 @@ import os
 import signal
 import threading
 import time
+from collections import OrderedDict
 from multiprocessing.connection import wait as _conn_wait
 from multiprocessing.reduction import ForkingPickler
+from multiprocessing.util import Finalize
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Sequence
 
@@ -49,7 +57,7 @@ from repro.bsp.fusion import FusionConfig, as_fusion_config
 from repro.bsp.machine import TimeEstimate
 from repro.cache.model import CacheParams
 from repro.faults import FaultSpec
-from repro.graph.shm import localize_plane, release_pins, stage_plane
+from repro.graph.shm import localize_plane, release_pins, stage_plane, unpin
 from repro.runtime.base import Backend
 from repro.runtime.errors import (
     WorkerCrashError,
@@ -87,6 +95,11 @@ logger = logging.getLogger(__name__)
 #: benchmark-scale local compute phases, finite so nothing ever hangs.
 DEFAULT_TIMEOUT_S = 300.0
 
+#: Published graphs a pool keeps pinned across runs (LRU): a repeat query
+#: on a recently seen graph re-uses its segment without a republish, and
+#: the workers' attachment caches stay valid.
+DEFAULT_PLANE_RETAIN = 8
+
 #: Per-process sequence distinguishing concurrent runs' slab prefixes.
 _RUN_SEQ = itertools.count()
 
@@ -113,8 +126,9 @@ def default_start_method() -> str:
 
 class _Pool:
     """The worker processes plus what the parent keeps of them: pipes and
-    processes by rank, sentinels, the control block and the doorbells —
-    and, ``here`` set, rank 0's endpoint, run by the caller itself."""
+    processes by rank, sentinels, the control block, the doorbells and
+    the retained graphs — and, ``here`` set, rank 0's endpoint, run by the
+    caller itself."""
 
     def __init__(self, ctx, specs: Sequence[WorkerSpec], token: str,
                  first=None, here: bool = False):
@@ -122,8 +136,12 @@ class _Pool:
         self.conns: dict[int, Any] = {}
         self.procs: dict[int, Any] = {}
         self.here: Peers | None = None
-        #: program -> small int token the workers cache the callable by.
-        self.program_tokens: dict[Any, int] = {}
+        #: program -> small int token the workers cache the callable by
+        #: (the inherited first run's is 0).
+        self.program_tokens: dict[Any, int] = {first[4]: 0} if first else {}
+        #: Graph-plane retention window: fingerprint -> True, LRU; each
+        #: holds one pin, dropped at shutdown.
+        self.retained: OrderedDict[str, bool] = OrderedDict()
         #: Name token of every segment of this pool (the shutdown sweep).
         self.slab_token = token
         #: Runs dispatched; a worker matches posts of its current run only.
@@ -157,7 +175,7 @@ class _Pool:
             self.shutdown()
             raise
         self.sentinel_rank = {pr.sentinel: r for r, pr in self.procs.items()}
-        # An exit without shutdown (a warm pool never closed) must leave
+        # An exit without shutdown (a pool never closed) must leave
         # /dev/shm clean; this hook runs before multiprocessing's own, which
         # would kill the workers before they unlink their slabs.
         atexit.register(self.shutdown, True)
@@ -174,6 +192,8 @@ class _Pool:
         unlinks its own arena — and terminates only stragglers; otherwise
         terminate at once, as survivors may be wedged mid-collective."""
         atexit.unregister(self.shutdown)
+        release_pins(list(self.retained))
+        self.retained.clear()
         if graceful:
             for conn in self.conns.values():
                 try:
@@ -291,11 +311,15 @@ class MpBackend(Backend):
     graph_plane:
         Ship :func:`~repro.graph.shm.plane_slices`-marked graphs as O(1)
         handles to a published segment (default) instead of pickled
-        copies.  Warm pools and ``spawn``/``forkserver`` runs only: a
-        ``fork`` one-shot run hands its workers the slices by the fork.
+        copies.  Every run but a pool's first under ``fork``, which
+        hands its workers the slices by the fork.
     """
 
     name = "mp"
+    #: Rank 0 runs in the caller (else in a worker of the pool).
+    here = True
+    #: Distinct graphs the pool keeps published between runs.
+    plane_retain = DEFAULT_PLANE_RETAIN
 
     def __init__(
         self,
@@ -327,6 +351,10 @@ class MpBackend(Backend):
         self.graph_plane = graph_plane is None or bool(graph_plane)
         #: The last run's per-kind transport stats (input + every worker).
         self.last_transport_stats: dict | None = None
+        self._pool: _Pool | None = None
+        #: Pool generation counter: spawns observed (tests assert reuse
+        #: by watching this stay flat across runs).
+        self.pool_spawns = 0
 
     # -- main entry ----------------------------------------------------------
 
@@ -340,7 +368,7 @@ class MpBackend(Backend):
             return world, stage_plane(args, pins), stage_plane(kwargs, pins)
         return world, localize_plane(args), localize_plane(kwargs)
 
-    def _spawn(self, p: int, first=None, here: bool = False) -> _Pool:
+    def _spawn(self, p: int, first=None) -> _Pool:
         """Start ``p`` command-loop workers, or ``p`` − 1 with rank 0
         ``here``; ``first`` is a ``CMD_RUN`` the workers start on (fork
         only: it is inherited, never pickled)."""
@@ -354,7 +382,66 @@ class MpBackend(Backend):
             # or every pool's workers pay it (~0.3 s) after the fork.
             import scipy.sparse.csgraph  # noqa: F401
         return _Pool(multiprocessing.get_context(self.start_method), specs,
-                     token, first, here)
+                     token, first, self.here)
+
+    # -- pool lifecycle ------------------------------------------------------
+
+    def _ensure_pool(self, p: int, first=None) -> _Pool:
+        if self._pool is not None and self._pool.p != p:
+            logger.info("pool width change %d -> %d: respawning",
+                        self._pool.p, p)
+            self._stop(graceful=True)
+        if self._pool is None:
+            self._pool = pool = self._spawn(p, first)
+            # A backend dropped unclosed ends its pool when collected (a
+            # weakref callback that a forked child ignores); at interpreter
+            # exit the pool's own hook does.
+            self._finalizer = Finalize(self, pool.shutdown, (True,))
+            self.pool_spawns += 1
+        return self._pool
+
+    def _stop(self, graceful: bool) -> None:
+        """Drop the pool and its retained graph pins (unlinking the
+        unpinned); ``graceful`` as :meth:`_Pool.shutdown`."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            self._finalizer.cancel()
+            pool.shutdown(graceful)
+
+    def close(self) -> None:
+        """Gracefully stop the pool, unlink every arena slab and empty
+        the plan store."""
+        self._stop(graceful=True)
+        super().close()
+
+    def __enter__(self) -> "MpBackend":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _retain_plane(self, run_pins: list[str]) -> None:
+        """Migrate a finished run's graph pins into the pool's retention
+        LRU.
+
+        A graph already retained just refreshes its recency (the run's
+        extra pin is dropped); a new one hands its run pin to the window,
+        evicting — unpinning and unlinking — the least recent beyond
+        ``plane_retain``.  After a failure teardown (no pool) the pins
+        are simply released: nothing is retained across a respawn.
+        """
+        if self._pool is None or self.plane_retain <= 0:
+            release_pins(run_pins)
+            return
+        retained = self._pool.retained
+        for fp in run_pins:
+            if fp in retained:
+                retained.move_to_end(fp)
+                unpin(fp)  # retention already holds its own pin
+            else:
+                retained[fp] = True  # run pin becomes ours
+        while len(retained) > self.plane_retain:
+            release_pins((retained.popitem(last=False)[0],))
 
     def _dispatch(self, pool: _Pool, world_gid: int, seed: int, program,
                   args, kwargs, faults, here=None) -> RunResult:
@@ -386,39 +473,39 @@ class MpBackend(Backend):
         kwargs: dict | None = None,
         faults: Sequence[FaultSpec] | None = None,
     ) -> RunResult:
-        """Run ``program`` on ``p`` ranks (``faults``: see
-        :mod:`repro.faults`): rank 0 is this process, ranks 1..p−1 fresh
-        workers.  Under ``fork`` the workers inherit the run — nothing
-        published, pickled or sent; otherwise it is staged and
+        """Run ``program`` on ``p`` ranks of the pool (``faults``: see
+        :mod:`repro.faults`), starting the pool first if there is none at
+        ``p``: rank 0 is this process (``here``), the others workers.
+        Under ``fork`` a starting pool's workers inherit the run —
+        nothing published, pickled or sent; otherwise it is staged and
         dispatched."""
-        inherit = self.start_method == "fork"
-        # Pins are dropped (and segments unlinked unless a longer-lived
-        # layer also pins them) in the finally below — a crashed run
-        # cannot leak a published segment.
-        plane_pins: list[str] = []
-        world, args, kwargs = self._begin(p, args, kwargs, plane_pins,
-                                          stage=not inherit)
-        try:
+        inherit = self.here and self.start_method == "fork" and (
+            self._pool is None or self._pool.p != p)
+        if inherit:
             # Fail where a CMD_RUN would, before any worker exists: an
             # unimportable program does not pickle by reference.
             ForkingPickler.dumps(program)
-            msg = (CMD_RUN, world.gid, seed, 0, program, args, kwargs,
-                   tuple(faults or ()))
-            pool = self._spawn(world.size, msg if inherit else None,
-                               here=True)
-            try:
-                if inherit:
-                    result = self._supervise(pool, 0, msg)
-                else:
-                    result = self._dispatch(pool, world.gid, seed, program,
-                                            args, kwargs, faults, msg)
-            except BaseException:
-                pool.shutdown()  # workers may be wedged mid-collective
-                raise
-            pool.shutdown(graceful=True)
-            return result
+        # Graph plane: the run's pins migrate into the retention window
+        # afterwards, or are dropped (and segments unlinked unless a
+        # longer-lived layer also pins them) — a crashed run cannot leak
+        # a published segment.
+        run_pins: list[str] = []
+        world, args, kwargs = self._begin(p, args, kwargs, run_pins,
+                                          stage=not inherit)
+        msg = (CMD_RUN, world.gid, seed, 0, program, args, kwargs,
+               tuple(faults or ()))
+        try:
+            if inherit:
+                return self._supervise(self._ensure_pool(world.size, msg),
+                                       0, msg)
+            return self._dispatch(self._ensure_pool(world.size), world.gid,
+                                  seed, program, args, kwargs, faults,
+                                  msg if self.here else None)
+        except BaseException:
+            self._stop(graceful=False)  # workers may be wedged mid-collective
+            raise
         finally:
-            release_pins(plane_pins)
+            self._retain_plane(run_pins)
 
     # -- supervision ---------------------------------------------------------
 

@@ -12,7 +12,7 @@ its own result and counters — the simulator's arithmetic on the same
 inputs.  Wall-clock splits into *application* time (generator running)
 and *MPI* time (encode to result).  One command loop
 (:func:`persistent_worker_main`) under ``mp`` and ``warm``, spawn-safe;
-a one-shot ``mp`` run's rank 0 is the caller itself (:func:`run_here`).
+an ``mp`` pool's rank 0 is the caller itself (:func:`run_here`).
 """
 
 from __future__ import annotations
@@ -541,12 +541,16 @@ def run_here(peers: Peers, msg: tuple, watch: Callable[[], None]) -> tuple:
     except Exception as exc:
         raise WorkerProgramError(peers.rank, type(exc).__name__,
                                  traceback.format_exc()) from None
+    finally:
+        # ``watch`` refers to the backend, which its kept pool must not
+        # keep alive: a dropped backend ends its pool.
+        peers.watch = None
 
 
 def persistent_worker_main(conn, spec: WorkerSpec, bells,
                            first=None) -> None:
     """Process entry point: the command loop; never raises.  ``first`` is
-    a ``CMD_RUN`` to start on (a forked one-shot pool's).  Programs come
+    a ``CMD_RUN`` to start on (a forked ``mp`` pool's first).  Programs come
     by reference the first time the parent uses a token, then the token
     alone.  ``CMD_EXIT`` or EOF closes the transport, unlinking this
     worker's slabs; an error is reported and ends the process."""

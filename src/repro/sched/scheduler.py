@@ -45,7 +45,7 @@ from repro.faults import FaultPlan
 from repro.graph.fingerprint import cached_fingerprint
 from repro.graph.shm import plane_slices
 from repro.rng.streams import RngStreams
-from repro.runtime.base import Backend, resolve_backend
+from repro.runtime.base import Backend, owns_backend, resolve_backend
 from repro.runtime.errors import WorkerFailure
 from repro.sched.ledger import TrialLedger
 from repro.trace.events import TraceEvent
@@ -507,6 +507,7 @@ class TrialScheduler:
 
     # -- main entry ----------------------------------------------------------
 
+    @owns_backend
     def run(
         self,
         g,

@@ -61,6 +61,7 @@ def test_crash():
     plan = parse_fault_plan("crash:rank=1,step=1")  # killed mid-collective
     res = TrialScheduler(fault_plan=plan, backoff_s=0.0).run(
         g, 2, backend=backend, seed=7, trials=6)
+    backend.close()  # the recovered pool is kept until then
     clean = TrialScheduler().run(g, 2, seed=7, trials=6)
     assert res.retries == 1, res.retries
     assert res.value == clean.value == 2.0

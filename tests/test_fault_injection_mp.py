@@ -165,6 +165,7 @@ class TestCrash:
         res = backend.run(two_step_program, 2, seed=0,
                           kwargs={"nwords": 1 << 16})
         assert res.values[0] == res.values[1] == 6.0
+        backend.close()  # the recovered pool is kept until then
         assert _shm_entries() - before == set()
 
 
@@ -265,6 +266,7 @@ class TestOneLifecycle:
         with caplog.at_level(logging.WARNING, logger="repro.runtime"):
             res = backend.run(two_step_program, 2, seed=0,
                               kwargs={"nwords": 1 << 16})
+            backend.close()  # the pool outlives the run until then
         assert res.values == [6.0, 6.0]
         stats = backend.last_transport_stats["total"]
         assert stats["segments_created"] > 0  # arenas were really in play
@@ -333,6 +335,7 @@ class TestRankZeroIsTheCaller:
         assert _children() <= children
         assert _shm_entries() == before
         assert backend.run(two_step_program, 2, seed=0).values == [6.0, 6.0]
+        backend.close()
 
     @needs_dev_shm
     @pytest.mark.parametrize("start_method", ["fork", _SPAWN_SMOKE])

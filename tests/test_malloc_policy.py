@@ -27,6 +27,7 @@ _SCRIPT = """
 import json, resource
 from repro import approx_minimum_cut, cc_sequential, erdos_renyi, minimum_cut
 from repro.rng import philox_stream
+from repro.runtime.mp import MpBackend
 from repro.runtime.warm import WarmMpBackend
 appmc_graph = erdos_renyi(4000, 27_000, philox_stream(5), weighted=True)
 assert cc_sequential(appmc_graph)[1] == 1
@@ -40,7 +41,7 @@ for _ in range(4):
     {call}
     counts.append({count})
 {teardown}
-print(json.dumps(counts[2:]))
+print(json.dumps(counts[{skip}:]))
 """
 
 #: Replaces the lookup: a libc without ``mallopt``.
@@ -59,10 +60,11 @@ _DELTA = "faults() - before"
 
 
 def steady_counts(call: str, count: str = _DELTA, prelude: str = "",
-                  setup: str = "", teardown: str = "") -> list:
-    """The fault counts of calls 3 and 4 of ``call`` in a new interpreter."""
+                  setup: str = "", teardown: str = "", skip: int = 2) -> list:
+    """The fault counts of four calls of ``call`` in a new interpreter,
+    the first ``skip`` (warm-ups) left out."""
     script = prelude + _SCRIPT.format(call=call, count=count, setup=setup,
-                                      teardown=teardown)
+                                      teardown=teardown, skip=skip)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", script], check=True,
                          capture_output=True, text=True, timeout=300,
@@ -89,6 +91,27 @@ def test_warm_ranks_stay_mapped(start_method):
         "[r['minor_faults'] for r in b.last_transport_stats['ranks']]",
         setup=f"b = WarmMpBackend(start_method={start_method!r})",
         teardown="b.close()")
+    assert all(len(ranks) == 2 for ranks in runs)
+    assert max(map(max, runs)) <= FAULTS
+
+
+@pytest.mark.parametrize("start_method, steady_from", [("fork", 3),
+                                                       ("spawn", 2)])
+def test_kept_pool_ranks_stay_mapped(start_method, steady_from):
+    """An ``mp`` backend keeps its pool: from its ``steady_from``-th run on,
+    rank 0 (the caller) and the worker take no more faults than a warm
+    rank.  Under ``fork`` the first run's copy-on-write faults are the
+    fork's (~3,300 and ~1,800), and the second run is the first staged
+    through the graph plane: both ranks write inherited pages that path
+    touches for the first time (~50-110 faults each)."""
+    require_mp()
+    runs = steady_counts(
+        "approx_minimum_cut(appmc_graph, 2, seed=3, backend=b)",
+        "[r['minor_faults'] for r in b.last_transport_stats['ranks']]",
+        setup=f"b = MpBackend(start_method={start_method!r})\n"
+              "approx_minimum_cut(appmc_graph, 2, seed=3, backend=b)",
+        teardown="assert b.pool_spawns == 1\nb.close()",
+        skip=steady_from - 2)
     assert all(len(ranks) == 2 for ranks in runs)
     assert max(map(max, runs)) <= FAULTS
 

@@ -277,6 +277,7 @@ class TestMpEndToEnd:
         require_mp()
         before = _shm_names()
         res, backend = self._run()
+        backend.close()
         assert _shm_names() <= before  # nothing left behind
         stats = backend.last_transport_stats
         assert stats is not None
